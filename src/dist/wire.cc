@@ -282,7 +282,7 @@ Status DecodeFrame(const uint8_t* data, size_t size, size_t* consumed,
   payload->resize(raw_size);
   if (comp_size != 0) {
     WIRE_READ(lz4::Decompress(wire, comp_size, payload->data(), raw_size));
-  } else {
+  } else if (raw_size != 0) {
     std::memcpy(payload->data(), wire, raw_size);
   }
   *type = static_cast<FrameType>(type_raw);
@@ -321,7 +321,7 @@ Status ReadFrame(int fd, int idle_timeout_ms, int frame_timeout_ms,
   if (comp_size != 0) {
     WIRE_READ(lz4::Decompress(wire.data(), comp_size, payload->data(),
                               raw_size));
-  } else {
+  } else if (raw_size != 0) {
     std::memcpy(payload->data(), wire.data(), raw_size);
   }
   *type = static_cast<FrameType>(type_raw);

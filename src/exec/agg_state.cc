@@ -142,62 +142,64 @@ Value Accumulator::Finalize(AggSpec::Kind kind) const {
   return Value::Null();
 }
 
+AggGroup& FindOrInsertGroup(AggGroupMap* groups, uint64_t hash,
+                            const Value* keys, size_t num_keys,
+                            bool* created) {
+  auto& bucket = (*groups)[hash];
+  for (auto& g : bucket) {
+    bool equal = true;
+    for (size_t i = 0; i < num_keys && equal; i++) {
+      equal = g.keys[i].EqualsForGrouping(keys[i]);
+    }
+    if (equal) {
+      *created = false;
+      return g;
+    }
+  }
+  *created = true;
+  bucket.push_back(AggGroup{std::vector<Value>(keys, keys + num_keys), {}});
+  return bucket.back();
+}
+
 void AccumulateRows(const RowSet& in, const std::vector<ExprPtr>& group_by,
                     const std::vector<AggSpec>& aggs, Arena* arena,
                     AggGroupMap* groups) {
   std::vector<Value> keys;
+  keys.reserve(group_by.size());
   for (const Row& row : in) {
     uint64_t h = kKeyHashSeed;
     keys.clear();
-    keys.reserve(group_by.size());
     for (const auto& g : group_by) {
       Value v = EvalExpr(*g, row.data(), arena);
       h = HashCombine(h, v.Hash());
       keys.push_back(v);
     }
-    auto& bucket = (*groups)[h];
-    AggGroup* group = nullptr;
-    for (auto& g : bucket) {
-      bool equal = true;
-      for (size_t i = 0; i < keys.size() && equal; i++) {
-        equal = g.keys[i].EqualsForGrouping(keys[i]);
-      }
-      if (equal) {
-        group = &g;
-        break;
-      }
-    }
-    if (group == nullptr) {
-      bucket.push_back(
-          AggGroup{keys, std::vector<Accumulator>(aggs.size())});
-      group = &bucket.back();
-    }
+    bool created = false;
+    AggGroup& group =
+        FindOrInsertGroup(groups, h, keys.data(), keys.size(), &created);
+    if (created) group.accs.resize(aggs.size());
     for (size_t a = 0; a < aggs.size(); a++) {
       Value v = Value::Null();
       if (aggs[a].arg != nullptr) {
         v = EvalExpr(*aggs[a].arg, row.data(), arena);
       }
-      group->accs[a].AddValue(aggs[a].kind, v);
+      group.accs[a].AddValue(aggs[a].kind, v);
     }
   }
 }
 
 void MergeGroup(AggGroupMap* dst, uint64_t hash, AggGroup&& group,
                 const std::vector<AggSpec>& aggs) {
-  auto& bucket = (*dst)[hash];
-  for (auto& existing : bucket) {
-    bool equal = true;
-    for (size_t i = 0; i < group.keys.size() && equal; i++) {
-      equal = existing.keys[i].EqualsForGrouping(group.keys[i]);
-    }
-    if (equal) {
-      for (size_t a = 0; a < aggs.size(); a++) {
-        existing.accs[a].Merge(aggs[a].kind, group.accs[a]);
-      }
-      return;
-    }
+  bool created = false;
+  AggGroup& target = FindOrInsertGroup(dst, hash, group.keys.data(),
+                                       group.keys.size(), &created);
+  if (created) {
+    target.accs = std::move(group.accs);
+    return;
   }
-  bucket.push_back(std::move(group));
+  for (size_t a = 0; a < aggs.size(); a++) {
+    target.accs[a].Merge(aggs[a].kind, group.accs[a]);
+  }
 }
 
 void FinalizeGroups(const AggGroupMap& groups,

@@ -26,7 +26,9 @@ namespace jsontiles::exec {
 inline constexpr uint64_t kKeyHashSeed = 0x2545F4914F6CDD1DULL;
 
 /// Estimated hash-table cost per row beyond its Values: bucket entry, per-row
-/// key vector header, map node slack. Used for memory-budget charges.
+/// key vector header, map node slack. Used for memory-budget charges; the
+/// join's flat table needs less but is charged the same, so spill decisions
+/// stay where they were.
 inline constexpr size_t kPerRowTableOverhead = 64;
 
 /// A total order refining Value::Compare for values that compare equal:
@@ -70,6 +72,14 @@ struct AggGroup {
 /// Group table keyed by the kKeyHashSeed-chained key hash; equal-hash groups
 /// chain in the bucket vector and are distinguished by EqualsForGrouping.
 using AggGroupMap = std::unordered_map<uint64_t, std::vector<AggGroup>>;
+
+/// The group of `keys` (`num_keys` Values, chained under `hash`): the one
+/// whose keys all match by EqualsForGrouping, else a new group appended to
+/// the chain with the keys copied and no accumulators yet — *created is set
+/// and the caller sizes or moves in its accs. Every group-table write goes
+/// through here, so iteration order depends only on the insertion sequence.
+AggGroup& FindOrInsertGroup(AggGroupMap* groups, uint64_t hash,
+                            const Value* keys, size_t num_keys, bool* created);
 
 /// Scalar partial aggregation: fold every row of `in` into `groups`
 /// (interpreted expression evaluation; arena backs derived strings). This is

@@ -3,12 +3,13 @@
 // Every kernel is written to be bit-identical to the scalar interpreter in
 // expression.cc (EvalExpr / EvalArithmetic / EvalComparison / CastValue) —
 // including the quirks: comparisons of two numbers always go through
-// AsDouble (even int vs int), pure-int add/sub/mul stays int, MOD truncates
-// float operands, division by zero yields null. The differential fuzz test
-// locks this in.
+// AsDouble (even int vs int), pure-int add/sub/mul stays int and wraps on
+// overflow, MOD truncates float operands, division by zero yields null. The
+// differential fuzz test locks this in.
 
 #include "exec/expr_compile.h"
 #include "exec/simd.h"
+#include "util/bit_util.h"
 
 namespace jsontiles::exec::vec {
 
@@ -82,21 +83,21 @@ void KernelArith(const Instr& in, const ColumnVector& a, const ColumnVector& b,
         for (size_t k = 0; k < sel.count; k++) {
           const size_t r = sel.idx[k];
           onull[r] = an[r] | bn[r];
-          oi[r] = ai[r] + bi[r];
+          oi[r] = bit_util::WrapAdd(ai[r], bi[r]);
         }
         return;
       case BinOp::kSub:
         for (size_t k = 0; k < sel.count; k++) {
           const size_t r = sel.idx[k];
           onull[r] = an[r] | bn[r];
-          oi[r] = ai[r] - bi[r];
+          oi[r] = bit_util::WrapSub(ai[r], bi[r]);
         }
         return;
       default:  // kMul
         for (size_t k = 0; k < sel.count; k++) {
           const size_t r = sel.idx[k];
           onull[r] = an[r] | bn[r];
-          oi[r] = ai[r] * bi[r];
+          oi[r] = bit_util::WrapMul(ai[r], bi[r]);
         }
         return;
     }

@@ -6,6 +6,7 @@
 
 #include "json/dom.h"
 #include "tiles/keypath.h"
+#include "util/bit_util.h"
 #include "util/logging.h"
 
 namespace jsontiles::exec {
@@ -359,9 +360,9 @@ Value EvalArithmetic(BinOp op, const Value& l, const Value& r) {
   if (l.type == ValueType::kInt && r.type == ValueType::kInt &&
       op != BinOp::kDiv) {
     switch (op) {
-      case BinOp::kAdd: return Value::Int(l.i + r.i);
-      case BinOp::kSub: return Value::Int(l.i - r.i);
-      case BinOp::kMul: return Value::Int(l.i * r.i);
+      case BinOp::kAdd: return Value::Int(bit_util::WrapAdd(l.i, r.i));
+      case BinOp::kSub: return Value::Int(bit_util::WrapSub(l.i, r.i));
+      case BinOp::kMul: return Value::Int(bit_util::WrapMul(l.i, r.i));
       default: break;
     }
   }

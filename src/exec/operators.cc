@@ -4,8 +4,6 @@
 #include <atomic>
 #include <cstring>
 #include <deque>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "exec/agg_state.h"
 #include "exec/expr_compile.h"
@@ -15,6 +13,7 @@
 #include "exec/vector_batch.h"
 #include "obs/obs.h"
 #include "obs/plan_profile.h"
+#include "util/bit_util.h"
 #include "util/failpoint.h"
 #include "util/hash.h"
 #include "util/logging.h"
@@ -83,15 +82,6 @@ class ArenaCounter {
   QueryContext& ctx_;
   size_t before_;
 };
-
-bool KeysEqual(const std::vector<Value>& a, const std::vector<Value>& b) {
-  for (size_t i = 0; i < a.size(); i++) {
-    // Join keys: SQL equality — null never matches null.
-    if (a[i].is_null() || b[i].is_null()) return false;
-    if (!a[i].EqualsForGrouping(b[i])) return false;
-  }
-  return true;
-}
 
 // Infer the static type of every slot in `slots` from a full pass over the
 // rows (an all-null slot stays kNull). Returns false — disabling compiled
@@ -316,15 +306,17 @@ namespace {
 // come from the compiled batch results (`lane` = row's index in the current
 // batch); otherwise they are interpreted per row. `agg_expr_idx[a]` maps agg
 // a to its argument's index in the batched expression list (-1 = COUNT(*)).
-// Returns the approximate bytes newly allocated (non-zero only when this row
-// created a group) so callers can charge the memory budget.
+// `keys` is the caller's per-worker scratch: keys are copied into the table
+// only when this row creates a group. Returns the approximate bytes newly
+// allocated (non-zero only when this row created a group) so callers can
+// charge the memory budget.
 size_t Accumulate(AggGroupMap& groups, const std::vector<ExprPtr>& group_by,
                   const std::vector<AggSpec>& aggs,
                   const std::vector<int>& agg_expr_idx, const Row& row,
-                  Arena* arena, const BatchedExprs* batched, size_t lane) {
+                  Arena* arena, const BatchedExprs* batched, size_t lane,
+                  std::vector<Value>* keys) {
   uint64_t h = kKeyHashSeed;
-  std::vector<Value> keys;
-  keys.reserve(group_by.size());
+  keys->clear();
   size_t key_bytes = 0;
   for (size_t g = 0; g < group_by.size(); g++) {
     Value v = batched != nullptr
@@ -332,24 +324,14 @@ size_t Accumulate(AggGroupMap& groups, const std::vector<ExprPtr>& group_by,
                   : EvalExpr(*group_by[g], row.data(), arena);
     h = HashCombine(h, v.Hash());
     if (v.type == ValueType::kString) key_bytes += v.s.size();
-    keys.push_back(v);
+    keys->push_back(v);
   }
-  auto& bucket = groups[h];
-  AggGroup* group = nullptr;
-  for (auto& g : bucket) {
-    bool equal = true;
-    for (size_t i = 0; i < keys.size() && equal; i++) {
-      equal = g.keys[i].EqualsForGrouping(keys[i]);
-    }
-    if (equal) {
-      group = &g;
-      break;
-    }
-  }
+  bool created = false;
+  AggGroup& group =
+      FindOrInsertGroup(&groups, h, keys->data(), keys->size(), &created);
   size_t new_bytes = 0;
-  if (group == nullptr) {
-    bucket.push_back(AggGroup{std::move(keys), std::vector<Accumulator>(aggs.size())});
-    group = &bucket.back();
+  if (created) {
+    group.accs.resize(aggs.size());
     new_bytes = sizeof(AggGroup) + aggs.size() * sizeof(Accumulator) +
                 group_by.size() * sizeof(Value) + key_bytes +
                 kPerRowTableOverhead;
@@ -362,7 +344,7 @@ size_t Accumulate(AggGroupMap& groups, const std::vector<ExprPtr>& group_by,
                              arena)
               : EvalExpr(*aggs[a].arg, row.data(), arena);
     }
-    group->accs[a].AddValue(aggs[a].kind, v);
+    group.accs[a].AddValue(aggs[a].kind, v);
   }
   return new_bytes;
 }
@@ -401,6 +383,8 @@ Status AggregateInMemory(const RowSet& in, const std::vector<ExprPtr>& group_by,
                               BudgetReservation* res) {
     JSONTILES_TRACE_SPAN("exec.agg.partial");
     size_t pending = 0;
+    std::vector<Value> keys;
+    keys.reserve(group_by.size());
     for (size_t b = begin; b < end; b += kVectorSize) {
       if (over_budget.load(std::memory_order_relaxed)) return;
       const size_t n = std::min(kVectorSize, end - b);
@@ -411,7 +395,7 @@ Status AggregateInMemory(const RowSet& in, const std::vector<ExprPtr>& group_by,
       }
       for (size_t k = 0; k < n; k++) {
         pending += Accumulate(groups, group_by, aggs, agg_expr_idx, in[b + k],
-                              arena, cur, k);
+                              arena, cur, k, &keys);
       }
       if (res != nullptr && pending > 0) {
         if (!res->Grow(pending)) {
@@ -463,43 +447,11 @@ Status AggregateInMemory(const RowSet& in, const std::vector<ExprPtr>& group_by,
     JSONTILES_TRACE_SPAN("exec.agg.merge");
     for (size_t p = 1; p < partials.size(); p++) {
       for (auto& [h, bucket] : partials[p]) {
-        auto& dst_bucket = merged[h];
-        for (auto& g : bucket) {
-          AggGroup* target = nullptr;
-          for (auto& existing : dst_bucket) {
-            bool equal = true;
-            for (size_t i = 0; i < g.keys.size() && equal; i++) {
-              equal = existing.keys[i].EqualsForGrouping(g.keys[i]);
-            }
-            if (equal) {
-              target = &existing;
-              break;
-            }
-          }
-          if (target == nullptr) {
-            dst_bucket.push_back(std::move(g));
-          } else {
-            for (size_t a = 0; a < aggs.size(); a++) {
-              target->accs[a].Merge(aggs[a].kind, g.accs[a]);
-            }
-          }
-        }
+        for (auto& g : bucket) MergeGroup(&merged, h, std::move(g), aggs);
       }
     }
   }
-
-  for (auto& [h, bucket] : merged) {
-    (void)h;
-    for (auto& g : bucket) {
-      Row row;
-      row.reserve(group_by.size() + aggs.size());
-      for (auto& k : g.keys) row.push_back(k);
-      for (size_t a = 0; a < aggs.size(); a++) {
-        row.push_back(g.accs[a].Finalize(aggs[a].kind));
-      }
-      out->push_back(std::move(row));
-    }
-  }
+  FinalizeGroups(merged, aggs, out);
   return Status::OK();
 }
 
@@ -622,14 +574,7 @@ RowSet AggregateExec(const RowSet& in, const std::vector<ExprPtr>& group_by,
   }
 
   // Global aggregate of empty input still yields one row.
-  if (group_by.empty() && out.empty()) {
-    Row row;
-    std::vector<Accumulator> accs(aggs.size());
-    for (size_t a = 0; a < aggs.size(); a++) {
-      row.push_back(accs[a].Finalize(aggs[a].kind));
-    }
-    out.push_back(std::move(row));
-  }
+  if (group_by.empty() && out.empty()) out.push_back(EmptyGlobalAggRow(aggs));
   ReportSpill(prof, stats, ctx);
   prof.set_rows_out(out.size());
   return out;
@@ -671,13 +616,26 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
   // compiled engine and hash integer-typed key lanes with the SIMD batch
   // kernels. Hashes are bit-identical to the scalar per-Value path —
   // int/bool/timestamp lanes hash as HashInt of the payload and null lanes
-  // as Value::Null().Hash() — so probe lookups are unaffected. Rows insert
-  // in a second pass after an exact reserve (only non-null-key rows count).
-  std::unordered_map<uint64_t, std::vector<size_t>> table;
-  std::vector<std::vector<Value>> build_key_values;
-  build_key_values.reserve(build.size());
+  // as Value::Null().Hash() — so probe lookups are unaffected.
+  //
+  // The table is three flat arrays: `keys` (build.size() x nk Values,
+  // row-major), `row_hash`, and a power-of-two `heads` directory whose
+  // chains run through `next`. Rows are prepended in reverse build order,
+  // so every chain lists its rows in ascending build order and matches
+  // come out in build order. Rows with a null key are never linked (SQL:
+  // null never matches).
+  constexpr uint32_t kChainEnd = UINT32_MAX;
+  if (build.size() >= kChainEnd) {
+    return Status::ResourceExhausted(
+        "hash join build side has more rows than a 32-bit chain index holds");
+  }
+  const size_t nk = build_keys.size();
+  std::vector<Value> keys(build.size() * nk);
   std::vector<uint64_t> row_hash(build.size());
   std::vector<uint8_t> row_has_null(build.size(), 0);
+  std::vector<uint32_t> heads;
+  std::vector<uint32_t> next(build.size());
+  uint64_t mask = 0;
   {
     JSONTILES_TRACE_SPAN("exec.join.build");
     BatchedExprs batched(build, RawExprs(build_keys),
@@ -691,14 +649,10 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
         batched.LoadBatch(build, base, n, arena);
         cur = &batched;
       }
-      size_t batch_bytes =
-          n * (kPerRowTableOverhead + build_keys.size() * sizeof(Value));
-      for (size_t k = 0; k < n; k++) {
-        hacc[k] = kKeyHashSeed;
-        build_key_values.emplace_back();
-        build_key_values.back().reserve(build_keys.size());
-      }
-      for (size_t j = 0; j < build_keys.size(); j++) {
+      size_t batch_bytes = n * (kPerRowTableOverhead + nk * sizeof(Value));
+      std::fill(hacc, hacc + n, kKeyHashSeed);
+      Value* batch_keys = keys.data() + base * nk;
+      for (size_t j = 0; j < nk; j++) {
         const ColumnVector* col = cur != nullptr ? cur->Result(j) : nullptr;
         const bool batch_hashed =
             col != nullptr && simd::UseSimd() &&
@@ -718,23 +672,24 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
           row_has_null[base + k] |= static_cast<uint8_t>(v.is_null());
           if (!batch_hashed) hacc[k] = HashCombine(hacc[k], v.Hash());
           if (v.type == ValueType::kString) batch_bytes += v.s.size();
-          build_key_values[base + k].push_back(v);
+          batch_keys[k * nk + j] = v;
         }
       }
-      for (size_t k = 0; k < n; k++) row_hash[base + k] = hacc[k];
+      std::copy(hacc, hacc + n, row_hash.begin() + base);
       if (res != nullptr && !res->Grow(batch_bytes)) {
         *aborted = true;
         return Status::OK();
       }
     }
     size_t insertable = 0;
-    for (size_t b = 0; b < build.size(); b++) {
-      insertable += row_has_null[b] == 0;
-    }
-    table.reserve(insertable * 2);
-    for (size_t b = 0; b < build.size(); b++) {
-      if (row_has_null[b]) continue;  // null keys never match
-      table[row_hash[b]].push_back(b);
+    for (uint8_t has_null : row_has_null) insertable += has_null == 0;
+    heads.assign(bit_util::NextPow2(insertable * 2), kChainEnd);
+    mask = heads.size() - 1;
+    for (size_t b = build.size(); b-- > 0;) {
+      if (row_has_null[b]) continue;
+      uint32_t& head = heads[row_hash[b] & mask];
+      next[b] = head;
+      head = static_cast<uint32_t>(b);
     }
   }
   const size_t build_width = spec.build_width;
@@ -772,29 +727,31 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
         }
         bool matched = false;
         if (!has_null) {
-          auto it = table.find(h);
-          if (it != table.end()) {
-            for (size_t b : it->second) {
-              if (!KeysEqual(build_key_values[b], pkeys)) continue;
-              // Residual predicate over [probe..., build...].
-              if (residual != nullptr) {
-                combined.assign(prow.begin(), prow.end());
-                combined.insert(combined.end(), build[b].begin(),
-                                build[b].end());
-                Value keep = EvalExpr(*residual, combined.data(), worker_arena);
-                if (keep.is_null() || !keep.bool_value()) continue;
-              }
-              matched = true;
-              if (type == JoinType::kInner || type == JoinType::kLeft) {
-                Row out_row;
-                out_row.reserve(prow.size() + build_width);
-                out_row.insert(out_row.end(), prow.begin(), prow.end());
-                out_row.insert(out_row.end(), build[b].begin(),
-                               build[b].end());
-                out->push_back(std::move(out_row));
-              } else {
-                break;  // semi/anti need only existence
-              }
+          for (uint32_t b = heads[h & mask]; b != kChainEnd; b = next[b]) {
+            if (row_hash[b] != h) continue;
+            const Value* bkeys = keys.data() + size_t{b} * nk;
+            bool equal = true;
+            for (size_t j = 0; j < nk && equal; j++) {
+              equal = bkeys[j].EqualsForGrouping(pkeys[j]);
+            }
+            if (!equal) continue;
+            // Residual predicate over [probe..., build...].
+            if (residual != nullptr) {
+              combined.assign(prow.begin(), prow.end());
+              combined.insert(combined.end(), build[b].begin(),
+                              build[b].end());
+              Value keep = EvalExpr(*residual, combined.data(), worker_arena);
+              if (keep.is_null() || !keep.bool_value()) continue;
+            }
+            matched = true;
+            if (type == JoinType::kInner || type == JoinType::kLeft) {
+              Row out_row;
+              out_row.reserve(prow.size() + build_width);
+              out_row.insert(out_row.end(), prow.begin(), prow.end());
+              out_row.insert(out_row.end(), build[b].begin(), build[b].end());
+              out->push_back(std::move(out_row));
+            } else {
+              break;  // semi/anti need only existence
             }
           }
         }

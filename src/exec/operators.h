@@ -52,7 +52,14 @@ enum class JoinType : uint8_t { kInner, kLeft, kSemi, kAnti };
 /// Hash join. Output rows are [probe row..., build row...] for inner/left
 /// (build columns null for unmatched left rows); semi/anti emit the probe
 /// row only. `residual` (may be null) is evaluated on the combined row; for
-/// semi/anti it decides whether a key match counts.
+/// semi/anti it decides whether a key match counts. Null keys never match.
+///
+/// The build side goes into a flat table (build keys in one array, hash
+/// chains in `uint32_t` head/next arrays; DESIGN.md §8) with no per-row
+/// allocation. Output follows probe order, and each probe row's matches
+/// follow build order. Under a memory limit the join spills by key hash
+/// (same multiset, partition-grouped order). A build side of 2^32 - 1 or
+/// more rows cancels the query with ResourceExhausted.
 RowSet HashJoinExec(const RowSet& build, const RowSet& probe,
                     const std::vector<ExprPtr>& build_keys,
                     const std::vector<ExprPtr>& probe_keys, JoinType type,

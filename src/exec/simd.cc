@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstring>
 
+#include "util/bit_util.h"
 #include "util/hash.h"
 
 #if defined(JSONTILES_SIMD_ENABLED) && \
@@ -49,6 +50,13 @@ inline int64_t CmpScalarF(BinOp op, double x, double y) {
 
 inline int64_t CmpScalarI(BinOp op, int64_t x, int64_t y) {
   return ApplyCmpOrder(op, x < y ? -1 : x > y ? 1 : 0);
+}
+
+// Integer +, -, * wrap (two's complement), like the vector lanes.
+inline int64_t ArithScalarI(BinOp op, int64_t x, int64_t y) {
+  return op == BinOp::kAdd   ? bit_util::WrapAdd(x, y)
+         : op == BinOp::kSub ? bit_util::WrapSub(x, y)
+                             : bit_util::WrapMul(x, y);
 }
 
 namespace scalar {
@@ -108,9 +116,7 @@ void ArithI64Impl(BinOp op, const int64_t* a, const int64_t* b,
                   uint8_t* onull, size_t n) {
   for (size_t k = 0; k < n; ++k) {
     onull[k] = an[k] | bn[k];
-    out[k] = op == BinOp::kAdd   ? a[k] + b[k]
-             : op == BinOp::kSub ? a[k] - b[k]
-                                 : a[k] * b[k];
+    out[k] = ArithScalarI(op, a[k], b[k]);
   }
 }
 

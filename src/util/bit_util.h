@@ -88,6 +88,22 @@ inline uint64_t DecodeVarint(const uint8_t* src, size_t* pos) {
   return v;
 }
 
+/// Two's-complement wrapping int64 arithmetic: computed in uint64_t, where
+/// overflow is defined, so an overflowing SQL integer expression wraps
+/// instead of being undefined behaviour.
+inline int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrapSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrapMul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                              static_cast<uint64_t>(b));
+}
+
 /// ZigZag encoding maps signed to unsigned keeping small magnitudes small.
 inline uint64_t ZigZagEncode(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);

@@ -104,7 +104,7 @@ bool Decompress(const uint8_t* src, size_t src_size, uint8_t* dst,
     if (ip + literal_len > src_size || op + literal_len > decompressed_size) {
       return false;
     }
-    std::memcpy(dst + op, src + ip, literal_len);
+    if (literal_len != 0) std::memcpy(dst + op, src + ip, literal_len);
     ip += literal_len;
     op += literal_len;
     if (ip >= src_size) break;  // last sequence has no match part

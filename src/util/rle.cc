@@ -14,7 +14,7 @@ std::vector<uint8_t> EncodeInt64(const int64_t* values, size_t count) {
     size_t run = 1;
     while (i + run < count && values[i + run] == values[i]) run++;
     out.insert(out.end(), buf, buf + bit_util::EncodeVarint(buf, run));
-    uint64_t delta = bit_util::ZigZagEncode(values[i] - previous);
+    uint64_t delta = bit_util::ZigZagEncode(bit_util::WrapSub(values[i], previous));
     out.insert(out.end(), buf, buf + bit_util::EncodeVarint(buf, delta));
     previous = values[i];
     i += run;
@@ -31,7 +31,7 @@ bool DecodeInt64(const uint8_t* data, size_t size, std::vector<int64_t>* out) {
     if (pos > size || run == 0) return false;
     uint64_t delta = bit_util::DecodeVarint(data, &pos);
     if (pos > size) return false;
-    int64_t value = previous + bit_util::ZigZagDecode(delta);
+    int64_t value = bit_util::WrapAdd(previous, bit_util::ZigZagDecode(delta));
     out->insert(out->end(), run, value);
     previous = value;
   }
@@ -47,7 +47,7 @@ size_t EncodedSizeInt64(const int64_t* values, size_t count) {
     while (i + run < count && values[i + run] == values[i]) run++;
     bytes += static_cast<size_t>(bit_util::VarintSize(run));
     bytes += static_cast<size_t>(
-        bit_util::VarintSize(bit_util::ZigZagEncode(values[i] - previous)));
+        bit_util::VarintSize(bit_util::ZigZagEncode(bit_util::WrapSub(values[i], previous))));
     previous = values[i];
     i += run;
   }

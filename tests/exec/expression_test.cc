@@ -1,5 +1,8 @@
 #include "exec/expression.h"
 
+#include <cstdint>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "exec/scan.h"
@@ -29,6 +32,12 @@ TEST(ExprTest, Arithmetic) {
   EXPECT_TRUE(Eval(Div(ConstInt(1), ConstInt(0))).is_null());
   EXPECT_TRUE(Eval(Add(ConstInt(1), ConstNull())).is_null());
   EXPECT_EQ(Eval(Neg(ConstInt(5))).int_value(), -5);
+  // Integer overflow wraps (two's complement), like the compiled kernels.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(Eval(Add(ConstInt(kMax), ConstInt(1))).int_value(), kMin);
+  EXPECT_EQ(Eval(Sub(ConstInt(kMin), ConstInt(1))).int_value(), kMax);
+  EXPECT_EQ(Eval(Mul(ConstInt(kMax), ConstInt(2))).int_value(), -2);
 }
 
 TEST(ExprTest, Comparisons) {

@@ -1,0 +1,357 @@
+// Differential test of HashJoinExec against a nested-loop oracle that uses
+// no hash table: for every probe row in order, scan every build row in order
+// and keep the pairs whose keys are all non-null and EqualsForGrouping-equal
+// and whose residual (if any) holds. The hash join must produce exactly the
+// oracle's rows in exactly the oracle's order — for every join type, with
+// and without a residual, with the vectorized engine on and off, and with a
+// parallel probe. A spilling run must produce the same multiset.
+
+#include <algorithm>
+#include <deque>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "exec/agg_state.h"
+#include "exec/operators.h"
+#include "util/random.h"
+
+namespace jsontiles::exec {
+namespace {
+
+constexpr JoinType kJoinTypes[] = {JoinType::kInner, JoinType::kLeft,
+                                   JoinType::kSemi, JoinType::kAnti};
+
+const char* JoinName(JoinType type) {
+  switch (type) {
+    case JoinType::kInner: return "inner";
+    case JoinType::kLeft: return "left";
+    case JoinType::kSemi: return "semi";
+    case JoinType::kAnti: return "anti";
+  }
+  return "?";
+}
+
+// Evaluates `exprs` over `row`; false when any key is null (SQL: a null key
+// never matches).
+bool EvalKeys(const std::vector<ExprPtr>& exprs, const Row& row, Arena* arena,
+              std::vector<Value>* keys) {
+  keys->clear();
+  bool has_null = false;
+  for (const auto& e : exprs) {
+    keys->push_back(EvalExpr(*e, row.data(), arena));
+    has_null |= keys->back().is_null();
+  }
+  return !has_null;
+}
+
+RowSet NestedLoopJoin(const RowSet& build, const RowSet& probe,
+                      const std::vector<ExprPtr>& build_keys,
+                      const std::vector<ExprPtr>& probe_keys, JoinType type,
+                      const ExprPtr& residual) {
+  Arena arena;
+  const size_t build_width = build.empty() ? 0 : build[0].size();
+  // Build keys evaluated once, in build order; bvalid is 0 for rows with a
+  // null key part.
+  std::vector<std::vector<Value>> bkeys(build.size());
+  std::vector<uint8_t> bvalid(build.size());
+  for (size_t b = 0; b < build.size(); b++) {
+    bvalid[b] = EvalKeys(build_keys, build[b], &arena, &bkeys[b]);
+  }
+  RowSet out;
+  std::vector<Value> pkeys;
+  for (const Row& prow : probe) {
+    bool matched = false;
+    if (EvalKeys(probe_keys, prow, &arena, &pkeys)) {
+      for (size_t b = 0; b < build.size(); b++) {
+        if (!bvalid[b]) continue;
+        bool equal = true;
+        for (size_t j = 0; j < pkeys.size() && equal; j++) {
+          equal = bkeys[b][j].EqualsForGrouping(pkeys[j]);
+        }
+        if (!equal) continue;
+        Row combined = prow;
+        combined.insert(combined.end(), build[b].begin(), build[b].end());
+        if (residual != nullptr) {
+          Value keep = EvalExpr(*residual, combined.data(), &arena);
+          if (keep.is_null() || !keep.bool_value()) continue;
+        }
+        matched = true;
+        if (type == JoinType::kInner || type == JoinType::kLeft) {
+          out.push_back(std::move(combined));
+        } else {
+          break;
+        }
+      }
+    }
+    if (type == JoinType::kLeft && !matched) {
+      Row padded = prow;
+      padded.resize(prow.size() + build_width, Value::Null());
+      out.push_back(std::move(padded));
+    } else if ((type == JoinType::kSemi && matched) ||
+               (type == JoinType::kAnti && !matched)) {
+      out.push_back(prow);
+    }
+  }
+  return out;
+}
+
+// Exact identity: type tag, numeric scale and payload bits.
+bool SameValue(const Value& a, const Value& b) {
+  if (a.type != b.type || a.scale != b.scale) return false;
+  if (a.type == ValueType::kNull) return true;
+  if (a.type == ValueType::kString) return a.s == b.s;
+  return a.i == b.i;
+}
+
+void ExpectSameRows(const RowSet& expected, const RowSet& actual,
+                    const std::string& label) {
+  ASSERT_EQ(expected.size(), actual.size()) << label;
+  for (size_t r = 0; r < expected.size(); r++) {
+    ASSERT_EQ(expected[r].size(), actual[r].size()) << label << " row " << r;
+    for (size_t c = 0; c < expected[r].size(); c++) {
+      ASSERT_TRUE(SameValue(expected[r][c], actual[r][c]))
+          << label << " row " << r << " col " << c << ": expected "
+          << expected[r][c].ToString() << ", got " << actual[r][c].ToString();
+    }
+  }
+}
+
+RowSet SortedByContent(RowSet rows) {
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    for (size_t i = 0; i < a.size() && i < b.size(); i++) {
+      int cmp = TotalValueOrder(a[i], b[i]);
+      if (cmp != 0) return cmp < 0;
+    }
+    return a.size() < b.size();
+  });
+  return rows;
+}
+
+struct JoinCase {
+  RowSet build;
+  RowSet probe;
+  std::vector<ExprPtr> build_keys;
+  std::vector<ExprPtr> probe_keys;
+  // Over the combined [probe..., build...] row; null = no residual.
+  ExprPtr residual;
+};
+
+RowSet RunHashJoin(const JoinCase& c, JoinType type, const ExprPtr& residual,
+                   bool vectorized, size_t threads, size_t mem_limit,
+                   uint64_t* spilled_bytes = nullptr) {
+  ExecOptions options;
+  options.enable_vectorized = vectorized;
+  options.num_threads = threads;
+  options.mem_limit_bytes = mem_limit;
+  QueryContext ctx(options);
+  RowSet out = HashJoinExec(c.build, c.probe, c.build_keys, c.probe_keys,
+                            type, residual, ctx);
+  EXPECT_TRUE(ctx.ConsumeStatus().ok());
+  if (spilled_bytes != nullptr) *spilled_bytes = ctx.spilled_bytes;
+  // Output rows view strings of the inputs only (keys are slot references),
+  // so they stay valid after the context dies.
+  return out;
+}
+
+// Every join type, with and without the residual, vectorized on and off,
+// at 1 and 2 threads: exact rows in exact order.
+void CheckAgainstOracle(const JoinCase& c, const std::string& name) {
+  for (JoinType type : kJoinTypes) {
+    for (bool with_residual : {false, true}) {
+      if (with_residual && c.residual == nullptr) continue;
+      const ExprPtr residual = with_residual ? c.residual : nullptr;
+      const RowSet expected = NestedLoopJoin(c.build, c.probe, c.build_keys,
+                                             c.probe_keys, type, residual);
+      for (bool vectorized : {true, false}) {
+        for (size_t threads : {size_t{1}, size_t{2}}) {
+          const std::string label =
+              name + " " + JoinName(type) +
+              (with_residual ? " +residual" : "") +
+              (vectorized ? " vec" : " scalar") + " threads=" +
+              std::to_string(threads);
+          ExpectSameRows(expected,
+                         RunHashJoin(c, type, residual, vectorized, threads,
+                                     /*mem_limit=*/0),
+                         label);
+        }
+      }
+    }
+  }
+}
+
+// Probe side above the 16,384-row parallel threshold, so 2 threads split it.
+constexpr int kProbeRows = 20000;
+
+// Single int key with long duplicate chains, null keys on both sides and
+// unmatched keys on both sides.
+JoinCase IntKeyCase() {
+  Random rng(7);
+  JoinCase c;
+  for (int i = 0; i < 2000; i++) {
+    Value key = rng.Chance(0.05) ? Value::Null()
+                : i % 10 == 0    ? Value::Int(13)  // 200-row chain
+                                 : Value::Int(rng.Range(0, 199));
+    c.build.push_back({key, Value::Int(i), Value::Int(rng.Range(0, 99))});
+  }
+  for (int i = 0; i < kProbeRows; i++) {
+    Value key = rng.Chance(0.05) ? Value::Null()
+                                 : Value::Int(rng.Range(-5, 400));
+    c.probe.push_back({key, Value::Int(rng.Range(0, 99))});
+  }
+  c.build_keys = {Slot(0)};
+  c.probe_keys = {Slot(0)};
+  // probe payload < build payload: [p.key, p.v, b.key, b.id, b.v]
+  c.residual = Lt(Slot(1), Slot(4));
+  return c;
+}
+
+TEST(JoinDifferentialTest, IntKeysWithLongChains) {
+  JoinCase c = IntKeyCase();
+  CheckAgainstOracle(c, "int");
+}
+
+// Two key columns (int, string) where either part may be null; a row with
+// any null part never matches.
+TEST(JoinDifferentialTest, MultiColumnKeysWithNullParts) {
+  static const std::vector<std::string> kNames = {"", "a", "b", "ab", "ba",
+                                                  "long-ish key value"};
+  Random rng(11);
+  JoinCase c;
+  auto key_part_int = [&]() {
+    return rng.Chance(0.1) ? Value::Null() : Value::Int(rng.Range(0, 99));
+  };
+  auto key_part_str = [&]() {
+    return rng.Chance(0.1) ? Value::Null()
+                           : Value::String(kNames[rng.Uniform(kNames.size())]);
+  };
+  for (int i = 0; i < 2000; i++) {
+    c.build.push_back({key_part_int(), key_part_str(), Value::Int(i)});
+  }
+  for (int i = 0; i < kProbeRows; i++) {
+    c.probe.push_back({key_part_str(), Value::Int(i % 97), key_part_int()});
+  }
+  c.build_keys = {Slot(0), Slot(1)};
+  c.probe_keys = {Slot(2), Slot(0)};
+  // [p.s, p.v, p.i, b.i, b.s, b.id]: build id odd or probe value small.
+  c.residual = Or(Eq(Mod(Slot(5), ConstInt(2)), ConstInt(1)),
+                  Lt(Slot(1), ConstInt(10)));
+  CheckAgainstOracle(c, "multi");
+}
+
+// 1, 1.0 and numeric 1.00 are equal under EqualsForGrouping (and hash
+// alike); so are 0 and -0.0, -7 and -7.0, and numeric 3.25 and 3.250.
+// Mixed types in one column keep the build side on the interpreter;
+// single-typed columns of different types on each side take the compiled
+// path with cross-type equality. (A fractional float and an equal
+// fractional numeric, 2.5 and 2.50, compare equal but hash apart — the
+// hash join never pairs them; that open finding is not exercised here.)
+TEST(JoinDifferentialTest, CrossTypeNumericKeys) {
+  auto numeric = [](int64_t unscaled, uint8_t scale) {
+    return Value::Num(Numeric{unscaled, scale});
+  };
+  const std::vector<Value> mixed = {
+      Value::Int(1),       Value::Float(1.0),   numeric(100, 2),
+      numeric(1, 0),       Value::Int(2),       Value::Float(2.5),
+      Value::Float(-0.0),  Value::Int(0),       Value::Null(),
+      numeric(325, 2),     numeric(3250, 3),    numeric(-7, 0),
+      Value::Float(-7.0)};
+  Random rng(13);
+  {
+    JoinCase c;
+    for (int i = 0; i < 120; i++) {
+      c.build.push_back({mixed[rng.Uniform(mixed.size())], Value::Int(i)});
+    }
+    // Mostly keys absent from the build side, to bound the output size.
+    for (int i = 0; i < kProbeRows; i++) {
+      c.probe.push_back({Value::Int(i), rng.Chance(0.05)
+                                            ? mixed[rng.Uniform(mixed.size())]
+                                            : Value::Int(1000 + i)});
+    }
+    c.build_keys = {Slot(0)};
+    c.probe_keys = {Slot(1)};
+    // [p.i, p.key, b.key, b.id]
+    c.residual = Gt(Slot(3), Mod(Slot(0), ConstInt(120)));
+    CheckAgainstOracle(c, "mixed");
+  }
+  {
+    JoinCase c;  // float build keys against int probe keys
+    for (int i = 0; i < 1500; i++) {
+      c.build.push_back(
+          {Value::Float(static_cast<double>(rng.Range(0, 80)) / 2),
+           Value::Int(i)});
+    }
+    for (int i = 0; i < kProbeRows; i++) {
+      c.probe.push_back({Value::Int(rng.Range(0, 400))});
+    }
+    c.build_keys = {Slot(0)};
+    c.probe_keys = {Slot(0)};
+    c.residual = Lt(Slot(2), ConstInt(700));  // [p.key, b.key, b.id]
+    CheckAgainstOracle(c, "float-int");
+  }
+}
+
+// String keys including the empty string, which must neither match null
+// nor be confused with a missing key.
+TEST(JoinDifferentialTest, StringKeysIncludingEmpty) {
+  std::deque<std::string> storage;
+  Random rng(17);
+  auto key = [&](uint64_t distinct) {
+    if (rng.Chance(0.05)) return Value::Null();
+    if (rng.Chance(0.05)) return Value::String("");
+    storage.push_back(std::string(rng.Uniform(3), 'x') +
+                      std::to_string(rng.Uniform(distinct)));
+    return Value::String(storage.back());
+  };
+  JoinCase c;
+  for (int i = 0; i < 400; i++) c.build.push_back({key(30), Value::Int(i)});
+  for (int i = 0; i < kProbeRows; i++) {
+    c.probe.push_back({Value::Int(i), key(300)});
+  }
+  c.build_keys = {Slot(0)};
+  c.probe_keys = {Slot(1)};
+  c.residual = Eq(Mod(Add(Slot(0), Slot(3)), ConstInt(3)), ConstInt(0));
+  CheckAgainstOracle(c, "string");
+}
+
+TEST(JoinDifferentialTest, EmptySides) {
+  JoinCase c = IntKeyCase();
+  JoinCase empty_build{{}, c.probe, {Slot(0)}, {Slot(0)}, c.residual};
+  CheckAgainstOracle(empty_build, "empty-build");
+  JoinCase empty_probe{c.build, {}, {Slot(0)}, {Slot(0)}, c.residual};
+  CheckAgainstOracle(empty_probe, "empty-probe");
+  for (JoinType type : kJoinTypes) {
+    EXPECT_TRUE(RunHashJoin(empty_probe, type, nullptr, true, 1, 0).empty());
+  }
+  // Left and anti keep every probe row; left pads zero build columns.
+  EXPECT_EQ(RunHashJoin(empty_build, JoinType::kLeft, nullptr, true, 1, 0)
+                .size(),
+            c.probe.size());
+  EXPECT_EQ(RunHashJoin(empty_build, JoinType::kAnti, nullptr, true, 1, 0)
+                .size(),
+            c.probe.size());
+}
+
+// Under a tight memory limit the join spills; partition-wise output order
+// differs, but the multiset must equal the unlimited run's.
+TEST(JoinDifferentialTest, SpilledJoinMatchesUnlimitedAsMultiset) {
+  JoinCase c = IntKeyCase();
+  for (JoinType type : kJoinTypes) {
+    for (const ExprPtr& residual : {ExprPtr(), c.residual}) {
+      const std::string label = std::string(JoinName(type)) +
+                                (residual != nullptr ? " +residual" : "");
+      const RowSet unlimited =
+          RunHashJoin(c, type, residual, true, 1, /*mem_limit=*/0);
+      uint64_t spilled = 0;
+      const RowSet limited =
+          RunHashJoin(c, type, residual, true, 1, 32 * 1024, &spilled);
+      EXPECT_GT(spilled, 0u) << label;
+      ExpectSameRows(SortedByContent(unlimited), SortedByContent(limited),
+                     label);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace jsontiles::exec

@@ -191,6 +191,36 @@ TEST_F(SimdKernelTest, DivisionByZeroYieldsNull) {
   EXPECT_EQ(onull[2], 1);
 }
 
+TEST_F(SimdKernelTest, IntArithmeticWrapsInEveryTier) {
+  // Nine lanes: whole vectors plus a scalar tail on every tier.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t a[9] = {kMax, kMin, kMax, kMin, 1, kMax, kMin, kMax, -1};
+  const int64_t b[9] = {1, -1, kMax, kMin, 2, -1, 1, 2, kMin};
+  uint8_t no_nulls[9] = {};
+  const struct {
+    BinOp op;
+    int64_t expected[9];
+  } cases[] = {
+      {BinOp::kAdd, {kMin, kMax, -2, 0, 3, kMax - 1, kMin + 1, kMin + 1, kMax}},
+      {BinOp::kSub, {kMax - 1, kMin + 1, 0, 0, -1, kMin, kMax, kMax - 2, kMax}},
+      {BinOp::kMul, {kMax, kMin, 1, 0, 2, kMin + 1, kMin, -2, kMin}},
+  };
+  for (bool enabled : {true, false}) {
+    simd::SetEnabled(enabled);
+    for (const auto& c : cases) {
+      int64_t out[9];
+      uint8_t onull[9];
+      simd::ArithI64(c.op, a, b, no_nulls, no_nulls, out, onull, 9);
+      for (size_t i = 0; i < 9; i++) {
+        EXPECT_EQ(out[i], c.expected[i])
+            << "op " << static_cast<int>(c.op) << " lane " << i
+            << " simd=" << enabled;
+      }
+    }
+  }
+}
+
 TEST_F(SimdKernelTest, IntToDoubleConversionIsExactEverywhere) {
   // Extremes where a wrong rounding mode or a float detour would show.
   const int64_t ext[] = {std::numeric_limits<int64_t>::min(),
