@@ -649,9 +649,7 @@ Status Cluster::RunFragments(const exec::ScanSpec& spec,
           break;
         }
         wstats.batches++;
-        for (exec::Row& row : batch) {
-          frag->staged_rows.push_back(std::move(row));
-        }
+        frag->staged_rows.Append(std::move(batch));
         break;
       }
       case FrameType::kAggResult: {
@@ -685,10 +683,7 @@ Status Cluster::RunFragments(const exec::ScanSpec& spec,
             }
           }
         } else {
-          exec::RowSet& bucket = (*row_buckets)[frag->shard];
-          for (exec::Row& row : frag->staged_rows) {
-            bucket.push_back(std::move(row));
-          }
+          (*row_buckets)[frag->shard].Append(std::move(frag->staged_rows));
         }
         frag->staged_rows.clear();
         frag->staged_aggs.clear();
@@ -888,12 +883,7 @@ Status Cluster::Scan(const exec::ScanSpec& spec, exec::QueryContext& ctx,
                                        stats));
   // Ascending shard order = the local sharded scan's part order, so the
   // concatenation is bit-identical to local execution.
-  size_t total = 0;
-  for (const exec::RowSet& b : buckets) total += b.size();
-  out->reserve(out->size() + total);
-  for (exec::RowSet& b : buckets) {
-    for (exec::Row& row : b) out->push_back(std::move(row));
-  }
+  out->AppendAll(std::move(buckets));
   return Status::OK();
 }
 

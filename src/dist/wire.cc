@@ -790,7 +790,7 @@ void EncodeRowBatch(uint32_t fragment_id, uint32_t epoch,
   w.U32(epoch);
   w.U32(static_cast<uint32_t>(row_end - row_begin));
   for (size_t i = row_begin; i < row_end; i++) {
-    const exec::Row& row = rows[i];
+    const exec::RowView row = rows[i];
     w.Varint(row.size());
     for (const exec::Value& v : row) EncodeValue(v, &w);
   }
@@ -809,14 +809,13 @@ Status DecodeRowBatch(const std::vector<uint8_t>& payload, Arena* arena,
     WIRE_READ(r.Varint(&num_values));
     // A value is at least 2 encoded bytes; cheap guard before reserving.
     WIRE_READ(num_values <= r.remaining() / 2 + 1);
-    exec::Row row;
-    row.reserve(num_values);
+    // Rows decode straight into the flat array, so every row must have the
+    // width of the rows already there.
+    WIRE_READ(out->empty() || num_values == out->width());
+    exec::RowRef row = out->AppendRow(static_cast<size_t>(num_values));
     for (uint64_t v = 0; v < num_values; v++) {
-      exec::Value value;
-      WIRE_READ(DecodeValue(&r, arena, &value));
-      row.push_back(value);
+      WIRE_READ(DecodeValue(&r, arena, &row[v]));
     }
-    out->push_back(std::move(row));
   }
   WIRE_READ(r.AtEnd());
   return Status::OK();

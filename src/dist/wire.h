@@ -212,7 +212,8 @@ Status DecodeFragment(const std::vector<uint8_t>& payload, FragmentMsg* msg);
 
 /// Row batches: worker results streamed back in fragment order. Decoded
 /// strings go into `arena` (the coordinator's query arena) and rows are
-/// appended to `out`.
+/// appended to `out`'s flat array; a batch whose rows differ in width from
+/// each other or from `out`'s rows is rejected as corrupt.
 void EncodeRowBatch(uint32_t fragment_id, uint32_t epoch,
                     const exec::RowSet& rows, size_t row_begin,
                     size_t row_end, std::vector<uint8_t>* out);

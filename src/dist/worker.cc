@@ -42,7 +42,7 @@ uint64_t NowNanos() {
           .count());
 }
 
-size_t EstimatedRowBytes(const exec::Row& row) {
+size_t EstimatedRowBytes(exec::RowView row) {
   size_t bytes = 4;
   for (const exec::Value& v : row) {
     bytes += 12;

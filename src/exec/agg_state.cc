@@ -1,5 +1,6 @@
 #include "exec/agg_state.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "exec/expression.h"
@@ -166,7 +167,7 @@ void AccumulateRows(const RowSet& in, const std::vector<ExprPtr>& group_by,
                     AggGroupMap* groups) {
   std::vector<Value> keys;
   keys.reserve(group_by.size());
-  for (const Row& row : in) {
+  for (RowView row : in) {
     uint64_t h = kKeyHashSeed;
     keys.clear();
     for (const auto& g : group_by) {
@@ -207,13 +208,11 @@ void FinalizeGroups(const AggGroupMap& groups,
   for (const auto& [h, bucket] : groups) {
     (void)h;
     for (const auto& g : bucket) {
-      Row row;
-      row.reserve(g.keys.size() + aggs.size());
-      for (const auto& k : g.keys) row.push_back(k);
+      RowRef row = out->AppendRow(g.keys.size() + aggs.size());
+      std::copy(g.keys.begin(), g.keys.end(), row.begin());
       for (size_t a = 0; a < aggs.size(); a++) {
-        row.push_back(g.accs[a].Finalize(aggs[a].kind));
+        row[g.keys.size() + a] = g.accs[a].Finalize(aggs[a].kind);
       }
-      out->push_back(std::move(row));
     }
   }
 }

@@ -27,14 +27,16 @@ namespace {
 // exec/agg_state.h: the distributed exchange shares them with this file so
 // worker partials hash and tie-break exactly like local aggregation.
 
-// Copy every string payload of `row` into `arena`. Output rows of a spilled
+// Copy every string payload of `rows` into `arena`. Output rows of a spilled
 // partition reference strings in the partition's read-back arena, which dies
 // when the partition finishes — rescue them into a query-lifetime arena.
-void RescueRowStrings(Row* row, Arena* arena) {
-  for (Value& v : *row) {
-    if (v.type == ValueType::kString && !v.s.empty()) {
-      uint8_t* copy = arena->AllocateCopy(v.s.data(), v.s.size());
-      v.s = std::string_view(reinterpret_cast<const char*>(copy), v.s.size());
+void RescueRowStrings(RowSet* rows, Arena* arena) {
+  for (RowRef row : *rows) {
+    for (Value& v : row) {
+      if (v.type == ValueType::kString && !v.s.empty()) {
+        uint8_t* copy = arena->AllocateCopy(v.s.data(), v.s.size());
+        v.s = std::string_view(reinterpret_cast<const char*>(copy), v.s.size());
+      }
     }
   }
 }
@@ -92,7 +94,7 @@ bool InferSlotTypes(const RowSet& rows, const std::vector<int>& slots,
   for (int s : slots) {
     if (s < 0 || static_cast<size_t>(s) >= types->size()) return false;
   }
-  for (const Row& row : rows) {
+  for (RowView row : rows) {
     for (int s : slots) {
       const Value& v = row[s];
       if (v.is_null()) continue;
@@ -158,7 +160,7 @@ class BatchedExprs {
   }
 
   /// Value of expression e for batch lane k (row = the matching input row).
-  Value Get(size_t e, size_t k, const Row& row, Arena* arena) const {
+  Value Get(size_t e, size_t k, RowView row, Arena* arena) const {
     if (enabled_ && compiled_[e]) return results_[e]->GetValue(k);
     return EvalExpr(*exprs_[e], row.data(), arena);
   }
@@ -197,8 +199,9 @@ RowSet FilterExec(RowSet in, const ExprPtr& predicate, QueryContext& ctx) {
   prof.set_rows_in(in.size());
   ArenaCounter arena_counter(prof, ctx);
   Arena* arena = ctx.arena(0);
-  RowSet out;
-  out.reserve(in.size());
+  // Survivors compact in place: rows [0, kept) are the output so far, and
+  // kept never passes the row being read, so no unread row is overwritten.
+  size_t kept = 0;
 
   // Vectorized path: compile the predicate conjunct-by-conjunct against slot
   // types inferred from the rows, then filter batch-at-a-time with
@@ -236,7 +239,8 @@ RowSet FilterExec(RowSet in, const ExprPtr& predicate, QueryContext& ctx) {
             if (sel.empty()) break;
           }
           for (size_t k = 0; k < sel.count; k++) {
-            Row& row = in[b + sel.idx[k]];
+            const size_t r = b + sel.idx[k];
+            RowView row = in[r];
             bool keep_row = true;
             for (const auto& res : pred.residuals()) {
               Value keep = EvalExpr(*res, row.data(), arena);
@@ -245,23 +249,25 @@ RowSet FilterExec(RowSet in, const ExprPtr& predicate, QueryContext& ctx) {
                 break;
               }
             }
-            if (keep_row) out.push_back(std::move(row));
+            if (keep_row) in.CopyRow(kept++, r);
           }
         }
         prof.AddCounter("vec_batches", batches);
         JSONTILES_COUNTER_ADD("exec.vec.batches", batches);
-        prof.set_rows_out(out.size());
-        return out;
+        in.resize(kept);
+        prof.set_rows_out(in.size());
+        return in;
       }
     }
   }
 
-  for (auto& row : in) {
-    Value keep = EvalExpr(*predicate, row.data(), arena);
-    if (!keep.is_null() && keep.bool_value()) out.push_back(std::move(row));
+  for (size_t r = 0; r < in.size(); r++) {
+    Value keep = EvalExpr(*predicate, in[r].data(), arena);
+    if (!keep.is_null() && keep.bool_value()) in.CopyRow(kept++, r);
   }
-  prof.set_rows_out(out.size());
-  return out;
+  in.resize(kept);
+  prof.set_rows_out(in.size());
+  return in;
 }
 
 RowSet ProjectExec(const RowSet& in, const std::vector<ExprPtr>& exprs,
@@ -273,20 +279,18 @@ RowSet ProjectExec(const RowSet& in, const std::vector<ExprPtr>& exprs,
   prof.set_rows_out(in.size());
   ArenaCounter arena_counter(prof, ctx);
   Arena* arena = ctx.arena(0);
-  RowSet out;
-  out.reserve(in.size());
+  RowSet out(exprs.size());
+  out.resize(in.size());
   BatchedExprs batched(in, RawExprs(exprs), ctx.options().enable_vectorized);
   for (size_t b = 0; b < in.size(); b += kVectorSize) {
     const size_t n = std::min(kVectorSize, in.size() - b);
     if (batched.enabled()) batched.LoadBatch(in, b, n, arena);
     for (size_t k = 0; k < n; k++) {
-      const Row& row = in[b + k];
-      Row projected;
-      projected.reserve(exprs.size());
+      RowView row = in[b + k];
+      RowRef projected = out[b + k];
       for (size_t e = 0; e < exprs.size(); e++) {
-        projected.push_back(batched.Get(e, k, row, arena));
+        projected[e] = batched.Get(e, k, row, arena);
       }
-      out.push_back(std::move(projected));
     }
   }
   return out;
@@ -312,7 +316,7 @@ namespace {
 // charge the memory budget.
 size_t Accumulate(AggGroupMap& groups, const std::vector<ExprPtr>& group_by,
                   const std::vector<AggSpec>& aggs,
-                  const std::vector<int>& agg_expr_idx, const Row& row,
+                  const std::vector<int>& agg_expr_idx, RowView row,
                   Arena* arena, const BatchedExprs* batched, size_t lane,
                   std::vector<Value>* keys) {
   uint64_t h = kKeyHashSeed;
@@ -481,17 +485,15 @@ Status AggSpillPartition(SpillFile file, const std::vector<ExprPtr>& group_by,
     JSONTILES_RETURN_NOT_OK(AggregateInMemory(rows, group_by, aggs, ctx,
                                               /*budgeted=*/false, &aborted,
                                               &local));
-    for (Row& row : local) {
-      RescueRowStrings(&row, ctx.arena(0));
-      out->push_back(std::move(row));
-    }
+    RescueRowStrings(&local, ctx.arena(0));
+    out->Append(local);
     return Status::OK();
   }
   std::vector<SpillFile> sub;
   for (size_t p = 0; p < kSpillFanout; p++) {
     sub.emplace_back(ctx.options().spill_dir, stats, ctx.options().spill_disk);
   }
-  JSONTILES_RETURN_NOT_OK(file.ForEach(nullptr, [&](uint64_t h, Row&& row) {
+  JSONTILES_RETURN_NOT_OK(file.ForEach(nullptr, [&](uint64_t h, RowView row) {
     if (ctx.cancelled()) return Status::Cancelled("query cancelled");
     return sub[SpillPartitionOf(h, depth)].Add(h, row);
   }));
@@ -522,7 +524,7 @@ Status AggSpill(const RowSet& in, const std::vector<ExprPtr>& group_by,
   }
   Arena scratch;  // derived key strings live only until the row is hashed
   size_t since_reset = 0;
-  for (const Row& row : in) {
+  for (RowView row : in) {
     uint64_t h = kKeyHashSeed;
     for (const auto& g : group_by) {
       h = HashCombine(h, EvalExpr(*g, row.data(), &scratch).Hash());
@@ -713,7 +715,7 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
         cur = batched;
       }
       for (size_t k = 0; k < n; k++) {
-        const Row& prow = probe[base + k];
+        RowView prow = probe[base + k];
         pkeys.clear();
         uint64_t h = kKeyHashSeed;
         bool has_null = false;
@@ -735,21 +737,17 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
               equal = bkeys[j].EqualsForGrouping(pkeys[j]);
             }
             if (!equal) continue;
+            RowView brow = build[b];
             // Residual predicate over [probe..., build...].
             if (residual != nullptr) {
               combined.assign(prow.begin(), prow.end());
-              combined.insert(combined.end(), build[b].begin(),
-                              build[b].end());
+              combined.insert(combined.end(), brow.begin(), brow.end());
               Value keep = EvalExpr(*residual, combined.data(), worker_arena);
               if (keep.is_null() || !keep.bool_value()) continue;
             }
             matched = true;
             if (type == JoinType::kInner || type == JoinType::kLeft) {
-              Row out_row;
-              out_row.reserve(prow.size() + build_width);
-              out_row.insert(out_row.end(), prow.begin(), prow.end());
-              out_row.insert(out_row.end(), build[b].begin(), build[b].end());
-              out->push_back(std::move(out_row));
+              out->AppendConcat(prow, brow);
             } else {
               break;  // semi/anti need only existence
             }
@@ -759,15 +757,7 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
           case JoinType::kInner:
             break;
           case JoinType::kLeft:
-            if (!matched) {
-              Row out_row;
-              out_row.reserve(prow.size() + build_width);
-              out_row.insert(out_row.end(), prow.begin(), prow.end());
-              for (size_t i = 0; i < build_width; i++) {
-                out_row.push_back(Value::Null());
-              }
-              out->push_back(std::move(out_row));
-            }
+            if (!matched) out->AppendPadded(prow, build_width);
             break;
           case JoinType::kSemi:
             if (matched) out->push_back(prow);
@@ -800,12 +790,7 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
           return Status::OK();
         },
         1));
-    size_t total = 0;
-    for (const auto& p : partials) total += p.size();
-    out->reserve(out->size() + total);
-    for (auto& p : partials) {
-      for (auto& row : p) out->push_back(std::move(row));
-    }
+    out->AppendAll(std::move(partials));
     return Status::OK();
   }
   probe_chunk(0, probe.size(), arena, out, &probe_master);
@@ -837,10 +822,8 @@ Status JoinSpillPartition(SpillFile bfile, SpillFile pfile,
     bool aborted = false;
     JSONTILES_RETURN_NOT_OK(
         InMemoryJoin(bp, pp, spec, ctx, nullptr, &aborted, &local));
-    for (Row& row : local) {
-      RescueRowStrings(&row, ctx.arena(0));
-      out->push_back(std::move(row));
-    }
+    RescueRowStrings(&local, ctx.arena(0));
+    out->Append(local);
     return Status::OK();
   }
   std::vector<SpillFile> bsub, psub;
@@ -849,7 +832,7 @@ Status JoinSpillPartition(SpillFile bfile, SpillFile pfile,
     psub.emplace_back(ctx.options().spill_dir, stats, ctx.options().spill_disk);
   }
   auto reroute = [&](SpillFile* src, std::vector<SpillFile>& dst) {
-    return src->ForEach(nullptr, [&](uint64_t h, Row&& row) {
+    return src->ForEach(nullptr, [&](uint64_t h, RowView row) {
       if (ctx.cancelled()) return Status::Cancelled("query cancelled");
       return dst[SpillPartitionOf(h, depth)].Add(h, row);
     });
@@ -899,7 +882,7 @@ Status JoinImpl(const RowSet& build, const RowSet& probe, const JoinSpec& spec,
                             const std::vector<ExprPtr>& keys,
                             std::vector<SpillFile>& parts) -> Status {
     size_t since_reset = 0;
-    for (const Row& row : rows) {
+    for (RowView row : rows) {
       uint64_t h = kKeyHashSeed;
       for (const auto& k : keys) {
         h = HashCombine(h, EvalExpr(*k, row.data(), &scratch).Hash());
@@ -969,7 +952,16 @@ RowSet SortExec(RowSet in, const std::vector<SortKey>& keys, QueryContext& ctx) 
   prof.set_rows_out(in.size());
   ArenaCounter arena_counter(prof, ctx);
   Arena* arena = ctx.arena(0);
-  std::stable_sort(in.begin(), in.end(), [&](const Row& a, const Row& b) {
+  if (in.empty()) return in;
+  // Sort a row permutation, then gather once: rows never move while the
+  // comparator runs, and stable_sort over indices keeps equal rows in input
+  // order exactly as sorting the rows themselves would.
+  JSONTILES_CHECK(in.size() <= UINT32_MAX);
+  std::vector<uint32_t> perm(in.size());
+  for (size_t i = 0; i < perm.size(); i++) perm[i] = static_cast<uint32_t>(i);
+  std::stable_sort(perm.begin(), perm.end(), [&](uint32_t ia, uint32_t ib) {
+    RowView a = in[ia];
+    RowView b = in[ib];
     for (const auto& key : keys) {
       Value va = EvalExpr(*key.expr, a.data(), arena);
       Value vb = EvalExpr(*key.expr, b.data(), arena);
@@ -992,7 +984,10 @@ RowSet SortExec(RowSet in, const std::vector<SortKey>& keys, QueryContext& ctx) 
     }
     return false;
   });
-  return in;
+  RowSet out(in.width());
+  out.reserve(in.size());
+  for (uint32_t i : perm) out.push_back(in[i]);
+  return out;
 }
 
 RowSet LimitExec(RowSet in, size_t limit) {

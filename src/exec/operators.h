@@ -1,6 +1,10 @@
 // Physical operators above the scan: filter, project, hash join, hash
-// aggregation, sort, limit. Row sets are fully materialized between
-// operators; joins and aggregations parallelize over input chunks.
+// aggregation, sort, limit. Operators exchange whole flat row sets
+// (exec/row_set.h: one contiguous row-major Value array per RowSet, rows
+// read through views), so no operator allocates per row: filter compacts in
+// place, project writes a pre-sized output, join appends probe and build
+// ranges, sort permutes indices and gathers once, limit truncates. Joins and
+// aggregations parallelize over input chunks.
 
 #ifndef JSONTILES_EXEC_OPERATORS_H_
 #define JSONTILES_EXEC_OPERATORS_H_

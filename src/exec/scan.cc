@@ -372,21 +372,21 @@ class VectorizedChunkScan {
     for (size_t i = 0; i < num_slots_; i++) {
       MaterializeSlot(i, chunk, resolved, batch_begin, n);
     }
-    Row row(num_slots_);
+    // Survivors go straight into the flat tail of `out`; a row the
+    // residual rejects is popped again.
     for (size_t k = 0; k < sel_.count; k++) {
       const size_t r = sel_.idx[k];
+      RowRef row = out->AppendRow(num_slots_);
       for (size_t i = 0; i < num_slots_; i++) {
         row[i] = slot_vecs_[i].GetValue(r);
       }
-      bool keep = true;
       for (const ExprPtr& residual : pred_.residuals()) {
         Value v = EvalExpr(*residual, row.data(), arena_);
         if (v.is_null() || !v.bool_value()) {
-          keep = false;
+          out->pop_back();
           break;
         }
       }
-      if (keep) out->push_back(row);
     }
   }
 
@@ -699,14 +699,18 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
     if (vectorized) worker_preds.assign(ctx.num_workers(), pred);
   }
 
-  std::vector<RowSet> partials(chunks.size());
+  // Parallel chunks each fill their own partial (concatenated in chunk order
+  // below); a serial scan visits chunks in order and fills one output.
+  const bool parallel = ctx.pool() != nullptr && chunks.size() > 1;
+  std::vector<RowSet> partials(parallel ? chunks.size() : 1,
+                               RowSet(num_slots));
   std::atomic<size_t> skipped{0};
 
   auto scan_chunk = [&](size_t c, size_t worker) {
     JSONTILES_TRACE_SPAN("exec.scan.chunk");
     const Chunk& chunk = chunks[c];
     Arena* arena = ctx.arena(worker);
-    RowSet& out = partials[c];
+    RowSet& out = partials[parallel ? c : 0];
 
     // §4.8 tile skipping: path existence, then zone maps.
     if (chunk.tile != nullptr && ctx.options().enable_tile_skipping) {
@@ -750,7 +754,6 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
     const Relation& rel = *chunk.rel;
     json::JsonbBuilder text_builder;  // JSON-text mode: re-parse per document
     std::vector<uint8_t> text_buf;
-    std::vector<Value> slots(num_slots);
 
     for (size_t r = 0; r < chunk.row_count; r++) {
       const size_t row = chunk.row_begin + r;  // local to the part relation
@@ -773,6 +776,8 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
       };
       const bool copy_strings = rel.mode() == StorageMode::kJsonText;
 
+      // Fill the row in place at the tail; the filter pops it if rejected.
+      RowRef slots = out.AppendRow(num_slots);
       for (size_t i = 0; i < num_slots; i++) {
         const ResolvedAccess& ra = resolved[i];
         const Expr& access = *spec.accesses[i];
@@ -809,9 +814,8 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
 
       if (spec.filter != nullptr) {
         Value keep = EvalExpr(*spec.filter, slots.data(), arena);
-        if (keep.is_null() || !keep.bool_value()) continue;
+        if (keep.is_null() || !keep.bool_value()) out.pop_back();
       }
-      out.push_back(slots);
     }
   };
 
@@ -825,7 +829,7 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
     return Status::OK();
   };
   Status scan_status;
-  if (ctx.pool() != nullptr && chunks.size() > 1) {
+  if (parallel) {
     scan_status = ctx.pool()->ParallelForStatus(chunks.size(), scan_morsel);
   } else {
     for (size_t c = 0; c < chunks.size() && scan_status.ok(); c++) {
@@ -852,14 +856,10 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
                           static_cast<int64_t>(pruned_shards));
   }
 
-  // Merge in chunk order (deterministic results).
-  size_t total = 0;
-  for (const auto& p : partials) total += p.size();
+  // Merge in chunk order (deterministic results): one reservation, one bulk
+  // copy per chunk.
   RowSet out;
-  out.reserve(total);
-  for (auto& p : partials) {
-    for (auto& row : p) out.push_back(std::move(row));
-  }
+  out.AppendAll(std::move(partials));
   prof.set_rows_out(out.size());
   if (prof.active()) {
     prof.AddCounter("arena_bytes",

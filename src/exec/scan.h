@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "exec/expression.h"
+#include "exec/row_set.h"
 #include "exec/vector_batch.h"
 #include "obs/plan_profile.h"
 #include "storage/relation.h"
@@ -34,9 +35,6 @@ class ShardedRelation;
 namespace jsontiles::exec {
 
 class DistRuntime;  // exec/exchange.h
-
-using Row = std::vector<Value>;
-using RowSet = std::vector<Row>;
 
 /// Fault-tolerance budget of a distributed query (DESIGN.md §14). A worker
 /// that dies or hangs mid-fragment is killed, respawned with capped

@@ -41,7 +41,7 @@ size_t ApproxRowBytes(const Row& row) {
   return bytes;
 }
 
-Status SpillFile::Add(uint64_t hash, const Row& row) {
+Status SpillFile::Add(uint64_t hash, RowView row) {
   JSONTILES_DCHECK(!finished_);
   const size_t before = buf_.size();
   PutScalar<uint64_t>(buf_, hash);
@@ -108,10 +108,11 @@ Status SpillFile::WriteBlock() {
 }
 
 Status SpillFile::ForEach(
-    Arena* arena, const std::function<Status(uint64_t, Row&&)>& cb) {
+    Arena* arena, const std::function<Status(uint64_t, RowView)>& cb) {
   JSONTILES_RETURN_NOT_OK(Finish());
   std::vector<uint8_t> comp;
   std::vector<uint8_t> raw;
+  Row row;  // one decode buffer, reused for every record
   uint64_t off = 0;
   while (off < file_.size()) {
     JSONTILES_FAILPOINT_RETURN("spill.read");
@@ -138,10 +139,10 @@ Status SpillFile::ForEach(
       pos += 8;
       const uint16_t num_values = GetScalar<uint16_t>(raw.data() + pos);
       pos += 2;
-      Row row;
-      row.reserve(num_values);
+      row.resize(num_values);
       for (uint16_t i = 0; i < num_values; i++) {
-        Value v;
+        Value& v = row[i];
+        v = Value();
         v.type = static_cast<ValueType>(raw[pos]);
         v.scale = raw[pos + 1];
         pos += 2;
@@ -168,18 +169,22 @@ Status SpillFile::ForEach(
             pos += 8;
             break;
         }
-        row.push_back(v);
       }
-      JSONTILES_RETURN_NOT_OK(cb(hash, std::move(row)));
+      JSONTILES_RETURN_NOT_OK(cb(hash, row));
     }
   }
   return Status::OK();
 }
 
 Status SpillFile::ReadAll(Arena* arena, RowSet* out) {
-  out->reserve(out->size() + static_cast<size_t>(rows_));
-  return ForEach(arena, [out](uint64_t, Row&& row) {
-    out->push_back(std::move(row));
+  const size_t total = out->size() + static_cast<size_t>(rows_);
+  bool reserved = false;
+  return ForEach(arena, [&](uint64_t, RowView row) {
+    out->push_back(row);
+    if (!reserved) {  // the width is known once the first row is in
+      out->reserve(total);
+      reserved = true;
+    }
     return Status::OK();
   });
 }

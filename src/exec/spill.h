@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/row_set.h"
 #include "exec/value.h"
 #include "util/arena.h"
 #include "util/resource_governor.h"
@@ -31,9 +32,6 @@
 #include "util/temp_file.h"
 
 namespace jsontiles::exec {
-
-using Row = std::vector<Value>;
-using RowSet = std::vector<Row>;
 
 /// Counters one operator accumulates across all its spill activity; surfaced
 /// as `spilled_bytes` / `spill_partitions` in EXPLAIN ANALYZE.
@@ -98,7 +96,7 @@ class SpillFile {
   SpillFile& operator=(const SpillFile&) = delete;
 
   /// Serialize one record; writes a block when the buffer fills.
-  Status Add(uint64_t hash, const Row& row);
+  Status Add(uint64_t hash, RowView row);
 
   /// Write any buffered tail block. Required before ForEach/ReadAll.
   Status Finish();
@@ -107,14 +105,18 @@ class SpillFile {
   /// Serialized (uncompressed) bytes — the read-back memory estimate.
   uint64_t raw_bytes() const { return raw_bytes_; }
 
-  /// Stream records back in insertion order. String payloads are copied into
-  /// `arena`; with a null arena they view the internal block buffer and are
-  /// only valid during the callback (enough to re-serialize elsewhere).
+  /// Stream records back in insertion order. The row view (and, with a null
+  /// arena, its string payloads, which then view the internal block buffer)
+  /// is only valid during the callback — enough to re-serialize elsewhere.
+  /// With an arena, string payloads are copied into it.
   Status ForEach(Arena* arena,
-                 const std::function<Status(uint64_t hash, Row&& row)>& cb);
+                 const std::function<Status(uint64_t hash, RowView row)>& cb);
 
   /// Materialize every record (strings into `arena`).
   Status ReadAll(Arena* arena, RowSet* out);
+
+  /// The framed bytes written so far (valid once a block reached disk).
+  const TempFile& file() const { return file_; }
 
  private:
   Status WriteBlock();

@@ -95,10 +95,11 @@ RowSet ScanRowset(const TableRef& table, const std::vector<ExprPtr>& accesses,
     }
     JSONTILES_CHECK(column_of[i] >= 0);
   }
-  RowSet out;
+  RowSet out(accesses.size());
   out.reserve(table.rowset->size());
-  std::vector<Value> slots(accesses.size());
   for (const auto& row : *table.rowset) {
+    // Fill the row in place at the tail; the filter pops it if rejected.
+    exec::RowRef slots = out.AppendRow(accesses.size());
     for (size_t i = 0; i < accesses.size(); i++) {
       const Value& v = row[static_cast<size_t>(column_of[i])];
       slots[i] = v.type == accesses[i]->access_type
@@ -107,9 +108,8 @@ RowSet ScanRowset(const TableRef& table, const std::vector<ExprPtr>& accesses,
     }
     if (filter != nullptr) {
       Value keep = exec::EvalExpr(*filter, slots.data(), arena);
-      if (keep.is_null() || !keep.bool_value()) continue;
+      if (keep.is_null() || !keep.bool_value()) out.pop_back();
     }
-    out.push_back(slots);
   }
   prof.set_rows_out(out.size());
   return out;
@@ -454,7 +454,7 @@ RowSet QueryBlock::Execute(exec::QueryContext& ctx, const PlannerOptions& option
     }
     acc = exec::HashJoinExec(scanned[t], acc, build_keys, probe_keys,
                              exec::JoinType::kInner, residual, ctx);
-    scanned[t].clear();
+    scanned[t] = RowSet();  // release the build side's array now
     if (ctx.cancelled()) return {};
     if (profile != nullptr) {
       // Probe (the accumulated plan so far) first, build scan second.

@@ -283,6 +283,8 @@ Status ReadTile(Reader& r, tiles::Tile* tile) {
   JT_READ(!words.empty() && (words.size() & (words.size() - 1)) == 0);
   uint64_t inserted;
   JT_READ(r.Varint(&inserted));
+  // The restored bloom already holds the column prefixes: rebuilding only the
+  // lookup keeps Serialize(Deserialize(x)) == x byte for byte.
   tile->RestoreSeenPaths(BloomFilter::Restore(std::move(words), inserted));
   tile->BuildColumnIndex();
   return Status::OK();

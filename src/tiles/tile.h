@@ -75,7 +75,13 @@ class Tile {
   /// tiles that contain the data under longer leaf paths.
   void AddSeenPath(std::string_view path);
 
+  /// Rebuild the path -> column lookup from `columns`.
   void BuildColumnIndex();
+
+  /// Register every prefix of every extracted path as seen, so skipping on
+  /// intermediate levels stays conservative. Done once when the tile is
+  /// built; a restored tile's bloom filter already holds them.
+  void AddColumnPrefixesToSeenPaths();
 
   /// Serialization support for the header bloom filter.
   const BloomFilter& seen_paths() const { return seen_paths_; }

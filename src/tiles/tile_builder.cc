@@ -333,6 +333,7 @@ Tile TileBuilder::BuildFromItems(const std::vector<json::JsonbValue>& docs,
   }
 
   tile.BuildColumnIndex();
+  tile.AddColumnPrefixesToSeenPaths();
 
   // §4.4: non-extracted key paths that actually occur in this tile go into
   // the header bloom filter. (The dictionary may be a projection of a whole

@@ -295,40 +295,64 @@ TEST(DistWireTest, FragmentRoundTrip) {
 }
 
 TEST(DistWireTest, RowBatchRoundTrip) {
-  RowSet rows;
-  rows.push_back(Row{Value::Int(1), Value::String("one"), Value::Null()});
-  rows.push_back(Row{Value::Int(2), Value::String(""), Value::Float(0.5)});
-  rows.push_back(Row{});  // zero-width row survives too
-  rows.push_back(Row{Value::Bool(false)});
-
-  std::vector<uint8_t> buf;
-  EncodeRowBatch(9, /*epoch=*/3, rows, 0, rows.size(), &buf);
+  // A batch carries one flat row set, so every width round-trips as its own
+  // batch — zero-width rows (a COUNT(*) scan with no accesses) included.
+  const std::vector<RowSet> batches = {
+      {Row{Value::Int(1), Value::String("one"), Value::Null()},
+       Row{Value::Int(2), Value::String(""), Value::Float(0.5)}},
+      {Row{}},  // zero-width row survives too
+      {Row{Value::Bool(false)}},
+  };
   Arena arena;
   uint32_t fragment_id = 0;
   uint32_t epoch = 0;
-  RowSet out;
-  ASSERT_TRUE(DecodeRowBatch(buf, &arena, &fragment_id, &epoch, &out).ok());
-  EXPECT_EQ(fragment_id, 9u);
-  EXPECT_EQ(epoch, 3u);
-  ASSERT_EQ(out.size(), rows.size());
-  for (size_t i = 0; i < rows.size(); i++) {
-    ASSERT_EQ(out[i].size(), rows[i].size()) << "row " << i;
-    for (size_t j = 0; j < rows[i].size(); j++) {
-      EXPECT_EQ(out[i][j].is_null(), rows[i][j].is_null());
-      if (!rows[i][j].is_null()) {
-        EXPECT_EQ(out[i][j].ToString(), rows[i][j].ToString());
+  for (const RowSet& rows : batches) {
+    std::vector<uint8_t> buf;
+    EncodeRowBatch(9, /*epoch=*/3, rows, 0, rows.size(), &buf);
+    RowSet out;
+    ASSERT_TRUE(DecodeRowBatch(buf, &arena, &fragment_id, &epoch, &out).ok());
+    EXPECT_EQ(fragment_id, 9u);
+    EXPECT_EQ(epoch, 3u);
+    ASSERT_EQ(out.size(), rows.size());
+    for (size_t i = 0; i < rows.size(); i++) {
+      ASSERT_EQ(out[i].size(), rows[i].size()) << "row " << i;
+      for (size_t j = 0; j < rows[i].size(); j++) {
+        EXPECT_EQ(out[i][j].is_null(), rows[i][j].is_null());
+        if (!rows[i][j].is_null()) {
+          EXPECT_EQ(out[i][j].ToString(), rows[i][j].ToString());
+        }
       }
     }
   }
 
   // Sub-range encoding: rows [1, 3).
-  buf.clear();
+  RowSet rows = {{Value::Int(1)}, {Value::Int(2)}, {Value::Int(3)},
+                 {Value::Int(4)}};
+  std::vector<uint8_t> buf;
   EncodeRowBatch(9, /*epoch=*/1, rows, 1, 3, &buf);
-  out.clear();
+  RowSet out;
   ASSERT_TRUE(DecodeRowBatch(buf, &arena, &fragment_id, &epoch, &out).ok());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(epoch, 1u);
   EXPECT_EQ(out[0][0].ToString(), "2");
+  EXPECT_EQ(out[1][0].ToString(), "3");
+}
+
+TEST(DistWireTest, RowBatchWithMixedWidthsIsCorrupt) {
+  // The encoder never mixes widths in a batch (it encodes one RowSet); a
+  // frame that does is rejected instead of decoded into a ragged set.
+  std::vector<uint8_t> wide, narrow;
+  EncodeRowBatch(9, 1, RowSet{{Value::Int(1), Value::Int(2)}}, 0, 1, &wide);
+  EncodeRowBatch(9, 1, RowSet{{Value::Int(3)}}, 0, 1, &narrow);
+  constexpr size_t kHeader = 12;  // fragment id, epoch, row count
+  std::vector<uint8_t> mixed = wide;
+  mixed[8] = 2;  // two rows: the wide one, then the narrow one
+  mixed.insert(mixed.end(), narrow.begin() + kHeader, narrow.end());
+  Arena arena;
+  uint32_t fragment_id = 0;
+  uint32_t epoch = 0;
+  RowSet out;
+  EXPECT_FALSE(DecodeRowBatch(mixed, &arena, &fragment_id, &epoch, &out).ok());
 }
 
 TEST(DistWireTest, AggPartialRoundTrip) {

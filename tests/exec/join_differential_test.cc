@@ -35,7 +35,7 @@ const char* JoinName(JoinType type) {
 
 // Evaluates `exprs` over `row`; false when any key is null (SQL: a null key
 // never matches).
-bool EvalKeys(const std::vector<ExprPtr>& exprs, const Row& row, Arena* arena,
+bool EvalKeys(const std::vector<ExprPtr>& exprs, RowView row, Arena* arena,
               std::vector<Value>* keys) {
   keys->clear();
   bool has_null = false;
@@ -61,7 +61,7 @@ RowSet NestedLoopJoin(const RowSet& build, const RowSet& probe,
   }
   RowSet out;
   std::vector<Value> pkeys;
-  for (const Row& prow : probe) {
+  for (RowView prow : probe) {
     bool matched = false;
     if (EvalKeys(probe_keys, prow, &arena, &pkeys)) {
       for (size_t b = 0; b < build.size(); b++) {
@@ -71,7 +71,7 @@ RowSet NestedLoopJoin(const RowSet& build, const RowSet& probe,
           equal = bkeys[b][j].EqualsForGrouping(pkeys[j]);
         }
         if (!equal) continue;
-        Row combined = prow;
+        Row combined = prow.ToRow();
         combined.insert(combined.end(), build[b].begin(), build[b].end());
         if (residual != nullptr) {
           Value keep = EvalExpr(*residual, combined.data(), &arena);
@@ -86,7 +86,7 @@ RowSet NestedLoopJoin(const RowSet& build, const RowSet& probe,
       }
     }
     if (type == JoinType::kLeft && !matched) {
-      Row padded = prow;
+      Row padded = prow.ToRow();
       padded.resize(prow.size() + build_width, Value::Null());
       out.push_back(std::move(padded));
     } else if ((type == JoinType::kSemi && matched) ||
@@ -118,15 +118,19 @@ void ExpectSameRows(const RowSet& expected, const RowSet& actual,
   }
 }
 
-RowSet SortedByContent(RowSet rows) {
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+RowSet SortedByContent(const RowSet& rows) {
+  std::vector<Row> sorted;
+  for (RowView row : rows) sorted.push_back(row.ToRow());
+  std::sort(sorted.begin(), sorted.end(), [](const Row& a, const Row& b) {
     for (size_t i = 0; i < a.size() && i < b.size(); i++) {
       int cmp = TotalValueOrder(a[i], b[i]);
       if (cmp != 0) return cmp < 0;
     }
     return a.size() < b.size();
   });
-  return rows;
+  RowSet out;
+  for (const Row& row : sorted) out.push_back(row);
+  return out;
 }
 
 struct JoinCase {

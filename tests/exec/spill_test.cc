@@ -36,7 +36,7 @@ Row MakeMixedRow(int64_t i, std::string_view str) {
   return row;
 }
 
-void ExpectRowsEqual(const Row& a, const Row& b) {
+void ExpectRowsEqual(RowView a, RowView b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); i++) {
     EXPECT_EQ(a[i].type, b[i].type) << "col " << i;
@@ -88,7 +88,7 @@ TEST(SpillFileTest, ForEachPreservesOrderAndHashes) {
   ASSERT_TRUE(file.Finish().ok());
   int64_t next = 0;
   Arena arena;
-  ASSERT_TRUE(file.ForEach(&arena, [&](uint64_t h, Row&& row) -> Status {
+  ASSERT_TRUE(file.ForEach(&arena, [&](uint64_t h, RowView row) -> Status {
                     EXPECT_EQ(h, static_cast<uint64_t>(next) * 31 + 5);
                     EXPECT_EQ(row[0].int_value(), next);
                     next++;

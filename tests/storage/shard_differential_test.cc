@@ -124,33 +124,47 @@ TEST(ShardDifferentialTest, TilesFig14Workload) {
 }
 
 // All storage modes, a representative query subset (scan-heavy, join-heavy,
-// aggregation-heavy, float-summing) — same sweep, same guarantee.
-TEST(ShardDifferentialTest, AllStorageModes) {
+// aggregation-heavy, float-summing) — same sweep, same guarantee. One test per
+// mode keeps each well inside the per-test timeout under sanitizers.
+void CheckStorageMode(StorageMode mode) {
   const int tpch_queries[] = {1, 3, 6, 12, 14, 18};
-  for (StorageMode mode : {StorageMode::kJsonText, StorageMode::kJsonb,
-                           StorageMode::kSinew, StorageMode::kTiles}) {
-    for (size_t shards : kShardCounts) {
-      for (size_t threads : kThreadCounts) {
-        LoadOptions load_options;
-        load_options.num_threads = threads;
-        ShardOptions shard_options;
-        shard_options.shard_count = shards;
-        auto sharded = ShardedRelation::Load(Tpch().combined, "tpch", mode,
-                                             SmallTiles(), load_options,
-                                             shard_options)
-                           .MoveValueOrDie();
-        ExecOptions exec_options;
-        exec_options.num_threads = threads;
-        for (int q : tpch_queries) {
-          QueryContext ctx(exec_options);
-          EXPECT_EQ(Canonical(workload::RunTpchQuery(q, *sharded, ctx)),
-                    TpchBaseline(mode, q))
-              << StorageModeName(mode) << " Q" << q << " shards=" << shards
-              << " threads=" << threads;
-        }
+  for (size_t shards : kShardCounts) {
+    for (size_t threads : kThreadCounts) {
+      LoadOptions load_options;
+      load_options.num_threads = threads;
+      ShardOptions shard_options;
+      shard_options.shard_count = shards;
+      auto sharded = ShardedRelation::Load(Tpch().combined, "tpch", mode,
+                                           SmallTiles(), load_options,
+                                           shard_options)
+                         .MoveValueOrDie();
+      ExecOptions exec_options;
+      exec_options.num_threads = threads;
+      for (int q : tpch_queries) {
+        QueryContext ctx(exec_options);
+        EXPECT_EQ(Canonical(workload::RunTpchQuery(q, *sharded, ctx)),
+                  TpchBaseline(mode, q))
+            << StorageModeName(mode) << " Q" << q << " shards=" << shards
+            << " threads=" << threads;
       }
     }
   }
+}
+
+TEST(ShardDifferentialTest, AllStorageModesJsonText) {
+  CheckStorageMode(StorageMode::kJsonText);
+}
+
+TEST(ShardDifferentialTest, AllStorageModesJsonb) {
+  CheckStorageMode(StorageMode::kJsonb);
+}
+
+TEST(ShardDifferentialTest, AllStorageModesSinew) {
+  CheckStorageMode(StorageMode::kSinew);
+}
+
+TEST(ShardDifferentialTest, AllStorageModesTiles) {
+  CheckStorageMode(StorageMode::kTiles);
 }
 
 // Hash routing (the pruning-enabled layout) must not change any answer.
