@@ -140,37 +140,17 @@ inline std::string Fmt(double v, const char* fmt = "%.4f") {
 ///   --simd / --no-simd      toggle the SIMD kernel tier of the vectorized
 ///                           engine (default on; --no-simd runs the exact
 ///                           scalar-fallback code paths, the honest baseline)
-///   --mem-limit <bytes>     operator scratch-memory cap for query execution
-///                           (ExecOptions::mem_limit_bytes); joins and
-///                           aggregations spill to disk instead of exceeding
-///                           it. 0 (the default) = unlimited. Also settable
-///                           via JSONTILES_MEM_LIMIT.
 ///
 /// Works under JSONTILES_OBS=OFF too (the registry is always compiled; the
 /// dump is then simply empty).
 class BenchObs {
  public:
   BenchObs(int* argc, char** argv) {
-    mem_limit_bytes_ = EnvSize("JSONTILES_MEM_LIMIT", 0);
     int out = 1;
     for (int i = 1; i < *argc; i++) {
       std::string_view arg = argv[i];
       if (arg == "--simd" || arg == "--no-simd") {
         exec::simd::SetEnabled(arg == "--simd");
-        continue;
-      }
-      if (arg == "--mem-limit" || arg.rfind("--mem-limit=", 0) == 0) {
-        std::string value;
-        size_t eq = arg.find('=');
-        if (eq != std::string_view::npos) {
-          value = std::string(arg.substr(eq + 1));
-        } else if (i + 1 < *argc) {
-          value = argv[++i];
-        } else {
-          std::fprintf(stderr, "missing byte count after --mem-limit\n");
-          std::exit(2);
-        }
-        mem_limit_bytes_ = static_cast<size_t>(std::atoll(value.c_str()));
         continue;
       }
       std::string* target = nullptr;
@@ -238,14 +218,9 @@ class BenchObs {
   BenchObs(const BenchObs&) = delete;
   BenchObs& operator=(const BenchObs&) = delete;
 
-  /// Operator scratch cap from --mem-limit / JSONTILES_MEM_LIMIT (0 =
-  /// unlimited); plug into ExecOptions::mem_limit_bytes.
-  size_t mem_limit_bytes() const { return mem_limit_bytes_; }
-
  private:
   std::string metrics_path_;
   std::string trace_path_;
-  size_t mem_limit_bytes_ = 0;
 };
 
 }  // namespace jsontiles::bench

@@ -5,11 +5,10 @@
 // hardware counters where the kernel permits perf_event_open.
 //
 // Additionally compares the scalar interpreter against the vectorized
-// expression engine on a selective pushed-down filter scan. Flags (consumed
+// expression engine on a selective pushed-down filter scan. Flag (consumed
 // before google-benchmark):
-//   --scalar            run the fig-15 query variants with the vectorized
-//                       engine disabled (interpreter only)
-//   --expr-json <path>  write the scalar-vs-vectorized comparison as JSON
+//   --scalar  run the fig-15 query variants with the vectorized engine
+//             disabled (interpreter only)
 
 #include <benchmark/benchmark.h>
 
@@ -60,25 +59,12 @@ exec::RowSet RunFilterScan(const storage::Relation& rel, bool vectorized) {
 int main(int argc, char** argv) {
   BenchObs obs(&argc, argv);
   bool scalar_only = false;
-  std::string expr_json_path;
   {
     int out = 1;
     for (int i = 1; i < argc; i++) {
       std::string_view arg = argv[i];
       if (arg == "--scalar") {
         scalar_only = true;
-        continue;
-      }
-      if (arg == "--expr-json" || arg.rfind("--expr-json=", 0) == 0) {
-        size_t eq = arg.find('=');
-        if (eq != std::string_view::npos) {
-          expr_json_path = std::string(arg.substr(eq + 1));
-        } else if (i + 1 < argc) {
-          expr_json_path = argv[++i];
-        } else {
-          std::fprintf(stderr, "missing path after --expr-json\n");
-          return 2;
-        }
         continue;
       }
       argv[out++] = argv[i];
@@ -213,27 +199,5 @@ int main(int argc, char** argv) {
                std::to_string(rows_vec)});
   expr.Print();
   std::printf("vectorized speedup: %.2fx\n", speedup);
-
-  if (!expr_json_path.empty()) {
-    std::FILE* f = std::fopen(expr_json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", expr_json_path.c_str());
-      return 2;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"expr_filter_scan\",\n"
-                 "  \"filter\": \"l_quantity > 49 AND l_linenumber >= 3\",\n"
-                 "  \"tuples\": %zu,\n"
-                 "  \"rows_out\": %zu,\n"
-                 "  \"scalar_ns_per_tuple\": %.4f,\n"
-                 "  \"vectorized_ns_per_tuple\": %.4f,\n"
-                 "  \"speedup\": %.4f\n"
-                 "}\n",
-                 static_cast<size_t>(tuples), rows_vec, ns_scalar, ns_vec,
-                 speedup);
-    std::fclose(f);
-    std::printf("expression benchmark written to %s\n", expr_json_path.c_str());
-  }
   return 0;
 }

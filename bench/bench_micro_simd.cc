@@ -3,9 +3,7 @@
 // the RunInstr level, batched key hashing for the join build, and the
 // batched binary-JSON path accessor against its per-document predecessor.
 // Both tiers run through the same entry points (exec/simd.h dispatches), so
-// the deltas measure exactly what JSONTILES_SIMD buys. Flags (consumed
-// before google-benchmark):
-//   --simd-json <path>  write per-kernel ns/lane and speedups as JSON
+// the deltas measure exactly what JSONTILES_SIMD buys.
 
 #include <benchmark/benchmark.h>
 
@@ -61,28 +59,6 @@ KernelRow Measure(std::string name, Fn&& fn) {
 
 int main(int argc, char** argv) {
   BenchObs obs(&argc, argv);
-  std::string simd_json_path;
-  {
-    int out = 1;
-    for (int i = 1; i < argc; i++) {
-      std::string_view arg = argv[i];
-      if (arg == "--simd-json" || arg.rfind("--simd-json=", 0) == 0) {
-        size_t eq = arg.find('=');
-        if (eq != std::string_view::npos) {
-          simd_json_path = std::string(arg.substr(eq + 1));
-        } else if (i + 1 < argc) {
-          simd_json_path = argv[++i];
-        } else {
-          std::fprintf(stderr, "missing path after --simd-json\n");
-          return 2;
-        }
-        continue;
-      }
-      argv[out++] = argv[i];
-    }
-    argc = out;
-    argv[argc] = nullptr;
-  }
   benchmark::Initialize(&argc, argv);
 
   std::printf("simd: compiled_in=%s active_isa=%s\n",
@@ -226,32 +202,5 @@ int main(int argc, char** argv) {
                   Fmt(row.speedup(), "%.2f") + "x"});
   }
   table.Print();
-
-  if (!simd_json_path.empty()) {
-    std::FILE* f = std::fopen(simd_json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", simd_json_path.c_str());
-      return 2;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"simd_kernels\",\n"
-                 "  \"compiled_in\": %s,\n"
-                 "  \"active_isa\": \"%s\",\n"
-                 "  \"lanes_per_batch\": %zu,\n"
-                 "  \"kernels\": [\n",
-                 exec::simd::CompiledIn() ? "true" : "false",
-                 exec::simd::ActiveIsa(), kLanes);
-    for (size_t i = 0; i < rows.size(); i++) {
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"scalar_ns_per_lane\": %.4f, "
-                   "\"simd_ns_per_lane\": %.4f, \"speedup\": %.4f}%s\n",
-                   rows[i].name.c_str(), rows[i].scalar_ns, rows[i].simd_ns,
-                   rows[i].speedup(), i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("simd benchmark written to %s\n", simd_json_path.c_str());
-  }
   return 0;
 }

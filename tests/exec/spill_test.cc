@@ -193,15 +193,27 @@ class SpillSqlFixture : public ::testing::Test {
 
   // Run `statement` and canonicalize the result into a sorted multiset of
   // formatted rows (operator output order legitimately differs once
-  // partitions are processed one at a time).
+  // partitions are processed one at a time). When `spilled_bytes` is set it
+  // receives the sum of every operator's spilled_bytes counter.
   static std::vector<std::string> RunSorted(const std::string& statement,
                                             size_t mem_limit,
-                                            size_t num_threads) {
+                                            size_t num_threads,
+                                            int64_t* spilled_bytes = nullptr) {
     ExecOptions options;
     options.mem_limit_bytes = mem_limit;
     options.num_threads = num_threads;
     QueryContext ctx(options);
+    obs::PlanProfile profile;
+    ctx.profile = &profile;
     auto r = sql::ExecuteSql(statement, Catalog(), ctx);
+    if (spilled_bytes != nullptr) {
+      *spilled_bytes = 0;
+      for (int id = 0; id < static_cast<int>(profile.size()); id++) {
+        for (const auto& [name, value] : profile.op(id).counters) {
+          if (name == "spilled_bytes") *spilled_bytes += value;
+        }
+      }
+    }
     EXPECT_TRUE(r.ok()) << r.status().ToString() << " (mem_limit=" << mem_limit
                         << ", threads=" << num_threads << ")";
     std::vector<std::string> rows;
@@ -258,6 +270,8 @@ const char* const kAggQuery =
     "MIN(f->>'f'::Float), MAX(f->>'v'::BigInt) "
     "FROM facts f GROUP BY f->>'s', f->>'v'::BigInt";
 
+// Every query must really spill at the smallest limit (else the sweep would
+// only compare in-memory runs with each other) and never when unlimited.
 TEST_F(SpillSqlFixture, DifferentialMemLimitSweep) {
   const size_t kLimits[] = {64 * 1024, 1024 * 1024, 16 * 1024 * 1024, 0};
   for (const char* query : {kJoinAggQuery, kJoinQuery, kAggQuery}) {
@@ -265,11 +279,17 @@ TEST_F(SpillSqlFixture, DifferentialMemLimitSweep) {
     ASSERT_FALSE(baseline.empty()) << query;
     for (size_t limit : kLimits) {
       for (size_t threads : {size_t{1}, size_t{4}}) {
-        auto rows = RunSorted(query, limit, threads);
+        int64_t spilled_bytes = 0;
+        auto rows = RunSorted(query, limit, threads, &spilled_bytes);
         ASSERT_EQ(rows.size(), baseline.size())
             << query << " limit=" << limit << " threads=" << threads;
         EXPECT_EQ(rows, baseline)
             << query << " limit=" << limit << " threads=" << threads;
+        if (limit == 64 * 1024) {
+          EXPECT_GT(spilled_bytes, 0) << query << " threads=" << threads;
+        } else if (limit == 0) {
+          EXPECT_EQ(spilled_bytes, 0) << query << " threads=" << threads;
+        }
       }
     }
   }

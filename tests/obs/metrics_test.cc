@@ -1,9 +1,14 @@
 #include "obs/metrics.h"
 
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "exec/scan.h"
+#include "obs/obs.h"
+#include "storage/loader.h"
 
 namespace jsontiles::obs {
 namespace {
@@ -135,6 +140,48 @@ TEST(MetricsRegistryTest, ToJsonIsWellFormedEnoughToRoundTrip) {
 
 TEST(MetricsRegistryTest, DefaultIsSingleton) {
   EXPECT_EQ(&MetricsRegistry::Default(), &MetricsRegistry::Default());
+}
+
+// Real work reaches the default registry. A tiles load parses on demand
+// (jsonb.ondemand.docs); a scan of JSON text re-parses each document through
+// the JSONB transform (jsonb.transform.docs); a vectorized scan counts its
+// batches (exec.vec.batches).
+TEST(MetricsRegistryTest, LoadAndVectorizedScanBumpDefaultCounters) {
+#if !JSONTILES_OBS_AVAILABLE
+  GTEST_SKIP() << "built with JSONTILES_OBS=OFF";
+#else
+  const char* const kNames[] = {"jsonb.ondemand.docs", "jsonb.transform.docs",
+                                "exec.vec.batches"};
+  int64_t before[3];
+  for (int i = 0; i < 3; i++) {
+    before[i] = MetricsRegistry::Default().GetCounter(kNames[i])->Value();
+  }
+
+  std::vector<std::string> text;
+  for (int i = 0; i < 3000; i++) {
+    text.push_back(R"({"k":)" + std::to_string(i) + "}");
+  }
+  for (auto mode : {storage::StorageMode::kTiles,
+                    storage::StorageMode::kJsonText}) {
+    storage::Loader loader(mode, {});
+    auto rel = loader.Load(text, "t").MoveValueOrDie();
+    exec::ExecOptions options;
+    options.enable_vectorized = true;
+    exec::QueryContext ctx(options);
+    exec::ScanSpec spec;
+    spec.relation = rel.get();
+    spec.table_alias = "t";
+    spec.accesses = {exec::Access("t", {"k"}, exec::ValueType::kInt)};
+    spec.filter = exec::Ge(exec::Slot(0), exec::ConstInt(1000));
+    EXPECT_EQ(exec::ScanExec(spec, ctx).size(), 2000u);
+  }
+
+  for (int i = 0; i < 3; i++) {
+    EXPECT_GT(MetricsRegistry::Default().GetCounter(kNames[i])->Value(),
+              before[i])
+        << kNames[i];
+  }
+#endif
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // tears groups down mid-flight. Pass criteria: no deadlock (the test
 // finishes), no budget leak (the global MemoryBudget and the spill-disk
 // governor return to zero), and every query ends in a clean, expected
-// Status. Run under TSan in CI (the dedicated service-stress leg).
+// Status. Run under TSan in CI (the full-suite TSan job).
 
 #include <atomic>
 #include <chrono>
