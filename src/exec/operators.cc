@@ -112,7 +112,9 @@ bool InferSlotTypes(const RowSet& rows, const std::vector<int>& slots,
 // Compiled batch evaluation of a fixed expression list over a RowSet.
 // Construction infers slot types and compiles what it can; expressions that
 // do not compile (or everything, when disabled) are interpreted per row by
-// Get(). Copy instances per worker — LoadBatch/Get are not thread-safe.
+// Get(), and LoadBatch is a no-op when nothing compiled, so callers always
+// go through LoadBatch + Get/Result. Copy instances per worker —
+// LoadBatch/Get are not thread-safe.
 class BatchedExprs {
  public:
   BatchedExprs(const RowSet& rows, std::vector<const Expr*> exprs, bool enable)
@@ -142,10 +144,9 @@ class BatchedExprs {
     enabled_ = true;
   }
 
-  bool enabled() const { return enabled_; }
-
   /// Gather slots and run every compiled program over rows [begin, begin+n).
   void LoadBatch(const RowSet& rows, size_t begin, size_t n, Arena* arena) {
+    if (!enabled_) return;
     sel_.SetAll(n);
     for (int s : used_slots_) {
       ColumnVector& vec = slot_vecs_[s];
@@ -284,7 +285,7 @@ RowSet ProjectExec(const RowSet& in, const std::vector<ExprPtr>& exprs,
   BatchedExprs batched(in, RawExprs(exprs), ctx.options().enable_vectorized);
   for (size_t b = 0; b < in.size(); b += kVectorSize) {
     const size_t n = std::min(kVectorSize, in.size() - b);
-    if (batched.enabled()) batched.LoadBatch(in, b, n, arena);
+    batched.LoadBatch(in, b, n, arena);
     for (size_t k = 0; k < n; k++) {
       RowView row = in[b + k];
       RowRef projected = out[b + k];
@@ -306,10 +307,10 @@ namespace {
 // distributed exchange can build worker-side partials and merge them in the
 // coordinator through the same order-independent state.
 
-// One row into the group map. When `batched` is set, group keys and agg args
-// come from the compiled batch results (`lane` = row's index in the current
-// batch); otherwise they are interpreted per row. `agg_expr_idx[a]` maps agg
-// a to its argument's index in the batched expression list (-1 = COUNT(*)).
+// One row into the group map. Group keys and agg args come from `batched`
+// (`lane` = row's index in the current batch), which interprets whatever did
+// not compile. `agg_expr_idx[a]` maps agg a to its argument's index in the
+// batched expression list (-1 = COUNT(*)).
 // `keys` is the caller's per-worker scratch: keys are copied into the table
 // only when this row creates a group. Returns the approximate bytes newly
 // allocated (non-zero only when this row created a group) so callers can
@@ -317,15 +318,13 @@ namespace {
 size_t Accumulate(AggGroupMap& groups, const std::vector<ExprPtr>& group_by,
                   const std::vector<AggSpec>& aggs,
                   const std::vector<int>& agg_expr_idx, RowView row,
-                  Arena* arena, const BatchedExprs* batched, size_t lane,
+                  Arena* arena, const BatchedExprs& batched, size_t lane,
                   std::vector<Value>* keys) {
   uint64_t h = kKeyHashSeed;
   keys->clear();
   size_t key_bytes = 0;
   for (size_t g = 0; g < group_by.size(); g++) {
-    Value v = batched != nullptr
-                  ? batched->Get(g, lane, row, arena)
-                  : EvalExpr(*group_by[g], row.data(), arena);
+    Value v = batched.Get(g, lane, row, arena);
     h = HashCombine(h, v.Hash());
     if (v.type == ValueType::kString) key_bytes += v.s.size();
     keys->push_back(v);
@@ -343,10 +342,7 @@ size_t Accumulate(AggGroupMap& groups, const std::vector<ExprPtr>& group_by,
   for (size_t a = 0; a < aggs.size(); a++) {
     Value v = Value::Null();
     if (aggs[a].arg != nullptr) {
-      v = batched != nullptr
-              ? batched->Get(static_cast<size_t>(agg_expr_idx[a]), lane, row,
-                             arena)
-              : EvalExpr(*aggs[a].arg, row.data(), arena);
+      v = batched.Get(static_cast<size_t>(agg_expr_idx[a]), lane, row, arena);
     }
     group.accs[a].AddValue(aggs[a].kind, v);
   }
@@ -392,14 +388,10 @@ Status AggregateInMemory(const RowSet& in, const std::vector<ExprPtr>& group_by,
     for (size_t b = begin; b < end; b += kVectorSize) {
       if (over_budget.load(std::memory_order_relaxed)) return;
       const size_t n = std::min(kVectorSize, end - b);
-      const BatchedExprs* cur = nullptr;
-      if (batched->enabled()) {
-        batched->LoadBatch(in, b, n, arena);
-        cur = batched;
-      }
+      batched->LoadBatch(in, b, n, arena);
       for (size_t k = 0; k < n; k++) {
         pending += Accumulate(groups, group_by, aggs, agg_expr_idx, in[b + k],
-                              arena, cur, k, &keys);
+                              arena, *batched, k, &keys);
       }
       if (res != nullptr && pending > 0) {
         if (!res->Grow(pending)) {
@@ -646,16 +638,12 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
     uint64_t hkey[kVectorSize];
     for (size_t base = 0; base < build.size(); base += kVectorSize) {
       const size_t n = std::min(kVectorSize, build.size() - base);
-      const BatchedExprs* cur = nullptr;
-      if (batched.enabled()) {
-        batched.LoadBatch(build, base, n, arena);
-        cur = &batched;
-      }
+      batched.LoadBatch(build, base, n, arena);
       size_t batch_bytes = n * (kPerRowTableOverhead + nk * sizeof(Value));
       std::fill(hacc, hacc + n, kKeyHashSeed);
       Value* batch_keys = keys.data() + base * nk;
       for (size_t j = 0; j < nk; j++) {
-        const ColumnVector* col = cur != nullptr ? cur->Result(j) : nullptr;
+        const ColumnVector* col = batched.Result(j);
         const bool batch_hashed =
             col != nullptr && simd::UseSimd() &&
             (col->type() == ValueType::kInt ||
@@ -667,10 +655,7 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
           simd::HashCombineBatch(hacc, hkey, n);
         }
         for (size_t k = 0; k < n; k++) {
-          Value v = cur != nullptr
-                        ? cur->Get(j, k, build[base + k], arena)
-                        : EvalExpr(*build_keys[j], build[base + k].data(),
-                                   arena);
+          Value v = batched.Get(j, k, build[base + k], arena);
           row_has_null[base + k] |= static_cast<uint8_t>(v.is_null());
           if (!batch_hashed) hacc[k] = HashCombine(hacc[k], v.Hash());
           if (v.type == ValueType::kString) batch_bytes += v.s.size();
@@ -709,20 +694,14 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
     pkeys.reserve(probe_keys.size());
     for (size_t base = begin; base < end; base += kVectorSize) {
       const size_t n = std::min(kVectorSize, end - base);
-      const BatchedExprs* cur = nullptr;
-      if (batched->enabled()) {
-        batched->LoadBatch(probe, base, n, worker_arena);
-        cur = batched;
-      }
+      batched->LoadBatch(probe, base, n, worker_arena);
       for (size_t k = 0; k < n; k++) {
         RowView prow = probe[base + k];
         pkeys.clear();
         uint64_t h = kKeyHashSeed;
         bool has_null = false;
         for (size_t j = 0; j < probe_keys.size(); j++) {
-          Value v = cur != nullptr
-                        ? cur->Get(j, k, prow, worker_arena)
-                        : EvalExpr(*probe_keys[j], prow.data(), worker_arena);
+          Value v = batched->Get(j, k, prow, worker_arena);
           has_null |= v.is_null();
           h = HashCombine(h, v.Hash());
           pkeys.push_back(v);

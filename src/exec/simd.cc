@@ -1,11 +1,12 @@
 // Tier selection and dispatch for the SIMD layer (see simd.h).
 //
-// Three tiers share one source of truth: the scalar reference below defines
-// the semantics, simd_kernels.inl provides the vector implementation (included
-// once per tier), and a per-process function table picks the widest tier the
-// CPU supports. The AVX2 tier uses function multi-versioning
-// (__attribute__((target("avx2")))) so no special compile flags are needed
-// and the binary stays runnable on pre-AVX2 machines.
+// Two tiers share one source of truth: the scalar reference below defines the
+// semantics and the AVX2 tier implements the same entry points with vector
+// lanes. A function table per tier is picked at each call from the runtime
+// switch and what the CPU reports. The AVX2 tier uses function
+// multi-versioning (__attribute__((target("avx2")))), so no special compile
+// flags are needed and the binary stays runnable on machines without AVX2,
+// which get the scalar tier.
 
 #include "exec/simd.h"
 
@@ -15,21 +16,13 @@
 #include "util/bit_util.h"
 #include "util/hash.h"
 
-#if defined(JSONTILES_SIMD_ENABLED) && \
-    (defined(__x86_64__) || defined(__aarch64__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define JT_SIMD_HAVE_VEC 1
-#else
-#define JT_SIMD_HAVE_VEC 0
-#endif
-
 namespace jsontiles::exec::simd {
 
 namespace {
 
 // --------------------------------------------------------------------------
 // Scalar reference tier - defines the exact semantics of every entry point.
-// The vector tiers' scalar tails call these helpers so tails match by
+// The AVX2 tier's scalar tails call these helpers so tails match by
 // construction.
 // --------------------------------------------------------------------------
 
@@ -195,30 +188,352 @@ void HashCombineImpl(uint64_t* acc, const uint64_t* h, size_t n) {
 }  // namespace scalar
 
 // --------------------------------------------------------------------------
-// Vector tiers
+// AVX2 tier: GNU vector extensions over 256-bit registers, compiled through
+// function multi-versioning. Scalar tails reuse the reference helpers above
+// (CmpScalarF/CmpScalarI/...), so tail lanes are bit-identical to the scalar
+// tier by construction. Loads/stores go through __builtin_memcpy: ColumnVector
+// buffers have no vector alignment guarantee and memcpy avoids both the UB and
+// the -Wpsabi ABI warnings of passing over-wide vector types around.
 // --------------------------------------------------------------------------
 
-#if JT_SIMD_HAVE_VEC
-
-namespace v128 {
-#define JT_SIMD_ATTR
-#define JT_SIMD_WIDTH 16
-#include "exec/simd_kernels.inl"
-#undef JT_SIMD_ATTR
-#undef JT_SIMD_WIDTH
-}  // namespace v128
-
 #if defined(__x86_64__)
-namespace v256 {
-#define JT_SIMD_ATTR __attribute__((target("avx2")))
-#define JT_SIMD_WIDTH 32
-#include "exec/simd_kernels.inl"
-#undef JT_SIMD_ATTR
-#undef JT_SIMD_WIDTH
-}  // namespace v256
-#endif  // __x86_64__
 
-#endif  // JT_SIMD_HAVE_VEC
+namespace avx2 {
+
+#define JT_AVX2 __attribute__((target("avx2")))
+
+typedef int64_t VI __attribute__((vector_size(32)));
+typedef uint64_t VU __attribute__((vector_size(32)));
+typedef double VF __attribute__((vector_size(32)));
+typedef uint8_t VB __attribute__((vector_size(32)));
+// One byte per 64-bit lane (null bytemap slice matching one VI/VF register).
+typedef uint8_t VN __attribute__((vector_size(4)));
+// Signed counterpart: byte-vector comparisons yield signed element masks.
+typedef int8_t VNS __attribute__((vector_size(4)));
+
+inline constexpr size_t kLanes = 4;
+
+JT_AVX2 static inline VI LoadI(const int64_t* p) {
+  VI v;
+  __builtin_memcpy(&v, p, sizeof v);
+  return v;
+}
+JT_AVX2 static inline VU LoadU(const uint64_t* p) {
+  VU v;
+  __builtin_memcpy(&v, p, sizeof v);
+  return v;
+}
+JT_AVX2 static inline VF LoadF(const double* p) {
+  VF v;
+  __builtin_memcpy(&v, p, sizeof v);
+  return v;
+}
+JT_AVX2 static inline VB LoadB(const uint8_t* p) {
+  VB v;
+  __builtin_memcpy(&v, p, sizeof v);
+  return v;
+}
+JT_AVX2 static inline VN LoadN(const uint8_t* p) {
+  VN v;
+  __builtin_memcpy(&v, p, sizeof v);
+  return v;
+}
+JT_AVX2 static inline void StoreI(int64_t* p, VI v) {
+  __builtin_memcpy(p, &v, sizeof v);
+}
+JT_AVX2 static inline void StoreU(uint64_t* p, VU v) {
+  __builtin_memcpy(p, &v, sizeof v);
+}
+JT_AVX2 static inline void StoreF(double* p, VF v) {
+  __builtin_memcpy(p, &v, sizeof v);
+}
+JT_AVX2 static inline void StoreB(uint8_t* p, VB v) {
+  __builtin_memcpy(p, &v, sizeof v);
+}
+JT_AVX2 static inline void StoreN(uint8_t* p, VN v) {
+  __builtin_memcpy(p, &v, sizeof v);
+}
+
+JT_AVX2 static inline VU SplatU(uint64_t x) {
+  VU v;
+  for (size_t i = 0; i < kLanes; ++i) v[i] = x;
+  return v;
+}
+
+/// Null bytes (any nonzero = null) widened to a 0/-1 mask per 64-bit lane.
+JT_AVX2 static inline VI NullMask(VN nb) {
+  return __builtin_convertvector(nb, VI) != 0;
+}
+
+/// 0/-1 64-bit lane mask narrowed to 0/1 bytes.
+JT_AVX2 static inline VN MaskToBytes(VI m) {
+  return __builtin_convertvector(m, VN) & 1;
+}
+
+/// ApplyCmp(op, x < y ? -1 : x > y ? 1 : 0) from the lt/gt lane masks alone.
+/// Both masks are false on NaN, which makes NaN sort "equal" - exactly the
+/// ternary's behaviour.
+JT_AVX2 static inline VI CmpCombine(BinOp op, VI lt, VI gt) {
+  switch (op) {
+    case BinOp::kEq:
+      return ~(lt | gt) & 1;
+    case BinOp::kNe:
+      return (lt | gt) & 1;
+    case BinOp::kLt:
+      return lt & 1;
+    case BinOp::kLe:
+      return ~gt & 1;
+    case BinOp::kGt:
+      return gt & 1;
+    default:  // kGe
+      return ~lt & 1;
+  }
+}
+
+JT_AVX2 static void OrBytesImpl(const uint8_t* a, const uint8_t* b,
+                                uint8_t* out, size_t n) {
+  size_t k = 0;
+  for (; k + sizeof(VB) <= n; k += sizeof(VB)) {
+    StoreB(out + k, LoadB(a + k) | LoadB(b + k));
+  }
+  for (; k < n; ++k) out[k] = a[k] | b[k];
+}
+
+JT_AVX2 static void CompareF64Impl(BinOp op, const double* a,
+                                   const double* b, const uint8_t* an,
+                                   const uint8_t* bn, int64_t* out,
+                                   uint8_t* onull, size_t n) {
+  size_t k = 0;
+  for (; k + kLanes <= n; k += kLanes) {
+    VF x = LoadF(a + k), y = LoadF(b + k);
+    StoreI(out + k, CmpCombine(op, (VI)(x < y), (VI)(x > y)));
+  }
+  for (; k < n; ++k) out[k] = CmpScalarF(op, a[k], b[k]);
+  OrBytesImpl(an, bn, onull, n);
+}
+
+JT_AVX2 static void CompareI64ViaDoubleImpl(BinOp op, const int64_t* a,
+                                            const int64_t* b,
+                                            const uint8_t* an,
+                                            const uint8_t* bn,
+                                            int64_t* out, uint8_t* onull,
+                                            size_t n) {
+  size_t k = 0;
+  for (; k + kLanes <= n; k += kLanes) {
+    VF x = __builtin_convertvector(LoadI(a + k), VF);
+    VF y = __builtin_convertvector(LoadI(b + k), VF);
+    StoreI(out + k, CmpCombine(op, (VI)(x < y), (VI)(x > y)));
+  }
+  for (; k < n; ++k) {
+    out[k] = CmpScalarF(op, static_cast<double>(a[k]),
+                        static_cast<double>(b[k]));
+  }
+  OrBytesImpl(an, bn, onull, n);
+}
+
+JT_AVX2 static void CompareI64F64Impl(BinOp op, const int64_t* a,
+                                      const double* b, const uint8_t* an,
+                                      const uint8_t* bn, int64_t* out,
+                                      uint8_t* onull, size_t n) {
+  size_t k = 0;
+  for (; k + kLanes <= n; k += kLanes) {
+    VF x = __builtin_convertvector(LoadI(a + k), VF);
+    VF y = LoadF(b + k);
+    StoreI(out + k, CmpCombine(op, (VI)(x < y), (VI)(x > y)));
+  }
+  for (; k < n; ++k) out[k] = CmpScalarF(op, static_cast<double>(a[k]), b[k]);
+  OrBytesImpl(an, bn, onull, n);
+}
+
+JT_AVX2 static void CompareF64I64Impl(BinOp op, const double* a,
+                                      const int64_t* b, const uint8_t* an,
+                                      const uint8_t* bn, int64_t* out,
+                                      uint8_t* onull, size_t n) {
+  size_t k = 0;
+  for (; k + kLanes <= n; k += kLanes) {
+    VF x = LoadF(a + k);
+    VF y = __builtin_convertvector(LoadI(b + k), VF);
+    StoreI(out + k, CmpCombine(op, (VI)(x < y), (VI)(x > y)));
+  }
+  for (; k < n; ++k) out[k] = CmpScalarF(op, a[k], static_cast<double>(b[k]));
+  OrBytesImpl(an, bn, onull, n);
+}
+
+JT_AVX2 static void CompareI64RawImpl(BinOp op, const int64_t* a,
+                                      const int64_t* b, const uint8_t* an,
+                                      const uint8_t* bn, int64_t* out,
+                                      uint8_t* onull, size_t n) {
+  size_t k = 0;
+  for (; k + kLanes <= n; k += kLanes) {
+    VI x = LoadI(a + k), y = LoadI(b + k);
+    StoreI(out + k, CmpCombine(op, x < y, x > y));
+  }
+  for (; k < n; ++k) out[k] = CmpScalarI(op, a[k], b[k]);
+  OrBytesImpl(an, bn, onull, n);
+}
+
+JT_AVX2 static void ArithI64Impl(BinOp op, const int64_t* a,
+                                 const int64_t* b, const uint8_t* an,
+                                 const uint8_t* bn, int64_t* out,
+                                 uint8_t* onull, size_t n) {
+  size_t k = 0;
+  for (; k + kLanes <= n; k += kLanes) {
+    // Unsigned lanes: overflow wraps (defined) exactly like ArithScalarI.
+    VU x = (VU)LoadI(a + k), y = (VU)LoadI(b + k);
+    VU r = op == BinOp::kAdd ? x + y : op == BinOp::kSub ? x - y : x * y;
+    StoreI(out + k, (VI)r);
+  }
+  for (; k < n; ++k) out[k] = ArithScalarI(op, a[k], b[k]);
+  OrBytesImpl(an, bn, onull, n);
+}
+
+JT_AVX2 static void ArithF64Impl(BinOp op, const double* a,
+                                 const double* b, const uint8_t* an,
+                                 const uint8_t* bn, double* out,
+                                 uint8_t* onull, size_t n) {
+  OrBytesImpl(an, bn, onull, n);
+  size_t k = 0;
+  if (op == BinOp::kDiv) {
+    for (; k + kLanes <= n; k += kLanes) {
+      VF x = LoadF(a + k), y = LoadF(b + k);
+      // Lanes with y == 0 become null; the inf/nan quotient written to their
+      // payload is unspecified-by-contract, like every null lane.
+      StoreF(out + k, x / y);
+      StoreN(onull + k, LoadN(onull + k) | MaskToBytes((VI)(y == 0.0)));
+    }
+    for (; k < n; ++k) {
+      if (b[k] == 0.0) {
+        onull[k] = 1;
+      } else {
+        out[k] = a[k] / b[k];
+      }
+    }
+    return;
+  }
+  for (; k + kLanes <= n; k += kLanes) {
+    VF x = LoadF(a + k), y = LoadF(b + k);
+    VF r = op == BinOp::kAdd ? x + y : op == BinOp::kSub ? x - y : x * y;
+    StoreF(out + k, r);
+  }
+  for (; k < n; ++k) {
+    out[k] = op == BinOp::kAdd   ? a[k] + b[k]
+             : op == BinOp::kSub ? a[k] - b[k]
+                                 : a[k] * b[k];
+  }
+}
+
+JT_AVX2 static void I64ToF64Impl(const int64_t* in, double* out,
+                                 size_t n) {
+  size_t k = 0;
+  for (; k + kLanes <= n; k += kLanes) {
+    StoreF(out + k, __builtin_convertvector(LoadI(in + k), VF));
+  }
+  for (; k < n; ++k) out[k] = static_cast<double>(in[k]);
+}
+
+JT_AVX2 static void And3VLImpl(const int64_t* a, const int64_t* b,
+                               const uint8_t* an, const uint8_t* bn,
+                               int64_t* out, uint8_t* onull, size_t n) {
+  size_t k = 0;
+  for (; k + kLanes <= n; k += kLanes) {
+    VI av = LoadI(a + k), bv = LoadI(b + k);
+    VI anm = NullMask(LoadN(an + k)), bnm = NullMask(LoadN(bn + k));
+    VI f = ((av == 0) & ~anm) | ((bv == 0) & ~bnm);  // definite false wins
+    VI nl = (anm | bnm) & ~f;
+    StoreI(out + k, ~(f | nl) & 1);
+    StoreN(onull + k, MaskToBytes(nl));
+  }
+  for (; k < n; ++k) {
+    int x = an[k] ? 2 : (a[k] != 0 ? 1 : 0);
+    int y = bn[k] ? 2 : (b[k] != 0 ? 1 : 0);
+    if (x == 0 || y == 0) {
+      out[k] = 0;
+      onull[k] = 0;
+    } else if (x == 2 || y == 2) {
+      onull[k] = 1;
+    } else {
+      out[k] = 1;
+      onull[k] = 0;
+    }
+  }
+}
+
+JT_AVX2 static void Or3VLImpl(const int64_t* a, const int64_t* b,
+                              const uint8_t* an, const uint8_t* bn,
+                              int64_t* out, uint8_t* onull, size_t n) {
+  size_t k = 0;
+  for (; k + kLanes <= n; k += kLanes) {
+    VI av = LoadI(a + k), bv = LoadI(b + k);
+    VI anm = NullMask(LoadN(an + k)), bnm = NullMask(LoadN(bn + k));
+    VI t = ((av != 0) & ~anm) | ((bv != 0) & ~bnm);  // definite true wins
+    VI nl = (anm | bnm) & ~t;
+    StoreI(out + k, t & 1);
+    StoreN(onull + k, MaskToBytes(nl));
+  }
+  for (; k < n; ++k) {
+    int x = an[k] ? 2 : (a[k] != 0 ? 1 : 0);
+    int y = bn[k] ? 2 : (b[k] != 0 ? 1 : 0);
+    if (x == 1 || y == 1) {
+      out[k] = 1;
+      onull[k] = 0;
+    } else if (x == 2 || y == 2) {
+      onull[k] = 1;
+    } else {
+      out[k] = 0;
+      onull[k] = 0;
+    }
+  }
+}
+
+JT_AVX2 static void BoolPassBytesImpl(const int64_t* vals,
+                                      const uint8_t* nulls, uint8_t* pass,
+                                      size_t n) {
+  size_t k = 0;
+  for (; k + kLanes <= n; k += kLanes) {
+    VN nz = MaskToBytes(LoadI(vals + k) != 0);
+    VN notnull = (VN)((VNS)(LoadN(nulls + k) == 0)) & 1;
+    StoreN(pass + k, nz & notnull);
+  }
+  for (; k < n; ++k) {
+    pass[k] = static_cast<uint8_t>(nulls[k] == 0 && vals[k] != 0);
+  }
+}
+
+JT_AVX2 static void HashI64Impl(const int64_t* v, const uint8_t* nulls,
+                                uint64_t null_hash, uint64_t* out,
+                                size_t n) {
+  const VU nh = SplatU(null_hash);
+  size_t k = 0;
+  for (; k + kLanes <= n; k += kLanes) {
+    VU x = (VU)LoadI(v + k);
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    x ^= x >> 33;
+    x *= 0xc4ceb9fe1a85ec53ULL;
+    x ^= x >> 33;
+    VU nm = (VU)NullMask(LoadN(nulls + k));
+    StoreU(out + k, (nm & nh) | (~nm & x));
+  }
+  for (; k < n; ++k) {
+    out[k] = nulls[k] ? null_hash : HashInt(static_cast<uint64_t>(v[k]));
+  }
+}
+
+JT_AVX2 static void HashCombineImpl(uint64_t* acc, const uint64_t* h,
+                                    size_t n) {
+  size_t k = 0;
+  for (; k + kLanes <= n; k += kLanes) {
+    VU a = LoadU(acc + k), b = LoadU(h + k);
+    StoreU(acc + k, a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 12) + (a >> 4)));
+  }
+  for (; k < n; ++k) acc[k] = HashCombine(acc[k], h[k]);
+}
+
+#undef JT_AVX2
+
+}  // namespace avx2
+
+#endif  // __x86_64__
 
 // --------------------------------------------------------------------------
 // Dispatch
@@ -262,34 +577,27 @@ struct Ops {
   }
 
 const Ops kScalarOps = JT_SIMD_OPS(scalar, "scalar");
-#if JT_SIMD_HAVE_VEC
-const Ops kV128Ops = JT_SIMD_OPS(v128, "vec128");
 #if defined(__x86_64__)
-const Ops kV256Ops = JT_SIMD_OPS(v256, "avx2");
-#endif
+const Ops kAvx2Ops = JT_SIMD_OPS(avx2, "avx2");
 #endif
 #undef JT_SIMD_OPS
 
-const Ops* PickVectorOps() {
-#if JT_SIMD_HAVE_VEC
+bool CpuHasAvx2() {
 #if defined(__x86_64__)
-  if (__builtin_cpu_supports("avx2")) return &kV256Ops;
-#endif
-  return &kV128Ops;
+  static const bool has = __builtin_cpu_supports("avx2");
+  return has;
 #else
-  return &kScalarOps;
+  return false;
 #endif
-}
-
-const Ops& VecOps() {
-  static const Ops* ops = PickVectorOps();
-  return *ops;
 }
 
 std::atomic<bool> g_enabled{true};
 
 inline const Ops& Active() {
-  return g_enabled.load(std::memory_order_relaxed) ? VecOps() : kScalarOps;
+#if defined(__x86_64__)
+  if (UseSimd()) return kAvx2Ops;
+#endif
+  return kScalarOps;
 }
 
 }  // namespace
@@ -302,7 +610,7 @@ void SetEnabled(bool on) {
 
 bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
-bool CompiledIn() { return JT_SIMD_HAVE_VEC != 0; }
+bool UseSimd() { return Enabled() && CpuHasAvx2(); }
 
 void OrBytes(const uint8_t* a, const uint8_t* b, uint8_t* out, size_t n) {
   Active().or_bytes(a, b, out, n);
@@ -368,7 +676,7 @@ void BoolPassBytes(const int64_t* vals, const uint8_t* nulls, uint8_t* pass,
 
 size_t CompactPassIndices(const uint8_t* pass, size_t n, uint16_t* idx) {
   // Word-at-a-time on the 0/1 bytes: a zero word (8 lanes rejected) costs a
-  // single load+test, and each survivor is recovered with ctz. Shared by all
+  // single load+test, and each survivor is recovered with ctz. Shared by both
   // tiers - the work is control flow, not data parallelism.
   size_t cnt = 0;
   size_t k = 0;

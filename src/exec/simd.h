@@ -4,18 +4,16 @@
 // entry points for *dense* batches (lanes 0..n-1 contiguous). Every function
 // has documented scalar reference semantics that are bit-identical to the
 // tuple-at-a-time interpreter (expression.cc); the differential fuzz tests
-// lock this in for the SIMD, generic-vector and scalar builds alike.
+// lock this in for both tiers.
 //
-// Implementation tiers (simd.cc), chosen per-process at first use:
+// Implementation tiers (simd.cc), picked from what the CPU reports:
 //   avx2    x86-64 with AVX2 at runtime (function multi-versioning via
 //           __attribute__((target("avx2"))); no special compile flags needed)
-//   vec128  the same kernels compiled against the baseline ISA using GNU
-//           vector extensions - SSE2 on x86-64, NEON on aarch64
-//   scalar  plain loops; also the reference the tests compare against
+//   scalar  plain loops everywhere else; also the reference the tests
+//           compare against
 //
-// The CMake option JSONTILES_SIMD (default ON) gates the vector tiers at
-// compile time; OFF builds dispatch to scalar only. SetEnabled(false) forces
-// the scalar tier at runtime (bench --no-simd / differential testing).
+// SetEnabled(false) forces the scalar tier at runtime (bench --no-simd /
+// differential testing).
 
 #ifndef JSONTILES_EXEC_SIMD_H_
 #define JSONTILES_EXEC_SIMD_H_
@@ -27,7 +25,7 @@
 
 namespace jsontiles::exec::simd {
 
-/// Name of the tier answering calls right now: "avx2", "vec128" or "scalar".
+/// Name of the tier answering calls right now: "avx2" or "scalar".
 const char* ActiveIsa();
 
 /// Runtime kill switch (default on). Off routes every call below to the
@@ -37,14 +35,23 @@ const char* ActiveIsa();
 void SetEnabled(bool on);
 bool Enabled();
 
-/// True when a vector tier was compiled in (JSONTILES_SIMD=ON and a known
-/// architecture); false means ActiveIsa() is "scalar" regardless of Enabled().
-bool CompiledIn();
+/// Sets the runtime switch for one scope and restores the previous setting
+/// when the scope ends (tests and benches that compare the two tiers).
+class ScopedEnabled {
+ public:
+  explicit ScopedEnabled(bool on) : prev_(Enabled()) { SetEnabled(on); }
+  ~ScopedEnabled() { SetEnabled(prev_); }
+  ScopedEnabled(const ScopedEnabled&) = delete;
+  ScopedEnabled& operator=(const ScopedEnabled&) = delete;
 
-/// Dense-batch gate used by the kernels: a vector tier is compiled in and the
-/// runtime switch is on. When false the kernels keep their original scalar
-/// gather loops (the PR-2 baseline the benches compare against).
-inline bool UseSimd() { return CompiledIn() && Enabled(); }
+ private:
+  bool prev_;
+};
+
+/// Dense-batch gate used by the kernels: the runtime switch is on and the CPU
+/// has AVX2. When false the kernels keep their plain scalar gather loops (the
+/// baseline the benches compare against).
+bool UseSimd();
 
 // ---------------------------------------------------------------------------
 // Null bytemaps (1 = null)

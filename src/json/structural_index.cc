@@ -12,7 +12,7 @@
 //   index     = ((op | pot_start) & ~in_string) | quote
 //
 // The scalar tier evaluates the same definitions one character at a time and
-// is the reference the vector tiers must match bit for bit.
+// is the reference the AVX2 tier must match bit for bit.
 
 #include "json/structural_index.h"
 
@@ -20,12 +20,8 @@
 
 #include "exec/simd.h"
 
-#if defined(JSONTILES_SIMD_ENABLED) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define JT_SIDX_HAVE_X86 1
+#if defined(__x86_64__)
 #include <immintrin.h>
-#else
-#define JT_SIDX_HAVE_X86 0
 #endif
 
 namespace jsontiles::json {
@@ -78,8 +74,10 @@ Status ScanScalar(std::string_view input, StructuralIndex* index) {
   return Status::OK();
 }
 
+#if defined(__x86_64__)
+
 // --------------------------------------------------------------------------
-// Block machinery shared by the vector tiers (plain 64-bit arithmetic).
+// Block machinery of the AVX2 tier (plain 64-bit arithmetic).
 // --------------------------------------------------------------------------
 
 struct BlockMasks {
@@ -167,88 +165,6 @@ __attribute__((always_inline)) inline void ProcessBlock(const BlockMasks& m, uin
   }
 }
 
-#if JT_SIDX_HAVE_X86
-
-// --------------------------------------------------------------------------
-// vec128 tier: SSE2 (baseline x86-64, no target attribute needed).
-// --------------------------------------------------------------------------
-
-__attribute__((always_inline)) inline void ClassifySse2(const uint8_t* p, BlockMasks* m) {
-  m->backslash = m->quote = m->op = m->ws = m->ctrl = 0;
-  for (int k = 0; k < 4; k++) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * k));
-    // c | 0x20 folds '[' onto '{' and ']' onto '}' (and nothing else onto
-    // either), halving the operator compares. (The avx2 tier goes further
-    // with a pshufb nibble LUT; this tier stays within baseline SSE2.)
-    const __m128i folded = _mm_or_si128(v, _mm_set1_epi8(0x20));
-    const __m128i opv = _mm_or_si128(
-        _mm_or_si128(_mm_cmpeq_epi8(folded, _mm_set1_epi8('{')),
-                     _mm_cmpeq_epi8(folded, _mm_set1_epi8('}'))),
-        _mm_or_si128(_mm_cmpeq_epi8(v, _mm_set1_epi8(':')),
-                     _mm_cmpeq_epi8(v, _mm_set1_epi8(','))));
-    const __m128i wsv = _mm_or_si128(
-        _mm_or_si128(_mm_cmpeq_epi8(v, _mm_set1_epi8(' ')),
-                     _mm_cmpeq_epi8(v, _mm_set1_epi8('\t'))),
-        _mm_or_si128(_mm_cmpeq_epi8(v, _mm_set1_epi8('\n')),
-                     _mm_cmpeq_epi8(v, _mm_set1_epi8('\r'))));
-    const int shift = 16 * k;
-    m->backslash |= static_cast<uint64_t>(static_cast<uint32_t>(
-                        _mm_movemask_epi8(
-                            _mm_cmpeq_epi8(v, _mm_set1_epi8('\\')))))
-                    << shift;
-    m->quote |= static_cast<uint64_t>(static_cast<uint32_t>(_mm_movemask_epi8(
-                    _mm_cmpeq_epi8(v, _mm_set1_epi8('"')))))
-                << shift;
-    m->op |= static_cast<uint64_t>(
-                 static_cast<uint32_t>(_mm_movemask_epi8(opv)))
-             << shift;
-    m->ws |= static_cast<uint64_t>(
-                 static_cast<uint32_t>(_mm_movemask_epi8(wsv)))
-             << shift;
-    // v <= 0x1F, unsigned (cmplt is signed and would catch UTF-8 bytes).
-    m->ctrl |= static_cast<uint64_t>(static_cast<uint32_t>(_mm_movemask_epi8(
-                   _mm_cmpeq_epi8(_mm_min_epu8(v, _mm_set1_epi8(0x1F)), v))))
-               << shift;
-  }
-}
-
-Status ScanSse2(std::string_view input, StructuralIndex* index) {
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(input.data());
-  const size_t n = input.size();
-  // Worst case one position per byte, plus slack for the 8-wide extraction
-  // overshoot. Grow-only: the buffer is never shrunk, so a reused index pays
-  // the value-initializing resize once at its high-water mark.
-  if (index->positions.size() < n + 8) index->positions.resize(n + 8);
-  const size_t words = n / 64 + 1;
-  if (index->problems.size() < words) index->problems.resize(words);
-  uint32_t* out = index->positions.data();
-  uint64_t* problems = index->problems.data();
-  size_t count = 0;
-  ScanState st;
-  BlockMasks m;
-  size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    ClassifySse2(data + i, &m);
-    ProcessBlock(m, ~0ULL, static_cast<uint32_t>(i), &st, out, &count,
-                 problems + i / 64);
-  }
-  if (i < n) {
-    // Zero padding classifies as scalar characters; the valid mask keeps any
-    // bits they produce out of the index, and zeros never touch the
-    // escape/string carries.
-    uint8_t tail[64] = {0};
-    std::memcpy(tail, data + i, n - i);
-    ClassifySse2(tail, &m);
-    ProcessBlock(m, (1ULL << (n - i)) - 1, static_cast<uint32_t>(i), &st, out,
-                 &count, problems + i / 64);
-  }
-  index->count = count;
-  if (st.prev_in_string != 0) return Status::ParseError("unterminated string");
-  index->clean_strings = st.problems == 0;
-  return Status::OK();
-}
-
 // --------------------------------------------------------------------------
 // avx2 tier: function multi-versioning, runtime-selected.
 // --------------------------------------------------------------------------
@@ -315,6 +231,9 @@ __attribute__((target("avx2"))) Status ScanAvx2(std::string_view input,
                                                 StructuralIndex* index) {
   const uint8_t* data = reinterpret_cast<const uint8_t*>(input.data());
   const size_t n = input.size();
+  // Worst case one position per byte, plus slack for the 8-wide extraction
+  // overshoot. Grow-only: the buffer is never shrunk, so a reused index pays
+  // the value-initializing resize once at its high-water mark.
   if (index->positions.size() < n + 8) index->positions.resize(n + 8);
   const size_t words = n / 64 + 1;
   if (index->problems.size() < words) index->problems.resize(words);
@@ -330,6 +249,9 @@ __attribute__((target("avx2"))) Status ScanAvx2(std::string_view input,
                  problems + i / 64);
   }
   if (i < n) {
+    // Zero padding classifies as scalar characters; the valid mask keeps any
+    // bits they produce out of the index, and zeros never touch the
+    // escape/string carries.
     uint8_t tail[64] = {0};
     std::memcpy(tail, data + i, n - i);
     ClassifyAvx2(tail, &m);
@@ -342,23 +264,7 @@ __attribute__((target("avx2"))) Status ScanAvx2(std::string_view input,
   return Status::OK();
 }
 
-#endif  // JT_SIDX_HAVE_X86
-
-using ScanFn = Status (*)(std::string_view, StructuralIndex*);
-
-ScanFn PickVectorScan() {
-#if JT_SIDX_HAVE_X86
-  if (__builtin_cpu_supports("avx2")) return ScanAvx2;
-  return ScanSse2;
-#else
-  return ScanScalar;
-#endif
-}
-
-ScanFn VectorScan() {
-  static const ScanFn fn = PickVectorScan();
-  return fn;
-}
+#endif  // __x86_64__
 
 }  // namespace
 
@@ -368,17 +274,14 @@ Status BuildStructuralIndex(std::string_view input, StructuralIndex* index) {
   if (input.size() > 0xFFFFFFFFull) {
     return Status::OutOfRange("input too large for structural index");
   }
-  const ScanFn fn = exec::simd::UseSimd() ? VectorScan() : ScanScalar;
-  return fn(input, index);
+#if defined(__x86_64__)
+  if (exec::simd::UseSimd()) return ScanAvx2(input, index);
+#endif
+  return ScanScalar(input, index);
 }
 
 const char* StructuralIndexIsa() {
-  if (!exec::simd::UseSimd()) return "scalar";
-#if JT_SIDX_HAVE_X86
-  return __builtin_cpu_supports("avx2") ? "avx2" : "vec128";
-#else
-  return "scalar";
-#endif
+  return exec::simd::UseSimd() ? "avx2" : "scalar";
 }
 
 }  // namespace jsontiles::json

@@ -19,11 +19,10 @@
 // validates UTF-8, matching the streaming lexer.
 //
 // Implementation tiers mirror src/exec/simd.h: an AVX2 tier via function
-// multi-versioning, a baseline SSE2 tier on x86-64, and a scalar reference
-// that defines the exact semantics (the tier-identity tests compare the
-// vector tiers against it bit for bit). The scan honors the exec::simd
-// runtime kill switch and the JSONTILES_SIMD compile-time gate, so
-// -DJSONTILES_SIMD=OFF and --no-simd both exercise the scalar tier.
+// multi-versioning when the CPU has AVX2, else a scalar reference that
+// defines the exact semantics (the tier-identity tests compare the AVX2 tier
+// against it bit for bit). The scan honors the exec::simd runtime kill
+// switch, so --no-simd and simd::SetEnabled(false) exercise the scalar tier.
 
 #ifndef JSONTILES_JSON_STRUCTURAL_INDEX_H_
 #define JSONTILES_JSON_STRUCTURAL_INDEX_H_
@@ -61,8 +60,8 @@ struct StructuralIndex {
 /// arbiter of the final error status.
 Status BuildStructuralIndex(std::string_view input, StructuralIndex* index);
 
-/// Tier answering scans right now: "avx2", "vec128" or "scalar". Follows
-/// exec::simd::SetEnabled and CompiledIn.
+/// Tier answering scans right now: "avx2" or "scalar", exactly as
+/// exec::simd::UseSimd() decides.
 const char* StructuralIndexIsa();
 
 }  // namespace jsontiles::json

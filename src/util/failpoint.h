@@ -7,10 +7,8 @@
 // governor refuses a charge, the temp file returns an I/O Status, the worker
 // chunk fails. Every remote/disk/memory failure mode becomes reproducible.
 //
-// The CMake option JSONTILES_FAILPOINTS (default ON) defines
-// JSONTILES_FAILPOINTS_ENABLED. When OFF the JSONTILES_FAILPOINT_* macros
-// compile to nothing, so production builds carry zero cost; the registry
-// functions stay compiled (they are cold library code) but nothing calls
+// Failpoints are compiled into every build. A hook whose name is not armed
+// costs one relaxed atomic load (no lock, no lookup), so the hot paths keep
 // them.
 //
 // Hit counting is per failpoint name and global to the process; tests should
@@ -23,12 +21,6 @@
 #include <string>
 
 #include "util/status.h"
-
-#ifdef JSONTILES_FAILPOINTS_ENABLED
-#define JSONTILES_FAILPOINTS_AVAILABLE 1
-#else
-#define JSONTILES_FAILPOINTS_AVAILABLE 0
-#endif
 
 namespace jsontiles::failpoint {
 
@@ -63,8 +55,6 @@ Status Check(const char* name);
 
 }  // namespace jsontiles::failpoint
 
-#if JSONTILES_FAILPOINTS_AVAILABLE
-
 /// True when the named failpoint fires (counts a hit).
 #define JSONTILES_FAILPOINT_FIRES(name) (::jsontiles::failpoint::Fires(name))
 /// Status::Internal when the named failpoint fires, OK otherwise.
@@ -72,15 +62,5 @@ Status Check(const char* name);
 /// Propagate the injected failure to the caller (functions returning Status).
 #define JSONTILES_FAILPOINT_RETURN(name) \
   JSONTILES_RETURN_NOT_OK(::jsontiles::failpoint::Check(name))
-
-#else  // !JSONTILES_FAILPOINTS_AVAILABLE
-
-#define JSONTILES_FAILPOINT_FIRES(name) (false)
-#define JSONTILES_FAILPOINT_STATUS(name) (::jsontiles::Status::OK())
-#define JSONTILES_FAILPOINT_RETURN(name) \
-  do {                                   \
-  } while (0)
-
-#endif  // JSONTILES_FAILPOINTS_AVAILABLE
 
 #endif  // JSONTILES_UTIL_FAILPOINT_H_

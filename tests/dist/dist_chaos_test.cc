@@ -12,8 +12,6 @@
 
 #include "util/failpoint.h"
 
-#if JSONTILES_FAILPOINTS_AVAILABLE
-
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -282,5 +280,3 @@ TEST(DistChaosTest, IdleArmedWorkersDoNotStall) {
 
 }  // namespace
 }  // namespace jsontiles::dist
-
-#endif  // JSONTILES_FAILPOINTS_AVAILABLE

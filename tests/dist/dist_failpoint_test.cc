@@ -17,8 +17,6 @@
 
 #include "util/failpoint.h"
 
-#if JSONTILES_FAILPOINTS_AVAILABLE
-
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -396,5 +394,3 @@ TEST_F(DistFailpointTest, MalformedWorkerFailpointRejected) {
 
 }  // namespace
 }  // namespace jsontiles::dist
-
-#endif  // JSONTILES_FAILPOINTS_AVAILABLE

@@ -46,7 +46,8 @@ class SimdKernelTest : public ::testing::Test {
     }
   }
 
-  void TearDown() override { simd::SetEnabled(true); }
+  // Restores the switch each test found, whatever the test flips it to.
+  simd::ScopedEnabled restore_{simd::Enabled()};
 
   std::vector<int64_t> a_, b_;
   std::vector<double> fa_, fb_;
@@ -192,7 +193,7 @@ TEST_F(SimdKernelTest, DivisionByZeroYieldsNull) {
 }
 
 TEST_F(SimdKernelTest, IntArithmeticWrapsInEveryTier) {
-  // Nine lanes: whole vectors plus a scalar tail on every tier.
+  // Nine lanes: whole vectors plus a scalar tail on both tiers.
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
   const int64_t a[9] = {kMax, kMin, kMax, kMin, 1, kMax, kMin, kMax, -1};
@@ -383,15 +384,19 @@ TEST_F(SimdKernelTest, TinyBatchesRunTailOnly) {
   }
 }
 
+// The tier is "avx2" exactly when the switch is on and the CPU has AVX2.
 TEST_F(SimdKernelTest, EnableToggleAndIsaAreCoherent) {
-  simd::SetEnabled(true);
-  EXPECT_TRUE(simd::Enabled());
-  simd::SetEnabled(false);
-  EXPECT_FALSE(simd::Enabled());
-  EXPECT_FALSE(simd::UseSimd());
-  simd::SetEnabled(true);
-  EXPECT_EQ(simd::UseSimd(), simd::CompiledIn());
-  EXPECT_NE(simd::ActiveIsa(), nullptr);
+#if defined(__x86_64__)
+  const bool cpu_avx2 = __builtin_cpu_supports("avx2");
+#else
+  const bool cpu_avx2 = false;
+#endif
+  for (bool on : {false, true}) {
+    simd::SetEnabled(on);
+    EXPECT_EQ(simd::Enabled(), on);
+    EXPECT_EQ(simd::UseSimd(), on && cpu_avx2);
+    EXPECT_STREQ(simd::ActiveIsa(), on && cpu_avx2 ? "avx2" : "scalar");
+  }
 }
 
 }  // namespace

@@ -355,8 +355,6 @@ TEST(SpillSkewTest, DepthCapForcesInMemoryJoin) {
 // the SQL boundary — no crash, no partial result.
 // ---------------------------------------------------------------------------
 
-#if JSONTILES_FAILPOINTS_AVAILABLE
-
 class SpillFaultTest : public SpillSqlFixture {
  protected:
   void TearDown() override { failpoint::DisableAll(); }
@@ -423,8 +421,6 @@ TEST_F(SpillFaultTest, ContextIsReusableAfterInjectedFailure) {
   auto ok = sql::ExecuteSql(kAggQuery, Catalog(), ctx);
   EXPECT_TRUE(ok.ok()) << ok.status().ToString();
 }
-
-#endif  // JSONTILES_FAILPOINTS_AVAILABLE
 
 }  // namespace
 }  // namespace jsontiles::exec

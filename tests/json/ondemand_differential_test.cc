@@ -2,14 +2,16 @@
 // fallback) must be observationally identical to the streaming parser — same
 // accept/reject decision and byte-identical JSONB on accept — over the
 // workload corpora, a library of adversarial edge documents, and a mutation
-// fuzz corpus. The CI parser-differential leg runs this suite under
-// ASan/UBSan; the simd-off leg runs it against the scalar stage-1 tier.
+// fuzz corpus. The corpora and the fuzz corpus run on both stage-1 tiers (AVX2
+// where the CPU has it, then the scalar reference); CI also runs this suite
+// under ASan/UBSan.
 
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "exec/simd.h"
 #include "json/jsonb.h"
 #include "json/ondemand.h"
 #include "json/structural_index.h"
@@ -42,21 +44,34 @@ void ExpectParity(std::string_view doc) {
   }
 }
 
+// ExpectParity once per stage-1 tier: the simd switch on, then off.
+void ExpectParityOnBothTiers(std::string_view doc) {
+  for (bool on : {true, false}) {
+    exec::simd::ScopedEnabled tier(on);
+    SCOPED_TRACE(StructuralIndexIsa());
+    ExpectParity(doc);
+  }
+}
+
 TEST(OndemandDifferentialTest, WorkloadCorpora) {
   workload::TpchOptions tpch;
   tpch.scale_factor = 0.002;
   for (const auto& doc : workload::GenerateTpch(tpch).combined) {
-    ExpectParity(doc);
+    ExpectParityOnBothTiers(doc);
   }
   workload::YelpOptions yelp;
   yelp.num_business = 40;
-  for (const auto& doc : workload::GenerateYelp(yelp)) ExpectParity(doc);
+  for (const auto& doc : workload::GenerateYelp(yelp)) {
+    ExpectParityOnBothTiers(doc);
+  }
   workload::TwitterOptions twitter;
   twitter.num_tweets = 1500;
   twitter.changing_schema = true;
-  for (const auto& doc : workload::GenerateTwitter(twitter)) ExpectParity(doc);
+  for (const auto& doc : workload::GenerateTwitter(twitter)) {
+    ExpectParityOnBothTiers(doc);
+  }
   for (const auto& file : workload::GenerateSimdJsonCorpus()) {
-    ExpectParity(file.json);
+    ExpectParityOnBothTiers(file.json);
   }
 }
 
@@ -209,14 +224,13 @@ TEST_P(OndemandMutationFuzzTest, MutatedTextStaysIdentical) {
           break;
       }
     }
-    ExpectParity(text);
+    ExpectParityOnBothTiers(text);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OndemandMutationFuzzTest,
                          ::testing::Values(101, 202, 303, 404, 505));
 
-#if JSONTILES_FAILPOINTS_AVAILABLE
 TEST(OndemandDifferentialTest, ForcedFallbackStaysIdentical) {
   failpoint::DisableAll();
   failpoint::Enable("ondemand.force_fallback", failpoint::Spec::Always());
@@ -234,7 +248,6 @@ TEST(OndemandDifferentialTest, ForcedFallbackStaysIdentical) {
   EXPECT_EQ(expected, actual);
   EXPECT_EQ(ondemand.docs_ondemand(), 1u);
 }
-#endif  // JSONTILES_FAILPOINTS_AVAILABLE
 
 TEST(OndemandDifferentialTest, StatsCountBothPaths) {
   OndemandTransformer ondemand;

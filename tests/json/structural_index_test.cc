@@ -1,6 +1,6 @@
 // Stage-1 structural index: hand-computed positions, escape and boundary
-// behavior, and bit-identity between the scalar reference and whichever
-// vector tier the machine runs (the differential tests in
+// behavior, and bit-identity between the scalar reference and the AVX2 tier
+// where the machine has one (the differential tests in
 // ondemand_differential_test.cc then hold the full pipeline to the streaming
 // parser).
 
@@ -18,12 +18,6 @@
 
 namespace jsontiles::json {
 namespace {
-
-// Restores the exec::simd kill switch on scope exit.
-struct SimdGuard {
-  bool prev = exec::simd::Enabled();
-  ~SimdGuard() { exec::simd::SetEnabled(prev); }
-};
 
 // The valid prefix of the positions buffer.
 std::vector<uint32_t> Slice(const StructuralIndex& index) {
@@ -93,12 +87,11 @@ TEST(StructuralIndexTest, ReusedIndexIsCleared) {
 }
 
 // --- Tier identity ---------------------------------------------------------
-// The scalar loop defines the semantics; the vector tiers must agree bit for
-// bit on every input, including ones crafted to straddle 64-byte blocks.
+// The scalar loop defines the semantics; the AVX2 tier must agree bit for bit
+// on every input, including ones crafted to straddle 64-byte blocks.
 
 StructuralIndex ScalarScan(std::string_view input, Status* st) {
-  SimdGuard guard;
-  exec::simd::SetEnabled(false);
+  exec::simd::ScopedEnabled tier(false);
   EXPECT_STREQ(StructuralIndexIsa(), "scalar");
   StructuralIndex index;
   *st = BuildStructuralIndex(input, &index);
@@ -106,8 +99,7 @@ StructuralIndex ScalarScan(std::string_view input, Status* st) {
 }
 
 StructuralIndex VectorScan(std::string_view input, Status* st) {
-  SimdGuard guard;
-  exec::simd::SetEnabled(true);
+  exec::simd::ScopedEnabled tier(true);
   StructuralIndex index;
   *st = BuildStructuralIndex(input, &index);
   return index;
@@ -247,27 +239,26 @@ void ExpectNoStaleStateAcrossShrinkingDocs() {
 
 TEST(StructuralIndexTierTest, ShrinkingDocumentsCarryNoStaleState) {
   {
-    SimdGuard guard;
-    exec::simd::SetEnabled(false);
+    exec::simd::ScopedEnabled tier(false);
     ASSERT_STREQ(StructuralIndexIsa(), "scalar");
     ExpectNoStaleStateAcrossShrinkingDocs();
   }
   {
-    SimdGuard guard;
-    exec::simd::SetEnabled(true);  // avx2 or vec128 where compiled in
+    exec::simd::ScopedEnabled tier(true);  // avx2 where the CPU has it
     ExpectNoStaleStateAcrossShrinkingDocs();
   }
 }
 
+// The tier is "avx2" exactly when the switch is on and the CPU has AVX2.
 TEST(StructuralIndexTierTest, IsaReportsKillSwitch) {
-  SimdGuard guard;
-  exec::simd::SetEnabled(false);
-  EXPECT_STREQ(StructuralIndexIsa(), "scalar");
-  exec::simd::SetEnabled(true);
-  if (exec::simd::CompiledIn()) {
-    EXPECT_STRNE(StructuralIndexIsa(), "scalar");
-  } else {
-    EXPECT_STREQ(StructuralIndexIsa(), "scalar");
+#if defined(__x86_64__)
+  const bool cpu_avx2 = __builtin_cpu_supports("avx2");
+#else
+  const bool cpu_avx2 = false;
+#endif
+  for (bool on : {false, true}) {
+    exec::simd::ScopedEnabled tier(on);
+    EXPECT_STREQ(StructuralIndexIsa(), on && cpu_avx2 ? "avx2" : "scalar");
   }
 }
 

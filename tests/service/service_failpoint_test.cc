@@ -20,8 +20,6 @@ namespace {
 
 using exec::QueryContext;
 
-#if JSONTILES_FAILPOINTS_AVAILABLE
-
 class ServiceFailpointTest : public ::testing::Test {
  protected:
   void TearDown() override { failpoint::DisableAll(); }
@@ -104,12 +102,6 @@ TEST_F(ServiceFailpointTest, SpillReserveFaultFailsOnlyTheSpillingQuery) {
   EXPECT_EQ(service.disk_budget()->used(), 0u);
   EXPECT_EQ(service.global_budget()->used(), 0u);
 }
-
-#else
-
-TEST(ServiceFailpointTest, SkippedWithoutFailpoints) { GTEST_SKIP(); }
-
-#endif  // JSONTILES_FAILPOINTS_AVAILABLE
 
 }  // namespace
 }  // namespace jsontiles::service

@@ -2,7 +2,7 @@
 // parser, whose per-document fallback is the streaming JsonbBuilder. The
 // streaming parser is the oracle here, two ways:
 //   - kJsonb loads must equal a relation built document by document with
-//     JsonbBuilder. This runs in every build, FAILPOINTS=OFF included.
+//     JsonbBuilder.
 //   - With the `ondemand.force_fallback` failpoint armed Always, every
 //     document takes the streaming parser (and the JSONB-derived key-path
 //     directory). Every mode, sharded tiles included, must then load to the
@@ -181,7 +181,6 @@ TEST(LoaderOndemandTest, ShardedSkipParityAndGlobalCap) {
                    .ok());
 }
 
-#if JSONTILES_FAILPOINTS_AVAILABLE
 // Whole-relation identity against the streaming parser: documents, tiles,
 // columns, statistics and array side relations, in every binary mode.
 TEST(LoaderOndemandTest, ForcedFallbackLoadsIdentically) {
@@ -247,7 +246,5 @@ TEST(LoaderOndemandTest, ForcedFallbackShardedTilesIdentical) {
     EXPECT_EQ(Bytes(normal->shard(s)), Bytes(forced->shard(s))) << "shard " << s;
   }
 }
-#endif  // JSONTILES_FAILPOINTS_AVAILABLE
-
 }  // namespace
 }  // namespace jsontiles::storage

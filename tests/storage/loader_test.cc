@@ -209,8 +209,6 @@ TEST(LoaderTest, DegradedLoadStillQueriesCleanly) {
   EXPECT_EQ(covered, 194u);
 }
 
-#if JSONTILES_FAILPOINTS_AVAILABLE
-
 TEST(LoaderTest, PartitionFailpointSurfacesStatus) {
   struct Cleanup {
     ~Cleanup() { failpoint::DisableAll(); }
@@ -232,8 +230,6 @@ TEST(LoaderTest, PartitionFailpointSurfacesStatus) {
   failpoint::DisableAll();
   EXPECT_TRUE(loader.Load(docs, "t").ok());
 }
-
-#endif  // JSONTILES_FAILPOINTS_AVAILABLE
 
 TEST(LoaderTest, ArrayExtractionBuildsSideRelation) {
   std::vector<std::string> docs;

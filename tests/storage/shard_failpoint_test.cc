@@ -13,8 +13,6 @@
 #include "storage/shard.h"
 #include "util/failpoint.h"
 
-#if JSONTILES_FAILPOINTS_AVAILABLE
-
 namespace jsontiles::storage {
 namespace {
 
@@ -116,5 +114,3 @@ TEST_F(ShardFailpointTest, OpenFailpointFailsCleanly) {
 
 }  // namespace
 }  // namespace jsontiles::storage
-
-#endif  // JSONTILES_FAILPOINTS_AVAILABLE

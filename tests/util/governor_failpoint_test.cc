@@ -109,8 +109,6 @@ TEST(BudgetReservationTest, NullBudgetIsUnlimited) {
 // Failpoints
 // ---------------------------------------------------------------------------
 
-#if JSONTILES_FAILPOINTS_AVAILABLE
-
 class FailpointTest : public ::testing::Test {
  protected:
   void TearDown() override { failpoint::DisableAll(); }
@@ -184,8 +182,6 @@ TEST_F(FailpointTest, TempFileFailpoints) {
   ASSERT_TRUE(tf.ReadAt(0, buf, 3).ok());
   EXPECT_EQ(std::memcmp(buf, "abc", 3), 0);
 }
-
-#endif  // JSONTILES_FAILPOINTS_AVAILABLE
 
 // ---------------------------------------------------------------------------
 // TempFile
