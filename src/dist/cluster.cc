@@ -573,7 +573,7 @@ Status Cluster::RunFragments(const exec::ScanSpec& spec,
                              const std::vector<exec::AggSpec>& aggs,
                              exec::QueryContext& ctx,
                              std::vector<exec::RowSet>* row_buckets,
-                             exec::AggGroupMap* agg_merge,
+                             exec::GroupTable* agg_merge,
                              exec::ExchangeStats* stats) {
   if (no_workers_left_) {
     return Status::Internal(
@@ -654,7 +654,8 @@ Status Cluster::RunFragments(const exec::ScanSpec& spec,
       }
       case FrameType::kAggResult: {
         AggPartial partial;
-        st = DecodeAggPartial(payload, aggs.size(), arena, &partial);
+        st = DecodeAggPartial(payload, group_by.size(), aggs, arena,
+                              &partial);
         if (!st.ok()) break;
         Fragment* frag = live_fragment(partial.fragment_id, partial.epoch, w);
         if (frag == nullptr || !is_agg) {
@@ -678,9 +679,7 @@ Status Cluster::RunFragments(const exec::ScanSpec& spec,
         // once, at the dispatch that completed.
         if (is_agg) {
           for (AggPartial& part : frag->staged_aggs) {
-            for (auto& [hash, group] : part.groups) {
-              exec::MergeGroup(agg_merge, hash, std::move(group), aggs);
-            }
+            agg_merge->MergeFrom(part.groups);
           }
         } else {
           (*row_buckets)[frag->shard].Append(std::move(frag->staged_rows));
@@ -897,7 +896,7 @@ Status Cluster::Aggregate(const exec::ScanSpec& spec,
   stats->shards_scanned += fragment_shards.size();
   stats->shards_pruned += local_->shard_count() - fragment_shards.size();
 
-  exec::AggGroupMap merged;
+  exec::GroupTable merged(group_by.size(), aggs);
   JSONTILES_RETURN_NOT_OK(RunFragments(spec, fragment_shards,
                                        /*is_side=*/false, group_by, aggs, ctx,
                                        /*row_buckets=*/nullptr, &merged,
@@ -906,7 +905,7 @@ Status Cluster::Aggregate(const exec::ScanSpec& spec,
     out->push_back(exec::EmptyGlobalAggRow(aggs));
     return Status::OK();
   }
-  exec::FinalizeGroups(merged, aggs, out);
+  merged.Finalize(out);
   return Status::OK();
 }
 

@@ -168,7 +168,7 @@ class Cluster : public exec::DistRuntime {
                       const std::vector<exec::AggSpec>& aggs,
                       exec::QueryContext& ctx,
                       std::vector<exec::RowSet>* row_buckets,
-                      exec::AggGroupMap* agg_merge,
+                      exec::GroupTable* agg_merge,
                       exec::ExchangeStats* stats);
 
   Status SpawnWorker(size_t index, bool respawn);

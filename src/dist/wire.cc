@@ -839,11 +839,15 @@ void EncodeAccumulator(const exec::Accumulator& acc, WireWriter* w) {
   w->F64(sum.special());
   EncodeValue(acc.min, w);
   EncodeValue(acc.max, w);
-  w->Varint(acc.distinct.size());
-  for (uint64_t h : acc.distinct) w->U64(h);
+  w->Varint(acc.distinct_count());
+  if (acc.distinct) {
+    for (uint64_t h : *acc.distinct) w->U64(h);
+  }
 }
 
+// `partials` is the caller's scratch, reused across accumulators.
 Status DecodeAccumulator(WireReader* r, Arena* arena,
+                         std::vector<double>* partials,
                          exec::Accumulator* acc) {
   uint8_t flags;
   WIRE_READ(r->U8(&flags));
@@ -856,12 +860,11 @@ Status DecodeAccumulator(WireReader* r, Arena* arena,
   uint64_t n;
   WIRE_READ(r->Varint(&n));
   WIRE_READ(n <= r->remaining() / 8);
-  std::vector<double> partials(n);
-  for (uint64_t i = 0; i < n; i++) WIRE_READ(r->F64(&partials[i]));
+  partials->resize(n);
+  for (uint64_t i = 0; i < n; i++) WIRE_READ(r->F64(&(*partials)[i]));
   double special;
   WIRE_READ(r->F64(&special));
-  acc->sum_f =
-      exec::ExactFloatSum::Restore(std::move(partials), special, has_special);
+  acc->sum_f = exec::ExactFloatSum::Restore(*partials, special, has_special);
   WIRE_READ(DecodeValue(r, arena, &acc->min));
   WIRE_READ(DecodeValue(r, arena, &acc->max));
   WIRE_READ(r->Varint(&n));
@@ -869,7 +872,7 @@ Status DecodeAccumulator(WireReader* r, Arena* arena,
   for (uint64_t i = 0; i < n; i++) {
     uint64_t h;
     WIRE_READ(r->U64(&h));
-    acc->distinct.insert(h);
+    acc->AddDistinct(h);
   }
   return Status::OK();
 }
@@ -877,54 +880,52 @@ Status DecodeAccumulator(WireReader* r, Arena* arena,
 }  // namespace
 
 void EncodeAggPartial(uint32_t fragment_id, uint32_t epoch,
-                      const exec::AggGroupMap& groups,
-                      const std::vector<exec::AggSpec>& aggs,
+                      const exec::GroupTable& groups,
                       std::vector<uint8_t>* out) {
   WireWriter w(out);
   w.U32(fragment_id);
   w.U32(epoch);
-  size_t num_groups = 0;
-  for (const auto& [h, bucket] : groups) num_groups += bucket.size();
-  w.Varint(num_groups);
-  for (const auto& [h, bucket] : groups) {
-    for (const exec::AggGroup& g : bucket) {
-      w.U64(h);
-      w.Varint(g.keys.size());
-      for (const exec::Value& k : g.keys) EncodeValue(k, &w);
-      for (size_t a = 0; a < aggs.size(); a++) {
-        EncodeAccumulator(g.accs[a], &w);
-      }
+  w.Varint(groups.size());
+  for (uint32_t g = 0; g < groups.size(); g++) {
+    w.U64(groups.hash(g));
+    w.Varint(groups.num_keys());
+    const exec::Value* keys = groups.keys(g);
+    for (size_t k = 0; k < groups.num_keys(); k++) EncodeValue(keys[k], &w);
+    const exec::Accumulator* accs = groups.accs(g);
+    for (size_t a = 0; a < groups.num_aggs(); a++) {
+      EncodeAccumulator(accs[a], &w);
     }
   }
 }
 
-Status DecodeAggPartial(const std::vector<uint8_t>& payload, size_t num_aggs,
-                        Arena* arena, AggPartial* out) {
+Status DecodeAggPartial(const std::vector<uint8_t>& payload, size_t num_keys,
+                        const std::vector<exec::AggSpec>& aggs, Arena* arena,
+                        AggPartial* out) {
   WireReader r(payload.data(), payload.size());
   WIRE_READ(r.U32(&out->fragment_id));
   WIRE_READ(r.U32(&out->epoch));
   uint64_t num_groups;
   WIRE_READ(r.Varint(&num_groups));
   WIRE_READ(num_groups <= r.remaining());
-  out->groups.reserve(num_groups);
+  out->groups = exec::GroupTable(num_keys, aggs);
+  std::vector<exec::Value> keys(num_keys);
+  std::vector<double> partials;
   for (uint64_t i = 0; i < num_groups; i++) {
     uint64_t hash;
     WIRE_READ(r.U64(&hash));
-    uint64_t num_keys;
-    WIRE_READ(r.Varint(&num_keys));
-    WIRE_READ(num_keys <= r.remaining() / 2 + 1);
-    exec::AggGroup group;
-    group.keys.reserve(num_keys);
-    for (uint64_t k = 0; k < num_keys; k++) {
-      exec::Value v;
-      WIRE_READ(DecodeValue(&r, arena, &v));
-      group.keys.push_back(v);
+    uint64_t group_keys;
+    WIRE_READ(r.Varint(&group_keys));
+    WIRE_READ(group_keys == num_keys);
+    for (size_t k = 0; k < num_keys; k++) {
+      WIRE_READ(DecodeValue(&r, arena, &keys[k]));
     }
-    group.accs.resize(num_aggs);
-    for (size_t a = 0; a < num_aggs; a++) {
-      JSONTILES_RETURN_NOT_OK(DecodeAccumulator(&r, arena, &group.accs[a]));
+    bool created = false;
+    const uint32_t g = out->groups.FindOrInsert(hash, keys.data(), &created);
+    WIRE_READ(created);
+    exec::Accumulator* accs = out->groups.accs(g);
+    for (size_t a = 0; a < aggs.size(); a++) {
+      JSONTILES_RETURN_NOT_OK(DecodeAccumulator(&r, arena, &partials, &accs[a]));
     }
-    out->groups.emplace_back(hash, std::move(group));
   }
   WIRE_READ(r.AtEnd());
   return Status::OK();

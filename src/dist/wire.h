@@ -221,20 +221,22 @@ Status DecodeRowBatch(const std::vector<uint8_t>& payload, Arena* arena,
                       uint32_t* fragment_id, uint32_t* epoch,
                       exec::RowSet* out);
 
-/// Partial-aggregate result: every group of the worker's group table with
-/// its key hash (recorded, not recomputed, so coordinator merge uses the
-/// exact same bucket chain). Decode needs the agg count from the request.
+/// Partial-aggregate result: every group of the worker's group table, in
+/// group order, with its key hash (recorded, not recomputed, so the
+/// coordinator merge chains the group exactly as the worker did). Decode
+/// needs the key count and aggregates of the request; a frame whose groups
+/// have another key count, or that repeats a group, is rejected as corrupt.
 void EncodeAggPartial(uint32_t fragment_id, uint32_t epoch,
-                      const exec::AggGroupMap& groups,
-                      const std::vector<exec::AggSpec>& aggs,
+                      const exec::GroupTable& groups,
                       std::vector<uint8_t>* out);
 struct AggPartial {
   uint32_t fragment_id = 0;
   uint32_t epoch = 0;
-  std::vector<std::pair<uint64_t, exec::AggGroup>> groups;
+  exec::GroupTable groups;
 };
-Status DecodeAggPartial(const std::vector<uint8_t>& payload, size_t num_aggs,
-                        Arena* arena, AggPartial* out);
+Status DecodeAggPartial(const std::vector<uint8_t>& payload, size_t num_keys,
+                        const std::vector<exec::AggSpec>& aggs, Arena* arena,
+                        AggPartial* out);
 
 struct FragmentDoneMsg {
   uint32_t fragment_id = 0;

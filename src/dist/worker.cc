@@ -174,11 +174,10 @@ Status RunFragment(WorkerState& state, const FragmentMsg& frag, bool is_agg) {
     // epoch does not match the current one. The coordinator must reject it
     // (dist.frames_rejected_stale) without disturbing the real results.
     if (is_agg) {
-      exec::AggGroupMap stale;
-      exec::AccumulateRows(rows, frag.group_by, frag.aggs, ctx.arena(0),
-                           &stale);
-      EncodeAggPartial(frag.fragment_id, frag.epoch + 1000, stale, frag.aggs,
-                       &payload);
+      exec::GroupTable stale(frag.group_by.size(), frag.aggs);
+      exec::AccumulateRows(rows, frag.group_by, frag.aggs,
+                           frag.enable_vectorized, ctx.arena(0), &stale);
+      EncodeAggPartial(frag.fragment_id, frag.epoch + 1000, stale, &payload);
       JSONTILES_RETURN_NOT_OK(
           WriteResultFrame(state, FrameType::kAggResult, payload));
     } else {
@@ -191,15 +190,12 @@ Status RunFragment(WorkerState& state, const FragmentMsg& frag, bool is_agg) {
     payload.clear();
   }
   if (is_agg) {
-    exec::AggGroupMap groups;
-    exec::AccumulateRows(rows, frag.group_by, frag.aggs, ctx.arena(0),
-                         &groups);
-    size_t num_groups = 0;
-    for (const auto& [h, bucket] : groups) num_groups += bucket.size();
-    done.rows_out = num_groups;
+    exec::GroupTable groups(frag.group_by.size(), frag.aggs);
+    exec::AccumulateRows(rows, frag.group_by, frag.aggs,
+                         frag.enable_vectorized, ctx.arena(0), &groups);
+    done.rows_out = groups.size();
     if (!groups.empty()) {
-      EncodeAggPartial(frag.fragment_id, frag.epoch, groups, frag.aggs,
-                       &payload);
+      EncodeAggPartial(frag.fragment_id, frag.epoch, groups, &payload);
       JSONTILES_RETURN_NOT_OK(
           WriteResultFrame(state, FrameType::kAggResult, payload));
     }

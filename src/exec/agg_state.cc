@@ -4,7 +4,9 @@
 #include <cstring>
 
 #include "exec/expression.h"
+#include "exec/simd.h"
 #include "util/hash.h"
+#include "util/logging.h"
 
 namespace jsontiles::exec {
 
@@ -77,7 +79,7 @@ void Accumulator::AddValue(AggSpec::Kind kind, const Value& v) {
       if (max.is_null() || TotalValueOrder(v, max) > 0) max = v;
       return;
     case AggSpec::Kind::kCountDistinct:
-      if (!v.is_null()) distinct.insert(v.Hash());
+      if (!v.is_null()) AddDistinct(v.Hash());
       return;
   }
 }
@@ -109,7 +111,12 @@ void Accumulator::Merge(AggSpec::Kind kind, const Accumulator& other) {
       }
       return;
     case AggSpec::Kind::kCountDistinct:
-      distinct.insert(other.distinct.begin(), other.distinct.end());
+      if (other.distinct) {
+        if (!distinct) {
+          distinct = std::make_unique<std::unordered_set<uint64_t>>();
+        }
+        distinct->insert(other.distinct->begin(), other.distinct->end());
+      }
       return;
   }
 }
@@ -138,82 +145,229 @@ Value Accumulator::Finalize(AggSpec::Kind kind) const {
     case AggSpec::Kind::kMin: return min;
     case AggSpec::Kind::kMax: return max;
     case AggSpec::Kind::kCountDistinct:
-      return Value::Int(static_cast<int64_t>(distinct.size()));
+      return Value::Int(static_cast<int64_t>(distinct_count()));
   }
   return Value::Null();
 }
 
-AggGroup& FindOrInsertGroup(AggGroupMap* groups, uint64_t hash,
-                            const Value* keys, size_t num_keys,
-                            bool* created) {
-  auto& bucket = (*groups)[hash];
-  for (auto& g : bucket) {
-    bool equal = true;
-    for (size_t i = 0; i < num_keys && equal; i++) {
-      equal = g.keys[i].EqualsForGrouping(keys[i]);
-    }
-    if (equal) {
-      *created = false;
-      return g;
+void Accumulator::AddDistinct(uint64_t hash) {
+  if (!distinct) distinct = std::make_unique<std::unordered_set<uint64_t>>();
+  distinct->insert(hash);
+}
+
+GroupTable::GroupTable(size_t num_keys, const std::vector<AggSpec>& aggs)
+    : num_keys_(num_keys) {
+  kinds_.reserve(aggs.size());
+  for (const AggSpec& a : aggs) kinds_.push_back(a.kind);
+}
+
+void GroupTable::Grow() {
+  // All per-group arrays grow together, so an insert only writes into
+  // already-constructed slots; the directory stays at twice the capacity.
+  const size_t capacity = std::max<size_t>(16, 2 * hashes_.size());
+  JSONTILES_CHECK(capacity < kChainEnd);
+  hashes_.resize(capacity);
+  next_.resize(capacity);
+  keys_.resize(capacity * num_keys_);
+  accs_.resize(capacity * num_aggs());
+  heads_.assign(2 * capacity, kChainEnd);
+  mask_ = heads_.size() - 1;
+  for (uint32_t g = 0; g < size_; g++) {
+    uint32_t& head = heads_[hashes_[g] & mask_];
+    next_[g] = head;
+    head = g;
+  }
+}
+
+uint32_t GroupTable::FindOrInsert(uint64_t hash, const Value* keys,
+                                  bool* created) {
+  if (!heads_.empty()) {
+    for (uint32_t g = heads_[hash & mask_]; g != kChainEnd; g = next_[g]) {
+      if (hashes_[g] != hash) continue;
+      const Value* gk = this->keys(g);
+      bool equal = true;
+      for (size_t i = 0; i < num_keys_ && equal; i++) {
+        equal = gk[i].EqualsForGrouping(keys[i]);
+      }
+      if (equal) {
+        *created = false;
+        return g;
+      }
     }
   }
   *created = true;
-  bucket.push_back(AggGroup{std::vector<Value>(keys, keys + num_keys), {}});
-  return bucket.back();
+  if (size_ == hashes_.size()) Grow();
+  const uint32_t g = size_++;
+  hashes_[g] = hash;
+  std::copy(keys, keys + num_keys_, keys_.begin() + size_t{g} * num_keys_);
+  uint32_t& head = heads_[hash & mask_];
+  next_[g] = head;
+  head = g;
+  size_t key_string_bytes = 0;
+  for (size_t i = 0; i < num_keys_; i++) {
+    if (keys[i].type == ValueType::kString) key_string_bytes += keys[i].s.size();
+  }
+  charged_bytes_ += GroupCharge(num_keys_, num_aggs(), key_string_bytes);
+  return g;
+}
+
+void GroupTable::MergeGroup(uint64_t hash, const Value* keys,
+                            Accumulator* accs) {
+  bool created = false;
+  const uint32_t g = FindOrInsert(hash, keys, &created);
+  Accumulator* dst = this->accs(g);
+  for (size_t a = 0; a < num_aggs(); a++) {
+    if (created) {
+      dst[a] = std::move(accs[a]);
+    } else {
+      dst[a].Merge(kinds_[a], accs[a]);
+    }
+  }
+}
+
+void GroupTable::MergeFrom(GroupTable& other) {
+  for (uint32_t g = 0; g < other.size(); g++) {
+    MergeGroup(other.hash(g), other.keys(g), other.accs(g));
+  }
+}
+
+void GroupTable::Finalize(RowSet* out) const {
+  const size_t na = num_aggs();
+  for (uint32_t g = 0; g < size(); g++) {
+    RowRef row = out->AppendRow(num_keys_ + na);
+    std::copy(keys(g), keys(g) + num_keys_, row.begin());
+    const Accumulator* acc = accs(g);
+    for (size_t a = 0; a < na; a++) {
+      row[num_keys_ + a] = acc[a].Finalize(kinds_[a]);
+    }
+  }
+}
+
+AggInput::AggInput(const RowSet& in, const std::vector<ExprPtr>& group_by,
+                   const std::vector<AggSpec>& aggs, bool vectorized)
+    : batched_(in,
+               [&] {
+                 // Group keys first, then aggregate arguments.
+                 std::vector<const Expr*> exprs = RawExprs(group_by);
+                 for (const AggSpec& a : aggs) {
+                   if (a.arg != nullptr) exprs.push_back(a.arg.get());
+                 }
+                 return exprs;
+               }(),
+               vectorized),
+      num_keys_(group_by.size()),
+      lane_keys_(kVectorSize * group_by.size()),
+      lane_hash_(kVectorSize),
+      key_hash_(kVectorSize),
+      lane_group_(kVectorSize) {
+  int next = static_cast<int>(group_by.size());
+  for (const AggSpec& a : aggs) {
+    kinds_.push_back(a.kind);
+    arg_expr_.push_back(a.arg != nullptr ? next++ : -1);
+  }
+}
+
+void AggInput::AccumulateBatch(const RowSet& in, size_t begin, size_t n,
+                               Arena* arena, GroupTable* table) {
+  batched_.LoadBatch(in, begin, n, arena);
+  const size_t nk = num_keys_;
+  bool created = false;
+  if (nk == 0) {
+    // Global aggregate: one group, one lookup per batch.
+    std::fill_n(lane_group_.begin(), n,
+                table->FindOrInsert(kKeyHashSeed, nullptr, &created));
+  } else {
+    // Key hashes: integer-typed compiled lanes through the SIMD batch
+    // kernels, bit-identical to the per-Value chain (int/bool/timestamp
+    // lanes hash as HashInt of the payload, null lanes as
+    // Value::Null().Hash()), so spill partitions and wire frames agree.
+    uint64_t* hacc = lane_hash_.data();
+    std::fill_n(hacc, n, kKeyHashSeed);
+    for (size_t j = 0; j < nk; j++) {
+      const ColumnVector* col = batched_.Result(j);
+      const bool batch_hashed =
+          col != nullptr && simd::UseSimd() &&
+          (col->type() == ValueType::kInt || col->type() == ValueType::kBool ||
+           col->type() == ValueType::kTimestamp);
+      if (batch_hashed) {
+        simd::HashI64Batch(col->i64(), col->nulls(), Value::Null().Hash(),
+                           key_hash_.data(), n);
+        simd::HashCombineBatch(hacc, key_hash_.data(), n);
+      }
+      for (size_t k = 0; k < n; k++) {
+        Value v = batched_.Get(j, k, in[begin + k], arena);
+        if (!batch_hashed) hacc[k] = HashCombine(hacc[k], v.Hash());
+        lane_keys_[k * nk + j] = v;
+      }
+    }
+    for (size_t k = 0; k < n; k++) {
+      lane_group_[k] = table->FindOrInsert(hacc[k], &lane_keys_[k * nk],
+                                           &created);
+    }
+  }
+  // Aggregates column by column: one kind and one argument per pass.
+  const size_t na = kinds_.size();
+  for (size_t a = 0; a < na; a++) {
+    const AggSpec::Kind kind = kinds_[a];
+    if (arg_expr_[a] < 0) {
+      for (size_t k = 0; k < n; k++) table->accs(lane_group_[k])[a].count++;
+      continue;
+    }
+    const size_t e = static_cast<size_t>(arg_expr_[a]);
+    if (AccumulateTyped(kind, batched_.Result(e), a, n, table)) continue;
+    for (size_t k = 0; k < n; k++) {
+      table->accs(lane_group_[k])[a].AddValue(
+          kind, batched_.Get(e, k, in[begin + k], arena));
+    }
+  }
+}
+
+bool AggInput::AccumulateTyped(AggSpec::Kind kind, const ColumnVector* col,
+                               size_t a, size_t n, GroupTable* table) {
+  // The same state changes Accumulator::AddValue makes for a non-null int
+  // or float argument, read straight from the compiled result vector.
+  if (col == nullptr || col->type() == ValueType::kNull) return false;
+  const uint8_t* nulls = col->nulls();
+  if (kind == AggSpec::Kind::kCount) {
+    for (size_t k = 0; k < n; k++) {
+      table->accs(lane_group_[k])[a].count += nulls[k] == 0;
+    }
+    return true;
+  }
+  if (kind != AggSpec::Kind::kSum && kind != AggSpec::Kind::kAvg) return false;
+  if (col->type() == ValueType::kInt) {
+    const int64_t* v = col->i64();
+    for (size_t k = 0; k < n; k++) {
+      if (nulls[k]) continue;
+      Accumulator& acc = table->accs(lane_group_[k])[a];
+      acc.count++;
+      acc.sum_seen = true;
+      acc.sum_i += v[k];
+    }
+    return true;
+  }
+  if (col->type() == ValueType::kFloat) {
+    const double* v = col->f64();
+    for (size_t k = 0; k < n; k++) {
+      if (nulls[k]) continue;
+      Accumulator& acc = table->accs(lane_group_[k])[a];
+      acc.count++;
+      acc.sum_seen = true;
+      acc.sum_is_float = true;
+      acc.sum_f.Add(v[k]);
+    }
+    return true;
+  }
+  return false;
 }
 
 void AccumulateRows(const RowSet& in, const std::vector<ExprPtr>& group_by,
-                    const std::vector<AggSpec>& aggs, Arena* arena,
-                    AggGroupMap* groups) {
-  std::vector<Value> keys;
-  keys.reserve(group_by.size());
-  for (RowView row : in) {
-    uint64_t h = kKeyHashSeed;
-    keys.clear();
-    for (const auto& g : group_by) {
-      Value v = EvalExpr(*g, row.data(), arena);
-      h = HashCombine(h, v.Hash());
-      keys.push_back(v);
-    }
-    bool created = false;
-    AggGroup& group =
-        FindOrInsertGroup(groups, h, keys.data(), keys.size(), &created);
-    if (created) group.accs.resize(aggs.size());
-    for (size_t a = 0; a < aggs.size(); a++) {
-      Value v = Value::Null();
-      if (aggs[a].arg != nullptr) {
-        v = EvalExpr(*aggs[a].arg, row.data(), arena);
-      }
-      group.accs[a].AddValue(aggs[a].kind, v);
-    }
-  }
-}
-
-void MergeGroup(AggGroupMap* dst, uint64_t hash, AggGroup&& group,
-                const std::vector<AggSpec>& aggs) {
-  bool created = false;
-  AggGroup& target = FindOrInsertGroup(dst, hash, group.keys.data(),
-                                       group.keys.size(), &created);
-  if (created) {
-    target.accs = std::move(group.accs);
-    return;
-  }
-  for (size_t a = 0; a < aggs.size(); a++) {
-    target.accs[a].Merge(aggs[a].kind, group.accs[a]);
-  }
-}
-
-void FinalizeGroups(const AggGroupMap& groups,
-                    const std::vector<AggSpec>& aggs, RowSet* out) {
-  for (const auto& [h, bucket] : groups) {
-    (void)h;
-    for (const auto& g : bucket) {
-      RowRef row = out->AppendRow(g.keys.size() + aggs.size());
-      std::copy(g.keys.begin(), g.keys.end(), row.begin());
-      for (size_t a = 0; a < aggs.size(); a++) {
-        row[g.keys.size() + a] = g.accs[a].Finalize(aggs[a].kind);
-      }
-    }
+                    const std::vector<AggSpec>& aggs, bool vectorized,
+                    Arena* arena, GroupTable* table) {
+  AggInput input(in, group_by, aggs, vectorized);
+  for (size_t b = 0; b < in.size(); b += kVectorSize) {
+    input.AccumulateBatch(in, b, std::min(kVectorSize, in.size() - b), arena,
+                          table);
   }
 }
 

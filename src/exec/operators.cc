@@ -6,6 +6,7 @@
 #include <deque>
 
 #include "exec/agg_state.h"
+#include "exec/batched_exprs.h"
 #include "exec/expr_compile.h"
 #include "exec/float_sum.h"
 #include "exec/simd.h"
@@ -23,9 +24,10 @@ namespace jsontiles::exec {
 
 namespace {
 
-// kKeyHashSeed / kPerRowTableOverhead / TotalValueOrder live in
-// exec/agg_state.h: the distributed exchange shares them with this file so
-// worker partials hash and tie-break exactly like local aggregation.
+// kKeyHashSeed / kPerRowTableOverhead / TotalValueOrder and the group table
+// live in exec/agg_state.h: the distributed exchange shares them with this
+// file so worker partials hash, group and tie-break exactly like local
+// aggregation.
 
 // Copy every string payload of `rows` into `arena`. Output rows of a spilled
 // partition reference strings in the partition's read-back arena, which dies
@@ -84,112 +86,6 @@ class ArenaCounter {
   QueryContext& ctx_;
   size_t before_;
 };
-
-// Infer the static type of every slot in `slots` from a full pass over the
-// rows (an all-null slot stays kNull). Returns false — disabling compiled
-// evaluation — when a slot is out of range or holds mixed non-null types
-// (e.g. a SUM that came back Int for one group and Float for another).
-bool InferSlotTypes(const RowSet& rows, const std::vector<int>& slots,
-                    std::vector<ValueType>* types) {
-  for (int s : slots) {
-    if (s < 0 || static_cast<size_t>(s) >= types->size()) return false;
-  }
-  for (RowView row : rows) {
-    for (int s : slots) {
-      const Value& v = row[s];
-      if (v.is_null()) continue;
-      ValueType& t = (*types)[s];
-      if (t == ValueType::kNull) {
-        t = v.type;
-      } else if (t != v.type) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-// Compiled batch evaluation of a fixed expression list over a RowSet.
-// Construction infers slot types and compiles what it can; expressions that
-// do not compile (or everything, when disabled) are interpreted per row by
-// Get(), and LoadBatch is a no-op when nothing compiled, so callers always
-// go through LoadBatch + Get/Result. Copy instances per worker —
-// LoadBatch/Get are not thread-safe.
-class BatchedExprs {
- public:
-  BatchedExprs(const RowSet& rows, std::vector<const Expr*> exprs, bool enable)
-      : exprs_(std::move(exprs)) {
-    if (!enable || rows.empty() || exprs_.empty()) return;
-    const size_t num_slots = rows[0].size();
-    slot_types_.assign(num_slots, ValueType::kNull);
-    std::vector<int> all_slots;
-    for (const Expr* e : exprs_) CollectSlotRefs(*e, &all_slots);
-    if (!InferSlotTypes(rows, all_slots, &slot_types_)) return;
-    programs_.resize(exprs_.size());
-    compiled_.assign(exprs_.size(), 0);
-    size_t num_compiled = 0;
-    for (size_t i = 0; i < exprs_.size(); i++) {
-      if (CompiledExpr::Compile(*exprs_[i], slot_types_, &programs_[i])) {
-        compiled_[i] = 1;
-        num_compiled++;
-        for (int s : programs_[i].slots_used()) used_slots_.push_back(s);
-      }
-    }
-    if (num_compiled == 0) return;
-    std::sort(used_slots_.begin(), used_slots_.end());
-    used_slots_.erase(std::unique(used_slots_.begin(), used_slots_.end()),
-                      used_slots_.end());
-    slot_vecs_.resize(num_slots);
-    results_.resize(exprs_.size());
-    enabled_ = true;
-  }
-
-  /// Gather slots and run every compiled program over rows [begin, begin+n).
-  void LoadBatch(const RowSet& rows, size_t begin, size_t n, Arena* arena) {
-    if (!enabled_) return;
-    sel_.SetAll(n);
-    for (int s : used_slots_) {
-      ColumnVector& vec = slot_vecs_[s];
-      vec.Reset(slot_types_[s]);
-      for (size_t k = 0; k < n; k++) vec.SetValue(k, rows[begin + k][s]);
-    }
-    for (size_t i = 0; i < exprs_.size(); i++) {
-      if (compiled_[i]) {
-        results_[i] = &programs_[i].Run(slot_vecs_.data(), sel_, arena);
-      }
-    }
-  }
-
-  /// Value of expression e for batch lane k (row = the matching input row).
-  Value Get(size_t e, size_t k, RowView row, Arena* arena) const {
-    if (enabled_ && compiled_[e]) return results_[e]->GetValue(k);
-    return EvalExpr(*exprs_[e], row.data(), arena);
-  }
-
-  /// Raw compiled result vector for expression e, or nullptr when e did not
-  /// compile (callers must then go through Get). Valid until next LoadBatch.
-  const ColumnVector* Result(size_t e) const {
-    return enabled_ && compiled_[e] ? results_[e] : nullptr;
-  }
-
- private:
-  std::vector<const Expr*> exprs_;
-  std::vector<CompiledExpr> programs_;
-  std::vector<uint8_t> compiled_;
-  std::vector<int> used_slots_;
-  std::vector<ValueType> slot_types_;
-  std::vector<ColumnVector> slot_vecs_;
-  std::vector<const ColumnVector*> results_;
-  SelectionVector sel_;
-  bool enabled_ = false;
-};
-
-std::vector<const Expr*> RawExprs(const std::vector<ExprPtr>& exprs) {
-  std::vector<const Expr*> out;
-  out.reserve(exprs.size());
-  for (const auto& e : exprs) out.push_back(e.get());
-  return out;
-}
 
 }  // namespace
 
@@ -303,110 +199,56 @@ RowSet ProjectExec(const RowSet& in, const std::vector<ExprPtr>& exprs,
 
 namespace {
 
-// Accumulator / AggGroup / AggGroupMap moved to exec/agg_state.h so the
-// distributed exchange can build worker-side partials and merge them in the
-// coordinator through the same order-independent state.
-
-// One row into the group map. Group keys and agg args come from `batched`
-// (`lane` = row's index in the current batch), which interprets whatever did
-// not compile. `agg_expr_idx[a]` maps agg a to its argument's index in the
-// batched expression list (-1 = COUNT(*)).
-// `keys` is the caller's per-worker scratch: keys are copied into the table
-// only when this row creates a group. Returns the approximate bytes newly
-// allocated (non-zero only when this row created a group) so callers can
-// charge the memory budget.
-size_t Accumulate(AggGroupMap& groups, const std::vector<ExprPtr>& group_by,
-                  const std::vector<AggSpec>& aggs,
-                  const std::vector<int>& agg_expr_idx, RowView row,
-                  Arena* arena, const BatchedExprs& batched, size_t lane,
-                  std::vector<Value>* keys) {
-  uint64_t h = kKeyHashSeed;
-  keys->clear();
-  size_t key_bytes = 0;
-  for (size_t g = 0; g < group_by.size(); g++) {
-    Value v = batched.Get(g, lane, row, arena);
-    h = HashCombine(h, v.Hash());
-    if (v.type == ValueType::kString) key_bytes += v.s.size();
-    keys->push_back(v);
-  }
-  bool created = false;
-  AggGroup& group =
-      FindOrInsertGroup(&groups, h, keys->data(), keys->size(), &created);
-  size_t new_bytes = 0;
-  if (created) {
-    group.accs.resize(aggs.size());
-    new_bytes = sizeof(AggGroup) + aggs.size() * sizeof(Accumulator) +
-                group_by.size() * sizeof(Value) + key_bytes +
-                kPerRowTableOverhead;
-  }
-  for (size_t a = 0; a < aggs.size(); a++) {
-    Value v = Value::Null();
-    if (aggs[a].arg != nullptr) {
-      v = batched.Get(static_cast<size_t>(agg_expr_idx[a]), lane, row, arena);
-    }
-    group.accs[a].AddValue(aggs[a].kind, v);
-  }
-  return new_bytes;
-}
-
-// In-memory aggregation over `in`. When `budgeted`, scratch memory (group
-// table) is reserved against ctx.budget() as groups are created; a refused
-// charge drops all partial state, sets *aborted and returns OK — the caller
-// then takes the spill path. With `budgeted` false the table grows freely
-// (the forced path at the spill depth cap).
+// In-memory aggregation over `in` into flat group tables (exec/agg_state.h).
+// When `budgeted`, each table's group charge is reserved against
+// ctx.budget() batch by batch as groups are created; a refused charge drops
+// all partial state, sets *aborted and returns OK — the caller then takes
+// the spill path. With `budgeted` false the tables grow freely (the forced
+// path at the spill depth cap). Parallel workers each fill a private table
+// over one contiguous input chunk and the tables merge in worker order, so
+// groups come out in order of first appearance in `in` for every thread
+// count. Adds the tables' charge to *table_bytes.
 Status AggregateInMemory(const RowSet& in, const std::vector<ExprPtr>& group_by,
                          const std::vector<AggSpec>& aggs, QueryContext& ctx,
-                         bool budgeted, bool* aborted, RowSet* out) {
+                         bool budgeted, bool* aborted, size_t* table_bytes,
+                         RowSet* out) {
   *aborted = false;
   const size_t parallel_threshold = 16384;
-  std::vector<AggGroupMap> partials;
-  // Reservations outlive the group maps' useful life below; one per worker
+  std::vector<GroupTable> partials;
+  // Reservations outlive the group tables' useful life below; one per worker
   // (BudgetReservation is single-threaded, the budget under it is atomic).
   std::deque<BudgetReservation> reservations;
 
-  // Batched expression list: group keys first, then aggregate arguments.
-  std::vector<const Expr*> batch_exprs = RawExprs(group_by);
-  std::vector<int> agg_expr_idx(aggs.size(), -1);
-  for (size_t a = 0; a < aggs.size(); a++) {
-    if (aggs[a].arg != nullptr) {
-      agg_expr_idx[a] = static_cast<int>(batch_exprs.size());
-      batch_exprs.push_back(aggs[a].arg.get());
-    }
-  }
-  // Type inference runs once here; workers run on private copies.
-  BatchedExprs master(in, std::move(batch_exprs),
-                      ctx.options().enable_vectorized);
+  // Type inference and compilation run once here; workers run on copies.
+  AggInput master(in, group_by, aggs, ctx.options().enable_vectorized);
 
   std::atomic<bool> over_budget{false};
-  auto accumulate_range = [&](AggGroupMap& groups, size_t begin, size_t end,
-                              Arena* arena, BatchedExprs* batched,
+  auto accumulate_range = [&](GroupTable& table, size_t begin, size_t end,
+                              Arena* arena, AggInput* input,
                               BudgetReservation* res) {
     JSONTILES_TRACE_SPAN("exec.agg.partial");
-    size_t pending = 0;
-    std::vector<Value> keys;
-    keys.reserve(group_by.size());
+    size_t charged = 0;
     for (size_t b = begin; b < end; b += kVectorSize) {
       if (over_budget.load(std::memory_order_relaxed)) return;
-      const size_t n = std::min(kVectorSize, end - b);
-      batched->LoadBatch(in, b, n, arena);
-      for (size_t k = 0; k < n; k++) {
-        pending += Accumulate(groups, group_by, aggs, agg_expr_idx, in[b + k],
-                              arena, *batched, k, &keys);
-      }
+      input->AccumulateBatch(in, b, std::min(kVectorSize, end - b), arena,
+                             &table);
+      const size_t pending = table.charged_bytes() - charged;
       if (res != nullptr && pending > 0) {
         if (!res->Grow(pending)) {
           over_budget.store(true, std::memory_order_relaxed);
           return;
         }
-        pending = 0;
+        charged = table.charged_bytes();
       }
     }
   };
 
   if (ctx.pool() != nullptr && in.size() >= parallel_threshold) {
     size_t workers = ctx.num_workers();
-    partials.resize(workers);
-    std::vector<BatchedExprs> worker_batched(workers, master);
+    for (size_t w = 0; w < workers; w++) {
+      partials.emplace_back(group_by.size(), aggs);
+    }
+    std::vector<AggInput> worker_inputs(workers, master);
     for (size_t w = 0; w < workers; w++) {
       reservations.emplace_back(budgeted ? ctx.budget() : nullptr);
     }
@@ -420,13 +262,13 @@ Status AggregateInMemory(const RowSet& in, const std::vector<ExprPtr>& group_by,
           size_t end = std::min(begin + chunk, in.size());
           if (begin < end) {
             accumulate_range(partials[w], begin, end, ctx.arena(w),
-                             &worker_batched[w], &reservations[w]);
+                             &worker_inputs[w], &reservations[w]);
           }
           return Status::OK();
         },
         1));
   } else {
-    partials.resize(1);
+    partials.emplace_back(group_by.size(), aggs);
     reservations.emplace_back(budgeted ? ctx.budget() : nullptr);
     accumulate_range(partials[0], 0, in.size(), ctx.arena(0), &master,
                      &reservations[0]);
@@ -436,18 +278,16 @@ Status AggregateInMemory(const RowSet& in, const std::vector<ExprPtr>& group_by,
     return Status::OK();
   }
 
-  // Merge partials into the first map. Unique groups across partials were
-  // all charged above, so the merged map never exceeds the reservation.
-  AggGroupMap& merged = partials[0];
+  // Merge partials into the first table, in worker order. Unique groups
+  // across partials were all charged above, so the merged table never
+  // exceeds the reservation.
+  for (const GroupTable& t : partials) *table_bytes += t.charged_bytes();
+  GroupTable& merged = partials[0];
   {
     JSONTILES_TRACE_SPAN("exec.agg.merge");
-    for (size_t p = 1; p < partials.size(); p++) {
-      for (auto& [h, bucket] : partials[p]) {
-        for (auto& g : bucket) MergeGroup(&merged, h, std::move(g), aggs);
-      }
-    }
+    for (size_t p = 1; p < partials.size(); p++) merged.MergeFrom(partials[p]);
   }
-  FinalizeGroups(merged, aggs, out);
+  merged.Finalize(out);
   return Status::OK();
 }
 
@@ -458,7 +298,8 @@ Status AggregateInMemory(const RowSet& in, const std::vector<ExprPtr>& group_by,
 // next range of stored hash bits.
 Status AggSpillPartition(SpillFile file, const std::vector<ExprPtr>& group_by,
                          const std::vector<AggSpec>& aggs, QueryContext& ctx,
-                         size_t depth, SpillStats* stats, RowSet* out) {
+                         size_t depth, SpillStats* stats, size_t* table_bytes,
+                         RowSet* out) {
   if (file.rows() == 0) return Status::OK();
   // Read-back rows + group table (at worst one group per row); 3x raw covers
   // keys and accumulators.
@@ -476,7 +317,7 @@ Status AggSpillPartition(SpillFile file, const std::vector<ExprPtr>& group_by,
     bool aborted = false;
     JSONTILES_RETURN_NOT_OK(AggregateInMemory(rows, group_by, aggs, ctx,
                                               /*budgeted=*/false, &aborted,
-                                              &local));
+                                              table_bytes, &local));
     RescueRowStrings(&local, ctx.arena(0));
     out->Append(local);
     return Status::OK();
@@ -497,17 +338,18 @@ Status AggSpillPartition(SpillFile file, const std::vector<ExprPtr>& group_by,
     if (ctx.cancelled()) return Status::Cancelled("query cancelled");
     JSONTILES_RETURN_NOT_OK(AggSpillPartition(std::move(sub[p]), group_by,
                                               aggs, ctx, depth + 1, stats,
-                                              out));
+                                              table_bytes, out));
   }
   return Status::OK();
 }
 
 // Grace aggregation: partition the input by group-key hash into disk runs,
 // then aggregate each partition independently (a group never crosses
-// partitions, so partition outputs concatenate).
+// partitions, so partition outputs concatenate; groups are in first-
+// appearance order within a partition, and no order holds across them).
 Status AggSpill(const RowSet& in, const std::vector<ExprPtr>& group_by,
                 const std::vector<AggSpec>& aggs, QueryContext& ctx,
-                SpillStats* stats, RowSet* out) {
+                SpillStats* stats, size_t* table_bytes, RowSet* out) {
   JSONTILES_TRACE_SPAN("exec.agg.spill");
   std::vector<SpillFile> parts;
   for (size_t p = 0; p < kSpillFanout; p++) {
@@ -534,7 +376,8 @@ Status AggSpill(const RowSet& in, const std::vector<ExprPtr>& group_by,
   for (size_t p = 0; p < kSpillFanout; p++) {
     if (ctx.cancelled()) return Status::Cancelled("query cancelled");
     JSONTILES_RETURN_NOT_OK(AggSpillPartition(std::move(parts[p]), group_by,
-                                              aggs, ctx, 1, stats, out));
+                                              aggs, ctx, 1, stats, table_bytes,
+                                              out));
   }
   return Status::OK();
 }
@@ -554,19 +397,23 @@ RowSet AggregateExec(const RowSet& in, const std::vector<ExprPtr>& group_by,
   SpillStats stats;
   RowSet out;
   bool aborted = false;
+  size_t table_bytes = 0;
   // A global aggregate is a single group — nothing to partition by, and its
   // state is tiny — so only grouped aggregation is budget-governed.
   const bool budgeted = !group_by.empty();
-  Status st =
-      AggregateInMemory(in, group_by, aggs, ctx, budgeted, &aborted, &out);
+  Status st = AggregateInMemory(in, group_by, aggs, ctx, budgeted, &aborted,
+                                &table_bytes, &out);
   if (st.ok() && aborted) {
-    st = AggSpill(in, group_by, aggs, ctx, &stats, &out);
+    st = AggSpill(in, group_by, aggs, ctx, &stats, &table_bytes, &out);
   }
   if (!st.ok()) {
     ctx.Cancel(std::move(st));
     return {};
   }
 
+  prof.AddCounter("groups", static_cast<int64_t>(out.size()));
+  prof.AddCounter("table_bytes", static_cast<int64_t>(table_bytes));
+  JSONTILES_COUNTER_ADD("exec.agg.groups", static_cast<int64_t>(out.size()));
   // Global aggregate of empty input still yields one row.
   if (group_by.empty() && out.empty()) out.push_back(EmptyGlobalAggRow(aggs));
   ReportSpill(prof, stats, ctx);
@@ -908,6 +755,12 @@ RowSet HashJoinExec(const RowSet& build, const RowSet& probe,
   prof.AddCounter("probe_rows", static_cast<int64_t>(probe.size()));
   ArenaCounter arena_counter(prof, ctx);
   if (ctx.cancelled()) return {};
+  // Every join type emits output only per probe row, so an empty probe side
+  // needs no build table.
+  if (probe.empty()) {
+    prof.set_rows_out(0);
+    return {};
+  }
 
   SpillStats stats;
   JoinSpec spec{build_keys, probe_keys, type, residual,
@@ -932,18 +785,26 @@ RowSet SortExec(RowSet in, const std::vector<SortKey>& keys, QueryContext& ctx) 
   ArenaCounter arena_counter(prof, ctx);
   Arena* arena = ctx.arena(0);
   if (in.empty()) return in;
-  // Sort a row permutation, then gather once: rows never move while the
+  // Evaluate every sort key once per row into a flat row-major array, sort
+  // a row permutation over it, then gather once: rows never move while the
   // comparator runs, and stable_sort over indices keeps equal rows in input
   // order exactly as sorting the rows themselves would.
   JSONTILES_CHECK(in.size() <= UINT32_MAX);
+  const size_t nk = keys.size();
+  std::vector<Value> key_values(in.size() * nk);
+  for (size_t r = 0; r < in.size(); r++) {
+    for (size_t j = 0; j < nk; j++) {
+      key_values[r * nk + j] = EvalExpr(*keys[j].expr, in[r].data(), arena);
+    }
+  }
   std::vector<uint32_t> perm(in.size());
   for (size_t i = 0; i < perm.size(); i++) perm[i] = static_cast<uint32_t>(i);
   std::stable_sort(perm.begin(), perm.end(), [&](uint32_t ia, uint32_t ib) {
-    RowView a = in[ia];
-    RowView b = in[ib];
-    for (const auto& key : keys) {
-      Value va = EvalExpr(*key.expr, a.data(), arena);
-      Value vb = EvalExpr(*key.expr, b.data(), arena);
+    const Value* ka = key_values.data() + size_t{ia} * nk;
+    const Value* kb = key_values.data() + size_t{ib} * nk;
+    for (size_t j = 0; j < nk; j++) {
+      const Value& va = ka[j];
+      const Value& vb = kb[j];
       int cmp;
       if (va.is_null() || vb.is_null()) {
         // PostgreSQL default: nulls sort as the largest value (last when
@@ -952,11 +813,13 @@ RowSet SortExec(RowSet in, const std::vector<SortKey>& keys, QueryContext& ctx) 
       } else {
         cmp = va.Compare(vb);
       }
-      if (cmp != 0) return key.descending ? cmp > 0 : cmp < 0;
+      if (cmp != 0) return keys[j].descending ? cmp > 0 : cmp < 0;
     }
     // Deterministic full-row tie-break: input order varies across
     // shard/thread configurations, so ties on every sort key must resolve
     // by row content for ORDER BY ... LIMIT cuts to be reproducible.
+    RowView a = in[ia];
+    RowView b = in[ib];
     for (size_t i = 0; i < a.size() && i < b.size(); i++) {
       int cmp = TotalValueOrder(a[i], b[i]);
       if (cmp != 0) return cmp < 0;

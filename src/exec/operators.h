@@ -45,9 +45,12 @@ struct AggSpec {
   }
 };
 
-/// Hash group-by. Output rows are [group keys..., aggregate values...].
-/// With an empty `group_by`, emits exactly one (global) row even for empty
-/// input (SQL semantics: COUNT(*) of nothing is 0, SUM is null).
+/// Hash group-by into a flat group table (exec/agg_state.h). Output rows are
+/// [group keys..., aggregate values...], in order of first appearance in
+/// `in` for every thread count; under a memory limit the aggregation spills
+/// by key hash and emits partition by partition (same groups, no promised
+/// order). With an empty `group_by`, emits exactly one (global) row even
+/// for empty input (SQL semantics: COUNT(*) of nothing is 0, SUM is null).
 RowSet AggregateExec(const RowSet& in, const std::vector<ExprPtr>& group_by,
                      const std::vector<AggSpec>& aggs, QueryContext& ctx);
 
@@ -63,7 +66,8 @@ enum class JoinType : uint8_t { kInner, kLeft, kSemi, kAnti };
 /// allocation. Output follows probe order, and each probe row's matches
 /// follow build order. Under a memory limit the join spills by key hash
 /// (same multiset, partition-grouped order). A build side of 2^32 - 1 or
-/// more rows cancels the query with ResourceExhausted.
+/// more rows cancels the query with ResourceExhausted. An empty probe side
+/// returns at once without building.
 RowSet HashJoinExec(const RowSet& build, const RowSet& probe,
                     const std::vector<ExprPtr>& build_keys,
                     const std::vector<ExprPtr>& probe_keys, JoinType type,

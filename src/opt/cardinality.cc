@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "exec/expr_compile.h"
 #include "exec/scan.h"
 #include "storage/shard.h"
 
@@ -12,6 +13,34 @@ using exec::Value;
 using storage::Relation;
 using storage::StorageMode;
 
+namespace {
+
+// True when `filter` is nothing but a conjunction of IS NOT NULL tests on
+// slots whose accesses read null-rejecting paths: the presence counters then
+// answer the whole filter, and sampling adds nothing.
+bool OnlyPresenceTests(const exec::Expr& filter,
+                       const std::vector<ExprPtr>& accesses,
+                       const std::vector<std::string>& null_rejecting_paths) {
+  if (filter.kind == exec::ExprKind::kBinary &&
+      filter.bin_op == exec::BinOp::kAnd) {
+    return OnlyPresenceTests(*filter.args[0], accesses, null_rejecting_paths) &&
+           OnlyPresenceTests(*filter.args[1], accesses, null_rejecting_paths);
+  }
+  if (filter.kind != exec::ExprKind::kUnary ||
+      filter.un_op != exec::UnOp::kIsNotNull ||
+      filter.args[0]->kind != exec::ExprKind::kSlotRef) {
+    return false;
+  }
+  const int slot = filter.args[0]->slot;
+  if (slot < 0 || static_cast<size_t>(slot) >= accesses.size()) return false;
+  const exec::Expr& access = *accesses[slot];
+  return access.kind == exec::ExprKind::kAccess &&
+         std::find(null_rejecting_paths.begin(), null_rejecting_paths.end(),
+                   access.path) != null_rejecting_paths.end();
+}
+
+}  // namespace
+
 ScanEstimate EstimateScanCardinality(
     const Relation& relation, const std::vector<ExprPtr>& accesses,
     const ExprPtr& filter, const std::vector<std::string>& null_rejecting_paths,
@@ -21,14 +50,21 @@ ScanEstimate EstimateScanCardinality(
   if (n == 0) return est;
 
   // Base presence: how many tuples contain all required key paths.
+  const bool stats_presence =
+      relation.has_stats() && !null_rejecting_paths.empty();
   double presence_fraction = 1.0;
-  if (relation.has_stats() && !null_rejecting_paths.empty()) {
+  if (stats_presence) {
     uint64_t smallest = n;
     for (const auto& path : null_rejecting_paths) {
       smallest = std::min(smallest,
                           relation.stats().EstimateKeyCardinalityAnyType(path));
     }
     presence_fraction = static_cast<double>(smallest) / static_cast<double>(n);
+    if (filter == nullptr ||
+        OnlyPresenceTests(*filter, accesses, null_rejecting_paths)) {
+      est.cardinality = std::max(1.0, presence_fraction * static_cast<double>(n));
+      return est;
+    }
   }
 
   // §4.6: sample documents statically at plan time to estimate the filter
@@ -38,43 +74,88 @@ ScanEstimate EstimateScanCardinality(
   size_t stride = n / samples;
   if (stride == 0) stride = 1;
 
+  // Only the slots the filter reads are evaluated per sampled document.
+  std::vector<int> filter_slots;
+  if (filter != nullptr) {
+    exec::CollectSlotRefs(*filter, &filter_slots);
+    std::sort(filter_slots.begin(), filter_slots.end());
+    filter_slots.erase(std::unique(filter_slots.begin(), filter_slots.end()),
+                       filter_slots.end());
+  }
+
   Arena arena;
   json::JsonbBuilder builder;
   std::vector<uint8_t> buf;
-  size_t sampled = 0;
   size_t present = 0;
   size_t passing = 0;
   std::vector<Value> slots(accesses.size());
-  for (size_t row = 0; row < n && sampled < samples; row += stride, sampled++) {
+  // One sampled document: counts it as present (all null-rejecting paths
+  // found) and passing (the filter holds).
+  auto sample_row = [&](size_t row) {
     const uint8_t* doc_bytes;
     if (relation.mode() == StorageMode::kJsonText) {
-      if (!builder.Transform(relation.JsonText(row), &buf).ok()) continue;
+      if (!builder.Transform(relation.JsonText(row), &buf).ok()) return;
       doc_bytes = buf.data();
     } else {
       doc_bytes = relation.Jsonb(row).data();
     }
     json::JsonbValue doc(doc_bytes);
-    bool all_present = true;
     for (const auto& path : null_rejecting_paths) {
       Value v = exec::EvalAccessOnJsonb(doc, path, exec::ValueType::kString,
                                         &arena, /*copy_strings=*/false);
-      if (v.is_null()) {
-        all_present = false;
-        break;
-      }
+      if (v.is_null()) return;
     }
-    if (!all_present) continue;
     present++;
-    if (filter != nullptr) {
-      for (size_t i = 0; i < accesses.size(); i++) {
-        slots[i] = exec::EvalScanExprOnJsonb(*accesses[i], doc,
-                                             static_cast<int64_t>(row), &arena,
-                                             /*copy_strings=*/false);
-      }
-      Value keep = exec::EvalExpr(*filter, slots.data(), &arena);
-      if (!keep.is_null() && keep.bool_value()) passing++;
-    } else {
+    if (filter == nullptr) {
       passing++;
+      return;
+    }
+    for (int s : filter_slots) {
+      if (s < 0 || static_cast<size_t>(s) >= accesses.size()) continue;
+      slots[s] = exec::EvalScanExprOnJsonb(*accesses[s], doc,
+                                           static_cast<int64_t>(row), &arena,
+                                           /*copy_strings=*/false);
+    }
+    Value keep = exec::EvalExpr(*filter, slots.data(), &arena);
+    if (!keep.is_null() && keep.bool_value()) passing++;
+  };
+
+  size_t sampled = 0;
+  for (size_t row = 0; row < n && sampled < samples; row += stride, sampled++) {
+    sample_row(row);
+  }
+
+  // A rare document kind can sit in a few tiles the stride never hits (a
+  // 50-row table in one tile of many). Resample, with the same budget, only
+  // the tiles whose path statistics admit every null-rejecting path; the
+  // presence itself still comes from the relation statistics.
+  if (present == 0 && stats_presence) {
+    std::vector<const tiles::Tile*> candidates;
+    size_t candidate_rows = 0;
+    for (const tiles::Tile& tile : relation.tiles()) {
+      bool may_contain = true;
+      for (const auto& path : null_rejecting_paths) {
+        if (path != exec::kRowIdPath && !tile.MayContainPath(path)) {
+          may_contain = false;
+          break;
+        }
+      }
+      if (!may_contain) continue;
+      candidates.push_back(&tile);
+      candidate_rows += tile.row_count;
+    }
+    if (candidate_rows > 0 && candidate_rows < n) {
+      const size_t tile_stride = std::max<size_t>(1, candidate_rows / samples);
+      size_t offset = 0;  // position in the concatenated candidate rows
+      size_t resampled = 0;
+      for (const tiles::Tile* tile : candidates) {
+        for (; offset < tile->row_count && resampled < samples;
+             offset += tile_stride, resampled++) {
+          sample_row(tile->row_begin + offset);
+        }
+        if (resampled == samples) break;
+        offset -= tile->row_count;
+      }
     }
   }
 
@@ -83,7 +164,7 @@ ScanEstimate EstimateScanCardinality(
                    : static_cast<double>(passing) / static_cast<double>(present);
   if (filter_fraction <= 0) filter_fraction = 0.5 / static_cast<double>(samples);
 
-  if (relation.has_stats() && !null_rejecting_paths.empty()) {
+  if (stats_presence) {
     est.cardinality =
         presence_fraction * filter_fraction * static_cast<double>(n);
   } else {

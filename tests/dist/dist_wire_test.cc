@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <thread>
@@ -362,43 +363,59 @@ TEST(DistWireTest, AggPartialRoundTrip) {
   rows.push_back(Row{Value::String("a"), Value::Int(1), Value::Float(1.5)});
   rows.push_back(Row{Value::String("a"), Value::Int(2), Value::Float(-0.25)});
   rows.push_back(Row{Value::String("b"), Value::Int(5), Value::Null()});
+  // Group "c" sums floats of far-apart magnitudes: every one stays its own
+  // partial, so the float summer outgrows its inline buffer.
+  for (int i = 0; i < 8; i++) {
+    rows.push_back(Row{Value::String("c"), Value::Int(i % 3),
+                       Value::Float(std::ldexp(1.0, 60 * i - 200))});
+  }
   std::vector<ExprPtr> group_by = {Slot(0)};
   std::vector<AggSpec> aggs = {AggSpec::CountStar(), AggSpec::Sum(Slot(1)),
                                AggSpec::Sum(Slot(2)), AggSpec::Min(Slot(1)),
-                               AggSpec::CountDistinct(Slot(1))};
+                               AggSpec::CountDistinct(Slot(1)),
+                               AggSpec::Avg(Slot(2))};
   Arena arena;
-  AggGroupMap groups;
-  AccumulateRows(rows, group_by, aggs, &arena, &groups);
+  GroupTable groups(group_by.size(), aggs);
+  AccumulateRows(rows, group_by, aggs, /*vectorized=*/true, &arena, &groups);
+  ASSERT_EQ(groups.size(), 3u);
+  EXPECT_TRUE(groups.accs(2)[2].sum_f.on_heap());
+  EXPECT_EQ(groups.accs(2)[4].distinct_count(), 3u);
 
   std::vector<uint8_t> buf;
-  EncodeAggPartial(7, /*epoch=*/2, groups, aggs, &buf);
+  EncodeAggPartial(7, /*epoch=*/2, groups, &buf);
   Arena decode_arena;
   AggPartial partial;
-  ASSERT_TRUE(DecodeAggPartial(buf, aggs.size(), &decode_arena, &partial).ok());
+  ASSERT_TRUE(DecodeAggPartial(buf, group_by.size(), aggs, &decode_arena,
+                               &partial)
+                  .ok());
   EXPECT_EQ(partial.fragment_id, 7u);
   EXPECT_EQ(partial.epoch, 2u);
-  ASSERT_EQ(partial.groups.size(), 2u);
+  ASSERT_EQ(partial.groups.size(), 3u);
+  EXPECT_TRUE(partial.groups.accs(2)[2].sum_f.on_heap());
+  EXPECT_EQ(partial.groups.accs(2)[4].distinct_count(), 3u);
+  for (uint32_t g = 0; g < 3; g++) {
+    EXPECT_EQ(partial.groups.hash(g), groups.hash(g));
+  }
 
   // Merging the decoded partial into an empty table and finalizing gives the
-  // same result as finalizing the original — the distributed merge contract.
-  AggGroupMap merged;
-  for (auto& [hash, group] : partial.groups) {
-    MergeGroup(&merged, hash, std::move(group), aggs);
-  }
+  // same rows, bit for bit and in the same group order, as finalizing the
+  // original — the distributed merge contract.
+  GroupTable merged(group_by.size(), aggs);
+  merged.MergeFrom(partial.groups);
   RowSet a, b;
-  FinalizeGroups(groups, aggs, &a);
-  FinalizeGroups(merged, aggs, &b);
-  auto canon = [](RowSet rows) {
-    std::vector<std::string> lines;
-    for (const auto& row : rows) {
-      std::string line;
-      for (const auto& v : row) line += (v.is_null() ? "∅" : v.ToString()) + "|";
-      lines.push_back(line);
+  groups.Finalize(&a);
+  merged.Finalize(&b);
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t r = 0; r < a.size(); r++) {
+    for (size_t c = 0; c < a.width(); c++) {
+      EXPECT_EQ(TotalValueOrder(a[r][c], b[r][c]), 0) << r << "," << c;
     }
-    std::sort(lines.begin(), lines.end());
-    return lines;
-  };
-  EXPECT_EQ(canon(a), canon(b));
+  }
+
+  // A frame from a request with another key count is corrupt.
+  AggPartial wrong_keys;
+  EXPECT_FALSE(
+      DecodeAggPartial(buf, 2, aggs, &decode_arena, &wrong_keys).ok());
 }
 
 TEST(DistWireTest, FragmentDoneAndStatusRoundTrip) {
@@ -525,9 +542,10 @@ std::vector<uint8_t> RealStream() {
 
   buf.clear();
   Arena arena;
-  AggGroupMap groups;
-  AccumulateRows(rows, {Slot(0)}, {AggSpec::CountStar()}, &arena, &groups);
-  EncodeAggPartial(1, /*epoch=*/1, groups, {AggSpec::CountStar()}, &buf);
+  GroupTable groups(1, {AggSpec::CountStar()});
+  AccumulateRows(rows, {Slot(0)}, {AggSpec::CountStar()}, /*vectorized=*/true,
+                 &arena, &groups);
+  EncodeAggPartial(1, /*epoch=*/1, groups, &buf);
   AppendFrame(FrameType::kAggResult, buf, &stream);
 
   buf.clear();
@@ -604,7 +622,8 @@ void DrainStream(const uint8_t* data, size_t size) {
       }
       case FrameType::kAggResult: {
         AggPartial m;
-        (void)DecodeAggPartial(payload, 1, &arena, &m);
+        (void)DecodeAggPartial(payload, 1, {AggSpec::CountStar()}, &arena,
+                               &m);
         break;
       }
       case FrameType::kFragmentDone: {

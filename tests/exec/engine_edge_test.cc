@@ -2,12 +2,14 @@
 // degenerate plans, adversarial documents, huge values, cross-mode agreement
 // on pathological data.
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "exec/operators.h"
+#include "obs/plan_profile.h"
 #include "opt/query.h"
 #include "storage/loader.h"
 #include "util/random.h"
@@ -201,6 +203,31 @@ TEST(EngineEdgeTest, DuplicateJoinKeysExplode) {
   q.GroupBy({});
   q.Aggregate(AggSpec::CountStar());
   EXPECT_EQ(q.Execute(ctx)[0][0].int_value(), 100);
+}
+
+// Every join type emits output only per probe row, so an empty probe side
+// returns at once; the node still reports both input sizes.
+TEST(EngineEdgeTest, EmptyProbeSideSkipsTheBuild) {
+  RowSet build;
+  for (int64_t i = 0; i < 100; i++) build.push_back({Value::Int(i)});
+  const RowSet probe;
+  for (JoinType type : {JoinType::kInner, JoinType::kLeft, JoinType::kSemi,
+                        JoinType::kAnti}) {
+    obs::PlanProfile profile;
+    QueryContext ctx;
+    ctx.profile = &profile;
+    RowSet out = HashJoinExec(build, probe, {Slot(0)}, {Slot(0)}, type,
+                              nullptr, ctx);
+    EXPECT_TRUE(out.empty());
+    ASSERT_EQ(profile.size(), 1u);
+    const obs::OperatorStats& op = profile.op(0);
+    EXPECT_EQ(op.rows_in, 100u);
+    EXPECT_EQ(op.rows_out, 0u);
+    std::map<std::string, int64_t> counters(op.counters.begin(),
+                                            op.counters.end());
+    EXPECT_EQ(counters["build_rows"], 100);
+    EXPECT_EQ(counters["probe_rows"], 0);
+  }
 }
 
 TEST(EngineEdgeTest, ParallelAggregationMatchesSerial) {

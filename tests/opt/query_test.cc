@@ -95,7 +95,9 @@ TEST(CardinalityTest, PresenceFromStats) {
   EXPECT_NEAR(est.cardinality, 1000.0, 120.0);
   ExprPtr nkey = Access("t", {"n_key"}, ValueType::kInt);
   auto est2 = EstimateScanCardinality(*rel, {nkey}, nullptr, {nkey->path}, 256);
-  EXPECT_LT(est2.cardinality, 50.0);  // nations are rare
+  // Nations are rare (5 rows): within 2x of the truth.
+  EXPECT_GE(est2.cardinality, 2.5);
+  EXPECT_LE(est2.cardinality, 10.0);
 }
 
 TEST(CardinalityTest, FilterSelectivitySampled) {

@@ -4,6 +4,7 @@
 
 #include "workload/tpch.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/simd.h"
+#include "sql/sql_parser.h"
 #include "storage/loader.h"
 #include "workload/tpch_queries.h"
 
@@ -175,6 +177,74 @@ TEST_F(TpchFixture, TileSkippingFiresOnCombinedData) {
   RunTpchQuery(6, Rel(StorageMode::kTiles), ctx);
   // Q6 touches only lineitem; order/customer/part tiles should be skipped.
   EXPECT_GT(ctx.tiles_skipped, 0u);
+}
+
+// Plain EXPLAIN of Q9 (the builder's tables, filters and joins in SQL).
+// Supplier (50 rows) and nation (25 rows) each sit in one tile of the
+// combined relation, which a strided plan-time sample misses; their
+// estimates come from the relation statistics instead, so the plan starts
+// from the selective part scan rather than building s ⋈ n first.
+TEST_F(TpchFixture, Q9PlanEstimatesSmallTablesFromTheirTiles) {
+  sql::SqlCatalog catalog;
+  catalog.tables["tpch"] = &Rel(StorageMode::kTiles);
+  QueryContext ctx;
+  auto r = sql::ExecuteSql(
+      "EXPLAIN SELECT n->>'n_name', "
+      "EXTRACT(YEAR FROM o->>'o_orderdate'::Date), "
+      "SUM(l->>'l_extendedprice'::Float * (1 - l->>'l_discount'::Float) - "
+      "ps->>'ps_supplycost'::Float * l->>'l_quantity'::BigInt) "
+      "FROM tpch p, tpch l, tpch ps, tpch s, tpch o, tpch n "
+      "WHERE p->>'p_partkey'::BigInt IS NOT NULL "
+      "AND p->>'p_name' LIKE '%green%' "
+      "AND l->>'l_orderkey'::BigInt IS NOT NULL "
+      "AND ps->>'ps_partkey'::BigInt IS NOT NULL "
+      "AND s->>'s_suppkey'::BigInt IS NOT NULL "
+      "AND o->>'o_orderkey'::BigInt IS NOT NULL "
+      "AND n->>'n_nationkey'::BigInt IS NOT NULL "
+      "AND ps->>'ps_partkey'::BigInt = l->>'l_partkey'::BigInt "
+      "AND ps->>'ps_suppkey'::BigInt = l->>'l_suppkey'::BigInt "
+      "AND p->>'p_partkey'::BigInt = l->>'l_partkey'::BigInt "
+      "AND s->>'s_suppkey'::BigInt = l->>'l_suppkey'::BigInt "
+      "AND o->>'o_orderkey'::BigInt = l->>'l_orderkey'::BigInt "
+      "AND s->>'s_nationkey'::BigInt = n->>'n_nationkey'::BigInt "
+      "GROUP BY n->>'n_name', EXTRACT(YEAR FROM o->>'o_orderdate'::Date) "
+      "ORDER BY 1, 2 DESC",
+      catalog, ctx);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  std::string plan;
+  for (const auto& row : r.ValueOrDie().rows) {
+    plan += std::string(row[0].string_value()) + "\n";
+  }
+  auto estimate = [&](const std::string& alias) {
+    const std::string marker = "scan " + alias + "  (estimated rows=";
+    size_t at = plan.find(marker);
+    EXPECT_NE(at, std::string::npos) << plan;
+    return at == std::string::npos
+               ? -1.0
+               : std::stod(plan.substr(at + marker.size()));
+  };
+  const double s = estimate("s");
+  const double n = estimate("n");
+  EXPECT_GE(s, 25.0) << plan;
+  EXPECT_LE(s, 100.0) << plan;
+  EXPECT_GE(n, 12.5) << plan;
+  EXPECT_LE(n, 50.0) << plan;
+  // "Join order: a -> b -> ..." as a list of aliases.
+  const std::string prefix = "Join order: ";
+  ASSERT_EQ(plan.rfind(prefix, 0), 0u) << plan;
+  std::vector<std::string> order;
+  std::string line = plan.substr(prefix.size(), plan.find('\n') - prefix.size());
+  for (size_t at = 0;;) {
+    const size_t arrow = line.find(" -> ", at);
+    order.push_back(line.substr(at, arrow - at));
+    if (arrow == std::string::npos) break;
+    at = arrow + 4;
+  }
+  auto pos = [&](const std::string& alias) {
+    return std::find(order.begin(), order.end(), alias) - order.begin();
+  };
+  ASSERT_EQ(order.size(), 6u) << line;
+  EXPECT_LT(pos("p"), pos("l")) << line;
 }
 
 }  // namespace
