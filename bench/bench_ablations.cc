@@ -145,24 +145,32 @@ int main(int argc, char** argv) {
     options.num_items = 32768;
     auto docs = workload::GenerateHackerNews(options);
     TablePrinter t("Ablation E: RLE on int columns, with/without reordering");
-    t.SetHeader({"Reordering", "runs", "RLE bytes", "raw bytes"});
+    t.SetHeader(
+        {"Reordering", "runs", "RLE bytes", "raw bytes", "packed bytes"});
     for (bool reorder : {false, true}) {
       tiles::TileConfig config;
       config.enable_reordering = reorder;
       storage::Loader loader(storage::StorageMode::kTiles, config);
       auto rel = loader.Load(docs, "hn").MoveValueOrDie();
-      size_t runs = 0, rle_bytes = 0, raw_bytes = 0;
+      size_t runs = 0, rle_bytes = 0, raw_bytes = 0, packed_bytes = 0;
+      std::vector<int64_t> data;
       for (const auto& tile : rel->tiles()) {
         for (const auto& col : tile.columns) {
-          const auto& data = col.column.i64_data();
-          if (data.empty()) continue;
+          if (col.storage_type != tiles::ColumnType::kInt64 &&
+              col.storage_type != tiles::ColumnType::kTimestamp) {
+            continue;
+          }
+          data.resize(col.column.size());
+          col.column.ReadInts(0, data.size(), data.data());
           runs += rle::CountRuns(data.data(), data.size());
           rle_bytes += rle::EncodedSizeInt64(data.data(), data.size());
           raw_bytes += data.size() * sizeof(int64_t);
+          packed_bytes += col.column.parts().ints.deltas.size();
         }
       }
       t.AddRow({reorder ? "on" : "off", std::to_string(runs),
-                std::to_string(rle_bytes), std::to_string(raw_bytes)});
+                std::to_string(rle_bytes), std::to_string(raw_bytes),
+                std::to_string(packed_bytes)});
     }
     t.Print();
   }

@@ -99,9 +99,9 @@ int main(int argc, char** argv) {
       std::string path;
       tiles::AppendKeySegment(&path, "l_linenumber");
       const auto* col = tile.FindColumn(path);
-      for (size_t r = 0; r < tile.row_count; r++) {
-        relational_column.push_back(col->column.GetInt(r));
-      }
+      const size_t begin = relational_column.size();
+      relational_column.resize(begin + tile.row_count);
+      col->column.ReadInts(0, tile.row_count, relational_column.data() + begin);
     }
   }
   auto relational_sum = [&]() {

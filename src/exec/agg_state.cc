@@ -295,6 +295,7 @@ void AggInput::AccumulateBatch(const RowSet& in, size_t begin, size_t n,
         simd::HashCombineBatch(hacc, key_hash_.data(), n);
       }
       for (size_t k = 0; k < n; k++) {
+        PrefetchStringLane(col, k + kStringPrefetchAhead, n);
         Value v = batched_.Get(j, k, in[begin + k], arena);
         if (!batch_hashed) hacc[k] = HashCombine(hacc[k], v.Hash());
         lane_keys_[k * nk + j] = v;

@@ -502,6 +502,7 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
           simd::HashCombineBatch(hacc, hkey, n);
         }
         for (size_t k = 0; k < n; k++) {
+          PrefetchStringLane(col, k + kStringPrefetchAhead, n);
           Value v = batched.Get(j, k, build[base + k], arena);
           row_has_null[base + k] |= static_cast<uint8_t>(v.is_null());
           if (!batch_hashed) hacc[k] = HashCombine(hacc[k], v.Hash());
@@ -543,6 +544,9 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
       const size_t n = std::min(kVectorSize, end - base);
       batched->LoadBatch(probe, base, n, worker_arena);
       for (size_t k = 0; k < n; k++) {
+        for (size_t j = 0; j < probe_keys.size(); j++) {
+          PrefetchStringLane(batched->Result(j), k + kStringPrefetchAhead, n);
+        }
         RowView prow = probe[base + k];
         pkeys.clear();
         uint64_t h = kKeyHashSeed;

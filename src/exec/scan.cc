@@ -233,12 +233,14 @@ ResolvedAccess ResolveAccess(const Tile& tile, const Expr& access) {
   return resolved;
 }
 
-Value ReadColumnValue(const ExtractedColumn& col, size_t row) {
+Value ReadColumnValue(const ExtractedColumn& col, size_t row,
+                      const uint8_t* doc) {
   switch (col.storage_type) {
     case ColumnType::kBool: return Value::Bool(col.column.GetBool(row));
     case ColumnType::kInt64: return Value::Int(col.column.GetInt(row));
     case ColumnType::kFloat64: return Value::Float(col.column.GetFloat(row));
-    case ColumnType::kString: return Value::String(col.column.GetString(row));
+    case ColumnType::kString:
+      return Value::String(col.column.GetString(row, doc));
     case ColumnType::kTimestamp: return Value::Ts(col.column.GetTimestamp(row));
     case ColumnType::kNumeric: return Value::Num(col.column.GetNumeric(row));
   }
@@ -361,6 +363,7 @@ class VectorizedChunkScan {
     rows_ += n;
     sel_.SetAll(n);
     std::fill(ready_.begin(), ready_.end(), 0);
+    docs_ready_ = false;
     for (auto& conjunct : pred_.conjuncts()) {
       for (int s : conjunct.slots) {
         MaterializeSlot(static_cast<size_t>(s), chunk, resolved, batch_begin, n);
@@ -431,6 +434,18 @@ class VectorizedChunkScan {
                           steps.size(), access.access_type, arena_, &vec);
   }
 
+  // Documents of every row of the batch, for string columns (their values
+  // live in the documents).
+  const uint8_t* const* BatchDocs(size_t rel_row0, size_t n) {
+    if (!docs_ready_) {
+      docs_ready_ = true;
+      for (size_t k = 0; k < n; k++) {
+        doc_ptrs_[k] = rel_->Jsonb(rel_row0 + k).data();
+      }
+    }
+    return doc_ptrs_;
+  }
+
   // Materialize slot i for the current batch, honoring the current
   // selection: column routes bulk-read the whole batch (cheap, branchless);
   // per-row work (casts, binary-JSON fallback) runs on selected rows only.
@@ -470,7 +485,7 @@ class VectorizedChunkScan {
           col.ReadFloats(col_row0, n, vec.f64());
           break;
         case ColumnType::kString:
-          col.ReadStrings(col_row0, n, vec.str());
+          col.ReadStrings(col_row0, n, BatchDocs(rel_row0, n), vec.str());
           break;
         case ColumnType::kNumeric:
           col.ReadNumerics(col_row0, n, vec.i64(), vec.scale());
@@ -499,7 +514,11 @@ class VectorizedChunkScan {
           }
           continue;
         }
-        vec.SetValue(r, CastValue(ReadColumnValue(*ra.column, col_row0 + r),
+        const uint8_t* doc = ra.column->storage_type == ColumnType::kString
+                                 ? BatchDocs(rel_row0, n)[r]
+                                 : nullptr;
+        vec.SetValue(r, CastValue(ReadColumnValue(*ra.column, col_row0 + r,
+                                                  doc),
                                   ra.requested, arena_));
       }
       return;
@@ -524,6 +543,7 @@ class VectorizedChunkScan {
   std::vector<std::vector<json::PathStep>> steps_;
   std::vector<uint8_t> steps_ready_;
   const uint8_t* doc_ptrs_[kVectorSize];
+  bool docs_ready_ = false;
   uint16_t lane_buf_[kVectorSize];
   size_t batches_ = 0;
   size_t rows_ = 0;
@@ -806,7 +826,7 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
           }
           continue;
         }
-        Value v = ReadColumnValue(col, r);
+        Value v = ReadColumnValue(col, r, rel.Jsonb(row).data());
         slots[i] = ra.route == ResolvedAccess::Route::kColumn
                        ? v
                        : CastValue(v, ra.requested, arena);

@@ -149,6 +149,20 @@ class ColumnVector {
   std::vector<uint8_t> scale_;  // numeric scales
 };
 
+/// How many lanes ahead in-order hash/compare loops prefetch string bytes.
+/// A tile's string values lie in their own documents, one cache line each,
+/// so reading a batch's strings in order would otherwise wait on one miss
+/// per lane.
+inline constexpr size_t kStringPrefetchAhead = 16;
+
+/// Start fetching the bytes of `lane` of `col` when it is a string vector
+/// and the lane exists (`lane < n`).
+inline void PrefetchStringLane(const ColumnVector* col, size_t lane, size_t n) {
+  if (col != nullptr && col->type() == ValueType::kString && lane < n) {
+    __builtin_prefetch(col->str()[lane].data());
+  }
+}
+
 /// Shrink `sel` to the rows where `pred` (a kBool/kNull vector) is true —
 /// the AND-conjunct consumption step (null counts as false, like a
 /// top-level filter).

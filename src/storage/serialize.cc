@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "tiles/tile_builder.h"
 #include "util/bit_util.h"
 
 namespace jsontiles::storage {
@@ -10,7 +11,7 @@ namespace jsontiles::storage {
 namespace {
 
 constexpr char kMagic[4] = {'J', 'T', 'R', 'L'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 
 class Writer {
  public:
@@ -77,7 +78,7 @@ class Reader {
   }
   bool Bytes(const uint8_t** data, size_t* size) {
     uint64_t n;
-    if (!Varint(&n) || pos_ + n > size_) return false;
+    if (!Varint(&n) || n > size_ - pos_) return false;
     *data = data_ + pos_;
     *size = n;
     pos_ += n;
@@ -121,76 +122,152 @@ Status ReadVec(Reader& r, std::vector<T>* out) {
   return Status::OK();
 }
 
-void WriteBitVec(Writer& w, const std::vector<bool>& v) {
-  w.Varint(v.size());
-  std::vector<uint8_t> packed((v.size() + 7) / 8, 0);
-  for (size_t i = 0; i < v.size(); i++) {
-    if (v[i]) packed[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
-  }
-  w.Bytes(packed.data(), packed.size());
+// Bitmap: bit count, then the ceil(count / 8) low bytes of the column's
+// little-endian word buffer (bits past the count are zero).
+void WriteBitmap(Writer& w, const std::vector<uint64_t>& words, size_t count) {
+  w.Varint(count);
+  w.Bytes(words.data(), count / 8 + (count % 8 != 0 ? 1 : 0));
 }
 
-Status ReadBitVec(Reader& r, std::vector<bool>* out) {
+Status ReadBitmap(Reader& r, uint64_t rows, std::vector<uint64_t>* out) {
   uint64_t count;
   JT_READ(r.Varint(&count));
   const uint8_t* p;
   size_t n;
   JT_READ(r.Bytes(&p, &n));
   JT_READ(n == count / 8 + (count % 8 != 0 ? 1 : 0));  // no count + 7 wrap
-  out->assign(count, false);
-  for (size_t i = 0; i < count; i++) {
-    if (p[i / 8] & (1u << (i % 8))) (*out)[i] = true;
-  }
+  JT_READ(count == rows);
+  out->assign(count / 64 + (count % 64 != 0 ? 1 : 0), 0);
+  if (n > 0) std::memcpy(out->data(), p, n);  // empty: data() may be null
+  JT_READ(count % 64 == 0 || out->back() >> (count % 64) == 0);
   return Status::OK();
 }
 
+void WritePacked(Writer& w, const tiles::PackedInts& p) {
+  w.U8(p.width);
+  w.SVarint(static_cast<int64_t>(p.base));
+  w.Bytes(p.deltas.data(), p.deltas.size());
+}
+
+Status ReadPacked(Reader& r, uint64_t rows, tiles::PackedInts* out) {
+  uint8_t width;
+  int64_t base;
+  const uint8_t* p;
+  size_t n;
+  JT_READ(r.U8(&width));
+  JT_READ(tiles::PackedInts::IsValidWidth(width));
+  JT_READ(r.SVarint(&base));
+  JT_READ(r.Bytes(&p, &n));
+  // Divide rather than multiply: rows * width must not wrap.
+  JT_READ(width == 0 ? n == 0 : n % width == 0 && n / width == rows);
+  out->width = width;
+  out->base = static_cast<uint64_t>(base);
+  out->deltas.assign(p, p + n);
+  return Status::OK();
+}
+
+// The parts a column of each type stores, after its validity bitmap. What
+// the parts mean is the column's business (tiles/column.h).
 void WriteColumn(Writer& w, const tiles::Column& col) {
-  w.U8(static_cast<uint8_t>(col.type()));
-  WriteBitVec(w, col.validity());
-  WriteVec(w, col.i64_data());
-  WriteVec(w, col.f64_data());
-  WriteVec(w, col.scales_data());
-  WriteVec(w, col.starts_data());
-  WriteVec(w, col.lens_data());
-  w.Str(col.string_heap());
+  const tiles::Column::Parts& parts = col.parts();
+  WriteBitmap(w, parts.validity, col.size());
+  switch (col.type()) {
+    case tiles::ColumnType::kBool:
+      WriteBitmap(w, parts.bools, col.size());
+      break;
+    case tiles::ColumnType::kInt64:
+    case tiles::ColumnType::kTimestamp:
+      WritePacked(w, parts.ints);
+      break;
+    case tiles::ColumnType::kFloat64:
+      w.Bytes(parts.floats.data(), parts.floats.size() * sizeof(double));
+      break;
+    case tiles::ColumnType::kNumeric:
+      WritePacked(w, parts.ints);
+      w.Bytes(parts.scales.data(), parts.scales.size());
+      break;
+    case tiles::ColumnType::kString:
+      WritePacked(w, parts.ints);
+      WritePacked(w, parts.lens);
+      break;
+  }
 }
 
-Status ReadColumn(Reader& r, tiles::Column* out) {
-  uint8_t type;
-  JT_READ(r.U8(&type));
-  JT_READ(type <= static_cast<uint8_t>(tiles::ColumnType::kNumeric));
-  std::vector<bool> valid;
-  JSONTILES_RETURN_NOT_OK(ReadBitVec(r, &valid));
-  std::vector<int64_t> i64;
-  std::vector<double> f64;
-  std::vector<uint8_t> scales;
-  std::vector<uint32_t> starts, lens;
-  std::string heap;
-  JSONTILES_RETURN_NOT_OK(ReadVec(r, &i64));
-  JSONTILES_RETURN_NOT_OK(ReadVec(r, &f64));
-  JSONTILES_RETURN_NOT_OK(ReadVec(r, &scales));
-  JSONTILES_RETURN_NOT_OK(ReadVec(r, &starts));
-  JSONTILES_RETURN_NOT_OK(ReadVec(r, &lens));
-  JT_READ(r.Str(&heap));
-  *out = tiles::Column::Restore(static_cast<tiles::ColumnType>(type),
-                                std::move(valid), std::move(i64), std::move(f64),
-                                std::move(scales), std::move(starts),
-                                std::move(lens), std::move(heap));
+// `doc_sizes[r]` is the document size of the tile's row r.
+Status ReadColumn(Reader& r, tiles::ColumnType type, uint64_t rows,
+                  const size_t* doc_sizes, tiles::Column* out) {
+  tiles::Column::Parts parts;
+  JSONTILES_RETURN_NOT_OK(ReadBitmap(r, rows, &parts.validity));
+  const uint8_t* p;
+  size_t n;
+  switch (type) {
+    case tiles::ColumnType::kBool:
+      JSONTILES_RETURN_NOT_OK(ReadBitmap(r, rows, &parts.bools));
+      break;
+    case tiles::ColumnType::kInt64:
+    case tiles::ColumnType::kTimestamp:
+      JSONTILES_RETURN_NOT_OK(ReadPacked(r, rows, &parts.ints));
+      break;
+    case tiles::ColumnType::kFloat64:
+      JT_READ(r.Bytes(&p, &n));
+      JT_READ(n % sizeof(double) == 0 && n / sizeof(double) == rows);
+      parts.floats.resize(rows);
+      if (n > 0) std::memcpy(parts.floats.data(), p, n);
+      break;
+    case tiles::ColumnType::kNumeric:
+      JSONTILES_RETURN_NOT_OK(ReadPacked(r, rows, &parts.ints));
+      JT_READ(r.Bytes(&p, &n));
+      JT_READ(n == 1 || (n == rows && rows > 1));  // shared or per row
+      parts.scales.assign(p, p + n);
+      for (uint8_t scale : parts.scales) JT_READ(scale <= Numeric::kMaxScale);
+      break;
+    case tiles::ColumnType::kString:
+      JSONTILES_RETURN_NOT_OK(ReadPacked(r, rows, &parts.ints));
+      JSONTILES_RETURN_NOT_OK(ReadPacked(r, rows, &parts.lens));
+      break;
+  }
+  *out = tiles::Column::Restore(type, rows, std::move(parts));
+  JT_READ(out->ValidStringRefs(doc_sizes));
   return Status::OK();
 }
 
+// Sparse sketch: the nonzero registers as (index delta, value) pairs in
+// index order; the first delta is the index itself.
 void WriteHll(Writer& w, const HyperLogLog& hll) {
+  const std::vector<uint8_t>& registers = hll.registers();
   w.Varint(static_cast<uint64_t>(hll.precision()));
-  WriteVec(w, hll.registers());
+  size_t nonzero = 0;
+  for (uint8_t reg : registers) nonzero += reg != 0 ? 1 : 0;
+  w.Varint(nonzero);
+  size_t prev = 0;
+  for (size_t i = 0; i < registers.size(); i++) {
+    if (registers[i] == 0) continue;
+    w.Varint(i - prev);
+    w.U8(registers[i]);
+    prev = i;
+  }
 }
 
 Status ReadHll(Reader& r, HyperLogLog* out) {
-  uint64_t precision;
+  uint64_t precision, nonzero;
   JT_READ(r.Varint(&precision));
   JT_READ(precision >= 4 && precision <= 16);
-  std::vector<uint8_t> registers;
-  JSONTILES_RETURN_NOT_OK(ReadVec(r, &registers));
-  JT_READ(registers.size() == (size_t{1} << precision));
+  const uint64_t m = uint64_t{1} << precision;
+  JT_READ(r.Varint(&nonzero));
+  JT_READ(nonzero <= m);
+  std::vector<uint8_t> registers(m, 0);
+  uint64_t index = 0;
+  for (uint64_t i = 0; i < nonzero; i++) {
+    uint64_t delta;
+    uint8_t value;
+    JT_READ(r.Varint(&delta));
+    JT_READ(r.U8(&value));
+    JT_READ(i == 0 || delta > 0);  // strictly increasing indexes
+    JT_READ(delta < m - index);    // index < 2^p
+    index += delta;
+    JT_READ(value >= 1 && value <= 64 - precision + 1);
+    registers[index] = value;
+  }
   *out = HyperLogLog::Restore(static_cast<int>(precision), std::move(registers));
   return Status::OK();
 }
@@ -229,15 +306,19 @@ void WriteTile(Writer& w, const tiles::Tile& tile) {
   w.Varint(tile.seen_paths().num_inserted());
 }
 
-Status ReadTile(Reader& r, tiles::Tile* tile) {
+// `rel` holds the documents read so far; the tile must cover some of them.
+Status ReadTile(Reader& r, const Relation& rel, tiles::Tile* tile) {
   uint64_t row_begin, row_count, outliers, num_columns;
   JT_READ(r.Varint(&row_begin));
   JT_READ(r.Varint(&row_count));
+  const size_t num_rows = rel.num_rows();
+  JT_READ(row_count <= num_rows && row_begin <= num_rows - row_count);
   JT_READ(r.Varint(&outliers));
   JT_READ(r.Varint(&num_columns));
   tile->row_begin = row_begin;
   tile->row_count = row_count;
   tile->outlier_count = outliers;
+  std::vector<size_t> doc_sizes;  // of the tile's rows, for string columns
   for (uint64_t i = 0; i < num_columns; i++) {
     tiles::ExtractedColumn col;
     JT_READ(r.Str(&col.path));
@@ -245,8 +326,15 @@ Status ReadTile(Reader& r, tiles::Tile* tile) {
     JT_READ(r.U8(&source_type));
     JT_READ(r.U8(&storage_type));
     JT_READ(r.U8(&flags));
+    JT_READ(source_type >= static_cast<uint8_t>(json::JsonType::kBool) &&
+            source_type <=
+                static_cast<uint8_t>(json::JsonType::kNumericString));
+    JT_READ(storage_type <= static_cast<uint8_t>(tiles::ColumnType::kNumeric));
     col.source_type = static_cast<json::JsonType>(source_type);
     col.storage_type = static_cast<tiles::ColumnType>(storage_type);
+    JT_READ(col.storage_type == tiles::StorageTypeFor(col.source_type) ||
+            (col.source_type == json::JsonType::kString &&
+             col.storage_type == tiles::ColumnType::kTimestamp));
     col.has_type_outliers = flags & 1;
     col.nullable = flags & 2;
     col.is_timestamp = flags & 4;
@@ -257,8 +345,14 @@ Status ReadTile(Reader& r, tiles::Tile* tile) {
       JT_READ(r.F64(&col.min_d));
       JT_READ(r.F64(&col.max_d));
     }
-    JSONTILES_RETURN_NOT_OK(ReadColumn(r, &col.column));
-    JT_READ(col.column.size() == row_count);
+    if (col.storage_type == tiles::ColumnType::kString && doc_sizes.empty()) {
+      doc_sizes.resize(row_count);
+      for (size_t k = 0; k < row_count; k++) {
+        doc_sizes[k] = rel.DocSize(row_begin + k);
+      }
+    }
+    JSONTILES_RETURN_NOT_OK(ReadColumn(r, col.storage_type, row_count,
+                                       doc_sizes.data(), &col.column));
     tile->columns.push_back(std::move(col));
   }
   uint64_t num_freqs;
@@ -375,8 +469,7 @@ Result<std::unique_ptr<Relation>> DeserializeBody(Reader& r) {
   JT_READ(r.Varint(&num_tiles));
   for (uint64_t t = 0; t < num_tiles; t++) {
     tiles::Tile tile;
-    JSONTILES_RETURN_NOT_OK(ReadTile(r, &tile));
-    JT_READ(tile.row_begin + tile.row_count <= num_rows);
+    JSONTILES_RETURN_NOT_OK(ReadTile(r, *rel, &tile));
     rel->tiles().push_back(std::move(tile));
   }
   // Relation stats.

@@ -3,10 +3,12 @@
 // relations — to a single binary file and read it back without re-running
 // extraction.
 //
-// Format: "JTRL" magic, version, then length-prefixed sections. All integers
-// are LEB128 varints; byte buffers are length-prefixed. The format is an
-// implementation detail (no cross-version guarantees), but reads validate
-// structure defensively and fail with Status on corruption.
+// Format (version 2, specified byte for byte in DESIGN.md §10): "JTRL"
+// magic, version, then length-prefixed sections. All integers are LEB128
+// varints; byte buffers are length-prefixed. Tile columns are written as the
+// compact buffers they are in memory (tiles/column.h). Only the current
+// version is read; others return Unsupported. Reads validate every field and
+// fail with Status on corruption.
 
 #ifndef JSONTILES_STORAGE_SERIALIZE_H_
 #define JSONTILES_STORAGE_SERIALIZE_H_

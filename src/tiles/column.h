@@ -4,13 +4,23 @@
 // Each extracted key path becomes one Column with a validity bitmap. Nulls
 // mean "key absent in this document or value of an outlier type"; accesses
 // fall back to the binary JSON in that case (§3.4).
+//
+// Columns are compact, and the same buffers are what a relation file stores
+// (DESIGN.md §10):
+//   - integers (Int64, Timestamp, Numeric unscaled) are frame-of-reference
+//     encoded at the tile's minimal width of 0, 1, 2, 4 or 8 bytes;
+//   - strings are not copied: each row references its value inside the
+//     row's own binary JSON document by (offset, length), both packed the
+//     same way; reads take the document pointer;
+//   - bools and validity are word bitmaps;
+//   - a Numeric column whose values share one scale stores it once;
+//   - floats stay 8 bytes (prices do not round-trip through float32).
 
 #ifndef JSONTILES_TILES_COLUMN_H_
 #define JSONTILES_TILES_COLUMN_H_
 
 #include <cstdint>
 #include <cstring>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -31,17 +41,93 @@ enum class ColumnType : uint8_t {
 
 const char* ColumnTypeName(ColumnType type);
 
-/// A fixed-length typed vector with a validity bitmap. Value storage depends
-/// on the type: ints/bools/timestamps share the i64 buffer, floats use f64,
-/// numerics use i64 + per-value scale, strings use an offset/heap pair.
+/// Frame-of-reference integers: row r holds `base + delta_r` (mod 2^64),
+/// each delta stored little-endian in `width` bytes. Width 0 stores nothing:
+/// every row holds `base`. All arithmetic is unsigned, so any int64 range
+/// (INT64_MIN..INT64_MAX included) packs without overflow.
+struct PackedInts {
+  uint64_t base = 0;
+  uint8_t width = 0;            // 0, 1, 2, 4 or 8
+  std::vector<uint8_t> deltas;  // rows * width bytes
+
+  static bool IsValidWidth(uint64_t width) {
+    return width == 0 || width == 1 || width == 2 || width == 4 || width == 8;
+  }
+  /// Largest delta a width can hold.
+  static uint64_t MaxDelta(uint8_t width) {
+    return width == 8 ? ~uint64_t{0} : (uint64_t{1} << (8 * width)) - 1;
+  }
+  /// Minimal width holding deltas up to `range`.
+  static uint8_t WidthFor(uint64_t range) {
+    if (range == 0) return 0;
+    if (range <= 0xFF) return 1;
+    if (range <= 0xFFFF) return 2;
+    if (range <= 0xFFFFFFFF) return 4;
+    return 8;
+  }
+
+  bool Fits(int64_t v) const {
+    return static_cast<uint64_t>(v) - base <= MaxDelta(width);
+  }
+  uint64_t Delta(size_t row) const {
+    const uint8_t* p = deltas.data() + row * width;
+    switch (width) {
+      case 1: return p[0];
+      case 2: return Load<uint16_t>(p);
+      case 4: return Load<uint32_t>(p);
+      case 8: return Load<uint64_t>(p);
+      default: return 0;
+    }
+  }
+  int64_t Get(size_t row) const {
+    return static_cast<int64_t>(base + Delta(row));
+  }
+  void SetDelta(size_t row, uint64_t d) {
+    uint8_t* p = deltas.data() + row * width;
+    switch (width) {
+      case 1: p[0] = static_cast<uint8_t>(d); break;
+      case 2: Store(p, static_cast<uint16_t>(d)); break;
+      case 4: Store(p, static_cast<uint32_t>(d)); break;
+      case 8: Store(p, d); break;
+      default: break;
+    }
+  }
+  /// Decode `count` rows starting at `row`.
+  void Decode(size_t row, size_t count, int64_t* out) const;
+
+  template <typename T>
+  static T Load(const uint8_t* p) {
+    T v;  // deltas are little-endian, like the host (column.cc)
+    std::memcpy(&v, p, sizeof(T));
+    return v;
+  }
+  template <typename T>
+  static void Store(uint8_t* p, T v) {
+    std::memcpy(p, &v, sizeof(T));
+  }
+};
+
+/// A fixed-length typed vector with a validity bitmap.
 class Column {
  public:
-  explicit Column(ColumnType type) : type_(type) {}
+  /// The column's buffers. A relation file stores them as they are
+  /// (bitmaps up to their last used byte).
+  struct Parts {
+    std::vector<uint64_t> validity;  // bit r set: row r holds a value
+    std::vector<uint64_t> bools;     // kBool values (null rows 0)
+    PackedInts ints;    // Int64/Timestamp values, Numeric unscaled values,
+                        // String value offsets inside the row's document
+    PackedInts lens;    // String value lengths
+    std::vector<double> floats;   // kFloat64 values (null rows 0)
+    std::vector<uint8_t> scales;  // kNumeric: one shared scale, or one per row
+  };
+
+  explicit Column(ColumnType type);
 
   ColumnType type() const { return type_; }
-  size_t size() const { return valid_.size(); }
+  size_t size() const { return size_; }
 
-  bool IsNull(size_t row) const { return !valid_[row]; }
+  bool IsNull(size_t row) const { return !Bit(parts_.validity, row); }
   size_t null_count() const { return null_count_; }
 
   // Appending -------------------------------------------------------------
@@ -51,109 +137,102 @@ class Column {
   void AppendFloat(double v);
   void AppendTimestamp(Timestamp v) { AppendInt(v); }
   void AppendNumeric(Numeric v);
-  void AppendString(std::string_view v);
+  /// `v` must view bytes inside the binary JSON document starting at `doc`
+  /// (the row's document); the column stores only where it lies.
+  void AppendString(const uint8_t* doc, std::string_view v);
 
-  // Access ----------------------------------------------------------------
-  bool GetBool(size_t row) const { return i64_[row] != 0; }
-  int64_t GetInt(size_t row) const { return i64_[row]; }
-  double GetFloat(size_t row) const { return f64_[row]; }
-  Timestamp GetTimestamp(size_t row) const { return i64_[row]; }
+  // Access (a null row reads as 0 / empty) -------------------------------
+  bool GetBool(size_t row) const {
+    return (Bit(parts_.bools, row) & Bit(parts_.validity, row)) != 0;
+  }
+  int64_t GetInt(size_t row) const {
+    return IsNull(row) ? 0 : parts_.ints.Get(row);
+  }
+  double GetFloat(size_t row) const { return parts_.floats[row]; }
+  Timestamp GetTimestamp(size_t row) const { return GetInt(row); }
   Numeric GetNumeric(size_t row) const {
-    return Numeric{i64_[row], scales_[row]};
+    if (IsNull(row)) return Numeric{0, 0};
+    return Numeric{parts_.ints.Get(row), Scale(row)};
   }
-  std::string_view GetString(size_t row) const {
-    return std::string_view(heap_).substr(starts_[row], lens_[row]);
+  /// `doc` is the row's binary JSON document.
+  std::string_view GetString(size_t row, const uint8_t* doc) const {
+    if (IsNull(row)) return {reinterpret_cast<const char*>(doc), 0};
+    return {reinterpret_cast<const char*>(doc) + parts_.ints.Get(row),
+            static_cast<size_t>(parts_.lens.Get(row))};
   }
 
-  // Bulk typed reads (vectorized scan): copy `count` consecutive rows
+  // Bulk typed reads (vectorized scan): decode `count` consecutive rows
   // starting at `row` into caller buffers. Null rows carry a zero/empty
   // placeholder payload — consult `nulls` (1 = null) before using values.
-  void ReadNulls(size_t row, size_t count, uint8_t* nulls) const {
-    for (size_t k = 0; k < count; k++) nulls[k] = valid_[row + k] ? 0 : 1;
-  }
-  void ReadInts(size_t row, size_t count, int64_t* out) const {
-    std::memcpy(out, i64_.data() + row, count * sizeof(int64_t));
-  }
-  void ReadBools(size_t row, size_t count, int64_t* out) const {
-    // Normalize to 0/1 like GetBool (Value::Bool stores exactly 0/1).
-    for (size_t k = 0; k < count; k++) out[k] = i64_[row + k] != 0 ? 1 : 0;
-  }
+  void ReadNulls(size_t row, size_t count, uint8_t* nulls) const;
+  void ReadInts(size_t row, size_t count, int64_t* out) const;
+  /// Bools as 0/1 (Value::Bool stores exactly 0/1).
+  void ReadBools(size_t row, size_t count, int64_t* out) const;
   void ReadFloats(size_t row, size_t count, double* out) const {
-    std::memcpy(out, f64_.data() + row, count * sizeof(double));
+    std::memcpy(out, parts_.floats.data() + row, count * sizeof(double));
   }
   void ReadNumerics(size_t row, size_t count, int64_t* unscaled,
-                    uint8_t* scales) const {
-    std::memcpy(unscaled, i64_.data() + row, count * sizeof(int64_t));
-    std::memcpy(scales, scales_.data() + row, count);
-  }
-  void ReadStrings(size_t row, size_t count, std::string_view* out) const {
-    std::string_view heap = heap_;
-    for (size_t k = 0; k < count; k++) {
-      out[k] = heap.substr(starts_[row + k], lens_[row + k]);
-    }
-  }
+                    uint8_t* scales) const;
+  /// `docs[k]` is the document of row `row + k`.
+  void ReadStrings(size_t row, size_t count, const uint8_t* const* docs,
+                   std::string_view* out) const;
 
-  // In-place update (§4.7); strings append to the heap.
+  // In-place update (§4.7). Values outside the current frame re-pack the
+  // column wider; a string re-points into the row's new document `doc`.
   void SetNull(size_t row);
   void SetBool(size_t row, bool v);
   void SetInt(size_t row, int64_t v);
   void SetFloat(size_t row, double v);
   void SetNumeric(size_t row, Numeric v);
-  void SetString(size_t row, std::string_view v);
+  void SetString(size_t row, const uint8_t* doc, std::string_view v);
 
-  /// Approximate in-memory footprint in bytes (for Table 6).
+  /// Bytes held by the column's buffers (Table 6).
   size_t MemoryBytes() const;
 
-  /// Raw buffers for compression experiments and serialization.
-  const std::vector<int64_t>& i64_data() const { return i64_; }
-  const std::vector<double>& f64_data() const { return f64_; }
-  const std::string& string_heap() const { return heap_; }
-  const std::vector<bool>& validity() const { return valid_; }
-  const std::vector<uint8_t>& scales_data() const { return scales_; }
-  const std::vector<uint32_t>& starts_data() const { return starts_; }
-  const std::vector<uint32_t>& lens_data() const { return lens_; }
+  /// Serialization: the buffers as stored, and a column rebuilt from them.
+  /// Restore expects parts shaped for `type` and `rows` (relation files
+  /// validate them; see ValidStringRefs for the document bound).
+  const Parts& parts() const { return parts_; }
+  static Column Restore(ColumnType type, size_t rows, Parts parts);
 
-  /// Rebuild a column from its raw parts (deserialization).
-  static Column Restore(ColumnType type, std::vector<bool> valid,
-                        std::vector<int64_t> i64, std::vector<double> f64,
-                        std::vector<uint8_t> scales, std::vector<uint32_t> starts,
-                        std::vector<uint32_t> lens, std::string heap) {
-    Column col(type);
-    col.null_count_ = 0;
-    for (bool v : valid) {
-      if (!v) col.null_count_++;
-    }
-    col.valid_ = std::move(valid);
-    col.i64_ = std::move(i64);
-    col.f64_ = std::move(f64);
-    col.scales_ = std::move(scales);
-    col.starts_ = std::move(starts);
-    col.lens_ = std::move(lens);
-    col.heap_ = std::move(heap);
-    return col;
-  }
+  /// Whether every string reference lies inside its row's document, where
+  /// `doc_sizes[r]` is the byte size of row r's document.
+  bool ValidStringRefs(const size_t* doc_sizes) const;
 
  private:
-  void AppendValid(bool valid) {
-    valid_.push_back(valid);
-    if (!valid) null_count_++;
+  static bool Bit(const std::vector<uint64_t>& words, size_t row) {
+    return (words[row >> 6] >> (row & 63)) & 1;
+  }
+  static void AssignBit(std::vector<uint64_t>& words, size_t row, bool v) {
+    const uint64_t mask = uint64_t{1} << (row & 63);
+    if (v) {
+      words[row >> 6] |= mask;
+    } else {
+      words[row >> 6] &= ~mask;
+    }
   }
 
-  /// Append bytes to the string heap; safe even when `v` views the heap
-  /// itself (a plain append could read freed storage on reallocation).
-  void AppendToHeap(std::string_view v);
+  /// Add one row, holding a value or null, with a zero payload.
+  void AppendRow(bool valid);
+  void MarkValid(size_t row);
+  uint8_t Scale(size_t row) const {
+    return parts_.scales.size() == 1 ? parts_.scales[0] : parts_.scales[row];
+  }
+  /// Give `row` the scale `scale`; `only_value` when no other row holds a
+  /// value (the shared scale may then change).
+  void SetScale(size_t row, uint8_t scale, bool only_value);
+  /// Store `v` at `row` of `p` (a row already marked valid), re-packing `p`
+  /// first when `v` lies outside its frame.
+  void Put(PackedInts& p, size_t row, int64_t v);
+  void Repack(PackedInts& p, size_t row, int64_t v);
+  /// Call `fn(k)` for each null row `row + k`, k < count.
+  template <typename Fn>
+  void ForEachNull(size_t row, size_t count, Fn fn) const;
 
   ColumnType type_;
-  std::vector<bool> valid_;
-  std::vector<int64_t> i64_;
-  std::vector<double> f64_;
-  std::vector<uint8_t> scales_;
-  // Strings: per-row (start, length) into the heap; updates append to the
-  // heap and repoint the row (§4.7 in-place variable-length updates).
-  std::vector<uint32_t> starts_;
-  std::vector<uint32_t> lens_;
-  std::string heap_;
+  size_t size_ = 0;
   size_t null_count_ = 0;
+  Parts parts_;
 };
 
 }  // namespace jsontiles::tiles

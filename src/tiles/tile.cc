@@ -119,7 +119,7 @@ bool UpdateTileRow(Tile* tile, size_t row_in_tile, json::JsonbValue new_doc,
         break;
       case ColumnType::kString:
         if (value->type() == json::JsonType::kString) {
-          column.SetString(row_in_tile, value->GetString());
+          column.SetString(row_in_tile, new_doc.data(), value->GetString());
           matched = true;
         }
         break;

@@ -277,7 +277,7 @@ Tile TileBuilder::BuildFromItems(const std::vector<json::JsonbValue>& docs,
             stored = true;
             break;
           case ColumnType::kString:
-            col.column.AppendString(value->GetString());
+            col.column.AppendString(docs[d].data(), value->GetString());
             stored = true;
             break;
           case ColumnType::kNumeric:

@@ -17,6 +17,9 @@ namespace jsontiles {
 
 /// A decimal value `unscaled * 10^-scale` with up to 18 significant digits.
 struct Numeric {
+  /// Largest scale a parsed numeric can carry (at most 18 digits).
+  static constexpr uint8_t kMaxScale = 18;
+
   int64_t unscaled = 0;
   uint8_t scale = 0;
 

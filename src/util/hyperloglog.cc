@@ -15,8 +15,10 @@ HyperLogLog::HyperLogLog(int precision) : precision_(precision) {
 void HyperLogLog::Add(uint64_t hash) {
   uint64_t index = hash >> (64 - precision_);
   uint64_t rest = hash << precision_;
-  // Rank = position of the leftmost 1-bit in the remaining bits, 1-based.
-  uint8_t rank = static_cast<uint8_t>(std::countl_zero(rest | 1) + 1);
+  // Rank = position of the leftmost 1-bit in the remaining 64 - p bits,
+  // 1-based; all-zero bits rank 64 - p + 1 (the bit set below them).
+  uint8_t rank = static_cast<uint8_t>(
+      std::countl_zero(rest | (uint64_t{1} << (precision_ - 1))) + 1);
   if (rank > registers_[index]) registers_[index] = rank;
 }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "json/json_type.h"
 #include "opt/query.h"
 #include "storage/loader.h"
 #include "storage/shard.h"
@@ -198,7 +199,7 @@ void AppendVarint(std::vector<uint8_t>* bytes, uint64_t v) {
 // and one tile of no rows, up to its column count.
 std::vector<uint8_t> TileFilePrefix() {
   std::vector<uint8_t> bytes = {'J', 'T', 'R', 'L'};
-  AppendVarint(&bytes, 1);  // version
+  AppendVarint(&bytes, 2);  // version
   bytes.push_back(static_cast<uint8_t>(StorageMode::kTiles));
   AppendVarint(&bytes, 1);
   bytes.push_back('t');         // name
@@ -243,7 +244,9 @@ TEST(SerializeTest, WrappingBitmapCountRejected) {
   AppendVarint(&bytes, 1);  // one column
   AppendVarint(&bytes, 1);
   bytes.push_back('a');  // path
-  for (int i = 0; i < 4; i++) bytes.push_back(0);  // types, flags, column type
+  bytes.push_back(static_cast<uint8_t>(json::JsonType::kBool));  // source
+  bytes.push_back(static_cast<uint8_t>(tiles::ColumnType::kBool));  // storage
+  bytes.push_back(0);  // flags
   // Validity bitmap of 2^64 - 1 bits: (count + 7) / 8 would wrap to the
   // empty payload.
   AppendVarint(&bytes, ~uint64_t{0});
@@ -254,8 +257,321 @@ TEST(SerializeTest, WrappingBitmapCountRejected) {
       << result.status().ToString();
 }
 
-// Empty shards and the empty vectors of every tile column (an Int64
-// column stores no floats, scales or string offsets) survive
+// A tile must lie inside the documents: row_begin + row_count would wrap
+// here and pass a naive bound check.
+TEST(SerializeTest, WrappingTileRowRangeRejected) {
+  auto file = [](uint64_t row_begin, uint64_t row_count) {
+    std::vector<uint8_t> bytes = {'J', 'T', 'R', 'L'};
+    AppendVarint(&bytes, 2);  // version
+    bytes.push_back(static_cast<uint8_t>(StorageMode::kTiles));
+    AppendVarint(&bytes, 1);
+    bytes.push_back('t');
+    AppendVarint(&bytes, 1024);
+    AppendVarint(&bytes, 8);
+    const double threshold = 0.6;
+    const auto* t = reinterpret_cast<const uint8_t*>(&threshold);
+    bytes.insert(bytes.end(), t, t + 8);
+    bytes.push_back(1);
+    AppendVarint(&bytes, 0);  // documents
+    AppendVarint(&bytes, 1);  // tiles
+    AppendVarint(&bytes, row_begin);
+    AppendVarint(&bytes, row_count);
+    for (int i = 0; i < 4; i++) AppendVarint(&bytes, 0);  // outliers .. stats
+    AppendVarint(&bytes, 1);  // bloom words
+    AppendVarint(&bytes, 8);
+    bytes.insert(bytes.end(), 8, 0);
+    for (int i = 0; i < 5; i++) AppendVarint(&bytes, 0);  // relation stats
+    return bytes;
+  };
+  const auto good = file(0, 0);
+  ASSERT_TRUE(DeserializeRelation(good.data(), good.size()).ok());
+  const auto bad = file(~uint64_t{0}, 1);
+  auto result = DeserializeRelation(bad.data(), bad.size());
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("row_begin <= num_rows - row_count"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
+// Only the current version is read; version 1 files return Unsupported.
+TEST(SerializeTest, Version1FileUnsupported) {
+  auto bytes = TileFilePrefix();
+  bytes[4] = 1;  // version varint
+  auto result = DeserializeRelation(bytes.data(), bytes.size());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kUnsupported);
+}
+
+void AppendSVarint(std::vector<uint8_t>* bytes, int64_t v) {
+  AppendVarint(bytes, bit_util::ZigZagEncode(v));
+}
+
+void AppendBuffer(std::vector<uint8_t>* bytes, const std::vector<uint8_t>& b) {
+  AppendVarint(bytes, b.size());
+  bytes->insert(bytes->end(), b.begin(), b.end());
+}
+
+// A bitmap with every one of `rows` bits set.
+void AppendFullBitmap(std::vector<uint8_t>* bytes, uint64_t rows) {
+  AppendVarint(bytes, rows);
+  std::vector<uint8_t> b(rows / 8 + (rows % 8 != 0 ? 1 : 0), 0xFF);
+  if (rows % 8 != 0) b.back() = static_cast<uint8_t>((1u << (rows % 8)) - 1);
+  AppendBuffer(bytes, b);
+}
+
+void AppendPacked(std::vector<uint8_t>* bytes, uint8_t width, int64_t base,
+                  const std::vector<uint8_t>& deltas) {
+  bytes->push_back(width);
+  AppendSVarint(bytes, base);
+  AppendBuffer(bytes, deltas);
+}
+
+// A kTiles file holding `docs` (as raw bytes) and one tile over all of them
+// with one column: `payload` follows the column header. `tile_sketches` is
+// the tile's sketch list (count included).
+std::vector<uint8_t> OneColumnFile(const std::vector<std::string>& docs,
+                                   json::JsonType source,
+                                   tiles::ColumnType storage,
+                                   const std::vector<uint8_t>& payload,
+                                   const std::vector<uint8_t>& tile_sketches = {
+                                       0}) {
+  std::vector<uint8_t> bytes = {'J', 'T', 'R', 'L'};
+  AppendVarint(&bytes, 2);  // version
+  bytes.push_back(static_cast<uint8_t>(StorageMode::kTiles));
+  AppendVarint(&bytes, 1);
+  bytes.push_back('t');
+  AppendVarint(&bytes, 1024);
+  AppendVarint(&bytes, 8);
+  const double threshold = 0.6;
+  const auto* t = reinterpret_cast<const uint8_t*>(&threshold);
+  bytes.insert(bytes.end(), t, t + 8);
+  bytes.push_back(1);
+  AppendVarint(&bytes, docs.size());
+  for (const std::string& d : docs) {
+    AppendBuffer(&bytes, std::vector<uint8_t>(d.begin(), d.end()));
+  }
+  AppendVarint(&bytes, 1);  // tiles
+  AppendVarint(&bytes, 0);  // row_begin
+  AppendVarint(&bytes, docs.size());
+  AppendVarint(&bytes, 0);  // outliers
+  AppendVarint(&bytes, 1);  // columns
+  AppendVarint(&bytes, 1);
+  bytes.push_back('a');
+  bytes.push_back(static_cast<uint8_t>(source));
+  bytes.push_back(static_cast<uint8_t>(storage));
+  bytes.push_back(0);  // flags
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  AppendVarint(&bytes, 0);  // path frequencies
+  bytes.insert(bytes.end(), tile_sketches.begin(), tile_sketches.end());
+  AppendVarint(&bytes, 1);  // bloom words
+  AppendVarint(&bytes, 8);
+  bytes.insert(bytes.end(), 8, 0);
+  for (int i = 0; i < 5; i++) AppendVarint(&bytes, 0);  // relation stats
+  return bytes;
+}
+
+// Deserializing `file` fails with a message naming `check`.
+void ExpectRejected(const std::vector<uint8_t>& file,
+                    const std::string& check) {
+  auto result = DeserializeRelation(file.data(), file.size());
+  ASSERT_FALSE(result.ok()) << check;
+  EXPECT_NE(result.status().message().find(check), std::string::npos)
+      << result.status().ToString();
+}
+
+void ExpectOpens(const std::vector<uint8_t>& file) {
+  auto result = DeserializeRelation(file.data(), file.size());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+}
+
+const std::vector<std::string> kThreeDocs = {"doc-zero", "d1", "document-2"};
+
+std::vector<uint8_t> IntColumn(uint8_t width, std::vector<uint8_t> deltas) {
+  std::vector<uint8_t> payload;
+  AppendFullBitmap(&payload, 3);
+  AppendPacked(&payload, width, -7, deltas);
+  return OneColumnFile(kThreeDocs, json::JsonType::kInt,
+                       tiles::ColumnType::kInt64, payload);
+}
+
+TEST(SerializeTest, PackedWidthOutsideSetRejected) {
+  ExpectOpens(IntColumn(2, std::vector<uint8_t>(6, 1)));
+  for (uint8_t width : {3, 5, 9, 16, 255}) {
+    ExpectRejected(IntColumn(width, std::vector<uint8_t>(3 * width, 1)),
+                   "IsValidWidth(width)");
+  }
+}
+
+// A column's JSON source type and storage type must be a pair extraction
+// produces; the storage type decides which parts are read.
+TEST(SerializeTest, ColumnTypePairRejected) {
+  std::vector<uint8_t> payload;
+  AppendFullBitmap(&payload, 3);
+  AppendPacked(&payload, 0, 1, {});
+  ExpectOpens(OneColumnFile(kThreeDocs, json::JsonType::kInt,
+                            tiles::ColumnType::kInt64, payload));
+  ExpectRejected(OneColumnFile(kThreeDocs, json::JsonType::kFloat,
+                               tiles::ColumnType::kInt64, payload),
+                 "StorageTypeFor(col.source_type)");
+  ExpectRejected(OneColumnFile(kThreeDocs, json::JsonType::kNull,
+                               tiles::ColumnType::kInt64, payload),
+                 "source_type >= ");
+  ExpectRejected(OneColumnFile(kThreeDocs, json::JsonType::kInt,
+                               static_cast<tiles::ColumnType>(6), payload),
+                 "storage_type <= ");
+}
+
+TEST(SerializeTest, PackedByteCountMismatchRejected) {
+  ExpectOpens(IntColumn(0, {}));
+  ExpectOpens(IntColumn(4, std::vector<uint8_t>(12, 0)));
+  ExpectRejected(IntColumn(4, std::vector<uint8_t>(8, 0)), "n / width == rows");
+  ExpectRejected(IntColumn(4, std::vector<uint8_t>(13, 0)), "n % width == 0");
+  ExpectRejected(IntColumn(0, {1}), "n == 0");
+  // A byte count of 2^64 - 1 wraps `pos + n`; it must not pass as in bounds.
+  std::vector<uint8_t> payload;
+  AppendFullBitmap(&payload, 3);
+  payload.push_back(1);  // width
+  AppendSVarint(&payload, 0);
+  AppendVarint(&payload, ~uint64_t{0});
+  ExpectRejected(OneColumnFile(kThreeDocs, json::JsonType::kInt,
+                               tiles::ColumnType::kInt64, payload),
+                 "r.Bytes(&p, &n)");
+}
+
+TEST(SerializeTest, BitmapCountMismatchRejected) {
+  auto file = [](uint64_t count, std::vector<uint8_t> bits) {
+    std::vector<uint8_t> payload;
+    AppendVarint(&payload, count);
+    AppendBuffer(&payload, bits);
+    AppendPacked(&payload, 0, 5, {});
+    return OneColumnFile(kThreeDocs, json::JsonType::kInt,
+                         tiles::ColumnType::kInt64, payload);
+  };
+  ExpectOpens(file(3, {0x05}));
+  ExpectRejected(file(2, {0x01}), "count == rows");
+  ExpectRejected(file(3, {0x05, 0x00}), "count / 8");
+  ExpectRejected(file(3, {}), "count / 8");
+  ExpectRejected(file(3, {0x0D}), "out->back() >> (count % 64) == 0");
+  // A bool column's value bitmap is held to the same rules.
+  std::vector<uint8_t> payload;
+  AppendFullBitmap(&payload, 3);
+  AppendVarint(&payload, 3);
+  AppendBuffer(&payload, {0x01, 0x00});
+  ExpectRejected(OneColumnFile(kThreeDocs, json::JsonType::kBool,
+                               tiles::ColumnType::kBool, payload),
+                 "count / 8");
+}
+
+// A string reference must lie inside its own row's document.
+TEST(SerializeTest, StringRefOutsideDocumentRejected) {
+  // Rows reference (offset, length) = (base + delta) in each part.
+  auto file = [](std::vector<uint8_t> offsets, std::vector<uint8_t> lens) {
+    std::vector<uint8_t> payload;
+    AppendFullBitmap(&payload, 3);
+    AppendPacked(&payload, 1, 0, offsets);
+    AppendPacked(&payload, 1, 0, lens);
+    return OneColumnFile(kThreeDocs, json::JsonType::kString,
+                         tiles::ColumnType::kString, payload);
+  };
+  ExpectOpens(file({0, 0, 0}, {8, 2, 10}));  // every document in full
+  ExpectOpens(file({4, 2, 10}, {4, 0, 0}));  // empty at the end
+  ExpectRejected(file({0, 1, 0}, {8, 2, 10}), "ValidStringRefs");
+  ExpectRejected(file({0, 0, 0}, {8, 3, 10}), "ValidStringRefs");
+  ExpectRejected(file({0, 3, 0}, {8, 0, 10}), "ValidStringRefs");
+  // offset + len wraps to a small number: must still be rejected.
+  std::vector<uint8_t> payload;
+  AppendFullBitmap(&payload, 3);
+  AppendPacked(&payload, 0, -1, {});  // every offset 2^64 - 1
+  AppendPacked(&payload, 0, 1, {});   // every length 1
+  ExpectRejected(OneColumnFile(kThreeDocs, json::JsonType::kString,
+                               tiles::ColumnType::kString, payload),
+                 "ValidStringRefs");
+  // A null row's reference is not read.
+  payload.clear();
+  AppendVarint(&payload, 3);
+  AppendBuffer(&payload, {0x05});  // row 1 null
+  AppendPacked(&payload, 1, 0, {0, 200, 0});
+  AppendPacked(&payload, 1, 0, {1, 200, 1});
+  ExpectOpens(OneColumnFile(kThreeDocs, json::JsonType::kString,
+                            tiles::ColumnType::kString, payload));
+}
+
+TEST(SerializeTest, NumericScaleAbove18Rejected) {
+  auto file = [](std::vector<uint8_t> scales) {
+    std::vector<uint8_t> payload;
+    AppendFullBitmap(&payload, 3);
+    AppendPacked(&payload, 1, 0, {1, 2, 3});
+    AppendBuffer(&payload, scales);
+    return OneColumnFile(kThreeDocs, json::JsonType::kNumericString,
+                         tiles::ColumnType::kNumeric, payload);
+  };
+  ExpectOpens(file({18}));
+  ExpectOpens(file({2, 18, 0}));
+  ExpectRejected(file({19}), "scale <= Numeric::kMaxScale");
+  ExpectRejected(file({2, 19, 0}), "scale <= Numeric::kMaxScale");
+  ExpectRejected(file({2, 2}), "n == rows && rows > 1");
+}
+
+// Sparse sketches: (index delta, value) pairs in strictly increasing index
+// order, indexes below 2^p, values in [1, 64 - p + 1].
+TEST(SerializeTest, SparseSketchRulesEnforced) {
+  auto file = [](uint64_t nonzero,
+                 std::vector<std::pair<uint64_t, uint8_t>> pairs) {
+    std::vector<uint8_t> sketches;
+    AppendVarint(&sketches, 1);   // one sketch
+    AppendVarint(&sketches, 4);   // precision: 16 registers
+    AppendVarint(&sketches, nonzero);
+    for (const auto& [delta, value] : pairs) {
+      AppendVarint(&sketches, delta);
+      sketches.push_back(value);
+    }
+    std::vector<uint8_t> payload;
+    AppendFullBitmap(&payload, 3);
+    AppendPacked(&payload, 0, 1, {});
+    return OneColumnFile(kThreeDocs, json::JsonType::kInt,
+                         tiles::ColumnType::kInt64, payload, sketches);
+  };
+  ExpectOpens(file(3, {{0, 1}, {7, 61}, {8, 3}}));  // indexes 0, 7, 15
+  ExpectRejected(file(2, {{0, 1}, {16, 3}}), "delta < m - index");
+  ExpectRejected(file(2, {{9, 1}, {7, 3}}), "delta < m - index");
+  ExpectRejected(file(1, {{16, 1}}), "delta < m - index");
+  ExpectRejected(file(2, {{3, 1}, {0, 3}}), "i == 0 || delta > 0");
+  ExpectRejected(file(1, {{3, 0}}), "value >= 1");
+  ExpectRejected(file(1, {{3, 62}}), "value <= 64 - precision + 1");
+  ExpectRejected(file(17, {}), "nonzero <= m");
+}
+
+// Dense HLL registers are written sparsely and restored exactly.
+TEST(SerializeTest, SketchesRoundTripSparse) {
+  tiles::TileConfig config;
+  config.tile_size = 128;
+  Loader loader(StorageMode::kTiles, config);
+  auto rel = loader.Load(MixedDocs(500), "sketch").MoveValueOrDie();
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(SerializeRelation(*rel, &bytes).ok());
+  auto back = DeserializeRelation(bytes.data(), bytes.size());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  size_t sketches = 0;
+  for (size_t t = 0; t < rel->tiles().size(); t++) {
+    const auto& want = rel->tiles()[t].stats.column_sketches;
+    const auto& got = back.ValueOrDie()->tiles()[t].stats.column_sketches;
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); i++, sketches++) {
+      EXPECT_EQ(got[i].precision(), want[i].precision());
+      EXPECT_EQ(got[i].registers(), want[i].registers());
+    }
+  }
+  EXPECT_GT(sketches, 0u);
+  const auto& want = rel->stats().sketches();
+  const auto& got = back.ValueOrDie()->stats().sketches();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); i++) {
+    EXPECT_EQ(got[i].hll.registers(), want[i].hll.registers());
+  }
+}
+
+// Empty shards and the empty buffers of every tile column (an Int64
+// column stores no floats, scales or string lengths) survive
 // SaveSharded/OpenSharded.
 TEST(SerializeTest, EmptyVectorsShardedRoundTrip) {
   const std::string name = "serialize_empty_vectors";
@@ -281,15 +597,23 @@ TEST(SerializeTest, EmptyVectorsShardedRoundTrip) {
       const auto& got = restored.tiles()[t].columns;
       ASSERT_EQ(got.size(), want.size());
       for (size_t c = 0; c < want.size(); c++) {
-        EXPECT_EQ(got[c].column.i64_data(), want[c].column.i64_data());
-        EXPECT_EQ(got[c].column.f64_data(), want[c].column.f64_data());
-        EXPECT_EQ(got[c].column.starts_data(), want[c].column.starts_data());
+        const tiles::Column::Parts& g = got[c].column.parts();
+        const tiles::Column::Parts& w = want[c].column.parts();
+        EXPECT_EQ(g.validity, w.validity);
+        EXPECT_EQ(g.ints.base, w.ints.base);
+        EXPECT_EQ(g.ints.width, w.ints.width);
+        EXPECT_EQ(g.ints.deltas, w.ints.deltas);
+        EXPECT_EQ(g.floats, w.floats);
+        EXPECT_EQ(g.lens.deltas, w.lens.deltas);
       }
     }
   }
   std::remove(ShardManifestPath(dir, name).c_str());
   EXPECT_EQ(sharded->shard(2).num_rows(), 0u);
-  EXPECT_TRUE(sharded->shard(0).tiles()[0].columns[0].column.f64_data().empty());
+  const tiles::Column::Parts& parts =
+      sharded->shard(0).tiles()[0].columns[0].column.parts();
+  EXPECT_TRUE(parts.floats.empty());
+  EXPECT_TRUE(parts.lens.deltas.empty());
 }
 
 std::vector<uint8_t> ReadFileBytes(const std::string& path) {

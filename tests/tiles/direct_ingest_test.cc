@@ -274,7 +274,8 @@ TEST(DirectIngestTest, ColumnsMatchLookupPath) {
             EXPECT_EQ(col.column.GetFloat(d), value->GetDouble());
             break;
           case ColumnType::kString:
-            EXPECT_EQ(col.column.GetString(d), value->GetString());
+            EXPECT_EQ(col.column.GetString(d, views[d].data()),
+                      value->GetString());
             break;
           case ColumnType::kNumeric:
             EXPECT_EQ(col.column.GetNumeric(d), value->GetNumeric());

@@ -16,32 +16,38 @@ namespace jsontiles::tiles {
 namespace {
 
 // Copying a string value from one row of a column into another passes
-// GetString's view — which points into the column's own heap — back into
-// SetString/AppendString. The heap append must not read the view after a
-// reallocation frees its storage.
+// GetString's view back into AppendString/SetString while the column's
+// buffers grow and re-pack. String columns reference the document, so the
+// views must stay valid through every reallocation of the column.
 TEST(LifetimeTest, ColumnSelfCopySurvivesHeapReallocation) {
+  // Large enough that the offsets below need wider and wider frames.
+  const std::string doc = std::string(70000, ' ') + std::string(1000, 'x');
+  const auto* base = reinterpret_cast<const uint8_t*>(doc.data());
+  const std::string_view big = std::string_view(doc).substr(70000);
   Column col(ColumnType::kString);
-  // Large enough that copying it repeatedly forces many reallocations.
-  const std::string big(1000, 'x');
-  col.AppendString(big);
+  col.AppendString(base, std::string_view(doc).substr(0, 1));
+  col.AppendString(base, big);
   for (int i = 0; i < 64; i++) {
-    col.AppendString(col.GetString(col.size() - 1));
+    col.AppendString(base, col.GetString(col.size() - 1, base));
   }
-  for (size_t r = 0; r < col.size(); r++) {
-    ASSERT_EQ(col.GetString(r), big) << "row " << r;
+  for (size_t r = 1; r < col.size(); r++) {
+    ASSERT_EQ(col.GetString(r, base), big) << "row " << r;
   }
 }
 
 TEST(LifetimeTest, ColumnSelfSetStringSurvivesHeapReallocation) {
+  const std::string doc =
+      std::string(300, ' ') + "seed-value-long-enough-to-matter other";
+  const auto* base = reinterpret_cast<const uint8_t*>(doc.data());
   Column col(ColumnType::kString);
-  col.AppendString("seed-value-long-enough-to-matter");
-  col.AppendString("other");
+  col.AppendString(base, std::string_view(doc).substr(300, 32));
+  col.AppendString(base, std::string_view(doc).substr(333));
   for (int i = 0; i < 200; i++) {
     // §4.7 in-place update where the new value aliases the old one.
-    col.SetString(1, col.GetString(0));
-    ASSERT_EQ(col.GetString(1), "seed-value-long-enough-to-matter");
+    col.SetString(1, base, col.GetString(0, base));
+    ASSERT_EQ(col.GetString(1, base), "seed-value-long-enough-to-matter");
   }
-  ASSERT_EQ(col.GetString(0), "seed-value-long-enough-to-matter");
+  ASSERT_EQ(col.GetString(0, base), "seed-value-long-enough-to-matter");
 }
 
 // DecodePathSteps hands out key views into the encoded path; the documented

@@ -96,12 +96,32 @@ TEST(CastRouteTest, StringColumnServesTypedRequests) {
 }
 
 TEST(StorageAccountingTest, SizesAreTracked) {
-  std::vector<std::string> docs(128, R"({"k":"0123456789","n":123456})");
+  std::vector<std::string> docs;
+  for (int i = 0; i < 128; i++) {
+    docs.push_back(R"({"k":"0123456789","n":)" +
+                   std::to_string(123456 + i * 1000) + "}");
+  }
   Loader loader(StorageMode::kTiles, {});
   auto rel = loader.Load(docs, "t").MoveValueOrDie();
   EXPECT_GT(rel->DocumentBytes(), 128u * 10);
-  EXPECT_GT(rel->TileBytes(), 128u * 10);
   EXPECT_EQ(rel->DocSize(0), json::JsonbValue(rel->Jsonb(0).data()).Size());
+  // Tile bytes are the column buffers plus per-column headers. "n" spans
+  // 127000 and packs at 4 bytes a row; "k" references its value inside
+  // the documents instead of copying it, and one offset and one length
+  // serve every row.
+  size_t want = 0;
+  for (const auto& tile : rel->tiles()) {
+    for (const auto& col : tile.columns) {
+      want += col.column.MemoryBytes() + col.path.size() + sizeof(col);
+    }
+  }
+  EXPECT_EQ(rel->TileBytes(), want);
+  const auto* n = rel->tiles()[0].FindColumn(EncodePath({PathSegment::Key("n")}));
+  const auto* k = rel->tiles()[0].FindColumn(EncodePath({PathSegment::Key("k")}));
+  ASSERT_NE(n, nullptr);
+  ASSERT_NE(k, nullptr);
+  EXPECT_EQ(n->column.MemoryBytes(), 2 * 8 + 128 * 4u);
+  EXPECT_EQ(k->column.MemoryBytes(), 2 * 8u);
 }
 
 TEST(PlannerOptionTest, DeclaredOrderWhenOptimizerOff) {

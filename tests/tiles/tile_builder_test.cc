@@ -214,7 +214,8 @@ TEST(TileBuilderTest, UpdateRowInPlace) {
   bool outlier = UpdateTileRow(&tile, 0, JsonbValue(updated.data()), config);
   EXPECT_FALSE(outlier);
   EXPECT_EQ(tile.FindColumn(Path({"id"}))->column.GetInt(0), 50);
-  EXPECT_EQ(tile.FindColumn(Path({"text"}))->column.GetString(0), "upd");
+  EXPECT_EQ(tile.FindColumn(Path({"text"}))->column.GetString(0, updated.data()),
+            "upd");
   EXPECT_DOUBLE_EQ(tile.FindColumn(Path({"geo", "lat"}))->column.GetFloat(0), 9.9);
 
   // Replace row 1 with a document sharing nothing: outlier, nulls, and the
