@@ -26,6 +26,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/loader.h"
+#include "util/byte_codec.h"
 
 namespace jsontiles::bench {
 
@@ -193,13 +194,12 @@ class BenchObs {
 
   ~BenchObs() {
     if (!metrics_path_.empty()) {
-      std::string json = obs::MetricsRegistry::Default().ToJson();
-      std::FILE* f = std::fopen(metrics_path_.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", metrics_path_.c_str());
+      const std::string json = obs::MetricsRegistry::Default().ToJson();
+      Status st = WriteFile(metrics_path_, json.data(), json.size());
+      if (!st.ok()) {
+        std::fprintf(stderr, "cannot write %s: %s\n", metrics_path_.c_str(),
+                     st.ToString().c_str());
       } else {
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
         std::printf("\nmetrics written to %s\n", metrics_path_.c_str());
       }
     }

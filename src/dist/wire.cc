@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cstring>
 
-#include "util/bit_util.h"
 #include "util/failpoint.h"
 #include "util/hash.h"
 #include "util/lz4.h"
@@ -36,6 +35,28 @@ uint64_t FrameChecksum(uint8_t type, uint32_t raw_size, uint32_t comp_size,
       HashCombine(HashInt((static_cast<uint64_t>(type) << 32) | raw_size),
                   HashInt(comp_size));
   return HashBytes(payload, payload_size, seed);
+}
+
+struct FrameHeader {
+  uint8_t type = 0;
+  uint32_t raw_size = 0;
+  uint32_t comp_size = 0;
+  uint64_t checksum = 0;
+
+  size_t wire_size() const { return comp_size != 0 ? comp_size : raw_size; }
+};
+
+// The one frame-header parser: DecodeFrame uses it, and so does ReadFrame to
+// learn how many payload bytes follow.
+Status ParseFrameHeader(const uint8_t* data, size_t size, FrameHeader* h) {
+  ByteReader r(data, size);
+  WIRE_READ(r.U8(&h->type) && r.U32(&h->raw_size) && r.U32(&h->comp_size) &&
+            r.U64(&h->checksum));
+  WIRE_READ(h->type >= 1 && h->type <= kMaxFrameType);
+  WIRE_READ(h->raw_size <= kMaxFramePayload &&
+            h->comp_size <= kMaxFramePayload);
+  WIRE_READ(h->comp_size == 0 || h->comp_size < h->raw_size);
+  return Status::OK();
 }
 
 std::chrono::steady_clock::time_point Deadline(int timeout_ms) {
@@ -108,113 +129,6 @@ Status ReadExact(int fd, uint8_t* dst, size_t size,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Byte codec
-// ---------------------------------------------------------------------------
-
-void WireWriter::U32(uint32_t v) {
-  size_t at = out_->size();
-  out_->resize(at + 4);
-  bit_util::StoreU32(out_->data() + at, v);
-}
-
-void WireWriter::U64(uint64_t v) {
-  size_t at = out_->size();
-  out_->resize(at + 8);
-  bit_util::StoreU64(out_->data() + at, v);
-}
-
-void WireWriter::F64(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  U64(bits);
-}
-
-void WireWriter::Varint(uint64_t v) {
-  uint8_t buf[10];
-  int n = bit_util::EncodeVarint(buf, v);
-  out_->insert(out_->end(), buf, buf + n);
-}
-
-void WireWriter::SVarint(int64_t v) { Varint(bit_util::ZigZagEncode(v)); }
-
-void WireWriter::Str(std::string_view s) {
-  Varint(s.size());
-  out_->insert(out_->end(), s.begin(), s.end());
-}
-
-bool WireReader::U8(uint8_t* v) {
-  if (pos_ + 1 > size_) return false;
-  *v = data_[pos_++];
-  return true;
-}
-
-bool WireReader::U32(uint32_t* v) {
-  if (pos_ + 4 > size_) return false;
-  *v = bit_util::LoadU32(data_ + pos_);
-  pos_ += 4;
-  return true;
-}
-
-bool WireReader::U64(uint64_t* v) {
-  if (pos_ + 8 > size_) return false;
-  *v = bit_util::LoadU64(data_ + pos_);
-  pos_ += 8;
-  return true;
-}
-
-bool WireReader::I64(int64_t* v) {
-  uint64_t u;
-  if (!U64(&u)) return false;
-  *v = static_cast<int64_t>(u);
-  return true;
-}
-
-bool WireReader::F64(double* v) {
-  uint64_t bits;
-  if (!U64(&bits)) return false;
-  std::memcpy(v, &bits, 8);
-  return true;
-}
-
-bool WireReader::Varint(uint64_t* v) {
-  uint64_t out = 0;
-  int shift = 0;
-  while (true) {
-    if (pos_ >= size_ || shift > 63) return false;
-    uint8_t b = data_[pos_++];
-    out |= static_cast<uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) break;
-    shift += 7;
-  }
-  *v = out;
-  return true;
-}
-
-bool WireReader::SVarint(int64_t* v) {
-  uint64_t u;
-  if (!Varint(&u)) return false;
-  *v = bit_util::ZigZagDecode(u);
-  return true;
-}
-
-bool WireReader::Str(std::string* s) {
-  std::string_view view;
-  if (!StrView(&view)) return false;
-  s->assign(view);
-  return true;
-}
-
-bool WireReader::StrView(std::string_view* s) {
-  uint64_t len;
-  if (!Varint(&len)) return false;
-  if (len > size_ - pos_) return false;
-  *s = std::string_view(reinterpret_cast<const char*>(data_ + pos_),
-                        static_cast<size_t>(len));
-  pos_ += static_cast<size_t>(len);
-  return true;
-}
-
-// ---------------------------------------------------------------------------
 // Frame layer
 // ---------------------------------------------------------------------------
 
@@ -223,21 +137,17 @@ void AppendFrame(FrameType type, const std::vector<uint8_t>& payload,
   JSONTILES_CHECK(payload.size() <= kMaxFramePayload);
   std::vector<uint8_t> comp = lz4::Compress(payload.data(), payload.size());
   const bool store_raw = comp.size() >= payload.size();
-  const uint8_t* wire = store_raw ? payload.data() : comp.data();
+  const std::vector<uint8_t>& wire = store_raw ? payload : comp;
+  const uint8_t type_raw = static_cast<uint8_t>(type);
   const uint32_t raw_size = static_cast<uint32_t>(payload.size());
   const uint32_t comp_size =
       store_raw ? 0 : static_cast<uint32_t>(comp.size());
-  const size_t wire_size = store_raw ? payload.size() : comp.size();
-
-  size_t at = stream->size();
-  stream->resize(at + kFrameHeaderSize);
-  uint8_t* h = stream->data() + at;
-  h[0] = static_cast<uint8_t>(type);
-  bit_util::StoreU32(h + 1, raw_size);
-  bit_util::StoreU32(h + 5, comp_size);
-  bit_util::StoreU64(
-      h + 9, FrameChecksum(h[0], raw_size, comp_size, wire, wire_size));
-  stream->insert(stream->end(), wire, wire + wire_size);
+  ByteWriter w(stream);
+  w.U8(type_raw);
+  w.U32(raw_size);
+  w.U32(comp_size);
+  w.U64(FrameChecksum(type_raw, raw_size, comp_size, wire.data(), wire.size()));
+  w.Raw(wire.data(), wire.size());
 }
 
 Status WriteFrame(int fd, FrameType type, const std::vector<uint8_t>& payload,
@@ -265,27 +175,21 @@ Status WriteFrame(int fd, FrameType type, const std::vector<uint8_t>& payload,
 
 Status DecodeFrame(const uint8_t* data, size_t size, size_t* consumed,
                    FrameType* type, std::vector<uint8_t>* payload) {
-  WIRE_READ(size >= kFrameHeaderSize);
-  const uint8_t type_raw = data[0];
-  WIRE_READ(type_raw >= 1 && type_raw <= kMaxFrameType);
-  const uint32_t raw_size = bit_util::LoadU32(data + 1);
-  const uint32_t comp_size = bit_util::LoadU32(data + 5);
-  const uint64_t checksum = bit_util::LoadU64(data + 9);
-  WIRE_READ(raw_size <= kMaxFramePayload && comp_size <= kMaxFramePayload);
-  WIRE_READ(comp_size == 0 || comp_size < raw_size);
-  const size_t wire_size = comp_size != 0 ? comp_size : raw_size;
+  FrameHeader h;
+  JSONTILES_RETURN_NOT_OK(ParseFrameHeader(data, size, &h));
+  const size_t wire_size = h.wire_size();
   WIRE_READ(size - kFrameHeaderSize >= wire_size);
   const uint8_t* wire = data + kFrameHeaderSize;
-  WIRE_READ(FrameChecksum(type_raw, raw_size, comp_size, wire, wire_size) ==
-            checksum);
+  WIRE_READ(FrameChecksum(h.type, h.raw_size, h.comp_size, wire, wire_size) ==
+            h.checksum);
   payload->clear();
-  payload->resize(raw_size);
-  if (comp_size != 0) {
-    WIRE_READ(lz4::Decompress(wire, comp_size, payload->data(), raw_size));
-  } else if (raw_size != 0) {
-    std::memcpy(payload->data(), wire, raw_size);
+  payload->resize(h.raw_size);
+  if (h.comp_size != 0) {
+    WIRE_READ(lz4::Decompress(wire, h.comp_size, payload->data(), h.raw_size));
+  } else if (h.raw_size != 0) {
+    std::memcpy(payload->data(), wire, h.raw_size);
   }
-  *type = static_cast<FrameType>(type_raw);
+  *type = static_cast<FrameType>(h.type);
   *consumed = kFrameHeaderSize + wire_size;
   return Status::OK();
 }
@@ -297,35 +201,20 @@ Status ReadFrame(int fd, int idle_timeout_ms, int frame_timeout_ms,
   // Armed by ReadExact the moment the first byte arrives; bounds everything
   // after it.
   std::chrono::steady_clock::time_point frame_deadline{};
-  uint8_t header[kFrameHeaderSize];
-  JSONTILES_RETURN_NOT_OK(ReadExact(fd, header, kFrameHeaderSize,
+  std::vector<uint8_t> frame(kFrameHeaderSize);
+  JSONTILES_RETURN_NOT_OK(ReadExact(fd, frame.data(), kFrameHeaderSize,
                                     idle_deadline, /*clean_eof_ok=*/true,
                                     wire_bytes, &frame_deadline,
                                     frame_timeout_ms));
-  const uint8_t type_raw = header[0];
-  WIRE_READ(type_raw >= 1 && type_raw <= kMaxFrameType);
-  const uint32_t raw_size = bit_util::LoadU32(header + 1);
-  const uint32_t comp_size = bit_util::LoadU32(header + 5);
-  WIRE_READ(raw_size <= kMaxFramePayload && comp_size <= kMaxFramePayload);
-  WIRE_READ(comp_size == 0 || comp_size < raw_size);
-  const size_t wire_size = comp_size != 0 ? comp_size : raw_size;
-  std::vector<uint8_t> wire(wire_size);
-  JSONTILES_RETURN_NOT_OK(ReadExact(fd, wire.data(), wire_size,
-                                    frame_deadline,
+  // The header is validated before its size decides how much to read.
+  FrameHeader h;
+  JSONTILES_RETURN_NOT_OK(ParseFrameHeader(frame.data(), frame.size(), &h));
+  frame.resize(kFrameHeaderSize + h.wire_size());
+  JSONTILES_RETURN_NOT_OK(ReadExact(fd, frame.data() + kFrameHeaderSize,
+                                    h.wire_size(), frame_deadline,
                                     /*clean_eof_ok=*/false, wire_bytes));
-  const uint64_t checksum = bit_util::LoadU64(header + 9);
-  WIRE_READ(FrameChecksum(type_raw, raw_size, comp_size, wire.data(),
-                          wire_size) == checksum);
-  payload->clear();
-  payload->resize(raw_size);
-  if (comp_size != 0) {
-    WIRE_READ(lz4::Decompress(wire.data(), comp_size, payload->data(),
-                              raw_size));
-  } else if (raw_size != 0) {
-    std::memcpy(payload->data(), wire.data(), raw_size);
-  }
-  *type = static_cast<FrameType>(type_raw);
-  return Status::OK();
+  size_t consumed;
+  return DecodeFrame(frame.data(), frame.size(), &consumed, type, payload);
 }
 
 // ---------------------------------------------------------------------------
@@ -333,13 +222,13 @@ Status ReadFrame(int fd, int idle_timeout_ms, int frame_timeout_ms,
 // ---------------------------------------------------------------------------
 
 void EncodeHello(const HelloMsg& msg, std::vector<uint8_t>* out) {
-  WireWriter w(out);
+  ByteWriter w(out);
   w.U32(msg.version);
   w.I64(msg.pid);
 }
 
 Status DecodeHello(const std::vector<uint8_t>& payload, HelloMsg* msg) {
-  WireReader r(payload.data(), payload.size());
+  ByteReader r(payload.data(), payload.size());
   WIRE_READ(r.U32(&msg->version));
   WIRE_READ(r.I64(&msg->pid));
   WIRE_READ(r.AtEnd());
@@ -347,7 +236,7 @@ Status DecodeHello(const std::vector<uint8_t>& payload, HelloMsg* msg) {
 }
 
 void EncodeOpen(const OpenMsg& msg, std::vector<uint8_t>* out) {
-  WireWriter w(out);
+  ByteWriter w(out);
   w.Str(msg.manifest_path);
   w.Varint(msg.num_threads);
   w.Varint(msg.shards.size());
@@ -355,7 +244,7 @@ void EncodeOpen(const OpenMsg& msg, std::vector<uint8_t>* out) {
 }
 
 Status DecodeOpen(const std::vector<uint8_t>& payload, OpenMsg* msg) {
-  WireReader r(payload.data(), payload.size());
+  ByteReader r(payload.data(), payload.size());
   WIRE_READ(r.Str(&msg->manifest_path));
   WIRE_READ(r.Varint(&msg->num_threads));
   WIRE_READ(msg->num_threads >= 1 && msg->num_threads <= 4096);
@@ -373,13 +262,13 @@ Status DecodeOpen(const std::vector<uint8_t>& payload, OpenMsg* msg) {
 }
 
 void EncodeOpenOk(const OpenOkMsg& msg, std::vector<uint8_t>* out) {
-  WireWriter w(out);
+  ByteWriter w(out);
   w.Varint(msg.shard_rows.size());
   for (uint64_t rows : msg.shard_rows) w.Varint(rows);
 }
 
 Status DecodeOpenOk(const std::vector<uint8_t>& payload, OpenOkMsg* msg) {
-  WireReader r(payload.data(), payload.size());
+  ByteReader r(payload.data(), payload.size());
   uint64_t n;
   WIRE_READ(r.Varint(&n));
   WIRE_READ(n <= kMaxFragmentItems);
@@ -396,7 +285,7 @@ Status DecodeOpenOk(const std::vector<uint8_t>& payload, OpenOkMsg* msg) {
 // Value codec
 // ---------------------------------------------------------------------------
 
-void EncodeValue(const exec::Value& v, WireWriter* w) {
+void EncodeValue(const exec::Value& v, ByteWriter* w) {
   w->U8(static_cast<uint8_t>(v.type));
   w->U8(v.scale);
   switch (v.type) {
@@ -414,7 +303,7 @@ void EncodeValue(const exec::Value& v, WireWriter* w) {
   }
 }
 
-bool DecodeValue(WireReader* r, Arena* arena, exec::Value* v) {
+bool DecodeValue(ByteReader* r, Arena* arena, exec::Value* v) {
   uint8_t type_raw, scale;
   if (!r->U8(&type_raw) || !r->U8(&scale)) return false;
   if (type_raw > static_cast<uint8_t>(exec::ValueType::kNumeric)) return false;
@@ -446,7 +335,7 @@ bool DecodeValue(WireReader* r, Arena* arena, exec::Value* v) {
 // Expression codec
 // ---------------------------------------------------------------------------
 
-void EncodeExpr(const exec::Expr& e, WireWriter* w) {
+void EncodeExpr(const exec::Expr& e, ByteWriter* w) {
   using exec::ExprKind;
   w->U8(static_cast<uint8_t>(e.kind));
   switch (e.kind) {
@@ -498,7 +387,7 @@ void EncodeExpr(const exec::Expr& e, WireWriter* w) {
   for (const exec::ExprPtr& arg : e.args) EncodeExpr(*arg, w);
 }
 
-Status DecodeExpr(WireReader* r, size_t depth, exec::ExprPtr* out) {
+Status DecodeExpr(ByteReader* r, size_t depth, exec::ExprPtr* out) {
   using exec::ExprKind;
   using exec::ValueType;
   WIRE_READ(depth < kMaxExprDepth);
@@ -662,7 +551,7 @@ Status DecodeExpr(WireReader* r, size_t depth, exec::ExprPtr* out) {
 // ---------------------------------------------------------------------------
 
 void EncodeFragment(const FragmentMsg& msg, std::vector<uint8_t>* out) {
-  WireWriter w(out);
+  ByteWriter w(out);
   w.U32(msg.fragment_id);
   w.U32(msg.epoch);
   w.U32(msg.shard_index);
@@ -695,7 +584,7 @@ void EncodeFragment(const FragmentMsg& msg, std::vector<uint8_t>* out) {
 
 Status DecodeFragment(const std::vector<uint8_t>& payload, FragmentMsg* msg) {
   using exec::ValueType;
-  WireReader r(payload.data(), payload.size());
+  ByteReader r(payload.data(), payload.size());
   WIRE_READ(r.U32(&msg->fragment_id));
   WIRE_READ(r.U32(&msg->epoch));
   WIRE_READ(r.U32(&msg->shard_index));
@@ -785,7 +674,7 @@ Status DecodeFragment(const std::vector<uint8_t>& payload, FragmentMsg* msg) {
 void EncodeRowBatch(uint32_t fragment_id, uint32_t epoch,
                     const exec::RowSet& rows, size_t row_begin,
                     size_t row_end, std::vector<uint8_t>* out) {
-  WireWriter w(out);
+  ByteWriter w(out);
   w.U32(fragment_id);
   w.U32(epoch);
   w.U32(static_cast<uint32_t>(row_end - row_begin));
@@ -799,7 +688,7 @@ void EncodeRowBatch(uint32_t fragment_id, uint32_t epoch,
 Status DecodeRowBatch(const std::vector<uint8_t>& payload, Arena* arena,
                       uint32_t* fragment_id, uint32_t* epoch,
                       exec::RowSet* out) {
-  WireReader r(payload.data(), payload.size());
+  ByteReader r(payload.data(), payload.size());
   uint32_t num_rows;
   WIRE_READ(r.U32(fragment_id));
   WIRE_READ(r.U32(epoch));
@@ -827,7 +716,7 @@ Status DecodeRowBatch(const std::vector<uint8_t>& payload, Arena* arena,
 
 namespace {
 
-void EncodeAccumulator(const exec::Accumulator& acc, WireWriter* w) {
+void EncodeAccumulator(const exec::Accumulator& acc, ByteWriter* w) {
   const auto& sum = acc.sum_f;
   w->U8(static_cast<uint8_t>((acc.sum_is_float ? 1 : 0) |
                              (acc.sum_seen ? 2 : 0) |
@@ -846,7 +735,7 @@ void EncodeAccumulator(const exec::Accumulator& acc, WireWriter* w) {
 }
 
 // `partials` is the caller's scratch, reused across accumulators.
-Status DecodeAccumulator(WireReader* r, Arena* arena,
+Status DecodeAccumulator(ByteReader* r, Arena* arena,
                          std::vector<double>* partials,
                          exec::Accumulator* acc) {
   uint8_t flags;
@@ -882,7 +771,7 @@ Status DecodeAccumulator(WireReader* r, Arena* arena,
 void EncodeAggPartial(uint32_t fragment_id, uint32_t epoch,
                       const exec::GroupTable& groups,
                       std::vector<uint8_t>* out) {
-  WireWriter w(out);
+  ByteWriter w(out);
   w.U32(fragment_id);
   w.U32(epoch);
   w.Varint(groups.size());
@@ -901,7 +790,7 @@ void EncodeAggPartial(uint32_t fragment_id, uint32_t epoch,
 Status DecodeAggPartial(const std::vector<uint8_t>& payload, size_t num_keys,
                         const std::vector<exec::AggSpec>& aggs, Arena* arena,
                         AggPartial* out) {
-  WireReader r(payload.data(), payload.size());
+  ByteReader r(payload.data(), payload.size());
   WIRE_READ(r.U32(&out->fragment_id));
   WIRE_READ(r.U32(&out->epoch));
   uint64_t num_groups;
@@ -937,7 +826,7 @@ Status DecodeAggPartial(const std::vector<uint8_t>& payload, size_t num_keys,
 
 void EncodeFragmentDone(const FragmentDoneMsg& msg,
                         std::vector<uint8_t>* out) {
-  WireWriter w(out);
+  ByteWriter w(out);
   w.U32(msg.fragment_id);
   w.U32(msg.epoch);
   w.U64(msg.rows_out);
@@ -948,7 +837,7 @@ void EncodeFragmentDone(const FragmentDoneMsg& msg,
 
 Status DecodeFragmentDone(const std::vector<uint8_t>& payload,
                           FragmentDoneMsg* msg) {
-  WireReader r(payload.data(), payload.size());
+  ByteReader r(payload.data(), payload.size());
   WIRE_READ(r.U32(&msg->fragment_id));
   WIRE_READ(r.U32(&msg->epoch));
   WIRE_READ(r.U64(&msg->rows_out));
@@ -960,13 +849,13 @@ Status DecodeFragmentDone(const std::vector<uint8_t>& payload,
 }
 
 void EncodeStatus(const Status& st, std::vector<uint8_t>* out) {
-  WireWriter w(out);
+  ByteWriter w(out);
   w.U8(static_cast<uint8_t>(st.code()));
   w.Str(st.message());
 }
 
 Status DecodeStatus(const std::vector<uint8_t>& payload, Status* decoded) {
-  WireReader r(payload.data(), payload.size());
+  ByteReader r(payload.data(), payload.size());
   uint8_t code;
   WIRE_READ(r.U8(&code));
   WIRE_READ(code >= 1 && code <= static_cast<uint8_t>(kMaxStatusCode));
@@ -979,7 +868,7 @@ Status DecodeStatus(const std::vector<uint8_t>& payload, Status* decoded) {
 
 void EncodeFragmentError(const FragmentErrorMsg& msg,
                          std::vector<uint8_t>* out) {
-  WireWriter w(out);
+  ByteWriter w(out);
   w.U32(msg.fragment_id);
   w.U32(msg.epoch);
   w.U8(static_cast<uint8_t>(msg.error.code()));
@@ -988,7 +877,7 @@ void EncodeFragmentError(const FragmentErrorMsg& msg,
 
 Status DecodeFragmentError(const std::vector<uint8_t>& payload,
                            FragmentErrorMsg* msg) {
-  WireReader r(payload.data(), payload.size());
+  ByteReader r(payload.data(), payload.size());
   WIRE_READ(r.U32(&msg->fragment_id));
   WIRE_READ(r.U32(&msg->epoch));
   uint8_t code;

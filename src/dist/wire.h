@@ -12,7 +12,7 @@
 // with the header fields, so neither payload corruption nor a header/payload
 // mismatch goes undetected. Sizes are capped (kMaxFramePayload) before any
 // allocation — a corrupt length cannot make the decoder allocate absurd
-// buffers. Everything below the frame layer is bounds-checked via WireReader:
+// buffers. Everything below the frame layer is bounds-checked via ByteReader:
 // the corrupt-frame corpus test feeds truncations and bit flips of real
 // streams through DecodeFrame under ASan.
 //
@@ -34,6 +34,7 @@
 #include "exec/operators.h"
 #include "exec/scan.h"
 #include "util/arena.h"
+#include "util/byte_codec.h"
 #include "util/status.h"
 
 namespace jsontiles::dist {
@@ -59,55 +60,6 @@ enum class FrameType : uint8_t {
                        // deterministically (carries fragment id + epoch)
 };
 inline constexpr uint8_t kMaxFrameType = 11;
-
-// ---------------------------------------------------------------------------
-// Byte codec
-// ---------------------------------------------------------------------------
-
-/// Appends to a caller-owned buffer. Fixed-width fields are little-endian;
-/// varints are unsigned LEB128 (signed values zigzag first).
-class WireWriter {
- public:
-  explicit WireWriter(std::vector<uint8_t>* out) : out_(out) {}
-
-  void U8(uint8_t v) { out_->push_back(v); }
-  void U32(uint32_t v);
-  void U64(uint64_t v);
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void F64(double v);
-  void Varint(uint64_t v);
-  void SVarint(int64_t v);
-  void Str(std::string_view s);  // varint length + bytes
-
- private:
-  std::vector<uint8_t>* out_;
-};
-
-/// Bounds-checked reader over a decoded frame payload. Every getter returns
-/// false on truncation; decoding helpers below turn that into ParseError.
-class WireReader {
- public:
-  WireReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  bool U8(uint8_t* v);
-  bool U32(uint32_t* v);
-  bool U64(uint64_t* v);
-  bool I64(int64_t* v);
-  bool F64(double* v);
-  bool Varint(uint64_t* v);
-  bool SVarint(int64_t* v);
-  bool Str(std::string* s);
-  /// Zero-copy view into the payload buffer (valid only while it lives).
-  bool StrView(std::string_view* s);
-
-  bool AtEnd() const { return pos_ == size_; }
-  size_t remaining() const { return size_ - pos_; }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // Frame layer
@@ -174,15 +126,15 @@ Status DecodeOpenOk(const std::vector<uint8_t>& payload, OpenOkMsg* msg);
 
 /// Scalar value codec (spill row idiom: type byte, scale byte, payload).
 /// Decoded strings are copied into `arena`.
-void EncodeValue(const exec::Value& v, WireWriter* w);
-bool DecodeValue(WireReader* r, Arena* arena, exec::Value* v);
+void EncodeValue(const exec::Value& v, ByteWriter* w);
+bool DecodeValue(ByteReader* r, Arena* arena, exec::Value* v);
 
 /// Expression tree codec. Decoded expressions own their string storage
 /// (const_storage / in_storage / pattern, as the expression factories build
 /// them); kLike recompiles its matcher from the pattern. Depth and arity are
 /// capped so corrupt input cannot recurse or allocate unboundedly.
-void EncodeExpr(const exec::Expr& e, WireWriter* w);
-Status DecodeExpr(WireReader* r, size_t depth, exec::ExprPtr* out);
+void EncodeExpr(const exec::Expr& e, ByteWriter* w);
+Status DecodeExpr(ByteReader* r, size_t depth, exec::ExprPtr* out);
 
 /// One plan fragment: scan one shard (or its side relation for `side_path`),
 /// with optional partial aggregation (kAggFragment frames; group_by/aggs

@@ -1,7 +1,6 @@
 #include "exec/spill.h"
 
-#include <cstring>
-
+#include "util/byte_codec.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/lz4.h"
@@ -14,51 +13,32 @@ namespace {
 // megabyte of write buffers alive, bounded regardless of input size.
 constexpr size_t kSpillBlockSize = 64 * 1024;
 
-void PutBytes(std::vector<uint8_t>& buf, const void* src, size_t n) {
-  const uint8_t* p = static_cast<const uint8_t*>(src);
-  buf.insert(buf.end(), p, p + n);
-}
-
-template <typename T>
-void PutScalar(std::vector<uint8_t>& buf, T v) {
-  PutBytes(buf, &v, sizeof(T));
-}
-
-template <typename T>
-T GetScalar(const uint8_t* p) {
-  T v;
-  std::memcpy(&v, p, sizeof(T));
-  return v;
-}
+// A run is this process's own temp file, so a corrupt one is an internal
+// fault; it still surfaces as a Status, never as a read out of bounds.
+#define SPILL_READ(expr) \
+  if (!(expr)) return Status::Internal("corrupt spill block: " #expr)
 
 }  // namespace
-
-size_t ApproxRowBytes(const Row& row) {
-  size_t bytes = sizeof(Row) + row.capacity() * sizeof(Value);
-  for (const Value& v : row) {
-    if (v.type == ValueType::kString) bytes += v.s.size();
-  }
-  return bytes;
-}
 
 Status SpillFile::Add(uint64_t hash, RowView row) {
   JSONTILES_DCHECK(!finished_);
   const size_t before = buf_.size();
-  PutScalar<uint64_t>(buf_, hash);
-  PutScalar<uint16_t>(buf_, static_cast<uint16_t>(row.size()));
+  ByteWriter w(&buf_);
+  w.U64(hash);
+  w.U16(static_cast<uint16_t>(row.size()));
   for (const Value& v : row) {
-    buf_.push_back(static_cast<uint8_t>(v.type));
-    buf_.push_back(v.scale);
+    w.U8(static_cast<uint8_t>(v.type));
+    w.U8(v.scale);
     switch (v.type) {
       case ValueType::kNull:
         break;
       case ValueType::kString:
-        PutScalar<uint32_t>(buf_, static_cast<uint32_t>(v.s.size()));
-        PutBytes(buf_, v.s.data(), v.s.size());
+        w.U32(static_cast<uint32_t>(v.s.size()));
+        w.Raw(v.s.data(), v.s.size());
         break;
       default:
         // All other types carry their payload in the 8-byte union.
-        PutScalar<int64_t>(buf_, v.i);
+        w.I64(v.i);
         break;
     }
   }
@@ -85,14 +65,12 @@ Status SpillFile::WriteBlock() {
   }
   std::vector<uint8_t> comp = lz4::Compress(buf_.data(), buf_.size());
   const bool store_raw = comp.size() >= buf_.size();
-  uint8_t header[8];
-  const uint32_t raw_size = static_cast<uint32_t>(buf_.size());
-  const uint32_t comp_size =
-      store_raw ? 0 : static_cast<uint32_t>(comp.size());
-  std::memcpy(header, &raw_size, 4);
-  std::memcpy(header + 4, &comp_size, 4);
   const std::vector<uint8_t>& payload = store_raw ? buf_ : comp;
-  const uint64_t framed = sizeof(header) + payload.size();
+  std::vector<uint8_t> header;
+  ByteWriter w(&header);
+  w.U32(static_cast<uint32_t>(buf_.size()));
+  w.U32(store_raw ? 0 : static_cast<uint32_t>(comp.size()));
+  const uint64_t framed = header.size() + payload.size();
   if (disk_ != nullptr) {
     if (!disk_->TryReserve(framed)) {
       return Status::ResourceExhausted(
@@ -100,7 +78,7 @@ Status SpillFile::WriteBlock() {
     }
     disk_held_ += framed;
   }
-  JSONTILES_RETURN_NOT_OK(file_.Append(header, sizeof(header)));
+  JSONTILES_RETURN_NOT_OK(file_.Append(header.data(), header.size()));
   JSONTILES_RETURN_NOT_OK(file_.Append(payload.data(), payload.size()));
   if (stats_ != nullptr) stats_->spilled_bytes += framed;
   buf_.clear();
@@ -119,8 +97,10 @@ Status SpillFile::ForEach(
     uint8_t header[8];
     JSONTILES_RETURN_NOT_OK(file_.ReadAt(off, header, sizeof(header)));
     off += sizeof(header);
-    const uint32_t raw_size = GetScalar<uint32_t>(header);
-    const uint32_t comp_size = GetScalar<uint32_t>(header + 4);
+    ByteReader h(header, sizeof(header));
+    uint32_t raw_size, comp_size;
+    SPILL_READ(h.U32(&raw_size) && h.U32(&comp_size));
+    SPILL_READ(raw_size <= raw_bytes_);  // no block outgrows its run
     raw.resize(raw_size);
     if (comp_size == 0) {
       JSONTILES_RETURN_NOT_OK(file_.ReadAt(off, raw.data(), raw_size));
@@ -129,30 +109,29 @@ Status SpillFile::ForEach(
       comp.resize(comp_size);
       JSONTILES_RETURN_NOT_OK(file_.ReadAt(off, comp.data(), comp_size));
       off += comp_size;
-      if (!lz4::Decompress(comp.data(), comp.size(), raw.data(), raw_size)) {
-        return Status::Internal("corrupt spill block (LZ4 decode failed)");
-      }
+      SPILL_READ(lz4::Decompress(comp.data(), comp.size(), raw.data(),
+                                 raw_size));
     }
-    size_t pos = 0;
-    while (pos < raw.size()) {
-      const uint64_t hash = GetScalar<uint64_t>(raw.data() + pos);
-      pos += 8;
-      const uint16_t num_values = GetScalar<uint16_t>(raw.data() + pos);
-      pos += 2;
+    ByteReader r(raw.data(), raw.size());
+    while (!r.AtEnd()) {
+      uint64_t hash;
+      uint16_t num_values;
+      SPILL_READ(r.U64(&hash) && r.U16(&num_values));
       row.resize(num_values);
-      for (uint16_t i = 0; i < num_values; i++) {
-        Value& v = row[i];
+      for (Value& v : row) {
+        uint8_t type;
         v = Value();
-        v.type = static_cast<ValueType>(raw[pos]);
-        v.scale = raw[pos + 1];
-        pos += 2;
+        SPILL_READ(r.U8(&type) && r.U8(&v.scale));
+        SPILL_READ(type <= static_cast<uint8_t>(ValueType::kNumeric));
+        v.type = static_cast<ValueType>(type);
         switch (v.type) {
           case ValueType::kNull:
             break;
           case ValueType::kString: {
-            const uint32_t len = GetScalar<uint32_t>(raw.data() + pos);
-            pos += 4;
-            const char* src = reinterpret_cast<const char*>(raw.data() + pos);
+            uint32_t len;
+            const uint8_t* bytes;
+            SPILL_READ(r.U32(&len) && r.Raw(len, &bytes));
+            const char* src = reinterpret_cast<const char*>(bytes);
             if (len == 0) {
               v.s = {};
             } else if (arena != nullptr) {
@@ -161,12 +140,10 @@ Status SpillFile::ForEach(
             } else {
               v.s = std::string_view(src, len);  // valid during cb only
             }
-            pos += len;
             break;
           }
           default:
-            v.i = GetScalar<int64_t>(raw.data() + pos);
-            pos += 8;
+            SPILL_READ(r.I64(&v.i));
             break;
         }
       }

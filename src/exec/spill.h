@@ -54,11 +54,6 @@ inline size_t SpillPartitionOf(uint64_t hash, size_t depth) {
                              (kSpillFanout - 1));
 }
 
-/// Rough bytes a Row occupies when held in an operator hash table: the Value
-/// array plus string payloads plus container overhead. Used for budget
-/// charges; deliberately a slight over-estimate.
-size_t ApproxRowBytes(const Row& row);
-
 /// One partition run: append (hash, row) records, then stream or materialize
 /// them back. Rows serialize into 64 KiB blocks; full blocks are LZ4
 /// compressed and framed as [u32 raw_size][u32 comp_size][payload]

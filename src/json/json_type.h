@@ -23,20 +23,6 @@ enum class JsonType : uint8_t {
   kArray,
 };
 
-inline const char* JsonTypeName(JsonType t) {
-  switch (t) {
-    case JsonType::kNull: return "null";
-    case JsonType::kBool: return "bool";
-    case JsonType::kInt: return "int";
-    case JsonType::kFloat: return "float";
-    case JsonType::kString: return "string";
-    case JsonType::kNumericString: return "numeric";
-    case JsonType::kObject: return "object";
-    case JsonType::kArray: return "array";
-  }
-  return "?";
-}
-
 }  // namespace jsontiles::json
 
 #endif  // JSONTILES_JSON_JSON_TYPE_H_

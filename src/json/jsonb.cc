@@ -9,6 +9,7 @@
 #include "json/jsonb_wire.h"
 #include "obs/obs.h"
 #include "util/bit_util.h"
+#include "util/byte_codec.h"
 #include "util/logging.h"
 
 namespace jsontiles::json {
@@ -20,24 +21,6 @@ using namespace wire;  // NOLINT
 namespace {
 
 constexpr int kMaxNesting = JsonbBuilder::kMaxNesting;
-
-// Varint decode that fails instead of reading past `avail` bytes (the shared
-// bit_util::DecodeVarint trusts its input and has no bound).
-bool DecodeVarintBounded(const uint8_t* p, size_t avail, size_t* pos,
-                         uint64_t* out) {
-  uint64_t value = 0;
-  int shift = 0;
-  while (*pos < avail && shift < 64) {
-    uint8_t byte = p[(*pos)++];
-    value |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) {
-      *out = value;
-      return true;
-    }
-    shift += 7;
-  }
-  return false;
-}
 
 // Validates one value within `avail` bytes and reports its serialized size.
 Status ValidateValue(const uint8_t* v, size_t avail, int depth,
@@ -81,7 +64,7 @@ Status ValidateValue(const uint8_t* v, size_t avail, int depth,
       }
       size_t pos = 1;
       uint64_t len;
-      if (!DecodeVarintBounded(v, avail, &pos, &len)) {
+      if (!ReadVarint(v, avail, &pos, &len)) {
         return Status::ParseError("jsonb: bad string length");
       }
       if (len > avail - pos) return Status::ParseError("jsonb: truncated string");
@@ -93,7 +76,7 @@ Status ValidateValue(const uint8_t* v, size_t avail, int depth,
       if (avail < 2) return Status::ParseError("jsonb: truncated numeric");
       size_t pos = 2;  // header + sign/scale byte
       uint64_t mag;
-      if (!DecodeVarintBounded(v, avail, &pos, &mag)) {
+      if (!ReadVarint(v, avail, &pos, &mag)) {
         return Status::ParseError("jsonb: bad numeric magnitude");
       }
       if (mag > static_cast<uint64_t>(INT64_MAX)) {
@@ -108,7 +91,7 @@ Status ValidateValue(const uint8_t* v, size_t avail, int depth,
       const size_t ow = static_cast<size_t>(OffsetWidth(imm));
       size_t pos = 1;
       uint64_t count;
-      if (!DecodeVarintBounded(v, avail, &pos, &count)) {
+      if (!ReadVarint(v, avail, &pos, &count)) {
         return Status::ParseError("jsonb: bad container count");
       }
       if (count > (avail - pos) / ow) {

@@ -38,13 +38,6 @@ void AppendUtf8(std::string* out, uint32_t cp) {
   }
 }
 
-size_t Utf8Length(uint32_t cp) {
-  if (cp < 0x80) return 1;
-  if (cp < 0x800) return 2;
-  if (cp < 0x10000) return 3;
-  return 4;
-}
-
 // Decode a validated \uXXXX (possibly a surrogate pair); advances *i past the
 // escape (which starts at lexeme[*i] == 'u'). Returns the code point.
 uint32_t DecodeUnicodeEscape(std::string_view lexeme, size_t* i) {
@@ -240,28 +233,6 @@ void JsonLexer::Unescape(std::string_view lexeme, std::string* out) {
       default: out->push_back(e); i += 2; break;
     }
   }
-}
-
-size_t JsonLexer::UnescapedLength(std::string_view lexeme) {
-  size_t len = 0;
-  size_t i = 0;
-  while (i < lexeme.size()) {
-    if (lexeme[i] != '\\') {
-      len++;
-      i++;
-      continue;
-    }
-    char e = lexeme[i + 1];
-    if (e == 'u') {
-      i++;
-      uint32_t cp = DecodeUnicodeEscape(lexeme, &i);
-      len += Utf8Length(cp);
-    } else {
-      len++;
-      i += 2;
-    }
-  }
-  return len;
 }
 
 }  // namespace jsontiles::json

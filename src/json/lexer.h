@@ -55,9 +55,6 @@ class JsonLexer {
   /// have been validated by the lexer.
   static void Unescape(std::string_view lexeme, std::string* out);
 
-  /// Decoded length of a validated string lexeme without materializing it.
-  static size_t UnescapedLength(std::string_view lexeme);
-
  private:
   Status LexString();
   Status LexNumber();

@@ -1,6 +1,6 @@
 #include "obs/trace.h"
 
-#include <cstdio>
+#include "util/byte_codec.h"
 
 namespace jsontiles::obs {
 
@@ -88,17 +88,8 @@ std::string TraceCollector::ToChromeTraceJson() const {
 }
 
 Status TraceCollector::WriteChromeTrace(const std::string& path) const {
-  std::string json = ToChromeTraceJson();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot open trace file '" + path + "'");
-  }
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
-    return Status::Internal("short write to trace file '" + path + "'");
-  }
-  return Status::OK();
+  const std::string json = ToChromeTraceJson();
+  return WriteFile(path, json.data(), json.size());
 }
 
 }  // namespace jsontiles::obs

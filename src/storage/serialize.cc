@@ -1,10 +1,9 @@
 #include "storage/serialize.h"
 
-#include <cstdio>
 #include <cstring>
 
 #include "tiles/tile_builder.h"
-#include "util/bit_util.h"
+#include "util/byte_codec.h"
 
 namespace jsontiles::storage {
 
@@ -13,103 +12,17 @@ namespace {
 constexpr char kMagic[4] = {'J', 'T', 'R', 'L'};
 constexpr uint32_t kVersion = 2;
 
-class Writer {
- public:
-  explicit Writer(std::vector<uint8_t>* out) : out_(out) {}
-
-  void U8(uint8_t v) { out_->push_back(v); }
-  void Varint(uint64_t v) {
-    uint8_t buf[10];
-    int n = bit_util::EncodeVarint(buf, v);
-    out_->insert(out_->end(), buf, buf + n);
-  }
-  void SVarint(int64_t v) { Varint(bit_util::ZigZagEncode(v)); }
-  void F64(double v) {
-    size_t pos = out_->size();
-    out_->resize(pos + 8);
-    std::memcpy(out_->data() + pos, &v, 8);
-  }
-  void Bytes(const void* data, size_t size) {
-    Varint(size);
-    const uint8_t* p = static_cast<const uint8_t*>(data);
-    out_->insert(out_->end(), p, p + size);
-  }
-  void Str(std::string_view s) { Bytes(s.data(), s.size()); }
-
- private:
-  std::vector<uint8_t>* out_;
-};
-
-class Reader {
- public:
-  Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  bool U8(uint8_t* v) {
-    if (pos_ >= size_) return false;
-    *v = data_[pos_++];
-    return true;
-  }
-  bool Varint(uint64_t* v) {
-    uint64_t result = 0;
-    int shift = 0;
-    while (pos_ < size_) {
-      uint8_t b = data_[pos_++];
-      result |= static_cast<uint64_t>(b & 0x7F) << shift;
-      if ((b & 0x80) == 0) {
-        *v = result;
-        return true;
-      }
-      shift += 7;
-      if (shift > 63) return false;
-    }
-    return false;
-  }
-  bool SVarint(int64_t* v) {
-    uint64_t raw;
-    if (!Varint(&raw)) return false;
-    *v = bit_util::ZigZagDecode(raw);
-    return true;
-  }
-  bool F64(double* v) {
-    if (pos_ + 8 > size_) return false;
-    std::memcpy(v, data_ + pos_, 8);
-    pos_ += 8;
-    return true;
-  }
-  bool Bytes(const uint8_t** data, size_t* size) {
-    uint64_t n;
-    if (!Varint(&n) || n > size_ - pos_) return false;
-    *data = data_ + pos_;
-    *size = n;
-    pos_ += n;
-    return true;
-  }
-  bool Str(std::string* s) {
-    const uint8_t* p;
-    size_t n;
-    if (!Bytes(&p, &n)) return false;
-    s->assign(reinterpret_cast<const char*>(p), n);
-    return true;
-  }
-  bool AtEnd() const { return pos_ == size_; }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
 #define JT_READ(expr) \
   if (!(expr)) return Status::ParseError("corrupt relation file: " #expr)
 
 template <typename T>
-void WriteVec(Writer& w, const std::vector<T>& v) {
+void WriteVec(ByteWriter& w, const std::vector<T>& v) {
   w.Varint(v.size());
   w.Bytes(v.data(), v.size() * sizeof(T));
 }
 
 template <typename T>
-Status ReadVec(Reader& r, std::vector<T>* out) {
+Status ReadVec(ByteReader& r, std::vector<T>* out) {
   uint64_t count;
   JT_READ(r.Varint(&count));
   const uint8_t* p;
@@ -124,12 +37,13 @@ Status ReadVec(Reader& r, std::vector<T>* out) {
 
 // Bitmap: bit count, then the ceil(count / 8) low bytes of the column's
 // little-endian word buffer (bits past the count are zero).
-void WriteBitmap(Writer& w, const std::vector<uint64_t>& words, size_t count) {
+void WriteBitmap(ByteWriter& w, const std::vector<uint64_t>& words,
+                 size_t count) {
   w.Varint(count);
   w.Bytes(words.data(), count / 8 + (count % 8 != 0 ? 1 : 0));
 }
 
-Status ReadBitmap(Reader& r, uint64_t rows, std::vector<uint64_t>* out) {
+Status ReadBitmap(ByteReader& r, uint64_t rows, std::vector<uint64_t>* out) {
   uint64_t count;
   JT_READ(r.Varint(&count));
   const uint8_t* p;
@@ -143,13 +57,13 @@ Status ReadBitmap(Reader& r, uint64_t rows, std::vector<uint64_t>* out) {
   return Status::OK();
 }
 
-void WritePacked(Writer& w, const tiles::PackedInts& p) {
+void WritePacked(ByteWriter& w, const tiles::PackedInts& p) {
   w.U8(p.width);
   w.SVarint(static_cast<int64_t>(p.base));
   w.Bytes(p.deltas.data(), p.deltas.size());
 }
 
-Status ReadPacked(Reader& r, uint64_t rows, tiles::PackedInts* out) {
+Status ReadPacked(ByteReader& r, uint64_t rows, tiles::PackedInts* out) {
   uint8_t width;
   int64_t base;
   const uint8_t* p;
@@ -168,7 +82,7 @@ Status ReadPacked(Reader& r, uint64_t rows, tiles::PackedInts* out) {
 
 // The parts a column of each type stores, after its validity bitmap. What
 // the parts mean is the column's business (tiles/column.h).
-void WriteColumn(Writer& w, const tiles::Column& col) {
+void WriteColumn(ByteWriter& w, const tiles::Column& col) {
   const tiles::Column::Parts& parts = col.parts();
   WriteBitmap(w, parts.validity, col.size());
   switch (col.type()) {
@@ -194,7 +108,7 @@ void WriteColumn(Writer& w, const tiles::Column& col) {
 }
 
 // `doc_sizes[r]` is the document size of the tile's row r.
-Status ReadColumn(Reader& r, tiles::ColumnType type, uint64_t rows,
+Status ReadColumn(ByteReader& r, tiles::ColumnType type, uint64_t rows,
                   const size_t* doc_sizes, tiles::Column* out) {
   tiles::Column::Parts parts;
   JSONTILES_RETURN_NOT_OK(ReadBitmap(r, rows, &parts.validity));
@@ -233,7 +147,7 @@ Status ReadColumn(Reader& r, tiles::ColumnType type, uint64_t rows,
 
 // Sparse sketch: the nonzero registers as (index delta, value) pairs in
 // index order; the first delta is the index itself.
-void WriteHll(Writer& w, const HyperLogLog& hll) {
+void WriteHll(ByteWriter& w, const HyperLogLog& hll) {
   const std::vector<uint8_t>& registers = hll.registers();
   w.Varint(static_cast<uint64_t>(hll.precision()));
   size_t nonzero = 0;
@@ -248,7 +162,7 @@ void WriteHll(Writer& w, const HyperLogLog& hll) {
   }
 }
 
-Status ReadHll(Reader& r, HyperLogLog* out) {
+Status ReadHll(ByteReader& r, HyperLogLog* out) {
   uint64_t precision, nonzero;
   JT_READ(r.Varint(&precision));
   JT_READ(precision >= 4 && precision <= 16);
@@ -272,7 +186,7 @@ Status ReadHll(Reader& r, HyperLogLog* out) {
   return Status::OK();
 }
 
-void WriteTile(Writer& w, const tiles::Tile& tile) {
+void WriteTile(ByteWriter& w, const tiles::Tile& tile) {
   w.Varint(tile.row_begin);
   w.Varint(tile.row_count);
   w.Varint(tile.outlier_count);
@@ -307,7 +221,7 @@ void WriteTile(Writer& w, const tiles::Tile& tile) {
 }
 
 // `rel` holds the documents read so far; the tile must cover some of them.
-Status ReadTile(Reader& r, const Relation& rel, tiles::Tile* tile) {
+Status ReadTile(ByteReader& r, const Relation& rel, tiles::Tile* tile) {
   uint64_t row_begin, row_count, outliers, num_columns;
   JT_READ(r.Varint(&row_begin));
   JT_READ(r.Varint(&row_count));
@@ -384,9 +298,7 @@ Status ReadTile(Reader& r, const Relation& rel, tiles::Tile* tile) {
   return Status::OK();
 }
 
-Status SerializeInto(const Relation& rel, Writer& w);
-
-Status SerializeBody(const Relation& rel, Writer& w) {
+Status SerializeBody(const Relation& rel, ByteWriter& w) {
   w.U8(static_cast<uint8_t>(rel.mode()));
   w.Str(rel.name());
   const tiles::TileConfig& config = rel.config();
@@ -427,16 +339,12 @@ Status SerializeBody(const Relation& rel, Writer& w) {
   w.Varint(rel.side_relations().size());
   for (const auto& [path, side] : rel.side_relations()) {
     w.Str(path);
-    JSONTILES_RETURN_NOT_OK(SerializeInto(*side, w));
+    JSONTILES_RETURN_NOT_OK(SerializeBody(*side, w));
   }
   return Status::OK();
 }
 
-Status SerializeInto(const Relation& rel, Writer& w) {
-  return SerializeBody(rel, w);
-}
-
-Result<std::unique_ptr<Relation>> DeserializeBody(Reader& r) {
+Result<std::unique_ptr<Relation>> DeserializeBody(ByteReader& r) {
   uint8_t mode;
   std::string name;
   JT_READ(r.U8(&mode));
@@ -518,8 +426,8 @@ Result<std::unique_ptr<Relation>> DeserializeBody(Reader& r) {
 
 Status SerializeRelation(const Relation& relation, std::vector<uint8_t>* out) {
   out->clear();
-  out->insert(out->end(), kMagic, kMagic + 4);
-  Writer w(out);
+  ByteWriter w(out);
+  w.Raw(kMagic, 4);
   w.Varint(kVersion);
   return SerializeBody(relation, w);
 }
@@ -529,7 +437,7 @@ Result<std::unique_ptr<Relation>> DeserializeRelation(const uint8_t* data,
   if (size < 5 || std::memcmp(data, kMagic, 4) != 0) {
     return Status::ParseError("not a jsontiles relation file");
   }
-  Reader r(data + 4, size - 4);
+  ByteReader r(data + 4, size - 4);
   uint64_t version;
   JT_READ(r.Varint(&version));
   if (version != kVersion) {
@@ -544,25 +452,14 @@ Result<std::unique_ptr<Relation>> DeserializeRelation(const uint8_t* data,
 Status SaveRelation(const Relation& relation, const std::string& path) {
   std::vector<uint8_t> bytes;
   JSONTILES_RETURN_NOT_OK(SerializeRelation(relation, &bytes));
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::Internal("cannot open " + path);
-  size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (written != bytes.size()) return Status::Internal("short write to " + path);
-  return Status::OK();
+  return WriteFile(path, bytes.data(), bytes.size());
 }
 
 Result<std::unique_ptr<Relation>> LoadRelation(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  size_t read = std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (read != bytes.size()) return Status::Internal("short read from " + path);
-  return DeserializeRelation(bytes.data(), bytes.size());
+  auto bytes = ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  return DeserializeRelation(bytes.ValueOrDie().data(),
+                             bytes.ValueOrDie().size());
 }
 
 }  // namespace jsontiles::storage

@@ -11,7 +11,7 @@
 #include "obs/obs.h"
 #include "storage/serialize.h"
 #include "tiles/keypath.h"
-#include "util/bit_util.h"
+#include "util/byte_codec.h"
 #include "util/failpoint.h"
 #include "util/thread_pool.h"
 
@@ -97,117 +97,14 @@ RoutingValueKind KindFromFlags(const RouteFlags& f) {
   return RoutingValueKind::kNone;
 }
 
-// --- Manifest serialization ------------------------------------------------
-// serialize.cc keeps its Writer/Reader in an anonymous namespace, so the
-// manifest carries its own small LEB128 writer/reader with the same
-// defensive shape (bounds-checked reads, JT_READ-style early returns).
-
 constexpr char kManifestMagic[4] = {'J', 'T', 'S', 'M'};
 // Version 2 appends a per-shard side-relation inventory (path + rows) to
 // each shard entry, so a coordinator can plan side-scan fragments from the
 // manifest alone. Version-1 manifests are still accepted (no inventory).
 constexpr uint32_t kManifestVersion = 2;
 
-class ManifestWriter {
- public:
-  explicit ManifestWriter(std::vector<uint8_t>* out) : out_(out) {}
-
-  void U8(uint8_t v) { out_->push_back(v); }
-  void Varint(uint64_t v) {
-    uint8_t buf[10];
-    int n = bit_util::EncodeVarint(buf, v);
-    out_->insert(out_->end(), buf, buf + n);
-  }
-  void F64(double v) {
-    size_t pos = out_->size();
-    out_->resize(pos + 8);
-    std::memcpy(out_->data() + pos, &v, 8);
-  }
-  void Str(std::string_view s) {
-    Varint(s.size());
-    out_->insert(out_->end(), s.begin(), s.end());
-  }
-
- private:
-  std::vector<uint8_t>* out_;
-};
-
-class ManifestReader {
- public:
-  ManifestReader(const uint8_t* data, size_t size)
-      : data_(data), size_(size) {}
-
-  bool U8(uint8_t* v) {
-    if (pos_ >= size_) return false;
-    *v = data_[pos_++];
-    return true;
-  }
-  bool Varint(uint64_t* v) {
-    uint64_t result = 0;
-    int shift = 0;
-    while (pos_ < size_) {
-      uint8_t b = data_[pos_++];
-      result |= static_cast<uint64_t>(b & 0x7F) << shift;
-      if ((b & 0x80) == 0) {
-        *v = result;
-        return true;
-      }
-      shift += 7;
-      if (shift > 63) return false;
-    }
-    return false;
-  }
-  bool F64(double* v) {
-    if (pos_ + 8 > size_) return false;
-    std::memcpy(v, data_ + pos_, 8);
-    pos_ += 8;
-    return true;
-  }
-  bool Str(std::string* s) {
-    uint64_t n;
-    if (!Varint(&n) || pos_ + n > size_) return false;
-    s->assign(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return true;
-  }
-  bool AtEnd() const { return pos_ == size_; }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
 #define JTSM_READ(expr) \
   if (!(expr)) return Status::ParseError("corrupt shard manifest: " #expr)
-
-Status WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::Internal("cannot open " + path);
-  size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (written != bytes.size()) {
-    return Status::Internal("short write to " + path);
-  }
-  return Status::OK();
-}
-
-Result<std::vector<uint8_t>> ReadFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  if (size < 0) {
-    std::fclose(f);
-    return Status::Internal("cannot stat " + path);
-  }
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  size_t read = std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (read != bytes.size()) return Status::Internal("short read from " + path);
-  return bytes;
-}
 
 std::string ShardFileName(const std::string& name, size_t shard) {
   return name + ".shard-" + std::to_string(shard) + ".jtrl";
@@ -511,7 +408,7 @@ Status SaveSharded(const ShardedRelation& sharded, const std::string& dir) {
       const std::string path = dir + "/" + ShardFileName(sharded.name(), s);
       written.push_back(path);
       file_sizes[s] = bytes.size();
-      st = WriteFile(path, bytes);
+      st = WriteFile(path, bytes.data(), bytes.size());
     }
     if (!st.ok()) {
       cleanup();
@@ -528,8 +425,8 @@ Status SaveSharded(const ShardedRelation& sharded, const std::string& dir) {
   }
 
   std::vector<uint8_t> manifest;
-  ManifestWriter w(&manifest);
-  manifest.insert(manifest.end(), kManifestMagic, kManifestMagic + 4);
+  ByteWriter w(&manifest);
+  w.Raw(kManifestMagic, 4);
   w.Varint(kManifestVersion);
   w.Str(sharded.name());
   w.U8(static_cast<uint8_t>(sharded.mode()));
@@ -565,7 +462,7 @@ Status SaveSharded(const ShardedRelation& sharded, const std::string& dir) {
   // or a manifest whose shard files are all complete.
   const std::string manifest_path = ShardManifestPath(dir, sharded.name());
   const std::string tmp_path = manifest_path + ".tmp";
-  Status st = WriteFile(tmp_path, manifest);
+  Status st = WriteFile(tmp_path, manifest.data(), manifest.size());
   if (st.ok() && std::rename(tmp_path.c_str(), manifest_path.c_str()) != 0) {
     st = Status::Internal("cannot rename " + tmp_path);
   }
@@ -596,14 +493,9 @@ Status ValidateShardFileName(const std::string& filename) {
 
 Status ParseManifest(const std::vector<uint8_t>& bytes,
                      ShardManifestInfo* info) {
-  ManifestReader r(bytes.data(), bytes.size());
-  JTSM_READ(bytes.size() >= 4 &&
-            std::memcmp(bytes.data(), kManifestMagic, 4) == 0);
-  // Skip the magic (the reader starts at 0).
-  {
-    uint8_t b;
-    for (int i = 0; i < 4; i++) JTSM_READ(r.U8(&b));
-  }
+  ByteReader r(bytes.data(), bytes.size());
+  const uint8_t* magic;
+  JTSM_READ(r.Raw(4, &magic) && std::memcmp(magic, kManifestMagic, 4) == 0);
   uint64_t version;
   JTSM_READ(r.Varint(&version));
   JTSM_READ(version >= 1 && version <= kManifestVersion);

@@ -16,7 +16,8 @@ uint8_t* Arena::Allocate(size_t size) {
 
 uint8_t* Arena::AllocateCopy(const void* src, size_t size) {
   uint8_t* dst = Allocate(size);
-  std::memcpy(dst, src, size);
+  // A fresh arena returns null for size 0, and memcpy's pointers must not be.
+  if (size != 0) std::memcpy(dst, src, size);
   return dst;
 }
 

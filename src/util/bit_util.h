@@ -21,8 +21,6 @@ inline uint64_t NextPow2(uint64_t v) {
   return uint64_t{1} << (64 - std::countl_zero(v - 1));
 }
 
-inline bool IsPow2(uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
-
 /// Store the low `n` bytes of `v` little-endian at `dst`.
 inline void StoreLE(uint8_t* dst, uint64_t v, int n) {
   for (int i = 0; i < n; i++) dst[i] = static_cast<uint8_t>(v >> (8 * i));

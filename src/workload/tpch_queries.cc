@@ -691,34 +691,4 @@ exec::RowSet RunTpchQuery(int number, const opt::TableSource& rel, QueryContext&
   }
 }
 
-const char* TpchQueryName(int number) {
-  static const char* kNames[] = {
-      "",
-      "Q1 pricing summary report",
-      "Q2 minimum cost supplier",
-      "Q3 shipping priority",
-      "Q4 order priority checking",
-      "Q5 local supplier volume",
-      "Q6 forecasting revenue change",
-      "Q7 volume shipping",
-      "Q8 national market share",
-      "Q9 product type profit",
-      "Q10 returned item reporting",
-      "Q11 important stock identification",
-      "Q12 shipping modes and order priority",
-      "Q13 customer distribution",
-      "Q14 promotion effect",
-      "Q15 top supplier",
-      "Q16 parts/supplier relationship",
-      "Q17 small-quantity-order revenue",
-      "Q18 large volume customer",
-      "Q19 discounted revenue",
-      "Q20 potential part promotion",
-      "Q21 suppliers who kept orders waiting",
-      "Q22 global sales opportunity",
-  };
-  JSONTILES_CHECK(number >= 1 && number <= 22);
-  return kNames[number];
-}
-
 }  // namespace jsontiles::workload

@@ -23,9 +23,6 @@ exec::RowSet RunTpchQuery(int number, const opt::TableSource& rel,
                           exec::QueryContext& ctx,
                           const opt::PlannerOptions& planner = {});
 
-/// Short description used in reports.
-const char* TpchQueryName(int number);
-
 }  // namespace jsontiles::workload
 
 #endif  // JSONTILES_WORKLOAD_TPCH_QUERIES_H_

@@ -268,11 +268,10 @@ TEST(DistDifferentialTest, V1ManifestBackwardCompatible) {
   ASSERT_GE(info.version, 2u);
 
   // Re-encode as version 1: identical layout up to the shard entries, which
-  // drop the trailing side-inventory lists. WireWriter shares the manifest
-  // writer's conventions (LEB128 varints, little-endian f64, varint-length
-  // strings), so the bytes match what a v1 writer would have produced.
+  // drop the trailing side-inventory lists. ByteWriter is the manifest
+  // writer's codec, so the bytes match what a v1 writer would have produced.
   std::vector<uint8_t> v1;
-  WireWriter w(&v1);
+  ByteWriter w(&v1);
   for (char c : std::string_view("JTSM")) w.U8(static_cast<uint8_t>(c));
   w.Varint(1);
   w.Str(info.name);

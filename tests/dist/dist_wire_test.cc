@@ -168,9 +168,9 @@ TEST(DistWireTest, ValueRoundTrip) {
   Arena arena;
   for (const Value& v : SampleValues()) {
     std::vector<uint8_t> buf;
-    WireWriter w(&buf);
+    ByteWriter w(&buf);
     EncodeValue(v, &w);
-    WireReader r(buf.data(), buf.size());
+    ByteReader r(buf.data(), buf.size());
     Value out;
     ASSERT_TRUE(DecodeValue(&r, &arena, &out));
     EXPECT_TRUE(r.AtEnd());
@@ -209,9 +209,9 @@ std::vector<ExprPtr> SampleExprs() {
 TEST(DistWireTest, ExprRoundTrip) {
   for (const ExprPtr& e : SampleExprs()) {
     std::vector<uint8_t> buf;
-    WireWriter w(&buf);
+    ByteWriter w(&buf);
     EncodeExpr(*e, &w);
-    WireReader r(buf.data(), buf.size());
+    ByteReader r(buf.data(), buf.size());
     ExprPtr out;
     ASSERT_TRUE(DecodeExpr(&r, 0, &out).ok());
     EXPECT_TRUE(r.AtEnd());
@@ -221,9 +221,9 @@ TEST(DistWireTest, ExprRoundTrip) {
   // NOT IN and IN must not be conflated (negated travels on the wire).
   auto in = exec::InList(exec::Slot(0), {"x"});
   std::vector<uint8_t> buf;
-  WireWriter w(&buf);
+  ByteWriter w(&buf);
   EncodeExpr(*in, &w);
-  WireReader r(buf.data(), buf.size());
+  ByteReader r(buf.data(), buf.size());
   ExprPtr out;
   ASSERT_TRUE(DecodeExpr(&r, 0, &out).ok());
   EXPECT_TRUE(exec::ExprEquals(*in, *out));

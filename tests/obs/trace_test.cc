@@ -74,6 +74,15 @@ TEST(TraceCollectorTest, ChromeJsonShape) {
   EXPECT_NE(json.find("phase \\\"one\\\""), std::string::npos);  // escaped
 }
 
+// /dev/full accepts the buffered write and fails the flush in fclose, whose
+// result used to be ignored.
+TEST(TraceCollectorTest, WriteToFullDeviceFails) {
+  TraceCollector collector;
+  collector.set_enabled(true);
+  { TraceSpan span("full", collector); }
+  EXPECT_FALSE(collector.WriteChromeTrace("/dev/full").ok());
+}
+
 TEST(ScopedTimerTest, RecordsIntoHistogramAndOutput) {
   MetricsRegistry registry;
   Histogram* hist = registry.GetHistogram("t", {1e9});

@@ -155,6 +155,23 @@ TEST(SerializeTest, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
+// A directory used to pass as a file of the huge size ftell reports for it,
+// and the allocation aborted the process.
+TEST(SerializeTest, LoadFromDirectoryFails) {
+  EXPECT_FALSE(LoadRelation(::testing::TempDir()).ok());
+}
+
+// The relation fits the stdio buffer, so /dev/full reports ENOSPC only at
+// fclose, whose result used to be ignored.
+TEST(SerializeTest, SaveToFullDeviceFails) {
+  Loader loader(StorageMode::kTiles, {});
+  auto rel = loader.Load(MixedDocs(5), "full").MoveValueOrDie();
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(SerializeRelation(*rel, &bytes).ok());
+  ASSERT_LT(bytes.size(), 4096u);
+  EXPECT_FALSE(SaveRelation(*rel, "/dev/full").ok());
+}
+
 TEST(SerializeTest, CorruptionRejected) {
   Loader loader(StorageMode::kTiles, {});
   auto rel = loader.Load(MixedDocs(100), "c").MoveValueOrDie();

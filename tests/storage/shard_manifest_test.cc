@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "storage/shard.h"
+#include "util/byte_codec.h"
 #include "util/random.h"
 
 namespace jsontiles::storage {
@@ -197,6 +198,94 @@ TEST_F(ShardManifestTest, ShardBitFlipsNeverCrash) {
 
 TEST_F(ShardManifestTest, NonexistentManifest) {
   EXPECT_FALSE(OpenSharded("/nonexistent/dir/x.jtsm").ok());
+}
+
+// The string whose length SpecManifest replaces with a wrapping one.
+enum class WrapAt { kNothing, kName, kShardFile, kSidePath };
+
+// A one-shard JTSM v2 manifest with one side relation, written from the
+// DESIGN.md §10 grammar. With `wrap` set, that string's length is one that
+// makes `pos + n` wrap to exactly zero, and the manifest ends there.
+std::vector<uint8_t> SpecManifest(WrapAt wrap) {
+  std::vector<uint8_t> out;
+  ByteWriter w(&out);
+  // Writes `s`, or the wrapping length and returns true.
+  auto str = [&](std::string_view s, WrapAt at) {
+    if (wrap != at) {
+      w.Str(s);
+      return false;
+    }
+    w.Varint(0 - static_cast<uint64_t>(out.size() + 10));  // a 10-byte varint
+    return true;
+  };
+  w.Raw("JTSM", 4);
+  w.Varint(2);
+  if (str("spec", WrapAt::kName)) return out;
+  w.U8(static_cast<uint8_t>(StorageMode::kTiles));
+  w.U8(static_cast<uint8_t>(ShardRouting::kRoundRobin));
+  w.Str("");  // routing path
+  w.U8(static_cast<uint8_t>(RoutingValueKind::kNone));
+  w.Varint(16);  // tile_size
+  w.Varint(16);  // partition_size
+  w.F64(0.6);    // extraction threshold
+  w.U8(1);       // date extraction
+  w.U8(1);       // reordering
+  w.Varint(1);   // shards
+  if (str("spec.shard-0.jtrl", WrapAt::kShardFile)) return out;
+  w.Varint(7);   // rows
+  w.Varint(99);  // file size
+  w.Varint(1);   // side relations
+  if (str("tags", WrapAt::kSidePath)) return out;
+  w.Varint(21);  // side rows
+  return out;
+}
+
+Result<ShardManifestInfo> ReadManifestBytes(const std::vector<uint8_t>& bytes,
+                                            const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/" + name + ".jtsm";
+  Status st = WriteFile(path, bytes.data(), bytes.size());
+  if (!st.ok()) return st;
+  auto info = ReadShardManifest(path);
+  std::remove(path.c_str());
+  return info;
+}
+
+TEST(ShardManifestSpecTest, SpecManifestParses) {
+  auto info = ReadManifestBytes(SpecManifest(WrapAt::kNothing), "spec_ok");
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  const ShardManifestInfo& i = info.ValueOrDie();
+  EXPECT_EQ(i.name, "spec");
+  ASSERT_EQ(i.shard_count(), 1u);
+  EXPECT_EQ(i.filenames[0], "spec.shard-0.jtrl");
+  EXPECT_EQ(i.num_rows[0], 7u);
+  EXPECT_EQ(i.file_sizes[0], 99u);
+  ASSERT_EQ(i.sides[0].size(), 1u);
+  EXPECT_EQ(i.sides[0][0].path, "tags");
+  EXPECT_EQ(i.sides[0][0].num_rows, 21u);
+}
+
+// The manifest's own reader checked `pos + n > size`, which wraps: each of
+// these lengths passed it and aborted the process in std::string::assign.
+TEST(ShardManifestSpecTest, WrappingStringLengthsRejected) {
+  const std::vector<uint8_t> name = SpecManifest(WrapAt::kName);
+  // The name length follows the magic and version: 2^64 - 15.
+  size_t pos = 5;
+  uint64_t length;
+  ASSERT_TRUE(ReadVarint(name.data(), name.size(), &pos, &length));
+  EXPECT_EQ(length, 0 - uint64_t{15});
+  for (WrapAt at : {WrapAt::kName, WrapAt::kShardFile, WrapAt::kSidePath}) {
+    auto info = ReadManifestBytes(SpecManifest(at), "spec_wrap");
+    ASSERT_FALSE(info.ok()) << static_cast<int>(at);
+    EXPECT_EQ(info.status().code(), StatusCode::kParseError)
+        << info.status().ToString();
+  }
+}
+
+// A directory used to pass as a file of the huge size ftell reports for it,
+// and the allocation aborted the process.
+TEST(ShardManifestSpecTest, DirectoryRejected) {
+  EXPECT_FALSE(ReadShardManifest(::testing::TempDir()).ok());
+  EXPECT_FALSE(OpenSharded(::testing::TempDir()).ok());
 }
 
 }  // namespace
