@@ -141,9 +141,6 @@ inline std::string Fmt(double v, const char* fmt = "%.4f") {
 ///   --simd / --no-simd      toggle the SIMD kernel tier of the vectorized
 ///                           engine (default on; --no-simd runs the exact
 ///                           scalar-fallback code paths, the honest baseline)
-///
-/// Works under JSONTILES_OBS=OFF too (the registry is always compiled; the
-/// dump is then simply empty).
 class BenchObs {
  public:
   BenchObs(int* argc, char** argv) {

@@ -3,12 +3,6 @@
 // the original lineitem table ("Only") and on combined TPC-H ("Comb."),
 // plus a native relational baseline (a plain int64 column), with per-tuple
 // hardware counters where the kernel permits perf_event_open.
-//
-// Additionally compares the scalar interpreter against the vectorized
-// expression engine on a selective pushed-down filter scan. Flag (consumed
-// before google-benchmark):
-//   --scalar  run the fig-15 query variants with the vectorized engine
-//             disabled (interpreter only)
 
 #include <benchmark/benchmark.h>
 
@@ -24,10 +18,8 @@ namespace {
 using namespace jsontiles;         // NOLINT
 using namespace jsontiles::bench;  // NOLINT
 
-int64_t RunSum(const storage::Relation& rel, bool vectorized) {
-  exec::ExecOptions opts;
-  opts.enable_vectorized = vectorized;
-  exec::QueryContext ctx(opts);
+int64_t RunSum(const storage::Relation& rel) {
+  exec::QueryContext ctx;
   opt::QueryBlock q;
   q.AddTable(opt::TableRef::Rel(
       "l", &rel, nullptr));  // SUM ignores non-lineitem rows (null field)
@@ -37,41 +29,10 @@ int64_t RunSum(const storage::Relation& rel, bool vectorized) {
   return opt::ScalarResult(q.Execute(ctx)).int_value();
 }
 
-// Selective pushed-down filter over materialized tile columns: the workload
-// the batch engine targets. `l_quantity > 49` keeps ~2% of lineitem; the
-// second conjunct only ever sees the survivors (short-circuit selection).
-exec::RowSet RunFilterScan(const storage::Relation& rel, bool vectorized) {
-  exec::ExecOptions opts;
-  opts.enable_vectorized = vectorized;
-  exec::QueryContext ctx(opts);
-  exec::ScanSpec spec;
-  spec.relation = &rel;
-  spec.table_alias = "l";
-  spec.accesses = {exec::Access("l", {"l_quantity"}, exec::ValueType::kInt),
-                   exec::Access("l", {"l_linenumber"}, exec::ValueType::kInt)};
-  spec.filter = exec::And(exec::Gt(exec::Slot(0), exec::ConstInt(49)),
-                          exec::Ge(exec::Slot(1), exec::ConstInt(3)));
-  return exec::ScanExec(spec, ctx);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   BenchObs obs(&argc, argv);
-  bool scalar_only = false;
-  {
-    int out = 1;
-    for (int i = 1; i < argc; i++) {
-      std::string_view arg = argv[i];
-      if (arg == "--scalar") {
-        scalar_only = true;
-        continue;
-      }
-      argv[out++] = argv[i];
-    }
-    argc = out;
-    argv[argc] = nullptr;
-  }
   benchmark::Initialize(&argc, argv);
 
   workload::TpchOptions options;
@@ -110,7 +71,6 @@ int main(int argc, char** argv) {
     return sum;
   };
 
-  const bool vec = !scalar_only;
   struct Variant {
     std::string name;
     std::function<int64_t()> run;
@@ -118,17 +78,17 @@ int main(int argc, char** argv) {
   std::vector<Variant> variants = {
       {"Relational", [&] { return relational_sum(); }},
       {"JSON Comb.",
-       [&] { return RunSum(*combined[storage::StorageMode::kJsonText], vec); }},
+       [&] { return RunSum(*combined[storage::StorageMode::kJsonText]); }},
       {"JSONB Comb.",
-       [&] { return RunSum(*combined[storage::StorageMode::kJsonb], vec); }},
+       [&] { return RunSum(*combined[storage::StorageMode::kJsonb]); }},
       {"Sinew Only",
-       [&] { return RunSum(*only[storage::StorageMode::kSinew], vec); }},
+       [&] { return RunSum(*only[storage::StorageMode::kSinew]); }},
       {"Sinew Comb.",
-       [&] { return RunSum(*combined[storage::StorageMode::kSinew], vec); }},
+       [&] { return RunSum(*combined[storage::StorageMode::kSinew]); }},
       {"Tiles Only",
-       [&] { return RunSum(*only[storage::StorageMode::kTiles], vec); }},
+       [&] { return RunSum(*only[storage::StorageMode::kTiles]); }},
       {"Tiles Comb.",
-       [&] { return RunSum(*combined[storage::StorageMode::kTiles], vec); }},
+       [&] { return RunSum(*combined[storage::StorageMode::kTiles]); }},
   };
 
   // Correctness cross-check before timing.
@@ -171,33 +131,5 @@ int main(int argc, char** argv) {
   }
   fig.Print();
   tbl.Print();
-
-  // --- Scalar vs vectorized expression engine (selective filter scan). -----
-  const storage::Relation& tiles_only = *only[storage::StorageMode::kTiles];
-  const size_t rows_scalar = RunFilterScan(tiles_only, false).size();
-  const size_t rows_vec = RunFilterScan(tiles_only, true).size();
-  if (rows_scalar != rows_vec) {
-    std::fprintf(stderr, "MISMATCH expr filter rows: scalar=%zu vectorized=%zu\n",
-                 rows_scalar, rows_vec);
-    return 1;
-  }
-  double secs_scalar = TimeBest(
-      [&] { benchmark::DoNotOptimize(RunFilterScan(tiles_only, false)); }, 5);
-  double secs_vec = TimeBest(
-      [&] { benchmark::DoNotOptimize(RunFilterScan(tiles_only, true)); }, 5);
-  const double ns_scalar = secs_scalar / tuples * 1e9;
-  const double ns_vec = secs_vec / tuples * 1e9;
-  const double speedup = ns_vec > 0 ? ns_scalar / ns_vec : 0;
-
-  TablePrinter expr(
-      "Expression engine: pushed-down filter "
-      "l_quantity > 49 AND l_linenumber >= 3 (~1.4% selectivity)");
-  expr.SetHeader({"Engine", "ns/tuple", "sec/query", "rows out"});
-  expr.AddRow({"Scalar", Fmt(ns_scalar, "%.2f"), Fmt(secs_scalar, "%.6f"),
-               std::to_string(rows_scalar)});
-  expr.AddRow({"Vectorized", Fmt(ns_vec, "%.2f"), Fmt(secs_vec, "%.6f"),
-               std::to_string(rows_vec)});
-  expr.Print();
-  std::printf("vectorized speedup: %.2fx\n", speedup);
   return 0;
 }

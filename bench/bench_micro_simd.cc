@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
       for (size_t i = 0; i < kLanes; i++) {
         jsonb_vec.SetValue(
             i, exec::EvalAccessOnJsonb(json::JsonbValue(docs[i]), id_path,
-                                       exec::ValueType::kInt, &arena, false));
+                                       exec::ValueType::kInt, &arena));
       }
       benchmark::DoNotOptimize(jsonb_vec.i64());
     });

@@ -540,7 +540,6 @@ void Cluster::DispatchFragment(size_t frag_index, const exec::ScanSpec& spec,
     msg.is_side = is_side;
     if (is_side) msg.side_path = spec.sharded_side_path;
     msg.enable_tile_skipping = ctx.options().enable_tile_skipping;
-    msg.enable_vectorized = ctx.options().enable_vectorized;
     msg.accesses = spec.accesses;
     msg.filter = spec.filter;
     msg.null_rejecting_paths = spec.null_rejecting_paths;

@@ -316,12 +316,7 @@ bool DecodeValue(ByteReader* r, Arena* arena, exec::Value* v) {
     case exec::ValueType::kString: {
       std::string_view s;
       if (!r->StrView(&s)) return false;
-      if (s.empty()) {
-        v->s = std::string_view();
-        return true;
-      }
-      uint8_t* copy = arena->AllocateCopy(s.data(), s.size());
-      v->s = std::string_view(reinterpret_cast<const char*>(copy), s.size());
+      v->s = arena->CopyString(s);
       return true;
     }
     case exec::ValueType::kFloat:
@@ -556,8 +551,7 @@ void EncodeFragment(const FragmentMsg& msg, std::vector<uint8_t>* out) {
   w.U32(msg.epoch);
   w.U32(msg.shard_index);
   w.U8(static_cast<uint8_t>((msg.is_side ? 1 : 0) |
-                            (msg.enable_tile_skipping ? 2 : 0) |
-                            (msg.enable_vectorized ? 4 : 0)));
+                            (msg.enable_tile_skipping ? 2 : 0)));
   w.Str(msg.side_path);
   w.Varint(msg.accesses.size());
   for (const exec::ExprPtr& a : msg.accesses) EncodeExpr(*a, &w);
@@ -590,10 +584,9 @@ Status DecodeFragment(const std::vector<uint8_t>& payload, FragmentMsg* msg) {
   WIRE_READ(r.U32(&msg->shard_index));
   uint8_t flags;
   WIRE_READ(r.U8(&flags));
-  WIRE_READ(flags <= 7);
+  WIRE_READ(flags <= 3);
   msg->is_side = (flags & 1) != 0;
   msg->enable_tile_skipping = (flags & 2) != 0;
-  msg->enable_vectorized = (flags & 4) != 0;
   WIRE_READ(r.Str(&msg->side_path));
   WIRE_READ(msg->is_side == !msg->side_path.empty());
 

@@ -39,7 +39,7 @@
 
 namespace jsontiles::dist {
 
-inline constexpr uint32_t kWireVersion = 2;
+inline constexpr uint32_t kWireVersion = 3;
 /// Hard cap on a frame's raw and compressed payload size. Batches are cut at
 /// ~256 KiB, so real frames sit far below it; its job is bounding allocation
 /// when a length field is corrupt.
@@ -150,7 +150,6 @@ struct FragmentMsg {
   bool is_side = false;
   std::string side_path;
   bool enable_tile_skipping = true;
-  bool enable_vectorized = true;
   std::vector<exec::ExprPtr> accesses;
   exec::ExprPtr filter;
   std::vector<std::string> null_rejecting_paths;

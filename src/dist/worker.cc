@@ -148,7 +148,6 @@ Status RunFragment(WorkerState& state, const FragmentMsg& frag, bool is_agg) {
   exec::ExecOptions options;
   options.num_threads = static_cast<size_t>(state.num_threads);
   options.enable_tile_skipping = frag.enable_tile_skipping;
-  options.enable_vectorized = frag.enable_vectorized;
   exec::QueryContext ctx(options);
 
   exec::ScanSpec spec;
@@ -175,8 +174,8 @@ Status RunFragment(WorkerState& state, const FragmentMsg& frag, bool is_agg) {
     // (dist.frames_rejected_stale) without disturbing the real results.
     if (is_agg) {
       exec::GroupTable stale(frag.group_by.size(), frag.aggs);
-      exec::AccumulateRows(rows, frag.group_by, frag.aggs,
-                           frag.enable_vectorized, ctx.arena(0), &stale);
+      exec::AccumulateRows(rows, frag.group_by, frag.aggs, ctx.arena(0),
+                           &stale);
       EncodeAggPartial(frag.fragment_id, frag.epoch + 1000, stale, &payload);
       JSONTILES_RETURN_NOT_OK(
           WriteResultFrame(state, FrameType::kAggResult, payload));
@@ -191,8 +190,8 @@ Status RunFragment(WorkerState& state, const FragmentMsg& frag, bool is_agg) {
   }
   if (is_agg) {
     exec::GroupTable groups(frag.group_by.size(), frag.aggs);
-    exec::AccumulateRows(rows, frag.group_by, frag.aggs,
-                         frag.enable_vectorized, ctx.arena(0), &groups);
+    exec::AccumulateRows(rows, frag.group_by, frag.aggs, ctx.arena(0),
+                         &groups);
     done.rows_out = groups.size();
     if (!groups.empty()) {
       EncodeAggPartial(frag.fragment_id, frag.epoch, groups, &payload);

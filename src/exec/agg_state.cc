@@ -244,7 +244,7 @@ void GroupTable::Finalize(RowSet* out) const {
 }
 
 AggInput::AggInput(const RowSet& in, const std::vector<ExprPtr>& group_by,
-                   const std::vector<AggSpec>& aggs, bool vectorized)
+                   const std::vector<AggSpec>& aggs)
     : batched_(in,
                [&] {
                  // Group keys first, then aggregate arguments.
@@ -253,8 +253,7 @@ AggInput::AggInput(const RowSet& in, const std::vector<ExprPtr>& group_by,
                    if (a.arg != nullptr) exprs.push_back(a.arg.get());
                  }
                  return exprs;
-               }(),
-               vectorized),
+               }()),
       num_keys_(group_by.size()),
       lane_keys_(kVectorSize * group_by.size()),
       lane_hash_(kVectorSize),
@@ -363,9 +362,9 @@ bool AggInput::AccumulateTyped(AggSpec::Kind kind, const ColumnVector* col,
 }
 
 void AccumulateRows(const RowSet& in, const std::vector<ExprPtr>& group_by,
-                    const std::vector<AggSpec>& aggs, bool vectorized,
-                    Arena* arena, GroupTable* table) {
-  AggInput input(in, group_by, aggs, vectorized);
+                    const std::vector<AggSpec>& aggs, Arena* arena,
+                    GroupTable* table) {
+  AggInput input(in, group_by, aggs);
   for (size_t b = 0; b < in.size(); b += kVectorSize) {
     input.AccumulateBatch(in, b, std::min(kVectorSize, in.size() - b), arena,
                           table);

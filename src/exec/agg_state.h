@@ -161,7 +161,7 @@ class GroupTable {
 class AggInput {
  public:
   AggInput(const RowSet& in, const std::vector<ExprPtr>& group_by,
-           const std::vector<AggSpec>& aggs, bool vectorized);
+           const std::vector<AggSpec>& aggs);
 
   /// Fold rows [begin, begin + n) of `in` (n <= kVectorSize) into `table`.
   void AccumulateBatch(const RowSet& in, size_t begin, size_t n, Arena* arena,
@@ -188,8 +188,8 @@ class AggInput {
 /// path of the distributed partial-aggregate push-down, the same loop
 /// AggregateExec runs (arena backs derived strings).
 void AccumulateRows(const RowSet& in, const std::vector<ExprPtr>& group_by,
-                    const std::vector<AggSpec>& aggs, bool vectorized,
-                    Arena* arena, GroupTable* table);
+                    const std::vector<AggSpec>& aggs, Arena* arena,
+                    GroupTable* table);
 
 /// SQL semantics for a global aggregate of empty input: one row of
 /// default-accumulator finalizations (COUNT = 0, SUM = null, ...).

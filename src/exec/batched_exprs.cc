@@ -24,10 +24,9 @@ bool InferSlotTypes(const RowSet& rows, const std::vector<int>& slots,
   return true;
 }
 
-BatchedExprs::BatchedExprs(const RowSet& rows, std::vector<const Expr*> exprs,
-                           bool enable)
+BatchedExprs::BatchedExprs(const RowSet& rows, std::vector<const Expr*> exprs)
     : exprs_(std::move(exprs)) {
-  if (!enable || rows.empty() || exprs_.empty()) return;
+  if (rows.empty() || exprs_.empty()) return;
   const size_t num_slots = rows[0].size();
   slot_types_.assign(num_slots, ValueType::kNull);
   std::vector<int> all_slots;

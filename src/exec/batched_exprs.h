@@ -24,13 +24,13 @@ bool InferSlotTypes(const RowSet& rows, const std::vector<int>& slots,
 
 /// Compiled batch evaluation of a fixed expression list over a RowSet.
 /// Construction infers slot types and compiles what it can; expressions that
-/// do not compile (or everything, when disabled) are interpreted per row by
-/// Get(), and LoadBatch is a no-op when nothing compiled, so callers always
-/// go through LoadBatch + Get/Result. Copy instances per worker —
-/// LoadBatch/Get are not thread-safe.
+/// do not compile are interpreted per row by Get(), and LoadBatch is a no-op
+/// when nothing compiled, so callers always go through LoadBatch +
+/// Get/Result. Copy instances per worker — LoadBatch/Get are not
+/// thread-safe.
 class BatchedExprs {
  public:
-  BatchedExprs(const RowSet& rows, std::vector<const Expr*> exprs, bool enable);
+  BatchedExprs(const RowSet& rows, std::vector<const Expr*> exprs);
 
   /// Gather slots and run every compiled program over rows [begin, begin+n).
   void LoadBatch(const RowSet& rows, size_t begin, size_t n, Arena* arena);

@@ -336,18 +336,11 @@ const ColumnVector& CompiledExpr::Run(const ColumnVector* slots,
   return *reg_ptrs_[result_reg_];
 }
 
-namespace {
-
-void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out) {
-  if (e->kind == ExprKind::kBinary && e->bin_op == BinOp::kAnd) {
-    SplitConjuncts(e->args[0], out);
-    SplitConjuncts(e->args[1], out);
-    return;
-  }
-  out->push_back(e);
+CompiledPredicate CompiledPredicate::Residuals(const ExprPtr& filter) {
+  CompiledPredicate p;
+  SplitConjuncts(filter, &p.residuals_);
+  return p;
 }
-
-}  // namespace
 
 CompiledPredicate CompiledPredicate::Compile(
     const ExprPtr& filter, const std::vector<ValueType>& slot_types) {

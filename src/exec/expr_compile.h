@@ -112,7 +112,7 @@ class CompiledExpr {
 /// evaluated by selection-vector intersection: each compiled conjunct
 /// shrinks the selection before the next one runs (short-circuit across the
 /// batch). Conjuncts that fail to compile are kept as interpreter residuals,
-/// to be evaluated per surviving row by the caller.
+/// which the caller checks per surviving row with ResidualsHold.
 class CompiledPredicate {
  public:
   struct Conjunct {
@@ -122,11 +122,22 @@ class CompiledPredicate {
 
   static CompiledPredicate Compile(const ExprPtr& filter,
                                    const std::vector<ValueType>& slot_types);
+  /// Every conjunct of `filter` as a residual (for untyped slots).
+  static CompiledPredicate Residuals(const ExprPtr& filter);
 
   std::vector<Conjunct>& conjuncts() { return conjuncts_; }
   const std::vector<Conjunct>& conjuncts() const { return conjuncts_; }
-  const std::vector<ExprPtr>& residuals() const { return residuals_; }
   bool any_compiled() const { return !conjuncts_.empty(); }
+
+  /// True when every residual is true (not false, not null) on `row`.
+  /// Inline: the scan calls it for every row it emits.
+  bool ResidualsHold(const Value* row, Arena* arena) const {
+    for (const ExprPtr& residual : residuals_) {
+      Value v = EvalExpr(*residual, row, arena);
+      if (v.is_null() || !v.bool_value()) return false;
+    }
+    return true;
+  }
 
  private:
   std::vector<Conjunct> conjuncts_;

@@ -19,13 +19,6 @@ std::shared_ptr<Expr> NewExpr(ExprKind kind) {
   return e;
 }
 
-// Copy a string into the arena and return a stable view.
-std::string_view ArenaString(std::string_view s, Arena* arena) {
-  if (s.empty()) return {};
-  uint8_t* p = arena->AllocateCopy(s.data(), s.size());
-  return {reinterpret_cast<const char*>(p), s.size()};
-}
-
 }  // namespace
 
 ExprPtr ConstInt(int64_t v) {
@@ -322,7 +315,7 @@ Value CastValue(const Value& v, ValueType to, Arena* arena) {
       }
     case ValueType::kString: {
       std::string text = v.ToString();
-      return Value::String(ArenaString(text, arena));
+      return Value::String(arena->CopyString(text));
     }
     case ValueType::kBool:
       switch (v.type) {
@@ -589,6 +582,16 @@ void CollectAccesses(const ExprPtr& e, std::vector<ExprPtr>* accesses) {
     return;
   }
   for (const auto& arg : e->args) CollectAccesses(arg, accesses);
+}
+
+void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out) {
+  if (e == nullptr) return;
+  if (e->kind == ExprKind::kBinary && e->bin_op == BinOp::kAnd) {
+    SplitConjuncts(e->args[0], out);
+    SplitConjuncts(e->args[1], out);
+    return;
+  }
+  out->push_back(e);
 }
 
 ExprPtr RewriteAccessesToSlots(

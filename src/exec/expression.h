@@ -204,6 +204,10 @@ bool ExprEquals(const Expr& a, const Expr& b);
 /// kArrayContains).
 void CollectAccesses(const ExprPtr& e, std::vector<ExprPtr>* accesses);
 
+/// Append the conjuncts of `e`'s top-level AND tree, left to right (a null
+/// `e` appends nothing).
+void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out);
+
 /// Rewrite Access nodes to slot references; `slot_of(access)` returns the
 /// assigned slot. Returns a new tree (shared subtrees without accesses are
 /// reused).

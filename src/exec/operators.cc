@@ -35,10 +35,7 @@ namespace {
 void RescueRowStrings(RowSet* rows, Arena* arena) {
   for (RowRef row : *rows) {
     for (Value& v : row) {
-      if (v.type == ValueType::kString && !v.s.empty()) {
-        uint8_t* copy = arena->AllocateCopy(v.s.data(), v.s.size());
-        v.s = std::string_view(reinterpret_cast<const char*>(copy), v.s.size());
-      }
+      if (v.type == ValueType::kString) v.s = arena->CopyString(v.s);
     }
   }
 }
@@ -95,72 +92,59 @@ RowSet FilterExec(RowSet in, const ExprPtr& predicate, QueryContext& ctx) {
   obs::OperatorProfiler prof(ctx.profile, "Filter");
   prof.set_rows_in(in.size());
   ArenaCounter arena_counter(prof, ctx);
+  if (in.empty()) {
+    prof.set_rows_out(0);
+    return in;
+  }
   Arena* arena = ctx.arena(0);
-  // Survivors compact in place: rows [0, kept) are the output so far, and
-  // kept never passes the row being read, so no unread row is overwritten.
-  size_t kept = 0;
+  // Compile the predicate conjunct by conjunct against slot types inferred
+  // from the rows. Conjuncts that do not compile — all of them when a slot
+  // holds mixed types — are interpreter residuals.
+  std::vector<ValueType> slot_types(in[0].size(), ValueType::kNull);
+  std::vector<int> slots;
+  CollectSlotRefs(*predicate, &slots);
+  CompiledPredicate pred =
+      InferSlotTypes(in, slots, &slot_types)
+          ? CompiledPredicate::Compile(predicate, slot_types)
+          : CompiledPredicate::Residuals(predicate);
 
-  // Vectorized path: compile the predicate conjunct-by-conjunct against slot
-  // types inferred from the rows, then filter batch-at-a-time with
-  // selection-vector intersection (slots are gathered lazily per conjunct,
-  // only for still-selected lanes).
-  if (ctx.options().enable_vectorized && !in.empty()) {
-    std::vector<ValueType> slot_types(in[0].size(), ValueType::kNull);
-    std::vector<int> slots;
-    CollectSlotRefs(*predicate, &slots);
-    if (InferSlotTypes(in, slots, &slot_types)) {
-      CompiledPredicate pred = CompiledPredicate::Compile(predicate, slot_types);
-      if (pred.any_compiled()) {
-        std::vector<ColumnVector> slot_vecs(in[0].size());
-        std::vector<uint8_t> ready(in[0].size(), 0);
-        SelectionVector sel;
-        int64_t batches = 0;
-        for (size_t b = 0; b < in.size(); b += kVectorSize) {
-          const size_t n = std::min(kVectorSize, in.size() - b);
-          batches++;
-          sel.SetAll(n);
-          std::fill(ready.begin(), ready.end(), 0);
-          for (auto& cj : pred.conjuncts()) {
-            for (int s : cj.slots) {
-              if (ready[s]) continue;
-              ready[s] = 1;
-              ColumnVector& vec = slot_vecs[s];
-              vec.Reset(slot_types[s]);
-              for (size_t k = 0; k < sel.count; k++) {
-                const uint16_t r = sel.idx[k];
-                vec.SetValue(r, in[b + r][s]);
-              }
-            }
-            IntersectSelection(cj.program.Run(slot_vecs.data(), sel, arena),
-                               &sel);
-            if (sel.empty()) break;
-          }
-          for (size_t k = 0; k < sel.count; k++) {
-            const size_t r = b + sel.idx[k];
-            RowView row = in[r];
-            bool keep_row = true;
-            for (const auto& res : pred.residuals()) {
-              Value keep = EvalExpr(*res, row.data(), arena);
-              if (keep.is_null() || !keep.bool_value()) {
-                keep_row = false;
-                break;
-              }
-            }
-            if (keep_row) in.CopyRow(kept++, r);
-          }
+  // Batch at a time: compiled conjuncts intersect the selection vector
+  // (slots are gathered lazily per conjunct, only for still-selected lanes),
+  // then the residuals run on the surviving rows. Survivors compact in
+  // place: rows [0, kept) are the output so far, and kept never passes the
+  // row being read, so no unread row is overwritten.
+  std::vector<ColumnVector> slot_vecs(in[0].size());
+  std::vector<uint8_t> ready(in[0].size(), 0);
+  SelectionVector sel;
+  size_t kept = 0;
+  int64_t batches = 0;
+  for (size_t b = 0; b < in.size(); b += kVectorSize) {
+    const size_t n = std::min(kVectorSize, in.size() - b);
+    batches++;
+    sel.SetAll(n);
+    std::fill(ready.begin(), ready.end(), 0);
+    for (auto& cj : pred.conjuncts()) {
+      for (int s : cj.slots) {
+        if (ready[s]) continue;
+        ready[s] = 1;
+        ColumnVector& vec = slot_vecs[s];
+        vec.Reset(slot_types[s]);
+        for (size_t k = 0; k < sel.count; k++) {
+          const uint16_t r = sel.idx[k];
+          vec.SetValue(r, in[b + r][s]);
         }
-        prof.AddCounter("vec_batches", batches);
-        JSONTILES_COUNTER_ADD("exec.vec.batches", batches);
-        in.resize(kept);
-        prof.set_rows_out(in.size());
-        return in;
       }
+      IntersectSelection(cj.program.Run(slot_vecs.data(), sel, arena), &sel);
+      if (sel.empty()) break;
+    }
+    for (size_t k = 0; k < sel.count; k++) {
+      const size_t r = b + sel.idx[k];
+      if (pred.ResidualsHold(in[r].data(), arena)) in.CopyRow(kept++, r);
     }
   }
-
-  for (size_t r = 0; r < in.size(); r++) {
-    Value keep = EvalExpr(*predicate, in[r].data(), arena);
-    if (!keep.is_null() && keep.bool_value()) in.CopyRow(kept++, r);
+  if (pred.any_compiled()) {
+    prof.AddCounter("vec_batches", batches);
+    JSONTILES_COUNTER_ADD("exec.vec.batches", batches);
   }
   in.resize(kept);
   prof.set_rows_out(in.size());
@@ -178,7 +162,7 @@ RowSet ProjectExec(const RowSet& in, const std::vector<ExprPtr>& exprs,
   Arena* arena = ctx.arena(0);
   RowSet out(exprs.size());
   out.resize(in.size());
-  BatchedExprs batched(in, RawExprs(exprs), ctx.options().enable_vectorized);
+  BatchedExprs batched(in, RawExprs(exprs));
   for (size_t b = 0; b < in.size(); b += kVectorSize) {
     const size_t n = std::min(kVectorSize, in.size() - b);
     batched.LoadBatch(in, b, n, arena);
@@ -220,7 +204,7 @@ Status AggregateInMemory(const RowSet& in, const std::vector<ExprPtr>& group_by,
   std::deque<BudgetReservation> reservations;
 
   // Type inference and compilation run once here; workers run on copies.
-  AggInput master(in, group_by, aggs, ctx.options().enable_vectorized);
+  AggInput master(in, group_by, aggs);
 
   std::atomic<bool> over_budget{false};
   auto accumulate_range = [&](GroupTable& table, size_t begin, size_t end,
@@ -479,8 +463,7 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
   uint64_t mask = 0;
   {
     JSONTILES_TRACE_SPAN("exec.join.build");
-    BatchedExprs batched(build, RawExprs(build_keys),
-                         ctx.options().enable_vectorized);
+    BatchedExprs batched(build, RawExprs(build_keys));
     uint64_t hacc[kVectorSize];
     uint64_t hkey[kVectorSize];
     for (size_t base = 0; base < build.size(); base += kVectorSize) {
@@ -532,8 +515,7 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
   // Probe phase (parallel chunks); probe keys evaluate batch-at-a-time with
   // compiled programs when possible. Each worker runs a private copy of the
   // compiled state; type inference runs once here.
-  BatchedExprs probe_master(probe, RawExprs(probe_keys),
-                            ctx.options().enable_vectorized);
+  BatchedExprs probe_master(probe, RawExprs(probe_keys));
   auto probe_chunk = [&](size_t begin, size_t end, Arena* worker_arena,
                          RowSet* out, BatchedExprs* batched) {
     JSONTILES_TRACE_SPAN("exec.join.probe");

@@ -50,15 +50,9 @@ using tiles::ColumnType;
 using tiles::ExtractedColumn;
 using tiles::Tile;
 
-std::string_view ArenaCopy(std::string_view s, Arena* arena) {
-  if (s.empty()) return {};
-  uint8_t* p = arena->AllocateCopy(s.data(), s.size());
-  return {reinterpret_cast<const char*>(p), s.size()};
-}
-
 // Convert a JSONB scalar into an engine value of the requested type.
 Value JsonbScalarToValue(const json::JsonbValue& v, ValueType requested,
-                         Arena* arena, bool copy_strings) {
+                         Arena* arena) {
   Value raw;
   switch (v.type()) {
     case json::JsonType::kNull:
@@ -72,11 +66,9 @@ Value JsonbScalarToValue(const json::JsonbValue& v, ValueType requested,
     case json::JsonType::kFloat:
       raw = Value::Float(v.GetDouble());
       break;
-    case json::JsonType::kString: {
-      std::string_view s = v.GetString();
-      raw = Value::String(copy_strings ? ArenaCopy(s, arena) : s);
+    case json::JsonType::kString:
+      raw = Value::String(v.GetString());
       break;
-    }
     case json::JsonType::kNumericString:
       raw = Value::Num(v.GetNumeric());
       break;
@@ -84,8 +76,7 @@ Value JsonbScalarToValue(const json::JsonbValue& v, ValueType requested,
     case json::JsonType::kArray: {
       // ->> of a container returns its JSON text; other casts yield null.
       if (requested != ValueType::kString) return Value::Null();
-      std::string text = v.ToJsonText();
-      return Value::String(ArenaCopy(text, arena));
+      return Value::String(arena->CopyString(v.ToJsonText()));
     }
   }
   if (raw.type == requested) return raw;
@@ -95,10 +86,10 @@ Value JsonbScalarToValue(const json::JsonbValue& v, ValueType requested,
 }  // namespace
 
 Value EvalAccessOnJsonb(json::JsonbValue doc, const std::string& path,
-                        ValueType requested, Arena* arena, bool copy_strings) {
+                        ValueType requested, Arena* arena) {
   auto found = tiles::LookupPath(doc, path);
   if (!found.has_value()) return Value::Null();
-  return JsonbScalarToValue(*found, requested, arena, copy_strings);
+  return JsonbScalarToValue(*found, requested, arena);
 }
 
 void ExtractJsonbPathBatch(const uint8_t* const* docs, const uint16_t* lanes,
@@ -150,13 +141,12 @@ void ExtractJsonbPathBatch(const uint8_t* const* docs, const uint16_t* lanes,
       default:
         break;
     }
-    vec->SetValue(r, JsonbScalarToValue(v, requested, arena,
-                                        /*copy_strings=*/false));
+    vec->SetValue(r, JsonbScalarToValue(v, requested, arena));
   }
 }
 
 Value EvalScanExprOnJsonb(const Expr& access, json::JsonbValue doc,
-                          int64_t row_id, Arena* arena, bool copy_strings) {
+                          int64_t row_id, Arena* arena) {
   if (access.kind == ExprKind::kArrayContains) {
     auto array = tiles::LookupPath(doc, access.path);
     if (!array.has_value() || array->type() != json::JsonType::kArray) {
@@ -183,8 +173,7 @@ Value EvalScanExprOnJsonb(const Expr& access, json::JsonbValue doc,
     return Value::Bool(false);
   }
   if (access.path == kRowIdPath) return Value::Int(row_id);
-  return EvalAccessOnJsonb(doc, access.path, access.access_type, arena,
-                           copy_strings);
+  return EvalAccessOnJsonb(doc, access.path, access.access_type, arena);
 }
 
 namespace {
@@ -313,8 +302,8 @@ struct ScanPart {
   int64_t rowid_base;
 };
 
-// Chunk boundaries shared by the scalar and the vectorized path: tiles for
-// tiled modes, fixed chunks otherwise. `row_begin` is local to `rel`.
+// The unit of scan work: a tile for tiled modes, a fixed row range
+// otherwise. `row_begin` is local to `rel`.
 struct Chunk {
   const Relation* rel;
   int64_t rowid_base;
@@ -323,13 +312,14 @@ struct Chunk {
   const Tile* tile;  // null for non-tiled modes
 };
 
-// Batch-at-a-time scan of one chunk: pushed-down conjuncts run as compiled
-// programs over column vectors read in bulk from the tile. Slot vectors
-// materialize lazily, so later conjuncts and binary-JSON fallback accesses
-// only touch rows surviving the earlier selection. One instance per worker;
-// buffers are reused across chunks. JSON-text relations stay on the scalar
-// path (each document re-parse invalidates the shared parse buffer, so
-// there is nothing to batch).
+// Batch-at-a-time scan of one chunk, the scan's only row producer.
+// Pushed-down conjuncts that compile run as programs over column vectors
+// read in bulk from the tile; the rest are interpreter residuals, evaluated
+// per surviving row. Slot vectors materialize lazily, so later conjuncts and
+// binary-JSON fallback accesses only touch rows surviving the earlier
+// selection. JSON-text relations transform a batch's documents into per-lane
+// buffers on first use; rows copy their strings out of them into the arena.
+// One instance per worker; buffers are reused across chunks.
 class VectorizedChunkScan {
  public:
   VectorizedChunkScan(const ScanSpec& spec, CompiledPredicate& pred,
@@ -347,6 +337,8 @@ class VectorizedChunkScan {
            RowSet* out) {
     rel_ = chunk.rel;
     rowid_base_ = chunk.rowid_base;
+    json_text_ = rel_->mode() == StorageMode::kJsonText;
+    if (json_text_ && text_docs_.empty()) text_docs_.resize(kVectorSize);
     for (size_t b = 0; b < chunk.row_count; b += kVectorSize) {
       ScanBatch(chunk, resolved, b, std::min(kVectorSize, chunk.row_count - b),
                 out);
@@ -361,19 +353,21 @@ class VectorizedChunkScan {
                  size_t batch_begin, size_t n, RowSet* out) {
     batches_++;
     rows_ += n;
+    row0_ = chunk.row_begin + batch_begin;
+    n_ = n;
     sel_.SetAll(n);
     std::fill(ready_.begin(), ready_.end(), 0);
     docs_ready_ = false;
     for (auto& conjunct : pred_.conjuncts()) {
       for (int s : conjunct.slots) {
-        MaterializeSlot(static_cast<size_t>(s), chunk, resolved, batch_begin, n);
+        MaterializeSlot(static_cast<size_t>(s), resolved, batch_begin);
       }
       IntersectSelection(conjunct.program.Run(slot_vecs_.data(), sel_, arena_),
                          &sel_);
       if (sel_.empty()) return;
     }
     for (size_t i = 0; i < num_slots_; i++) {
-      MaterializeSlot(i, chunk, resolved, batch_begin, n);
+      MaterializeSlot(i, resolved, batch_begin);
     }
     // Survivors go straight into the flat tail of `out`; a row the
     // residual rejects is popped again.
@@ -381,25 +375,23 @@ class VectorizedChunkScan {
       const size_t r = sel_.idx[k];
       RowRef row = out->AppendRow(num_slots_);
       for (size_t i = 0; i < num_slots_; i++) {
-        row[i] = slot_vecs_[i].GetValue(r);
-      }
-      for (const ExprPtr& residual : pred_.residuals()) {
-        Value v = EvalExpr(*residual, row.data(), arena_);
-        if (v.is_null() || !v.bool_value()) {
-          out->pop_back();
-          break;
+        Value v = slot_vecs_[i].GetValue(r);
+        // The next batch overwrites the transformed JSON-text documents.
+        if (json_text_ && v.type == ValueType::kString) {
+          v.s = arena_->CopyString(v.s);
         }
+        row[i] = v;
       }
+      if (!pred_.ResidualsHold(row.data(), arena_)) out->pop_back();
     }
   }
 
   void FillFromDoc(ColumnVector& vec, const Expr& access, size_t r,
-                   size_t rel_row) {
-    json::JsonbValue doc(rel_->Jsonb(rel_row).data());
+                   const uint8_t* doc) {
     vec.SetValue(r, EvalScanExprOnJsonb(
-                        access, doc,
-                        rowid_base_ + static_cast<int64_t>(rel_row), arena_,
-                        /*copy_strings=*/false));
+                        access, json::JsonbValue(doc),
+                        rowid_base_ + static_cast<int64_t>(row0_ + r),
+                        arena_));
   }
 
   // Decode the access path once per query (the views point into the Expr's
@@ -414,34 +406,57 @@ class VectorizedChunkScan {
 
   // Binary-JSON fallback over a set of lanes: one shared pre-decoded path
   // lookup across all documents of the batch. Array containment keeps the
-  // per-row evaluator (it scans elements, not a single path).
+  // per-row evaluator (it scans elements, not a single path). A JSON text
+  // that failed to transform gives a null lane.
   void FillFromDocBatch(ColumnVector& vec, size_t i, const Expr& access,
-                        const uint16_t* lanes, size_t num_lanes,
-                        size_t rel_row0) {
-    if (access.kind != ExprKind::kAccess) {
+                        const uint16_t* lanes, size_t num_lanes) {
+    if (json_text_) {
+      const uint8_t* const* docs = BatchDocs();
+      size_t cnt = 0;
       for (size_t k = 0; k < num_lanes; k++) {
         const size_t r = lanes[k];
-        FillFromDoc(vec, access, r, rel_row0 + r);
+        if (docs[r] == nullptr) {
+          vec.nulls()[r] = 1;
+        } else {
+          lane_buf_[cnt++] = static_cast<uint16_t>(r);
+        }
+      }
+      lanes = lane_buf_;
+      num_lanes = cnt;
+    } else {
+      for (size_t k = 0; k < num_lanes; k++) {
+        const size_t r = lanes[k];
+        doc_ptrs_[r] = rel_->Jsonb(row0_ + r).data();
+      }
+    }
+    if (access.kind != ExprKind::kAccess) {
+      for (size_t k = 0; k < num_lanes; k++) {
+        FillFromDoc(vec, access, lanes[k], doc_ptrs_[lanes[k]]);
       }
       return;
-    }
-    for (size_t k = 0; k < num_lanes; k++) {
-      const size_t r = lanes[k];
-      doc_ptrs_[r] = rel_->Jsonb(rel_row0 + r).data();
     }
     const auto& steps = StepsFor(i, access);
     ExtractJsonbPathBatch(doc_ptrs_, lanes, num_lanes, steps.data(),
                           steps.size(), access.access_type, arena_, &vec);
   }
 
-  // Documents of every row of the batch, for string columns (their values
-  // live in the documents).
-  const uint8_t* const* BatchDocs(size_t rel_row0, size_t n) {
-    if (!docs_ready_) {
-      docs_ready_ = true;
-      for (size_t k = 0; k < n; k++) {
-        doc_ptrs_[k] = rel_->Jsonb(rel_row0 + k).data();
+  // Documents of every lane of the batch: string columns read their values
+  // from them, and a JSON-text batch transforms all its documents here, once.
+  const uint8_t* const* BatchDocs() {
+    if (docs_ready_) return doc_ptrs_;
+    docs_ready_ = true;
+    if (!json_text_) {
+      for (size_t k = 0; k < n_; k++) {
+        doc_ptrs_[k] = rel_->Jsonb(row0_ + k).data();
       }
+      return doc_ptrs_;
+    }
+    for (size_t k = 0; k < n_; k++) {
+      std::vector<uint8_t>& buf = text_docs_[k];
+      doc_ptrs_[k] = text_builder_.Transform(rel_->JsonText(row0_ + k), &buf)
+                             .ok()
+                         ? buf.data()
+                         : nullptr;
     }
     return doc_ptrs_;
   }
@@ -449,9 +464,8 @@ class VectorizedChunkScan {
   // Materialize slot i for the current batch, honoring the current
   // selection: column routes bulk-read the whole batch (cheap, branchless);
   // per-row work (casts, binary-JSON fallback) runs on selected rows only.
-  void MaterializeSlot(size_t i, const Chunk& chunk,
-                       const std::vector<ResolvedAccess>& resolved,
-                       size_t batch_begin, size_t n) {
+  void MaterializeSlot(size_t i, const std::vector<ResolvedAccess>& resolved,
+                       size_t batch_begin) {
     if (ready_[i]) return;
     ready_[i] = 1;
     const ResolvedAccess& ra = resolved[i];
@@ -459,14 +473,14 @@ class VectorizedChunkScan {
     ColumnVector& vec = slot_vecs_[i];
     vec.Reset(ra.requested);
     const size_t col_row0 = batch_begin;  // row offset inside the tile
-    const size_t rel_row0 = chunk.row_begin + batch_begin;
+    const size_t n = n_;
 
     if (access.kind == ExprKind::kAccess && access.path == kRowIdPath) {
       uint8_t* nulls = vec.nulls();
       int64_t* out = vec.i64();
       for (size_t k = 0; k < n; k++) {
         nulls[k] = 0;
-        out[k] = rowid_base_ + static_cast<int64_t>(rel_row0 + k);
+        out[k] = rowid_base_ + static_cast<int64_t>(row0_ + k);
       }
       return;
     }
@@ -485,7 +499,7 @@ class VectorizedChunkScan {
           col.ReadFloats(col_row0, n, vec.f64());
           break;
         case ColumnType::kString:
-          col.ReadStrings(col_row0, n, BatchDocs(rel_row0, n), vec.str());
+          col.ReadStrings(col_row0, n, BatchDocs(), vec.str());
           break;
         case ColumnType::kNumeric:
           col.ReadNumerics(col_row0, n, vec.i64(), vec.scale());
@@ -498,7 +512,7 @@ class VectorizedChunkScan {
           const size_t r = sel_.idx[k];
           if (vec.IsNull(r)) lane_buf_[cnt++] = static_cast<uint16_t>(r);
         }
-        if (cnt > 0) FillFromDocBatch(vec, i, access, lane_buf_, cnt, rel_row0);
+        if (cnt > 0) FillFromDocBatch(vec, i, access, lane_buf_, cnt);
       }
       return;
     }
@@ -508,14 +522,14 @@ class VectorizedChunkScan {
         const size_t r = sel_.idx[k];
         if (col.IsNull(col_row0 + r)) {
           if (ra.fallback_on_null) {
-            FillFromDoc(vec, access, r, rel_row0 + r);
+            FillFromDoc(vec, access, r, rel_->Jsonb(row0_ + r).data());
           } else {
             vec.nulls()[r] = 1;
           }
           continue;
         }
         const uint8_t* doc = ra.column->storage_type == ColumnType::kString
-                                 ? BatchDocs(rel_row0, n)[r]
+                                 ? BatchDocs()[r]
                                  : nullptr;
         vec.SetValue(r, CastValue(ReadColumnValue(*ra.column, col_row0 + r,
                                                   doc),
@@ -524,7 +538,7 @@ class VectorizedChunkScan {
       return;
     }
     // Binary-JSON fallback: batched over the surviving selection.
-    FillFromDocBatch(vec, i, access, sel_.idx, sel_.count, rel_row0);
+    FillFromDocBatch(vec, i, access, sel_.idx, sel_.count);
   }
 
   const ScanSpec& spec_;
@@ -532,6 +546,10 @@ class VectorizedChunkScan {
   // scans feed chunks of different shards through one scanner instance).
   const Relation* rel_ = nullptr;
   int64_t rowid_base_ = 0;
+  bool json_text_ = false;
+  // Current batch: relation row of lane 0 and lane count.
+  size_t row0_ = 0;
+  size_t n_ = 0;
   CompiledPredicate& pred_;
   Arena* arena_;
   const size_t num_slots_;
@@ -545,6 +563,9 @@ class VectorizedChunkScan {
   const uint8_t* doc_ptrs_[kVectorSize];
   bool docs_ready_ = false;
   uint16_t lane_buf_[kVectorSize];
+  // JSON-text mode: the batch's transformed documents, one buffer per lane.
+  json::JsonbBuilder text_builder_;
+  std::vector<std::vector<uint8_t>> text_docs_;
   size_t batches_ = 0;
   size_t rows_ = 0;
 };
@@ -701,23 +722,14 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
   }
 
   // Compile the pushed-down filter once per scan; per-worker copies of the
-  // programs keep Run reentrant across threads. JSON-text mode stays scalar
-  // (see VectorizedChunkScan). A filter none of whose conjuncts compiled
-  // would gain nothing from batching, so it stays scalar too.
-  const bool want_vectorized = ctx.options().enable_vectorized &&
-                               mode != StorageMode::kJsonText;
-  std::vector<CompiledPredicate> worker_preds;
-  std::vector<std::unique_ptr<VectorizedChunkScan>> scanners(ctx.num_workers());
-  bool vectorized = false;
-  if (want_vectorized) {
-    std::vector<ValueType> slot_types(num_slots);
-    for (size_t i = 0; i < num_slots; i++) {
-      slot_types[i] = spec.accesses[i]->access_type;
-    }
-    CompiledPredicate pred = CompiledPredicate::Compile(spec.filter, slot_types);
-    vectorized = spec.filter == nullptr || pred.any_compiled();
-    if (vectorized) worker_preds.assign(ctx.num_workers(), pred);
+  // programs keep Run reentrant across threads.
+  std::vector<ValueType> slot_types(num_slots);
+  for (size_t i = 0; i < num_slots; i++) {
+    slot_types[i] = spec.accesses[i]->access_type;
   }
+  std::vector<CompiledPredicate> worker_preds(
+      ctx.num_workers(), CompiledPredicate::Compile(spec.filter, slot_types));
+  std::vector<std::unique_ptr<VectorizedChunkScan>> scanners(ctx.num_workers());
 
   // Parallel chunks each fill their own partial (concatenated in chunk order
   // below); a serial scan visits chunks in order and fills one output.
@@ -729,7 +741,6 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
   auto scan_chunk = [&](size_t c, size_t worker) {
     JSONTILES_TRACE_SPAN("exec.scan.chunk");
     const Chunk& chunk = chunks[c];
-    Arena* arena = ctx.arena(worker);
     RowSet& out = partials[parallel ? c : 0];
 
     // §4.8 tile skipping: path existence, then zone maps.
@@ -761,82 +772,12 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
       }
     }
 
-    if (vectorized) {
-      auto& scanner = scanners[worker];
-      if (scanner == nullptr) {
-        scanner = std::make_unique<VectorizedChunkScan>(
-            spec, worker_preds[worker], ctx.arena(worker));
-      }
-      scanner->Run(chunk, resolved, &out);
-      return;
+    auto& scanner = scanners[worker];
+    if (scanner == nullptr) {
+      scanner = std::make_unique<VectorizedChunkScan>(
+          spec, worker_preds[worker], ctx.arena(worker));
     }
-
-    const Relation& rel = *chunk.rel;
-    json::JsonbBuilder text_builder;  // JSON-text mode: re-parse per document
-    std::vector<uint8_t> text_buf;
-
-    for (size_t r = 0; r < chunk.row_count; r++) {
-      const size_t row = chunk.row_begin + r;  // local to the part relation
-      const int64_t row_id = chunk.rowid_base + static_cast<int64_t>(row);
-      // Lazily materialized document for fallback routes.
-      const uint8_t* doc_bytes = nullptr;
-      bool doc_failed = false;
-      auto get_doc = [&]() -> const uint8_t* {
-        if (doc_bytes != nullptr || doc_failed) return doc_bytes;
-        if (rel.mode() == StorageMode::kJsonText) {
-          if (!text_builder.Transform(rel.JsonText(row), &text_buf).ok()) {
-            doc_failed = true;
-            return nullptr;
-          }
-          doc_bytes = text_buf.data();
-        } else {
-          doc_bytes = rel.Jsonb(row).data();
-        }
-        return doc_bytes;
-      };
-      const bool copy_strings = rel.mode() == StorageMode::kJsonText;
-
-      // Fill the row in place at the tail; the filter pops it if rejected.
-      RowRef slots = out.AppendRow(num_slots);
-      for (size_t i = 0; i < num_slots; i++) {
-        const ResolvedAccess& ra = resolved[i];
-        const Expr& access = *spec.accesses[i];
-        if (access.kind == ExprKind::kAccess && access.path == kRowIdPath) {
-          slots[i] = Value::Int(row_id);
-          continue;
-        }
-        if (ra.route == ResolvedAccess::Route::kFallback) {
-          const uint8_t* doc = get_doc();
-          slots[i] = doc == nullptr
-                         ? Value::Null()
-                         : EvalScanExprOnJsonb(access, json::JsonbValue(doc),
-                                               row_id, arena, copy_strings);
-          continue;
-        }
-        const ExtractedColumn& col = *ra.column;
-        if (col.column.IsNull(r)) {
-          if (ra.fallback_on_null) {
-            const uint8_t* doc = get_doc();
-            slots[i] = doc == nullptr
-                           ? Value::Null()
-                           : EvalScanExprOnJsonb(access, json::JsonbValue(doc),
-                                                 row_id, arena, copy_strings);
-          } else {
-            slots[i] = Value::Null();
-          }
-          continue;
-        }
-        Value v = ReadColumnValue(col, r, rel.Jsonb(row).data());
-        slots[i] = ra.route == ResolvedAccess::Route::kColumn
-                       ? v
-                       : CastValue(v, ra.requested, arena);
-      }
-
-      if (spec.filter != nullptr) {
-        Value keep = EvalExpr(*spec.filter, slots.data(), arena);
-        if (keep.is_null() || !keep.bool_value()) out.pop_back();
-      }
-    }
+    scanner->Run(chunk, resolved, &out);
   };
 
   // Morsels are fallible (fault injection; future I/O): a failing chunk's
@@ -891,18 +832,16 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
     prof.AddCounter("shards", static_cast<int64_t>(parts.size()));
     prof.AddCounter("shards_pruned", static_cast<int64_t>(pruned_shards));
   }
-  if (vectorized) {
-    size_t batches = 0, batch_rows = 0;
-    for (const auto& s : scanners) {
-      if (s == nullptr) continue;
-      batches += s->batches();
-      batch_rows += s->rows();
-    }
-    prof.AddCounter("vec_batches", static_cast<int64_t>(batches));
-    prof.AddCounter("vec_rows", static_cast<int64_t>(batch_rows));
-    JSONTILES_COUNTER_ADD("exec.vec.batches", static_cast<int64_t>(batches));
-    JSONTILES_COUNTER_ADD("exec.vec.rows", static_cast<int64_t>(batch_rows));
+  size_t batches = 0, batch_rows = 0;
+  for (const auto& s : scanners) {
+    if (s == nullptr) continue;
+    batches += s->batches();
+    batch_rows += s->rows();
   }
+  prof.AddCounter("vec_batches", static_cast<int64_t>(batches));
+  prof.AddCounter("vec_rows", static_cast<int64_t>(batch_rows));
+  JSONTILES_COUNTER_ADD("exec.vec.batches", static_cast<int64_t>(batches));
+  JSONTILES_COUNTER_ADD("exec.vec.rows", static_cast<int64_t>(batch_rows));
   return out;
 }
 

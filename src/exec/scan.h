@@ -58,9 +58,6 @@ struct ExecOptions {
   size_t num_threads = 1;
   /// §4.8: skip tiles that cannot contain a null-rejecting key path.
   bool enable_tile_skipping = true;
-  /// Evaluate pushed-down filters and operator expressions batch-at-a-time
-  /// with compiled programs (expr_compile.h). Off = scalar interpreter only.
-  bool enable_vectorized = true;
   /// Hard cap on operator scratch memory (join/aggregation hash tables,
   /// spill-partition read-back); 0 = unlimited. Operators spill to disk
   /// (exec/spill.h) instead of exceeding it — results are identical.
@@ -211,22 +208,21 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx);
 std::vector<size_t> SurvivingShards(const ScanSpec& spec, bool enable_pruning);
 
 /// Evaluate one access against a binary JSON document (the fallback route
-/// and the JSONB storage route). When `copy_strings` is set, string results
-/// are copied into the arena (needed when `doc` is a transient buffer).
+/// and the JSONB storage route). String results view the document's bytes;
+/// derived strings (casts, container text) live in the arena.
 Value EvalAccessOnJsonb(json::JsonbValue doc, const std::string& path,
-                        ValueType requested, Arena* arena, bool copy_strings);
+                        ValueType requested, Arena* arena);
 
 /// Evaluate a scan-level access expression (kAccess, kArrayContains) against
 /// a document. Virtual row-id accesses yield `row_id`.
 Value EvalScanExprOnJsonb(const Expr& access, json::JsonbValue doc,
-                          int64_t row_id, Arena* arena, bool copy_strings);
+                          int64_t row_id, Arena* arena);
 
 /// Batched binary-JSON fallback accessor: extract one pre-decoded key path
 /// from many documents into ColumnVector lanes in a single pass. For every
 /// lane r in `lanes`, navigates docs[r] (which must be non-null there) along
 /// `steps` and stores the scalar converted to `requested` into `vec` —
-/// bit-identical per lane to EvalAccessOnJsonb with copy_strings=false
-/// (missing path => null lane; string lanes view the document bytes, which
+/// bit-identical per lane to EvalAccessOnJsonb (missing path => null lane; string lanes view the document bytes, which
 /// must outlive the batch). `vec` must already be Reset to `requested`.
 void ExtractJsonbPathBatch(const uint8_t* const* docs, const uint16_t* lanes,
                            size_t num_lanes, const json::PathStep* steps,

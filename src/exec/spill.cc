@@ -131,15 +131,10 @@ Status SpillFile::ForEach(
             uint32_t len;
             const uint8_t* bytes;
             SPILL_READ(r.U32(&len) && r.Raw(len, &bytes));
-            const char* src = reinterpret_cast<const char*>(bytes);
-            if (len == 0) {
-              v.s = {};
-            } else if (arena != nullptr) {
-              uint8_t* copy = arena->AllocateCopy(src, len);
-              v.s = std::string_view(reinterpret_cast<const char*>(copy), len);
-            } else {
-              v.s = std::string_view(src, len);  // valid during cb only
-            }
+            const std::string_view s(reinterpret_cast<const char*>(bytes),
+                                     len);
+            // Without an arena the view is valid during cb only.
+            v.s = arena != nullptr ? arena->CopyString(s) : s;
             break;
           }
           default:

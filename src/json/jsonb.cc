@@ -645,7 +645,7 @@ Status JsonbBuilder::Transform(std::string_view json_text,
   sorted_children_.clear();
   decoded_used_ = 0;
 
-  JSONTILES_OBS_ONLY(obs::Stopwatch obs_watch);
+  obs::Stopwatch obs_watch;
   JsonLexer lexer(json_text);
   Token token;
   JSONTILES_RETURN_NOT_OK(lexer.Next(&token));

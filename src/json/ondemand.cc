@@ -758,7 +758,7 @@ Status OndemandTransformer::TransformImpl(
     std::string_view json_text, std::vector<uint8_t>* out,
     const OndemandIngestConfig* ingest_config, OndemandIngest* ingest) {
   if (!JSONTILES_FAILPOINT_FIRES("ondemand.force_fallback")) {
-    JSONTILES_OBS_ONLY(obs::Stopwatch obs_watch);
+    obs::Stopwatch obs_watch;
     Status st = BuildStructuralIndex(json_text, &index_);
     JSONTILES_HIST_RECORD("jsonb.ondemand.stage1_micros",
                           obs_watch.Lap() * 1e6);

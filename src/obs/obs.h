@@ -1,12 +1,6 @@
-// Observability macro seam.
-//
-// The CMake option JSONTILES_OBS (default ON) defines JSONTILES_OBS_ENABLED.
-// When the option is OFF every macro below expands to nothing, so hot paths
-// carry zero instrumentation cost — no clock reads, no registry lookups, no
-// atomic traffic. The obs classes themselves (MetricsRegistry, TraceCollector,
-// PlanProfile) are always compiled: they are plain library code, and per-query
-// EXPLAIN ANALYZE profiling is gated at runtime by a null PlanProfile pointer
-// instead of at compile time.
+// Observability macros: counters, gauges, histograms and trace spans in the
+// hot paths. Per-query EXPLAIN ANALYZE profiling is gated at runtime by a
+// null PlanProfile pointer instead.
 //
 // Call sites cache the metric pointer in a function-local static, so the
 // registry mutex is touched once per call site, not once per call.
@@ -14,20 +8,8 @@
 #ifndef JSONTILES_OBS_OBS_H_
 #define JSONTILES_OBS_OBS_H_
 
-#ifdef JSONTILES_OBS_ENABLED
-#define JSONTILES_OBS_AVAILABLE 1
-#else
-#define JSONTILES_OBS_AVAILABLE 0
-#endif
-
-#if JSONTILES_OBS_AVAILABLE
-
 #include "obs/metrics.h"
 #include "obs/trace.h"
-
-/// Statements that only exist when instrumentation is compiled in (e.g.
-/// stopwatch reads feeding a histogram).
-#define JSONTILES_OBS_ONLY(...) __VA_ARGS__
 
 #define JSONTILES_COUNTER_ADD(name, delta)                       \
   do {                                                           \
@@ -61,23 +43,5 @@
 #define JSONTILES_TRACE_SPAN(name)                  \
   ::jsontiles::obs::TraceSpan JSONTILES_OBS_CONCAT( \
       jsontiles_obs_span_, __LINE__)(name)
-
-#else  // !JSONTILES_OBS_AVAILABLE
-
-#define JSONTILES_OBS_ONLY(...)
-#define JSONTILES_COUNTER_ADD(name, delta) \
-  do {                                     \
-  } while (0)
-#define JSONTILES_GAUGE_SET(name, value) \
-  do {                                   \
-  } while (0)
-#define JSONTILES_HIST_RECORD(name, value) \
-  do {                                     \
-  } while (0)
-#define JSONTILES_TRACE_SPAN(name) \
-  do {                             \
-  } while (0)
-
-#endif  // JSONTILES_OBS_AVAILABLE
 
 #endif  // JSONTILES_OBS_OBS_H_

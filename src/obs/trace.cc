@@ -9,7 +9,12 @@ TraceCollector& TraceCollector::Default() {
   return *collector;
 }
 
-TraceCollector::TraceCollector() : epoch_(std::chrono::steady_clock::now()) {}
+TraceCollector::TraceCollector()
+    : id_([] {
+        static std::atomic<uint64_t> next_id{1};
+        return next_id.fetch_add(1, std::memory_order_relaxed);
+      }()),
+      epoch_(std::chrono::steady_clock::now()) {}
 
 uint64_t TraceCollector::NowMicros() const {
   return static_cast<uint64_t>(
@@ -20,15 +25,16 @@ uint64_t TraceCollector::NowMicros() const {
 
 TraceCollector::ThreadBuffer* TraceCollector::BufferForThisThread() {
   // One buffer per (collector, thread). The thread_local caches the last
-  // collector's buffer; tests with private collectors re-resolve on mismatch.
-  thread_local TraceCollector* cached_owner = nullptr;
+  // collector's buffer, keyed by collector id rather than address; tests
+  // with private collectors re-resolve on mismatch.
+  thread_local uint64_t cached_owner = 0;
   thread_local ThreadBuffer* cached_buffer = nullptr;
-  if (cached_owner == this && cached_buffer != nullptr) return cached_buffer;
+  if (cached_owner == id_ && cached_buffer != nullptr) return cached_buffer;
   std::lock_guard<std::mutex> lock(mutex_);
   auto buffer = std::make_shared<ThreadBuffer>();
   buffer->tid = static_cast<uint32_t>(buffers_.size());
   buffers_.push_back(buffer);
-  cached_owner = this;
+  cached_owner = id_;
   cached_buffer = buffer.get();  // kept alive by buffers_
   return cached_buffer;
 }

@@ -68,6 +68,9 @@ class TraceCollector {
   };
   ThreadBuffer* BufferForThisThread();
 
+  // Process-unique, never reused: a collector built where a destroyed one
+  // lived must not match that one's thread-local buffer cache.
+  const uint64_t id_;
   std::atomic<bool> enabled_{false};
   std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mutex_;  // guards buffers_ registration

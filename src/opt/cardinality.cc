@@ -102,7 +102,7 @@ ScanEstimate EstimateScanCardinality(
     json::JsonbValue doc(doc_bytes);
     for (const auto& path : null_rejecting_paths) {
       Value v = exec::EvalAccessOnJsonb(doc, path, exec::ValueType::kString,
-                                        &arena, /*copy_strings=*/false);
+                                        &arena);
       if (v.is_null()) return;
     }
     present++;
@@ -113,8 +113,7 @@ ScanEstimate EstimateScanCardinality(
     for (int s : filter_slots) {
       if (s < 0 || static_cast<size_t>(s) >= accesses.size()) continue;
       slots[s] = exec::EvalScanExprOnJsonb(*accesses[s], doc,
-                                           static_cast<int64_t>(row), &arena,
-                                           /*copy_strings=*/false);
+                                           static_cast<int64_t>(row), &arena);
     }
     Value keep = exec::EvalExpr(*filter, slots.data(), &arena);
     if (!keep.is_null() && keep.bool_value()) passing++;

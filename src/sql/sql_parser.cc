@@ -597,16 +597,6 @@ bool HasAggMarker(const ExprPtr& e) {
   return false;
 }
 
-void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out) {
-  if (e == nullptr) return;
-  if (e->kind == ExprKind::kBinary && e->bin_op == exec::BinOp::kAnd) {
-    SplitConjuncts(e->args[0], out);
-    SplitConjuncts(e->args[1], out);
-    return;
-  }
-  out->push_back(e);
-}
-
 // Rewrite a post-aggregation expression: agg markers become aggregate output
 // slots, subtrees matching a GROUP BY expression become key slots.
 Status RewritePostAgg(const ExprPtr& e, const std::vector<ExprPtr>& group_by,
@@ -724,7 +714,7 @@ Result<SqlResult> ExecuteSql(std::string_view statement, const SqlCatalog& catal
 
   // --- split WHERE: per-table filters, join edges, residual (§4.2) ----------
   std::vector<ExprPtr> conjuncts;
-  SplitConjuncts(query.where, &conjuncts);
+  exec::SplitConjuncts(query.where, &conjuncts);
   std::map<std::string, std::vector<ExprPtr>> table_filters;
   std::vector<std::pair<ExprPtr, ExprPtr>> join_edges;
   std::vector<ExprPtr> residual;
@@ -843,9 +833,7 @@ Result<SqlResult> ExecuteSql(std::string_view statement, const SqlCatalog& catal
     plan.column_names.push_back("QUERY PLAN");
     auto* arena = ctx.arena(0);
     for (const std::string& line : lines) {
-      const uint8_t* copy = arena->AllocateCopy(line.data(), line.size());
-      plan.rows.push_back({exec::Value::String(
-          {reinterpret_cast<const char*>(copy), line.size()})});
+      plan.rows.push_back({exec::Value::String(arena->CopyString(line))});
     }
     return plan;
   }
@@ -935,9 +923,7 @@ Result<SqlResult> ExecuteSql(std::string_view statement, const SqlCatalog& catal
       if (end == std::string::npos) end = text.size();
       std::string_view line(text.data() + begin, end - begin);
       if (!line.empty()) {
-        const uint8_t* copy = arena->AllocateCopy(line.data(), line.size());
-        plan.rows.push_back({exec::Value::String(
-            {reinterpret_cast<const char*>(copy), line.size()})});
+        plan.rows.push_back({exec::Value::String(arena->CopyString(line))});
       }
       begin = end + 1;
     }

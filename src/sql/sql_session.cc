@@ -151,10 +151,8 @@ Result<SqlResult> SqlSession::ShowResourceGroups() {
     auto snap = service_->Snapshot(name);
     if (!snap.ok()) continue;  // dropped between listing and snapshot
     const service::GroupSnapshot& g = snap.ValueOrDie();
-    const uint8_t* copy = arena->AllocateCopy(name.data(), name.size());
     exec::Row row;
-    row.push_back(exec::Value::String(
-        {reinterpret_cast<const char*>(copy), name.size()}));
+    row.push_back(exec::Value::String(arena->CopyString(name)));
     row.push_back(exec::Value::Int(static_cast<int64_t>(g.running)));
     row.push_back(exec::Value::Int(static_cast<int64_t>(g.queued)));
     row.push_back(exec::Value::Int(static_cast<int64_t>(g.concurrency)));

@@ -347,11 +347,11 @@ Tile TileBuilder::BuildFromItems(const std::vector<json::JsonbValue>& docs,
   JSONTILES_COUNTER_ADD("tiles.built", 1);
   JSONTILES_COUNTER_ADD("tiles.columns_extracted",
                         static_cast<int64_t>(tile.columns.size()));
-  JSONTILES_OBS_ONLY(if (!types_per_path.empty()) {
+  if (!types_per_path.empty()) {
     JSONTILES_HIST_RECORD("tiles.materialized_path_pct",
                           100.0 * static_cast<double>(tile.columns.size()) /
                               static_cast<double>(types_per_path.size()));
-  });
+  }
   return tile;
 }
 

@@ -21,6 +21,12 @@ uint8_t* Arena::AllocateCopy(const void* src, size_t size) {
   return dst;
 }
 
+std::string_view Arena::CopyString(std::string_view s) {
+  if (s.empty()) return {};
+  return {reinterpret_cast<const char*>(AllocateCopy(s.data(), s.size())),
+          s.size()};
+}
+
 void Arena::NewBlock(size_t min_size) {
   size_t size = std::max(block_size_, min_size);
   blocks_.push_back(std::make_unique<uint8_t[]>(size));

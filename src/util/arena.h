@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 namespace jsontiles {
@@ -28,6 +29,10 @@ class Arena {
 
   /// Allocate and copy `size` bytes from `src`.
   uint8_t* AllocateCopy(const void* src, size_t size);
+
+  /// Copy a string's bytes into the arena and view the copy (an empty input
+  /// gives an empty view).
+  std::string_view CopyString(std::string_view s);
 
   /// Total bytes handed out (excluding block overhead / slack).
   size_t bytes_allocated() const { return bytes_allocated_; }

@@ -27,7 +27,6 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::Submit(std::function<void()> task) {
   JSONTILES_COUNTER_ADD("thread_pool.tasks_submitted", 1);
-#if JSONTILES_OBS_AVAILABLE
   // Wrap the task so the dequeueing worker can report how long it sat queued.
   task = [submitted = obs::TraceCollector::Default().NowMicros(),
           inner = std::move(task)]() {
@@ -37,7 +36,6 @@ void ThreadPool::Submit(std::function<void()> task) {
                             submitted));
     inner();
   };
-#endif
   {
     std::unique_lock<std::mutex> lock(mutex_);
     queue_.push_back(std::move(task));

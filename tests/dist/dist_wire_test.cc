@@ -235,7 +235,6 @@ TEST(DistWireTest, FragmentRoundTrip) {
   msg.fragment_id = 3;
   msg.shard_index = 3;
   msg.enable_tile_skipping = false;
-  msg.enable_vectorized = true;
   msg.accesses = {Access("l", {"a"}, ValueType::kInt),
                   Access("l", {"b"}, ValueType::kString)};
   msg.filter = Gt(Access("l", {"a"}, ValueType::kInt), ConstInt(10));
@@ -264,7 +263,6 @@ TEST(DistWireTest, FragmentRoundTrip) {
   EXPECT_EQ(out.shard_index, 3u);
   EXPECT_FALSE(out.is_side);
   EXPECT_FALSE(out.enable_tile_skipping);
-  EXPECT_TRUE(out.enable_vectorized);
   ASSERT_EQ(out.accesses.size(), 2u);
   EXPECT_TRUE(ExprEquals(*msg.accesses[1], *out.accesses[1]));
   ASSERT_NE(out.filter, nullptr);
@@ -279,6 +277,12 @@ TEST(DistWireTest, FragmentRoundTrip) {
   EXPECT_EQ(out.aggs[1].kind, AggSpec::Kind::kSum);
   ASSERT_NE(out.aggs[1].arg, nullptr);
   EXPECT_TRUE(ExprEquals(*msg.aggs[1].arg, *out.aggs[1].arg));
+
+  // The flags byte follows fragment id, epoch and shard index; only bits 1
+  // (side) and 2 (tile skipping) are defined.
+  std::vector<uint8_t> bad_flags = buf;
+  bad_flags[12] = 4;
+  EXPECT_FALSE(DecodeFragment(bad_flags, &out).ok());
 
   // Side-relation fragment.
   FragmentMsg side;
@@ -376,7 +380,7 @@ TEST(DistWireTest, AggPartialRoundTrip) {
                                AggSpec::Avg(Slot(2))};
   Arena arena;
   GroupTable groups(group_by.size(), aggs);
-  AccumulateRows(rows, group_by, aggs, /*vectorized=*/true, &arena, &groups);
+  AccumulateRows(rows, group_by, aggs, &arena, &groups);
   ASSERT_EQ(groups.size(), 3u);
   EXPECT_TRUE(groups.accs(2)[2].sum_f.on_heap());
   EXPECT_EQ(groups.accs(2)[4].distinct_count(), 3u);
@@ -543,8 +547,7 @@ std::vector<uint8_t> RealStream() {
   buf.clear();
   Arena arena;
   GroupTable groups(1, {AggSpec::CountStar()});
-  AccumulateRows(rows, {Slot(0)}, {AggSpec::CountStar()}, /*vectorized=*/true,
-                 &arena, &groups);
+  AccumulateRows(rows, {Slot(0)}, {AggSpec::CountStar()}, &arena, &groups);
   EncodeAggPartial(1, /*epoch=*/1, groups, &buf);
   AppendFrame(FrameType::kAggResult, buf, &stream);
 

@@ -6,8 +6,9 @@
 // compare equal share one, as EqualsForGrouping says), sums floats with a
 // heap-only reference of the Shewchuk summer, and records groups in order of
 // first appearance. Every execution path — one thread, four threads,
-// interpreted, compiled, the worker-side AccumulateRows and the spill path —
-// must finalize to the same bits.
+// compiled keys and arguments, keys or whole inputs that do not compile (so
+// BatchedExprs interprets them per row), the worker-side AccumulateRows and
+// the spill path — must finalize to the same bits.
 
 #include <cmath>
 #include <cstdint>
@@ -325,25 +326,31 @@ TEST(GroupTableTest, MatchesMapOracleOnRandomInputs) {
           std::string(mixed_keys ? "mixed" : "typed") + " seed " +
           std::to_string(seed);
 
+      // The mixed dataset compiles nothing (a mixed slot disables slot
+      // typing). On the typed one, a key of CASE arms with mixed types
+      // (string 'x' never taken, else slot 0) does not compile either: its
+      // lanes are interpreted and hashed per value while the arguments run
+      // compiled.
+      const std::vector<ExprPtr> interpreted_key = {
+          Case({ConstBool(false), ConstString("x"), Slot(0)}), Slot(1)};
       for (size_t threads : {1u, 4u}) {
-        for (bool vectorized : {true, false}) {
+        for (bool key_compiles : {true, false}) {
           ExecOptions opts;
           opts.num_threads = threads;
-          opts.enable_vectorized = vectorized;
           QueryContext ctx(opts);
-          RowSet got = AggregateExec(d.rows, d.group_by, d.aggs, ctx);
+          RowSet got = AggregateExec(
+              d.rows, key_compiles ? d.group_by : interpreted_key, d.aggs, ctx);
           ASSERT_TRUE(ctx.ConsumeStatus().ok());
           ExpectSameRows(want, got,
                          label + " threads " + std::to_string(threads) +
-                             (vectorized ? " compiled" : " interpreted"));
+                             (key_compiles ? " slot key" : " CASE key"));
         }
       }
 
       // The worker-side partial path, through the wire-facing table.
       Arena arena;
       GroupTable table(d.num_keys, d.aggs);
-      AccumulateRows(d.rows, d.group_by, d.aggs, /*vectorized=*/true, &arena,
-                     &table);
+      AccumulateRows(d.rows, d.group_by, d.aggs, &arena, &table);
       RowSet got;
       table.Finalize(&got);
       ExpectSameRows(want, got, label + " AccumulateRows");

@@ -3,8 +3,9 @@
 // and keep the pairs whose keys are all non-null and EqualsForGrouping-equal
 // and whose residual (if any) holds. The hash join must produce exactly the
 // oracle's rows in exactly the oracle's order — for every join type, with
-// and without a residual, with the vectorized engine on and off, and with a
-// parallel probe. A spilling run must produce the same multiset.
+// and without a residual, with keys that compile and keys the batch
+// evaluator interprets per row, and with a parallel probe. A spilling run
+// must produce the same multiset.
 
 #include <algorithm>
 #include <deque>
@@ -142,11 +143,25 @@ struct JoinCase {
   ExprPtr residual;
 };
 
+// `key` behind a CASE whose never-taken arms are a string and an int: the
+// same values, but mixed arm types never compile, so BatchedExprs evaluates
+// the key with the interpreter, row by row.
+ExprPtr Interpreted(const ExprPtr& key) {
+  return Case({ConstBool(false), ConstString("x"), ConstBool(false),
+               ConstInt(0), key});
+}
+
+JoinCase WithInterpretedKeys(const JoinCase& c) {
+  JoinCase out = c;
+  for (ExprPtr& k : out.build_keys) k = Interpreted(k);
+  for (ExprPtr& k : out.probe_keys) k = Interpreted(k);
+  return out;
+}
+
 RowSet RunHashJoin(const JoinCase& c, JoinType type, const ExprPtr& residual,
-                   bool vectorized, size_t threads, size_t mem_limit,
+                   size_t threads, size_t mem_limit,
                    uint64_t* spilled_bytes = nullptr) {
   ExecOptions options;
-  options.enable_vectorized = vectorized;
   options.num_threads = threads;
   options.mem_limit_bytes = mem_limit;
   QueryContext ctx(options);
@@ -159,24 +174,26 @@ RowSet RunHashJoin(const JoinCase& c, JoinType type, const ExprPtr& residual,
   return out;
 }
 
-// Every join type, with and without the residual, vectorized on and off,
-// at 1 and 2 threads: exact rows in exact order.
+// Every join type, with and without the residual, with the case's keys and
+// with their interpreted twins, at 1 and 2 threads: exact rows in exact
+// order.
 void CheckAgainstOracle(const JoinCase& c, const std::string& name) {
+  const JoinCase interpreted = WithInterpretedKeys(c);
   for (JoinType type : kJoinTypes) {
     for (bool with_residual : {false, true}) {
       if (with_residual && c.residual == nullptr) continue;
       const ExprPtr residual = with_residual ? c.residual : nullptr;
       const RowSet expected = NestedLoopJoin(c.build, c.probe, c.build_keys,
                                              c.probe_keys, type, residual);
-      for (bool vectorized : {true, false}) {
+      for (const JoinCase* run : {&c, &interpreted}) {
         for (size_t threads : {size_t{1}, size_t{2}}) {
           const std::string label =
               name + " " + JoinName(type) +
               (with_residual ? " +residual" : "") +
-              (vectorized ? " vec" : " scalar") + " threads=" +
+              (run == &c ? " keys" : " interpreted-keys") + " threads=" +
               std::to_string(threads);
           ExpectSameRows(expected,
-                         RunHashJoin(c, type, residual, vectorized, threads,
+                         RunHashJoin(*run, type, residual, threads,
                                      /*mem_limit=*/0),
                          label);
         }
@@ -326,13 +343,13 @@ TEST(JoinDifferentialTest, EmptySides) {
   JoinCase empty_probe{c.build, {}, {Slot(0)}, {Slot(0)}, c.residual};
   CheckAgainstOracle(empty_probe, "empty-probe");
   for (JoinType type : kJoinTypes) {
-    EXPECT_TRUE(RunHashJoin(empty_probe, type, nullptr, true, 1, 0).empty());
+    EXPECT_TRUE(RunHashJoin(empty_probe, type, nullptr, 1, 0).empty());
   }
   // Left and anti keep every probe row; left pads zero build columns.
-  EXPECT_EQ(RunHashJoin(empty_build, JoinType::kLeft, nullptr, true, 1, 0)
+  EXPECT_EQ(RunHashJoin(empty_build, JoinType::kLeft, nullptr, 1, 0)
                 .size(),
             c.probe.size());
-  EXPECT_EQ(RunHashJoin(empty_build, JoinType::kAnti, nullptr, true, 1, 0)
+  EXPECT_EQ(RunHashJoin(empty_build, JoinType::kAnti, nullptr, 1, 0)
                 .size(),
             c.probe.size());
 }
@@ -346,10 +363,10 @@ TEST(JoinDifferentialTest, SpilledJoinMatchesUnlimitedAsMultiset) {
       const std::string label = std::string(JoinName(type)) +
                                 (residual != nullptr ? " +residual" : "");
       const RowSet unlimited =
-          RunHashJoin(c, type, residual, true, 1, /*mem_limit=*/0);
+          RunHashJoin(c, type, residual, 1, /*mem_limit=*/0);
       uint64_t spilled = 0;
       const RowSet limited =
-          RunHashJoin(c, type, residual, true, 1, 32 * 1024, &spilled);
+          RunHashJoin(c, type, residual, 1, 32 * 1024, &spilled);
       EXPECT_GT(spilled, 0u) << label;
       ExpectSameRows(SortedByContent(unlimited), SortedByContent(limited),
                      label);

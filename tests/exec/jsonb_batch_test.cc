@@ -88,7 +88,7 @@ class JsonbBatchTest : public ::testing::Test {
                           steps.data(), steps.size(), requested, &arena, &vec);
     for (uint16_t r : lanes) {
       Value expected = EvalAccessOnJsonb(json::JsonbValue(docs_[r]), encoded,
-                                         requested, &arena, false);
+                                         requested, &arena);
       Value actual = vec.GetValue(r);
       ASSERT_TRUE(BitIdentical(expected, actual))
           << "path=" << tiles::PathToDisplayString(encoded)

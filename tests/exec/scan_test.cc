@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/expr_compile.h"
 #include "exec/operators.h"
 #include "storage/loader.h"
 
@@ -190,6 +191,84 @@ TEST(ScanTest, ParallelScanIsDeterministic) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); i++) {
     EXPECT_EQ(a[i][0].int_value(), b[i][0].int_value());
+  }
+}
+
+// A filter none of whose conjuncts compiles (CASE arms of mixed type) runs
+// entirely as interpreter residuals inside the batch scan. Every storage
+// mode must keep exactly the rows a per-row EvalExpr of the filter keeps.
+TEST(ScanTest, UncompiledFilterMatchesInterpreterInAllModes) {
+  auto docs = MixedDocs();
+  ExprPtr id = Access("t", {"o_id"}, ValueType::kInt);
+  ExprPtr total = Access("t", {"o_total"}, ValueType::kFloat);
+  // total > 150 AND id < 180, each spelled through a mixed-type CASE.
+  ExprPtr filter = And(
+      Eq(Case({Gt(Slot(1), ConstFloat(150.0)), ConstString("big"), Slot(0)}),
+         ConstString("big")),
+      Eq(Case({Lt(Slot(0), ConstInt(180)), Slot(0), ConstString("no")}),
+         Slot(0)));
+  ASSERT_FALSE(CompiledPredicate::Compile(
+                   filter, {ValueType::kInt, ValueType::kFloat})
+                   .any_compiled());
+
+  for (StorageMode mode : {StorageMode::kJsonText, StorageMode::kJsonb,
+                           StorageMode::kSinew, StorageMode::kTiles}) {
+    auto rel = LoadMode(mode, docs);
+    ScanSpec spec = MakeSpec(rel.get());
+    spec.accesses = {id, total};
+    QueryContext all_ctx;
+    const RowSet all = ScanExec(spec, all_ctx);
+    ASSERT_EQ(all.size(), docs.size()) << StorageModeName(mode);
+    Arena arena;
+    RowSet expected(2);
+    for (RowView row : all) {
+      Value keep = EvalExpr(*filter, row.data(), &arena);
+      if (!keep.is_null() && keep.bool_value()) expected.push_back(row);
+    }
+    // Orders 50..179: totals above 150 and ids below 180.
+    ASSERT_EQ(expected.size(), 130u) << StorageModeName(mode);
+
+    spec.filter = filter;
+    QueryContext ctx;
+    const RowSet got = ScanExec(spec, ctx);
+    ASSERT_EQ(got.size(), expected.size()) << StorageModeName(mode);
+    for (size_t r = 0; r < got.size(); r++) {
+      EXPECT_EQ(got[r][0].int_value(), expected[r][0].int_value())
+          << StorageModeName(mode) << " row " << r;
+      EXPECT_EQ(got[r][1].float_value(), expected[r][1].float_value())
+          << StorageModeName(mode) << " row " << r;
+    }
+  }
+}
+
+// A JSON-text batch transforms its documents into buffers the next batch
+// reuses, so projected strings must be copied out of them. Over several
+// batches, every row keeps its own string; documents that are not JSON give
+// null slots but keep their row id.
+TEST(ScanTest, JsonTextStringsOutliveTheirBatch) {
+  std::vector<std::string> docs;
+  for (int i = 0; i < 3000; i++) {
+    docs.push_back(i % 500 == 7 ? "{not json"
+                                : R"({"id":)" + std::to_string(i) +
+                                      R"(,"name":"name-)" + std::to_string(i) +
+                                      R"("})");
+  }
+  auto rel = LoadMode(StorageMode::kJsonText, docs);
+  ScanSpec spec = MakeSpec(rel.get());
+  spec.accesses = {RowId("t"), Access("t", {"name"}, ValueType::kString),
+                   Access("t", {"id"}, ValueType::kInt)};
+  QueryContext ctx;
+  const RowSet rows = ScanExec(spec, ctx);
+  ASSERT_EQ(rows.size(), docs.size());
+  for (size_t r = 0; r < rows.size(); r++) {
+    EXPECT_EQ(rows[r][0].int_value(), static_cast<int64_t>(r));
+    if (r % 500 == 7) {
+      EXPECT_TRUE(rows[r][1].is_null()) << r;
+      EXPECT_TRUE(rows[r][2].is_null()) << r;
+      continue;
+    }
+    EXPECT_EQ(rows[r][1].string_value(), "name-" + std::to_string(r));
+    EXPECT_EQ(rows[r][2].int_value(), static_cast<int64_t>(r));
   }
 }
 

@@ -147,9 +147,6 @@ TEST(MetricsRegistryTest, DefaultIsSingleton) {
 // the JSONB transform (jsonb.transform.docs); a vectorized scan counts its
 // batches (exec.vec.batches).
 TEST(MetricsRegistryTest, LoadAndVectorizedScanBumpDefaultCounters) {
-#if !JSONTILES_OBS_AVAILABLE
-  GTEST_SKIP() << "built with JSONTILES_OBS=OFF";
-#else
   const char* const kNames[] = {"jsonb.ondemand.docs", "jsonb.transform.docs",
                                 "exec.vec.batches"};
   int64_t before[3];
@@ -165,9 +162,7 @@ TEST(MetricsRegistryTest, LoadAndVectorizedScanBumpDefaultCounters) {
                     storage::StorageMode::kJsonText}) {
     storage::Loader loader(mode, {});
     auto rel = loader.Load(text, "t").MoveValueOrDie();
-    exec::ExecOptions options;
-    options.enable_vectorized = true;
-    exec::QueryContext ctx(options);
+    exec::QueryContext ctx;
     exec::ScanSpec spec;
     spec.relation = rel.get();
     spec.table_alias = "t";
@@ -181,7 +176,6 @@ TEST(MetricsRegistryTest, LoadAndVectorizedScanBumpDefaultCounters) {
               before[i])
         << kNames[i];
   }
-#endif
 }
 
 }  // namespace

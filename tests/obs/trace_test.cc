@@ -1,5 +1,6 @@
 #include "obs/trace.h"
 
+#include <new>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -72,6 +73,21 @@ TEST(TraceCollectorTest, ChromeJsonShape) {
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("phase \\\"one\\\""), std::string::npos);  // escaped
+}
+
+// A collector built in the storage of a destroyed one must get its own
+// thread buffer, not the freed buffer the thread still has cached.
+TEST(TraceCollectorTest, CollectorAtReusedAddressGetsFreshBuffer) {
+  alignas(TraceCollector) unsigned char storage[sizeof(TraceCollector)];
+  auto* first = new (storage) TraceCollector();
+  first->Record("first", 0, 1);
+  first->~TraceCollector();
+  auto* second = new (storage) TraceCollector();
+  second->Record("second", 0, 1);
+  const std::vector<TraceEvent> events = second->Snapshot();
+  second->~TraceCollector();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "second");
 }
 
 // /dev/full accepts the buffered write and fails the flush in fclose, whose

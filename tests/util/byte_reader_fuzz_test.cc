@@ -263,7 +263,7 @@ TEST(ByteReaderFuzzTest, WireMessageLengthFields) {
 
   Arena arena;
   GroupTable groups(group_by.size(), aggs);
-  AccumulateRows(rows, group_by, aggs, /*vectorized=*/true, &arena, &groups);
+  AccumulateRows(rows, group_by, aggs, &arena, &groups);
   buf.clear();
   EncodeAggPartial(7, 2, groups, &buf);
   add("AggResult", buf, [&](const std::vector<uint8_t>& b) {
