@@ -4,8 +4,6 @@
 #include <cstring>
 
 #include "exec/expression.h"
-#include "exec/simd.h"
-#include "util/hash.h"
 #include "util/logging.h"
 
 namespace jsontiles::exec {
@@ -257,7 +255,6 @@ AggInput::AggInput(const RowSet& in, const std::vector<ExprPtr>& group_by,
       num_keys_(group_by.size()),
       lane_keys_(kVectorSize * group_by.size()),
       lane_hash_(kVectorSize),
-      key_hash_(kVectorSize),
       lane_group_(kVectorSize) {
   int next = static_cast<int>(group_by.size());
   for (const AggSpec& a : aggs) {
@@ -276,32 +273,10 @@ void AggInput::AccumulateBatch(const RowSet& in, size_t begin, size_t n,
     std::fill_n(lane_group_.begin(), n,
                 table->FindOrInsert(kKeyHashSeed, nullptr, &created));
   } else {
-    // Key hashes: integer-typed compiled lanes through the SIMD batch
-    // kernels, bit-identical to the per-Value chain (int/bool/timestamp
-    // lanes hash as HashInt of the payload, null lanes as
-    // Value::Null().Hash()), so spill partitions and wire frames agree.
-    uint64_t* hacc = lane_hash_.data();
-    std::fill_n(hacc, n, kKeyHashSeed);
-    for (size_t j = 0; j < nk; j++) {
-      const ColumnVector* col = batched_.Result(j);
-      const bool batch_hashed =
-          col != nullptr && simd::UseSimd() &&
-          (col->type() == ValueType::kInt || col->type() == ValueType::kBool ||
-           col->type() == ValueType::kTimestamp);
-      if (batch_hashed) {
-        simd::HashI64Batch(col->i64(), col->nulls(), Value::Null().Hash(),
-                           key_hash_.data(), n);
-        simd::HashCombineBatch(hacc, key_hash_.data(), n);
-      }
-      for (size_t k = 0; k < n; k++) {
-        PrefetchStringLane(col, k + kStringPrefetchAhead, n);
-        Value v = batched_.Get(j, k, in[begin + k], arena);
-        if (!batch_hashed) hacc[k] = HashCombine(hacc[k], v.Hash());
-        lane_keys_[k * nk + j] = v;
-      }
-    }
+    batched_.HashKeys(nk, in, begin, n, arena, lane_keys_.data(),
+                      lane_hash_.data());
     for (size_t k = 0; k < n; k++) {
-      lane_group_[k] = table->FindOrInsert(hacc[k], &lane_keys_[k * nk],
+      lane_group_[k] = table->FindOrInsert(lane_hash_[k], &lane_keys_[k * nk],
                                            &created);
     }
   }

@@ -27,11 +27,6 @@
 
 namespace jsontiles::exec {
 
-/// Seed of the group/join key hash chain (group hash = kKeyHashSeed combined
-/// with each key Value's hash). Workers and coordinator must agree on it so a
-/// group's hash is stable across processes.
-inline constexpr uint64_t kKeyHashSeed = 0x2545F4914F6CDD1DULL;
-
 /// Estimated hash-table cost per row beyond its Values: bucket entry, per-row
 /// key vector header, map node slack. Used for memory-budget charges; the
 /// flat join and group tables need less but are charged the same, so spill
@@ -155,9 +150,9 @@ class GroupTable {
 
 /// The per-row inputs of one aggregation over a RowSet — group keys, then
 /// aggregate arguments — compiled once. AccumulateBatch evaluates them one
-/// batch at a time, hashes integer key lanes with the SIMD batch kernels
-/// (bit-identical to Value::Hash) and folds every row into a GroupTable.
-/// Copy one instance per worker, like BatchedExprs.
+/// batch at a time, hashes the keys through BatchedExprs::HashKeys and folds
+/// every row into a GroupTable. Copy one instance per worker, like
+/// BatchedExprs.
 class AggInput {
  public:
   AggInput(const RowSet& in, const std::vector<ExprPtr>& group_by,
@@ -180,7 +175,6 @@ class AggInput {
   std::vector<int> arg_expr_;      // per agg: batched index, -1 = COUNT(*)
   std::vector<Value> lane_keys_;   // kVectorSize x num_keys_ scratch
   std::vector<uint64_t> lane_hash_;
-  std::vector<uint64_t> key_hash_;
   std::vector<uint32_t> lane_group_;
 };
 

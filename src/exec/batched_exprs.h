@@ -1,11 +1,13 @@
 // Batch-at-a-time evaluation of a fixed expression list over a flat RowSet:
 // the compiled kernels (exec/expr_compile.h) where the expressions compile,
 // the interpreter where they do not. Shared by the operators above the scan
-// and by the aggregation input loop (exec/agg_state.h).
+// and by the aggregation input loop (exec/agg_state.h). HashKeys is the one
+// key hasher of hash joins, group-bys and spill partitioning.
 
 #ifndef JSONTILES_EXEC_BATCHED_EXPRS_H_
 #define JSONTILES_EXEC_BATCHED_EXPRS_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "exec/expr_compile.h"
@@ -14,6 +16,11 @@
 #include "exec/vector_batch.h"
 
 namespace jsontiles::exec {
+
+/// Seed of the group/join key hash chain (key hash = kKeyHashSeed combined
+/// with each key Value's hash). Workers and coordinator must agree on it so a
+/// group's hash is stable across processes.
+inline constexpr uint64_t kKeyHashSeed = 0x2545F4914F6CDD1DULL;
 
 /// Infer the static type of every slot in `slots` from a full pass over the
 /// rows (an all-null slot stays kNull). Returns false — disabling compiled
@@ -46,6 +53,15 @@ class BatchedExprs {
   const ColumnVector* Result(size_t e) const {
     return enabled_ && compiled_[e] ? results_[e] : nullptr;
   }
+
+  /// The keys of the loaded batch (rows [begin, begin + n) of `rows`), where
+  /// expressions [0, nk) are the keys: lane k's key values go to
+  /// keys[k * nk + j] and its chained hash — kKeyHashSeed combined with each
+  /// key's Value::Hash — to hashes[k]. Compiled int/bool/timestamp keys hash
+  /// through the SIMD batch kernels, bit-identical to Value::Hash; every
+  /// other key hashes per Value.
+  void HashKeys(size_t nk, const RowSet& rows, size_t begin, size_t n,
+                Arena* arena, Value* keys, uint64_t* hashes) const;
 
  private:
   std::vector<const Expr*> exprs_;

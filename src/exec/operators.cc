@@ -4,19 +4,18 @@
 #include <atomic>
 #include <cstring>
 #include <deque>
+#include <functional>
 
 #include "exec/agg_state.h"
 #include "exec/batched_exprs.h"
 #include "exec/expr_compile.h"
 #include "exec/float_sum.h"
-#include "exec/simd.h"
 #include "exec/spill.h"
 #include "exec/vector_batch.h"
 #include "obs/obs.h"
 #include "obs/plan_profile.h"
 #include "util/bit_util.h"
 #include "util/failpoint.h"
-#include "util/hash.h"
 #include "util/logging.h"
 #include "util/resource_governor.h"
 
@@ -24,27 +23,18 @@ namespace jsontiles::exec {
 
 namespace {
 
-// kKeyHashSeed / kPerRowTableOverhead / TotalValueOrder and the group table
-// live in exec/agg_state.h: the distributed exchange shares them with this
-// file so worker partials hash, group and tie-break exactly like local
-// aggregation.
+// The key hasher (exec/batched_exprs.h) and the group table
+// (exec/agg_state.h) are shared with the distributed exchange, so worker
+// partials hash, group and tie-break exactly like local aggregation.
 
-// Copy every string payload of `rows` into `arena`. Output rows of a spilled
-// partition reference strings in the partition's read-back arena, which dies
-// when the partition finishes — rescue them into a query-lifetime arena.
-void RescueRowStrings(RowSet* rows, Arena* arena) {
-  for (RowRef row : *rows) {
-    for (Value& v : row) {
-      if (v.type == ValueType::kString) v.s = arena->CopyString(v.s);
-    }
-  }
-}
+// Joins and aggregations over at least this many rows run on the worker
+// pool, one contiguous chunk per worker.
+constexpr size_t kParallelThreshold = 16384;
 
 // Emit the spill counters on an operator node (only when it actually
-// spilled, so unconstrained plans stay unchanged). Closes the ROADMAP item:
-// EXPLAIN ANALYZE reports spilled bytes once operators spill. Also
-// accumulates the query-level spill total the multi-tenant service exposes
-// as the per-group quota-spill metric.
+// spilled, so unconstrained plans stay unchanged). Also accumulates the
+// query-level spill total the multi-tenant service exposes as the per-group
+// quota-spill metric.
 void ReportSpill(obs::OperatorProfiler& prof, const SpillStats& stats,
                  QueryContext& ctx) {
   ctx.spilled_bytes += stats.spilled_bytes;
@@ -83,6 +73,133 @@ class ArenaCounter {
   QueryContext& ctx_;
   size_t before_;
 };
+
+// One input side of a grace-hash operator. A partition's memory estimate
+// charges raw_weight bytes per serialized byte of the side, plus
+// kPerRowTableOverhead per row.
+struct GraceSide {
+  const RowSet* rows;
+  const std::vector<ExprPtr>* keys;
+  size_t raw_weight;
+};
+
+// What differs between the operators that spill through GraceSpill: the
+// aggregate has one side (its input), the join two (build, then probe). A
+// partition with no rows on skip_side emits nothing; in_memory runs the
+// operator unbudgeted over one partition, one RowSet per side.
+struct GraceOp {
+  std::vector<GraceSide> sides;
+  size_t skip_side;
+  std::function<Status(const std::vector<RowSet>& sides, RowSet* out)>
+      in_memory;
+};
+
+// Route every row of `rows` to (*parts)[SpillPartitionOf(hash, 0)], its key
+// hash computed batch by batch through BatchedExprs::HashKeys.
+Status PartitionByKey(const RowSet& rows, const std::vector<ExprPtr>& keys,
+                      QueryContext& ctx, std::vector<SpillFile>* parts) {
+  const size_t nk = keys.size();
+  BatchedExprs batched(rows, RawExprs(keys));
+  Arena scratch;  // derived key strings live only until their batch is hashed
+  std::vector<Value> key_values(kVectorSize * nk);
+  std::vector<uint64_t> hashes(kVectorSize);
+  for (size_t base = 0; base < rows.size(); base += kVectorSize) {
+    const size_t n = std::min(kVectorSize, rows.size() - base);
+    batched.LoadBatch(rows, base, n, &scratch);
+    batched.HashKeys(nk, rows, base, n, &scratch, key_values.data(),
+                     hashes.data());
+    for (size_t k = 0; k < n; k++) {
+      const uint64_t h = hashes[k];
+      JSONTILES_RETURN_NOT_OK(
+          (*parts)[SpillPartitionOf(h, 0)].Add(h, rows[base + k]));
+      if ((base + k + 1) % 4096 == 0 && ctx.cancelled()) {
+        return Status::Cancelled("query cancelled");
+      }
+    }
+    scratch.Reset();
+  }
+  return Status::OK();
+}
+
+// The grace-hash driver of both memory-governed operators. At depth 0 it
+// partitions every side's rows by key hash; deeper, `files` holds one parent
+// partition per side (taken by value so their disk space frees as soon as
+// they are consumed). A partition that fits the budget — or sits at the
+// depth cap, where its keys are unsplittable — is read back and run through
+// op.in_memory; any other repartitions on the next range of stored hash
+// bits. Partitions are visited in order and their outputs concatenate: a
+// key never crosses partitions, and a row's partition is a pure function of
+// its key hash, so matching rows of different sides meet.
+Status GraceSpill(const GraceOp& op, std::vector<SpillFile> files,
+                  size_t depth, QueryContext& ctx, SpillStats* stats,
+                  RowSet* out) {
+  const size_t num_sides = op.sides.size();
+  if (depth > 0) {
+    if (files[op.skip_side].rows() == 0) return Status::OK();
+    size_t est = 0;
+    for (size_t s = 0; s < num_sides; s++) {
+      est += static_cast<size_t>(files[s].raw_bytes()) *
+                 op.sides[s].raw_weight +
+             static_cast<size_t>(files[s].rows()) * kPerRowTableOverhead;
+    }
+    BudgetReservation res(ctx.budget());
+    if (depth >= kMaxSpillDepth || res.Grow(est)) {
+      if (depth >= kMaxSpillDepth) stats->forced_inmem++;
+      Arena part_arena;
+      std::vector<RowSet> rows(num_sides);
+      for (size_t s = 0; s < num_sides; s++) {
+        JSONTILES_RETURN_NOT_OK(files[s].ReadAll(&part_arena, &rows[s]));
+      }
+      files.clear();  // release the disk space early
+      RowSet local;
+      JSONTILES_RETURN_NOT_OK(op.in_memory(rows, &local));
+      // Output strings point into part_arena, which dies here: rescue them
+      // into the query arena.
+      for (RowRef row : local) {
+        for (Value& v : row) {
+          if (v.type == ValueType::kString) v.s = ctx.arena(0)->CopyString(v.s);
+        }
+      }
+      out->Append(local);
+      return Status::OK();
+    }
+  }
+  std::vector<std::vector<SpillFile>> parts(num_sides);
+  for (std::vector<SpillFile>& side_parts : parts) {
+    for (size_t p = 0; p < kSpillFanout; p++) {
+      side_parts.emplace_back(ctx.options().spill_dir, stats,
+                              ctx.options().spill_disk);
+    }
+  }
+  for (size_t s = 0; s < num_sides; s++) {
+    if (depth == 0) {
+      JSONTILES_RETURN_NOT_OK(PartitionByKey(
+          *op.sides[s].rows, *op.sides[s].keys, ctx, &parts[s]));
+      continue;
+    }
+    JSONTILES_RETURN_NOT_OK(
+        files[s].ForEach(nullptr, [&](uint64_t h, RowView row) {
+          if (ctx.cancelled()) return Status::Cancelled("query cancelled");
+          return parts[s][SpillPartitionOf(h, depth)].Add(h, row);
+        }));
+  }
+  files.clear();
+  for (size_t p = 0; p < kSpillFanout; p++) {
+    for (size_t s = 0; s < num_sides; s++) {
+      JSONTILES_RETURN_NOT_OK(parts[s][p].Finish());
+    }
+  }
+  for (size_t p = 0; p < kSpillFanout; p++) {
+    if (ctx.cancelled()) return Status::Cancelled("query cancelled");
+    std::vector<SpillFile> partition;
+    for (size_t s = 0; s < num_sides; s++) {
+      partition.push_back(std::move(parts[s][p]));
+    }
+    JSONTILES_RETURN_NOT_OK(GraceSpill(op, std::move(partition), depth + 1,
+                                       ctx, stats, out));
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -197,7 +314,6 @@ Status AggregateInMemory(const RowSet& in, const std::vector<ExprPtr>& group_by,
                          bool budgeted, bool* aborted, size_t* table_bytes,
                          RowSet* out) {
   *aborted = false;
-  const size_t parallel_threshold = 16384;
   std::vector<GroupTable> partials;
   // Reservations outlive the group tables' useful life below; one per worker
   // (BudgetReservation is single-threaded, the budget under it is atomic).
@@ -227,15 +343,13 @@ Status AggregateInMemory(const RowSet& in, const std::vector<ExprPtr>& group_by,
     }
   };
 
-  if (ctx.pool() != nullptr && in.size() >= parallel_threshold) {
+  if (ctx.pool() != nullptr && in.size() >= kParallelThreshold) {
     size_t workers = ctx.num_workers();
     for (size_t w = 0; w < workers; w++) {
       partials.emplace_back(group_by.size(), aggs);
-    }
-    std::vector<AggInput> worker_inputs(workers, master);
-    for (size_t w = 0; w < workers; w++) {
       reservations.emplace_back(budgeted ? ctx.budget() : nullptr);
     }
+    std::vector<AggInput> worker_inputs(workers, master);
     size_t chunk = (in.size() + workers - 1) / workers;
     JSONTILES_RETURN_NOT_OK(ctx.pool()->ParallelForStatus(
         workers,
@@ -275,97 +389,6 @@ Status AggregateInMemory(const RowSet& in, const std::vector<ExprPtr>& group_by,
   return Status::OK();
 }
 
-// Aggregate one spill partition (taken by value so its disk space frees as
-// soon as it is consumed). When the partition fits in the budget — or the
-// recursion hit the depth cap, meaning its keys are unsplittable — it is
-// materialized and aggregated in memory; otherwise it repartitions onto the
-// next range of stored hash bits.
-Status AggSpillPartition(SpillFile file, const std::vector<ExprPtr>& group_by,
-                         const std::vector<AggSpec>& aggs, QueryContext& ctx,
-                         size_t depth, SpillStats* stats, size_t* table_bytes,
-                         RowSet* out) {
-  if (file.rows() == 0) return Status::OK();
-  // Read-back rows + group table (at worst one group per row); 3x raw covers
-  // keys and accumulators.
-  const size_t est =
-      static_cast<size_t>(file.raw_bytes()) * 3 +
-      static_cast<size_t>(file.rows()) * kPerRowTableOverhead;
-  BudgetReservation res(ctx.budget());
-  if (depth >= kMaxSpillDepth || res.Grow(est)) {
-    if (depth >= kMaxSpillDepth && stats != nullptr) stats->forced_inmem++;
-    Arena part_arena;
-    RowSet rows;
-    JSONTILES_RETURN_NOT_OK(file.ReadAll(&part_arena, &rows));
-    file = SpillFile({}, nullptr);  // release the disk space early
-    RowSet local;
-    bool aborted = false;
-    JSONTILES_RETURN_NOT_OK(AggregateInMemory(rows, group_by, aggs, ctx,
-                                              /*budgeted=*/false, &aborted,
-                                              table_bytes, &local));
-    RescueRowStrings(&local, ctx.arena(0));
-    out->Append(local);
-    return Status::OK();
-  }
-  std::vector<SpillFile> sub;
-  for (size_t p = 0; p < kSpillFanout; p++) {
-    sub.emplace_back(ctx.options().spill_dir, stats, ctx.options().spill_disk);
-  }
-  JSONTILES_RETURN_NOT_OK(file.ForEach(nullptr, [&](uint64_t h, RowView row) {
-    if (ctx.cancelled()) return Status::Cancelled("query cancelled");
-    return sub[SpillPartitionOf(h, depth)].Add(h, row);
-  }));
-  file = SpillFile({}, nullptr);
-  for (size_t p = 0; p < kSpillFanout; p++) {
-    JSONTILES_RETURN_NOT_OK(sub[p].Finish());
-  }
-  for (size_t p = 0; p < kSpillFanout; p++) {
-    if (ctx.cancelled()) return Status::Cancelled("query cancelled");
-    JSONTILES_RETURN_NOT_OK(AggSpillPartition(std::move(sub[p]), group_by,
-                                              aggs, ctx, depth + 1, stats,
-                                              table_bytes, out));
-  }
-  return Status::OK();
-}
-
-// Grace aggregation: partition the input by group-key hash into disk runs,
-// then aggregate each partition independently (a group never crosses
-// partitions, so partition outputs concatenate; groups are in first-
-// appearance order within a partition, and no order holds across them).
-Status AggSpill(const RowSet& in, const std::vector<ExprPtr>& group_by,
-                const std::vector<AggSpec>& aggs, QueryContext& ctx,
-                SpillStats* stats, size_t* table_bytes, RowSet* out) {
-  JSONTILES_TRACE_SPAN("exec.agg.spill");
-  std::vector<SpillFile> parts;
-  for (size_t p = 0; p < kSpillFanout; p++) {
-    parts.emplace_back(ctx.options().spill_dir, stats,
-                       ctx.options().spill_disk);
-  }
-  Arena scratch;  // derived key strings live only until the row is hashed
-  size_t since_reset = 0;
-  for (RowView row : in) {
-    uint64_t h = kKeyHashSeed;
-    for (const auto& g : group_by) {
-      h = HashCombine(h, EvalExpr(*g, row.data(), &scratch).Hash());
-    }
-    JSONTILES_RETURN_NOT_OK(parts[SpillPartitionOf(h, 0)].Add(h, row));
-    if (++since_reset == 4096) {
-      if (ctx.cancelled()) return Status::Cancelled("query cancelled");
-      scratch.Reset();
-      since_reset = 0;
-    }
-  }
-  for (size_t p = 0; p < kSpillFanout; p++) {
-    JSONTILES_RETURN_NOT_OK(parts[p].Finish());
-  }
-  for (size_t p = 0; p < kSpillFanout; p++) {
-    if (ctx.cancelled()) return Status::Cancelled("query cancelled");
-    JSONTILES_RETURN_NOT_OK(AggSpillPartition(std::move(parts[p]), group_by,
-                                              aggs, ctx, 1, stats, table_bytes,
-                                              out));
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 RowSet AggregateExec(const RowSet& in, const std::vector<ExprPtr>& group_by,
@@ -388,7 +411,19 @@ RowSet AggregateExec(const RowSet& in, const std::vector<ExprPtr>& group_by,
   Status st = AggregateInMemory(in, group_by, aggs, ctx, budgeted, &aborted,
                                 &table_bytes, &out);
   if (st.ok() && aborted) {
-    st = AggSpill(in, group_by, aggs, ctx, &stats, &table_bytes, &out);
+    // Grace aggregation: groups in first-appearance order per partition,
+    // partitions in order. A partition's rows plus a table of at worst one
+    // group per row: 3x raw covers keys and accumulators.
+    JSONTILES_TRACE_SPAN("exec.agg.spill");
+    GraceOp op{{{&in, &group_by, /*raw_weight=*/3}},
+               /*skip_side=*/0,
+               [&](const std::vector<RowSet>& rows, RowSet* local) {
+                 bool unused_aborted = false;
+                 return AggregateInMemory(rows[0], group_by, aggs, ctx,
+                                          /*budgeted=*/false, &unused_aborted,
+                                          &table_bytes, local);
+               }};
+    st = GraceSpill(op, {}, 0, ctx, &stats, &out);
   }
   if (!st.ok()) {
     ctx.Cancel(std::move(st));
@@ -431,17 +466,11 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
                     const JoinSpec& spec, QueryContext& ctx,
                     BudgetReservation* res, bool* aborted, RowSet* out) {
   *aborted = false;
-  const std::vector<ExprPtr>& build_keys = spec.build_keys;
-  const std::vector<ExprPtr>& probe_keys = spec.probe_keys;
-  const JoinType type = spec.type;
-  const ExprPtr& residual = spec.residual;
   Arena* arena = ctx.arena(0);
 
-  // Build phase: evaluate the build keys batch-at-a-time through the
-  // compiled engine and hash integer-typed key lanes with the SIMD batch
-  // kernels. Hashes are bit-identical to the scalar per-Value path —
-  // int/bool/timestamp lanes hash as HashInt of the payload and null lanes
-  // as Value::Null().Hash() — so probe lookups are unaffected.
+  // Build phase: keys evaluate and hash batch at a time through
+  // BatchedExprs::HashKeys, like the probe keys below, so build and probe
+  // hashes agree bit for bit.
   //
   // The table is three flat arrays: `keys` (build.size() x nk Values,
   // row-major), `row_hash`, and a power-of-two `heads` directory whose
@@ -454,7 +483,7 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
     return Status::ResourceExhausted(
         "hash join build side has more rows than a 32-bit chain index holds");
   }
-  const size_t nk = build_keys.size();
+  const size_t nk = spec.build_keys.size();
   std::vector<Value> keys(build.size() * nk);
   std::vector<uint64_t> row_hash(build.size());
   std::vector<uint8_t> row_has_null(build.size(), 0);
@@ -463,37 +492,19 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
   uint64_t mask = 0;
   {
     JSONTILES_TRACE_SPAN("exec.join.build");
-    BatchedExprs batched(build, RawExprs(build_keys));
-    uint64_t hacc[kVectorSize];
-    uint64_t hkey[kVectorSize];
+    BatchedExprs batched(build, RawExprs(spec.build_keys));
     for (size_t base = 0; base < build.size(); base += kVectorSize) {
       const size_t n = std::min(kVectorSize, build.size() - base);
       batched.LoadBatch(build, base, n, arena);
-      size_t batch_bytes = n * (kPerRowTableOverhead + nk * sizeof(Value));
-      std::fill(hacc, hacc + n, kKeyHashSeed);
       Value* batch_keys = keys.data() + base * nk;
-      for (size_t j = 0; j < nk; j++) {
-        const ColumnVector* col = batched.Result(j);
-        const bool batch_hashed =
-            col != nullptr && simd::UseSimd() &&
-            (col->type() == ValueType::kInt ||
-             col->type() == ValueType::kBool ||
-             col->type() == ValueType::kTimestamp);
-        if (batch_hashed) {
-          simd::HashI64Batch(col->i64(), col->nulls(), Value::Null().Hash(),
-                             hkey, n);
-          simd::HashCombineBatch(hacc, hkey, n);
-        }
-        for (size_t k = 0; k < n; k++) {
-          PrefetchStringLane(col, k + kStringPrefetchAhead, n);
-          Value v = batched.Get(j, k, build[base + k], arena);
-          row_has_null[base + k] |= static_cast<uint8_t>(v.is_null());
-          if (!batch_hashed) hacc[k] = HashCombine(hacc[k], v.Hash());
-          if (v.type == ValueType::kString) batch_bytes += v.s.size();
-          batch_keys[k * nk + j] = v;
-        }
+      batched.HashKeys(nk, build, base, n, arena, batch_keys,
+                       row_hash.data() + base);
+      size_t batch_bytes = n * (kPerRowTableOverhead + nk * sizeof(Value));
+      for (size_t i = 0; i < n * nk; i++) {
+        const Value& v = batch_keys[i];
+        row_has_null[base + i / nk] |= static_cast<uint8_t>(v.is_null());
+        if (v.type == ValueType::kString) batch_bytes += v.s.size();
       }
-      std::copy(hacc, hacc + n, row_hash.begin() + base);
       if (res != nullptr && !res->Grow(batch_bytes)) {
         *aborted = true;
         return Status::OK();
@@ -512,33 +523,27 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
   }
   const size_t build_width = spec.build_width;
 
-  // Probe phase (parallel chunks); probe keys evaluate batch-at-a-time with
-  // compiled programs when possible. Each worker runs a private copy of the
+  // Probe phase (parallel chunks): each batch's keys are hashed first, then
+  // its rows probe lane by lane. Each worker runs a private copy of the
   // compiled state; type inference runs once here.
-  BatchedExprs probe_master(probe, RawExprs(probe_keys));
+  BatchedExprs probe_master(probe, RawExprs(spec.probe_keys));
   auto probe_chunk = [&](size_t begin, size_t end, Arena* worker_arena,
                          RowSet* out, BatchedExprs* batched) {
     JSONTILES_TRACE_SPAN("exec.join.probe");
     std::vector<Value> combined;
-    std::vector<Value> pkeys;
-    pkeys.reserve(probe_keys.size());
+    std::vector<Value> batch_keys(kVectorSize * nk);
+    std::vector<uint64_t> batch_hash(kVectorSize);
     for (size_t base = begin; base < end; base += kVectorSize) {
       const size_t n = std::min(kVectorSize, end - base);
       batched->LoadBatch(probe, base, n, worker_arena);
+      batched->HashKeys(nk, probe, base, n, worker_arena, batch_keys.data(),
+                        batch_hash.data());
       for (size_t k = 0; k < n; k++) {
-        for (size_t j = 0; j < probe_keys.size(); j++) {
-          PrefetchStringLane(batched->Result(j), k + kStringPrefetchAhead, n);
-        }
         RowView prow = probe[base + k];
-        pkeys.clear();
-        uint64_t h = kKeyHashSeed;
+        const Value* pkeys = batch_keys.data() + k * nk;
+        const uint64_t h = batch_hash[k];
         bool has_null = false;
-        for (size_t j = 0; j < probe_keys.size(); j++) {
-          Value v = batched->Get(j, k, prow, worker_arena);
-          has_null |= v.is_null();
-          h = HashCombine(h, v.Hash());
-          pkeys.push_back(v);
-        }
+        for (size_t j = 0; j < nk; j++) has_null |= pkeys[j].is_null();
         bool matched = false;
         if (!has_null) {
           for (uint32_t b = heads[h & mask]; b != kChainEnd; b = next[b]) {
@@ -551,21 +556,22 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
             if (!equal) continue;
             RowView brow = build[b];
             // Residual predicate over [probe..., build...].
-            if (residual != nullptr) {
+            if (spec.residual != nullptr) {
               combined.assign(prow.begin(), prow.end());
               combined.insert(combined.end(), brow.begin(), brow.end());
-              Value keep = EvalExpr(*residual, combined.data(), worker_arena);
+              Value keep =
+                  EvalExpr(*spec.residual, combined.data(), worker_arena);
               if (keep.is_null() || !keep.bool_value()) continue;
             }
             matched = true;
-            if (type == JoinType::kInner || type == JoinType::kLeft) {
+            if (spec.type == JoinType::kInner || spec.type == JoinType::kLeft) {
               out->AppendConcat(prow, brow);
             } else {
               break;  // semi/anti need only existence
             }
           }
         }
-        switch (type) {
+        switch (spec.type) {
           case JoinType::kInner:
             break;
           case JoinType::kLeft:
@@ -582,8 +588,7 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
     }
   };
 
-  const size_t parallel_threshold = 16384;
-  if (ctx.pool() != nullptr && probe.size() >= parallel_threshold) {
+  if (ctx.pool() != nullptr && probe.size() >= kParallelThreshold) {
     size_t workers = ctx.num_workers();
     std::vector<RowSet> partials(workers);
     std::vector<BatchedExprs> worker_batched(workers, probe_master);
@@ -606,120 +611,6 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
     return Status::OK();
   }
   probe_chunk(0, probe.size(), arena, out, &probe_master);
-  return Status::OK();
-}
-
-// Join one spill partition pair (files taken by value so their disk space
-// frees as soon as they are consumed). Fits in budget or depth-capped —
-// materialize and join in memory; otherwise repartition both sides onto the
-// next range of stored hash bits.
-Status JoinSpillPartition(SpillFile bfile, SpillFile pfile,
-                          const JoinSpec& spec, QueryContext& ctx,
-                          size_t depth, SpillStats* stats, RowSet* out) {
-  if (pfile.rows() == 0) return Status::OK();  // all join kinds emit per probe row
-  const size_t est =
-      static_cast<size_t>(bfile.raw_bytes()) * 2 +
-      static_cast<size_t>(pfile.raw_bytes()) +
-      static_cast<size_t>(bfile.rows() + pfile.rows()) * kPerRowTableOverhead;
-  BudgetReservation res(ctx.budget());
-  if (depth >= kMaxSpillDepth || res.Grow(est)) {
-    if (depth >= kMaxSpillDepth && stats != nullptr) stats->forced_inmem++;
-    Arena part_arena;
-    RowSet bp, pp;
-    JSONTILES_RETURN_NOT_OK(bfile.ReadAll(&part_arena, &bp));
-    JSONTILES_RETURN_NOT_OK(pfile.ReadAll(&part_arena, &pp));
-    bfile = SpillFile({}, nullptr);
-    pfile = SpillFile({}, nullptr);
-    RowSet local;
-    bool aborted = false;
-    JSONTILES_RETURN_NOT_OK(
-        InMemoryJoin(bp, pp, spec, ctx, nullptr, &aborted, &local));
-    RescueRowStrings(&local, ctx.arena(0));
-    out->Append(local);
-    return Status::OK();
-  }
-  std::vector<SpillFile> bsub, psub;
-  for (size_t p = 0; p < kSpillFanout; p++) {
-    bsub.emplace_back(ctx.options().spill_dir, stats, ctx.options().spill_disk);
-    psub.emplace_back(ctx.options().spill_dir, stats, ctx.options().spill_disk);
-  }
-  auto reroute = [&](SpillFile* src, std::vector<SpillFile>& dst) {
-    return src->ForEach(nullptr, [&](uint64_t h, RowView row) {
-      if (ctx.cancelled()) return Status::Cancelled("query cancelled");
-      return dst[SpillPartitionOf(h, depth)].Add(h, row);
-    });
-  };
-  JSONTILES_RETURN_NOT_OK(reroute(&bfile, bsub));
-  JSONTILES_RETURN_NOT_OK(reroute(&pfile, psub));
-  bfile = SpillFile({}, nullptr);
-  pfile = SpillFile({}, nullptr);
-  for (size_t p = 0; p < kSpillFanout; p++) {
-    JSONTILES_RETURN_NOT_OK(bsub[p].Finish());
-    JSONTILES_RETURN_NOT_OK(psub[p].Finish());
-  }
-  for (size_t p = 0; p < kSpillFanout; p++) {
-    if (ctx.cancelled()) return Status::Cancelled("query cancelled");
-    JSONTILES_RETURN_NOT_OK(JoinSpillPartition(std::move(bsub[p]),
-                                               std::move(psub[p]), spec, ctx,
-                                               depth + 1, stats, out));
-  }
-  return Status::OK();
-}
-
-// Grace hash join: try in memory under the budget; on refusal partition both
-// sides by key hash into disk runs and join partition pairs independently.
-// The partition of a row is a pure function of its key hash, so matching
-// build/probe rows always land in the same pair and the result multiset is
-// identical to the in-memory join (output order differs — grouped by
-// partition).
-Status JoinImpl(const RowSet& build, const RowSet& probe, const JoinSpec& spec,
-                QueryContext& ctx, SpillStats* stats, RowSet* out) {
-  {
-    BudgetReservation res(ctx.budget());
-    bool aborted = false;
-    JSONTILES_RETURN_NOT_OK(
-        InMemoryJoin(build, probe, spec, ctx, &res, &aborted, out));
-    if (!aborted) return Status::OK();
-  }  // the partial reservation is released before spilling starts
-  JSONTILES_TRACE_SPAN("exec.join.spill");
-  std::vector<SpillFile> bparts, pparts;
-  for (size_t p = 0; p < kSpillFanout; p++) {
-    bparts.emplace_back(ctx.options().spill_dir, stats,
-                        ctx.options().spill_disk);
-    pparts.emplace_back(ctx.options().spill_dir, stats,
-                        ctx.options().spill_disk);
-  }
-  Arena scratch;  // derived key strings live only until the row is hashed
-  auto partition_side = [&](const RowSet& rows,
-                            const std::vector<ExprPtr>& keys,
-                            std::vector<SpillFile>& parts) -> Status {
-    size_t since_reset = 0;
-    for (RowView row : rows) {
-      uint64_t h = kKeyHashSeed;
-      for (const auto& k : keys) {
-        h = HashCombine(h, EvalExpr(*k, row.data(), &scratch).Hash());
-      }
-      JSONTILES_RETURN_NOT_OK(parts[SpillPartitionOf(h, 0)].Add(h, row));
-      if (++since_reset == 4096) {
-        if (ctx.cancelled()) return Status::Cancelled("query cancelled");
-        scratch.Reset();
-        since_reset = 0;
-      }
-    }
-    return Status::OK();
-  };
-  JSONTILES_RETURN_NOT_OK(partition_side(build, spec.build_keys, bparts));
-  JSONTILES_RETURN_NOT_OK(partition_side(probe, spec.probe_keys, pparts));
-  for (size_t p = 0; p < kSpillFanout; p++) {
-    JSONTILES_RETURN_NOT_OK(bparts[p].Finish());
-    JSONTILES_RETURN_NOT_OK(pparts[p].Finish());
-  }
-  for (size_t p = 0; p < kSpillFanout; p++) {
-    if (ctx.cancelled()) return Status::Cancelled("query cancelled");
-    JSONTILES_RETURN_NOT_OK(JoinSpillPartition(std::move(bparts[p]),
-                                               std::move(pparts[p]), spec,
-                                               ctx, 1, stats, out));
-  }
   return Status::OK();
 }
 
@@ -752,7 +643,26 @@ RowSet HashJoinExec(const RowSet& build, const RowSet& probe,
   JoinSpec spec{build_keys, probe_keys, type, residual,
                 build.empty() ? 0 : build[0].size()};
   RowSet out;
-  Status st = JoinImpl(build, probe, spec, ctx, &stats, &out);
+  bool aborted = false;
+  Status st;
+  {
+    BudgetReservation res(ctx.budget());
+    st = InMemoryJoin(build, probe, spec, ctx, &res, &aborted, &out);
+  }  // the partial reservation is released before spilling starts
+  if (st.ok() && aborted) {
+    // Grace hash join: the in-memory multiset, grouped by partition. A
+    // partition's build rows count twice (rows, table keys), probe rows once.
+    JSONTILES_TRACE_SPAN("exec.join.spill");
+    GraceOp op{{{&build, &build_keys, /*raw_weight=*/2},
+                {&probe, &probe_keys, /*raw_weight=*/1}},
+               /*skip_side=*/1,  // every join kind emits per probe row
+               [&](const std::vector<RowSet>& rows, RowSet* local) {
+                 bool unused_aborted = false;
+                 return InMemoryJoin(rows[0], rows[1], spec, ctx, nullptr,
+                                     &unused_aborted, local);
+               }};
+    st = GraceSpill(op, {}, 0, ctx, &stats, &out);
+  }
   if (!st.ok()) {
     ctx.Cancel(std::move(st));
     return {};
@@ -816,11 +726,6 @@ RowSet SortExec(RowSet in, const std::vector<SortKey>& keys, QueryContext& ctx) 
   out.reserve(in.size());
   for (uint32_t i : perm) out.push_back(in[i]);
   return out;
-}
-
-RowSet LimitExec(RowSet in, size_t limit) {
-  if (in.size() > limit) in.resize(limit);
-  return in;
 }
 
 RowSet LimitExec(RowSet in, size_t limit, QueryContext& ctx) {

@@ -80,9 +80,8 @@ struct SortKey {
 
 RowSet SortExec(RowSet in, const std::vector<SortKey>& keys, QueryContext& ctx);
 
-RowSet LimitExec(RowSet in, size_t limit);
-
-/// Profiling-aware variant: records rows in/out into ctx.profile (if set).
+/// The first `limit` rows of `in`; records rows in/out into ctx.profile (if
+/// set).
 RowSet LimitExec(RowSet in, size_t limit, QueryContext& ctx);
 
 }  // namespace jsontiles::exec

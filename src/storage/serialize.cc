@@ -1,7 +1,9 @@
 #include "storage/serialize.h"
 
 #include <cstring>
+#include <string>
 
+#include "json/jsonb.h"
 #include "tiles/tile_builder.h"
 #include "util/byte_codec.h"
 
@@ -367,10 +369,21 @@ Result<std::unique_ptr<Relation>> DeserializeBody(ByteReader& r) {
                                         config);
   uint64_t num_rows;
   JT_READ(r.Varint(&num_rows));
+  // Every mode but JSON text stores JSONB documents, which the query paths
+  // navigate without bounds checks: validate each before it is kept.
+  const bool jsonb_docs = rel->mode() != StorageMode::kJsonText;
   for (uint64_t row = 0; row < num_rows; row++) {
     const uint8_t* p;
     size_t n;
     JT_READ(r.Bytes(&p, &n));
+    if (jsonb_docs) {
+      Status st = json::ValidateJsonb(p, n);
+      if (!st.ok()) {
+        return Status::ParseError("corrupt relation file: '" + name +
+                                  "' row " + std::to_string(row) + ": " +
+                                  st.message());
+      }
+    }
     rel->AppendDoc(p, n);
   }
   uint64_t num_tiles;

@@ -625,7 +625,7 @@ RowSet Q21(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
   RowSet agg =
       exec::AggregateExec(waiting, {Slot(0)}, {AggSpec::CountStar()}, ctx);
   agg = exec::SortExec(std::move(agg), {{Slot(1), true}, {Slot(0), false}}, ctx);
-  return exec::LimitExec(std::move(agg), 100);
+  return exec::LimitExec(std::move(agg), 100, ctx);
 }
 
 RowSet Q22(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {

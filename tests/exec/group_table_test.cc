@@ -10,6 +10,7 @@
 // BatchedExprs interprets them per row), the worker-side AccumulateRows and
 // the spill path — must finalize to the same bits.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -25,7 +26,10 @@
 #include "exec/agg_state.h"
 #include "exec/operators.h"
 #include "exec/scan.h"
+#include "exec/simd.h"
+#include "exec/spill.h"
 #include "obs/plan_profile.h"
+#include "util/hash.h"
 
 namespace jsontiles::exec {
 namespace {
@@ -424,6 +428,72 @@ TEST(GroupTableTest, FindOrInsertNumbersGroupsDensely) {
   }
   EXPECT_EQ(table.size(), 1000u);
   EXPECT_EQ(table.charged_bytes(), 1000 * GroupCharge(1, 1, 0));
+}
+
+// The one key hasher against the scalar chain: per row, the hash must be
+// kKeyHashSeed combined with each key's interpreted Value::Hash, and the
+// depth-0 spill partition SpillPartitionOf of that hash, with the SIMD
+// kernels on and off. Keys cover int, bool, timestamp, float, string,
+// numeric and null lanes, a string-deriving SUBSTRING, and a slot of mixed
+// types that keeps the whole key list from compiling.
+TEST(GroupTableTest, HashKeysMatchesScalarHashChain) {
+  std::deque<std::string> strings;
+  RowSet in;
+  for (int i = 0; i < 2500; i++) {  // two full batches and a partial one
+    strings.push_back("key-" + std::to_string(i % 113) + "-tail");
+    const bool null = i % 7 == 3;
+    in.push_back({null ? Value::Null() : Value::Int(i * 7919 - 40000),
+                  null ? Value::Null() : Value::Bool(i % 3 == 0),
+                  null ? Value::Null() : Value::Ts(i * 86400),
+                  null ? Value::Null() : Value::Float(i * 0.75),
+                  null ? Value::Null() : Value::String(strings.back()),
+                  null ? Value::Null() : Value::Num(Numeric{i * 100 + 7, 2}),
+                  i % 2 == 0 ? Value::Int(i) : Value::String(strings.back())});
+  }
+  struct KeyList {
+    const char* name;
+    std::vector<ExprPtr> keys;
+    bool compiles;
+  };
+  std::vector<KeyList> lists;
+  lists.push_back({"typed lanes",
+                   {Slot(0), Slot(1), Slot(2), Slot(3), Slot(4), Slot(5)},
+                   true});
+  lists.push_back({"substring", {Substring(Slot(4), 1, 5), Slot(0)}, true});
+  lists.push_back({"mixed types", {Slot(0), Slot(6), Slot(4)}, false});
+  for (const KeyList& list : lists) {
+    const size_t nk = list.keys.size();
+    for (bool simd_on : {true, false}) {
+      simd::ScopedEnabled simd_scope(simd_on);
+      const std::string label =
+          std::string(list.name) + (simd_on ? " simd" : " scalar");
+      BatchedExprs batched(in, RawExprs(list.keys));
+      Arena arena;
+      std::vector<Value> keys(kVectorSize * nk);
+      std::vector<uint64_t> hashes(kVectorSize);
+      for (size_t base = 0; base < in.size(); base += kVectorSize) {
+        const size_t n = std::min(kVectorSize, in.size() - base);
+        batched.LoadBatch(in, base, n, &arena);
+        for (size_t j = 0; j < nk; j++) {
+          EXPECT_EQ(batched.Result(j) != nullptr, list.compiles) << label;
+        }
+        batched.HashKeys(nk, in, base, n, &arena, keys.data(), hashes.data());
+        for (size_t k = 0; k < n; k++) {
+          RowView row = in[base + k];
+          uint64_t want = kKeyHashSeed;
+          for (size_t j = 0; j < nk; j++) {
+            const Value v = EvalExpr(*list.keys[j], row.data(), &arena);
+            want = HashCombine(want, v.Hash());
+            const Value& got = keys[k * nk + j];
+            EXPECT_EQ(got.type, v.type) << label << " row " << base + k;
+            EXPECT_EQ(got.Hash(), v.Hash()) << label << " row " << base + k;
+          }
+          ASSERT_EQ(hashes[k], want) << label << " row " << base + k;
+          EXPECT_EQ(SpillPartitionOf(hashes[k], 0), SpillPartitionOf(want, 0));
+        }
+      }
+    }
+  }
 }
 
 // EXPLAIN ANALYZE's Aggregate node: groups emitted and the group table's

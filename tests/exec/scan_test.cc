@@ -367,7 +367,7 @@ TEST(OperatorsTest, SortAndLimit) {
   EXPECT_EQ(sorted[0][1].string_value(), "b");  // 1 desc-by-string: b before a
   EXPECT_EQ(sorted[1][1].string_value(), "a");
   EXPECT_EQ(sorted[3][0].int_value(), 3);
-  RowSet limited = LimitExec(std::move(sorted), 2);
+  RowSet limited = LimitExec(std::move(sorted), 2, ctx);
   EXPECT_EQ(limited.size(), 2u);
 }
 

@@ -230,6 +230,35 @@ class SpillSqlFixture : public ::testing::Test {
     return rows;
   }
 
+  // FNV-1a (64-bit) over the formatted rows of `statement` in the order the
+  // engine emits them, unsorted: pins the output order, not just the
+  // multiset.
+  static uint64_t OrderedRowsHash(const std::string& statement,
+                                  size_t mem_limit, size_t num_threads) {
+    ExecOptions options;
+    options.mem_limit_bytes = mem_limit;
+    options.num_threads = num_threads;
+    QueryContext ctx(options);
+    auto r = sql::ExecuteSql(statement, Catalog(), ctx);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    uint64_t h = 0xcbf29ce484222325ull;
+    if (!r.ok()) return h;
+    auto mix = [&h](std::string_view s) {
+      for (char c : s) {
+        h ^= static_cast<uint8_t>(c);
+        h *= 0x100000001b3ull;
+      }
+    };
+    for (const auto& row : r.ValueOrDie().rows) {
+      for (const auto& v : row) {
+        mix(v.ToString());
+        mix("|");
+      }
+      mix("\n");
+    }
+    return h;
+  }
+
   static std::string PlanText(size_t mem_limit, const std::string& statement) {
     ExecOptions options;
     options.mem_limit_bytes = mem_limit;
@@ -295,6 +324,32 @@ TEST_F(SpillSqlFixture, DifferentialMemLimitSweep) {
   }
 }
 
+// The sweep above compares sorted multisets; this pins the order in which
+// spilled rows come out. Every row's partition and the partition visit order
+// decide it, so a change to key hashing, partition routing or the grace
+// recursion shows up here. The constants are the hashes the executor produced
+// before the spill drivers of the join and the aggregate were merged into one.
+TEST_F(SpillSqlFixture, SpilledOutputOrderIsPinned) {
+  struct Case {
+    const char* name;
+    const char* query;
+    size_t threads;
+    uint64_t hash;
+  };
+  const Case kCases[] = {
+      {"join+agg", kJoinAggQuery, 1, 16400177869433502711ull},
+      {"join+agg", kJoinAggQuery, 4, 16400177869433502711ull},
+      {"join", kJoinQuery, 1, 8429624035541115122ull},
+      {"join", kJoinQuery, 4, 8429624035541115122ull},
+      {"agg", kAggQuery, 1, 2967268461278118096ull},
+      {"agg", kAggQuery, 4, 2967268461278118096ull},
+  };
+  for (const Case& c : kCases) {
+    EXPECT_EQ(OrderedRowsHash(c.query, 64 * 1024, c.threads), c.hash)
+        << c.name << " threads=" << c.threads;
+  }
+}
+
 TEST_F(SpillSqlFixture, ExplainAnalyzeReportsSpillCounters) {
   std::string constrained = PlanText(
       64 * 1024, std::string("EXPLAIN ANALYZE ") + kJoinAggQuery);
@@ -348,6 +403,53 @@ TEST(SpillSkewTest, DepthCapForcesInMemoryJoin) {
     }
   }
   EXPECT_TRUE(saw_forced);
+}
+
+// The aggregate twin: 2,000 distinct keys spill and split, but one hot key
+// holds 30,000 rows, so its partition outgrows 64 KiB at every depth until
+// the cap forces it in memory. The groups must match the unlimited run's.
+TEST(SpillSkewTest, DepthCapForcesInMemoryAggregate) {
+  RowSet in;
+  for (int i = 0; i < 32000; i++) {
+    Row row;
+    row.push_back(Value::Int(i < 2000 ? i + 1000 : 7));
+    row.push_back(Value::Int(i));
+    in.push_back(std::move(row));
+  }
+  std::vector<ExprPtr> group_by{Slot(0)};
+  auto run = [&](size_t mem_limit, bool* saw_forced) {
+    ExecOptions options;
+    options.mem_limit_bytes = mem_limit;
+    QueryContext ctx(options);
+    obs::PlanProfile profile;
+    ctx.profile = &profile;
+    std::vector<AggSpec> aggs;
+    aggs.push_back(AggSpec::CountStar());
+    aggs.push_back(AggSpec::Sum(Slot(1)));
+    RowSet out = AggregateExec(in, group_by, aggs, ctx);
+    EXPECT_TRUE(ctx.ConsumeStatus().ok());
+    *saw_forced = false;
+    for (int id = 0; id < static_cast<int>(profile.size()); id++) {
+      for (const auto& [name, value] : profile.op(id).counters) {
+        if (name == "spill_forced_inmem" && value > 0) *saw_forced = true;
+      }
+    }
+    std::vector<std::string> rows;
+    for (RowView row : out) {
+      rows.push_back(row[0].ToString() + "|" + row[1].ToString() + "|" +
+                     row[2].ToString());
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  bool forced_unlimited = false;
+  bool forced_limited = false;
+  std::vector<std::string> want = run(0, &forced_unlimited);
+  std::vector<std::string> got = run(64 * 1024, &forced_limited);
+  ASSERT_EQ(want.size(), 2001u);
+  EXPECT_EQ(got, want);
+  EXPECT_FALSE(forced_unlimited);
+  EXPECT_TRUE(forced_limited);
 }
 
 // ---------------------------------------------------------------------------

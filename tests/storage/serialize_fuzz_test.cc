@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -167,6 +168,48 @@ TEST(SerializeFuzzTest, MutatedFilesFailCleanlyOrReadInBounds) {
   // ones do not.
   EXPECT_GT(decoded, 0u);
   EXPECT_GT(rejected, 0u);
+}
+
+// One container offset corrupted inside one document: opening the file must
+// fail, since every document is validated as JSONB on open. Should the open
+// succeed, rendering the documents reads past the corrupt one (a
+// heap-buffer-overflow under the sanitizer build: a document of more than
+// 64 KiB fills its arena block exactly).
+TEST(SerializeFuzzTest, CorruptDocumentOffsetFailsOpen) {
+  const std::string doc =
+      R"({"big":")" + std::string(70000, 'a') + R"(","id":1,"tail":"z"})";
+  for (StorageMode mode : {StorageMode::kJsonb, StorageMode::kTiles}) {
+    Loader loader(mode, {});
+    auto rel = loader.Load({doc}, "doc").MoveValueOrDie();
+    std::vector<uint8_t> file;
+    ASSERT_TRUE(SerializeRelation(*rel, &file).ok());
+    const uint8_t* jsonb = rel->Jsonb(0).data();
+    auto at = std::search(file.begin(), file.end(), jsonb,
+                          jsonb + rel->DocSize(0));
+    ASSERT_NE(at, file.end());
+    // Root object: a header byte (tag 8, 4-byte offsets), a one-byte member
+    // count, then one offset per member. Move the last one 24 bytes past the
+    // end of the document.
+    ASSERT_EQ(at[0], 0x82);
+    ASSERT_EQ(at[1], 3);
+    uint8_t* last = &*at + 2 + 2 * 4;
+    uint32_t offset;
+    std::memcpy(&offset, last, 4);
+    offset += 24;
+    std::memcpy(last, &offset, 4);
+
+    auto opened = DeserializeRelation(file.data(), file.size());
+    if (opened.ok()) {
+      const Relation& bad = *opened.ValueOrDie();
+      for (size_t row = 0; row < bad.num_rows(); row++) {
+        EXPECT_FALSE(bad.Jsonb(row).ToJsonText().empty());
+      }
+    }
+    ASSERT_FALSE(opened.ok()) << StorageModeName(mode);
+    EXPECT_EQ(opened.status().code(), StatusCode::kParseError);
+    EXPECT_NE(opened.status().message().find("row 0"), std::string::npos)
+        << opened.status().ToString();
+  }
 }
 
 }  // namespace

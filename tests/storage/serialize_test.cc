@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "json/json_type.h"
+#include "json/jsonb.h"
 #include "opt/query.h"
 #include "storage/loader.h"
 #include "storage/shard.h"
@@ -401,7 +402,19 @@ void ExpectOpens(const std::vector<uint8_t>& file) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 }
 
-const std::vector<std::string> kThreeDocs = {"doc-zero", "d1", "document-2"};
+// Three documents of 8, 2 and 10 bytes, which the string references below
+// are sized to. They are JSONB (one JSON string each), since every mode but
+// JSON text validates its documents on open.
+std::vector<std::string> ThreeDocs() {
+  std::vector<std::string> docs;
+  for (const char* text : {R"("doc-zer")", R"("d")", R"("document-")"}) {
+    auto jsonb = json::JsonbFromText(text).MoveValueOrDie();
+    docs.emplace_back(jsonb.begin(), jsonb.end());
+  }
+  return docs;
+}
+
+const std::vector<std::string> kThreeDocs = ThreeDocs();
 
 std::vector<uint8_t> IntColumn(uint8_t width, std::vector<uint8_t> deltas) {
   std::vector<uint8_t> payload;
