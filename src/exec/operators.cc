@@ -457,47 +457,64 @@ struct JoinSpec {
   size_t build_width;
 };
 
-// One hash join entirely in memory. When `res` is non-null it is grown for
-// the build-side scratch (key values + hash table) as it accumulates; on a
-// refused charge the partial state is dropped, *aborted is set and the
-// function returns OK — the caller then takes the spill path. With a null
-// `res` the table grows freely (the forced path at the spill depth cap).
+// Rows of the input a join hashes: the smaller one, the build input on a
+// tie. Both inputs are materialized, so the sizes are exact.
+bool HashesProbe(const RowSet& build, const RowSet& probe) {
+  return probe.size() < build.size();
+}
+
+// One key match that survived the residual, as row indices of both inputs.
+struct JoinMatch {
+  uint32_t probe;
+  uint32_t build;
+};
+
+// One hash join entirely in memory. The hash table goes on the smaller
+// input (HashesProbe) and the other input streams through it; the output
+// is the same either way. When `res` is non-null it is grown for the
+// table's scratch (key values + hash table) as it accumulates; on a refused
+// charge the partial state is dropped, *aborted is set and the function
+// returns OK — the caller then takes the spill path. With a null `res` the
+// table grows freely (the forced path at the spill depth cap).
 Status InMemoryJoin(const RowSet& build, const RowSet& probe,
                     const JoinSpec& spec, QueryContext& ctx,
                     BudgetReservation* res, bool* aborted, RowSet* out) {
   *aborted = false;
   Arena* arena = ctx.arena(0);
+  constexpr uint32_t kChainEnd = UINT32_MAX;
+  if (build.size() >= kChainEnd || probe.size() >= kChainEnd) {
+    return Status::ResourceExhausted(
+        "hash join input has more rows than a 32-bit row index holds");
+  }
+  const bool hash_probe = HashesProbe(build, probe);
+  const RowSet& table_side = hash_probe ? probe : build;
+  const RowSet& stream_side = hash_probe ? build : probe;
 
-  // Build phase: keys evaluate and hash batch at a time through
-  // BatchedExprs::HashKeys, like the probe keys below, so build and probe
+  // Table phase: keys evaluate and hash batch at a time through
+  // BatchedExprs::HashKeys, like the streamed keys below, so both sides'
   // hashes agree bit for bit.
   //
-  // The table is three flat arrays: `keys` (build.size() x nk Values,
+  // The table is three flat arrays: `keys` (table_side.size() x nk Values,
   // row-major), `row_hash`, and a power-of-two `heads` directory whose
-  // chains run through `next`. Rows are prepended in reverse build order,
-  // so every chain lists its rows in ascending build order and matches
-  // come out in build order. Rows with a null key are never linked (SQL:
-  // null never matches).
-  constexpr uint32_t kChainEnd = UINT32_MAX;
-  if (build.size() >= kChainEnd) {
-    return Status::ResourceExhausted(
-        "hash join build side has more rows than a 32-bit chain index holds");
-  }
+  // chains run through `next`. Rows are prepended in reverse order, so
+  // every chain lists its rows in ascending order. Rows with a null key are
+  // never linked (SQL: null never matches).
   const size_t nk = spec.build_keys.size();
-  std::vector<Value> keys(build.size() * nk);
-  std::vector<uint64_t> row_hash(build.size());
-  std::vector<uint8_t> row_has_null(build.size(), 0);
+  std::vector<Value> keys(table_side.size() * nk);
+  std::vector<uint64_t> row_hash(table_side.size());
+  std::vector<uint8_t> row_has_null(table_side.size(), 0);
   std::vector<uint32_t> heads;
-  std::vector<uint32_t> next(build.size());
+  std::vector<uint32_t> next(table_side.size());
   uint64_t mask = 0;
   {
     JSONTILES_TRACE_SPAN("exec.join.build");
-    BatchedExprs batched(build, RawExprs(spec.build_keys));
-    for (size_t base = 0; base < build.size(); base += kVectorSize) {
-      const size_t n = std::min(kVectorSize, build.size() - base);
-      batched.LoadBatch(build, base, n, arena);
+    BatchedExprs batched(
+        table_side, RawExprs(hash_probe ? spec.probe_keys : spec.build_keys));
+    for (size_t base = 0; base < table_side.size(); base += kVectorSize) {
+      const size_t n = std::min(kVectorSize, table_side.size() - base);
+      batched.LoadBatch(table_side, base, n, arena);
       Value* batch_keys = keys.data() + base * nk;
-      batched.HashKeys(nk, build, base, n, arena, batch_keys,
+      batched.HashKeys(nk, table_side, base, n, arena, batch_keys,
                        row_hash.data() + base);
       size_t batch_bytes = n * (kPerRowTableOverhead + nk * sizeof(Value));
       for (size_t i = 0; i < n * nk; i++) {
@@ -514,103 +531,189 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
     for (uint8_t has_null : row_has_null) insertable += has_null == 0;
     heads.assign(bit_util::NextPow2(insertable * 2), kChainEnd);
     mask = heads.size() - 1;
-    for (size_t b = build.size(); b-- > 0;) {
-      if (row_has_null[b]) continue;
-      uint32_t& head = heads[row_hash[b] & mask];
-      next[b] = head;
-      head = static_cast<uint32_t>(b);
+    for (size_t t = table_side.size(); t-- > 0;) {
+      if (row_has_null[t]) continue;
+      uint32_t& head = heads[row_hash[t] & mask];
+      next[t] = head;
+      head = static_cast<uint32_t>(t);
     }
   }
-  const size_t build_width = spec.build_width;
 
-  // Probe phase (parallel chunks): each batch's keys are hashed first, then
-  // its rows probe lane by lane. Each worker runs a private copy of the
-  // compiled state; type inference runs once here.
-  BatchedExprs probe_master(probe, RawExprs(spec.probe_keys));
-  auto probe_chunk = [&](size_t begin, size_t end, Arena* worker_arena,
-                         RowSet* out, BatchedExprs* batched) {
+  // Stream phase (parallel chunks): each batch's keys are hashed first, then
+  // its rows walk their chains lane by lane. Every surviving match sets its
+  // probe row's flag and, for inner/left, records a (probe, build) pair;
+  // semi/anti need only the flag. Each worker runs a private copy of the
+  // compiled state (type inference runs once here) and keeps its own pairs
+  // and flags.
+  const bool emits_pairs =
+      spec.type == JoinType::kInner || spec.type == JoinType::kLeft;
+  struct StreamMatches {
+    std::vector<JoinMatch> pairs;
+    std::vector<uint8_t> matched;  // per probe row
+  };
+  BatchedExprs stream_master(
+      stream_side, RawExprs(hash_probe ? spec.build_keys : spec.probe_keys));
+  auto stream_chunk = [&](size_t begin, size_t end, Arena* worker_arena,
+                          BatchedExprs* batched, StreamMatches* found) {
     JSONTILES_TRACE_SPAN("exec.join.probe");
+    found->matched.assign(probe.size(), 0);
     std::vector<Value> combined;
     std::vector<Value> batch_keys(kVectorSize * nk);
     std::vector<uint64_t> batch_hash(kVectorSize);
     for (size_t base = begin; base < end; base += kVectorSize) {
       const size_t n = std::min(kVectorSize, end - base);
-      batched->LoadBatch(probe, base, n, worker_arena);
-      batched->HashKeys(nk, probe, base, n, worker_arena, batch_keys.data(),
-                        batch_hash.data());
+      batched->LoadBatch(stream_side, base, n, worker_arena);
+      batched->HashKeys(nk, stream_side, base, n, worker_arena,
+                        batch_keys.data(), batch_hash.data());
       for (size_t k = 0; k < n; k++) {
-        RowView prow = probe[base + k];
-        const Value* pkeys = batch_keys.data() + k * nk;
+        const auto s = static_cast<uint32_t>(base + k);
+        const Value* skeys = batch_keys.data() + k * nk;
         const uint64_t h = batch_hash[k];
         bool has_null = false;
-        for (size_t j = 0; j < nk; j++) has_null |= pkeys[j].is_null();
-        bool matched = false;
-        if (!has_null) {
-          for (uint32_t b = heads[h & mask]; b != kChainEnd; b = next[b]) {
-            if (row_hash[b] != h) continue;
-            const Value* bkeys = keys.data() + size_t{b} * nk;
-            bool equal = true;
-            for (size_t j = 0; j < nk && equal; j++) {
-              equal = bkeys[j].EqualsForGrouping(pkeys[j]);
-            }
-            if (!equal) continue;
-            RowView brow = build[b];
-            // Residual predicate over [probe..., build...].
-            if (spec.residual != nullptr) {
-              combined.assign(prow.begin(), prow.end());
-              combined.insert(combined.end(), brow.begin(), brow.end());
-              Value keep =
-                  EvalExpr(*spec.residual, combined.data(), worker_arena);
-              if (keep.is_null() || !keep.bool_value()) continue;
-            }
-            matched = true;
-            if (spec.type == JoinType::kInner || spec.type == JoinType::kLeft) {
-              out->AppendConcat(prow, brow);
-            } else {
-              break;  // semi/anti need only existence
-            }
+        for (size_t j = 0; j < nk; j++) has_null |= skeys[j].is_null();
+        if (has_null) continue;
+        for (uint32_t t = heads[h & mask]; t != kChainEnd; t = next[t]) {
+          if (row_hash[t] != h) continue;
+          const Value* tkeys = keys.data() + size_t{t} * nk;
+          bool equal = true;
+          for (size_t j = 0; j < nk && equal; j++) {
+            equal = tkeys[j].EqualsForGrouping(skeys[j]);
           }
-        }
-        switch (spec.type) {
-          case JoinType::kInner:
-            break;
-          case JoinType::kLeft:
-            if (!matched) out->AppendPadded(prow, build_width);
-            break;
-          case JoinType::kSemi:
-            if (matched) out->push_back(prow);
-            break;
-          case JoinType::kAnti:
-            if (!matched) out->push_back(prow);
-            break;
+          if (!equal) continue;
+          const uint32_t p = hash_probe ? t : s;
+          const uint32_t b = hash_probe ? s : t;
+          // With the table on the probe input, a probe row meets every
+          // streamed build row of its key; semi/anti stop at its first match.
+          if (!emits_pairs && found->matched[p]) continue;
+          // Residual predicate over [probe..., build...].
+          if (spec.residual != nullptr) {
+            RowView prow = probe[p];
+            RowView brow = build[b];
+            combined.assign(prow.begin(), prow.end());
+            combined.insert(combined.end(), brow.begin(), brow.end());
+            Value keep =
+                EvalExpr(*spec.residual, combined.data(), worker_arena);
+            if (keep.is_null() || !keep.bool_value()) continue;
+          }
+          found->matched[p] = 1;
+          if (emits_pairs) {
+            found->pairs.push_back({p, b});
+          } else if (!hash_probe) {
+            break;  // this probe row's existence is decided
+          }
         }
       }
     }
   };
 
-  if (ctx.pool() != nullptr && probe.size() >= kParallelThreshold) {
-    size_t workers = ctx.num_workers();
-    std::vector<RowSet> partials(workers);
-    std::vector<BatchedExprs> worker_batched(workers, probe_master);
-    size_t chunk = (probe.size() + workers - 1) / workers;
+  std::vector<StreamMatches> found;
+  const bool parallel_stream =
+      ctx.pool() != nullptr && stream_side.size() >= kParallelThreshold;
+  if (parallel_stream) {
+    const size_t workers = ctx.num_workers();
+    found.resize(workers);
+    std::vector<BatchedExprs> worker_batched(workers, stream_master);
+    const size_t chunk = (stream_side.size() + workers - 1) / workers;
     JSONTILES_RETURN_NOT_OK(ctx.pool()->ParallelForStatus(
         workers,
         [&](size_t w, size_t) -> Status {
           JSONTILES_FAILPOINT_RETURN("exec.join.probe.worker");
           if (ctx.cancelled()) return Status::OK();
-          size_t begin = w * chunk;
-          size_t end = std::min(begin + chunk, probe.size());
+          const size_t begin = w * chunk;
+          const size_t end = std::min(begin + chunk, stream_side.size());
           if (begin < end) {
-            probe_chunk(begin, end, ctx.arena(w), &partials[w],
-                        &worker_batched[w]);
+            stream_chunk(begin, end, ctx.arena(w), &worker_batched[w],
+                         &found[w]);
           }
           return Status::OK();
         },
         1));
-    out->AppendAll(std::move(partials));
-    return Status::OK();
+  } else {
+    found.resize(1);
+    stream_chunk(0, stream_side.size(), arena, &stream_master, &found[0]);
   }
-  probe_chunk(0, probe.size(), arena, out, &probe_master);
+
+  // Merge in worker order: flags OR together, and a stable counting sort
+  // groups the pairs by probe row. Workers cover ascending stream ranges,
+  // so each probe row's matches stay in build order whichever side
+  // streamed. first[p]..first[p + 1] indexes probe row p's build rows in
+  // match_build.
+  if (ctx.cancelled()) return Status::OK();
+  std::vector<uint8_t> matched = std::move(found[0].matched);
+  for (size_t w = 1; w < found.size(); w++) {
+    for (size_t p = 0; p < found[w].matched.size(); p++) {
+      matched[p] |= found[w].matched[p];
+    }
+  }
+  std::vector<size_t> first(probe.size() + 1, 0);
+  for (const StreamMatches& f : found) {
+    for (const JoinMatch& m : f.pairs) first[m.probe + 1]++;
+  }
+  for (size_t p = 0; p < probe.size(); p++) first[p + 1] += first[p];
+  std::vector<uint32_t> match_build(first.back());
+  {
+    std::vector<size_t> cursor(first.begin(), first.end() - 1);
+    for (StreamMatches& f : found) {
+      for (const JoinMatch& m : f.pairs) {
+        match_build[cursor[m.probe]++] = m.build;
+      }
+      f = StreamMatches();
+    }
+  }
+
+  // Emit in probe order: each probe row's matches, a LEFT row's padding,
+  // or a semi/anti row by its flag. Large outputs emit in parallel over
+  // probe ranges, concatenated in range order.
+  const size_t out_width =
+      emits_pairs ? probe.width() + spec.build_width : probe.width();
+  auto emit_range = [&](size_t begin, size_t end, RowSet* part) {
+    // Exact output size: the pairs, plus one row per flagged (semi) or
+    // unflagged (left, anti) probe row.
+    size_t rows = first[end] - first[begin];
+    if (spec.type != JoinType::kInner) {
+      for (size_t p = begin; p < end; p++) {
+        rows += (spec.type == JoinType::kSemi) == (matched[p] != 0);
+      }
+    }
+    part->reserve(rows);
+    for (size_t p = begin; p < end; p++) {
+      RowView prow = probe[p];
+      switch (spec.type) {
+        case JoinType::kInner:
+        case JoinType::kLeft:
+          for (size_t i = first[p]; i < first[p + 1]; i++) {
+            part->AppendConcat(prow, build[match_build[i]]);
+          }
+          if (spec.type == JoinType::kLeft && !matched[p]) {
+            part->AppendPadded(prow, spec.build_width);
+          }
+          break;
+        case JoinType::kSemi:
+          if (matched[p]) part->push_back(prow);
+          break;
+        case JoinType::kAnti:
+          if (!matched[p]) part->push_back(prow);
+          break;
+      }
+    }
+  };
+  const size_t parts_count =
+      ctx.pool() != nullptr &&
+              probe.size() + match_build.size() >= kParallelThreshold
+          ? std::min(ctx.num_workers(), probe.size())
+          : 1;
+  std::vector<RowSet> parts(parts_count, RowSet(out_width));
+  const size_t range = (probe.size() + parts_count - 1) / parts_count;
+  auto emit_part = [&](size_t i, size_t) {
+    emit_range(std::min(i * range, probe.size()),
+               std::min((i + 1) * range, probe.size()), &parts[i]);
+  };
+  if (parts_count > 1) {
+    ctx.pool()->ParallelFor(parts_count, emit_part);
+  } else {
+    emit_part(0, 0);
+  }
+  out->AppendAll(std::move(parts));
   return Status::OK();
 }
 
@@ -630,6 +733,12 @@ RowSet HashJoinExec(const RowSet& build, const RowSet& probe,
   prof.set_rows_in(build.size() + probe.size());
   prof.AddCounter("build_rows", static_cast<int64_t>(build.size()));
   prof.AddCounter("probe_rows", static_cast<int64_t>(probe.size()));
+  // The input the (top-level) hash table goes on; an empty probe side
+  // hashes nothing.
+  prof.AddCounter("table_rows",
+                  static_cast<int64_t>(HashesProbe(build, probe)
+                                           ? probe.size()
+                                           : build.size()));
   ArenaCounter arena_counter(prof, ctx);
   if (ctx.cancelled()) return {};
   // Every join type emits output only per probe row, so an empty probe side
@@ -640,8 +749,7 @@ RowSet HashJoinExec(const RowSet& build, const RowSet& probe,
   }
 
   SpillStats stats;
-  JoinSpec spec{build_keys, probe_keys, type, residual,
-                build.empty() ? 0 : build[0].size()};
+  JoinSpec spec{build_keys, probe_keys, type, residual, build.width()};
   RowSet out;
   bool aborted = false;
   Status st;
@@ -651,7 +759,8 @@ RowSet HashJoinExec(const RowSet& build, const RowSet& probe,
   }  // the partial reservation is released before spilling starts
   if (st.ok() && aborted) {
     // Grace hash join: the in-memory multiset, grouped by partition. A
-    // partition's build rows count twice (rows, table keys), probe rows once.
+    // partition's build rows count twice (rows, table keys), probe rows once,
+    // whichever side its in-memory join then hashes.
     JSONTILES_TRACE_SPAN("exec.join.spill");
     GraceOp op{{{&build, &build_keys, /*raw_weight=*/2},
                 {&probe, &probe_keys, /*raw_weight=*/1}},

@@ -61,13 +61,16 @@ enum class JoinType : uint8_t { kInner, kLeft, kSemi, kAnti };
 /// row only. `residual` (may be null) is evaluated on the combined row; for
 /// semi/anti it decides whether a key match counts. Null keys never match.
 ///
-/// The build side goes into a flat table (build keys in one array, hash
-/// chains in `uint32_t` head/next arrays; DESIGN.md §8) with no per-row
-/// allocation. Output follows probe order, and each probe row's matches
-/// follow build order. Under a memory limit the join spills by key hash
-/// (same multiset, partition-grouped order). A build side of 2^32 - 1 or
-/// more rows cancels the query with ResourceExhausted. An empty probe side
-/// returns at once without building.
+/// The hash table goes on whichever input has fewer rows — the build input
+/// on a tie — and the other input streams through it. The table is flat
+/// (keys in one array, hash chains in `uint32_t` head/next arrays; DESIGN.md
+/// §8) with no per-row allocation. Either way the output follows probe
+/// order, and each probe row's matches follow build order. Under a memory
+/// limit the join spills by key hash (same multiset, partition-grouped
+/// order). An input of 2^32 - 1 or more rows cancels the query with
+/// ResourceExhausted. An empty probe side returns at once without building.
+/// EXPLAIN ANALYZE reports `build_rows`, `probe_rows` and `table_rows`, the
+/// rows of the input that was hashed.
 RowSet HashJoinExec(const RowSet& build, const RowSet& probe,
                     const std::vector<ExprPtr>& build_keys,
                     const std::vector<ExprPtr>& probe_keys, JoinType type,

@@ -818,8 +818,9 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
   }
 
   // Merge in chunk order (deterministic results): one reservation, one bulk
-  // copy per chunk.
-  RowSet out;
+  // copy per chunk. The output keeps its slot width when no row survives,
+  // so a LEFT JOIN against it still pads every build column.
+  RowSet out(num_slots);
   out.AppendAll(std::move(partials));
   prof.set_rows_out(out.size());
   if (prof.active()) {

@@ -230,6 +230,34 @@ TEST(EngineEdgeTest, EmptyProbeSideSkipsTheBuild) {
   }
 }
 
+// The hash table goes on the smaller input, whichever argument it is;
+// `table_rows` reports its rows.
+TEST(EngineEdgeTest, HashJoinReportsTheHashedSide) {
+  RowSet large;
+  for (int64_t i = 0; i < 100; i++) large.push_back({Value::Int(i)});
+  RowSet small;
+  for (int64_t i = 0; i < 5; i++) small.push_back({Value::Int(i * 10)});
+  struct Orientation {
+    const RowSet* build;
+    const RowSet* probe;
+  };
+  for (Orientation o : {Orientation{&large, &small},
+                        Orientation{&small, &large}}) {
+    obs::PlanProfile profile;
+    QueryContext ctx;
+    ctx.profile = &profile;
+    RowSet out = HashJoinExec(*o.build, *o.probe, {Slot(0)}, {Slot(0)},
+                              JoinType::kInner, nullptr, ctx);
+    EXPECT_EQ(out.size(), 5u);
+    ASSERT_EQ(profile.size(), 1u);
+    std::map<std::string, int64_t> counters(profile.op(0).counters.begin(),
+                                            profile.op(0).counters.end());
+    EXPECT_EQ(counters["build_rows"], static_cast<int64_t>(o.build->size()));
+    EXPECT_EQ(counters["probe_rows"], static_cast<int64_t>(o.probe->size()));
+    EXPECT_EQ(counters["table_rows"], 5);
+  }
+}
+
 TEST(EngineEdgeTest, ParallelAggregationMatchesSerial) {
   Random rng(11);
   std::vector<std::string> docs;

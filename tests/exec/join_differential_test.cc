@@ -4,8 +4,11 @@
 // and whose residual (if any) holds. The hash join must produce exactly the
 // oracle's rows in exactly the oracle's order — for every join type, with
 // and without a residual, with keys that compile and keys the batch
-// evaluator interprets per row, and with a parallel probe. A spilling run
-// must produce the same multiset.
+// evaluator interprets per row, and with a parallel stream. Every case also
+// runs mirrored (the large side as the build input), so the hash table goes
+// on the probe input and the build input streams; one case has equal sides
+// (the table stays on the build input). A spilling run must produce the
+// same multiset.
 
 #include <algorithm>
 #include <deque>
@@ -52,7 +55,7 @@ RowSet NestedLoopJoin(const RowSet& build, const RowSet& probe,
                       const std::vector<ExprPtr>& probe_keys, JoinType type,
                       const ExprPtr& residual) {
   Arena arena;
-  const size_t build_width = build.empty() ? 0 : build[0].size();
+  const size_t build_width = build.width();
   // Build keys evaluated once, in build order; bvalid is 0 for rows with a
   // null key part.
   std::vector<std::vector<Value>> bkeys(build.size());
@@ -174,6 +177,14 @@ RowSet RunHashJoin(const JoinCase& c, JoinType type, const ExprPtr& residual,
   return out;
 }
 
+// `c` with its inputs swapped: the build input becomes the probe input and
+// vice versa. `residual` is the case's residual rewritten over the swapped
+// [probe..., build...] layout.
+JoinCase Mirrored(const JoinCase& c, ExprPtr residual) {
+  return JoinCase{c.probe, c.build, c.probe_keys, c.build_keys,
+                  std::move(residual)};
+}
+
 // Every join type, with and without the residual, with the case's keys and
 // with their interpreted twins, at 1 and 2 threads: exact rows in exact
 // order.
@@ -202,7 +213,8 @@ void CheckAgainstOracle(const JoinCase& c, const std::string& name) {
   }
 }
 
-// Probe side above the 16,384-row parallel threshold, so 2 threads split it.
+// The large side is above the 16,384-row parallel threshold, so 2 threads
+// split its stream whichever input it is.
 constexpr int kProbeRows = 20000;
 
 // Single int key with long duplicate chains, null keys on both sides and
@@ -231,6 +243,26 @@ JoinCase IntKeyCase() {
 TEST(JoinDifferentialTest, IntKeysWithLongChains) {
   JoinCase c = IntKeyCase();
   CheckAgainstOracle(c, "int");
+  // [p.key, p.id, p.v, b.key, b.v]: build payload < probe payload.
+  CheckAgainstOracle(Mirrored(c, Lt(Slot(4), Slot(2))), "int-mirrored");
+}
+
+// Equal sides: the table stays on the build input.
+TEST(JoinDifferentialTest, EqualSizedSides) {
+  Random rng(5);
+  JoinCase c;
+  for (int i = 0; i < 3000; i++) {
+    c.build.push_back({rng.Chance(0.05) ? Value::Null()
+                                        : Value::Int(rng.Range(0, 299)),
+                       Value::Int(i)});
+    c.probe.push_back({Value::Int(rng.Range(0, 99)),
+                       rng.Chance(0.05) ? Value::Null()
+                                        : Value::Int(rng.Range(0, 399))});
+  }
+  c.build_keys = {Slot(0)};
+  c.probe_keys = {Slot(1)};
+  c.residual = Lt(Slot(0), Mod(Slot(3), ConstInt(100)));  // [p.v, p.key, b.key, b.id]
+  CheckAgainstOracle(c, "equal");
 }
 
 // Two key columns (int, string) where either part may be null; a row with
@@ -259,6 +291,10 @@ TEST(JoinDifferentialTest, MultiColumnKeysWithNullParts) {
   c.residual = Or(Eq(Mod(Slot(5), ConstInt(2)), ConstInt(1)),
                   Lt(Slot(1), ConstInt(10)));
   CheckAgainstOracle(c, "multi");
+  // [p.i, p.s, p.id, b.s, b.v, b.i]: probe id odd or build value small.
+  CheckAgainstOracle(Mirrored(c, Or(Eq(Mod(Slot(2), ConstInt(2)), ConstInt(1)),
+                                    Lt(Slot(4), ConstInt(10)))),
+                     "multi-mirrored");
 }
 
 // 1, 1.0 and numeric 1.00 are equal under EqualsForGrouping (and hash
@@ -295,6 +331,9 @@ TEST(JoinDifferentialTest, CrossTypeNumericKeys) {
     // [p.i, p.key, b.key, b.id]
     c.residual = Gt(Slot(3), Mod(Slot(0), ConstInt(120)));
     CheckAgainstOracle(c, "mixed");
+    // [p.key, p.id, b.i, b.key]
+    CheckAgainstOracle(Mirrored(c, Gt(Slot(1), Mod(Slot(2), ConstInt(120)))),
+                       "mixed-mirrored");
   }
   {
     JoinCase c;  // float build keys against int probe keys
@@ -310,6 +349,9 @@ TEST(JoinDifferentialTest, CrossTypeNumericKeys) {
     c.probe_keys = {Slot(0)};
     c.residual = Lt(Slot(2), ConstInt(700));  // [p.key, b.key, b.id]
     CheckAgainstOracle(c, "float-int");
+    // [p.key, p.id, b.key]
+    CheckAgainstOracle(Mirrored(c, Lt(Slot(1), ConstInt(700))),
+                       "float-int-mirrored");
   }
 }
 
@@ -334,6 +376,31 @@ TEST(JoinDifferentialTest, StringKeysIncludingEmpty) {
   c.probe_keys = {Slot(1)};
   c.residual = Eq(Mod(Add(Slot(0), Slot(3)), ConstInt(3)), ConstInt(0));
   CheckAgainstOracle(c, "string");
+  // [p.key, p.id, b.i, b.key]
+  CheckAgainstOracle(
+      Mirrored(c, Eq(Mod(Add(Slot(2), Slot(1)), ConstInt(3)), ConstInt(0))),
+      "string-mirrored");
+}
+
+// A few probe rows with large outputs emit in parallel over probe ranges;
+// with more workers than rows per range some ranges are empty.
+TEST(JoinDifferentialTest, FewProbeRowsWithLargeOutputs) {
+  JoinCase c;
+  for (int i = 0; i < kProbeRows; i++) {
+    c.build.push_back({Value::Int(i % 5), Value::Int(i)});
+  }
+  for (int i = 0; i < 5; i++) c.probe.push_back({Value::Int(i)});
+  c.build_keys = {Slot(0)};
+  c.probe_keys = {Slot(0)};
+  for (JoinType type : kJoinTypes) {
+    const RowSet expected = NestedLoopJoin(c.build, c.probe, c.build_keys,
+                                           c.probe_keys, type, nullptr);
+    for (size_t threads : {size_t{3}, size_t{4}}) {
+      ExpectSameRows(expected, RunHashJoin(c, type, nullptr, threads, 0),
+                     std::string(JoinName(type)) +
+                         " threads=" + std::to_string(threads));
+    }
+  }
 }
 
 TEST(JoinDifferentialTest, EmptySides) {
@@ -352,6 +419,17 @@ TEST(JoinDifferentialTest, EmptySides) {
   EXPECT_EQ(RunHashJoin(empty_build, JoinType::kAnti, nullptr, 1, 0)
                 .size(),
             c.probe.size());
+  // An empty build input that knows its width: left pads all its columns.
+  JoinCase empty_wide_build{RowSet(3), c.probe, {Slot(0)}, {Slot(0)},
+                            c.residual};
+  CheckAgainstOracle(empty_wide_build, "empty-wide-build");
+  for (size_t threads : {size_t{1}, size_t{2}}) {
+    const RowSet left =
+        RunHashJoin(empty_wide_build, JoinType::kLeft, nullptr, threads, 0);
+    ASSERT_EQ(left.size(), c.probe.size());
+    EXPECT_EQ(left.width(), c.probe.width() + 3);
+    EXPECT_TRUE(left[0][c.probe.width() + 2].is_null());
+  }
 }
 
 // Under a tight memory limit the join spills; partition-wise output order

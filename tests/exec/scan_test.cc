@@ -82,6 +82,37 @@ TEST(ScanTest, AllStorageModesAgree) {
   }
 }
 
+// A scan whose filter keeps no row still has one column per access, in
+// every storage mode, serial and parallel, so a LEFT JOIN built on it pads
+// every build column.
+TEST(ScanTest, EmptyResultKeepsSlotWidth) {
+  auto docs = MixedDocs();
+  ExprPtr id = Access("t", {"o_id"}, ValueType::kInt);
+  ExprPtr total = Access("t", {"o_total"}, ValueType::kFloat);
+  for (StorageMode mode : {StorageMode::kJsonText, StorageMode::kJsonb,
+                           StorageMode::kSinew, StorageMode::kTiles}) {
+    auto rel = LoadMode(mode, docs);
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      ExecOptions options;
+      options.num_threads = threads;
+      QueryContext ctx(options);
+      ScanSpec spec = MakeSpec(rel.get());
+      spec.accesses = {id, total};
+      spec.filter = Gt(Slot(1), ConstFloat(1e9));
+      RowSet rows = ScanExec(spec, ctx);
+      EXPECT_TRUE(rows.empty()) << StorageModeName(mode);
+      EXPECT_EQ(rows.width(), 2u) << StorageModeName(mode);
+
+      RowSet probe{{Value::Int(1)}, {Value::Int(2)}, {Value::Int(3)}};
+      RowSet left = HashJoinExec(rows, probe, {Slot(0)}, {Slot(0)},
+                                 JoinType::kLeft, nullptr, ctx);
+      ASSERT_EQ(left.size(), 3u) << StorageModeName(mode);
+      EXPECT_EQ(left.width(), 3u) << StorageModeName(mode);
+      EXPECT_TRUE(left[2][2].is_null()) << StorageModeName(mode);
+    }
+  }
+}
+
 TEST(ScanTest, TileSkippingSkipsForeignTiles) {
   auto docs = MixedDocs();
   auto rel = LoadMode(StorageMode::kTiles, docs);

@@ -369,9 +369,11 @@ TEST_F(SpillSqlFixture, ExplainAnalyzeReportsSpillCounters) {
 // partition in memory instead of recursing forever.
 // ---------------------------------------------------------------------------
 
+// The join hashes its smaller input, so that side alone (200 rows at 80
+// bytes of table charge each) must outgrow the limit to force a spill.
 TEST(SpillSkewTest, DepthCapForcesInMemoryJoin) {
   ExecOptions options;
-  options.mem_limit_bytes = 32 * 1024;
+  options.mem_limit_bytes = 8 * 1024;
   QueryContext ctx(options);
   obs::PlanProfile profile;
   ctx.profile = &profile;
@@ -383,7 +385,7 @@ TEST(SpillSkewTest, DepthCapForcesInMemoryJoin) {
     row.push_back(Value::Int(i));
     build.push_back(std::move(row));
   }
-  for (int i = 0; i < 20; i++) {
+  for (int i = 0; i < 200; i++) {
     Row row;
     row.push_back(Value::Int(7));
     row.push_back(Value::Int(1000000 + i));
@@ -394,7 +396,7 @@ TEST(SpillSkewTest, DepthCapForcesInMemoryJoin) {
   RowSet out = HashJoinExec(build, probe, build_keys, probe_keys,
                             JoinType::kInner, nullptr, ctx);
   ASSERT_TRUE(ctx.ConsumeStatus().ok());
-  EXPECT_EQ(out.size(), 1500u * 20u);
+  EXPECT_EQ(out.size(), 1500u * 200u);
 
   bool saw_forced = false;
   for (int id = 0; id < static_cast<int>(profile.size()); id++) {
