@@ -71,13 +71,20 @@ int main() {
                exec::ConstString("Toronto"));
   std::string is_open_path;
   tiles::AppendKeySegment(&is_open_path, "is_open");
-  std::vector<exec::ExprPtr> accesses;
-  exec::CollectAccesses(filter, &accesses);
-  auto rewritten = exec::RewriteAccessesToSlots(
+  exec::ScanSpec scan;
+  scan.relation = rel.get();
+  scan.table_alias = "b";
+  exec::CollectAccesses(filter, &scan.accesses);
+  scan.filter = exec::RewriteAccessesToSlots(
       filter, [](const exec::Expr&) { return 0; });
-  auto estimate = opt::EstimateScanCardinality(*rel, accesses, rewritten,
-                                               {is_open_path}, 512);
+  scan.null_rejecting_paths = {is_open_path};
+  auto estimate = opt::EstimateScanCardinality(scan);
+  if (!estimate.ok()) {
+    std::fprintf(stderr, "estimate failed: %s\n",
+                 estimate.status().ToString().c_str());
+    return 1;
+  }
   std::printf("\nEstimate for businesses in Toronto: ~%.0f rows (of %zu docs)\n",
-              estimate.cardinality, rel->num_rows());
+              estimate.ValueOrDie(), rel->num_rows());
   return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 
 #include "exec/exchange.h"
@@ -40,6 +41,35 @@ Status QueryContext::ConsumeStatus() {
   cancel_status_ = Status::OK();
   cancelled_.store(false, std::memory_order_relaxed);
   return s;
+}
+
+uint64_t RowSubset::MaskedWord(size_t w, size_t begin, size_t end) const {
+  const size_t base = w << 6;
+  uint64_t bits = words_[w];
+  if (base < begin) bits &= ~uint64_t{0} << (begin - base);
+  if (end - base < 64) bits &= (uint64_t{1} << (end - base)) - 1;
+  return bits;
+}
+
+bool RowSubset::Any(size_t begin, size_t count) const {
+  const size_t end = begin + count;
+  for (size_t w = begin >> 6; w < words_.size() && (w << 6) < end; w++) {
+    if (MaskedWord(w, begin, end) != 0) return true;
+  }
+  return false;
+}
+
+size_t RowSubset::Lanes(size_t begin, size_t count, uint16_t* lanes) const {
+  const size_t end = begin + count;
+  size_t n = 0;
+  for (size_t w = begin >> 6; w < words_.size() && (w << 6) < end; w++) {
+    for (uint64_t bits = MaskedWord(w, begin, end); bits != 0;
+         bits &= bits - 1) {
+      lanes[n++] =
+          static_cast<uint16_t>((w << 6) + std::countr_zero(bits) - begin);
+    }
+  }
+  return n;
 }
 
 namespace {
@@ -145,6 +175,10 @@ void ExtractJsonbPathBatch(const uint8_t* const* docs, const uint16_t* lanes,
   }
 }
 
+namespace {
+
+// Evaluate a scan-level access expression (kAccess, kArrayContains) against
+// a document. Virtual row-id accesses yield `row_id`.
 Value EvalScanExprOnJsonb(const Expr& access, json::JsonbValue doc,
                           int64_t row_id, Arena* arena) {
   if (access.kind == ExprKind::kArrayContains) {
@@ -175,8 +209,6 @@ Value EvalScanExprOnJsonb(const Expr& access, json::JsonbValue doc,
   if (access.path == kRowIdPath) return Value::Int(row_id);
   return EvalAccessOnJsonb(doc, access.path, access.access_type, arena);
 }
-
-namespace {
 
 // Per-tile resolution of one access (§4.5), cached for all tuples.
 struct ResolvedAccess {
@@ -328,6 +360,7 @@ class VectorizedChunkScan {
         pred_(pred),
         arena_(arena),
         num_slots_(spec.accesses.size()),
+        whole_batches_(spec.row_subset == nullptr),
         slot_vecs_(num_slots_),
         ready_(num_slots_, 0),
         steps_(num_slots_),
@@ -351,11 +384,16 @@ class VectorizedChunkScan {
  private:
   void ScanBatch(const Chunk& chunk, const std::vector<ResolvedAccess>& resolved,
                  size_t batch_begin, size_t n, RowSet* out) {
-    batches_++;
-    rows_ += n;
     row0_ = chunk.row_begin + batch_begin;
     n_ = n;
-    sel_.SetAll(n);
+    if (whole_batches_) {
+      sel_.SetAll(n);
+    } else {
+      sel_.count = spec_.row_subset->Lanes(row0_, n, sel_.idx);
+      if (sel_.empty()) return;
+    }
+    batches_++;
+    rows_ += sel_.count;
     std::fill(ready_.begin(), ready_.end(), 0);
     docs_ready_ = false;
     for (auto& conjunct : pred_.conjuncts()) {
@@ -440,20 +478,22 @@ class VectorizedChunkScan {
                           steps.size(), access.access_type, arena_, &vec);
   }
 
-  // Documents of every lane of the batch: string columns read their values
-  // from them, and a JSON-text batch transforms all its documents here, once.
+  // Documents of the batch: string columns read their values from them, and
+  // a JSON-text batch transforms its documents here, once. A full scan takes
+  // every lane; a row-subset scan only the selected ones (the selection only
+  // shrinks within a batch, so every later reader finds its lanes filled).
   const uint8_t* const* BatchDocs() {
     if (docs_ready_) return doc_ptrs_;
     docs_ready_ = true;
-    if (!json_text_) {
-      for (size_t k = 0; k < n_; k++) {
-        doc_ptrs_[k] = rel_->Jsonb(row0_ + k).data();
+    const size_t count = whole_batches_ ? n_ : sel_.count;
+    for (size_t k = 0; k < count; k++) {
+      const size_t r = whole_batches_ ? k : sel_.idx[k];
+      if (!json_text_) {
+        doc_ptrs_[r] = rel_->Jsonb(row0_ + r).data();
+        continue;
       }
-      return doc_ptrs_;
-    }
-    for (size_t k = 0; k < n_; k++) {
-      std::vector<uint8_t>& buf = text_docs_[k];
-      doc_ptrs_[k] = text_builder_.Transform(rel_->JsonText(row0_ + k), &buf)
+      std::vector<uint8_t>& buf = text_docs_[r];
+      doc_ptrs_[r] = text_builder_.Transform(rel_->JsonText(row0_ + r), &buf)
                              .ok()
                          ? buf.data()
                          : nullptr;
@@ -462,8 +502,9 @@ class VectorizedChunkScan {
   }
 
   // Materialize slot i for the current batch, honoring the current
-  // selection: column routes bulk-read the whole batch (cheap, branchless);
-  // per-row work (casts, binary-JSON fallback) runs on selected rows only.
+  // selection: a column route of a full scan bulk-reads the whole batch
+  // (cheap, branchless); casts, binary-JSON fallback and every read of a
+  // row-subset scan touch only the selected lanes.
   void MaterializeSlot(size_t i, const std::vector<ResolvedAccess>& resolved,
                        size_t batch_begin) {
     if (ready_[i]) return;
@@ -484,7 +525,7 @@ class VectorizedChunkScan {
       }
       return;
     }
-    if (ra.route == ResolvedAccess::Route::kColumn) {
+    if (ra.route == ResolvedAccess::Route::kColumn && whole_batches_) {
       const tiles::Column& col = ra.column->column;
       col.ReadNulls(col_row0, n, vec.nulls());
       switch (ra.column->storage_type) {
@@ -516,7 +557,8 @@ class VectorizedChunkScan {
       }
       return;
     }
-    if (ra.route == ResolvedAccess::Route::kColumnCast) {
+    if (ra.route != ResolvedAccess::Route::kFallback) {
+      // Casts, and every column of a row-subset scan: selected lanes only.
       const tiles::Column& col = ra.column->column;
       for (size_t k = 0; k < sel_.count; k++) {
         const size_t r = sel_.idx[k];
@@ -531,9 +573,10 @@ class VectorizedChunkScan {
         const uint8_t* doc = ra.column->storage_type == ColumnType::kString
                                  ? BatchDocs()[r]
                                  : nullptr;
-        vec.SetValue(r, CastValue(ReadColumnValue(*ra.column, col_row0 + r,
-                                                  doc),
-                                  ra.requested, arena_));
+        const Value v = ReadColumnValue(*ra.column, col_row0 + r, doc);
+        vec.SetValue(r, ra.route == ResolvedAccess::Route::kColumnCast
+                            ? CastValue(v, ra.requested, arena_)
+                            : v);
       }
       return;
     }
@@ -553,6 +596,8 @@ class VectorizedChunkScan {
   CompiledPredicate& pred_;
   Arena* arena_;
   const size_t num_slots_;
+  // False for a row-subset scan, which never reads an unlisted lane.
+  const bool whole_batches_;
   std::vector<ColumnVector> slot_vecs_;
   std::vector<uint8_t> ready_;
   SelectionVector sel_;
@@ -703,20 +748,28 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
   const bool tiled =
       mode == StorageMode::kTiles || mode == StorageMode::kSinew;
 
+  // A row-subset scan keeps only the chunks holding a listed row.
+  JSONTILES_CHECK(spec.row_subset == nullptr || sharded == nullptr);
   std::vector<Chunk> chunks;
+  auto add_chunk = [&](const Chunk& chunk) {
+    if (spec.row_subset == nullptr ||
+        spec.row_subset->Any(chunk.row_begin, chunk.row_count)) {
+      chunks.push_back(chunk);
+    }
+  };
   for (const ScanPart& part : parts) {
     if (tiled) {
       for (const Tile& tile : part.rel->tiles()) {
-        chunks.push_back(Chunk{part.rel, part.rowid_base, tile.row_begin,
-                               tile.row_count, &tile});
+        add_chunk(Chunk{part.rel, part.rowid_base, tile.row_begin,
+                        tile.row_count, &tile});
       }
     } else {
       constexpr size_t kChunkRows = 4096;
       for (size_t begin = 0; begin < part.rel->num_rows();
            begin += kChunkRows) {
-        chunks.push_back(
-            Chunk{part.rel, part.rowid_base, begin,
-                  std::min(kChunkRows, part.rel->num_rows() - begin), nullptr});
+        add_chunk(Chunk{part.rel, part.rowid_base, begin,
+                        std::min(kChunkRows, part.rel->num_rows() - begin),
+                        nullptr});
       }
     }
   }
@@ -739,7 +792,6 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
   std::atomic<size_t> skipped{0};
 
   auto scan_chunk = [&](size_t c, size_t worker) {
-    JSONTILES_TRACE_SPAN("exec.scan.chunk");
     const Chunk& chunk = chunks[c];
     RowSet& out = partials[parallel ? c : 0];
 
@@ -760,6 +812,8 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
       }
     }
 
+    // Only tiles that are read get a span; a skipped one costs nanoseconds.
+    JSONTILES_TRACE_SPAN("exec.scan.chunk");
     // §4.5: resolve each access once per tile.
     std::vector<ResolvedAccess> resolved(num_slots);
     if (chunk.tile != nullptr) {

@@ -169,6 +169,24 @@ class QueryContext {
   Status cancel_status_;
 };
 
+/// A set of rows of one relation, one bit per row: the row-subset input of
+/// a plain-relation scan (plan-time sampling reads its sample this way).
+class RowSubset {
+ public:
+  explicit RowSubset(size_t num_rows) : words_((num_rows + 63) / 64, 0) {}
+  void Add(size_t row) { words_[row >> 6] |= uint64_t{1} << (row & 63); }
+  /// True when a row of [begin, begin + count) is listed.
+  bool Any(size_t begin, size_t count) const;
+  /// The listed rows of [begin, begin + count) as ascending offsets from
+  /// `begin`, written to `lanes` (count <= kVectorSize); returns how many.
+  size_t Lanes(size_t begin, size_t count, uint16_t* lanes) const;
+
+ private:
+  // Word w with the bits of rows outside [begin, end) cleared.
+  uint64_t MaskedWord(size_t w, size_t begin, size_t end) const;
+  std::vector<uint64_t> words_;
+};
+
 struct ScanSpec {
   const storage::Relation* relation = nullptr;
   /// Sharded scan source (exactly one of relation/sharded is set). The scan
@@ -194,6 +212,10 @@ struct ScanSpec {
   /// Worker processes scan a single shard as a plain relation and pass
   /// RowIdBase(shard) here so rowids match the sharded scan's exactly.
   int64_t rowid_base = 0;
+  /// With `relation`: scan only these rows (null = all). A chunk without a
+  /// listed row is dropped unread, and a batch starts its selection from
+  /// the listed lanes, so an unlisted row is never read.
+  const RowSubset* row_subset = nullptr;
 };
 
 /// Execute the scan; rows contain one value per access, in order.
@@ -212,11 +234,6 @@ std::vector<size_t> SurvivingShards(const ScanSpec& spec, bool enable_pruning);
 /// derived strings (casts, container text) live in the arena.
 Value EvalAccessOnJsonb(json::JsonbValue doc, const std::string& path,
                         ValueType requested, Arena* arena);
-
-/// Evaluate a scan-level access expression (kAccess, kArrayContains) against
-/// a document. Virtual row-id accesses yield `row_id`.
-Value EvalScanExprOnJsonb(const Expr& access, json::JsonbValue doc,
-                          int64_t row_id, Arena* arena);
 
 /// Batched binary-JSON fallback accessor: extract one pre-decoded key path
 /// from many documents into ColumnVector lanes in a single pass. For every

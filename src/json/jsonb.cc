@@ -753,19 +753,4 @@ std::optional<JsonbValue> LookupSteps(JsonbValue root, const PathStep* steps,
   return cur;
 }
 
-std::vector<uint8_t> MakeJsonbString(std::string_view value) {
-  std::vector<uint8_t> out;
-  if (value.size() < 15) {
-    out.push_back(static_cast<uint8_t>(kTagString << 4 | value.size()));
-    out.insert(out.end(), value.begin(), value.end());
-    return out;
-  }
-  uint8_t lenbuf[10];
-  int n = bit_util::EncodeVarint(lenbuf, value.size());
-  out.push_back(kTagString << 4 | 15);
-  out.insert(out.end(), lenbuf, lenbuf + n);
-  out.insert(out.end(), value.begin(), value.end());
-  return out;
-}
-
 }  // namespace jsontiles::json

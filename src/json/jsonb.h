@@ -210,9 +210,8 @@ struct AssembleMember {
 /// passed).
 std::vector<uint8_t> AssembleObject(std::vector<AssembleMember> members);
 
-/// Serialize a standalone integer / string value.
+/// Serialize a standalone integer value.
 std::vector<uint8_t> MakeJsonbInt(int64_t value);
-std::vector<uint8_t> MakeJsonbString(std::string_view value);
 
 }  // namespace jsontiles::json
 

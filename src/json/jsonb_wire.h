@@ -51,7 +51,6 @@ inline int OffsetWidthFor(uint64_t slots_size) {
 
 // --- Leaf encodings --------------------------------------------------------
 
-inline uint64_t BoolNullSize() { return 1; }
 inline void EncodeNull(uint8_t* out) { *out = kTagNull << 4; }
 inline void EncodeBool(uint8_t* out, bool v) {
   *out = static_cast<uint8_t>((v ? kTagTrue : kTagFalse) << 4);

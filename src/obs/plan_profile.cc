@@ -57,10 +57,4 @@ std::string PlanProfile::FormatTree() const {
   return out;
 }
 
-uint64_t PlanProfile::TotalWallNanos() const {
-  uint64_t total = 0;
-  for (const auto& op : ops_) total += op.wall_nanos;
-  return total;
-}
-
 }  // namespace jsontiles::obs

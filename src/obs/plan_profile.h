@@ -60,8 +60,6 @@ class PlanProfile {
   ///     -> Scan lineitem  (rows out=6005, 5.01 ms) [tiles=6 tiles_skipped=2]
   std::string FormatTree() const;
 
-  uint64_t TotalWallNanos() const;
-
  private:
   std::vector<OperatorStats> ops_;
   int root_ = -1;

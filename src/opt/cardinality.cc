@@ -3,17 +3,21 @@
 #include <algorithm>
 
 #include "exec/expr_compile.h"
-#include "exec/scan.h"
+#include "exec/operators.h"
 #include "storage/shard.h"
 
 namespace jsontiles::opt {
 
 using exec::ExprPtr;
-using exec::Value;
+using exec::RowSubset;
+using exec::ScanSpec;
 using storage::Relation;
-using storage::StorageMode;
 
 namespace {
+
+// Documents sampled per relation at plan time (§4.6); a sharded scan splits
+// the budget across its shards.
+constexpr size_t kSampleSize = 512;
 
 // True when `filter` is nothing but a conjunction of IS NOT NULL tests on
 // slots whose accesses read null-rejecting paths: the presence counters then
@@ -39,15 +43,78 @@ bool OnlyPresenceTests(const exec::Expr& filter,
                    access.path) != null_rejecting_paths.end();
 }
 
-}  // namespace
+// `e` with every slot reference s replaced by slot `remap[s]`.
+ExprPtr RemapSlots(const ExprPtr& e, const std::vector<int>& remap) {
+  if (e->kind == exec::ExprKind::kSlotRef) return exec::Slot(remap[e->slot]);
+  auto copy = std::make_shared<exec::Expr>(*e);
+  for (ExprPtr& arg : copy->args) arg = RemapSlots(arg, remap);
+  return copy;
+}
 
-ScanEstimate EstimateScanCardinality(
-    const Relation& relation, const std::vector<ExprPtr>& accesses,
-    const ExprPtr& filter, const std::vector<std::string>& null_rejecting_paths,
-    size_t sample_size) {
-  ScanEstimate est;
+// The row-subset scan that reads a sample of one relation for `spec`: the
+// accesses its filter reads plus each null-rejecting path read as text,
+// filtered by IS NOT NULL of those paths. Its output rows are the present
+// documents; the filter over them gives the passing ones. The scans run in
+// their own single-thread context: no distributed runtime, no profile, and
+// no range predicates, since zone maps would drop documents that are present
+// but fail the filter.
+class SampleScan {
+ public:
+  explicit SampleScan(const ScanSpec& spec) {
+    scan_.table_alias = spec.table_alias;
+    scan_.null_rejecting_paths = spec.null_rejecting_paths;
+    if (spec.filter != nullptr) {
+      std::vector<int> read;
+      exec::CollectSlotRefs(*spec.filter, &read);
+      std::vector<int> remap(spec.accesses.size(), -1);
+      for (int slot : read) {
+        if (remap[slot] >= 0) continue;
+        remap[slot] = static_cast<int>(scan_.accesses.size());
+        scan_.accesses.push_back(spec.accesses[slot]);
+      }
+      filter_ = RemapSlots(spec.filter, remap);
+    }
+    std::vector<ExprPtr> present;
+    for (const std::string& path : spec.null_rejecting_paths) {
+      if (path == exec::kRowIdPath) continue;  // present in every row
+      present.push_back(exec::IsNotNull(
+          exec::Slot(static_cast<int>(scan_.accesses.size()))));
+      scan_.accesses.push_back(
+          exec::AccessPath(spec.table_alias, path, exec::ValueType::kString));
+    }
+    if (!present.empty()) scan_.filter = exec::And(std::move(present));
+  }
+
+  // Add the listed rows of `relation` that are present, and those of them
+  // that pass the filter.
+  Status Count(const Relation& relation, int64_t rowid_base,
+               const RowSubset& rows, size_t* present, size_t* passing) {
+    scan_.relation = &relation;
+    scan_.rowid_base = rowid_base;
+    scan_.row_subset = &rows;
+    exec::RowSet found = exec::ScanExec(scan_, ctx_);
+    JSONTILES_RETURN_NOT_OK(ctx_.ConsumeStatus());
+    *present += found.size();
+    *passing += exec::FilterExec(std::move(found), filter_, ctx_).size();
+    return ctx_.ConsumeStatus();
+  }
+
+ private:
+  ScanSpec scan_;
+  ExprPtr filter_;
+  exec::QueryContext ctx_;
+};
+
+// Estimated output rows of `spec` over one relation, sampling at most
+// `sample_size` of its documents.
+Status EstimateRelation(const ScanSpec& spec, SampleScan& sample,
+                        const Relation& relation, int64_t rowid_base,
+                        size_t sample_size, double* rows) {
+  *rows = 0;
   const size_t n = relation.num_rows();
-  if (n == 0) return est;
+  if (n == 0) return Status::OK();
+  const std::vector<std::string>& null_rejecting_paths =
+      spec.null_rejecting_paths;
 
   // Base presence: how many tuples contain all required key paths.
   const bool stats_presence =
@@ -60,101 +127,59 @@ ScanEstimate EstimateScanCardinality(
                           relation.stats().EstimateKeyCardinalityAnyType(path));
     }
     presence_fraction = static_cast<double>(smallest) / static_cast<double>(n);
-    if (filter == nullptr ||
-        OnlyPresenceTests(*filter, accesses, null_rejecting_paths)) {
-      est.cardinality = std::max(1.0, presence_fraction * static_cast<double>(n));
-      return est;
+    if (spec.filter == nullptr ||
+        OnlyPresenceTests(*spec.filter, spec.accesses, null_rejecting_paths)) {
+      *rows = std::max(1.0, presence_fraction * static_cast<double>(n));
+      return Status::OK();
     }
   }
 
   // §4.6: sample documents statically at plan time to estimate the filter
   // (and, for stats-less modes, the key presence too).
-  size_t samples = std::min(sample_size, n);
-  if (samples == 0) samples = 1;
-  size_t stride = n / samples;
-  if (stride == 0) stride = 1;
-
-  // Only the slots the filter reads are evaluated per sampled document.
-  std::vector<int> filter_slots;
-  if (filter != nullptr) {
-    exec::CollectSlotRefs(*filter, &filter_slots);
-    std::sort(filter_slots.begin(), filter_slots.end());
-    filter_slots.erase(std::unique(filter_slots.begin(), filter_slots.end()),
-                       filter_slots.end());
-  }
-
-  Arena arena;
-  json::JsonbBuilder builder;
-  std::vector<uint8_t> buf;
-  size_t present = 0;
-  size_t passing = 0;
-  std::vector<Value> slots(accesses.size());
-  // One sampled document: counts it as present (all null-rejecting paths
-  // found) and passing (the filter holds).
-  auto sample_row = [&](size_t row) {
-    const uint8_t* doc_bytes;
-    if (relation.mode() == StorageMode::kJsonText) {
-      if (!builder.Transform(relation.JsonText(row), &buf).ok()) return;
-      doc_bytes = buf.data();
-    } else {
-      doc_bytes = relation.Jsonb(row).data();
-    }
-    json::JsonbValue doc(doc_bytes);
-    for (const auto& path : null_rejecting_paths) {
-      Value v = exec::EvalAccessOnJsonb(doc, path, exec::ValueType::kString,
-                                        &arena);
-      if (v.is_null()) return;
-    }
-    present++;
-    if (filter == nullptr) {
-      passing++;
-      return;
-    }
-    for (int s : filter_slots) {
-      if (s < 0 || static_cast<size_t>(s) >= accesses.size()) continue;
-      slots[s] = exec::EvalScanExprOnJsonb(*accesses[s], doc,
-                                           static_cast<int64_t>(row), &arena);
-    }
-    Value keep = exec::EvalExpr(*filter, slots.data(), &arena);
-    if (!keep.is_null() && keep.bool_value()) passing++;
-  };
-
+  const size_t samples = std::min(sample_size, n);
+  const size_t stride = std::max<size_t>(1, n / samples);
+  RowSubset strided(n);
   size_t sampled = 0;
   for (size_t row = 0; row < n && sampled < samples; row += stride, sampled++) {
-    sample_row(row);
+    strided.Add(row);
   }
+  size_t present = 0;
+  size_t passing = 0;
+  JSONTILES_RETURN_NOT_OK(
+      sample.Count(relation, rowid_base, strided, &present, &passing));
 
   // A rare document kind can sit in a few tiles the stride never hits (a
   // 50-row table in one tile of many). Resample, with the same budget, only
   // the tiles whose path statistics admit every null-rejecting path; the
   // presence itself still comes from the relation statistics.
   if (present == 0 && stats_presence) {
-    std::vector<const tiles::Tile*> candidates;
+    auto candidate = [&](const tiles::Tile& tile) {
+      return std::all_of(
+          null_rejecting_paths.begin(), null_rejecting_paths.end(),
+          [&](const std::string& path) {
+            return path == exec::kRowIdPath || tile.MayContainPath(path);
+          });
+    };
     size_t candidate_rows = 0;
     for (const tiles::Tile& tile : relation.tiles()) {
-      bool may_contain = true;
-      for (const auto& path : null_rejecting_paths) {
-        if (path != exec::kRowIdPath && !tile.MayContainPath(path)) {
-          may_contain = false;
-          break;
-        }
-      }
-      if (!may_contain) continue;
-      candidates.push_back(&tile);
-      candidate_rows += tile.row_count;
+      if (candidate(tile)) candidate_rows += tile.row_count;
     }
     if (candidate_rows > 0 && candidate_rows < n) {
       const size_t tile_stride = std::max<size_t>(1, candidate_rows / samples);
+      RowSubset resample(n);
       size_t offset = 0;  // position in the concatenated candidate rows
       size_t resampled = 0;
-      for (const tiles::Tile* tile : candidates) {
-        for (; offset < tile->row_count && resampled < samples;
+      for (const tiles::Tile& tile : relation.tiles()) {
+        if (!candidate(tile)) continue;
+        for (; offset < tile.row_count && resampled < samples;
              offset += tile_stride, resampled++) {
-          sample_row(tile->row_begin + offset);
+          resample.Add(tile.row_begin + offset);
         }
         if (resampled == samples) break;
-        offset -= tile->row_count;
+        offset -= tile.row_count;
       }
+      JSONTILES_RETURN_NOT_OK(
+          sample.Count(relation, rowid_base, resample, &present, &passing));
     }
   }
 
@@ -164,23 +189,21 @@ ScanEstimate EstimateScanCardinality(
   if (filter_fraction <= 0) filter_fraction = 0.5 / static_cast<double>(samples);
 
   if (stats_presence) {
-    est.cardinality =
-        presence_fraction * filter_fraction * static_cast<double>(n);
+    *rows = presence_fraction * filter_fraction * static_cast<double>(n);
   } else {
     double sample_presence =
-        sampled == 0 ? 1.0
-                     : static_cast<double>(present) / static_cast<double>(sampled);
+        static_cast<double>(present) / static_cast<double>(sampled);
     if (sample_presence <= 0) sample_presence = 0.5 / static_cast<double>(samples);
-    est.cardinality =
-        sample_presence * filter_fraction * static_cast<double>(n);
+    *rows = sample_presence * filter_fraction * static_cast<double>(n);
   }
-  if (est.cardinality < 1) est.cardinality = 1;
-  return est;
+  if (*rows < 1) *rows = 1;
+  return Status::OK();
 }
 
-double EstimateJoinKeyDistinct(const Relation& relation,
-                               const std::string& encoded_path,
-                               double scan_card) {
+// HLL distinct count of the key in `relation`, else the unique-key
+// fallback; capped at the scan output.
+double RelationKeyDistinct(const Relation& relation,
+                           const std::string& encoded_path, double scan_card) {
   if (relation.has_stats()) {
     auto distinct = relation.stats().EstimateDistinctAnyType(encoded_path);
     if (distinct.has_value() && *distinct >= 1) {
@@ -191,30 +214,56 @@ double EstimateJoinKeyDistinct(const Relation& relation,
   return scan_card < 1 ? 1.0 : scan_card;
 }
 
-ScanEstimate EstimateShardedScanCardinality(
-    const storage::ShardedRelation& sharded,
-    const std::vector<ExprPtr>& accesses, const ExprPtr& filter,
-    const std::vector<std::string>& null_rejecting_paths, size_t sample_size) {
-  ScanEstimate est;
+}  // namespace
+
+Result<double> EstimateScanCardinality(const ScanSpec& spec) {
+  SampleScan sample(spec);
+  double rows = 0;
+  if (spec.relation != nullptr) {
+    JSONTILES_RETURN_NOT_OK(EstimateRelation(spec, sample, *spec.relation,
+                                             spec.rowid_base, kSampleSize,
+                                             &rows));
+    return rows;
+  }
+  const storage::ShardedRelation& sharded = *spec.sharded;
+  double part_rows = 0;
+  if (!spec.sharded_side_path.empty()) {
+    // Side-relation scan: estimate each shard's side part separately.
+    for (const auto& part : sharded.SideParts(spec.sharded_side_path)) {
+      JSONTILES_RETURN_NOT_OK(EstimateRelation(spec, sample, *part.relation,
+                                               part.rowid_base, kSampleSize,
+                                               &part_rows));
+      rows += part_rows;
+    }
+    return std::max(rows, 1.0);
+  }
+  // The sum of the per-shard estimates, with the sample budget split across
+  // shards in proportion to their row counts (at least 8 per shard).
   const size_t total = sharded.num_rows();
-  if (total == 0) return est;
+  if (total == 0) return rows;
   for (size_t s = 0; s < sharded.shard_count(); s++) {
     const Relation& shard = sharded.shard(s);
     if (shard.num_rows() == 0) continue;
-    // Proportional sample split, at least a handful per non-empty shard.
-    size_t share = sample_size * shard.num_rows() / total;
-    share = std::max<size_t>(share, std::min<size_t>(sample_size, 8));
-    est.cardinality += EstimateScanCardinality(shard, accesses, filter,
-                                               null_rejecting_paths, share)
-                           .cardinality;
+    const size_t share =
+        std::max<size_t>(kSampleSize * shard.num_rows() / total, 8);
+    JSONTILES_RETURN_NOT_OK(EstimateRelation(
+        spec, sample, shard, storage::ShardedRelation::RowIdBase(s), share,
+        &part_rows));
+    rows += part_rows;
   }
-  if (est.cardinality < 1) est.cardinality = 1;
-  return est;
+  return std::max(rows, 1.0);
 }
 
-double EstimateShardedJoinKeyDistinct(const storage::ShardedRelation& sharded,
-                                      const std::string& encoded_path,
-                                      double scan_card) {
+double EstimateJoinKeyDistinct(const ScanSpec& spec,
+                               const std::string& encoded_path,
+                               double scan_card) {
+  if (spec.relation != nullptr) {
+    return RelationKeyDistinct(*spec.relation, encoded_path, scan_card);
+  }
+  if (spec.sharded == nullptr || !spec.sharded_side_path.empty()) {
+    return scan_card;
+  }
+  const storage::ShardedRelation& sharded = *spec.sharded;
   const double card = scan_card < 1 ? 1.0 : scan_card;
   const bool disjoint_keys =
       sharded.shard_options().routing == storage::ShardRouting::kHashKey &&
@@ -228,7 +277,7 @@ double EstimateShardedJoinKeyDistinct(const storage::ShardedRelation& sharded,
     double shard_card =
         card * static_cast<double>(shard.num_rows()) /
         static_cast<double>(sharded.num_rows() == 0 ? 1 : sharded.num_rows());
-    double d = EstimateJoinKeyDistinct(shard, encoded_path, shard_card);
+    double d = RelationKeyDistinct(shard, encoded_path, shard_card);
     sum += d;
     max_one = std::max(max_one, d);
   }

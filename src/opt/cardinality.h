@@ -2,11 +2,15 @@
 //
 // With JSON tiles, per-key frequency counters answer "how many tuples contain
 // this key path" (the `replies is not null` example) and HyperLogLog sketches
-// provide distinct counts for join-size estimation. All storage modes
-// additionally sample documents statically at plan time to estimate filter
-// selectivity; modes without tile statistics must fall back to the sample and
-// a unique-key assumption for joins — which is precisely the information gap
-// the paper's Q18 discussion attributes to Sinew.
+// provide distinct counts for join-size estimation. Filter selectivity comes
+// from documents sampled statically at plan time: a stride over the rows
+// and, when it finds no document with the required paths, a resample of the
+// tiles that may hold them. The scan itself reads the sample, as a row-subset
+// scan, so sampled values come from tile columns wherever tiles hold them
+// and the planner never reads a storage format. Modes without tile
+// statistics take key presence from the same sample and assume unique join
+// keys — precisely the information gap the paper's Q18 discussion
+// attributes to Sinew.
 
 #ifndef JSONTILES_OPT_CARDINALITY_H_
 #define JSONTILES_OPT_CARDINALITY_H_
@@ -14,50 +18,28 @@
 #include <string>
 #include <vector>
 
-#include "exec/expression.h"
+#include "exec/scan.h"
 #include "storage/relation.h"
-
-namespace jsontiles::storage {
-class ShardedRelation;
-}  // namespace jsontiles::storage
+#include "util/status.h"
 
 namespace jsontiles::opt {
 
-struct ScanEstimate {
-  double cardinality = 0;  // rows surviving presence + filter
-};
+/// Estimated output rows of the scan `spec` (plain, sharded or side
+/// relation): rows that have every null-rejecting path and pass the filter.
+/// The sample runs as row-subset scans in their own single-thread context;
+/// the first failing sample scan's Status is returned.
+Result<double> EstimateScanCardinality(const exec::ScanSpec& spec);
 
-/// Estimate the output cardinality of a scan of `relation` whose expression
-/// context requires `null_rejecting_paths` to be present and `filter` (over
-/// the listed `accesses`, rewritten to slots in access order) to hold.
-ScanEstimate EstimateScanCardinality(
-    const storage::Relation& relation,
-    const std::vector<exec::ExprPtr>& accesses, const exec::ExprPtr& filter,
-    const std::vector<std::string>& null_rejecting_paths, size_t sample_size);
-
-/// Distinct values of the join key `encoded_path` on `relation`, given the
-/// estimated scan output `scan_card`. Uses HLL sketches when the relation
-/// has tile statistics; otherwise assumes the key is unique (returns
-/// scan_card), the classic fallback.
-double EstimateJoinKeyDistinct(const storage::Relation& relation,
+/// Distinct values of the join key `encoded_path` in the output of `spec`,
+/// estimated at `scan_card` rows. A relation with tile statistics answers
+/// from its HLL sketches, otherwise the key is assumed unique (the classic
+/// fallback). Over a sharded relation hash-routed on exactly this path,
+/// equal keys never straddle shards, so per-shard counts sum; otherwise the
+/// same value may recur in every shard and the max per-shard count is the
+/// sound lower estimate. Side-relation scans return `scan_card` as is.
+double EstimateJoinKeyDistinct(const exec::ScanSpec& spec,
                                const std::string& encoded_path,
                                double scan_card);
-
-/// Sharded scan estimate: sum of the per-shard estimates, with the sample
-/// budget split across shards in proportion to their row counts.
-ScanEstimate EstimateShardedScanCardinality(
-    const storage::ShardedRelation& sharded,
-    const std::vector<exec::ExprPtr>& accesses, const exec::ExprPtr& filter,
-    const std::vector<std::string>& null_rejecting_paths, size_t sample_size);
-
-/// Distinct join-key values over a sharded relation. When the relation is
-/// hash-routed on exactly `encoded_path`, equal keys never straddle shards,
-/// so per-shard distinct counts sum; otherwise the same value may recur in
-/// every shard and the max per-shard count is the sound lower estimate.
-/// Capped at `scan_card` either way.
-double EstimateShardedJoinKeyDistinct(const storage::ShardedRelation& sharded,
-                                      const std::string& encoded_path,
-                                      double scan_card);
 
 }  // namespace jsontiles::opt
 

@@ -4,6 +4,8 @@
 #include <unordered_map>
 
 #include "exec/exchange.h"
+#include "exec/expr_compile.h"
+#include "obs/obs.h"
 #include "obs/plan_profile.h"
 #include "opt/cardinality.h"
 #include "opt/join_order.h"
@@ -77,10 +79,14 @@ std::string OwningTable(const ExprPtr& e) {
   return accesses[0]->table;
 }
 
-// Pseudo-scan of a materialized row set: output = the accesses, cast to the
-// requested types; filter applied.
-RowSet ScanRowset(const TableRef& table, const std::vector<ExprPtr>& accesses,
-                  const ExprPtr& filter, exec::QueryContext& ctx) {
+// Pseudo-scan of a materialized row set: output = the spec's accesses, cast
+// to the requested types; its filter applied.
+RowSet ScanRowset(const TableRef& table, const exec::ScanSpec& spec,
+                  exec::QueryContext& ctx) {
+  const std::vector<ExprPtr>& accesses = spec.accesses;
+  // The filter's conjuncts run per row as residuals (none: keep every row).
+  const exec::CompiledPredicate keep =
+      exec::CompiledPredicate::Residuals(spec.filter);
   obs::OperatorProfiler prof(ctx.profile, "ScanRows", table.alias);
   prof.set_rows_in(table.rowset->size());
   Arena* arena = ctx.arena(0);
@@ -106,10 +112,7 @@ RowSet ScanRowset(const TableRef& table, const std::vector<ExprPtr>& accesses,
                      ? v
                      : exec::CastValue(v, accesses[i]->access_type, arena);
     }
-    if (filter != nullptr) {
-      Value keep = exec::EvalExpr(*filter, slots.data(), arena);
-      if (keep.is_null() || !keep.bool_value()) out.pop_back();
-    }
+    if (!keep.ResidualsHold(slots.data(), arena)) out.pop_back();
   }
   prof.set_rows_out(out.size());
   return out;
@@ -120,10 +123,12 @@ RowSet ScanRowset(const TableRef& table, const std::vector<ExprPtr>& accesses,
 /// Everything the planning prefix produces; scoped to one Execute/Explain.
 struct QueryBlock::PlanState {
   std::unordered_map<std::string, size_t> table_index;
-  /// One slot per distinct access per table (§4.2 push-down).
-  std::vector<std::vector<ExprPtr>> table_accesses;
-  std::vector<std::vector<std::string>> null_rejecting;
-  std::vector<std::vector<exec::RangePredicate>> range_predicates;
+  /// One scan per table: one slot per distinct access (§4.2 push-down), the
+  /// table filter over those slots, and the null-rejecting paths and range
+  /// predicates that let the scan skip tiles (§4.8). The same spec drives
+  /// the plan-time estimate and the execution; row-set tables use only its
+  /// accesses and filter.
+  std::vector<exec::ScanSpec> specs;
   /// Left-deep join sequence over table indices.
   std::vector<int> sequence;
   /// Estimated scan output cardinality per table (declaration order).
@@ -132,7 +137,7 @@ struct QueryBlock::PlanState {
   double estimated_cost = 0;
 
   int LocalSlot(size_t table, const Expr& access) const {
-    const auto& list = table_accesses[table];
+    const auto& list = specs[table].accesses;
     for (size_t i = 0; i < list.size(); i++) {
       if (exec::SameAccess(*list[i], access)) return static_cast<int>(i);
     }
@@ -140,8 +145,7 @@ struct QueryBlock::PlanState {
   }
 };
 
-void QueryBlock::BuildPlan(const PlannerOptions& options, bool estimate_all,
-                           PlanState* state) {
+Status QueryBlock::BuildPlan(bool estimate_all, PlanState* state) {
   const size_t num_tables = tables_.size();
   JSONTILES_CHECK(num_tables > 0);
 
@@ -149,8 +153,8 @@ void QueryBlock::BuildPlan(const PlannerOptions& options, bool estimate_all,
   for (size_t i = 0; i < num_tables; i++) table_index[tables_[i].alias] = i;
 
   // ---- Access push-down (§4.2): one slot per distinct access per table. ---
-  auto& table_accesses = state->table_accesses;
-  table_accesses.assign(num_tables, {});
+  auto& specs = state->specs;
+  specs.assign(num_tables, {});
   auto register_accesses = [&](const ExprPtr& e) {
     if (e == nullptr) return;
     std::vector<ExprPtr> found;
@@ -158,7 +162,7 @@ void QueryBlock::BuildPlan(const PlannerOptions& options, bool estimate_all,
     for (const auto& a : found) {
       auto it = table_index.find(a->table);
       JSONTILES_CHECK(it != table_index.end());
-      auto& list = table_accesses[it->second];
+      auto& list = specs[it->second].accesses;
       bool exists = false;
       for (const auto& existing : list) {
         if (exec::SameAccess(*existing, *a)) {
@@ -180,17 +184,22 @@ void QueryBlock::BuildPlan(const PlannerOptions& options, bool estimate_all,
   for (const auto& a : aggs_) register_accesses(a.arg);
   for (const auto& e : projections_) register_accesses(e);
 
-  // ---- Null-rejecting paths per table (filters + inner-join keys, §4.8)
-  // ---- plus zone-map range predicates.
-  auto& null_rejecting = state->null_rejecting;
-  auto& range_predicates = state->range_predicates;
-  null_rejecting.assign(num_tables, {});
-  range_predicates.assign(num_tables, {});
+  // ---- Per-table scans: filters over local slots, null-rejecting paths
+  // ---- (filters + inner-join keys, §4.8) and zone-map range predicates.
   for (size_t i = 0; i < num_tables; i++) {
-    exec::CollectNullRejectingPaths(tables_[i].filter, tables_[i].alias,
-                                    &null_rejecting[i]);
-    exec::CollectRangePredicates(tables_[i].filter, tables_[i].alias,
-                                 &range_predicates[i]);
+    const TableRef& t = tables_[i];
+    exec::ScanSpec& spec = specs[i];
+    spec.relation = t.relation;
+    spec.sharded = t.sharded;
+    spec.sharded_side_path = t.sharded_side_path;
+    spec.table_alias = t.alias;
+    if (t.filter != nullptr) {
+      spec.filter = exec::RewriteAccessesToSlots(
+          t.filter, [&](const Expr& a) { return state->LocalSlot(i, a); });
+    }
+    exec::CollectNullRejectingPaths(t.filter, t.alias,
+                                    &spec.null_rejecting_paths);
+    exec::CollectRangePredicates(t.filter, t.alias, &spec.range_predicates);
   }
   for (const auto& j : joins_) {
     for (const ExprPtr& side : {j.left, j.right}) {
@@ -199,54 +208,34 @@ void QueryBlock::BuildPlan(const PlannerOptions& options, bool estimate_all,
       for (const auto& a : found) {
         // Virtual row ids exist for every row; they reject nothing.
         if (a->path == exec::kRowIdPath) continue;
-        null_rejecting[table_index[a->table]].push_back(a->path);
+        specs[table_index[a->table]].null_rejecting_paths.push_back(a->path);
       }
     }
   }
 
-  // ---- Join ordering (§4.6). ----------------------------------------------
+  // ---- Cardinality estimation (§4.6). --------------------------------------
   auto& sequence = state->sequence;
   auto& cards = state->cards;
   sequence.resize(num_tables);
   for (size_t i = 0; i < num_tables; i++) sequence[i] = static_cast<int>(i);
   cards.assign(num_tables, 1);
   if (num_tables > 1 || estimate_all) {
+    JSONTILES_TRACE_SPAN("opt.estimate");
     for (size_t i = 0; i < num_tables; i++) {
       const TableRef& t = tables_[i];
-      if (t.relation != nullptr || t.sharded != nullptr) {
-        ExprPtr scan_filter = t.filter == nullptr
-                                  ? nullptr
-                                  : exec::RewriteAccessesToSlots(
-                                        t.filter, [&](const Expr& a) {
-                                          return state->LocalSlot(i, a);
-                                        });
-        if (t.relation != nullptr) {
-          cards[i] = EstimateScanCardinality(*t.relation, table_accesses[i],
-                                             scan_filter, null_rejecting[i],
-                                             options.sample_size)
-                         .cardinality;
-        } else if (t.sharded_side_path.empty()) {
-          cards[i] = EstimateShardedScanCardinality(
-                         *t.sharded, table_accesses[i], scan_filter,
-                         null_rejecting[i], options.sample_size)
-                         .cardinality;
-        } else {
-          // Side-relation scan: estimate each shard's side part separately.
-          cards[i] = 0;
-          for (const auto& part : t.sharded->SideParts(t.sharded_side_path)) {
-            cards[i] += EstimateScanCardinality(
-                            *part.relation, table_accesses[i], scan_filter,
-                            null_rejecting[i], options.sample_size)
-                            .cardinality;
-          }
-          if (cards[i] < 1) cards[i] = 1;
-        }
-      } else {
+      if (t.rowset != nullptr) {
         cards[i] = static_cast<double>(t.rowset->size());
+        continue;
       }
+      auto estimate = EstimateScanCardinality(specs[i]);
+      JSONTILES_RETURN_NOT_OK(estimate.status());
+      cards[i] = estimate.ValueOrDie();
     }
   }
-  if (num_tables > 1 && options.optimize_join_order) {
+
+  // ---- Join ordering (§4.6). ----------------------------------------------
+  if (num_tables > 1) {
+    JSONTILES_TRACE_SPAN("opt.join_order");
     JoinGraph graph;
     graph.table_cardinalities = cards;
     for (const auto& j : joins_) {
@@ -256,16 +245,9 @@ void QueryBlock::BuildPlan(const PlannerOptions& options, bool estimate_all,
       edge.left = static_cast<int>(lt);
       edge.right = static_cast<int>(rt);
       auto key_distinct = [&](const ExprPtr& key, size_t t) -> double {
-        if (key->kind != exec::ExprKind::kAccess) return cards[t];
-        const TableRef& ref = tables_[t];
-        if (ref.relation != nullptr) {
-          return EstimateJoinKeyDistinct(*ref.relation, key->path, cards[t]);
-        }
-        if (ref.sharded != nullptr && ref.sharded_side_path.empty()) {
-          return EstimateShardedJoinKeyDistinct(*ref.sharded, key->path,
-                                                cards[t]);
-        }
-        return cards[t];
+        return key->kind == exec::ExprKind::kAccess
+                   ? EstimateJoinKeyDistinct(specs[t], key->path, cards[t])
+                   : cards[t];
       };
       edge.left_distinct = key_distinct(j.left, lt);
       edge.right_distinct = key_distinct(j.right, rt);
@@ -275,13 +257,12 @@ void QueryBlock::BuildPlan(const PlannerOptions& options, bool estimate_all,
     sequence = std::move(result.sequence);
     state->estimated_cost = result.estimated_cost;
   }
-  chosen_order_.clear();
-  for (int t : sequence) chosen_order_.push_back(tables_[static_cast<size_t>(t)].alias);
+  return Status::OK();
 }
 
-PlanEstimate QueryBlock::Explain(const PlannerOptions& options) {
+Result<PlanEstimate> QueryBlock::Explain() {
   PlanState state;
-  BuildPlan(options, /*estimate_all=*/true, &state);
+  JSONTILES_RETURN_NOT_OK(BuildPlan(/*estimate_all=*/true, &state));
   PlanEstimate out;
   out.join_order.reserve(state.sequence.size());
   out.table_rows.reserve(state.sequence.size());
@@ -293,192 +274,138 @@ PlanEstimate QueryBlock::Explain(const PlannerOptions& options) {
   return out;
 }
 
-RowSet QueryBlock::Execute(exec::QueryContext& ctx, const PlannerOptions& options) {
+RowSet QueryBlock::Execute(exec::QueryContext& ctx) {
   PlanState state;
-  BuildPlan(options, /*estimate_all=*/false, &state);
+  Status planned = BuildPlan(/*estimate_all=*/false, &state);
+  if (!planned.ok()) {
+    // A failed plan-time sample fails the query like a failed scan would.
+    ctx.Cancel(std::move(planned));
+    return {};
+  }
 
   const size_t num_tables = tables_.size();
   auto& table_index = state.table_index;
-  auto& table_accesses = state.table_accesses;
-  auto& null_rejecting = state.null_rejecting;
-  auto& range_predicates = state.range_predicates;
+  auto& specs = state.specs;
   auto& sequence = state.sequence;
   auto local_slot = [&](size_t table, const Expr& access) -> int {
     return state.LocalSlot(table, access);
   };
+  const bool aggregated = !aggs_.empty() || !group_by_.empty();
 
   // ---- Distributed partial-aggregate push-down (DESIGN.md §13). -------------
   // A single-table aggregate over a cluster-served sharded relation skips the
   // scan/aggregate pair entirely: workers scan their shards and aggregate
   // locally, the coordinator merges partials through the same accumulators.
-  // With one table the global slot layout equals the scan's local layout, so
-  // the rewritten expressions are valid on the worker side verbatim.
-  obs::PlanProfile* profile = ctx.profile;
-  if (ctx.dist != nullptr && num_tables == 1 && joins_.empty() &&
-      where_ == nullptr && (!aggs_.empty() || !group_by_.empty()) &&
-      tables_[0].sharded != nullptr && tables_[0].sharded_side_path.empty() &&
-      ctx.dist->Serves(tables_[0].sharded)) {
-    const TableRef& t = tables_[0];
-    exec::ScanSpec spec;
-    spec.sharded = t.sharded;
-    spec.table_alias = t.alias;
-    spec.accesses = table_accesses[0];
-    spec.filter = t.filter == nullptr
-                      ? nullptr
-                      : exec::RewriteAccessesToSlots(
-                            t.filter,
-                            [&](const Expr& a) { return local_slot(0, a); });
-    spec.null_rejecting_paths = null_rejecting[0];
-    spec.range_predicates = range_predicates[0];
-    std::vector<ExprPtr> keys;
-    keys.reserve(group_by_.size());
-    for (const auto& e : group_by_) {
-      keys.push_back(exec::RewriteAccessesToSlots(
-          e, [&](const Expr& a) { return local_slot(0, a); }));
-    }
-    std::vector<AggSpec> aggs;
-    aggs.reserve(aggs_.size());
-    for (const auto& a : aggs_) {
-      AggSpec rewritten = a;
-      if (a.arg != nullptr) {
-        rewritten.arg = exec::RewriteAccessesToSlots(
-            a.arg, [&](const Expr& e) { return local_slot(0, e); });
-      }
-      aggs.push_back(std::move(rewritten));
-    }
-    RowSet out = exec::ExchangeAggregateExec(spec, keys, aggs, ctx);
-    if (ctx.cancelled()) return {};
-    if (profile != nullptr) profile->SetRoot(profile->last_id());
-    auto chain_tail = [&]() {
-      if (profile != nullptr) profile->Chain(profile->last_id());
-    };
-    if (having_ != nullptr) {
-      out = exec::FilterExec(std::move(out), having_, ctx);
-      chain_tail();
-    }
-    if (!order_by_.empty()) {
-      out = exec::SortExec(std::move(out), order_by_, ctx);
-      chain_tail();
-    }
-    if (has_limit_) {
-      out = exec::LimitExec(std::move(out), limit_, ctx);
-      chain_tail();
-    }
-    return out;
-  }
+  // With one table the global slot layout below equals the scan's local
+  // layout, so the rewritten expressions are valid on the worker side.
+  const bool push_down_aggregate =
+      ctx.dist != nullptr && num_tables == 1 && joins_.empty() &&
+      where_ == nullptr && aggregated && tables_[0].sharded != nullptr &&
+      tables_[0].sharded_side_path.empty() &&
+      ctx.dist->Serves(tables_[0].sharded);
 
-  // ---- Scans. ---------------------------------------------------------------
-  // Profiled runs wire the plan tree as the operators execute: every operator
-  // appends exactly one entry, so ctx.profile->last_id() after a call is that
-  // operator's node.
-  std::vector<int> scan_node(num_tables, -1);
-  std::vector<RowSet> scanned(num_tables);
-  for (size_t i = 0; i < num_tables; i++) {
-    const TableRef& t = tables_[i];
-    ExprPtr scan_filter =
-        t.filter == nullptr
-            ? nullptr
-            : exec::RewriteAccessesToSlots(
-                  t.filter, [&](const Expr& a) { return local_slot(i, a); });
-    if (t.relation != nullptr || t.sharded != nullptr) {
-      exec::ScanSpec spec;
-      spec.relation = t.relation;
-      spec.sharded = t.sharded;
-      spec.sharded_side_path = t.sharded_side_path;
-      spec.table_alias = t.alias;
-      spec.accesses = table_accesses[i];
-      spec.filter = scan_filter;
-      spec.null_rejecting_paths = null_rejecting[i];
-      spec.range_predicates = range_predicates[i];
-      scanned[i] = exec::ScanExec(spec, ctx);
-    } else {
-      scanned[i] = ScanRowset(t, table_accesses[i], scan_filter, ctx);
-    }
-    if (profile != nullptr) scan_node[i] = profile->last_id();
-    // A failed scan cancels the query; stop planning work immediately (the
-    // SQL boundary surfaces the recorded Status).
-    if (ctx.cancelled()) return {};
-  }
-
-  // ---- Left-deep joins in the chosen order. ---------------------------------
   // Global slot layout: tables in join order, each contributing its accesses.
   std::vector<int> slot_offset(num_tables, -1);
-  size_t next_offset = 0;
   auto global_slot_fn = [&](const Expr& access) -> int {
     size_t t = table_index[access.table];
     JSONTILES_CHECK(slot_offset[t] >= 0);
     int local = local_slot(t, access);
     return slot_offset[t] + local;
   };
-
-  size_t first = static_cast<size_t>(sequence[0]);
-  slot_offset[first] = 0;
-  next_offset = table_accesses[first].size();
-  RowSet acc = std::move(scanned[first]);
-  std::vector<bool> joined(joins_.size(), false);
-  if (profile != nullptr) profile->SetRoot(scan_node[first]);
-
-  for (size_t k = 1; k < sequence.size(); k++) {
-    size_t t = static_cast<size_t>(sequence[k]);
-    // Edges connecting t to the current set become join keys / residuals.
-    std::vector<ExprPtr> probe_keys, build_keys;
-    std::vector<ExprPtr> residuals;
-    for (size_t j = 0; j < joins_.size(); j++) {
-      if (joined[j]) continue;
-      size_t lt = table_index[OwningTable(joins_[j].left)];
-      size_t rt = table_index[OwningTable(joins_[j].right)];
-      bool l_in = slot_offset[lt] >= 0;
-      bool r_in = slot_offset[rt] >= 0;
-      ExprPtr t_side, set_side;
-      if (lt == t && r_in) {
-        t_side = joins_[j].left;
-        set_side = joins_[j].right;
-      } else if (rt == t && l_in) {
-        t_side = joins_[j].right;
-        set_side = joins_[j].left;
-      } else {
-        continue;
-      }
-      joined[j] = true;
-      build_keys.push_back(exec::RewriteAccessesToSlots(
-          t_side, [&](const Expr& a) { return local_slot(t, a); }));
-      probe_keys.push_back(exec::RewriteAccessesToSlots(set_side, global_slot_fn));
-      if (joins_[j].residual != nullptr) residuals.push_back(joins_[j].residual);
-    }
-    // Combined layout after this join: [acc..., t...].
-    slot_offset[t] = static_cast<int>(next_offset);
-    next_offset += table_accesses[t].size();
-    ExprPtr residual = nullptr;
-    if (!residuals.empty()) {
-      residual = exec::RewriteAccessesToSlots(exec::And(residuals), global_slot_fn);
-    }
-    acc = exec::HashJoinExec(scanned[t], acc, build_keys, probe_keys,
-                             exec::JoinType::kInner, residual, ctx);
-    scanned[t] = RowSet();  // release the build side's array now
-    if (ctx.cancelled()) return {};
-    if (profile != nullptr) {
-      // Probe (the accumulated plan so far) first, build scan second.
-      int join_id = profile->last_id();
-      profile->op(join_id).children.push_back(profile->root());
-      profile->op(join_id).children.push_back(scan_node[t]);
-      profile->SetRoot(join_id);
-    }
-  }
-
-  // ---- Post-join cross-table predicate. --------------------------------------
+  // Profiled runs wire the plan tree as the operators execute: every operator
+  // appends exactly one entry, so ctx.profile->last_id() after a call is that
+  // operator's node.
+  obs::PlanProfile* profile = ctx.profile;
   auto chain_last = [&]() {
     if (profile != nullptr) profile->Chain(profile->last_id());
   };
-  if (where_ != nullptr) {
-    acc = exec::FilterExec(std::move(acc),
-                           exec::RewriteAccessesToSlots(where_, global_slot_fn),
-                           ctx);
-    chain_last();
+
+  RowSet acc;
+  if (push_down_aggregate) {
+    slot_offset[0] = 0;
+  } else {
+    // ---- Scans. -------------------------------------------------------------
+    std::vector<int> scan_node(num_tables, -1);
+    std::vector<RowSet> scanned(num_tables);
+    for (size_t i = 0; i < num_tables; i++) {
+      scanned[i] = tables_[i].rowset != nullptr
+                       ? ScanRowset(tables_[i], specs[i], ctx)
+                       : exec::ScanExec(specs[i], ctx);
+      if (profile != nullptr) scan_node[i] = profile->last_id();
+      // A failed scan cancels the query; stop planning work immediately (the
+      // SQL boundary surfaces the recorded Status).
+      if (ctx.cancelled()) return {};
+    }
+
+    // ---- Left-deep joins in the chosen order. -------------------------------
+    size_t first = static_cast<size_t>(sequence[0]);
+    slot_offset[first] = 0;
+    size_t next_offset = specs[first].accesses.size();
+    acc = std::move(scanned[first]);
+    std::vector<bool> joined(joins_.size(), false);
+    if (profile != nullptr) profile->SetRoot(scan_node[first]);
+
+    for (size_t k = 1; k < sequence.size(); k++) {
+      size_t t = static_cast<size_t>(sequence[k]);
+      // Edges connecting t to the current set become join keys / residuals.
+      std::vector<ExprPtr> probe_keys, build_keys;
+      std::vector<ExprPtr> residuals;
+      for (size_t j = 0; j < joins_.size(); j++) {
+        if (joined[j]) continue;
+        size_t lt = table_index[OwningTable(joins_[j].left)];
+        size_t rt = table_index[OwningTable(joins_[j].right)];
+        bool l_in = slot_offset[lt] >= 0;
+        bool r_in = slot_offset[rt] >= 0;
+        ExprPtr t_side, set_side;
+        if (lt == t && r_in) {
+          t_side = joins_[j].left;
+          set_side = joins_[j].right;
+        } else if (rt == t && l_in) {
+          t_side = joins_[j].right;
+          set_side = joins_[j].left;
+        } else {
+          continue;
+        }
+        joined[j] = true;
+        build_keys.push_back(exec::RewriteAccessesToSlots(
+            t_side, [&](const Expr& a) { return local_slot(t, a); }));
+        probe_keys.push_back(
+            exec::RewriteAccessesToSlots(set_side, global_slot_fn));
+        if (joins_[j].residual != nullptr) residuals.push_back(joins_[j].residual);
+      }
+      // Combined layout after this join: [acc..., t...].
+      slot_offset[t] = static_cast<int>(next_offset);
+      next_offset += specs[t].accesses.size();
+      ExprPtr residual = nullptr;
+      if (!residuals.empty()) {
+        residual =
+            exec::RewriteAccessesToSlots(exec::And(residuals), global_slot_fn);
+      }
+      acc = exec::HashJoinExec(scanned[t], acc, build_keys, probe_keys,
+                               exec::JoinType::kInner, residual, ctx);
+      scanned[t] = RowSet();  // release the build side's array now
+      if (ctx.cancelled()) return {};
+      if (profile != nullptr) {
+        // Probe (the accumulated plan so far) first, build scan second.
+        int join_id = profile->last_id();
+        profile->op(join_id).children.push_back(profile->root());
+        profile->op(join_id).children.push_back(scan_node[t]);
+        profile->SetRoot(join_id);
+      }
+    }
+
+    // ---- Post-join cross-table predicate. ------------------------------------
+    if (where_ != nullptr) {
+      acc = exec::FilterExec(
+          std::move(acc), exec::RewriteAccessesToSlots(where_, global_slot_fn),
+          ctx);
+      chain_last();
+    }
   }
 
   // ---- Aggregation / projection. --------------------------------------------
   RowSet out;
-  if (!aggs_.empty() || !group_by_.empty()) {
+  if (aggregated) {
     std::vector<ExprPtr> keys;
     keys.reserve(group_by_.size());
     for (const auto& e : group_by_) {
@@ -493,8 +420,13 @@ RowSet QueryBlock::Execute(exec::QueryContext& ctx, const PlannerOptions& option
       }
       aggs.push_back(std::move(rewritten));
     }
-    out = exec::AggregateExec(acc, keys, aggs, ctx);
-    chain_last();
+    if (push_down_aggregate) {
+      out = exec::ExchangeAggregateExec(specs[0], keys, aggs, ctx);
+      if (profile != nullptr) profile->SetRoot(profile->last_id());
+    } else {
+      out = exec::AggregateExec(acc, keys, aggs, ctx);
+      chain_last();
+    }
     if (ctx.cancelled()) return {};
     if (having_ != nullptr) {
       out = exec::FilterExec(std::move(out), having_, ctx);

@@ -32,14 +32,6 @@ struct TableSource {
   TableSource(const storage::ShardedRelation& sh) : sharded(&sh) {}
 };
 
-struct PlannerOptions {
-  /// Run the cost-based join-order search (sampling + tile statistics).
-  /// When false, tables join in declaration order.
-  bool optimize_join_order = true;
-  /// Documents sampled per scan at plan time (§4.6).
-  size_t sample_size = 512;
-};
-
 /// Plain EXPLAIN output: the optimizer's chosen join order plus the
 /// cardinality estimates that drove it, produced without executing.
 struct PlanEstimate {
@@ -48,8 +40,8 @@ struct PlanEstimate {
   /// Estimated scan output rows per table, aligned with join_order.
   std::vector<double> table_rows;
   /// C_out of the chosen order (sum of intermediate result cardinalities).
-  /// Only set when the bitmask-DP search ran (more than one table and
-  /// optimize_join_order on); 0 otherwise.
+  /// Only set when the bitmask-DP search ran (more than one table); 0
+  /// otherwise.
   double estimated_cost = 0;
 };
 
@@ -136,26 +128,23 @@ class QueryBlock {
   QueryBlock& OrderBy(exec::ExprPtr key, bool descending = false);
   QueryBlock& Limit(size_t n);
 
-  exec::RowSet Execute(exec::QueryContext& ctx,
-                       const PlannerOptions& options = {});
+  /// Plan and run the block. A failure anywhere, plan-time sampling
+  /// included, cancels `ctx` with its Status and returns no rows.
+  exec::RowSet Execute(exec::QueryContext& ctx);
 
   /// Plan without executing: access push-down, per-scan cardinality
   /// estimation and cost-based join ordering (plain EXPLAIN). Unlike
-  /// Execute, estimates are produced even for single-table blocks.
-  PlanEstimate Explain(const PlannerOptions& options = {});
-
-  /// Join order chosen by the last Execute/Explain (table aliases).
-  const std::vector<std::string>& chosen_join_order() const {
-    return chosen_order_;
-  }
+  /// Execute, estimates are produced even for single-table blocks. A
+  /// failing sample scan returns its Status.
+  Result<PlanEstimate> Explain();
 
  private:
   struct PlanState;
-  /// Shared planning prefix: access push-down, null-rejection analysis,
-  /// cardinality estimation (always when `estimate_all`, else only when a
-  /// join order must be chosen) and the join-order search.
-  void BuildPlan(const PlannerOptions& options, bool estimate_all,
-                 PlanState* state);
+  /// Shared planning prefix: the per-table scan specs (access push-down,
+  /// null-rejection analysis), cardinality estimation (always when
+  /// `estimate_all`, else only when a join order must be chosen) and the
+  /// join-order search.
+  Status BuildPlan(bool estimate_all, PlanState* state);
 
   struct JoinEdge {
     exec::ExprPtr left;
@@ -173,7 +162,6 @@ class QueryBlock {
   std::vector<exec::SortKey> order_by_;
   size_t limit_ = 0;
   bool has_limit_ = false;
-  std::vector<std::string> chosen_order_;
 };
 
 /// The single value of a 1x1 result (e.g. a decorrelated scalar subquery).

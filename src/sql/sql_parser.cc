@@ -4,8 +4,10 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
 
 #include "exec/operators.h"
+#include "obs/obs.h"
 #include "sql/sql_lexer.h"
 #include "tiles/keypath.h"
 
@@ -641,8 +643,10 @@ std::string DefaultColumnName(const ExprPtr& e, size_t index) {
 }  // namespace
 
 Result<SqlResult> ExecuteSql(std::string_view statement, const SqlCatalog& catalog,
-                             exec::QueryContext& ctx,
-                             const opt::PlannerOptions& planner) {
+                             exec::QueryContext& ctx) {
+  // Plan time splits into parse, bind, and the optimizer's estimate and
+  // join-order spans (opt/query.cc).
+  std::optional<obs::TraceSpan> parse_span(std::in_place, "sql.parse");
   auto tokens = TokenizeSql(statement);
   if (!tokens.ok()) return tokens.status();
   std::vector<SqlToken> token_list = tokens.MoveValueOrDie();
@@ -695,6 +699,8 @@ Result<SqlResult> ExecuteSql(std::string_view statement, const SqlCatalog& catal
   ParsedQuery query;
   Parser parser(std::move(token_list));
   JSONTILES_RETURN_NOT_OK(parser.Parse(&query));
+  parse_span.reset();
+  std::optional<obs::TraceSpan> bind_span(std::in_place, "sql.bind");
 
   // --- validate tables -------------------------------------------------------
   std::vector<std::string> aliases;
@@ -808,9 +814,13 @@ Result<SqlResult> ExecuteSql(std::string_view statement, const SqlCatalog& catal
     block.Select(projections);
   }
 
+  bind_span.reset();
+
   // --- plain EXPLAIN: plan only, no execution -------------------------------
   if (explain_plan) {
-    opt::PlanEstimate est = block.Explain(planner);
+    auto planned = block.Explain();
+    JSONTILES_RETURN_NOT_OK(planned.status());
+    const opt::PlanEstimate& est = planned.ValueOrDie();
     std::vector<std::string> lines;
     std::string order = "Join order: ";
     for (size_t i = 0; i < est.join_order.size(); i++) {
@@ -838,7 +848,7 @@ Result<SqlResult> ExecuteSql(std::string_view statement, const SqlCatalog& catal
     return plan;
   }
 
-  rows = block.Execute(ctx, planner);
+  rows = block.Execute(ctx);
   // A worker failure anywhere in the plan (scan morsel, join/aggregate
   // worker, spill I/O) cancels the query; surface that Status here, at the
   // API boundary, instead of a silently empty result.

@@ -73,8 +73,7 @@ struct SqlResult {
 /// per row, without executing the query.
 Result<SqlResult> ExecuteSql(std::string_view statement,
                              const SqlCatalog& catalog,
-                             exec::QueryContext& ctx,
-                             const opt::PlannerOptions& planner = {});
+                             exec::QueryContext& ctx);
 
 /// Render a result like psql (for examples/tools).
 std::string FormatSqlResult(const SqlResult& result, size_t max_rows = 50);

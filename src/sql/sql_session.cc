@@ -61,10 +61,9 @@ bool AtEnd(std::string_view s) {
 
 SqlSession::SqlSession(const SqlCatalog* catalog,
                        service::QueryService* service,
-                       exec::ExecOptions base_options,
-                       opt::PlannerOptions planner)
+                       exec::ExecOptions base_options)
     : catalog_(catalog), service_(service),
-      base_options_(std::move(base_options)), planner_(planner) {
+      base_options_(std::move(base_options)) {
   if (service_ != nullptr) {
     auto names = service_->GroupNames();
     if (!names.empty()) group_ = names.front();
@@ -110,7 +109,7 @@ Result<SqlResult> SqlSession::Execute(std::string_view statement) {
     // Ungoverned single-tenant path: one context per statement, kept alive
     // for the result's lifetime.
     ctx_ = std::make_unique<exec::QueryContext>(base_options_);
-    return ExecuteSql(statement, *catalog_, *ctx_, planner_);
+    return ExecuteSql(statement, *catalog_, *ctx_);
   }
 
   if (group_.empty()) {
@@ -124,7 +123,7 @@ Result<SqlResult> SqlSession::Execute(std::string_view statement) {
   // remain valid while we wait in the queue.
   ctx_ = std::make_unique<exec::QueryContext>(admission.options());
   admission.Attach(ctx_.get());
-  auto result = ExecuteSql(statement, *catalog_, *ctx_, planner_);
+  auto result = ExecuteSql(statement, *catalog_, *ctx_);
   Status cancel_st = ctx_->ConsumeStatus();
   admission.Release();  // slot + reserve returned; ctx_ (arenas) lives on
   // The released context outlives the admission, but its budget parent

@@ -33,8 +33,7 @@ class SqlSession {
   /// `service` may be null: statements then run directly with
   /// `base_options`, and SET RESOURCE GROUP is rejected.
   SqlSession(const SqlCatalog* catalog, service::QueryService* service,
-             exec::ExecOptions base_options = {},
-             opt::PlannerOptions planner = {});
+             exec::ExecOptions base_options = {});
 
   /// Execute one statement. Result rows stay valid until the next Execute
   /// (they reference the session-held query context). Admission failures
@@ -52,7 +51,6 @@ class SqlSession {
   const SqlCatalog* catalog_;
   service::QueryService* service_;
   exec::ExecOptions base_options_;
-  opt::PlannerOptions planner_;
   std::string group_;
 
   /// Context of the last statement; owns the arenas its result references.

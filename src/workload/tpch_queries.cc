@@ -14,7 +14,6 @@ using exec::RowSet;
 using exec::Slot;
 using exec::Value;
 using exec::ValueType;
-using opt::PlannerOptions;
 using opt::QueryBlock;
 using opt::TableRef;
 using opt::TableSource;
@@ -72,7 +71,7 @@ using exec::Sub;
 using exec::Substring;
 using exec::Year;
 
-RowSet Q1(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q1(const TableSource& rel, QueryContext& ctx) {
   QueryBlock q;
   q.AddTable(T(rel, "l", "l_orderkey",
                Le(AD("l", "l_shipdate"), ConstDate("1998-09-02"))));
@@ -88,10 +87,10 @@ RowSet Q1(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts)
   q.Aggregate(AggSpec::CountStar());
   q.OrderBy(Slot(0));
   q.OrderBy(Slot(1));
-  return q.Execute(ctx, opts);
+  return q.Execute(ctx);
 }
 
-RowSet Q2(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q2(const TableSource& rel, QueryContext& ctx) {
   // Candidate suppliers for size-15 %BRASS parts in EUROPE.
   QueryBlock inner;
   inner.AddTable(T(rel, "p", "p_partkey",
@@ -110,7 +109,7 @@ RowSet Q2(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts)
                 AF("s", "s_acctbal"), AS("s", "s_name"), AS("n", "n_name"),
                 AS("s", "s_address"), AS("s", "s_phone"), AS("s", "s_comment"),
                 AS("p", "p_mfgr")});
-  RowSet candidates = inner.Execute(ctx, opts);
+  RowSet candidates = inner.Execute(ctx);
 
   // Minimum supply cost per part.
   RowSet mins = exec::AggregateExec(candidates, {Slot(0)},
@@ -140,10 +139,10 @@ RowSet Q2(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts)
   outer.OrderBy(Slot(1));
   outer.OrderBy(Slot(3));
   outer.Limit(100);
-  return outer.Execute(ctx, opts);
+  return outer.Execute(ctx);
 }
 
-RowSet Q3(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q3(const TableSource& rel, QueryContext& ctx) {
   QueryBlock q;
   q.AddTable(T(rel, "c", "c_custkey",
                Eq(AS("c", "c_mktsegment"), ConstString("BUILDING"))));
@@ -159,22 +158,22 @@ RowSet Q3(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts)
   q.OrderBy(Slot(3), /*descending=*/true);
   q.OrderBy(Slot(1));
   q.Limit(10);
-  return q.Execute(ctx, opts);
+  return q.Execute(ctx);
 }
 
-RowSet Q4(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q4(const TableSource& rel, QueryContext& ctx) {
   QueryBlock ob;
   ob.AddTable(T(rel, "o", "o_orderkey",
                 And(Ge(AD("o", "o_orderdate"), ConstDate("1993-07-01")),
                     Lt(AD("o", "o_orderdate"), ConstDate("1993-10-01")))));
   ob.Select({AI("o", "o_orderkey"), AS("o", "o_orderpriority")});
-  RowSet orders = ob.Execute(ctx, opts);
+  RowSet orders = ob.Execute(ctx);
 
   QueryBlock lb;
   lb.AddTable(T(rel, "l", "l_orderkey",
                 Lt(AD("l", "l_commitdate"), AD("l", "l_receiptdate"))));
   lb.Select({AI("l", "l_orderkey")});
-  RowSet lines = lb.Execute(ctx, opts);
+  RowSet lines = lb.Execute(ctx);
 
   RowSet matched = exec::HashJoinExec(lines, orders, {Slot(0)}, {Slot(0)},
                                       exec::JoinType::kSemi, nullptr, ctx);
@@ -182,7 +181,7 @@ RowSet Q4(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts)
   return exec::SortExec(std::move(agg), {{Slot(0), false}}, ctx);
 }
 
-RowSet Q5(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q5(const TableSource& rel, QueryContext& ctx) {
   QueryBlock q;
   q.AddTable(T(rel, "c", "c_custkey"));
   q.AddTable(T(rel, "o", "o_orderkey",
@@ -202,10 +201,10 @@ RowSet Q5(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts)
   q.GroupBy({AS("n", "n_name")});
   q.Aggregate(AggSpec::Sum(Revenue()));
   q.OrderBy(Slot(1), /*descending=*/true);
-  return q.Execute(ctx, opts);
+  return q.Execute(ctx);
 }
 
-RowSet Q6(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q6(const TableSource& rel, QueryContext& ctx) {
   QueryBlock q;
   q.AddTable(T(rel, "l", "l_orderkey",
                And({Ge(AD("l", "l_shipdate"), ConstDate("1994-01-01")),
@@ -215,10 +214,10 @@ RowSet Q6(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts)
                     Lt(AI("l", "l_quantity"), ConstInt(24))})));
   q.GroupBy({});
   q.Aggregate(AggSpec::Sum(Mul(AF("l", "l_extendedprice"), AF("l", "l_discount"))));
-  return q.Execute(ctx, opts);
+  return q.Execute(ctx);
 }
 
-RowSet Q7(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q7(const TableSource& rel, QueryContext& ctx) {
   ExprPtr nations = InList(AS("n1", "n_name"), {"FRANCE", "GERMANY"});
   ExprPtr nations2 = InList(AS("n2", "n_name"), {"FRANCE", "GERMANY"});
   QueryBlock q;
@@ -244,10 +243,10 @@ RowSet Q7(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts)
   q.OrderBy(Slot(0));
   q.OrderBy(Slot(1));
   q.OrderBy(Slot(2));
-  return q.Execute(ctx, opts);
+  return q.Execute(ctx);
 }
 
-RowSet Q8(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q8(const TableSource& rel, QueryContext& ctx) {
   QueryBlock q;
   q.AddTable(T(rel, "p", "p_partkey",
                Eq(AS("p", "p_type"), ConstString("ECONOMY ANODIZED STEEL"))));
@@ -272,14 +271,14 @@ RowSet Q8(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts)
   q.Aggregate(AggSpec::Sum(Case({Eq(AS("n2", "n_name"), ConstString("BRAZIL")),
                                  Revenue(), ConstFloat(0.0)})));
   q.Aggregate(AggSpec::Sum(Revenue()));
-  RowSet grouped = q.Execute(ctx, opts);
+  RowSet grouped = q.Execute(ctx);
   // mkt_share = brazil volume / total volume.
   RowSet shares =
       exec::ProjectExec(grouped, {Slot(0), Div(Slot(1), Slot(2))}, ctx);
   return exec::SortExec(std::move(shares), {{Slot(0), false}}, ctx);
 }
 
-RowSet Q9(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q9(const TableSource& rel, QueryContext& ctx) {
   QueryBlock q;
   q.AddTable(T(rel, "p", "p_partkey", Like(AS("p", "p_name"), "%green%")));
   q.AddTable(T(rel, "l", "l_orderkey"));
@@ -298,10 +297,10 @@ RowSet Q9(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts)
       Sub(Revenue(), Mul(AF("ps", "ps_supplycost"), AI("l", "l_quantity")))));
   q.OrderBy(Slot(0));
   q.OrderBy(Slot(1), /*descending=*/true);
-  return q.Execute(ctx, opts);
+  return q.Execute(ctx);
 }
 
-RowSet Q10(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q10(const TableSource& rel, QueryContext& ctx) {
   QueryBlock q;
   q.AddTable(T(rel, "c", "c_custkey"));
   q.AddTable(T(rel, "o", "o_orderkey",
@@ -320,10 +319,10 @@ RowSet Q10(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
   q.OrderBy(Slot(7), /*descending=*/true);
   q.OrderBy(Slot(0));
   q.Limit(20);
-  return q.Execute(ctx, opts);
+  return q.Execute(ctx);
 }
 
-RowSet Q11(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q11(const TableSource& rel, QueryContext& ctx) {
   auto build_value_block = [&]() {
     QueryBlock q;
     q.AddTable(T(rel, "ps", "ps_partkey"));
@@ -335,7 +334,7 @@ RowSet Q11(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
     q.GroupBy({AI("ps", "ps_partkey")});
     q.Aggregate(AggSpec::Sum(
         Mul(AF("ps", "ps_supplycost"), AI("ps", "ps_availqty"))));
-    return q.Execute(ctx, opts);
+    return q.Execute(ctx);
   };
   RowSet per_part = build_value_block();
   RowSet total = exec::AggregateExec(per_part, {}, {AggSpec::Sum(Slot(1))}, ctx);
@@ -345,7 +344,7 @@ RowSet Q11(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
   return exec::SortExec(std::move(filtered), {{Slot(1), true}}, ctx);
 }
 
-RowSet Q12(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q12(const TableSource& rel, QueryContext& ctx) {
   QueryBlock q;
   q.AddTable(T(rel, "o", "o_orderkey"));
   q.AddTable(
@@ -364,21 +363,21 @@ RowSet Q12(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
       {InList(AS("o", "o_orderpriority"), {"1-URGENT", "2-HIGH"}), ConstInt(0),
        ConstInt(1)})));
   q.OrderBy(Slot(0));
-  return q.Execute(ctx, opts);
+  return q.Execute(ctx);
 }
 
-RowSet Q13(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q13(const TableSource& rel, QueryContext& ctx) {
   QueryBlock ob;
   ob.AddTable(T(rel, "o", "o_orderkey",
                 Like(AS("o", "o_comment"), "%special%requests%",
                      /*negated=*/true)));
   ob.Select({AI("o", "o_custkey")});
-  RowSet orders = ob.Execute(ctx, opts);
+  RowSet orders = ob.Execute(ctx);
 
   QueryBlock cb;
   cb.AddTable(T(rel, "c", "c_custkey"));
   cb.Select({AI("c", "c_custkey")});
-  RowSet customers = cb.Execute(ctx, opts);
+  RowSet customers = cb.Execute(ctx);
 
   RowSet joined = exec::HashJoinExec(orders, customers, {Slot(0)}, {Slot(0)},
                                      exec::JoinType::kLeft, nullptr, ctx);
@@ -391,7 +390,7 @@ RowSet Q13(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
   return exec::SortExec(std::move(dist), {{Slot(1), true}, {Slot(0), true}}, ctx);
 }
 
-RowSet Q14(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q14(const TableSource& rel, QueryContext& ctx) {
   QueryBlock q;
   q.AddTable(T(rel, "l", "l_orderkey",
                And(Ge(AD("l", "l_shipdate"), ConstDate("1995-09-01")),
@@ -402,19 +401,19 @@ RowSet Q14(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
   q.Aggregate(AggSpec::Sum(
       Case({Like(AS("p", "p_type"), "PROMO%"), Revenue(), ConstFloat(0.0)})));
   q.Aggregate(AggSpec::Sum(Revenue()));
-  RowSet grouped = q.Execute(ctx, opts);
+  RowSet grouped = q.Execute(ctx);
   return exec::ProjectExec(
       grouped, {Mul(ConstFloat(100.0), Div(Slot(0), Slot(1)))}, ctx);
 }
 
-RowSet Q15(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q15(const TableSource& rel, QueryContext& ctx) {
   QueryBlock lb;
   lb.AddTable(T(rel, "l", "l_orderkey",
                 And(Ge(AD("l", "l_shipdate"), ConstDate("1996-01-01")),
                     Lt(AD("l", "l_shipdate"), ConstDate("1996-04-01")))));
   lb.GroupBy({AI("l", "l_suppkey")});
   lb.Aggregate(AggSpec::Sum(Revenue()));
-  RowSet revenue = lb.Execute(ctx, opts);
+  RowSet revenue = lb.Execute(ctx);
 
   RowSet max_rev = exec::AggregateExec(revenue, {}, {AggSpec::Max(Slot(1))}, ctx);
   double best = opt::ScalarResult(max_rev).AsDouble();
@@ -430,15 +429,15 @@ RowSet Q15(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
              AS("s", "s_phone"),
              exec::Access("r", {"total"}, ValueType::kFloat)});
   sb.OrderBy(Slot(0));
-  return sb.Execute(ctx, opts);
+  return sb.Execute(ctx);
 }
 
-RowSet Q16(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q16(const TableSource& rel, QueryContext& ctx) {
   QueryBlock bad;
   bad.AddTable(T(rel, "s", "s_suppkey",
                  Like(AS("s", "s_comment"), "%Customer%Complaints%")));
   bad.Select({AI("s", "s_suppkey")});
-  RowSet bad_suppliers = bad.Execute(ctx, opts);
+  RowSet bad_suppliers = bad.Execute(ctx);
 
   QueryBlock q;
   q.AddTable(T(rel, "p", "p_partkey",
@@ -451,7 +450,7 @@ RowSet Q16(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
   q.AddJoin(AI("ps", "ps_partkey"), AI("p", "p_partkey"));
   q.Select({AS("p", "p_brand"), AS("p", "p_type"), AI("p", "p_size"),
             AI("ps", "ps_suppkey")});
-  RowSet partsupp = q.Execute(ctx, opts);
+  RowSet partsupp = q.Execute(ctx);
 
   RowSet kept = exec::HashJoinExec(bad_suppliers, partsupp, {Slot(0)}, {Slot(3)},
                                    exec::JoinType::kAnti, nullptr, ctx);
@@ -463,12 +462,12 @@ RowSet Q16(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
       ctx);
 }
 
-RowSet Q17(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q17(const TableSource& rel, QueryContext& ctx) {
   QueryBlock avg_block;
   avg_block.AddTable(T(rel, "l", "l_orderkey"));
   avg_block.GroupBy({AI("l", "l_partkey")});
   avg_block.Aggregate(AggSpec::Avg(AI("l", "l_quantity")));
-  RowSet avg_qty = avg_block.Execute(ctx, opts);
+  RowSet avg_qty = avg_block.Execute(ctx);
 
   QueryBlock q;
   q.AddTable(T(rel, "p", "p_partkey",
@@ -484,17 +483,17 @@ RowSet Q17(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
                    exec::Access("a", {"avgqty"}, ValueType::kFloat))));
   q.GroupBy({});
   q.Aggregate(AggSpec::Sum(AF("l", "l_extendedprice")));
-  RowSet total = q.Execute(ctx, opts);
+  RowSet total = q.Execute(ctx);
   return exec::ProjectExec(total, {Div(Slot(0), ConstFloat(7.0))}, ctx);
 }
 
-RowSet Q18(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q18(const TableSource& rel, QueryContext& ctx) {
   QueryBlock lb;
   lb.AddTable(T(rel, "l", "l_orderkey"));
   lb.GroupBy({AI("l", "l_orderkey")});
   lb.Aggregate(AggSpec::Sum(AI("l", "l_quantity")));
   lb.Having(Gt(Slot(1), ConstInt(300)));
-  RowSet big_orders = lb.Execute(ctx, opts);
+  RowSet big_orders = lb.Execute(ctx);
 
   QueryBlock q;
   q.AddTable(T(rel, "c", "c_custkey"));
@@ -510,10 +509,10 @@ RowSet Q18(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
   q.OrderBy(Slot(4), /*descending=*/true);
   q.OrderBy(Slot(3));
   q.Limit(100);
-  return q.Execute(ctx, opts);
+  return q.Execute(ctx);
 }
 
-RowSet Q19(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q19(const TableSource& rel, QueryContext& ctx) {
   QueryBlock q;
   q.AddTable(T(rel, "l", "l_orderkey",
                And(InList(AS("l", "l_shipmode"), {"AIR", "REG AIR"}),
@@ -537,14 +536,14 @@ RowSet Q19(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
                     20, 30, 15)));
   q.GroupBy({});
   q.Aggregate(AggSpec::Sum(Revenue()));
-  return q.Execute(ctx, opts);
+  return q.Execute(ctx);
 }
 
-RowSet Q20(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q20(const TableSource& rel, QueryContext& ctx) {
   QueryBlock pb;
   pb.AddTable(T(rel, "p", "p_partkey", Like(AS("p", "p_name"), "forest%")));
   pb.Select({AI("p", "p_partkey")});
-  RowSet forest_parts = pb.Execute(ctx, opts);
+  RowSet forest_parts = pb.Execute(ctx);
 
   QueryBlock lb;
   lb.AddTable(T(rel, "l", "l_orderkey",
@@ -552,7 +551,7 @@ RowSet Q20(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
                     Lt(AD("l", "l_shipdate"), ConstDate("1995-01-01")))));
   lb.GroupBy({AI("l", "l_partkey"), AI("l", "l_suppkey")});
   lb.Aggregate(AggSpec::Sum(AI("l", "l_quantity")));
-  RowSet shipped = lb.Execute(ctx, opts);
+  RowSet shipped = lb.Execute(ctx);
 
   QueryBlock sel;
   sel.AddTable(T(rel, "ps", "ps_partkey"));
@@ -568,7 +567,7 @@ RowSet Q20(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
                  Mul(ConstFloat(0.5),
                      exec::Access("sq", {"qty"}, ValueType::kFloat))));
   sel.Select({AI("ps", "ps_suppkey")});
-  RowSet eligible = sel.Execute(ctx, opts);
+  RowSet eligible = sel.Execute(ctx);
 
   QueryBlock sb;
   sb.AddTable(T(rel, "s", "s_suppkey"));
@@ -576,26 +575,26 @@ RowSet Q20(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
                 Eq(AS("n", "n_name"), ConstString("CANADA"))));
   sb.AddJoin(AI("s", "s_nationkey"), AI("n", "n_nationkey"));
   sb.Select({AI("s", "s_suppkey"), AS("s", "s_name"), AS("s", "s_address")});
-  RowSet canadian = sb.Execute(ctx, opts);
+  RowSet canadian = sb.Execute(ctx);
 
   RowSet result = exec::HashJoinExec(eligible, canadian, {Slot(0)}, {Slot(0)},
                                      exec::JoinType::kSemi, nullptr, ctx);
   return exec::SortExec(std::move(result), {{Slot(1), false}}, ctx);
 }
 
-RowSet Q21(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q21(const TableSource& rel, QueryContext& ctx) {
   // l2: any lineitem per order/supplier.
   QueryBlock l2b;
   l2b.AddTable(T(rel, "l", "l_orderkey"));
   l2b.Select({AI("l", "l_orderkey"), AI("l", "l_suppkey")});
-  RowSet l2 = l2b.Execute(ctx, opts);
+  RowSet l2 = l2b.Execute(ctx);
 
   // l3: late lineitems per order/supplier.
   QueryBlock l3b;
   l3b.AddTable(T(rel, "l", "l_orderkey",
                  Gt(AD("l", "l_receiptdate"), AD("l", "l_commitdate"))));
   l3b.Select({AI("l", "l_orderkey"), AI("l", "l_suppkey")});
-  RowSet l3 = l3b.Execute(ctx, opts);
+  RowSet l3 = l3b.Execute(ctx);
 
   // l1: late lines of 'F' orders by Saudi suppliers.
   QueryBlock l1b;
@@ -610,7 +609,7 @@ RowSet Q21(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
   l1b.AddJoin(AI("s", "s_suppkey"), AI("l1", "l_suppkey"));
   l1b.AddJoin(AI("s", "s_nationkey"), AI("n", "n_nationkey"));
   l1b.Select({AS("s", "s_name"), AI("l1", "l_orderkey"), AI("l1", "l_suppkey")});
-  RowSet l1 = l1b.Execute(ctx, opts);
+  RowSet l1 = l1b.Execute(ctx);
 
   // exists l2 with same order, different supplier.
   // Combined row during probe: [probe(3): name, orderkey, suppkey,
@@ -628,7 +627,7 @@ RowSet Q21(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
   return exec::LimitExec(std::move(agg), 100, ctx);
 }
 
-RowSet Q22(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Q22(const TableSource& rel, QueryContext& ctx) {
   std::vector<std::string> codes = {"13", "31", "23", "29", "30", "18", "17"};
 
   QueryBlock avg_block;
@@ -638,12 +637,12 @@ RowSet Q22(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
             InList(Substring(AS("c", "c_phone"), 1, 2), codes))));
   avg_block.GroupBy({});
   avg_block.Aggregate(AggSpec::Avg(AF("c", "c_acctbal")));
-  double avg_bal = opt::ScalarResult(avg_block.Execute(ctx, opts)).AsDouble();
+  double avg_bal = opt::ScalarResult(avg_block.Execute(ctx)).AsDouble();
 
   QueryBlock ob;
   ob.AddTable(T(rel, "o", "o_orderkey"));
   ob.Select({AI("o", "o_custkey")});
-  RowSet orders = ob.Execute(ctx, opts);
+  RowSet orders = ob.Execute(ctx);
 
   QueryBlock cb;
   cb.AddTable(T(rel, "c", "c_custkey",
@@ -651,7 +650,7 @@ RowSet Q22(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
                     Gt(AF("c", "c_acctbal"), ConstFloat(avg_bal)))));
   cb.Select({Substring(AS("c", "c_phone"), 1, 2), AF("c", "c_acctbal"),
              AI("c", "c_custkey")});
-  RowSet customers = cb.Execute(ctx, opts);
+  RowSet customers = cb.Execute(ctx);
 
   RowSet no_orders = exec::HashJoinExec(orders, customers, {Slot(0)}, {Slot(2)},
                                         exec::JoinType::kAnti, nullptr, ctx);
@@ -662,31 +661,30 @@ RowSet Q22(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
 
 }  // namespace
 
-exec::RowSet RunTpchQuery(int number, const opt::TableSource& rel, QueryContext& ctx,
-                          const PlannerOptions& planner) {
+exec::RowSet RunTpchQuery(int number, const opt::TableSource& rel, QueryContext& ctx) {
   switch (number) {
-    case 1: return Q1(rel, ctx, planner);
-    case 2: return Q2(rel, ctx, planner);
-    case 3: return Q3(rel, ctx, planner);
-    case 4: return Q4(rel, ctx, planner);
-    case 5: return Q5(rel, ctx, planner);
-    case 6: return Q6(rel, ctx, planner);
-    case 7: return Q7(rel, ctx, planner);
-    case 8: return Q8(rel, ctx, planner);
-    case 9: return Q9(rel, ctx, planner);
-    case 10: return Q10(rel, ctx, planner);
-    case 11: return Q11(rel, ctx, planner);
-    case 12: return Q12(rel, ctx, planner);
-    case 13: return Q13(rel, ctx, planner);
-    case 14: return Q14(rel, ctx, planner);
-    case 15: return Q15(rel, ctx, planner);
-    case 16: return Q16(rel, ctx, planner);
-    case 17: return Q17(rel, ctx, planner);
-    case 18: return Q18(rel, ctx, planner);
-    case 19: return Q19(rel, ctx, planner);
-    case 20: return Q20(rel, ctx, planner);
-    case 21: return Q21(rel, ctx, planner);
-    case 22: return Q22(rel, ctx, planner);
+    case 1: return Q1(rel, ctx);
+    case 2: return Q2(rel, ctx);
+    case 3: return Q3(rel, ctx);
+    case 4: return Q4(rel, ctx);
+    case 5: return Q5(rel, ctx);
+    case 6: return Q6(rel, ctx);
+    case 7: return Q7(rel, ctx);
+    case 8: return Q8(rel, ctx);
+    case 9: return Q9(rel, ctx);
+    case 10: return Q10(rel, ctx);
+    case 11: return Q11(rel, ctx);
+    case 12: return Q12(rel, ctx);
+    case 13: return Q13(rel, ctx);
+    case 14: return Q14(rel, ctx);
+    case 15: return Q15(rel, ctx);
+    case 16: return Q16(rel, ctx);
+    case 17: return Q17(rel, ctx);
+    case 18: return Q18(rel, ctx);
+    case 19: return Q19(rel, ctx);
+    case 20: return Q20(rel, ctx);
+    case 21: return Q21(rel, ctx);
+    case 22: return Q22(rel, ctx);
     default: JSONTILES_CHECK(false);
   }
 }

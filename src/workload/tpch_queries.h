@@ -20,8 +20,7 @@ namespace jsontiles::workload {
 /// Execute TPC-H query `number` (1-22) against the combined relation. The
 /// source may be a plain or a sharded relation (implicit TableSource).
 exec::RowSet RunTpchQuery(int number, const opt::TableSource& rel,
-                          exec::QueryContext& ctx,
-                          const opt::PlannerOptions& planner = {});
+                          exec::QueryContext& ctx);
 
 }  // namespace jsontiles::workload
 

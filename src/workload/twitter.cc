@@ -169,7 +169,6 @@ using exec::QueryContext;
 using exec::RowSet;
 using exec::Slot;
 using exec::ValueType;
-using opt::PlannerOptions;
 using opt::QueryBlock;
 using opt::TableRef;
 using storage::Relation;
@@ -180,7 +179,7 @@ ExprPtr TweetMarker(const char* alias) {
 }
 
 // T1: the most influential users of the day and their tweet volume.
-RowSet T1(const Relation& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet T1(const Relation& rel, QueryContext& ctx) {
   QueryBlock q;
   q.AddTable(TableRef::Rel("t", &rel, TweetMarker("t")));
   q.GroupBy({Access("t", {"user", "id"}, ValueType::kInt),
@@ -191,11 +190,11 @@ RowSet T1(const Relation& rel, QueryContext& ctx, const PlannerOptions& opts) {
   q.OrderBy(Slot(2), true);
   q.OrderBy(Slot(0));
   q.Limit(10);
-  return q.Execute(ctx, opts);
+  return q.Execute(ctx);
 }
 
 // T2: deletions per user (the structurally-different delete records).
-RowSet T2(const Relation& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet T2(const Relation& rel, QueryContext& ctx) {
   QueryBlock q;
   q.AddTable(TableRef::Rel(
       "d", &rel,
@@ -205,13 +204,12 @@ RowSet T2(const Relation& rel, QueryContext& ctx, const PlannerOptions& opts) {
   q.OrderBy(Slot(1), true);
   q.OrderBy(Slot(0));
   q.Limit(10);
-  return q.Execute(ctx, opts);
+  return q.Execute(ctx);
 }
 
 // Array-membership queries: JSONB traversal (T3/T4) or the Tiles-* rewrite
 // joining the extracted side relation (§3.5).
-RowSet ArrayQuery(const Relation& rel, QueryContext& ctx,
-                  const PlannerOptions& opts, bool use_side,
+RowSet ArrayQuery(const Relation& rel, QueryContext& ctx, bool use_side,
                   std::initializer_list<std::string_view> array_keys,
                   const char* element_key, const char* needle) {
   std::string array_path;
@@ -229,7 +227,7 @@ RowSet ArrayQuery(const Relation& rel, QueryContext& ctx,
         Eq(Access("e", {element_key}, ValueType::kString), ConstString(needle))));
     sb.GroupBy({Access("e", {"_rowid"}, ValueType::kInt)});
     sb.Aggregate(AggSpec::CountStar());
-    RowSet matches = sb.Execute(ctx, opts);
+    RowSet matches = sb.Execute(ctx);
 
     QueryBlock q;
     q.AddTable(TableRef::Rows("m", &matches, {"rowid", "hits"}));
@@ -240,7 +238,7 @@ RowSet ArrayQuery(const Relation& rel, QueryContext& ctx,
     q.Aggregate(AggSpec::Max(Access("t", {"retweet_count"}, ValueType::kInt)));
     q.OrderBy(Slot(1), true);
     q.OrderBy(Slot(0));
-    return q.Execute(ctx, opts);
+    return q.Execute(ctx);
   }
   QueryBlock q;
   q.AddTable(TableRef::Rel(
@@ -252,25 +250,25 @@ RowSet ArrayQuery(const Relation& rel, QueryContext& ctx,
   q.Aggregate(AggSpec::Max(Access("t", {"retweet_count"}, ValueType::kInt)));
   q.OrderBy(Slot(1), true);
   q.OrderBy(Slot(0));
-  return q.Execute(ctx, opts);
+  return q.Execute(ctx);
 }
 
 // T3: tweets mentioning @ladygaga.
-RowSet T3(const Relation& rel, QueryContext& ctx, const PlannerOptions& opts,
+RowSet T3(const Relation& rel, QueryContext& ctx,
           bool use_side) {
-  return ArrayQuery(rel, ctx, opts, use_side, {"entities", "user_mentions"},
+  return ArrayQuery(rel, ctx, use_side, {"entities", "user_mentions"},
                     "screen_name", "ladygaga");
 }
 
 // T4: tweets with the #COVID hashtag.
-RowSet T4(const Relation& rel, QueryContext& ctx, const PlannerOptions& opts,
+RowSet T4(const Relation& rel, QueryContext& ctx,
           bool use_side) {
-  return ArrayQuery(rel, ctx, opts, use_side, {"entities", "hashtags"}, "text",
+  return ArrayQuery(rel, ctx, use_side, {"entities", "hashtags"}, "text",
                     "COVID");
 }
 
 // T5: tweet volume and reach per client application.
-RowSet T5(const Relation& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet T5(const Relation& rel, QueryContext& ctx) {
   QueryBlock q;
   q.AddTable(TableRef::Rel("t", &rel, TweetMarker("t")));
   q.GroupBy({Access("t", {"source"}, ValueType::kString)});
@@ -279,20 +277,19 @@ RowSet T5(const Relation& rel, QueryContext& ctx, const PlannerOptions& opts) {
                                   ValueType::kInt)));
   q.OrderBy(Slot(1), true);
   q.Limit(5);
-  return q.Execute(ctx, opts);
+  return q.Execute(ctx);
 }
 
 }  // namespace
 
 exec::RowSet RunTwitterQuery(int number, const storage::Relation& rel,
-                             exec::QueryContext& ctx, bool use_array_extraction,
-                             const opt::PlannerOptions& planner) {
+                             exec::QueryContext& ctx, bool use_array_extraction) {
   switch (number) {
-    case 1: return T1(rel, ctx, planner);
-    case 2: return T2(rel, ctx, planner);
-    case 3: return T3(rel, ctx, planner, use_array_extraction);
-    case 4: return T4(rel, ctx, planner, use_array_extraction);
-    case 5: return T5(rel, ctx, planner);
+    case 1: return T1(rel, ctx);
+    case 2: return T2(rel, ctx);
+    case 3: return T3(rel, ctx, use_array_extraction);
+    case 4: return T4(rel, ctx, use_array_extraction);
+    case 5: return T5(rel, ctx);
     default: JSONTILES_CHECK(false);
   }
 }

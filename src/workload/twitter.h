@@ -39,8 +39,7 @@ std::vector<std::string> GenerateTwitter(const TwitterOptions& options);
 /// relation loaded with LoadOptions::extract_arrays).
 exec::RowSet RunTwitterQuery(int number, const storage::Relation& rel,
                              exec::QueryContext& ctx,
-                             bool use_array_extraction = false,
-                             const opt::PlannerOptions& planner = {});
+                             bool use_array_extraction = false);
 const char* TwitterQueryName(int number);
 
 }  // namespace jsontiles::workload

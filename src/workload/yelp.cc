@@ -167,7 +167,6 @@ using exec::Gt;
 using exec::IsNotNull;
 using exec::QueryContext;
 using exec::RowSet;
-using opt::PlannerOptions;
 using storage::Relation;
 
 ExprPtr BS(const char* t, const char* k) { return Access(t, {k}, ValueType::kString); }
@@ -175,7 +174,7 @@ ExprPtr BI(const char* t, const char* k) { return Access(t, {k}, ValueType::kInt
 ExprPtr BF(const char* t, const char* k) { return Access(t, {k}, ValueType::kFloat); }
 
 // Y1: average review stars and review volume per city of open businesses.
-RowSet Y1(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Y1(const TableSource& rel, QueryContext& ctx) {
   QueryBlock q;
   q.AddTable(TableRef::Src(
       "b", rel,
@@ -188,11 +187,11 @@ RowSet Y1(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts)
   q.Aggregate(AggSpec::Avg(BI("r", "stars")));
   q.Aggregate(AggSpec::CountStar());
   q.OrderBy(Slot(2), true);
-  return q.Execute(ctx, opts);
+  return q.Execute(ctx);
 }
 
 // Y2: the most active reviewers and their average given stars.
-RowSet Y2(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Y2(const TableSource& rel, QueryContext& ctx) {
   QueryBlock q;
   q.AddTable(TableRef::Src("u", rel,
                            And(IsNotNull(BS("u", "user_id")),
@@ -205,11 +204,11 @@ RowSet Y2(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts)
   q.OrderBy(Slot(2), true);
   q.OrderBy(Slot(0));
   q.Limit(25);
-  return q.Execute(ctx, opts);
+  return q.Execute(ctx);
 }
 
 // Y3: three-way join: do elite reviewers rate differently per state?
-RowSet Y3(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Y3(const TableSource& rel, QueryContext& ctx) {
   QueryBlock q;
   q.AddTable(TableRef::Src("b", rel, IsNotNull(BS("b", "state"))));
   q.AddTable(TableRef::Src("r", rel, IsNotNull(BS("r", "review_id"))));
@@ -222,21 +221,21 @@ RowSet Y3(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts)
   q.Aggregate(AggSpec::Avg(BI("r", "stars")));
   q.Aggregate(AggSpec::CountStar());
   q.OrderBy(Slot(0));
-  return q.Execute(ctx, opts);
+  return q.Execute(ctx);
 }
 
 // Y4 (paper's example): number of reviews per star rating.
-RowSet Y4(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Y4(const TableSource& rel, QueryContext& ctx) {
   QueryBlock q;
   q.AddTable(TableRef::Src("r", rel, IsNotNull(BS("r", "review_id"))));
   q.GroupBy({BI("r", "stars")});
   q.Aggregate(AggSpec::CountStar());
   q.OrderBy(Slot(0));
-  return q.Execute(ctx, opts);
+  return q.Execute(ctx);
 }
 
 // Y5: compliment-weighted tips per state for highly-rated businesses.
-RowSet Y5(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
+RowSet Y5(const TableSource& rel, QueryContext& ctx) {
   QueryBlock q;
   q.AddTable(TableRef::Src("b", rel,
                            And(IsNotNull(BS("b", "state"))   ,
@@ -249,20 +248,19 @@ RowSet Y5(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts)
   q.Aggregate(AggSpec::Sum(BI("t", "compliment_count")));
   q.Aggregate(AggSpec::CountStar());
   q.OrderBy(Slot(1), true);
-  return q.Execute(ctx, opts);
+  return q.Execute(ctx);
 }
 
 }  // namespace
 
 exec::RowSet RunYelpQuery(int number, const opt::TableSource& rel,
-                          exec::QueryContext& ctx,
-                          const opt::PlannerOptions& planner) {
+                          exec::QueryContext& ctx) {
   switch (number) {
-    case 1: return Y1(rel, ctx, planner);
-    case 2: return Y2(rel, ctx, planner);
-    case 3: return Y3(rel, ctx, planner);
-    case 4: return Y4(rel, ctx, planner);
-    case 5: return Y5(rel, ctx, planner);
+    case 1: return Y1(rel, ctx);
+    case 2: return Y2(rel, ctx);
+    case 3: return Y3(rel, ctx);
+    case 4: return Y4(rel, ctx);
+    case 5: return Y5(rel, ctx);
     default: JSONTILES_CHECK(false);
   }
 }

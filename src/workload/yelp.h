@@ -30,8 +30,7 @@ std::vector<std::string> GenerateYelp(const YelpOptions& options);
 /// The five Yelp queries (Table 2). The source may be a plain or a sharded
 /// relation (implicit TableSource).
 exec::RowSet RunYelpQuery(int number, const opt::TableSource& rel,
-                          exec::QueryContext& ctx,
-                          const opt::PlannerOptions& planner = {});
+                          exec::QueryContext& ctx);
 const char* YelpQueryName(int number);
 
 }  // namespace jsontiles::workload

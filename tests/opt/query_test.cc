@@ -87,27 +87,43 @@ TEST(JoinOrderTest, SingleTable) {
   EXPECT_EQ(OptimizeJoinOrder(graph).sequence, std::vector<int>({0}));
 }
 
+// A scan of `rel` reading `access`, requiring its path, filtered by
+// `filter` over slot 0.
+exec::ScanSpec ScanOf(const Relation& rel, const ExprPtr& access,
+                      ExprPtr filter) {
+  exec::ScanSpec spec;
+  spec.relation = &rel;
+  spec.table_alias = "t";
+  spec.accesses = {access};
+  spec.filter = std::move(filter);
+  spec.null_rejecting_paths = {access->path};
+  return spec;
+}
+
 TEST(CardinalityTest, PresenceFromStats) {
   auto rel = LoadCombined(StorageMode::kTiles);
   ExprPtr okey = Access("t", {"o_key"}, ValueType::kInt);
-  auto est = EstimateScanCardinality(*rel, {okey}, nullptr, {okey->path}, 256);
+  auto est = EstimateScanCardinality(ScanOf(*rel, okey, nullptr));
+  ASSERT_TRUE(est.ok()) << est.status().ToString();
   // 1000 of 1105 documents are orders.
-  EXPECT_NEAR(est.cardinality, 1000.0, 120.0);
+  EXPECT_NEAR(est.ValueOrDie(), 1000.0, 120.0);
   ExprPtr nkey = Access("t", {"n_key"}, ValueType::kInt);
-  auto est2 = EstimateScanCardinality(*rel, {nkey}, nullptr, {nkey->path}, 256);
+  auto est2 = EstimateScanCardinality(ScanOf(*rel, nkey, nullptr));
+  ASSERT_TRUE(est2.ok()) << est2.status().ToString();
   // Nations are rare (5 rows): within 2x of the truth.
-  EXPECT_GE(est2.cardinality, 2.5);
-  EXPECT_LE(est2.cardinality, 10.0);
+  EXPECT_GE(est2.ValueOrDie(), 2.5);
+  EXPECT_LE(est2.ValueOrDie(), 10.0);
 }
 
 TEST(CardinalityTest, FilterSelectivitySampled) {
   auto rel = LoadCombined(StorageMode::kJsonb);  // no stats: pure sampling
   ExprPtr total = Access("t", {"o_total"}, ValueType::kFloat);
   ExprPtr filter = exec::Gt(Slot(0), ConstFloat(500.0));
-  auto est = EstimateScanCardinality(*rel, {total}, filter, {total->path}, 512);
+  auto est = EstimateScanCardinality(ScanOf(*rel, total, filter));
+  ASSERT_TRUE(est.ok()) << est.status().ToString();
   // totals are 100..599 uniform; > 500 is ~20% of 1000 orders.
-  EXPECT_GT(est.cardinality, 60.0);
-  EXPECT_LT(est.cardinality, 450.0);
+  EXPECT_GT(est.ValueOrDie(), 60.0);
+  EXPECT_LT(est.ValueOrDie(), 450.0);
 }
 
 TEST(QueryBlockTest, SingleTableAggregation) {
@@ -186,8 +202,10 @@ TEST(QueryBlockTest, JoinOrderUsesCardinalities) {
   RowSet rows = q.Execute(ctx);
   EXPECT_EQ(rows[0][0].int_value(), 1000);
   // The chosen order should not start with the biggest table (orders).
-  ASSERT_EQ(q.chosen_join_order().size(), 3u);
-  EXPECT_NE(q.chosen_join_order()[0], "o");
+  auto plan = q.Explain();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan.ValueOrDie().join_order.size(), 3u);
+  EXPECT_NE(plan.ValueOrDie().join_order[0], "o");
 }
 
 TEST(QueryBlockTest, HavingAndResidual) {

@@ -124,31 +124,6 @@ TEST(StorageAccountingTest, SizesAreTracked) {
   EXPECT_EQ(k->column.MemoryBytes(), 2 * 8u);
 }
 
-TEST(PlannerOptionTest, DeclaredOrderWhenOptimizerOff) {
-  std::vector<std::string> docs;
-  for (int i = 0; i < 100; i++) docs.push_back(R"({"a":)" + std::to_string(i) + "}");
-  for (int i = 0; i < 5; i++) docs.push_back(R"({"b":)" + std::to_string(i) + "}");
-  Loader loader(StorageMode::kTiles, {});
-  auto rel = loader.Load(docs, "t").MoveValueOrDie();
-  QueryContext ctx;
-  QueryBlock q;
-  q.AddTable(TableRef::Rel("big", rel.get(),
-                           exec::IsNotNull(Access("big", {"a"}, ValueType::kInt))));
-  q.AddTable(TableRef::Rel("small", rel.get(),
-                           exec::IsNotNull(Access("small", {"b"}, ValueType::kInt))));
-  q.AddJoin(exec::Mod(Access("big", {"a"}, ValueType::kInt), exec::ConstInt(5)),
-            Access("small", {"b"}, ValueType::kInt));
-  q.GroupBy({});
-  q.Aggregate(exec::AggSpec::CountStar());
-  opt::PlannerOptions off;
-  off.optimize_join_order = false;
-  auto rows = q.Execute(ctx, off);
-  EXPECT_EQ(rows[0][0].int_value(), 100);
-  EXPECT_EQ(q.chosen_join_order()[0], "big");  // declaration order preserved
-  auto rows2 = q.Execute(ctx);  // optimizer on: same result
-  EXPECT_EQ(rows2[0][0].int_value(), 100);
-}
-
 TEST(SinewTest, OutlierFallbackOnGlobalTile) {
   // Sinew extracts the int majority; float outliers served from JSONB.
   std::vector<std::string> docs;
