@@ -16,10 +16,8 @@
 #define JSONTILES_OPT_CARDINALITY_H_
 
 #include <string>
-#include <vector>
 
 #include "exec/scan.h"
-#include "storage/relation.h"
 #include "util/status.h"
 
 namespace jsontiles::opt {
@@ -36,7 +34,8 @@ Result<double> EstimateScanCardinality(const exec::ScanSpec& spec);
 /// fallback). Over a sharded relation hash-routed on exactly this path,
 /// equal keys never straddle shards, so per-shard counts sum; otherwise the
 /// same value may recur in every shard and the max per-shard count is the
-/// sound lower estimate. Side-relation scans return `scan_card` as is.
+/// sound lower estimate. Side-relation and row-set scans return
+/// `scan_card` as is.
 double EstimateJoinKeyDistinct(const exec::ScanSpec& spec,
                                const std::string& encoded_path,
                                double scan_card);
