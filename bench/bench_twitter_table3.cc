@@ -53,8 +53,8 @@ std::map<std::string, std::vector<double>> RunAll(const Loaded& loaded,
     double star_secs = TimeBest(
         [&] {
           exec::QueryContext ctx(exec_options);
-          benchmark::DoNotOptimize(workload::RunTwitterQuery(
-              q, *loaded.tiles_star, ctx, /*use_array_extraction=*/true));
+          benchmark::DoNotOptimize(
+              workload::RunTwitterQuery(q, *loaded.tiles_star, ctx));
         },
         3);
     per_mode["Tiles-*"].push_back(star_secs);

@@ -1,6 +1,7 @@
 // Twitter analytics: the paper's running example end to end — evolving tweet
 // schemas, structurally-different delete records, and high-cardinality
-// entity arrays extracted into joinable side relations (Tiles-*, §3.5).
+// entity arrays extracted into side relations (Tiles-*, §3.5) that answer
+// the mention and hashtag queries' CONTAINS.
 //
 //   build/examples/example_twitter_analytics
 
@@ -46,8 +47,7 @@ int main() {
 
   for (int q = 1; q <= 5; q++) {
     exec::QueryContext ctx;
-    auto rows = workload::RunTwitterQuery(q, *tweets, ctx,
-                                          /*use_array_extraction=*/true);
+    auto rows = workload::RunTwitterQuery(q, *tweets, ctx);
     std::printf("\n%s -> %zu rows (top 3):\n", workload::TwitterQueryName(q),
                 rows.size());
     for (size_t r = 0; r < rows.size() && r < 3; r++) {

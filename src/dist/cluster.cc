@@ -501,7 +501,7 @@ size_t Cluster::ChooseWorker(const Fragment& frag, const QueryState& q) const {
 }
 
 void Cluster::DispatchFragment(size_t frag_index, const exec::ScanSpec& spec,
-                               bool is_side, bool is_agg,
+                               bool is_agg,
                                const std::vector<exec::ExprPtr>& group_by,
                                const std::vector<exec::AggSpec>& aggs,
                                exec::QueryContext& ctx, QueryState* q,
@@ -537,8 +537,6 @@ void Cluster::DispatchFragment(size_t frag_index, const exec::ScanSpec& spec,
     msg.fragment_id = static_cast<uint32_t>(frag.shard);
     msg.epoch = frag.epoch;
     msg.shard_index = static_cast<uint32_t>(frag.shard);
-    msg.is_side = is_side;
-    if (is_side) msg.side_path = spec.sharded_side_path;
     msg.enable_tile_skipping = ctx.options().enable_tile_skipping;
     msg.accesses = spec.accesses;
     msg.filter = spec.filter;
@@ -566,14 +564,16 @@ void Cluster::DispatchFragment(size_t frag_index, const exec::ScanSpec& spec,
 }
 
 Status Cluster::RunFragments(const exec::ScanSpec& spec,
-                             const std::vector<size_t>& fragment_shards,
-                             bool is_side,
                              const std::vector<exec::ExprPtr>& group_by,
                              const std::vector<exec::AggSpec>& aggs,
                              exec::QueryContext& ctx,
                              std::vector<exec::RowSet>* row_buckets,
                              exec::GroupTable* agg_merge,
                              exec::ExchangeStats* stats) {
+  const std::vector<size_t> fragment_shards =
+      exec::SurvivingShards(spec, ctx.options().enable_tile_skipping);
+  stats->shards_scanned += fragment_shards.size();
+  stats->shards_pruned += local_->shard_count() - fragment_shards.size();
   if (no_workers_left_) {
     return Status::Internal(
         "no usable workers: every worker slot exhausted its respawn budget");
@@ -782,8 +782,7 @@ Status Cluster::RunFragments(const exec::ScanSpec& spec,
     while (q.fatal.ok() && q.pending > 0) {
       for (size_t i = 0; i < q.fragments.size() && q.fatal.ok(); i++) {
         if (q.fragments[i].phase == Fragment::Phase::kPending) {
-          DispatchFragment(i, spec, is_side, is_agg, group_by, aggs, ctx, &q,
-                           stats);
+          DispatchFragment(i, spec, is_agg, group_by, aggs, ctx, &q, stats);
         }
       }
     }
@@ -857,27 +856,9 @@ Status Cluster::RunFragments(const exec::ScanSpec& spec,
 
 Status Cluster::Scan(const exec::ScanSpec& spec, exec::QueryContext& ctx,
                      exec::RowSet* out, exec::ExchangeStats* stats) {
-  std::vector<size_t> fragment_shards;
-  const bool is_side = !spec.sharded_side_path.empty();
-  if (is_side) {
-    // Shard-level pruning does not apply to side scans (the statistics
-    // describe the base documents) — exactly the local scan's behavior.
-    for (const auto& part : local_->SideParts(spec.sharded_side_path)) {
-      fragment_shards.push_back(static_cast<size_t>(
-          part.rowid_base >> storage::ShardedRelation::kRowIdShardShift));
-    }
-  } else {
-    fragment_shards =
-        exec::SurvivingShards(spec, ctx.options().enable_tile_skipping);
-    stats->shards_scanned += fragment_shards.size();
-    stats->shards_pruned +=
-        local_->shard_count() - fragment_shards.size();
-  }
-
   std::vector<exec::RowSet> buckets(manifest_.shard_count());
-  JSONTILES_RETURN_NOT_OK(RunFragments(spec, fragment_shards, is_side,
-                                       /*group_by=*/{}, /*aggs=*/{}, ctx,
-                                       &buckets, /*agg_merge=*/nullptr,
+  JSONTILES_RETURN_NOT_OK(RunFragments(spec, /*group_by=*/{}, /*aggs=*/{},
+                                       ctx, &buckets, /*agg_merge=*/nullptr,
                                        stats));
   // Ascending shard order = the local sharded scan's part order, so the
   // concatenation is bit-identical to local execution.
@@ -890,14 +871,8 @@ Status Cluster::Aggregate(const exec::ScanSpec& spec,
                           const std::vector<exec::AggSpec>& aggs,
                           exec::QueryContext& ctx, exec::RowSet* out,
                           exec::ExchangeStats* stats) {
-  std::vector<size_t> fragment_shards =
-      exec::SurvivingShards(spec, ctx.options().enable_tile_skipping);
-  stats->shards_scanned += fragment_shards.size();
-  stats->shards_pruned += local_->shard_count() - fragment_shards.size();
-
   exec::GroupTable merged(group_by.size(), aggs);
-  JSONTILES_RETURN_NOT_OK(RunFragments(spec, fragment_shards,
-                                       /*is_side=*/false, group_by, aggs, ctx,
+  JSONTILES_RETURN_NOT_OK(RunFragments(spec, group_by, aggs, ctx,
                                        /*row_buckets=*/nullptr, &merged,
                                        stats));
   if (group_by.empty() && merged.empty()) {

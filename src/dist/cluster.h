@@ -78,9 +78,9 @@ class Cluster : public exec::DistRuntime {
  public:
   /// Fork + connect + handshake the workers and assign every shard of the
   /// manifest. `local` is the coordinator's own open ShardedRelation for the
-  /// same manifest: Serves() identifies it, and side-relation fragments are
-  /// planned from its side-part inventory. On any failure every spawned
-  /// worker is killed and reaped — no orphan processes, no stale sockets.
+  /// same manifest: Serves() identifies it, and fragments are planned from
+  /// its shard statistics. On any failure every spawned worker is killed
+  /// and reaped — no orphan processes, no stale sockets.
   static Result<std::unique_ptr<Cluster>> Start(
       const std::string& manifest_path, const storage::ShardedRelation* local,
       ClusterOptions options);
@@ -162,8 +162,8 @@ class Cluster : public exec::DistRuntime {
 
   Cluster() = default;
 
+  /// One fragment per shard that survives `spec`'s shard pruning.
   Status RunFragments(const exec::ScanSpec& spec,
-                      const std::vector<size_t>& fragment_shards, bool is_side,
                       const std::vector<exec::ExprPtr>& group_by,
                       const std::vector<exec::AggSpec>& aggs,
                       exec::QueryContext& ctx,
@@ -205,7 +205,7 @@ class Cluster : public exec::DistRuntime {
   /// back to Pending or consumes budget), and capacity exhaustion records a
   /// fatal status in `q`.
   void DispatchFragment(size_t frag_index, const exec::ScanSpec& spec,
-                        bool is_side, bool is_agg,
+                        bool is_agg,
                         const std::vector<exec::ExprPtr>& group_by,
                         const std::vector<exec::AggSpec>& aggs,
                         exec::QueryContext& ctx, QueryState* q,

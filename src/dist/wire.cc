@@ -550,9 +550,7 @@ void EncodeFragment(const FragmentMsg& msg, std::vector<uint8_t>* out) {
   w.U32(msg.fragment_id);
   w.U32(msg.epoch);
   w.U32(msg.shard_index);
-  w.U8(static_cast<uint8_t>((msg.is_side ? 1 : 0) |
-                            (msg.enable_tile_skipping ? 2 : 0)));
-  w.Str(msg.side_path);
+  w.U8(msg.enable_tile_skipping ? 1 : 0);
   w.Varint(msg.accesses.size());
   for (const exec::ExprPtr& a : msg.accesses) EncodeExpr(*a, &w);
   w.U8(msg.filter != nullptr ? 1 : 0);
@@ -584,11 +582,8 @@ Status DecodeFragment(const std::vector<uint8_t>& payload, FragmentMsg* msg) {
   WIRE_READ(r.U32(&msg->shard_index));
   uint8_t flags;
   WIRE_READ(r.U8(&flags));
-  WIRE_READ(flags <= 3);
-  msg->is_side = (flags & 1) != 0;
-  msg->enable_tile_skipping = (flags & 2) != 0;
-  WIRE_READ(r.Str(&msg->side_path));
-  WIRE_READ(msg->is_side == !msg->side_path.empty());
+  WIRE_READ(flags <= 1);
+  msg->enable_tile_skipping = flags != 0;
 
   uint64_t n;
   WIRE_READ(r.Varint(&n));

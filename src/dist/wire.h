@@ -39,7 +39,7 @@
 
 namespace jsontiles::dist {
 
-inline constexpr uint32_t kWireVersion = 3;
+inline constexpr uint32_t kWireVersion = 4;
 /// Hard cap on a frame's raw and compressed payload size. Batches are cut at
 /// ~256 KiB, so real frames sit far below it; its job is bounding allocation
 /// when a length field is corrupt.
@@ -136,10 +136,10 @@ bool DecodeValue(ByteReader* r, Arena* arena, exec::Value* v);
 void EncodeExpr(const exec::Expr& e, ByteWriter* w);
 Status DecodeExpr(ByteReader* r, size_t depth, exec::ExprPtr* out);
 
-/// One plan fragment: scan one shard (or its side relation for `side_path`),
-/// with optional partial aggregation (kAggFragment frames; group_by/aggs
-/// empty in kScanFragment frames). `string_pool` backs decoded
-/// range-predicate constants — a deque so grown entries never move.
+/// One plan fragment: scan one shard, with optional partial aggregation
+/// (kAggFragment frames; group_by/aggs empty in kScanFragment frames).
+/// `string_pool` backs decoded range-predicate constants — a deque so grown
+/// entries never move.
 struct FragmentMsg {
   uint32_t fragment_id = 0;
   /// Dispatch epoch: bumped by the coordinator on every (re-)dispatch of the
@@ -147,8 +147,6 @@ struct FragmentMsg {
   /// frame from a superseded dispatch is rejected rather than merged.
   uint32_t epoch = 0;
   uint32_t shard_index = 0;
-  bool is_side = false;
-  std::string side_path;
   bool enable_tile_skipping = true;
   std::vector<exec::ExprPtr> accesses;
   exec::ExprPtr filter;

@@ -135,15 +135,6 @@ Status RunFragment(WorkerState& state, const FragmentMsg& frag, bool is_agg) {
     return Status::InvalidArgument("fragment names an unassigned shard " +
                                    std::to_string(frag.shard_index));
   }
-  const storage::Relation* rel = shard;
-  if (frag.is_side) {
-    rel = shard->FindSideRelation(frag.side_path);
-    if (rel == nullptr) {
-      return Status::InvalidArgument(
-          "shard " + std::to_string(frag.shard_index) +
-          " has no side relation for the fragment's array path");
-    }
-  }
 
   exec::ExecOptions options;
   options.num_threads = static_cast<size_t>(state.num_threads);
@@ -151,7 +142,7 @@ Status RunFragment(WorkerState& state, const FragmentMsg& frag, bool is_agg) {
   exec::QueryContext ctx(options);
 
   exec::ScanSpec spec;
-  spec.relation = rel;
+  spec.relation = shard;
   spec.rowid_base = storage::ShardedRelation::RowIdBase(frag.shard_index);
   spec.accesses = frag.accesses;
   spec.filter = frag.filter;

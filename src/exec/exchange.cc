@@ -85,12 +85,7 @@ void ReportExchange(obs::OperatorProfiler& prof, const ExchangeStats& stats,
 }
 
 std::string ExchangeDetail(const ScanSpec& spec) {
-  std::string detail = !spec.table_alias.empty()
-                           ? spec.table_alias
-                           : (spec.sharded != nullptr ? spec.sharded->name()
-                                                      : std::string());
-  if (!spec.sharded_side_path.empty()) detail += "$side";
-  return detail;
+  return !spec.table_alias.empty() ? spec.table_alias : spec.sharded->name();
 }
 
 }  // namespace

@@ -138,8 +138,7 @@ ExprPtr ArrayContains(std::string table,
                       std::initializer_list<std::string_view> keys,
                       std::string element_key, std::string value);
 
-/// Virtual access to the row id of a base-table scan (used to join array
-/// side relations back to their parent documents).
+/// Virtual access to the row id of a base-table scan.
 ExprPtr RowId(std::string table);
 /// The sentinel path RowId uses.
 inline constexpr std::string_view kRowIdPath = "\x01#rowid";

@@ -10,6 +10,7 @@
 #include "exec/vector_batch.h"
 #include "obs/obs.h"
 #include "storage/shard.h"
+#include "tiles/array_extract.h"
 #include "tiles/keypath.h"
 #include "tiles/tile.h"
 #include "util/failpoint.h"
@@ -177,37 +178,115 @@ void ExtractJsonbPathBatch(const uint8_t* const* docs, const uint16_t* lanes,
 
 namespace {
 
+// The element-match rule of CONTAINS, shared by both routes: a JSON string
+// equal to the needle (a number or a numeric string never matches).
+bool IsNeedle(const json::JsonbValue& value, std::string_view needle) {
+  return value.type() == json::JsonType::kString && value.GetString() == needle;
+}
+
+// CONTAINS on a document (the document route): the array at `access.path`
+// holds the needle, or with a member key, an object element whose member
+// is the needle.
+bool DocContains(const Expr& access, json::JsonbValue doc) {
+  auto array = tiles::LookupPath(doc, access.path);
+  if (!array.has_value() || array->type() != json::JsonType::kArray) {
+    return false;
+  }
+  const std::string_view needle = access.const_storage;
+  const size_t count = array->Count();
+  for (size_t i = 0; i < count; i++) {
+    json::JsonbValue element = array->ArrayElement(i);
+    if (access.pattern.empty()) {
+      if (IsNeedle(element, needle)) return true;
+      continue;
+    }
+    if (element.type() != json::JsonType::kObject) continue;
+    auto member = element.FindKey(access.pattern);
+    if (member.has_value() && IsNeedle(*member, needle)) return true;
+  }
+  return false;
+}
+
 // Evaluate a scan-level access expression (kAccess, kArrayContains) against
 // a document. Virtual row-id accesses yield `row_id`.
 Value EvalScanExprOnJsonb(const Expr& access, json::JsonbValue doc,
                           int64_t row_id, Arena* arena) {
   if (access.kind == ExprKind::kArrayContains) {
-    auto array = tiles::LookupPath(doc, access.path);
-    if (!array.has_value() || array->type() != json::JsonType::kArray) {
-      return Value::Bool(false);
-    }
-    size_t count = array->Count();
-    std::string_view needle = access.const_storage;
-    for (size_t i = 0; i < count; i++) {
-      json::JsonbValue element = array->ArrayElement(i);
-      if (access.pattern.empty()) {
-        if (element.type() == json::JsonType::kString &&
-            element.GetString() == needle) {
-          return Value::Bool(true);
-        }
-        continue;
-      }
-      if (element.type() != json::JsonType::kObject) continue;
-      auto member = element.FindKey(access.pattern);
-      if (member.has_value() && member->type() == json::JsonType::kString &&
-          member->GetString() == needle) {
-        return Value::Bool(true);
-      }
-    }
-    return Value::Bool(false);
+    return Value::Bool(DocContains(access, doc));
   }
   if (access.path == kRowIdPath) return Value::Int(row_id);
   return EvalAccessOnJsonb(doc, access.path, access.access_type, arena);
+}
+
+// The side relation (§3.5) that answers `access` for `rel`, or null when
+// the documents must. ExplodeArray turns an object element into a side
+// document with the element's members plus `_rowid`, and wraps any other
+// element under `value`, so side documents cannot answer member keys "",
+// `value` and `_rowid`.
+const Relation* SideRelationFor(const Relation& rel, const Expr& access) {
+  if (access.kind != ExprKind::kArrayContains || access.pattern.empty() ||
+      access.pattern == tiles::kScalarValueKey ||
+      access.pattern == tiles::kParentRowIdKey) {
+    return nullptr;
+  }
+  return rel.FindSideRelation(access.path);
+}
+
+// The side route: set the bit of every row of `base` (row ids from
+// `rowid_base`) whose array holds the needle, reading the side relation
+// once. A side document whose member is the needle marks its `_rowid`;
+// string members come from the tile's column when every value at the path
+// is a string there. An object element with its own `_rowid` member sits
+// wrapped under `value` like a scalar, and cannot be told from an element
+// whose `value` member is an object, so for a side document whose `value`
+// is an object the parent document decides by the document rule. A tile
+// whose bloom filter rules out `value` + member holds no such wrapper.
+// False when a `_rowid` does not name a row of `base` (a shard scanned
+// without its sharded relation's row-id base): the documents answer
+// instead.
+bool ReadSideRelation(const Relation& side, const Expr& access,
+                      const Relation& base, int64_t rowid_base,
+                      RowSubset* out) {
+  std::string member_path, wrapped_path;
+  tiles::AppendKeySegment(&member_path, access.pattern);
+  tiles::AppendKeySegment(&wrapped_path, tiles::kScalarValueKey);
+  wrapped_path += member_path;
+  const std::string_view needle = access.const_storage;
+  for (const Tile& tile : side.tiles()) {
+    const ExtractedColumn* member = tile.FindColumn(member_path);
+    const bool string_column = member != nullptr &&
+                               member->source_type == json::JsonType::kString &&
+                               member->storage_type == ColumnType::kString &&
+                               !member->has_type_outliers;
+    const bool may_wrap = tile.MayContainPath(wrapped_path);
+    for (size_t k = 0; k < tile.row_count; k++) {
+      const json::JsonbValue doc = side.Jsonb(tile.row_begin + k);
+      bool hit;
+      if (string_column) {
+        hit = !member->column.IsNull(k) &&
+              member->column.GetString(k, doc.data()) == needle;
+      } else {
+        auto value = doc.FindKey(access.pattern);
+        hit = value.has_value() && IsNeedle(*value, needle);
+      }
+      bool wrapped = false;
+      if (!hit && may_wrap) {
+        auto value = doc.FindKey(tiles::kScalarValueKey);
+        wrapped = value.has_value() && value->type() == json::JsonType::kObject;
+      }
+      if (!hit && !wrapped) continue;
+      auto parent = doc.FindKey(tiles::kParentRowIdKey);
+      if (!parent.has_value() || parent->type() != json::JsonType::kInt) {
+        return false;
+      }
+      // Unsigned: an id below `rowid_base` wraps to a huge row.
+      const uint64_t row = static_cast<uint64_t>(parent->GetInt()) -
+                           static_cast<uint64_t>(rowid_base);
+      if (row >= base.num_rows()) return false;
+      if (hit || DocContains(access, base.Jsonb(row))) out->Add(row);
+    }
+  }
+  return true;
 }
 
 // Per-tile resolution of one access (§4.5), cached for all tuples.
@@ -217,6 +296,8 @@ struct ResolvedAccess {
   const ExtractedColumn* column = nullptr;
   bool fallback_on_null = false;  // §3.4: outliers live in the binary JSON
   ValueType requested;
+  // CONTAINS on the side route: the part's rows it holds for.
+  const RowSubset* side = nullptr;
 };
 
 ValueType ColumnValueType(ColumnType type) {
@@ -326,19 +407,24 @@ bool CanSkipByZoneMap(const Tile& tile, const RangePredicate& rp) {
 }
 
 // One contiguous piece of one scan source relation. Sharded scans have one
-// part per surviving shard (plus per-shard side relations); `rowid_base` is
-// added to part-local row indices wherever a row id becomes visible, so ids
-// stay globally unique and shard-count independent.
+// part per surviving shard; `rowid_base` is added to part-local row indices
+// wherever a row id becomes visible, so ids stay globally unique and
+// shard-count independent.
 struct ScanPart {
   const Relation* rel;
   int64_t rowid_base;
+  // Per slot, the side route's bitmap of a CONTAINS access (null: the
+  // documents answer it); empty when no slot takes the side route.
+  std::vector<std::unique_ptr<RowSubset>> side;
+  // The only rows to read (null = all): a sample's, or the bitmap of a
+  // CONTAINS that is a top-level filter conjunct (only its rows can pass).
+  const RowSubset* rows;
 };
 
 // The unit of scan work: a tile for tiled modes, a fixed row range
-// otherwise. `row_begin` is local to `rel`.
+// otherwise. `row_begin` is local to the part's relation.
 struct Chunk {
-  const Relation* rel;
-  int64_t rowid_base;
+  const ScanPart* part;
   size_t row_begin;
   size_t row_count;
   const Tile* tile;  // null for non-tiled modes
@@ -360,7 +446,6 @@ class VectorizedChunkScan {
         pred_(pred),
         arena_(arena),
         num_slots_(spec.accesses.size()),
-        whole_batches_(spec.row_subset == nullptr),
         slot_vecs_(num_slots_),
         ready_(num_slots_, 0),
         steps_(num_slots_),
@@ -368,8 +453,10 @@ class VectorizedChunkScan {
 
   void Run(const Chunk& chunk, const std::vector<ResolvedAccess>& resolved,
            RowSet* out) {
-    rel_ = chunk.rel;
-    rowid_base_ = chunk.rowid_base;
+    rel_ = chunk.part->rel;
+    rowid_base_ = chunk.part->rowid_base;
+    rows_listed_ = chunk.part->rows;
+    whole_batches_ = rows_listed_ == nullptr;
     json_text_ = rel_->mode() == StorageMode::kJsonText;
     if (json_text_ && text_docs_.empty()) text_docs_.resize(kVectorSize);
     for (size_t b = 0; b < chunk.row_count; b += kVectorSize) {
@@ -389,7 +476,7 @@ class VectorizedChunkScan {
     if (whole_batches_) {
       sel_.SetAll(n);
     } else {
-      sel_.count = spec_.row_subset->Lanes(row0_, n, sel_.idx);
+      sel_.count = rows_listed_->Lanes(row0_, n, sel_.idx);
       if (sel_.empty()) return;
     }
     batches_++;
@@ -525,6 +612,15 @@ class VectorizedChunkScan {
       }
       return;
     }
+    if (ra.side != nullptr) {
+      uint8_t* nulls = vec.nulls();
+      int64_t* out = vec.i64();
+      for (size_t k = 0; k < n; k++) {
+        nulls[k] = 0;
+        out[k] = ra.side->Contains(row0_ + k) ? 1 : 0;
+      }
+      return;
+    }
     if (ra.route == ResolvedAccess::Route::kColumn && whole_batches_) {
       const tiles::Column& col = ra.column->column;
       col.ReadNulls(col_row0, n, vec.nulls());
@@ -585,10 +681,14 @@ class VectorizedChunkScan {
   }
 
   const ScanSpec& spec_;
-  // Current chunk's source relation + row-id offset (set per Run; sharded
-  // scans feed chunks of different shards through one scanner instance).
+  // Current chunk's source relation, row-id offset and listed rows (set per
+  // Run; sharded scans feed chunks of different shards through one scanner
+  // instance).
   const Relation* rel_ = nullptr;
   int64_t rowid_base_ = 0;
+  const RowSubset* rows_listed_ = nullptr;
+  // False when the chunk lists its rows, so an unlisted lane is never read.
+  bool whole_batches_ = true;
   bool json_text_ = false;
   // Current batch: relation row of lane 0 and lane count.
   size_t row0_ = 0;
@@ -596,8 +696,6 @@ class VectorizedChunkScan {
   CompiledPredicate& pred_;
   Arena* arena_;
   const size_t num_slots_;
-  // False for a row-subset scan, which never reads an unlisted lane.
-  const bool whole_batches_;
   std::vector<ColumnVector> slot_vecs_;
   std::vector<uint8_t> ready_;
   SelectionVector sel_;
@@ -694,18 +792,16 @@ std::vector<size_t> SurvivingShards(const ScanSpec& spec,
 RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
   JSONTILES_TRACE_SPAN("exec.scan");
   // Distributed execution: when a runtime serves this sharded relation, the
-  // scan becomes per-shard fragments on worker processes (base and side
-  // scans alike). Workers run with ctx.dist unset, so their single-shard
-  // scans take the local path below.
+  // scan becomes per-shard fragments on worker processes. Workers run with
+  // ctx.dist unset, so their single-shard scans take the local path below.
   if (ctx.dist != nullptr && spec.sharded != nullptr &&
       ctx.dist->Serves(spec.sharded)) {
     return ExchangeExec(spec, ctx);
   }
   const storage::ShardedRelation* sharded = spec.sharded;
-  const bool sharded_base = sharded != nullptr && spec.sharded_side_path.empty();
 
-  // Resolve the scan source into parts: the single relation, the surviving
-  // shards, or a sharded table's per-shard side relations.
+  // Resolve the scan source into parts: the single relation or the
+  // surviving shards.
   std::vector<ScanPart> parts;
   size_t total_rows = 0;
   size_t pruned_shards = 0;
@@ -713,18 +809,10 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
   std::string source_name;
   if (sharded == nullptr) {
     const Relation& rel = *spec.relation;
-    parts.push_back(ScanPart{&rel, spec.rowid_base});
+    parts.push_back(ScanPart{&rel, spec.rowid_base, {}, spec.row_subset});
     total_rows = rel.num_rows();
     mode = rel.mode();
     source_name = rel.name();
-  } else if (!spec.sharded_side_path.empty()) {
-    for (const auto& side : sharded->SideParts(spec.sharded_side_path)) {
-      parts.push_back(ScanPart{side.relation, side.rowid_base});
-      total_rows += side.relation->num_rows();
-      mode = side.relation->mode();
-    }
-    source_name = sharded->name() + "$" +
-                  tiles::PathToDisplayString(spec.sharded_side_path);
   } else {
     mode = sharded->mode();
     source_name = sharded->name();
@@ -735,7 +823,8 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
     for (size_t s : survivors) {
       JSONTILES_TRACE_SPAN("exec.scan.shard");
       parts.push_back(ScanPart{&sharded->shard(s),
-                               storage::ShardedRelation::RowIdBase(s)});
+                               storage::ShardedRelation::RowIdBase(s), {},
+                               nullptr});
     }
   }
 
@@ -748,26 +837,60 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
   const bool tiled =
       mode == StorageMode::kTiles || mode == StorageMode::kSinew;
 
-  // A row-subset scan keeps only the chunks holding a listed row.
+  // The Tiles-* route (§3.5): a full scan answers CONTAINS from a part's
+  // side relation where it has one, and a CONTAINS conjunct of the filter
+  // restricts the part to the rows its bitmap lists.
+  size_t side_rows = 0;
+  if (spec.row_subset == nullptr) {
+    std::vector<ExprPtr> conjuncts;
+    SplitConjuncts(spec.filter, &conjuncts);
+    for (ScanPart& part : parts) {
+      for (size_t i = 0; i < num_slots; i++) {
+        const Relation* side = SideRelationFor(*part.rel, *spec.accesses[i]);
+        if (side == nullptr) continue;
+        JSONTILES_TRACE_SPAN("exec.scan.side");
+        auto bits = std::make_unique<RowSubset>(part.rel->num_rows());
+        if (!ReadSideRelation(*side, *spec.accesses[i], *part.rel,
+                              part.rowid_base, bits.get())) {
+          continue;
+        }
+        side_rows += side->num_rows();
+        part.side.resize(num_slots);
+        part.side[i] = std::move(bits);
+      }
+      for (const ExprPtr& c : conjuncts) {
+        if (c->kind == ExprKind::kSlotRef && !part.side.empty() &&
+            part.side[c->slot] != nullptr) {
+          part.rows = part.side[c->slot].get();
+          break;
+        }
+      }
+    }
+  }
+
+  // A chunk whose listed rows (a sample's, or a CONTAINS bitmap's) miss it
+  // is dropped unread; the bitmap's drops count as skipped tiles.
   JSONTILES_CHECK(spec.row_subset == nullptr || sharded == nullptr);
   std::vector<Chunk> chunks;
+  size_t dropped = 0;
   auto add_chunk = [&](const Chunk& chunk) {
-    if (spec.row_subset == nullptr ||
-        spec.row_subset->Any(chunk.row_begin, chunk.row_count)) {
+    const RowSubset* rows = chunk.part->rows;
+    if (rows == nullptr || rows->Any(chunk.row_begin, chunk.row_count)) {
       chunks.push_back(chunk);
+    } else if (spec.row_subset == nullptr) {
+      dropped++;
     }
   };
   for (const ScanPart& part : parts) {
     if (tiled) {
       for (const Tile& tile : part.rel->tiles()) {
-        add_chunk(Chunk{part.rel, part.rowid_base, tile.row_begin,
-                        tile.row_count, &tile});
+        add_chunk(Chunk{&part, tile.row_begin, tile.row_count, &tile});
       }
     } else {
       constexpr size_t kChunkRows = 4096;
       for (size_t begin = 0; begin < part.rel->num_rows();
            begin += kChunkRows) {
-        add_chunk(Chunk{part.rel, part.rowid_base, begin,
+        add_chunk(Chunk{&part, begin,
                         std::min(kChunkRows, part.rel->num_rows() - begin),
                         nullptr});
       }
@@ -789,7 +912,7 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
   const bool parallel = ctx.pool() != nullptr && chunks.size() > 1;
   std::vector<RowSet> partials(parallel ? chunks.size() : 1,
                                RowSet(num_slots));
-  std::atomic<size_t> skipped{0};
+  std::atomic<size_t> skipped{dropped};
 
   auto scan_chunk = [&](size_t c, size_t worker) {
     const Chunk& chunk = chunks[c];
@@ -816,13 +939,14 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
     JSONTILES_TRACE_SPAN("exec.scan.chunk");
     // §4.5: resolve each access once per tile.
     std::vector<ResolvedAccess> resolved(num_slots);
-    if (chunk.tile != nullptr) {
-      for (size_t i = 0; i < num_slots; i++) {
+    for (size_t i = 0; i < num_slots; i++) {
+      if (chunk.tile != nullptr) {
         resolved[i] = ResolveAccess(*chunk.tile, *spec.accesses[i]);
-      }
-    } else {
-      for (size_t i = 0; i < num_slots; i++) {
+      } else {
         resolved[i].requested = spec.accesses[i]->access_type;
+      }
+      if (!chunk.part->side.empty()) {
+        resolved[i].side = chunk.part->side[i].get();
       }
     }
 
@@ -862,7 +986,7 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
                         static_cast<int64_t>(chunks.size()));
   JSONTILES_COUNTER_ADD("scan.tiles_skipped",
                         static_cast<int64_t>(skipped.load()));
-  if (sharded_base) {
+  if (sharded != nullptr) {
     ctx.shards_scanned += parts.size();
     ctx.shards_pruned += pruned_shards;
     JSONTILES_COUNTER_ADD("scan.shards_scanned",
@@ -883,7 +1007,10 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
   }
   prof.AddCounter("tiles", static_cast<int64_t>(chunks.size()));
   prof.AddCounter("tiles_skipped", static_cast<int64_t>(skipped.load()));
-  if (sharded_base) {
+  if (side_rows > 0) {
+    prof.AddCounter("side_rows", static_cast<int64_t>(side_rows));
+  }
+  if (sharded != nullptr) {
     prof.AddCounter("shards", static_cast<int64_t>(parts.size()));
     prof.AddCounter("shards_pruned", static_cast<int64_t>(pruned_shards));
   }

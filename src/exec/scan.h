@@ -6,7 +6,9 @@
 // all tuples of the tile, skips tiles that cannot contain a null-rejecting
 // path (§4.8), evaluates the pushed-down filter, and emits rows of slot
 // values. JSONB/JSON-text relations scan documents directly (the JSON-text
-// mode re-parses every document, which is exactly its cost).
+// mode re-parses every document, which is exactly its cost). CONTAINS on an
+// array with a side relation (Tiles-*, §3.5) reads it from a bitmap the side
+// relation fills (DESIGN.md §3 "CONTAINS routes").
 
 #ifndef JSONTILES_EXEC_SCAN_H_
 #define JSONTILES_EXEC_SCAN_H_
@@ -170,11 +172,15 @@ class QueryContext {
 };
 
 /// A set of rows of one relation, one bit per row: the row-subset input of
-/// a plain-relation scan (plan-time sampling reads its sample this way).
+/// a plain-relation scan (plan-time sampling reads its sample this way), and
+/// the rows a side relation answers CONTAINS for (the Tiles-* route).
 class RowSubset {
  public:
   explicit RowSubset(size_t num_rows) : words_((num_rows + 63) / 64, 0) {}
   void Add(size_t row) { words_[row >> 6] |= uint64_t{1} << (row & 63); }
+  bool Contains(size_t row) const {
+    return (words_[row >> 6] >> (row & 63)) & 1;
+  }
   /// True when a row of [begin, begin + count) is listed.
   bool Any(size_t begin, size_t count) const;
   /// The listed rows of [begin, begin + count) as ascending offsets from
@@ -194,11 +200,6 @@ struct ScanSpec {
   /// (routing key → bloom → zone maps) before any tile-level work, and
   /// offsets row ids by each shard's RowIdBase so they are globally unique.
   const storage::ShardedRelation* sharded = nullptr;
-  /// With `sharded`: scan the array side relations (§3.5) for this encoded
-  /// array path instead of the base shards — one part per shard that has
-  /// one. Shard-level pruning does not apply (the statistics describe the
-  /// base documents); tile-level pruning still does.
-  std::string sharded_side_path;
   std::string table_alias;
   /// Pushed-down accesses; output slot i = accesses[i].
   std::vector<ExprPtr> accesses;
@@ -214,7 +215,8 @@ struct ScanSpec {
   int64_t rowid_base = 0;
   /// With `relation`: scan only these rows (null = all). A chunk without a
   /// listed row is dropped unread, and a batch starts its selection from
-  /// the listed lanes, so an unlisted row is never read.
+  /// the listed lanes, so an unlisted row is never read. A row-subset scan
+  /// answers CONTAINS from the documents, never from a side relation.
   const RowSubset* row_subset = nullptr;
 };
 
@@ -225,8 +227,7 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx);
 /// key → shard bloom → shard zone maps), ascending. With `enable_pruning`
 /// false, every shard survives. This is the exact shard set a local sharded
 /// scan would visit — the distributed coordinator plans fragments from it so
-/// pruning behaves identically in both modes. Base scans only (side-relation
-/// parts are enumerated via ShardedRelation::SideParts).
+/// pruning behaves identically in both modes.
 std::vector<size_t> SurvivingShards(const ScanSpec& spec, bool enable_pruning);
 
 /// Evaluate one access against a binary JSON document (the fallback route

@@ -227,16 +227,6 @@ Result<double> EstimateScanCardinality(const ScanSpec& spec) {
   }
   const storage::ShardedRelation& sharded = *spec.sharded;
   double part_rows = 0;
-  if (!spec.sharded_side_path.empty()) {
-    // Side-relation scan: estimate each shard's side part separately.
-    for (const auto& part : sharded.SideParts(spec.sharded_side_path)) {
-      JSONTILES_RETURN_NOT_OK(EstimateRelation(spec, sample, *part.relation,
-                                               part.rowid_base, kSampleSize,
-                                               &part_rows));
-      rows += part_rows;
-    }
-    return std::max(rows, 1.0);
-  }
   // The sum of the per-shard estimates, with the sample budget split across
   // shards in proportion to their row counts (at least 8 per shard).
   const size_t total = sharded.num_rows();
@@ -260,9 +250,7 @@ double EstimateJoinKeyDistinct(const ScanSpec& spec,
   if (spec.relation != nullptr) {
     return RelationKeyDistinct(*spec.relation, encoded_path, scan_card);
   }
-  if (spec.sharded == nullptr || !spec.sharded_side_path.empty()) {
-    return scan_card;
-  }
+  if (spec.sharded == nullptr) return scan_card;
   const storage::ShardedRelation& sharded = *spec.sharded;
   const double card = scan_card < 1 ? 1.0 : scan_card;
   const bool disjoint_keys =

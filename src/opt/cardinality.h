@@ -34,8 +34,7 @@ Result<double> EstimateScanCardinality(const exec::ScanSpec& spec);
 /// fallback). Over a sharded relation hash-routed on exactly this path,
 /// equal keys never straddle shards, so per-shard counts sum; otherwise the
 /// same value may recur in every shard and the max per-shard count is the
-/// sound lower estimate. Side-relation and row-set scans return
-/// `scan_card` as is.
+/// sound lower estimate. Row-set scans return `scan_card` as is.
 double EstimateJoinKeyDistinct(const exec::ScanSpec& spec,
                                const std::string& encoded_path,
                                double scan_card);

@@ -191,7 +191,6 @@ Status QueryBlock::BuildPlan(bool estimate_all, PlanState* state) {
     exec::ScanSpec& spec = specs[i];
     spec.relation = t.relation;
     spec.sharded = t.sharded;
-    spec.sharded_side_path = t.sharded_side_path;
     spec.table_alias = t.alias;
     if (t.filter != nullptr) {
       spec.filter = exec::RewriteAccessesToSlots(
@@ -301,7 +300,6 @@ RowSet QueryBlock::Execute(exec::QueryContext& ctx) {
   const bool push_down_aggregate =
       ctx.dist != nullptr && num_tables == 1 && joins_.empty() &&
       where_ == nullptr && aggregated && tables_[0].sharded != nullptr &&
-      tables_[0].sharded_side_path.empty() &&
       ctx.dist->Serves(tables_[0].sharded);
 
   // Global slot layout: tables in join order, each contributing its accesses.

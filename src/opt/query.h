@@ -51,9 +51,6 @@ struct TableRef {
   /// Alternative source: a sharded relation (scanned shard-by-shard with
   /// shard-level pruning; see exec::ScanSpec::sharded).
   const storage::ShardedRelation* sharded = nullptr;
-  /// With `sharded`: scan its array side relations for this encoded array
-  /// path instead of the base shards.
-  std::string sharded_side_path;
   /// Alternative source: a materialized row set with named columns.
   const exec::RowSet* rowset = nullptr;
   std::vector<std::string> rowset_columns;
@@ -75,18 +72,6 @@ struct TableRef {
     TableRef t;
     t.alias = std::move(alias);
     t.sharded = sharded;
-    t.filter = std::move(filter);
-    return t;
-  }
-  /// The array side relations (§3.5) of a sharded load, as one scan source.
-  static TableRef ShardedSide(std::string alias,
-                              const storage::ShardedRelation* sharded,
-                              std::string array_path,
-                              exec::ExprPtr filter = nullptr) {
-    TableRef t;
-    t.alias = std::move(alias);
-    t.sharded = sharded;
-    t.sharded_side_path = std::move(array_path);
     t.filter = std::move(filter);
     return t;
   }

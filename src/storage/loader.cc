@@ -20,6 +20,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Tiles-*: leading documents sampled for high-cardinality array detection.
+constexpr size_t kArrayDetectSample = 1024;
+
 double Seconds(Clock::time_point begin, Clock::time_point end) {
   return std::chrono::duration<double>(end - begin).count();
 }
@@ -70,7 +73,7 @@ Result<std::unique_ptr<Relation>> Loader::Load(
   if (mode_ == StorageMode::kTiles && options_.extract_arrays && !docs.empty()) {
     json::OndemandTransformer sample_parser;
     std::vector<std::vector<uint8_t>> sample;
-    for (size_t i = 0; i < docs.size() && i < options_.array_detect_sample; i++) {
+    for (size_t i = 0; i < docs.size() && i < kArrayDetectSample; i++) {
       std::vector<uint8_t> buf;
       if (sample_parser.Transform(docs[i], &buf).ok()) {
         sample.push_back(std::move(buf));
@@ -274,7 +277,7 @@ Result<std::unique_ptr<Relation>> Loader::Load(
   }
 
   // Tiles-*: one side relation per detected array path, exploded against the
-  // final (reordered) row ids so `_rowid` joins back to the base table.
+  // final (reordered) row ids so `_rowid` names the parent row.
   if (!detected_arrays.empty()) {
     LoadOptions side_options = options_;
     side_options.extract_arrays = false;

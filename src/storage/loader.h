@@ -59,7 +59,6 @@ struct LoadOptions {
   bool extract_arrays = false;
   double array_min_avg_elements = 2.0;
   double array_min_presence = 0.2;
-  size_t array_detect_sample = 1024;
   /// When several Loader instances load shards of one dataset concurrently,
   /// they share a skip counter so max_errors caps the skips globally, not
   /// per shard. LoadBreakdown::skipped_docs still reports this load's own

@@ -350,23 +350,6 @@ Result<std::unique_ptr<ShardedRelation>> ShardedRelation::Load(
   return sharded;
 }
 
-std::vector<ShardedRelation::SidePart> ShardedRelation::SideParts(
-    std::string_view array_path) const {
-  std::vector<SidePart> parts;
-  for (size_t s = 0; s < shards_.size(); s++) {
-    const Relation* side = shards_[s]->FindSideRelation(array_path);
-    if (side != nullptr) parts.push_back({side, RowIdBase(s)});
-  }
-  return parts;
-}
-
-bool ShardedRelation::HasSideRelation(std::string_view array_path) const {
-  for (const auto& shard : shards_) {
-    if (shard->FindSideRelation(array_path) != nullptr) return true;
-  }
-  return false;
-}
-
 std::unique_ptr<ShardedRelation> ShardedRelation::Assemble(
     std::string name, StorageMode mode, tiles::TileConfig config,
     ShardOptions shard_options, std::string routing_path,

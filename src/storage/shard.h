@@ -144,19 +144,6 @@ class ShardedRelation {
   const std::string& routing_path() const { return routing_path_; }
   RoutingValueKind routing_kind() const { return routing_kind_; }
 
-  /// Array side relations (§3.5) of a sharded load: one part per shard that
-  /// produced elements for the path. Each part's `_rowid` field already
-  /// holds global parent ids (RowIdBase of its shard), so joining the parts
-  /// against the sharded base relation is consistent.
-  struct SidePart {
-    const Relation* relation;
-    int64_t rowid_base;
-  };
-  std::vector<SidePart> SideParts(std::string_view array_path) const;
-
-  /// True when any shard carries a side relation for `array_path`.
-  bool HasSideRelation(std::string_view array_path) const;
-
   // Internal: assemble from externally built shards (OpenSharded).
   static std::unique_ptr<ShardedRelation> Assemble(
       std::string name, StorageMode mode, tiles::TileConfig config,

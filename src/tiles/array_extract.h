@@ -1,12 +1,13 @@
 // High-cardinality array extraction (paper §3.5, the "Tiles-*" variant of
 // §6.3).
 //
-// Arrays whose element counts vary a lot (tweet hashtags, user mentions)
+// Arrays with several elements per document (tweet hashtags, user mentions)
 // materialize poorly with index paths: only leading elements frequent across
-// all documents can become columns. Following Deutsch et al. [19], such
-// arrays are extracted into a separate relation: each element becomes its own
-// document annotated with the parent row id, and queries join the side
-// relation back to the base table.
+// all documents can become columns. Following Deutsch et al. [19], an array
+// whose average element count and presence reach a threshold is extracted
+// into a separate relation: each element becomes its own document annotated
+// with the parent row id, and the scan answers CONTAINS on the array from it
+// (DESIGN.md §3 "CONTAINS routes").
 
 #ifndef JSONTILES_TILES_ARRAY_EXTRACT_H_
 #define JSONTILES_TILES_ARRAY_EXTRACT_H_

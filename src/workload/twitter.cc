@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "exec/operators.h"
-#include "tiles/keypath.h"
 #include "util/date.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -161,8 +160,6 @@ using exec::Access;
 using exec::AggSpec;
 using exec::And;
 using exec::ArrayContains;
-using exec::ConstString;
-using exec::Eq;
 using exec::ExprPtr;
 using exec::IsNotNull;
 using exec::QueryContext;
@@ -207,39 +204,11 @@ RowSet T2(const Relation& rel, QueryContext& ctx) {
   return q.Execute(ctx);
 }
 
-// Array-membership queries: JSONB traversal (T3/T4) or the Tiles-* rewrite
-// joining the extracted side relation (§3.5).
-RowSet ArrayQuery(const Relation& rel, QueryContext& ctx, bool use_side,
+// Array-membership queries: tweets whose array holds an element with the
+// needle under `element_key`, by language.
+RowSet ArrayQuery(const Relation& rel, QueryContext& ctx,
                   std::initializer_list<std::string_view> array_keys,
                   const char* element_key, const char* needle) {
-  std::string array_path;
-  for (std::string_view k : array_keys) {
-    tiles::AppendKeySegment(&array_path, k);
-  }
-  const Relation* side =
-      use_side ? rel.FindSideRelation(array_path) : nullptr;
-  if (side != nullptr) {
-    // Tiles-*: filter the side relation, deduplicate parent row ids (the
-    // predicate is per-tweet existence), then join the base table.
-    QueryBlock sb;
-    sb.AddTable(TableRef::Rel(
-        "e", side,
-        Eq(Access("e", {element_key}, ValueType::kString), ConstString(needle))));
-    sb.GroupBy({Access("e", {"_rowid"}, ValueType::kInt)});
-    sb.Aggregate(AggSpec::CountStar());
-    RowSet matches = sb.Execute(ctx);
-
-    QueryBlock q;
-    q.AddTable(TableRef::Rows("m", &matches, {"rowid", "hits"}));
-    q.AddTable(TableRef::Rel("t", &rel, TweetMarker("t")));
-    q.AddJoin(Access("m", {"rowid"}, ValueType::kInt), exec::RowId("t"));
-    q.GroupBy({Access("t", {"lang"}, ValueType::kString)});
-    q.Aggregate(AggSpec::CountStar());
-    q.Aggregate(AggSpec::Max(Access("t", {"retweet_count"}, ValueType::kInt)));
-    q.OrderBy(Slot(1), true);
-    q.OrderBy(Slot(0));
-    return q.Execute(ctx);
-  }
   QueryBlock q;
   q.AddTable(TableRef::Rel(
       "t", &rel,
@@ -251,20 +220,6 @@ RowSet ArrayQuery(const Relation& rel, QueryContext& ctx, bool use_side,
   q.OrderBy(Slot(1), true);
   q.OrderBy(Slot(0));
   return q.Execute(ctx);
-}
-
-// T3: tweets mentioning @ladygaga.
-RowSet T3(const Relation& rel, QueryContext& ctx,
-          bool use_side) {
-  return ArrayQuery(rel, ctx, use_side, {"entities", "user_mentions"},
-                    "screen_name", "ladygaga");
-}
-
-// T4: tweets with the #COVID hashtag.
-RowSet T4(const Relation& rel, QueryContext& ctx,
-          bool use_side) {
-  return ArrayQuery(rel, ctx, use_side, {"entities", "hashtags"}, "text",
-                    "COVID");
 }
 
 // T5: tweet volume and reach per client application.
@@ -283,12 +238,15 @@ RowSet T5(const Relation& rel, QueryContext& ctx) {
 }  // namespace
 
 exec::RowSet RunTwitterQuery(int number, const storage::Relation& rel,
-                             exec::QueryContext& ctx, bool use_array_extraction) {
+                             exec::QueryContext& ctx) {
   switch (number) {
     case 1: return T1(rel, ctx);
     case 2: return T2(rel, ctx);
-    case 3: return T3(rel, ctx, use_array_extraction);
-    case 4: return T4(rel, ctx, use_array_extraction);
+    case 3:  // mentions of @ladygaga
+      return ArrayQuery(rel, ctx, {"entities", "user_mentions"}, "screen_name",
+                        "ladygaga");
+    case 4:  // tweets tagged #COVID
+      return ArrayQuery(rel, ctx, {"entities", "hashtags"}, "text", "COVID");
     case 5: return T5(rel, ctx);
     default: JSONTILES_CHECK(false);
   }

@@ -1,6 +1,7 @@
 // Synthetic Twitter stream and the five queries of paper §6.3 (Table 3),
-// including the "Changing" schema-evolution variant (Table 4) and the
-// Tiles-* high-cardinality-array rewrites.
+// including the "Changing" schema-evolution variant (Table 4). Over a
+// relation loaded with array extraction (Tiles-*), the scan answers T3/T4's
+// CONTAINS from the extracted side relations.
 //
 // Replicates the structure the algorithms care about: tweet objects with a
 // mandatory nested user, optional reply/retweet/geo fields added over time
@@ -34,12 +35,9 @@ struct TwitterOptions {
 
 std::vector<std::string> GenerateTwitter(const TwitterOptions& options);
 
-/// The five Twitter queries. `use_array_extraction` switches Q3/Q4 to the
-/// Tiles-* plan that joins the extracted entity side relations (requires a
-/// relation loaded with LoadOptions::extract_arrays).
+/// The five Twitter queries.
 exec::RowSet RunTwitterQuery(int number, const storage::Relation& rel,
-                             exec::QueryContext& ctx,
-                             bool use_array_extraction = false);
+                             exec::QueryContext& ctx);
 const char* TwitterQueryName(int number);
 
 }  // namespace jsontiles::workload

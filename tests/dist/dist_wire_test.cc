@@ -261,7 +261,6 @@ TEST(DistWireTest, FragmentRoundTrip) {
   ASSERT_TRUE(DecodeFragment(buf, &out).ok());
   EXPECT_EQ(out.fragment_id, 3u);
   EXPECT_EQ(out.shard_index, 3u);
-  EXPECT_FALSE(out.is_side);
   EXPECT_FALSE(out.enable_tile_skipping);
   ASSERT_EQ(out.accesses.size(), 2u);
   EXPECT_TRUE(ExprEquals(*msg.accesses[1], *out.accesses[1]));
@@ -278,25 +277,11 @@ TEST(DistWireTest, FragmentRoundTrip) {
   ASSERT_NE(out.aggs[1].arg, nullptr);
   EXPECT_TRUE(ExprEquals(*msg.aggs[1].arg, *out.aggs[1].arg));
 
-  // The flags byte follows fragment id, epoch and shard index; only bits 1
-  // (side) and 2 (tile skipping) are defined.
+  // The flags byte follows fragment id, epoch and shard index; only bit 1
+  // (tile skipping) is defined.
   std::vector<uint8_t> bad_flags = buf;
-  bad_flags[12] = 4;
+  bad_flags[12] = 2;
   EXPECT_FALSE(DecodeFragment(bad_flags, &out).ok());
-
-  // Side-relation fragment.
-  FragmentMsg side;
-  side.fragment_id = 0;
-  side.shard_index = 1;
-  side.is_side = true;
-  side.side_path = "categories";
-  side.accesses = {Access("s", {"name"}, ValueType::kString)};
-  buf.clear();
-  EncodeFragment(side, &buf);
-  FragmentMsg side_out;
-  ASSERT_TRUE(DecodeFragment(buf, &side_out).ok());
-  EXPECT_TRUE(side_out.is_side);
-  EXPECT_EQ(side_out.side_path, "categories");
 }
 
 TEST(DistWireTest, RowBatchRoundTrip) {

@@ -1,0 +1,415 @@
+// CONTAINS route differential: over a tiles relation loaded with array
+// extraction, the scan answers CONTAINS from the side relations (the
+// Tiles-* route, §3.5); without extraction, from the documents. Both must
+// return exactly the rows of the JSONB reference — on a plain relation, on
+// 3 shards scanned locally and on 3 shards served by 2 worker processes, at
+// 1 and 4 threads, through QueryBlock and through SqlSession. The documents
+// hold every element shape the side relation's `value` wrapping and
+// `_rowid` annotation have to get right.
+
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "dist/cluster.h"
+#include "exec/scan.h"
+#include "opt/query.h"
+#include "sql/sql_session.h"
+#include "storage/loader.h"
+#include "storage/shard.h"
+#include "tiles/keypath.h"
+
+#ifndef JSONTILES_WORKERD_PATH
+#error "dist tests require the JSONTILES_WORKERD_PATH compile definition"
+#endif
+
+namespace jsontiles::exec {
+namespace {
+
+using opt::QueryBlock;
+using opt::TableRef;
+using storage::LoadOptions;
+using storage::Loader;
+using storage::Relation;
+using storage::ShardedRelation;
+using storage::ShardOptions;
+using storage::StorageMode;
+
+constexpr int kDocs = 3000;
+// Only these rows carry the "rare" needle: its bitmap skips whole tiles.
+constexpr int kRareBegin = 1500;
+constexpr int kRareEnd = 1510;
+
+// The `tags` array of document i: objects, scalars, nested values,
+// duplicates, `value` and `_rowid` members, a non-array and a missing path.
+std::string Tags(int i) {
+  if (i >= kRareBegin && i < kRareEnd) return R"([{"t":"rare"},{"t":"cold"}])";
+  switch (i % 16) {
+    case 0: return R"([{"t":"hot"},{"t":"cold"}])";
+    case 1: return R"([{"t":"hot"},{"t":"hot"}])";
+    case 2: return R"([{"t":5},{"t":"5"},{"t":true},{"t":null}])";
+    case 3: return R"([{"t":{"x":"hot"}},{"t":["hot"]},["hot"],"hot",5,null])";
+    // An object under `value` looks like a wrapped element on the side.
+    case 4: return R"([{"value":"hot"},{"value":{"t":"hot"}}])";
+    // A `_rowid` member makes the side relation wrap the whole element.
+    case 5: return R"([{"_rowid":7,"t":"hot"}])";
+    case 6: return R"([{"_rowid":"x","t":"cold"},{"u":"hot"}])";
+    case 7: return R"("hot")";
+    case 8: return R"({"t":"hot"})";
+    case 9: return "";
+    case 10: return "[]";
+    case 11: return R"(["hot","5",5,"cold",{"":"hot"}])";
+    case 12: return R"([{"t":"cold","value":"hot"},{"t":"warm"}])";
+    default: return R"([{"t":"warm"},{"t":"cold"},{"t":"mild"}])";
+  }
+}
+
+std::vector<std::string> Docs() {
+  std::vector<std::string> docs;
+  for (int i = 0; i < kDocs; i++) {
+    std::string doc = R"({"id":)" + std::to_string(i) + R"(,"grp":)" +
+                      std::to_string(i % 7);
+    const std::string tags = Tags(i);
+    if (!tags.empty()) doc += R"(,"tags":)" + tags;
+    doc += R"(,"e":{"list":[{"k":"v)" + std::to_string(i % 5) +
+           R"("},{"k":"w"}]}})";
+    docs.push_back(std::move(doc));
+  }
+  return docs;
+}
+
+tiles::TileConfig SmallTiles() {
+  tiles::TileConfig config;
+  config.tile_size = 128;
+  return config;
+}
+
+LoadOptions ExtractArrays() {
+  LoadOptions options;
+  options.extract_arrays = true;
+  options.array_min_avg_elements = 1.0;
+  options.array_min_presence = 0.1;
+  return options;
+}
+
+// One CONTAINS: array path keys, member key, needle.
+struct Probe {
+  std::vector<std::string> keys;
+  std::string member;
+  std::string needle;
+};
+
+const std::vector<Probe>& Probes() {
+  static const std::vector<Probe> probes = {
+      {{"tags"}, "t", "hot"},   {{"tags"}, "t", "5"},
+      {{"tags"}, "t", "cold"},  {{"tags"}, "t", "rare"},
+      {{"tags"}, "t", "none"},  {{"tags"}, "u", "hot"},
+      {{"tags"}, "", "hot"},    {{"tags"}, "", "5"},
+      {{"tags"}, "value", "hot"}, {{"tags"}, "_rowid", "x"},
+      {{"e", "list"}, "k", "v3"},
+  };
+  return probes;
+}
+
+ExprPtr Contains(const std::string& alias, const Probe& p) {
+  auto e = std::make_shared<Expr>(*ArrayContains(alias, {}, p.member, p.needle));
+  for (const std::string& k : p.keys) tiles::AppendKeySegment(&e->path, k);
+  return e;
+}
+
+std::string SqlContains(const Probe& p) {
+  std::string chain = "d";
+  for (const std::string& k : p.keys) chain += "->'" + k + "'";
+  return "CONTAINS(" + chain + ", '" + p.member + "', '" + p.needle + "')";
+}
+
+// Rows as sorted text lines: the comparison ignores row order.
+std::string Canonical(const RowSet& rows) {
+  std::vector<std::string> lines;
+  for (const auto& row : rows) {
+    std::string line;
+    for (const auto& v : row) line += (v.is_null() ? "∅" : v.ToString()) + "|";
+    lines.push_back(std::move(line));
+  }
+  std::sort(lines.begin(), lines.end());
+  std::string out;
+  for (const std::string& l : lines) out += l + "\n";
+  return out;
+}
+
+// The QueryBlock forms of one probe: filter, NOT, OR, a conjunction, and
+// CONTAINS projected.
+std::vector<std::string> RunBlocks(const TableRef& source, const Probe& p,
+                                   QueryContext& ctx) {
+  auto id = [] { return Access("d", {"id"}, ValueType::kInt); };
+  const ExprPtr filters[] = {
+      Contains("d", p),
+      Unary(UnOp::kNot, Contains("d", p)),
+      Binary(BinOp::kOr, Contains("d", p), Lt(id(), ConstInt(20))),
+      And(Contains("d", p), Eq(Access("d", {"grp"}, ValueType::kInt),
+                               ConstInt(3)))};
+  std::vector<std::string> out;
+  for (const ExprPtr& filter : filters) {
+    TableRef t = source;
+    t.filter = filter;
+    QueryBlock q;
+    q.AddTable(t);
+    q.Select({id()});
+    out.push_back(Canonical(q.Execute(ctx)));
+  }
+  QueryBlock q;
+  q.AddTable(source);
+  q.Select({id(), Contains("d", p)});
+  out.push_back(Canonical(q.Execute(ctx)));
+  return out;
+}
+
+std::vector<std::string> RunSql(const sql::SqlCatalog& catalog,
+                                const Probe& p, size_t threads) {
+  const std::string c = SqlContains(p);
+  const std::string statements[] = {
+      "SELECT d->>'id'::BigInt FROM docs d WHERE " + c,
+      "SELECT d->>'id'::BigInt FROM docs d WHERE NOT " + c,
+      "SELECT d->>'id'::BigInt FROM docs d WHERE " + c +
+          " OR d->>'id'::BigInt < 20",
+      "SELECT d->>'grp'::BigInt, COUNT(*) FROM docs d WHERE " + c +
+          " GROUP BY d->>'grp'::BigInt",
+      "SELECT d->>'id'::BigInt, " + c + " FROM docs d"};
+  ExecOptions options;
+  options.num_threads = threads;
+  sql::SqlSession session(&catalog, nullptr, options);
+  std::vector<std::string> out;
+  for (const std::string& statement : statements) {
+    auto r = session.Execute(statement);
+    EXPECT_TRUE(r.ok()) << statement << ": " << r.status().ToString();
+    out.push_back(r.ok() ? Canonical(r.ValueOrDie().rows) : "error");
+  }
+  return out;
+}
+
+std::string Describe(const Probe& p) {
+  std::string path;
+  for (const std::string& k : p.keys) path += "/" + k;
+  return path + " member='" + p.member + "' needle='" + p.needle + "'";
+}
+
+class ContainsRouteTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    const std::vector<std::string> docs = Docs();
+    jsonb_ = Loader(StorageMode::kJsonb, SmallTiles())
+                 .Load(docs, "docs")
+                 .MoveValueOrDie()
+                 .release();
+    doc_route_ = Loader(StorageMode::kTiles, SmallTiles())
+                     .Load(docs, "docs")
+                     .MoveValueOrDie()
+                     .release();
+    side_route_ = Loader(StorageMode::kTiles, SmallTiles(), ExtractArrays())
+                      .Load(docs, "docs")
+                      .MoveValueOrDie()
+                      .release();
+    ShardOptions shard_options;
+    shard_options.shard_count = 3;
+    sharded_ = ShardedRelation::Load(docs, "docs", StorageMode::kTiles,
+                                     SmallTiles(), ExtractArrays(),
+                                     shard_options)
+                   .MoveValueOrDie()
+                   .release();
+  }
+  static void TearDownTestSuite() {
+    delete jsonb_;
+    delete doc_route_;
+    delete side_route_;
+    delete sharded_;
+  }
+
+  static Relation* jsonb_;
+  static Relation* doc_route_;
+  static Relation* side_route_;
+  static ShardedRelation* sharded_;
+};
+
+Relation* ContainsRouteTest::jsonb_ = nullptr;
+Relation* ContainsRouteTest::doc_route_ = nullptr;
+Relation* ContainsRouteTest::side_route_ = nullptr;
+ShardedRelation* ContainsRouteTest::sharded_ = nullptr;
+
+TEST_F(ContainsRouteTest, SideRelationsExist) {
+  for (const auto& keys : {std::vector<std::string>{"tags"},
+                           std::vector<std::string>{"e", "list"}}) {
+    std::string path;
+    for (const std::string& k : keys) tiles::AppendKeySegment(&path, k);
+    EXPECT_NE(side_route_->FindSideRelation(path), nullptr) << path;
+    EXPECT_EQ(doc_route_->FindSideRelation(path), nullptr) << path;
+    for (size_t s = 0; s < sharded_->shard_count(); s++) {
+      EXPECT_NE(sharded_->shard(s).FindSideRelation(path), nullptr) << path;
+    }
+  }
+}
+
+TEST_F(ContainsRouteTest, QueryBlockRoutesAgree) {
+  for (const Probe& p : Probes()) {
+    QueryContext ref_ctx;
+    const auto expected = RunBlocks(TableRef::Rel("d", jsonb_), p, ref_ctx);
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      ExecOptions options;
+      options.num_threads = threads;
+      for (const Relation* rel : {doc_route_, side_route_}) {
+        QueryContext ctx(options);
+        EXPECT_EQ(RunBlocks(TableRef::Rel("d", rel), p, ctx), expected)
+            << Describe(p) << " threads=" << threads
+            << (rel == side_route_ ? " side" : " doc");
+      }
+      QueryContext ctx(options);
+      EXPECT_EQ(RunBlocks(TableRef::Sharded("d", sharded_), p, ctx), expected)
+          << Describe(p) << " threads=" << threads << " sharded";
+    }
+  }
+}
+
+TEST_F(ContainsRouteTest, SqlRoutesAgree) {
+  sql::SqlCatalog reference, doc, side, sharded;
+  reference.tables["docs"] = jsonb_;
+  doc.tables["docs"] = doc_route_;
+  side.tables["docs"] = side_route_;
+  sharded.sharded_tables["docs"] = sharded_;
+  for (const Probe& p : Probes()) {
+    const auto expected = RunSql(reference, p, 1);
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      for (const sql::SqlCatalog* catalog : {&doc, &side, &sharded}) {
+        EXPECT_EQ(RunSql(*catalog, p, threads), expected)
+            << Describe(p) << " threads=" << threads;
+      }
+    }
+  }
+}
+
+// The bitmap of a filter CONTAINS is the part's row subset: tiles without a
+// match are dropped unread and counted as skipped, and EXPLAIN ANALYZE
+// reports the side rows read.
+TEST_F(ContainsRouteTest, BitmapSkipsTilesAndShowsSideRows) {
+  const Probe rare{{"tags"}, "t", "rare"};
+  QueryContext side_ctx, doc_ctx;
+  RunBlocks(TableRef::Rel("d", side_route_), rare, side_ctx);
+  RunBlocks(TableRef::Rel("d", doc_route_), rare, doc_ctx);
+  EXPECT_GT(side_ctx.tiles_skipped, doc_ctx.tiles_skipped);
+  EXPECT_LT(side_ctx.tiles_scanned, doc_ctx.tiles_scanned);
+
+  // Every side row of the scanned parts is read once.
+  std::string tags;
+  tiles::AppendKeySegment(&tags, "tags");
+  size_t sharded_side_rows = 0;
+  for (size_t s = 0; s < sharded_->shard_count(); s++) {
+    sharded_side_rows += sharded_->shard(s).FindSideRelation(tags)->num_rows();
+  }
+  sql::SqlCatalog side, doc, sharded;
+  side.tables["docs"] = side_route_;
+  doc.tables["docs"] = doc_route_;
+  sharded.sharded_tables["docs"] = sharded_;
+  auto plan = [](const sql::SqlCatalog& catalog,
+                 const std::string& member = "t") {
+    sql::SqlSession session(&catalog, nullptr);
+    auto r = session.Execute(
+        "EXPLAIN ANALYZE SELECT COUNT(*) FROM docs d WHERE "
+        "CONTAINS(d->'tags', '" + member + "', 'rare')");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    std::string text;
+    if (!r.ok()) return text;
+    for (const auto& row : r.ValueOrDie().rows) {
+      text += std::string(row[0].string_value()) + "\n";
+    }
+    return text;
+  };
+  auto side_rows = [](size_t n) { return "side_rows=" + std::to_string(n); };
+  const std::string side_plan = plan(side);
+  EXPECT_NE(side_plan.find(side_rows(side_route_->FindSideRelation(tags)
+                                         ->num_rows())),
+            std::string::npos)
+      << side_plan;
+  const std::string sharded_plan = plan(sharded);
+  EXPECT_NE(sharded_plan.find(side_rows(sharded_side_rows)), std::string::npos)
+      << sharded_plan;
+  const std::string doc_plan = plan(doc);
+  EXPECT_EQ(doc_plan.find("side_rows"), std::string::npos) << doc_plan;
+  // Member keys the side documents' `value` wrapping makes ambiguous keep
+  // the document route.
+  for (const char* member : {"", "value", "_rowid"}) {
+    EXPECT_EQ(plan(side, member).find("side_rows"), std::string::npos)
+        << "member '" << member << "'";
+  }
+}
+
+// A shard scanned as a plain relation (row-id base 0) holds side `_rowid`s
+// outside its rows: the documents answer instead.
+TEST_F(ContainsRouteTest, ForeignRowIdsFallBackToDocuments) {
+  const Probe hot{{"tags"}, "t", "hot"};
+  const Relation& last = sharded_->shard(sharded_->shard_count() - 1);
+  ASSERT_GT(last.num_rows(), 0u);
+  ScanSpec spec;
+  spec.relation = &last;
+  spec.accesses = {Contains("d", hot)};
+  QueryContext ctx;
+  RowSet rows = ScanExec(spec, ctx);
+  ASSERT_TRUE(ctx.ConsumeStatus().ok());
+  ASSERT_EQ(rows.size(), last.num_rows());
+  size_t hits = 0;
+  for (size_t r = 0; r < rows.size(); r++) {
+    if (rows[r][0].bool_value()) hits++;
+  }
+  EXPECT_GT(hits, 0u);
+}
+
+// Workers answer CONTAINS on their own shard, from its side relation.
+TEST_F(ContainsRouteTest, DistWorkersAgree) {
+  const std::string dir =
+      ::testing::TempDir() + "containsroute_" + std::to_string(::getpid());
+  ::mkdir(dir.c_str(), 0755);
+  ASSERT_TRUE(storage::SaveSharded(*sharded_, dir).ok());
+  const std::string manifest = storage::ShardManifestPath(dir, "docs");
+  auto opened = storage::OpenSharded(manifest).MoveValueOrDie();
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    dist::ClusterOptions cluster_options;
+    cluster_options.num_workers = 2;
+    cluster_options.worker_threads = threads;
+    cluster_options.workerd_path = JSONTILES_WORKERD_PATH;
+    auto started =
+        dist::Cluster::Start(manifest, opened.get(), cluster_options);
+    ASSERT_TRUE(started.ok()) << started.status().ToString();
+    auto cluster = started.MoveValueOrDie();
+    sql::SqlCatalog reference, served;
+    reference.tables["docs"] = jsonb_;
+    served.sharded_tables["docs"] = opened.get();
+    served.dist = cluster.get();
+    ExecOptions options;
+    options.num_threads = threads;
+    for (const Probe& p : Probes()) {
+      QueryContext ref_ctx;
+      QueryContext ctx(options);
+      ctx.dist = cluster.get();
+      EXPECT_EQ(RunBlocks(TableRef::Sharded("d", opened.get()), p, ctx),
+                RunBlocks(TableRef::Rel("d", jsonb_), p, ref_ctx))
+          << Describe(p) << " threads=" << threads;
+      EXPECT_EQ(RunSql(served, p, threads), RunSql(reference, p, 1))
+          << Describe(p) << " threads=" << threads;
+    }
+  }
+
+  opened.reset();
+  for (size_t s = 0; s < sharded_->shard_count(); s++) {
+    std::remove((dir + "/docs.shard-" + std::to_string(s) + ".jtrl").c_str());
+  }
+  std::remove(manifest.c_str());
+  ::rmdir(dir.c_str());
+}
+
+}  // namespace
+}  // namespace jsontiles::exec

@@ -252,7 +252,7 @@ TEST(ShardScanTest, GlobalRowIdsAreUniqueAcrossShards) {
   }
 }
 
-TEST(ShardScanTest, SideRelationJoinMatchesUnsharded) {
+TEST(ShardScanTest, SideRouteContainsMatchesUnsharded) {
   std::vector<std::string> docs;
   for (int i = 0; i < 600; i++) {
     std::string tags = i % 3 == 0 ? R"([{"t":"hot"},{"t":"new"}])"
@@ -264,47 +264,25 @@ TEST(ShardScanTest, SideRelationJoinMatchesUnsharded) {
   load_options.extract_arrays = true;
   load_options.array_min_avg_elements = 1.0;
   load_options.array_min_presence = 0.3;
-  std::string tags_path = Path({"tags"});
 
-  auto run = [&](const Relation* base_rel, const Relation* side_rel,
-                 const ShardedRelation* sharded) {
+  // Docs with a "hot" tag per group, and their largest id: each shard's
+  // side relation marks its own rows under global row ids.
+  auto run = [&](TableRef table) {
     QueryContext ctx;
-    // Stage 1: parent rowids of docs with a "hot" tag.
-    QueryBlock sb;
-    if (sharded != nullptr) {
-      sb.AddTable(TableRef::ShardedSide(
-          "e", sharded, tags_path,
-          exec::Eq(exec::Access("e", {"t"}, ValueType::kString),
-                   exec::ConstString("hot"))));
-    } else {
-      sb.AddTable(TableRef::Rel(
-          "e", side_rel,
-          exec::Eq(exec::Access("e", {"t"}, ValueType::kString),
-                   exec::ConstString("hot"))));
-    }
-    sb.GroupBy({exec::Access("e", {"_rowid"}, ValueType::kInt)});
-    sb.Aggregate(AggSpec::CountStar());
-    RowSet matches = sb.Execute(ctx);
-    // Stage 2: join back to the base on the global rowid, group by grp.
     QueryBlock q;
-    q.AddTable(TableRef::Rows("m", &matches, {"rowid", "hits"}));
-    if (sharded != nullptr) {
-      q.AddTable(TableRef::Sharded("t", sharded));
-    } else {
-      q.AddTable(TableRef::Rel("t", base_rel));
-    }
-    q.AddJoin(exec::Access("m", {"rowid"}, ValueType::kInt), exec::RowId("t"));
+    q.AddTable(std::move(table));
     q.GroupBy({exec::Access("t", {"grp"}, ValueType::kInt)});
     q.Aggregate(AggSpec::CountStar());
+    q.Aggregate(AggSpec::Max(exec::Access("t", {"id"}, ValueType::kInt)));
     q.OrderBy(Slot(0));
     return Canonical(q.Execute(ctx));
   };
+  auto hot = [] { return exec::ArrayContains("t", {"tags"}, "t", "hot"); };
 
   Loader loader(StorageMode::kTiles, {}, load_options);
   auto plain = loader.Load(docs, "base").MoveValueOrDie();
-  const Relation* side = plain->FindSideRelation(tags_path);
-  ASSERT_NE(side, nullptr);
-  std::string expected = run(plain.get(), side, nullptr);
+  ASSERT_NE(plain->FindSideRelation(Path({"tags"})), nullptr);
+  std::string expected = run(TableRef::Rel("t", plain.get(), hot()));
   ASSERT_FALSE(expected.empty());
 
   for (size_t shards : {size_t{2}, size_t{3}}) {
@@ -313,8 +291,7 @@ TEST(ShardScanTest, SideRelationJoinMatchesUnsharded) {
     auto sharded = ShardedRelation::Load(docs, "base", StorageMode::kTiles, {},
                                          load_options, shard_options)
                        .MoveValueOrDie();
-    ASSERT_TRUE(sharded->HasSideRelation(tags_path));
-    EXPECT_EQ(run(nullptr, nullptr, sharded.get()), expected)
+    EXPECT_EQ(run(TableRef::Sharded("t", sharded.get(), hot())), expected)
         << "shards=" << shards;
   }
 }

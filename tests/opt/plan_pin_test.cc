@@ -643,7 +643,7 @@ Tiles rare: order=a,c rows=1.9999999999999998,399.99999999999994 cost=1.99999999
 sharded4 strings+numerics+dates: order=c,o,k rows=102,692.6262857142857,400 cost=5994.6813363561014
 sharded4 contains: order=o,c rows=4,200 cost=27.390430160890887
 sharded4 rare: order=a,c rows=4,400 cost=54.780860321781773
-sharded4 side: order=e,o rows=1804.671875,3155.075301587302 cost=3155.075301587302
+sharded4 contains join: order=e,o rows=4,3155.075301587302 cost=15.997421018697615
 )";
 
 TEST_F(PlanPinTest, SqlExplainText) {
@@ -718,20 +718,18 @@ TEST_F(PlanPinTest, QueryBlockEstimates) {
       q.Aggregate(exec::AggSpec::CountStar());
       actual += Pin(config.name + " rare", q);
     }
-    // The array side relation of the sharded load, joined to its parents.
+    // CONTAINS over the sharded load, whose shards answer it from their
+    // array side relations, joined back to the shop by row id.
     if (config.sharded_shop != nullptr) {
-      const std::string tags = Access("e", {"tags"}, ValueType::kString)->path;
       QueryBlock q;
-      q.AddTable(TableRef::ShardedSide(
-          "e", config.sharded_shop, tags,
-          exec::Eq(Access("e", {"t"}, ValueType::kString),
-                   ConstString("new"))));
+      q.AddTable(
+          Shop(config, "e", exec::ArrayContains("e", {"tags"}, "t", "new")));
       q.AddTable(Shop(config, "o",
                       exec::Lt(Access("o", {"o_total"}, ValueType::kFloat),
                                ConstFloat(250.0))));
-      q.AddJoin(Access("e", {"_rowid"}, ValueType::kInt), exec::RowId("o"));
+      q.AddJoin(exec::RowId("e"), exec::RowId("o"));
       q.Aggregate(exec::AggSpec::CountStar());
-      actual += Pin(config.name + " side", q);
+      actual += Pin(config.name + " contains join", q);
     }
   }
   EXPECT_EQ(actual, kExpectedBlockPlans);

@@ -135,10 +135,10 @@ TEST(SerializeTest, SideRelationsIncluded) {
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back.ValueOrDie()->side_relations().size(),
             rel->side_relations().size());
-  // The side query path still works on the restored relation.
+  // The side route still answers T4 on the restored relation.
   QueryContext ctx1, ctx2;
-  auto a = workload::RunTwitterQuery(4, *rel, ctx1, true);
-  auto b = workload::RunTwitterQuery(4, *back.ValueOrDie(), ctx2, true);
+  auto a = workload::RunTwitterQuery(4, *rel, ctx1);
+  auto b = workload::RunTwitterQuery(4, *back.ValueOrDie(), ctx2);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); i++) {
     EXPECT_EQ(a[i][1].int_value(), b[i][1].int_value());

@@ -263,14 +263,12 @@ TEST(ShardTest, SidePartsCarryGlobalRowIdBases) {
                                        load_options, options)
                      .MoveValueOrDie();
   std::string tags_path = Path({"tags"});
-  ASSERT_TRUE(sharded->HasSideRelation(tags_path));
-  auto parts = sharded->SideParts(tags_path);
-  ASSERT_EQ(parts.size(), 3u);
-  for (size_t p = 0; p < parts.size(); p++) {
-    EXPECT_EQ(parts[p].rowid_base, ShardedRelation::RowIdBase(p));
+  for (size_t p = 0; p < sharded->shard_count(); p++) {
     // The side relation's _rowid values are already global (offset by the
     // shard's base at load time).
-    const Relation& side = *parts[p].relation;
+    const Relation* side_rel = sharded->shard(p).FindSideRelation(tags_path);
+    ASSERT_NE(side_rel, nullptr);
+    const Relation& side = *side_rel;
     ASSERT_GT(side.num_rows(), 0u);
     int64_t rowid = side.Jsonb(0).FindKey("_rowid")->GetInt();
     if (p > 0) {

@@ -239,8 +239,6 @@ TEST(ByteReaderFuzzTest, WireMessageLengthFields) {
                                      AggSpec::CountDistinct(Slot(1))};
   FragmentMsg agg;
   agg.fragment_id = 4;
-  agg.is_side = true;
-  agg.side_path = "entities.hashtags";
   agg.accesses = {Access("s", {"text"}, ValueType::kString)};
   agg.group_by = group_by;
   agg.aggs = aggs;
