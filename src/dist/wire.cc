@@ -292,7 +292,7 @@ void EncodeValue(const exec::Value& v, ByteWriter* w) {
     case exec::ValueType::kNull:
       return;
     case exec::ValueType::kString:
-      w->Str(v.s);
+      w->Str(v.s());
       return;
     case exec::ValueType::kFloat:
       w->F64(v.d);
@@ -316,7 +316,7 @@ bool DecodeValue(ByteReader* r, Arena* arena, exec::Value* v) {
     case exec::ValueType::kString: {
       std::string_view s;
       if (!r->StrView(&s)) return false;
-      v->s = arena->CopyString(s);
+      v->set_s(arena->CopyString(s));
       return true;
     }
     case exec::ValueType::kFloat:
@@ -399,8 +399,8 @@ Status DecodeExpr(ByteReader* r, size_t depth, exec::ExprPtr* out) {
       exec::Value v;
       WIRE_READ(DecodeValue(r, &scratch, &v));
       if (v.type == ValueType::kString) {
-        e->const_storage.assign(v.s);
-        v.s = e->const_storage;
+        e->const_storage.assign(v.s());
+        v.set_s(e->const_storage);
       }
       e->constant = v;
       break;
@@ -475,8 +475,8 @@ Status DecodeExpr(ByteReader* r, size_t depth, exec::ExprPtr* out) {
       e->in_storage.reserve(num_strings);
       for (exec::Value& v : raw) {
         if (v.type == ValueType::kString) {
-          e->in_storage.emplace_back(v.s);
-          v.s = e->in_storage.back();
+          e->in_storage.emplace_back(v.s());
+          v.set_s(e->in_storage.back());
         }
         e->in_list.push_back(v);
       }
@@ -622,8 +622,8 @@ Status DecodeFragment(const std::vector<uint8_t>& payload, FragmentMsg* msg) {
     WIRE_READ(DecodeValue(&r, &scratch, &rp.constant));
     if (rp.constant.type == ValueType::kString) {
       // Anchor the constant in the fragment's pool (deque: stable refs).
-      msg->string_pool.emplace_back(rp.constant.s);
-      rp.constant.s = msg->string_pool.back();
+      msg->string_pool.emplace_back(rp.constant.s());
+      rp.constant.set_s(msg->string_pool.back());
     }
     msg->range_predicates.push_back(std::move(rp));
   }

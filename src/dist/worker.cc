@@ -46,7 +46,7 @@ size_t EstimatedRowBytes(exec::RowView row) {
   size_t bytes = 4;
   for (const exec::Value& v : row) {
     bytes += 12;
-    if (v.type == exec::ValueType::kString) bytes += v.s.size();
+    if (v.type == exec::ValueType::kString) bytes += v.s().size();
   }
   return bytes;
 }

@@ -25,7 +25,7 @@ int DeterministicValueOrder(const Value& a, const Value& b) {
       return ba < bb ? -1 : ba > bb ? 1 : 0;
     }
     case ValueType::kString: {
-      int c = a.s.compare(b.s);
+      int c = a.s().compare(b.s());
       return c < 0 ? -1 : c > 0 ? 1 : 0;
     }
     case ValueType::kNumeric:
@@ -203,7 +203,9 @@ uint32_t GroupTable::FindOrInsert(uint64_t hash, const Value* keys,
   head = g;
   size_t key_string_bytes = 0;
   for (size_t i = 0; i < num_keys_; i++) {
-    if (keys[i].type == ValueType::kString) key_string_bytes += keys[i].s.size();
+    if (keys[i].type == ValueType::kString) {
+      key_string_bytes += keys[i].s().size();
+    }
   }
   charged_bytes_ += GroupCharge(num_keys_, num_aggs(), key_string_bytes);
   return g;

@@ -29,13 +29,13 @@ namespace jsontiles::exec {
 
 /// Estimated hash-table cost per row beyond its Values: bucket entry, per-row
 /// key vector header, map node slack. Used for memory-budget charges; the
-/// flat join and group tables need less but are charged the same, so spill
-/// decisions stay where they were.
+/// flat join and group tables need less but are charged the same, so the
+/// charge stays an upper bound.
 inline constexpr size_t kPerRowTableOverhead = 64;
 
 /// Budget charge per created group, fixed at what the former node-based group
-/// table cost so spill decisions do not move: a 48-byte group header, 184
-/// bytes per accumulator, one Value per key, the key strings' bytes and
+/// table cost (with keys at the current Value size): a 48-byte group header,
+/// 184 bytes per accumulator, one Value per key, the key strings' bytes and
 /// kPerRowTableOverhead (see GroupCharge).
 inline constexpr size_t kGroupHeaderCharge = 48;
 inline constexpr size_t kAccumulatorCharge = 184;

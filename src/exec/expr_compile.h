@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "exec/expression.h"
+#include "exec/row_set.h"
 #include "exec/vector_batch.h"
 
 namespace jsontiles::exec {
@@ -112,7 +113,8 @@ class CompiledExpr {
 /// evaluated by selection-vector intersection: each compiled conjunct
 /// shrinks the selection before the next one runs (short-circuit across the
 /// batch). Conjuncts that fail to compile are kept as interpreter residuals,
-/// which the caller checks per surviving row with ResidualsHold.
+/// which the caller checks per surviving row with ResidualsHold or
+/// CompactResiduals.
 class CompiledPredicate {
  public:
   struct Conjunct {
@@ -137,6 +139,17 @@ class CompiledPredicate {
       if (v.is_null() || !v.bool_value()) return false;
     }
     return true;
+  }
+
+  /// Drop the rows of `rows` from `begin` on that a residual rejects: the
+  /// kept rows move up in place (CopyRow) and `rows` shrinks to them.
+  void CompactResiduals(RowSet* rows, size_t begin, Arena* arena) const {
+    if (residuals_.empty()) return;
+    size_t kept = begin;
+    for (size_t r = begin; r < rows->size(); r++) {
+      if (ResidualsHold((*rows)[r].data(), arena)) rows->CopyRow(kept++, r);
+    }
+    rows->resize(kept);
   }
 
  private:

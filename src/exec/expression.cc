@@ -267,8 +267,9 @@ Value CastValue(const Value& v, ValueType to, Arena* arena) {
         case ValueType::kNumeric: return Value::Int(v.numeric_value().ToInt64());
         case ValueType::kString: {
           int64_t out = 0;
-          auto [p, ec] = std::from_chars(v.s.data(), v.s.data() + v.s.size(), out);
-          if (ec != std::errc() || p != v.s.data() + v.s.size()) return Value::Null();
+          const std::string_view s = v.s();
+          auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+          if (ec != std::errc() || p != s.data() + s.size()) return Value::Null();
           return Value::Int(out);
         }
         case ValueType::kTimestamp: return Value::Int(v.i);
@@ -281,8 +282,9 @@ Value CastValue(const Value& v, ValueType to, Arena* arena) {
         case ValueType::kNumeric: return Value::Float(v.numeric_value().ToDouble());
         case ValueType::kString: {
           double out = 0;
-          auto [p, ec] = std::from_chars(v.s.data(), v.s.data() + v.s.size(), out);
-          if (ec != std::errc() || p != v.s.data() + v.s.size()) return Value::Null();
+          const std::string_view s = v.s();
+          auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+          if (ec != std::errc() || p != s.data() + s.size()) return Value::Null();
           return Value::Float(out);
         }
         default: return Value::Null();
@@ -292,7 +294,7 @@ Value CastValue(const Value& v, ValueType to, Arena* arena) {
         case ValueType::kInt: return Value::Num(Numeric{v.i, 0});
         case ValueType::kString: {
           Numeric n;
-          if (!ParseNumeric(v.s, &n)) return Value::Null();
+          if (!ParseNumeric(v.s(), &n)) return Value::Null();
           return Value::Num(n);
         }
         case ValueType::kFloat: {
@@ -307,7 +309,7 @@ Value CastValue(const Value& v, ValueType to, Arena* arena) {
       switch (v.type) {
         case ValueType::kString: {
           Timestamp ts;
-          if (!ParseTimestamp(v.s, &ts)) return Value::Null();
+          if (!ParseTimestamp(v.s(), &ts)) return Value::Null();
           return Value::Ts(ts);
         }
         case ValueType::kInt: return Value::Ts(v.i);
@@ -321,8 +323,8 @@ Value CastValue(const Value& v, ValueType to, Arena* arena) {
       switch (v.type) {
         case ValueType::kInt: return Value::Bool(v.i != 0);
         case ValueType::kString:
-          if (v.s == "true" || v.s == "t") return Value::Bool(true);
-          if (v.s == "false" || v.s == "f") return Value::Bool(false);
+          if (v.s() == "true" || v.s() == "t") return Value::Bool(true);
+          if (v.s() == "false" || v.s() == "f") return Value::Bool(false);
           return Value::Null();
         default: return Value::Null();
       }
@@ -379,7 +381,7 @@ Value EvalComparison(BinOp op, const Value& l, const Value& r) {
     double b = r.AsDouble();
     cmp = a < b ? -1 : a > b ? 1 : 0;
   } else if (l.type == ValueType::kString && r.type == ValueType::kString) {
-    int c = l.s.compare(r.s);
+    int c = l.s().compare(r.s());
     cmp = c < 0 ? -1 : c > 0 ? 1 : 0;
   } else if (l.type == r.type) {
     cmp = l.i < r.i ? -1 : l.i > r.i ? 1 : 0;
@@ -464,7 +466,7 @@ Value EvalExpr(const Expr& e, const Value* slots, Arena* arena) {
       // Hand-built Expr trees may bypass the Like() factory; fall back to the
       // generic matcher then.
       bool match =
-          e.like != nullptr ? e.like->Match(v.s) : LikeMatch(v.s, e.pattern);
+          e.like != nullptr ? e.like->Match(v.s()) : LikeMatch(v.s(), e.pattern);
       return Value::Bool(e.negated ? !match : match);
     }
     case ExprKind::kIn: {
@@ -490,9 +492,10 @@ Value EvalExpr(const Expr& e, const Value* slots, Arena* arena) {
       Value v = EvalExpr(*e.args[0], slots, arena);
       if (v.is_null() || v.type != ValueType::kString) return Value::Null();
       size_t start = e.substr_start > 0 ? static_cast<size_t>(e.substr_start - 1) : 0;
-      if (start >= v.s.size()) return Value::String({});
-      size_t len = std::min(static_cast<size_t>(e.substr_len), v.s.size() - start);
-      return Value::String(v.s.substr(start, len));
+      const std::string_view s = v.s();
+      if (start >= s.size()) return Value::String({});
+      size_t len = std::min(static_cast<size_t>(e.substr_len), s.size() - start);
+      return Value::String(s.substr(start, len));
     }
     case ExprKind::kExtractYear: {
       Value v = EvalExpr(*e.args[0], slots, arena);
@@ -524,7 +527,7 @@ bool ExprEquals(const Expr& a, const Expr& b) {
       if (a.constant.type != b.constant.type) return false;
       if (a.constant.is_null()) return true;
       if (a.constant.type == ValueType::kString) {
-        return a.constant.s == b.constant.s;
+        return a.constant.s() == b.constant.s();
       }
       if (a.constant.type == ValueType::kFloat) {
         return a.constant.d == b.constant.d;

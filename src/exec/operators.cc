@@ -157,7 +157,9 @@ Status GraceSpill(const GraceOp& op, std::vector<SpillFile> files,
       // into the query arena.
       for (RowRef row : local) {
         for (Value& v : row) {
-          if (v.type == ValueType::kString) v.s = ctx.arena(0)->CopyString(v.s);
+          if (v.type == ValueType::kString) {
+            v.set_s(ctx.arena(0)->CopyString(v.s()));
+          }
         }
       }
       out->Append(local);
@@ -520,7 +522,7 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
       for (size_t i = 0; i < n * nk; i++) {
         const Value& v = batch_keys[i];
         row_has_null[base + i / nk] |= static_cast<uint8_t>(v.is_null());
-        if (v.type == ValueType::kString) batch_bytes += v.s.size();
+        if (v.type == ValueType::kString) batch_bytes += v.s().size();
       }
       if (res != nullptr && !res->Grow(batch_bytes)) {
         *aborted = true;

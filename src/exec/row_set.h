@@ -1,10 +1,11 @@
 // Flat row sets: the unit operators hand to each other.
 //
 // A RowSet is a width, a row count and one contiguous row-major Value array.
-// Producers append straight into the flat tail (no allocation per row), and
-// consumers read rows through lightweight views. The row count is kept
-// separately from the array size because zero-width rows are legal: a
-// COUNT(*) scan with no accesses still emits one (empty) row per match.
+// Producers append straight into the flat tail, or grow it once for a batch
+// (resize) and write the new rows in place, compacting away rejected rows
+// with CopyRow; consumers read rows through lightweight views. The row count
+// is kept separately from the array size because zero-width rows are legal:
+// a COUNT(*) scan with no accesses still emits one (empty) row per match.
 //
 // A standalone `Row` (std::vector<Value>) remains the type for assembling a
 // single row on its own; it converts implicitly to a RowView.
@@ -281,13 +282,6 @@ class RowSet {
       Append(p);
       p = RowSet();
     }
-  }
-
-  /// Remove the last row.
-  void pop_back() {
-    JSONTILES_DCHECK(num_rows_ > 0);
-    values_.resize(values_.size() - width_);
-    num_rows_--;
   }
 
   /// Shrink to the first `rows` rows, or grow with all-null rows.

@@ -105,9 +105,13 @@ Value JsonbScalarToValue(const json::JsonbValue& v, ValueType requested,
       break;
     case json::JsonType::kObject:
     case json::JsonType::kArray: {
-      // ->> of a container returns its JSON text; other casts yield null.
+      // ->> of a container returns its JSON text; other casts yield null,
+      // and so does a text too long for a string Value (escapes can make it
+      // longer than the document).
       if (requested != ValueType::kString) return Value::Null();
-      return Value::String(arena->CopyString(v.ToJsonText()));
+      const std::string text = v.ToJsonText();
+      if (text.size() > kMaxStringBytes) return Value::Null();
+      return Value::String(arena->CopyString(text));
     }
   }
   if (raw.type == requested) return raw;
@@ -494,21 +498,23 @@ class VectorizedChunkScan {
     for (size_t i = 0; i < num_slots_; i++) {
       MaterializeSlot(i, resolved, batch_begin);
     }
-    // Survivors go straight into the flat tail of `out`; a row the
-    // residual rejects is popped again.
+    // Survivors go straight into the flat tail of `out`, grown once for the
+    // batch; the rows a residual rejects are compacted away afterwards.
+    const size_t first = out->size();
+    out->resize(first + sel_.count);
     for (size_t k = 0; k < sel_.count; k++) {
       const size_t r = sel_.idx[k];
-      RowRef row = out->AppendRow(num_slots_);
+      RowRef row = (*out)[first + k];
       for (size_t i = 0; i < num_slots_; i++) {
         Value v = slot_vecs_[i].GetValue(r);
         // The next batch overwrites the transformed JSON-text documents.
         if (json_text_ && v.type == ValueType::kString) {
-          v.s = arena_->CopyString(v.s);
+          v.set_s(arena_->CopyString(v.s()));
         }
         row[i] = v;
       }
-      if (!pred_.ResidualsHold(row.data(), arena_)) out->pop_back();
     }
+    pred_.CompactResiduals(out, first, arena_);
   }
 
   void FillFromDoc(ColumnVector& vec, const Expr& access, size_t r,
@@ -743,7 +749,7 @@ int64_t RoutingEqTarget(const storage::ShardedRelation& sharded,
       }
     } else {
       if (rp.constant.type != ValueType::kString) continue;
-      hash = storage::ShardKeyHashString(rp.constant.s);
+      hash = storage::ShardKeyHashString(rp.constant.s());
     }
     return static_cast<int64_t>(hash % sharded.shard_count());
   }

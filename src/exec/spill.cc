@@ -33,8 +33,8 @@ Status SpillFile::Add(uint64_t hash, RowView row) {
       case ValueType::kNull:
         break;
       case ValueType::kString:
-        w.U32(static_cast<uint32_t>(v.s.size()));
-        w.Raw(v.s.data(), v.s.size());
+        w.U32(static_cast<uint32_t>(v.s().size()));
+        w.Raw(v.s().data(), v.s().size());
         break;
       default:
         // All other types carry their payload in the 8-byte union.
@@ -134,7 +134,7 @@ Status SpillFile::ForEach(
             const std::string_view s(reinterpret_cast<const char*>(bytes),
                                      len);
             // Without an arena the view is valid during cb only.
-            v.s = arena != nullptr ? arena->CopyString(s) : s;
+            v.set_s(arena != nullptr ? arena->CopyString(s) : s);
             break;
           }
           default:

@@ -33,7 +33,7 @@ double Value::AsDouble() const {
 uint64_t Value::Hash() const {
   switch (type) {
     case ValueType::kNull: return 0x9E3779B97F4A7C15ULL;
-    case ValueType::kString: return HashString(s);
+    case ValueType::kString: return HashString(s());
     case ValueType::kFloat: {
       // Hash integral floats like their integer counterparts so grouping by
       // mixed numeric types is consistent with EqualsForGrouping.
@@ -89,7 +89,7 @@ bool Value::EqualsForGrouping(const Value& other) const {
   }
   if (type != other.type) return false;
   switch (type) {
-    case ValueType::kString: return s == other.s;
+    case ValueType::kString: return s() == other.s();
     default: return i == other.i;
   }
 }
@@ -102,7 +102,7 @@ int Value::Compare(const Value& other) const {
   if (IsNumber(type) && IsNumber(other.type)) return CompareNumbers(*this, other);
   switch (type) {
     case ValueType::kString: {
-      int c = s.compare(other.s);
+      int c = s().compare(other.s());
       return c < 0 ? -1 : c > 0 ? 1 : 0;
     }
     default:
@@ -120,7 +120,7 @@ std::string Value::ToString() const {
       json::FormatDouble(d, &out);
       return out;
     }
-    case ValueType::kString: return std::string(s);
+    case ValueType::kString: return std::string(s());
     case ValueType::kTimestamp: return FormatTimestamp(i);
     case ValueType::kNumeric: return numeric_value().ToString();
   }

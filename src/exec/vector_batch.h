@@ -131,7 +131,7 @@ class ColumnVector {
         f64_[row] = v.d;
         break;
       case ValueType::kString:
-        str_[row] = v.s;
+        str_[row] = v.s();
         break;
       case ValueType::kNumeric:
         i64_[row] = v.i;

@@ -645,6 +645,11 @@ Status JsonbBuilder::Transform(std::string_view json_text,
   sorted_children_.clear();
   decoded_used_ = 0;
 
+  // Documents (and so every string in them) stay below 4 GiB, the bound of
+  // a string Value (exec::kMaxStringBytes).
+  if (json_text.size() > 0xFFFFFFFFull) {
+    return Status::OutOfRange("input larger than 4 GiB");
+  }
   obs::Stopwatch obs_watch;
   JsonLexer lexer(json_text);
   Token token;

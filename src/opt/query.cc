@@ -101,19 +101,21 @@ RowSet ScanRowset(const TableRef& table, const exec::ScanSpec& spec,
     }
     JSONTILES_CHECK(column_of[i] >= 0);
   }
+  // Every row is written in place into an output sized once; the filter
+  // then compacts away the rows it rejects.
   RowSet out(accesses.size());
-  out.reserve(table.rowset->size());
-  for (const auto& row : *table.rowset) {
-    // Fill the row in place at the tail; the filter pops it if rejected.
-    exec::RowRef slots = out.AppendRow(accesses.size());
+  out.resize(table.rowset->size());
+  for (size_t r = 0; r < out.size(); r++) {
+    const exec::RowView row = (*table.rowset)[r];
+    exec::RowRef slots = out[r];
     for (size_t i = 0; i < accesses.size(); i++) {
       const Value& v = row[static_cast<size_t>(column_of[i])];
       slots[i] = v.type == accesses[i]->access_type
                      ? v
                      : exec::CastValue(v, accesses[i]->access_type, arena);
     }
-    if (!keep.ResidualsHold(slots.data(), arena)) out.pop_back();
   }
+  keep.CompactResiduals(&out, 0, arena);
   prof.set_rows_out(out.size());
   return out;
 }

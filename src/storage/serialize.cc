@@ -376,6 +376,13 @@ Result<std::unique_ptr<Relation>> DeserializeBody(ByteReader& r) {
     const uint8_t* p;
     size_t n;
     JT_READ(r.Bytes(&p, &n));
+    // No document reaches 4 GiB, the bound of a string Value
+    // (exec::kMaxStringBytes): a longer one is corrupt.
+    if (n > 0xFFFFFFFFull) {
+      return Status::ParseError("corrupt relation file: '" + name + "' row " +
+                                std::to_string(row) +
+                                ": document larger than 4 GiB");
+    }
     if (jsonb_docs) {
       Status st = json::ValidateJsonb(p, n);
       if (!st.ok()) {

@@ -361,7 +361,7 @@ TEST(DistDifferentialTest, SqlCatalogAndExplainAnalyze) {
   ASSERT_TRUE(explained.ok()) << explained.status().ToString();
   std::string plan;
   for (const auto& row : explained.ValueOrDie().rows) {
-    plan += std::string(row[0].s) + "\n";
+    plan += std::string(row[0].s()) + "\n";
   }
   EXPECT_NE(plan.find("ExchangeAggregate"), std::string::npos) << plan;
   EXPECT_NE(plan.find("workers="), std::string::npos) << plan;

@@ -78,7 +78,7 @@ std::string CanonicalKey(const Value& v) {
     case ValueType::kNull:
       return "null";
     case ValueType::kString:
-      return "s:" + std::string(v.s);
+      return "s:" + std::string(v.s());
     case ValueType::kInt:
       return "i:" + std::to_string(v.i);
     case ValueType::kFloat: {

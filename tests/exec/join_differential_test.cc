@@ -105,7 +105,7 @@ RowSet NestedLoopJoin(const RowSet& build, const RowSet& probe,
 bool SameValue(const Value& a, const Value& b) {
   if (a.type != b.type || a.scale != b.scale) return false;
   if (a.type == ValueType::kNull) return true;
-  if (a.type == ValueType::kString) return a.s == b.s;
+  if (a.type == ValueType::kString) return a.s() == b.s();
   return a.i == b.i;
 }
 

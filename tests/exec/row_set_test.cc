@@ -121,16 +121,30 @@ TEST(RowSetTest, LimitTruncates) {
   EXPECT_EQ(rows.width(), 1u);  // the width outlives the rows
 }
 
-TEST(RowSetTest, InPlaceWritesAndPop) {
+TEST(RowSetTest, BatchGrowthAndTailCompaction) {
+  // The scan's write pattern: grow once for a batch, fill the new rows in
+  // place, then compact away the rejected ones behind the earlier rows.
   RowSet rows(2);
-  RowRef row = rows.AppendRow(2);
-  row[0] = Value::Int(5);
-  row[1] = Value::Int(6);
-  rows.AppendRow(2)[0] = Value::Int(7);
-  rows.pop_back();
-  EXPECT_EQ(AllInts(rows), (Ints2{{5, 6}}));
+  rows.push_back({Value::Int(1), Value::Int(-1)});
+  const size_t first = rows.size();
+  rows.resize(first + 5);
+  EXPECT_TRUE(rows[first][0].is_null());  // grown rows start out null
+  for (size_t k = 0; k < 5; k++) {
+    RowRef row = rows[first + k];
+    row[0] = Value::Int(static_cast<int64_t>(10 + k));
+    row[1] = Value::Int(-static_cast<int64_t>(10 + k));
+  }
+  // Reject the batch's first, middle and last rows.
+  size_t kept = first;
+  for (size_t r = first; r < rows.size(); r++) {
+    const int64_t v = rows[r][0].int_value();
+    if (v != 10 && v != 12 && v != 14) rows.CopyRow(kept++, r);
+  }
+  rows.resize(kept);
+  EXPECT_EQ(AllInts(rows), (Ints2{{1, -1}, {11, -11}, {13, -13}}));
+  EXPECT_EQ(rows.values().size(), 6u);
   for (RowRef r : rows) r[1] = Value::Int(60);
-  EXPECT_EQ(rows[0][1].int_value(), 60);
+  EXPECT_EQ(rows[2][1].int_value(), 60);
 }
 
 TEST(RowSetTest, MovedFromIsEmptyAndWidthless) {

@@ -231,7 +231,7 @@ TEST(ShardScanTest, ExplainAnalyzeReportsShardCounters) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   std::string plan;
   for (const auto& row : result.ValueOrDie().rows) {
-    plan += std::string(row[0].s) + "\n";
+    plan += std::string(row[0].s()) + "\n";
   }
   EXPECT_NE(plan.find("Shards scanned: 1, pruned: 7"), std::string::npos)
       << plan;

@@ -42,7 +42,7 @@ void ExpectRowsEqual(RowView a, RowView b) {
     EXPECT_EQ(a[i].type, b[i].type) << "col " << i;
     EXPECT_EQ(a[i].scale, b[i].scale) << "col " << i;
     if (a[i].type == ValueType::kString) {
-      EXPECT_EQ(a[i].s, b[i].s) << "col " << i;
+      EXPECT_EQ(a[i].s(), b[i].s()) << "col " << i;
     } else if (a[i].type != ValueType::kNull) {
       EXPECT_EQ(a[i].i, b[i].i) << "col " << i;
     }

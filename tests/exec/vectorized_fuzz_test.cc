@@ -266,7 +266,7 @@ bool BitIdentical(const Value& a, const Value& b) {
       return x == y;
     }
     case ValueType::kString:
-      return a.s == b.s;
+      return a.s() == b.s();
     case ValueType::kNumeric:
       return a.i == b.i && a.scale == b.scale;
     default:

@@ -406,8 +406,8 @@ TEST(SqlSessionTest, SetAndShowResourceGroups) {
   const sql::SqlResult& groups = show.ValueOrDie();
   ASSERT_EQ(groups.rows.size(), 2u);
   EXPECT_EQ(groups.column_names.front(), "group");
-  EXPECT_EQ(std::string(groups.rows[0][0].s), "adhoc");
-  EXPECT_EQ(std::string(groups.rows[1][0].s), "etl");
+  EXPECT_EQ(std::string(groups.rows[0][0].s()), "adhoc");
+  EXPECT_EQ(std::string(groups.rows[1][0].s()), "etl");
   EXPECT_EQ(groups.rows[1][6].i, 1);  // etl admitted the COUNT(*) above
 }
 
@@ -423,7 +423,7 @@ TEST(SqlSessionTest, ExplainAnalyzeReportsGroupAndQueueWait) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   std::string plan;
   for (const auto& row : result.ValueOrDie().rows) {
-    plan += std::string(row[0].s) + "\n";
+    plan += std::string(row[0].s()) + "\n";
   }
   EXPECT_NE(plan.find("Resource group: adhoc, queue wait:"),
             std::string::npos)

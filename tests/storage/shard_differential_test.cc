@@ -268,7 +268,7 @@ TEST(ShardDifferentialTest, ExplainAnalyzeRowCountsMatch) {
     // Keep only the "rows in=…"/"rows out=…" fragments of the plan text.
     std::string counts;
     for (const auto& row : result.rows) {
-      std::string line(row[0].s);
+      std::string line(row[0].s());
       size_t pos = 0;
       while ((pos = line.find("rows ", pos)) != std::string::npos) {
         size_t end = line.find_first_of(",)", pos);
