@@ -236,21 +236,20 @@ const Relation* SideRelationFor(const Relation& rel, const Expr& access) {
   return rel.FindSideRelation(access.path);
 }
 
-// The side route: set the bit of every row of `base` (row ids from
-// `rowid_base`) whose array holds the needle, reading the side relation
-// once. A side document whose member is the needle marks its `_rowid`;
+// The side route: set the bit of every row of `base` whose array holds the
+// needle, reading the side relation once. A side document's `_rowid` is its
+// parent's row in `base`; one whose member is the needle marks that row;
 // string members come from the tile's column when every value at the path
 // is a string there. An object element with its own `_rowid` member sits
 // wrapped under `value` like a scalar, and cannot be told from an element
 // whose `value` member is an object, so for a side document whose `value`
 // is an object the parent document decides by the document rule. A tile
 // whose bloom filter rules out `value` + member holds no such wrapper.
-// False when a `_rowid` does not name a row of `base` (a shard scanned
-// without its sharded relation's row-id base): the documents answer
-// instead.
+// False when a `_rowid` is not an integer row of `base` (a corrupt or
+// foreign file, such as a shard saved with global row ids): the documents
+// answer instead.
 bool ReadSideRelation(const Relation& side, const Expr& access,
-                      const Relation& base, int64_t rowid_base,
-                      RowSubset* out) {
+                      const Relation& base, RowSubset* out) {
   std::string member_path, wrapped_path;
   tiles::AppendKeySegment(&member_path, access.pattern);
   tiles::AppendKeySegment(&wrapped_path, tiles::kScalarValueKey);
@@ -283,9 +282,8 @@ bool ReadSideRelation(const Relation& side, const Expr& access,
       if (!parent.has_value() || parent->type() != json::JsonType::kInt) {
         return false;
       }
-      // Unsigned: an id below `rowid_base` wraps to a huge row.
-      const uint64_t row = static_cast<uint64_t>(parent->GetInt()) -
-                           static_cast<uint64_t>(rowid_base);
+      // Unsigned: a negative id wraps to a huge row.
+      const uint64_t row = static_cast<uint64_t>(parent->GetInt());
       if (row >= base.num_rows()) return false;
       if (hit || DocContains(access, base.Jsonb(row))) out->Add(row);
     }
@@ -857,7 +855,7 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
         JSONTILES_TRACE_SPAN("exec.scan.side");
         auto bits = std::make_unique<RowSubset>(part.rel->num_rows());
         if (!ReadSideRelation(*side, *spec.accesses[i], *part.rel,
-                              part.rowid_base, bits.get())) {
+                              bits.get())) {
           continue;
         }
         side_rows += side->num_rows();

@@ -410,7 +410,7 @@ void JsonbBuilder::SetNumberFloatNode(uint32_t index, double d) {
 void JsonbBuilder::SetStringNode(uint32_t index, std::string_view decoded) {
   Node& node = nodes_[index];
   Numeric num;
-  if (options_.detect_numeric_strings && ParseNumeric(decoded, &num)) {
+  if (ParseNumeric(decoded, &num)) {
     node.type = JsonType::kNumericString;
     node.num_val = num;
     node.size = NumericSize(num);

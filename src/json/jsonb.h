@@ -101,18 +101,12 @@ class JsonbValue {
   const uint8_t* p_;
 };
 
-/// Transforms JSON text into JSONB. Reusable: internal scratch buffers keep
-/// their capacity across Transform calls, which matters during bulk loading.
+/// Transforms JSON text into JSONB. Strings that hold a SQL Numeric
+/// ("19.99") are always stored as NumericString (§5.2). Reusable: internal
+/// scratch buffers keep their capacity across Transform calls, which matters
+/// during bulk loading.
 class JsonbBuilder {
  public:
-  struct Options {
-    /// §5.2: detect SQL Numerics hidden in strings ("19.99").
-    bool detect_numeric_strings = true;
-  };
-
-  JsonbBuilder() = default;
-  explicit JsonbBuilder(Options options) : options_(options) {}
-
   /// Maximum container nesting depth accepted by the parser (and enforced by
   /// ValidateJsonb on untrusted buffers).
   static constexpr int kMaxNesting = 256;
@@ -153,7 +147,6 @@ class JsonbBuilder {
   std::string_view DecodeStringLexeme(std::string_view lexeme,
                                       bool has_escape);
 
-  Options options_;
   std::vector<Node> nodes_;
   std::vector<uint32_t> sorted_children_;
   // Storage for unescaped strings. Nodes hold string_views into the elements,

@@ -198,7 +198,7 @@ std::string_view DirectEmitter::DecodeKeyLexeme(std::string_view lexeme) {
 uint64_t DirectEmitter::AppendString(std::string_view decoded,
                                      JsonType* leaf_type) {
   Numeric num;
-  if (options_.detect_numeric_strings && ParseNumeric(decoded, &num)) {
+  if (ParseNumeric(decoded, &num)) {
     *leaf_type = JsonType::kNumericString;
     const uint64_t size = wire::NumericSize(num);
     wire::EncodeNumeric(Reserve(size), num);

@@ -83,9 +83,6 @@ void BuildIngestFromJsonb(JsonbValue doc, const OndemandIngestConfig& config,
 /// means "fall back to the streaming parser"; nothing observable is produced.
 class DirectEmitter {
  public:
-  DirectEmitter() = default;
-  explicit DirectEmitter(JsonbBuilder::Options options) : options_(options) {}
-
   /// On success `out` holds exactly one serialized document, bit-identical to
   /// JsonbBuilder::Transform's output. When `ingest` is non-null the walk also
   /// fills the scalar directory under `ingest_config`'s bounds.
@@ -123,8 +120,6 @@ class DirectEmitter {
   bool RecordLeaf(JsonType type, uint64_t value_off);
   std::string_view DecodeKeyLexeme(std::string_view lexeme);
 
-  JsonbBuilder::Options options_;
-
   // Tape: emitted bytes live in [0, tape_size_). The vector is kept at its
   // high-water size and never shrunk, so steady-state emission performs no
   // zero-initializing resizes.
@@ -157,10 +152,6 @@ class DirectEmitter {
 /// index and emitter scratch keep their capacity across calls.
 class OndemandTransformer {
  public:
-  OndemandTransformer() = default;
-  explicit OndemandTransformer(JsonbBuilder::Options options)
-      : builder_(options), emitter_(options) {}
-
   /// Same contract as JsonbBuilder::Transform: on success `out` holds exactly
   /// one serialized document, bit-identical to the streaming parser's output.
   Status Transform(std::string_view json_text, std::vector<uint8_t>* out);

@@ -12,6 +12,7 @@
 #include "tiles/reorder.h"
 #include "tiles/tile_builder.h"
 #include "util/failpoint.h"
+#include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace jsontiles::storage {
@@ -42,18 +43,28 @@ struct PartitionResult {
 Result<std::unique_ptr<Relation>> Loader::Load(
     const std::vector<std::string>& docs, const std::string& name,
     LoadBreakdown* breakdown) {
+  return LoadDocs(&docs, nullptr, name, breakdown);
+}
+
+Result<std::unique_ptr<Relation>> Loader::LoadDocs(
+    const std::vector<std::string>* text,
+    std::vector<std::vector<uint8_t>>* jsonb, const std::string& name,
+    LoadBreakdown* breakdown) {
+  JSONTILES_DCHECK((text == nullptr) != (jsonb == nullptr));
   auto wall_begin = Clock::now();
   JSONTILES_TRACE_SPAN("loader.load");
   auto relation = std::make_unique<Relation>(name, mode_, config_);
   LoadBreakdown local_breakdown;
   LoadBreakdown* bd = breakdown != nullptr ? breakdown : &local_breakdown;
   *bd = LoadBreakdown{};
-  bd->tuples = docs.size();
+  const size_t num_docs = text != nullptr ? text->size() : jsonb->size();
+  bd->tuples = num_docs;
 
   // ---------------------------------------------------------------- text --
   if (mode_ == StorageMode::kJsonText) {
+    JSONTILES_DCHECK(text != nullptr);
     auto t0 = Clock::now();
-    for (const auto& doc : docs) {
+    for (const auto& doc : *text) {
       relation->AppendDoc(reinterpret_cast<const uint8_t*>(doc.data()), doc.size());
     }
     bd->jsonb_secs += Seconds(t0, Clock::now());
@@ -65,17 +76,17 @@ Result<std::unique_ptr<Relation>> Loader::Load(
   const size_t partition_docs =
       mode_ == StorageMode::kTiles ? config_.tile_size * config_.partition_size
                                    : std::max<size_t>(config_.tile_size * 8, 4096);
-  const size_t num_partitions = docs.empty() ? 0 : (docs.size() + partition_docs - 1) / partition_docs;
+  const size_t num_partitions = (num_docs + partition_docs - 1) / partition_docs;
   std::vector<PartitionResult> results(num_partitions);
 
   // Tiles-*: detect high-cardinality arrays on a leading sample.
   std::vector<std::string> detected_arrays;
-  if (mode_ == StorageMode::kTiles && options_.extract_arrays && !docs.empty()) {
+  if (mode_ == StorageMode::kTiles && options_.extract_arrays && text != nullptr) {
     json::OndemandTransformer sample_parser;
     std::vector<std::vector<uint8_t>> sample;
-    for (size_t i = 0; i < docs.size() && i < kArrayDetectSample; i++) {
+    for (size_t i = 0; i < text->size() && i < kArrayDetectSample; i++) {
       std::vector<uint8_t> buf;
-      if (sample_parser.Transform(docs[i], &buf).ok()) {
+      if (sample_parser.Transform((*text)[i], &buf).ok()) {
         sample.push_back(std::move(buf));
       }
     }
@@ -105,12 +116,13 @@ Result<std::unique_ptr<Relation>> Loader::Load(
     JSONTILES_COUNTER_ADD("loader.partitions_processed", 1);
     PartitionResult& result = results[p];
     size_t begin = p * partition_docs;
-    size_t end = std::min(begin + partition_docs, docs.size());
+    size_t end = std::min(begin + partition_docs, num_docs);
     size_t count = end - begin;
 
     // Phase: text -> JSONB. A malformed document either aborts the load
     // (fail-fast default) or — under max_errors — is skipped and counted,
-    // so one bad record cannot take down a billion-row bulk load.
+    // so one bad record cannot take down a billion-row bulk load. JSONB
+    // input is stored as it is.
     //
     // Tiles: the emitter collects each document's scalar leaves during the
     // very walk that serializes it, and they are interned into the
@@ -130,10 +142,18 @@ Result<std::unique_ptr<Relation>> Loader::Load(
     auto t0 = Clock::now();
     for (size_t i = 0; i < count; i++) {
       std::vector<uint8_t> buf;
-      const Status st =
-          tiles_mode
-              ? parser.Transform(docs[begin + i], &buf, ingest_config, &leaves)
-              : parser.Transform(docs[begin + i], &buf);
+      Status st;
+      if (jsonb != nullptr) {
+        buf = std::move((*jsonb)[begin + i]);
+        if (tiles_mode) {
+          json::BuildIngestFromJsonb(json::JsonbValue(buf.data()),
+                                     ingest_config, &leaves);
+        }
+      } else {
+        st = tiles_mode ? parser.Transform((*text)[begin + i], &buf,
+                                           ingest_config, &leaves)
+                        : parser.Transform((*text)[begin + i], &buf);
+      }
       if (!st.ok()) {
         const size_t so_far =
             cap_counter->fetch_add(1, std::memory_order_relaxed) + 1;
@@ -283,25 +303,21 @@ Result<std::unique_ptr<Relation>> Loader::Load(
     side_options.extract_arrays = false;
     Loader side_loader(StorageMode::kTiles, config_, side_options);
     for (const auto& path : detected_arrays) {
-      std::vector<std::string> docs_for_path;
+      std::vector<std::vector<uint8_t>> side_docs;
       for (size_t r = 0; r < relation->num_rows(); r++) {
-        std::vector<std::vector<uint8_t>> exploded;
-        tiles::ExplodeArray(relation->Jsonb(r), path,
-                            options_.rowid_base + static_cast<int64_t>(r),
-                            &exploded);
-        for (const auto& e : exploded) {
-          docs_for_path.push_back(json::JsonbValue(e.data()).ToJsonText());
-        }
+        tiles::ExplodeArray(relation->Jsonb(r), path, static_cast<int64_t>(r),
+                            &side_docs);
       }
-      if (docs_for_path.empty()) continue;
-      auto side = side_loader.Load(docs_for_path,
-                                   name + "$" + tiles::PathToDisplayString(path));
+      if (side_docs.empty()) continue;
+      auto side = side_loader.LoadDocs(
+          nullptr, &side_docs, name + "$" + tiles::PathToDisplayString(path),
+          nullptr);
       if (side.ok()) relation->AddSideRelation(path, side.MoveValueOrDie());
     }
   }
 
   bd->skipped_docs = skipped_total.load(std::memory_order_relaxed);
-  bd->tuples = docs.size() - bd->skipped_docs;
+  bd->tuples = num_docs - bd->skipped_docs;
   bd->total_wall_secs = Seconds(wall_begin, Clock::now());
   JSONTILES_COUNTER_ADD("loader.tuples_loaded",
                         static_cast<int64_t>(bd->tuples));

@@ -56,6 +56,9 @@ struct LoadOptions {
   /// Skipped documents are reported in LoadBreakdown::skipped_docs.
   size_t max_errors = 0;
   /// Tiles-*: extract high-cardinality arrays into side relations (§3.5).
+  /// A side document's `_rowid` is its parent's row in the relation this
+  /// load returns; a shard's side rows therefore use the shard's own row
+  /// space, not the global ids of ShardedRelation::RowIdBase.
   bool extract_arrays = false;
   double array_min_avg_elements = 2.0;
   double array_min_presence = 0.2;
@@ -64,9 +67,6 @@ struct LoadOptions {
   /// per shard. LoadBreakdown::skipped_docs still reports this load's own
   /// skips. Null (the default) keeps a private counter.
   std::atomic<size_t>* shared_skip_counter = nullptr;
-  /// Added to local row indices when materializing parent row ids in array
-  /// side relations (`_rowid`), so a shard's side rows reference global ids.
-  int64_t rowid_base = 0;
 };
 
 class Loader {
@@ -81,6 +81,15 @@ class Loader {
                                          LoadBreakdown* breakdown = nullptr);
 
  private:
+  // The pipeline behind Load. Exactly one of `text` and `jsonb` is set.
+  // `jsonb` holds Tiles-* side documents (tiles::ExplodeArray output): each
+  // buffer is moved into the relation as it is, and its ingest directory is
+  // derived with json::BuildIngestFromJsonb instead of a parse.
+  Result<std::unique_ptr<Relation>> LoadDocs(
+      const std::vector<std::string>* text,
+      std::vector<std::vector<uint8_t>>* jsonb, const std::string& name,
+      LoadBreakdown* breakdown);
+
   StorageMode mode_;
   tiles::TileConfig config_;
   LoadOptions options_;

@@ -98,10 +98,9 @@ RoutingValueKind KindFromFlags(const RouteFlags& f) {
 }
 
 constexpr char kManifestMagic[4] = {'J', 'T', 'S', 'M'};
-// Version 2 appends a per-shard side-relation inventory (path + rows) to
-// each shard entry, so a coordinator can plan side-scan fragments from the
-// manifest alone. Version-1 manifests are still accepted (no inventory).
-constexpr uint32_t kManifestVersion = 2;
+// The only version read or written. Versions 1 and 2 are rejected: their
+// shard files hold side `_rowid`s in the global row-id space.
+constexpr uint32_t kManifestVersion = 3;
 
 #define JTSM_READ(expr) \
   if (!(expr)) return Status::ParseError("corrupt shard manifest: " #expr)
@@ -292,7 +291,6 @@ Result<std::unique_ptr<ShardedRelation>> ShardedRelation::Load(
     LoadOptions opts = load_options;
     opts.num_threads = 1;
     opts.shared_skip_counter = &shared_skips;
-    opts.rowid_base = RowIdBase(s);
     Loader loader(mode, config, opts);
     auto result = loader.Load(shard_docs[s], name, &shard_bd[s]);
     if (!result.ok()) return result.status();
@@ -427,18 +425,6 @@ Status SaveSharded(const ShardedRelation& sharded, const std::string& dir) {
     w.Str(ShardFileName(sharded.name(), s));
     w.Varint(sharded.shard(s).num_rows());
     w.Varint(file_sizes[s]);
-    // v2: the shard's side-relation inventory, sorted by path (the in-memory
-    // map iterates in hash order; the manifest must be deterministic).
-    std::vector<std::pair<std::string, uint64_t>> sides;
-    for (const auto& [path, side] : sharded.shard(s).side_relations()) {
-      sides.emplace_back(path, side->num_rows());
-    }
-    std::sort(sides.begin(), sides.end());
-    w.Varint(sides.size());
-    for (const auto& [path, rows] : sides) {
-      w.Str(path);
-      w.Varint(rows);
-    }
   }
 
   // Manifest last, via temp file + rename: a reader either sees no manifest
@@ -481,7 +467,10 @@ Status ParseManifest(const std::vector<uint8_t>& bytes,
   JTSM_READ(r.Raw(4, &magic) && std::memcmp(magic, kManifestMagic, 4) == 0);
   uint64_t version;
   JTSM_READ(r.Varint(&version));
-  JTSM_READ(version >= 1 && version <= kManifestVersion);
+  if (version != kManifestVersion) {
+    return Status::Unsupported("unsupported shard manifest version " +
+                               std::to_string(version));
+  }
   info->version = version;
   JTSM_READ(r.Str(&info->name));
   JTSM_READ(!info->name.empty());
@@ -527,23 +516,6 @@ Status ParseManifest(const std::vector<uint8_t>& bytes,
     info->filenames.push_back(std::move(filename));
     info->num_rows.push_back(rows);
     info->file_sizes.push_back(size);
-    info->sides.emplace_back();
-    if (version >= 2) {
-      uint64_t side_count;
-      JTSM_READ(r.Varint(&side_count));
-      JTSM_READ(side_count <= bytes.size());  // each side costs >= 1 byte
-      for (uint64_t i = 0; i < side_count; i++) {
-        ShardManifestInfo::SideInfo side;
-        JTSM_READ(r.Str(&side.path));
-        JTSM_READ(!side.path.empty());
-        JTSM_READ(r.Varint(&side.num_rows));
-        // Sorted + unique: the writer emits sorted paths; enforcing it here
-        // keeps the inventory canonical for consumers.
-        JTSM_READ(info->sides.back().empty() ||
-                  info->sides.back().back().path < side.path);
-        info->sides.back().push_back(std::move(side));
-      }
-    }
   }
   JTSM_READ(r.AtEnd());
   if (info->shard_options.routing == ShardRouting::kRoundRobin) {

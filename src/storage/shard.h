@@ -109,9 +109,10 @@ ShardStats ComputeShardStats(const Relation& shard);
 class ShardedRelation {
  public:
   /// Shard-local row r of shard s has the global virtual row id
-  /// RowIdBase(s) + r. The base depends only on the shard index, so ids are
-  /// assignable during concurrent shard loads (array side relations bake the
-  /// parent id into their `_rowid` field at load time).
+  /// RowIdBase(s) + r (what `RowId(alias)` returns). The base depends only on
+  /// the shard index, so ids are assignable during concurrent shard loads.
+  /// Array side relations do not use it: their `_rowid` is the shard-local
+  /// row.
   static constexpr int kRowIdShardShift = 40;
   static int64_t RowIdBase(size_t shard) {
     return static_cast<int64_t>(shard) << kRowIdShardShift;
@@ -178,10 +179,9 @@ std::string ShardManifestPath(const std::string& dir, const std::string& name);
 Status SaveSharded(const ShardedRelation& sharded, const std::string& dir);
 
 /// Everything the manifest records: enough for a distributed coordinator to
-/// plan fragment assignment (per-shard row counts, byte sizes, side-relation
-/// inventory) without opening any shard file. Manifest version 2 added the
-/// per-shard side inventory; version-1 manifests still parse, with `sides`
-/// left empty.
+/// plan fragment assignment (per-shard row counts and byte sizes) without
+/// opening any shard file. Only manifest version 3 is read; a shard's side
+/// relations live in its JTRL file, not in the manifest.
 struct ShardManifestInfo {
   uint64_t version = 0;
   std::string name;
@@ -196,13 +196,6 @@ struct ShardManifestInfo {
   std::vector<std::string> filenames;
   std::vector<uint64_t> num_rows;
   std::vector<uint64_t> file_sizes;
-  /// Array side relations (§3.5) per shard: encoded path + element rows,
-  /// sorted by path. Empty (outer vector) for version-1 manifests.
-  struct SideInfo {
-    std::string path;
-    uint64_t num_rows = 0;
-  };
-  std::vector<std::vector<SideInfo>> sides;
 
   size_t shard_count() const { return filenames.size(); }
 };

@@ -28,11 +28,12 @@ struct HighCardArrayInfo {
 };
 
 /// Scan `docs` (typically a sample) for array-valued paths whose average
-/// element count reaches `min_avg_elements`. Nested arrays inside a detected
-/// array are not reported separately.
+/// element count reaches `min_avg_elements` and whose presence reaches
+/// `min_presence`. Nested arrays inside a detected array are not reported
+/// separately.
 std::vector<HighCardArrayInfo> DetectHighCardinalityArrays(
     const std::vector<json::JsonbValue>& docs, const TileConfig& config,
-    double min_avg_elements = 2.0, double min_presence = 0.1);
+    double min_avg_elements, double min_presence);
 
 /// The key under which the parent row id is stored in side-table documents.
 inline constexpr const char* kParentRowIdKey = "_rowid";

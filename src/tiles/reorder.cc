@@ -51,6 +51,12 @@ ReorderResult ReorderPartition(const DocumentItems& items,
   if (num_tiles <= 1) return result;
   JSONTILES_TRACE_SPAN("tiles.reorder_partition");
 
+  // Caps that keep reordering cheap: the itemset budget of the
+  // reduced-threshold mining pass and the number of surviving itemsets
+  // considered for tuple matching (most frequent first).
+  constexpr uint64_t kReorderItemsetBudget = 512;
+  constexpr size_t kMaxReorderItemsets = 32;
+
   // Step 1: mine each tile with the reduced threshold threshold/partition.
   const double reduced = config.extraction_threshold /
                          static_cast<double>(config.partition_size);
@@ -65,7 +71,7 @@ ReorderResult ReorderPartition(const DocumentItems& items,
     options.min_support = static_cast<uint32_t>(
         std::ceil(reduced * static_cast<double>(end - begin)));
     if (options.min_support == 0) options.min_support = 1;
-    options.budget = config.reorder_itemset_budget;
+    options.budget = kReorderItemsetBudget;
     // Step 2 (first half): exchange the itemsets of all tiles.
     for (auto& set : miner.Mine(chunk, options)) {
       aggregated[set.items] += set.support;
@@ -85,7 +91,7 @@ ReorderResult ReorderPartition(const DocumentItems& items,
   }
   // Matching is O(tuples x survivors); keep only the most frequent (largest
   // first on ties) so reordering stays a small fraction of insertion time.
-  if (survivors.size() > config.max_reorder_itemsets) {
+  if (survivors.size() > kMaxReorderItemsets) {
     std::sort(survivors.begin(), survivors.end(),
               [](const mining::Itemset& a, const mining::Itemset& b) {
                 if (a.support != b.support) return a.support > b.support;
@@ -94,7 +100,7 @@ ReorderResult ReorderPartition(const DocumentItems& items,
                 }
                 return a.items < b.items;
               });
-    survivors.resize(config.max_reorder_itemsets);
+    survivors.resize(kMaxReorderItemsets);
   }
   result.surviving_itemsets = survivors.size();
   if (survivors.empty()) return result;

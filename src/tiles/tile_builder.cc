@@ -106,10 +106,12 @@ DocumentItems ItemsFromJsonb(const std::vector<json::JsonbValue>& docs,
 
 std::vector<mining::Itemset> TileBuilder::MineItemsets(
     const DocumentItems& items, uint32_t min_support) const {
+  // Budget `u` on generated itemsets per tile (Eq. 1, §3.3).
+  constexpr uint64_t kItemsetBudget = 4096;
   mining::FpGrowthMiner miner;
   mining::MinerOptions options;
   options.min_support = min_support;
-  options.budget = config_.itemset_budget;
+  options.budget = kItemsetBudget;
   return miner.Mine(items.transactions, options);
 }
 
@@ -238,6 +240,7 @@ Tile TileBuilder::BuildFromItems(const std::vector<json::JsonbValue>& docs,
 
     // §4.9: sample string values; extract as Timestamp when (nearly) all
     // parse as date/time.
+    constexpr double kDateDetectionFraction = 0.95;
     if (source_type == json::JsonType::kString && config_.enable_date_extraction) {
       size_t present = 0;
       size_t parsed = 0;
@@ -250,7 +253,7 @@ Tile TileBuilder::BuildFromItems(const std::vector<json::JsonbValue>& docs,
       }
       if (present > 0 &&
           static_cast<double>(parsed) >=
-              config_.date_detection_fraction * static_cast<double>(present)) {
+              kDateDetectionFraction * static_cast<double>(present)) {
         col.storage_type = ColumnType::kTimestamp;
         col.is_timestamp = true;
       }

@@ -23,9 +23,6 @@ struct TileConfig {
   /// appears in at least this fraction of a tile's tuples. Paper default 60%.
   double extraction_threshold = 0.6;
 
-  /// Budget `u` on generated itemsets per tile (Eq. 1, §3.3).
-  uint64_t itemset_budget = 4096;
-
   /// Key-path collection bounds: maximum nesting depth and the number of
   /// leading array elements considered for materialization (§3.5).
   int max_path_depth = 8;
@@ -34,18 +31,8 @@ struct TileConfig {
   /// §4.9: detect date/time strings and extract them as SQL Timestamp.
   bool enable_date_extraction = true;
 
-  /// Fraction of sampled string values that must parse as timestamps for a
-  /// column to be extracted as Timestamp.
-  double date_detection_fraction = 0.95;
-
   /// Enable tuple reordering between the tiles of a partition (§3.2).
   bool enable_reordering = true;
-
-  /// Caps that keep reordering cheap: the itemset budget of the
-  /// reduced-threshold mining pass and the number of surviving itemsets
-  /// considered for tuple matching (most frequent first).
-  uint64_t reorder_itemset_budget = 512;
-  size_t max_reorder_itemsets = 32;
 };
 
 }  // namespace jsontiles::tiles

@@ -239,13 +239,13 @@ TEST(DistDifferentialTest, ShardAssignmentCoversAllShards) {
   }
 }
 
-// The manifest (v2) carries per-shard row counts and byte sizes, so the
+// The manifest (v3) carries per-shard row counts and byte sizes, so the
 // coordinator plans the assignment without touching any shard file.
 TEST(DistDifferentialTest, ManifestCarriesShardStats) {
   SavedWorkload tpch = SaveAndOpen(Tpch().combined, "tpch", 3);
   auto cluster = StartCluster(tpch, 2, 1);
   const storage::ShardManifestInfo& manifest = cluster->manifest();
-  EXPECT_GE(manifest.version, 2u);
+  EXPECT_EQ(manifest.version, 3u);
   ASSERT_EQ(manifest.num_rows.size(), 3u);
   ASSERT_EQ(manifest.file_sizes.size(), 3u);
   uint64_t total_rows = 0;
@@ -257,65 +257,61 @@ TEST(DistDifferentialTest, ManifestCarriesShardStats) {
   EXPECT_EQ(total_rows, tpch.sharded->num_rows());
 }
 
-// A version-1 manifest (no per-shard side inventories) still opens and still
-// drives a cluster: OpenSharded is backward-compatible, and the coordinator
-// plans its shard assignment from the per-shard row counts v1 already carried.
-TEST(DistDifferentialTest, V1ManifestBackwardCompatible) {
+// Only manifest version 3 is read. A version-1 manifest (the v3 layout) and
+// a version-2 one (each shard entry followed by a side-relation inventory)
+// fail with a clean Unsupported status, from ReadShardManifest (what a
+// coordinator calls) and from OpenSharded.
+TEST(DistDifferentialTest, OldManifestVersionsRejected) {
   SavedWorkload tpch = SaveAndOpen(Tpch().combined, "tpch", 2);
   auto parsed = storage::ReadShardManifest(tpch.manifest_path);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const storage::ShardManifestInfo& info = parsed.ValueOrDie();
-  ASSERT_GE(info.version, 2u);
+  ASSERT_EQ(info.version, 3u);
 
-  // Re-encode as version 1: identical layout up to the shard entries, which
-  // drop the trailing side-inventory lists. ByteWriter is the manifest
-  // writer's codec, so the bytes match what a v1 writer would have produced.
-  std::vector<uint8_t> v1;
-  ByteWriter w(&v1);
-  for (char c : std::string_view("JTSM")) w.U8(static_cast<uint8_t>(c));
-  w.Varint(1);
-  w.Str(info.name);
-  w.U8(static_cast<uint8_t>(info.mode));
-  w.U8(static_cast<uint8_t>(info.shard_options.routing));
-  w.Str(info.routing_path);
-  w.U8(static_cast<uint8_t>(info.routing_kind));
-  w.Varint(info.config.tile_size);
-  w.Varint(info.config.partition_size);
-  w.F64(info.config.extraction_threshold);
-  w.U8(info.config.enable_date_extraction ? 1 : 0);
-  w.U8(info.config.enable_reordering ? 1 : 0);
-  w.Varint(info.shard_count());
-  for (size_t s = 0; s < info.shard_count(); s++) {
-    w.Str(info.filenames[s]);
-    w.Varint(info.num_rows[s]);
-    w.Varint(info.file_sizes[s]);
-  }
-  {
-    std::FILE* f = std::fopen(tpch.manifest_path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(v1.data(), 1, v1.size(), f), v1.size());
-    std::fclose(f);
-  }
+  // Re-encode with ByteWriter, the manifest writer's codec, so the bytes
+  // match what a v1 or v2 writer produced.
+  for (uint64_t version : {uint64_t{1}, uint64_t{2}}) {
+    std::vector<uint8_t> old;
+    ByteWriter w(&old);
+    for (char c : std::string_view("JTSM")) w.U8(static_cast<uint8_t>(c));
+    w.Varint(version);
+    w.Str(info.name);
+    w.U8(static_cast<uint8_t>(info.mode));
+    w.U8(static_cast<uint8_t>(info.shard_options.routing));
+    w.Str(info.routing_path);
+    w.U8(static_cast<uint8_t>(info.routing_kind));
+    w.Varint(info.config.tile_size);
+    w.Varint(info.config.partition_size);
+    w.F64(info.config.extraction_threshold);
+    w.U8(info.config.enable_date_extraction ? 1 : 0);
+    w.U8(info.config.enable_reordering ? 1 : 0);
+    w.Varint(info.shard_count());
+    for (size_t s = 0; s < info.shard_count(); s++) {
+      w.Str(info.filenames[s]);
+      w.Varint(info.num_rows[s]);
+      w.Varint(info.file_sizes[s]);
+      if (version == 2) w.Varint(0);  // empty side inventory
+    }
+    {
+      std::FILE* f = std::fopen(tpch.manifest_path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(std::fwrite(old.data(), 1, old.size(), f), old.size());
+      std::fclose(f);
+    }
 
-  auto reparsed = storage::ReadShardManifest(tpch.manifest_path);
-  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
-  EXPECT_EQ(reparsed.ValueOrDie().version, 1u);
-  for (const auto& shard_sides : reparsed.ValueOrDie().sides) {
-    EXPECT_TRUE(shard_sides.empty());
-  }
-
-  auto reopened = storage::OpenSharded(tpch.manifest_path);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  ASSERT_EQ(reopened.ValueOrDie()->shard_count(), 2u);
-  tpch.sharded = reopened.MoveValueOrDie();
-
-  auto cluster = StartCluster(tpch, 2, 1);
-  for (int q : {1, 6, 13}) {
-    QueryContext ctx;
-    ctx.dist = cluster.get();
-    EXPECT_EQ(Canonical(workload::RunTpchQuery(q, *tpch.sharded, ctx)),
-              TpchBaseline(q))
-        << "TPC-H Q" << q << " over a v1 manifest";
+    auto reparsed = storage::ReadShardManifest(tpch.manifest_path);
+    ASSERT_FALSE(reparsed.ok()) << "version " << version;
+    EXPECT_EQ(reparsed.status().code(), StatusCode::kUnsupported)
+        << reparsed.status().ToString();
+    EXPECT_NE(reparsed.status().message().find(
+                  "unsupported shard manifest version " +
+                  std::to_string(version)),
+              std::string::npos)
+        << reparsed.status().ToString();
+    auto reopened = storage::OpenSharded(tpch.manifest_path);
+    ASSERT_FALSE(reopened.ok()) << "version " << version;
+    EXPECT_EQ(reopened.status().code(), StatusCode::kUnsupported)
+        << reopened.status().ToString();
   }
 }
 

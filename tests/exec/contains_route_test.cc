@@ -20,11 +20,15 @@
 
 #include "dist/cluster.h"
 #include "exec/scan.h"
+#include "obs/plan_profile.h"
 #include "opt/query.h"
 #include "sql/sql_session.h"
 #include "storage/loader.h"
+#include "storage/serialize.h"
 #include "storage/shard.h"
+#include "tiles/array_extract.h"
 #include "tiles/keypath.h"
+#include "workload/twitter.h"
 
 #ifndef JSONTILES_WORKERD_PATH
 #error "dist tests require the JSONTILES_WORKERD_PATH compile definition"
@@ -194,6 +198,75 @@ std::vector<std::string> RunSql(const sql::SqlCatalog& catalog,
   return out;
 }
 
+// EXPLAIN ANALYZE of a COUNT(*) over `docs` filtered by `predicate`.
+std::string ExplainAnalyze(const sql::SqlCatalog& catalog,
+                           const std::string& predicate) {
+  sql::SqlSession session(&catalog, nullptr);
+  auto r = session.Execute(
+      "EXPLAIN ANALYZE SELECT COUNT(*) FROM docs d WHERE " + predicate);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  std::string text;
+  if (!r.ok()) return text;
+  for (const auto& row : r.ValueOrDie().rows) {
+    text += std::string(row[0].string_value()) + "\n";
+  }
+  return text;
+}
+
+// One scan's rows and its `side_rows` counter (0 when no side relation
+// answered).
+struct ScanRun {
+  std::string rows;
+  int64_t side_rows = 0;
+};
+
+ScanRun RunScan(const ScanSpec& spec, size_t threads) {
+  ExecOptions options;
+  options.num_threads = threads;
+  obs::PlanProfile profile;
+  QueryContext ctx(options);
+  ctx.profile = &profile;
+  ScanRun run;
+  run.rows = Canonical(ScanExec(spec, ctx));
+  EXPECT_TRUE(ctx.ConsumeStatus().ok());
+  for (size_t op = 0; op < profile.size(); op++) {
+    for (const auto& [name, value] : profile.op(static_cast<int>(op)).counters) {
+      if (name == "side_rows") run.side_rows += value;
+    }
+  }
+  return run;
+}
+
+// The loader stores each exploded element's JSONB as it is. Every side
+// relation of `rel` must serialize to the same bytes as the path that
+// turned the elements into JSON text and loaded the text as a Tiles
+// relation of its own.
+void ExpectSidesMatchTextLoad(const Relation& rel,
+                              const tiles::TileConfig& config) {
+  ASSERT_FALSE(rel.side_relations().empty()) << rel.name();
+  for (const auto& [path, side] : rel.side_relations()) {
+    std::vector<std::string> text;
+    for (size_t r = 0; r < rel.num_rows(); r++) {
+      std::vector<std::vector<uint8_t>> exploded;
+      tiles::ExplodeArray(rel.Jsonb(r), path, static_cast<int64_t>(r),
+                          &exploded);
+      for (const auto& e : exploded) {
+        text.push_back(json::JsonbValue(e.data()).ToJsonText());
+      }
+    }
+    auto reloaded = Loader(StorageMode::kTiles, config)
+                        .Load(text, side->name())
+                        .MoveValueOrDie();
+    std::vector<uint8_t> bytes, expected;
+    ASSERT_TRUE(storage::SerializeRelation(*side, &bytes).ok());
+    ASSERT_TRUE(storage::SerializeRelation(*reloaded, &expected).ok());
+    EXPECT_EQ(side->num_rows(), text.size()) << side->name();
+    EXPECT_TRUE(bytes == expected)
+        << side->name() << ": " << bytes.size() << " vs " << expected.size()
+        << " bytes";
+  }
+}
+
 std::string Describe(const Probe& p) {
   std::string path;
   for (const std::string& k : p.keys) path += "/" + k;
@@ -292,6 +365,25 @@ TEST_F(ContainsRouteTest, SqlRoutesAgree) {
   }
 }
 
+// Side relations of a plain load and of every shard, over the fixture's
+// element shapes and over generated tweets with the Table 3 bench's options.
+TEST_F(ContainsRouteTest, SideLoadMatchesTextLoad) {
+  ExpectSidesMatchTextLoad(*side_route_, SmallTiles());
+  for (size_t s = 0; s < sharded_->shard_count(); s++) {
+    ExpectSidesMatchTextLoad(sharded_->shard(s), SmallTiles());
+  }
+  workload::TwitterOptions twitter;
+  twitter.num_tweets = 2000;
+  LoadOptions options;
+  options.extract_arrays = true;
+  options.array_min_avg_elements = 1.0;
+  options.array_min_presence = 0.3;
+  auto tweets = Loader(StorageMode::kTiles, {}, options)
+                    .Load(workload::GenerateTwitter(twitter), "twitter")
+                    .MoveValueOrDie();
+  ExpectSidesMatchTextLoad(*tweets, {});
+}
+
 // The bitmap of a filter CONTAINS is the part's row subset: tiles without a
 // match are dropped unread and counted as skipped, and EXPLAIN ANALYZE
 // reports the side rows read.
@@ -316,17 +408,8 @@ TEST_F(ContainsRouteTest, BitmapSkipsTilesAndShowsSideRows) {
   sharded.sharded_tables["docs"] = sharded_;
   auto plan = [](const sql::SqlCatalog& catalog,
                  const std::string& member = "t") {
-    sql::SqlSession session(&catalog, nullptr);
-    auto r = session.Execute(
-        "EXPLAIN ANALYZE SELECT COUNT(*) FROM docs d WHERE "
-        "CONTAINS(d->'tags', '" + member + "', 'rare')");
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    std::string text;
-    if (!r.ok()) return text;
-    for (const auto& row : r.ValueOrDie().rows) {
-      text += std::string(row[0].string_value()) + "\n";
-    }
-    return text;
+    return ExplainAnalyze(catalog, "CONTAINS(d->'tags', '" + member +
+                                       "', 'rare')");
   };
   auto side_rows = [](size_t n) { return "side_rows=" + std::to_string(n); };
   const std::string side_plan = plan(side);
@@ -347,24 +430,91 @@ TEST_F(ContainsRouteTest, BitmapSkipsTilesAndShowsSideRows) {
   }
 }
 
-// A shard scanned as a plain relation (row-id base 0) holds side `_rowid`s
-// outside its rows: the documents answer instead.
+// A side relation whose `_rowid`s are not integer rows of the base relation
+// (a corrupt or foreign file) is not trusted: the scan answers from the
+// documents, exactly, and reads no side rows. Every other side document
+// names an in-range row and claims a match, so a partly trusted side
+// relation would mark rows the documents do not.
 TEST_F(ContainsRouteTest, ForeignRowIdsFallBackToDocuments) {
   const Probe hot{{"tags"}, "t", "hot"};
-  const Relation& last = sharded_->shard(sharded_->shard_count() - 1);
-  ASSERT_GT(last.num_rows(), 0u);
-  ScanSpec spec;
-  spec.relation = &last;
-  spec.accesses = {Contains("d", hot)};
-  QueryContext ctx;
-  RowSet rows = ScanExec(spec, ctx);
-  ASSERT_TRUE(ctx.ConsumeStatus().ok());
-  ASSERT_EQ(rows.size(), last.num_rows());
-  size_t hits = 0;
-  for (size_t r = 0; r < rows.size(); r++) {
-    if (rows[r][0].bool_value()) hits++;
+  std::string tags;
+  tiles::AppendKeySegment(&tags, "tags");
+  const std::string bad_ids[] = {std::to_string(kDocs), "-1", R"("0")",
+                                 "0.5", "null", R"({"r":0})"};
+  for (const std::string& bad : bad_ids) {
+    auto base = Loader(StorageMode::kTiles, SmallTiles())
+                    .Load(Docs(), "docs")
+                    .MoveValueOrDie();
+    std::vector<std::string> side_docs;
+    for (int r = 0; r < kDocs; r++) {
+      side_docs.push_back(R"({"t":"hot","_rowid":)" + std::to_string(r) + "}");
+    }
+    side_docs.push_back(R"({"t":"hot","_rowid":)" + bad + "}");
+    base->AddSideRelation(tags, Loader(StorageMode::kTiles, SmallTiles())
+                                    .Load(side_docs, "docs$tags")
+                                    .MoveValueOrDie());
+
+    sql::SqlCatalog catalog, reference;
+    catalog.tables["docs"] = base.get();
+    reference.tables["docs"] = jsonb_;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      ExecOptions options;
+      options.num_threads = threads;
+      QueryContext ctx(options), ref_ctx;
+      EXPECT_EQ(RunBlocks(TableRef::Rel("d", base.get()), hot, ctx),
+                RunBlocks(TableRef::Rel("d", jsonb_), hot, ref_ctx))
+          << "_rowid " << bad << " threads=" << threads;
+      EXPECT_EQ(RunSql(catalog, hot, threads), RunSql(reference, hot, 1))
+          << "_rowid " << bad << " threads=" << threads;
+    }
+    const std::string text = ExplainAnalyze(catalog, SqlContains(hot));
+    EXPECT_EQ(text.find("side_rows"), std::string::npos)
+        << "_rowid " << bad << "\n" << text;
   }
-  EXPECT_GT(hits, 0u);
+}
+
+// Side `_rowid`s are shard-local, so a shard scanned on its own (as a dist
+// worker scans it, with the shard's row-id base) takes the side route and
+// answers as the documents of the same shard do.
+TEST_F(ContainsRouteTest, SingleShardScanTakesSideRoute) {
+  for (size_t s = 0; s < sharded_->shard_count(); s++) {
+    const Relation& shard = sharded_->shard(s);
+    // A row-subset scan answers from the documents: the reference route.
+    RowSubset all_rows(shard.num_rows());
+    for (size_t r = 0; r < shard.num_rows(); r++) all_rows.Add(r);
+    for (const Probe& p : Probes()) {
+      std::string path;
+      for (const std::string& k : p.keys) tiles::AppendKeySegment(&path, k);
+      const Relation* side = shard.FindSideRelation(path);
+      ASSERT_NE(side, nullptr) << Describe(p);
+      const bool side_route =
+          p.member != "" && p.member != "value" && p.member != "_rowid";
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        for (bool filter : {false, true}) {
+          ScanSpec spec;
+          spec.relation = &shard;
+          spec.table_alias = "d";
+          spec.rowid_base = ShardedRelation::RowIdBase(s);
+          spec.accesses = {RowId("d"), Access("d", {"id"}, ValueType::kInt),
+                           Contains("d", p)};
+          if (filter) spec.filter = Slot(2);
+          ScanSpec doc_spec = spec;
+          doc_spec.row_subset = &all_rows;
+          const ScanRun run = RunScan(spec, threads);
+          const ScanRun doc_run = RunScan(doc_spec, threads);
+          const std::string what = "shard " + std::to_string(s) + " " +
+                                   Describe(p) +
+                                   " threads=" + std::to_string(threads) +
+                                   (filter ? " filter" : "");
+          EXPECT_EQ(run.rows, doc_run.rows) << what;
+          EXPECT_EQ(doc_run.side_rows, 0) << what;
+          EXPECT_EQ(run.side_rows,
+                    side_route ? static_cast<int64_t>(side->num_rows()) : 0)
+              << what;
+        }
+      }
+    }
+  }
 }
 
 // Workers answer CONTAINS on their own shard, from its side relation.

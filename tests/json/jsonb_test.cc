@@ -315,14 +315,5 @@ TEST(JsonbTest, ManyEscapedStringsSurviveDecodeBufferGrowth) {
   }
 }
 
-TEST(JsonbTest, DetectionCanBeDisabled) {
-  JsonbBuilder::Options options;
-  options.detect_numeric_strings = false;
-  JsonbBuilder builder(options);
-  std::vector<uint8_t> buf;
-  ASSERT_TRUE(builder.Transform(R"("19.99")", &buf).ok());
-  EXPECT_EQ(JsonbValue(buf.data()).type(), JsonType::kString);
-}
-
 }  // namespace
 }  // namespace jsontiles::json

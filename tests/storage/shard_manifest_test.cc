@@ -201,10 +201,9 @@ TEST_F(ShardManifestTest, NonexistentManifest) {
 }
 
 // The string whose length SpecManifest replaces with a wrapping one.
-enum class WrapAt { kNothing, kName, kShardFile, kSidePath };
+enum class WrapAt { kNothing, kName, kShardFile };
 
-// A one-shard JTSM v2 manifest with one side relation, written from the
-// DESIGN.md §10 grammar. With `wrap` set, that string's length is one that
+// A one-shard JTSM v3 manifest, written from the DESIGN.md §10 grammar. With `wrap` set, that string's length is one that
 // makes `pos + n` wrap to exactly zero, and the manifest ends there.
 std::vector<uint8_t> SpecManifest(WrapAt wrap) {
   std::vector<uint8_t> out;
@@ -219,7 +218,7 @@ std::vector<uint8_t> SpecManifest(WrapAt wrap) {
     return true;
   };
   w.Raw("JTSM", 4);
-  w.Varint(2);
+  w.Varint(3);
   if (str("spec", WrapAt::kName)) return out;
   w.U8(static_cast<uint8_t>(StorageMode::kTiles));
   w.U8(static_cast<uint8_t>(ShardRouting::kRoundRobin));
@@ -234,9 +233,6 @@ std::vector<uint8_t> SpecManifest(WrapAt wrap) {
   if (str("spec.shard-0.jtrl", WrapAt::kShardFile)) return out;
   w.Varint(7);   // rows
   w.Varint(99);  // file size
-  w.Varint(1);   // side relations
-  if (str("tags", WrapAt::kSidePath)) return out;
-  w.Varint(21);  // side rows
   return out;
 }
 
@@ -254,14 +250,12 @@ TEST(ShardManifestSpecTest, SpecManifestParses) {
   auto info = ReadManifestBytes(SpecManifest(WrapAt::kNothing), "spec_ok");
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   const ShardManifestInfo& i = info.ValueOrDie();
+  EXPECT_EQ(i.version, 3u);
   EXPECT_EQ(i.name, "spec");
   ASSERT_EQ(i.shard_count(), 1u);
   EXPECT_EQ(i.filenames[0], "spec.shard-0.jtrl");
   EXPECT_EQ(i.num_rows[0], 7u);
   EXPECT_EQ(i.file_sizes[0], 99u);
-  ASSERT_EQ(i.sides[0].size(), 1u);
-  EXPECT_EQ(i.sides[0][0].path, "tags");
-  EXPECT_EQ(i.sides[0][0].num_rows, 21u);
 }
 
 // The manifest's own reader checked `pos + n > size`, which wraps: each of
@@ -273,7 +267,7 @@ TEST(ShardManifestSpecTest, WrappingStringLengthsRejected) {
   uint64_t length;
   ASSERT_TRUE(ReadVarint(name.data(), name.size(), &pos, &length));
   EXPECT_EQ(length, 0 - uint64_t{15});
-  for (WrapAt at : {WrapAt::kName, WrapAt::kShardFile, WrapAt::kSidePath}) {
+  for (WrapAt at : {WrapAt::kName, WrapAt::kShardFile}) {
     auto info = ReadManifestBytes(SpecManifest(at), "spec_wrap");
     ASSERT_FALSE(info.ok()) << static_cast<int>(at);
     EXPECT_EQ(info.status().code(), StatusCode::kParseError)

@@ -247,11 +247,14 @@ TEST(ShardStatsTest, NonTiledModesHaveNoStats) {
   EXPECT_TRUE(stats.MayContainPath(Path({"anything"})));
 }
 
-TEST(ShardTest, SidePartsCarryGlobalRowIdBases) {
+// Side `_rowid`s are shard-local: each names a row of its own shard, and
+// that row's array holds the element.
+TEST(ShardTest, SideRowIdsAreShardLocal) {
   std::vector<std::string> docs;
   for (int i = 0; i < 600; i++) {
-    docs.push_back(R"({"id":)" + std::to_string(i) +
-                   R"(,"tags":[{"t":"x"},{"t":"y"}]})");
+    const std::string id = std::to_string(i);
+    docs.push_back(R"({"id":)" + id + R"(,"tags":[{"t":"x)" + id +
+                   R"("},{"t":"y)" + id + R"("}]})");
   }
   LoadOptions load_options;
   load_options.extract_arrays = true;
@@ -264,17 +267,29 @@ TEST(ShardTest, SidePartsCarryGlobalRowIdBases) {
                      .MoveValueOrDie();
   std::string tags_path = Path({"tags"});
   for (size_t p = 0; p < sharded->shard_count(); p++) {
-    // The side relation's _rowid values are already global (offset by the
-    // shard's base at load time).
-    const Relation* side_rel = sharded->shard(p).FindSideRelation(tags_path);
-    ASSERT_NE(side_rel, nullptr);
-    const Relation& side = *side_rel;
-    ASSERT_GT(side.num_rows(), 0u);
-    int64_t rowid = side.Jsonb(0).FindKey("_rowid")->GetInt();
-    if (p > 0) {
-      EXPECT_GE(rowid, ShardedRelation::RowIdBase(p));
+    const Relation& shard = sharded->shard(p);
+    const Relation* side = shard.FindSideRelation(tags_path);
+    ASSERT_NE(side, nullptr);
+    ASSERT_EQ(side->num_rows(), 2 * shard.num_rows());
+    std::vector<int> elements(shard.num_rows(), 0);
+    for (size_t k = 0; k < side->num_rows(); k++) {
+      auto rowid = side->Jsonb(k).FindKey("_rowid");
+      ASSERT_TRUE(rowid.has_value());
+      ASSERT_EQ(rowid->type(), json::JsonType::kInt);
+      ASSERT_GE(rowid->GetInt(), 0) << "shard " << p;
+      ASSERT_LT(rowid->GetInt(), static_cast<int64_t>(shard.num_rows()))
+          << "shard " << p;
+      const size_t row = static_cast<size_t>(rowid->GetInt());
+      const std::string id =
+          std::to_string(shard.Jsonb(row).FindKey("id")->GetInt());
+      const std::string t(side->Jsonb(k).FindKey("t")->GetString());
+      EXPECT_TRUE(t == "x" + id || t == "y" + id)
+          << "shard " << p << " row " << row << " element " << t;
+      elements[row]++;
     }
-    EXPECT_LT(rowid, ShardedRelation::RowIdBase(p + 1));
+    for (size_t r = 0; r < shard.num_rows(); r++) {
+      EXPECT_EQ(elements[r], 2) << "shard " << p << " row " << r;
+    }
   }
 }
 
