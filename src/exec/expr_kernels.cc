@@ -16,8 +16,9 @@ namespace jsontiles::exec::vec {
 namespace {
 
 // Dense selections (the first conjunct after SetAll, projections, join and
-// aggregate key batches) take the SIMD entry points; sparse selections keep
-// the scalar gather loops below, which remain the semantic reference.
+// aggregate key batches) take the SIMD entry points when UseSimd() holds;
+// everything else runs the scalar gather loops below, the one scalar
+// definition of each kernel.
 inline bool UseSimdDense(const SelectionVector& sel) {
   return sel.IsDense() && simd::UseSimd();
 }

@@ -131,9 +131,9 @@ ExprPtr AccessPath(std::string table, std::string encoded_path, ValueType type);
 /// Scan-level predicate: true when the array at `keys` contains an element
 /// whose member `element_key` equals `value` (or, with an empty element_key,
 /// an element equal to `value`). Arrays of varying cardinality are not fully
-/// materialized by tiles (§3.5), so this always evaluates against the binary
-/// JSON — unless the query is rewritten to join an extracted array side
-/// relation (Tiles-*).
+/// materialized by tiles (§3.5): the scan answers it from the array's side
+/// relation where the relation has one (Tiles-*), else from the binary JSON
+/// (DESIGN.md §3 "CONTAINS routes").
 ExprPtr ArrayContains(std::string table,
                       std::initializer_list<std::string_view> keys,
                       std::string element_key, std::string value);

@@ -1,12 +1,13 @@
-// Tier selection and dispatch for the SIMD layer (see simd.h).
+// The SIMD layer's one tier (see simd.h): every entry point below is an AVX2
+// kernel, and callers reach it only when UseSimd() holds.
 //
-// Two tiers share one source of truth: the scalar reference below defines the
-// semantics and the AVX2 tier implements the same entry points with vector
-// lanes. A function table per tier is picked at each call from the runtime
-// switch and what the CPU reports. The AVX2 tier uses function
-// multi-versioning (__attribute__((target("avx2")))), so no special compile
-// flags are needed and the binary stays runnable on machines without AVX2,
-// which get the scalar tier.
+// The scalar semantics of each kernel live in one place: the gather loops of
+// expr_kernels.cc, vector_batch.cc (IntersectSelection) and batched_exprs.cc
+// (HashKeys), which production runs on CPUs without AVX2, on sparse
+// selections and with the switch off. SimdKernelTest holds every kernel
+// bit-identical to them. The kernels are compiled through
+// __attribute__((target("avx2"))), so no special compile flags are needed and
+// the binary stays runnable on machines without AVX2, which never call them.
 
 #include "exec/simd.h"
 
@@ -20,11 +21,40 @@ namespace jsontiles::exec::simd {
 
 namespace {
 
+bool CpuHasAvx2() {
+#if defined(__x86_64__)
+  static const bool has = __builtin_cpu_supports("avx2");
+  return has;
+#else
+  return false;
+#endif
+}
+
+std::atomic<bool> g_enabled{true};
+
+}  // namespace
+
+const char* ActiveIsa() { return UseSimd() ? "avx2" : "scalar"; }
+
+void SetEnabled(bool on) {
+  g_enabled.store(on, std::memory_order_relaxed);
+}
+
+bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
+
+bool UseSimd() { return Enabled() && CpuHasAvx2(); }
+
 // --------------------------------------------------------------------------
-// Scalar reference tier - defines the exact semantics of every entry point.
-// The AVX2 tier's scalar tails call these helpers so tails match by
-// construction.
+// AVX2 kernels: GNU vector extensions over 256-bit registers. The scalar
+// tails use the lane rules below, the same ones as the gather loops.
+// Loads/stores go through __builtin_memcpy: ColumnVector buffers have no
+// vector alignment guarantee and memcpy avoids both the UB and the -Wpsabi
+// ABI warnings of passing over-wide vector types around.
 // --------------------------------------------------------------------------
+
+#if defined(__x86_64__)
+
+namespace {
 
 inline int64_t ApplyCmpOrder(BinOp op, int cmp) {
   switch (op) {
@@ -51,154 +81,6 @@ inline int64_t ArithScalarI(BinOp op, int64_t x, int64_t y) {
          : op == BinOp::kSub ? bit_util::WrapSub(x, y)
                              : bit_util::WrapMul(x, y);
 }
-
-namespace scalar {
-
-void OrBytesImpl(const uint8_t* a, const uint8_t* b, uint8_t* out, size_t n) {
-  for (size_t k = 0; k < n; ++k) out[k] = a[k] | b[k];
-}
-
-void CompareI64ViaDoubleImpl(BinOp op, const int64_t* a, const int64_t* b,
-                             const uint8_t* an, const uint8_t* bn,
-                             int64_t* out, uint8_t* onull, size_t n) {
-  for (size_t k = 0; k < n; ++k) {
-    onull[k] = an[k] | bn[k];
-    out[k] = CmpScalarF(op, static_cast<double>(a[k]),
-                        static_cast<double>(b[k]));
-  }
-}
-
-void CompareF64Impl(BinOp op, const double* a, const double* b,
-                    const uint8_t* an, const uint8_t* bn, int64_t* out,
-                    uint8_t* onull, size_t n) {
-  for (size_t k = 0; k < n; ++k) {
-    onull[k] = an[k] | bn[k];
-    out[k] = CmpScalarF(op, a[k], b[k]);
-  }
-}
-
-void CompareI64F64Impl(BinOp op, const int64_t* a, const double* b,
-                       const uint8_t* an, const uint8_t* bn, int64_t* out,
-                       uint8_t* onull, size_t n) {
-  for (size_t k = 0; k < n; ++k) {
-    onull[k] = an[k] | bn[k];
-    out[k] = CmpScalarF(op, static_cast<double>(a[k]), b[k]);
-  }
-}
-
-void CompareF64I64Impl(BinOp op, const double* a, const int64_t* b,
-                       const uint8_t* an, const uint8_t* bn, int64_t* out,
-                       uint8_t* onull, size_t n) {
-  for (size_t k = 0; k < n; ++k) {
-    onull[k] = an[k] | bn[k];
-    out[k] = CmpScalarF(op, a[k], static_cast<double>(b[k]));
-  }
-}
-
-void CompareI64RawImpl(BinOp op, const int64_t* a, const int64_t* b,
-                       const uint8_t* an, const uint8_t* bn, int64_t* out,
-                       uint8_t* onull, size_t n) {
-  for (size_t k = 0; k < n; ++k) {
-    onull[k] = an[k] | bn[k];
-    out[k] = CmpScalarI(op, a[k], b[k]);
-  }
-}
-
-void ArithI64Impl(BinOp op, const int64_t* a, const int64_t* b,
-                  const uint8_t* an, const uint8_t* bn, int64_t* out,
-                  uint8_t* onull, size_t n) {
-  for (size_t k = 0; k < n; ++k) {
-    onull[k] = an[k] | bn[k];
-    out[k] = ArithScalarI(op, a[k], b[k]);
-  }
-}
-
-void ArithF64Impl(BinOp op, const double* a, const double* b,
-                  const uint8_t* an, const uint8_t* bn, double* out,
-                  uint8_t* onull, size_t n) {
-  for (size_t k = 0; k < n; ++k) {
-    onull[k] = an[k] | bn[k];
-    if (op == BinOp::kDiv && b[k] == 0.0) {
-      onull[k] = 1;
-      continue;
-    }
-    out[k] = op == BinOp::kAdd   ? a[k] + b[k]
-             : op == BinOp::kSub ? a[k] - b[k]
-             : op == BinOp::kMul ? a[k] * b[k]
-                                 : a[k] / b[k];
-  }
-}
-
-void I64ToF64Impl(const int64_t* in, double* out, size_t n) {
-  for (size_t k = 0; k < n; ++k) out[k] = static_cast<double>(in[k]);
-}
-
-void And3VLImpl(const int64_t* a, const int64_t* b, const uint8_t* an,
-                const uint8_t* bn, int64_t* out, uint8_t* onull, size_t n) {
-  for (size_t k = 0; k < n; ++k) {
-    int x = an[k] ? 2 : (a[k] != 0 ? 1 : 0);
-    int y = bn[k] ? 2 : (b[k] != 0 ? 1 : 0);
-    if (x == 0 || y == 0) {
-      onull[k] = 0;
-      out[k] = 0;
-    } else if (x == 2 || y == 2) {
-      onull[k] = 1;
-    } else {
-      onull[k] = 0;
-      out[k] = 1;
-    }
-  }
-}
-
-void Or3VLImpl(const int64_t* a, const int64_t* b, const uint8_t* an,
-               const uint8_t* bn, int64_t* out, uint8_t* onull, size_t n) {
-  for (size_t k = 0; k < n; ++k) {
-    int x = an[k] ? 2 : (a[k] != 0 ? 1 : 0);
-    int y = bn[k] ? 2 : (b[k] != 0 ? 1 : 0);
-    if (x == 1 || y == 1) {
-      onull[k] = 0;
-      out[k] = 1;
-    } else if (x == 2 || y == 2) {
-      onull[k] = 1;
-    } else {
-      onull[k] = 0;
-      out[k] = 0;
-    }
-  }
-}
-
-void BoolPassBytesImpl(const int64_t* vals, const uint8_t* nulls,
-                       uint8_t* pass, size_t n) {
-  for (size_t k = 0; k < n; ++k) {
-    pass[k] = static_cast<uint8_t>(nulls[k] == 0 && vals[k] != 0);
-  }
-}
-
-void HashI64Impl(const int64_t* v, const uint8_t* nulls, uint64_t null_hash,
-                 uint64_t* out, size_t n) {
-  for (size_t k = 0; k < n; ++k) {
-    out[k] = nulls[k] ? null_hash : HashInt(static_cast<uint64_t>(v[k]));
-  }
-}
-
-void HashCombineImpl(uint64_t* acc, const uint64_t* h, size_t n) {
-  for (size_t k = 0; k < n; ++k) acc[k] = HashCombine(acc[k], h[k]);
-}
-
-}  // namespace scalar
-
-// --------------------------------------------------------------------------
-// AVX2 tier: GNU vector extensions over 256-bit registers, compiled through
-// function multi-versioning. Scalar tails reuse the reference helpers above
-// (CmpScalarF/CmpScalarI/...), so tail lanes are bit-identical to the scalar
-// tier by construction. Loads/stores go through __builtin_memcpy: ColumnVector
-// buffers have no vector alignment guarantee and memcpy avoids both the UB and
-// the -Wpsabi ABI warnings of passing over-wide vector types around.
-// --------------------------------------------------------------------------
-
-#if defined(__x86_64__)
-
-namespace avx2 {
 
 #define JT_AVX2 __attribute__((target("avx2")))
 
@@ -290,8 +172,9 @@ JT_AVX2 static inline VI CmpCombine(BinOp op, VI lt, VI gt) {
   }
 }
 
-JT_AVX2 static void OrBytesImpl(const uint8_t* a, const uint8_t* b,
-                                uint8_t* out, size_t n) {
+/// out[k] = a[k] | b[k]: the null fold of every binary kernel.
+JT_AVX2 static void OrNulls(const uint8_t* a, const uint8_t* b, uint8_t* out,
+                            size_t n) {
   size_t k = 0;
   for (; k + sizeof(VB) <= n; k += sizeof(VB)) {
     StoreB(out + k, LoadB(a + k) | LoadB(b + k));
@@ -299,25 +182,23 @@ JT_AVX2 static void OrBytesImpl(const uint8_t* a, const uint8_t* b,
   for (; k < n; ++k) out[k] = a[k] | b[k];
 }
 
-JT_AVX2 static void CompareF64Impl(BinOp op, const double* a,
-                                   const double* b, const uint8_t* an,
-                                   const uint8_t* bn, int64_t* out,
-                                   uint8_t* onull, size_t n) {
+}  // namespace
+
+JT_AVX2 void CompareF64(BinOp op, const double* a, const double* b,
+                        const uint8_t* an, const uint8_t* bn, int64_t* out,
+                        uint8_t* onull, size_t n) {
   size_t k = 0;
   for (; k + kLanes <= n; k += kLanes) {
     VF x = LoadF(a + k), y = LoadF(b + k);
     StoreI(out + k, CmpCombine(op, (VI)(x < y), (VI)(x > y)));
   }
   for (; k < n; ++k) out[k] = CmpScalarF(op, a[k], b[k]);
-  OrBytesImpl(an, bn, onull, n);
+  OrNulls(an, bn, onull, n);
 }
 
-JT_AVX2 static void CompareI64ViaDoubleImpl(BinOp op, const int64_t* a,
-                                            const int64_t* b,
-                                            const uint8_t* an,
-                                            const uint8_t* bn,
-                                            int64_t* out, uint8_t* onull,
-                                            size_t n) {
+JT_AVX2 void CompareI64ViaDouble(BinOp op, const int64_t* a, const int64_t* b,
+                                 const uint8_t* an, const uint8_t* bn,
+                                 int64_t* out, uint8_t* onull, size_t n) {
   size_t k = 0;
   for (; k + kLanes <= n; k += kLanes) {
     VF x = __builtin_convertvector(LoadI(a + k), VF);
@@ -328,13 +209,12 @@ JT_AVX2 static void CompareI64ViaDoubleImpl(BinOp op, const int64_t* a,
     out[k] = CmpScalarF(op, static_cast<double>(a[k]),
                         static_cast<double>(b[k]));
   }
-  OrBytesImpl(an, bn, onull, n);
+  OrNulls(an, bn, onull, n);
 }
 
-JT_AVX2 static void CompareI64F64Impl(BinOp op, const int64_t* a,
-                                      const double* b, const uint8_t* an,
-                                      const uint8_t* bn, int64_t* out,
-                                      uint8_t* onull, size_t n) {
+JT_AVX2 void CompareI64F64(BinOp op, const int64_t* a, const double* b,
+                           const uint8_t* an, const uint8_t* bn, int64_t* out,
+                           uint8_t* onull, size_t n) {
   size_t k = 0;
   for (; k + kLanes <= n; k += kLanes) {
     VF x = __builtin_convertvector(LoadI(a + k), VF);
@@ -342,13 +222,12 @@ JT_AVX2 static void CompareI64F64Impl(BinOp op, const int64_t* a,
     StoreI(out + k, CmpCombine(op, (VI)(x < y), (VI)(x > y)));
   }
   for (; k < n; ++k) out[k] = CmpScalarF(op, static_cast<double>(a[k]), b[k]);
-  OrBytesImpl(an, bn, onull, n);
+  OrNulls(an, bn, onull, n);
 }
 
-JT_AVX2 static void CompareF64I64Impl(BinOp op, const double* a,
-                                      const int64_t* b, const uint8_t* an,
-                                      const uint8_t* bn, int64_t* out,
-                                      uint8_t* onull, size_t n) {
+JT_AVX2 void CompareF64I64(BinOp op, const double* a, const int64_t* b,
+                           const uint8_t* an, const uint8_t* bn, int64_t* out,
+                           uint8_t* onull, size_t n) {
   size_t k = 0;
   for (; k + kLanes <= n; k += kLanes) {
     VF x = LoadF(a + k);
@@ -356,26 +235,24 @@ JT_AVX2 static void CompareF64I64Impl(BinOp op, const double* a,
     StoreI(out + k, CmpCombine(op, (VI)(x < y), (VI)(x > y)));
   }
   for (; k < n; ++k) out[k] = CmpScalarF(op, a[k], static_cast<double>(b[k]));
-  OrBytesImpl(an, bn, onull, n);
+  OrNulls(an, bn, onull, n);
 }
 
-JT_AVX2 static void CompareI64RawImpl(BinOp op, const int64_t* a,
-                                      const int64_t* b, const uint8_t* an,
-                                      const uint8_t* bn, int64_t* out,
-                                      uint8_t* onull, size_t n) {
+JT_AVX2 void CompareI64Raw(BinOp op, const int64_t* a, const int64_t* b,
+                           const uint8_t* an, const uint8_t* bn, int64_t* out,
+                           uint8_t* onull, size_t n) {
   size_t k = 0;
   for (; k + kLanes <= n; k += kLanes) {
     VI x = LoadI(a + k), y = LoadI(b + k);
     StoreI(out + k, CmpCombine(op, x < y, x > y));
   }
   for (; k < n; ++k) out[k] = CmpScalarI(op, a[k], b[k]);
-  OrBytesImpl(an, bn, onull, n);
+  OrNulls(an, bn, onull, n);
 }
 
-JT_AVX2 static void ArithI64Impl(BinOp op, const int64_t* a,
-                                 const int64_t* b, const uint8_t* an,
-                                 const uint8_t* bn, int64_t* out,
-                                 uint8_t* onull, size_t n) {
+JT_AVX2 void ArithI64(BinOp op, const int64_t* a, const int64_t* b,
+                      const uint8_t* an, const uint8_t* bn, int64_t* out,
+                      uint8_t* onull, size_t n) {
   size_t k = 0;
   for (; k + kLanes <= n; k += kLanes) {
     // Unsigned lanes: overflow wraps (defined) exactly like ArithScalarI.
@@ -384,14 +261,13 @@ JT_AVX2 static void ArithI64Impl(BinOp op, const int64_t* a,
     StoreI(out + k, (VI)r);
   }
   for (; k < n; ++k) out[k] = ArithScalarI(op, a[k], b[k]);
-  OrBytesImpl(an, bn, onull, n);
+  OrNulls(an, bn, onull, n);
 }
 
-JT_AVX2 static void ArithF64Impl(BinOp op, const double* a,
-                                 const double* b, const uint8_t* an,
-                                 const uint8_t* bn, double* out,
-                                 uint8_t* onull, size_t n) {
-  OrBytesImpl(an, bn, onull, n);
+JT_AVX2 void ArithF64(BinOp op, const double* a, const double* b,
+                      const uint8_t* an, const uint8_t* bn, double* out,
+                      uint8_t* onull, size_t n) {
+  OrNulls(an, bn, onull, n);
   size_t k = 0;
   if (op == BinOp::kDiv) {
     for (; k + kLanes <= n; k += kLanes) {
@@ -422,8 +298,7 @@ JT_AVX2 static void ArithF64Impl(BinOp op, const double* a,
   }
 }
 
-JT_AVX2 static void I64ToF64Impl(const int64_t* in, double* out,
-                                 size_t n) {
+JT_AVX2 void I64ToF64(const int64_t* in, double* out, size_t n) {
   size_t k = 0;
   for (; k + kLanes <= n; k += kLanes) {
     StoreF(out + k, __builtin_convertvector(LoadI(in + k), VF));
@@ -431,9 +306,8 @@ JT_AVX2 static void I64ToF64Impl(const int64_t* in, double* out,
   for (; k < n; ++k) out[k] = static_cast<double>(in[k]);
 }
 
-JT_AVX2 static void And3VLImpl(const int64_t* a, const int64_t* b,
-                               const uint8_t* an, const uint8_t* bn,
-                               int64_t* out, uint8_t* onull, size_t n) {
+JT_AVX2 void And3VL(const int64_t* a, const int64_t* b, const uint8_t* an,
+                    const uint8_t* bn, int64_t* out, uint8_t* onull, size_t n) {
   size_t k = 0;
   for (; k + kLanes <= n; k += kLanes) {
     VI av = LoadI(a + k), bv = LoadI(b + k);
@@ -458,9 +332,8 @@ JT_AVX2 static void And3VLImpl(const int64_t* a, const int64_t* b,
   }
 }
 
-JT_AVX2 static void Or3VLImpl(const int64_t* a, const int64_t* b,
-                              const uint8_t* an, const uint8_t* bn,
-                              int64_t* out, uint8_t* onull, size_t n) {
+JT_AVX2 void Or3VL(const int64_t* a, const int64_t* b, const uint8_t* an,
+                   const uint8_t* bn, int64_t* out, uint8_t* onull, size_t n) {
   size_t k = 0;
   for (; k + kLanes <= n; k += kLanes) {
     VI av = LoadI(a + k), bv = LoadI(b + k);
@@ -485,9 +358,8 @@ JT_AVX2 static void Or3VLImpl(const int64_t* a, const int64_t* b,
   }
 }
 
-JT_AVX2 static void BoolPassBytesImpl(const int64_t* vals,
-                                      const uint8_t* nulls, uint8_t* pass,
-                                      size_t n) {
+JT_AVX2 void BoolPassBytes(const int64_t* vals, const uint8_t* nulls,
+                           uint8_t* pass, size_t n) {
   size_t k = 0;
   for (; k + kLanes <= n; k += kLanes) {
     VN nz = MaskToBytes(LoadI(vals + k) != 0);
@@ -499,9 +371,8 @@ JT_AVX2 static void BoolPassBytesImpl(const int64_t* vals,
   }
 }
 
-JT_AVX2 static void HashI64Impl(const int64_t* v, const uint8_t* nulls,
-                                uint64_t null_hash, uint64_t* out,
-                                size_t n) {
+JT_AVX2 void HashI64Batch(const int64_t* v, const uint8_t* nulls,
+                          uint64_t null_hash, uint64_t* out, size_t n) {
   const VU nh = SplatU(null_hash);
   size_t k = 0;
   for (; k + kLanes <= n; k += kLanes) {
@@ -519,8 +390,7 @@ JT_AVX2 static void HashI64Impl(const int64_t* v, const uint8_t* nulls,
   }
 }
 
-JT_AVX2 static void HashCombineImpl(uint64_t* acc, const uint64_t* h,
-                                    size_t n) {
+JT_AVX2 void HashCombineBatch(uint64_t* acc, const uint64_t* h, size_t n) {
   size_t k = 0;
   for (; k + kLanes <= n; k += kLanes) {
     VU a = LoadU(acc + k), b = LoadU(h + k);
@@ -531,153 +401,52 @@ JT_AVX2 static void HashCombineImpl(uint64_t* acc, const uint64_t* h,
 
 #undef JT_AVX2
 
-}  // namespace avx2
+#else  // !__x86_64__
+
+// UseSimd() is false off x86-64, so no caller reaches an entry point there.
+#define JT_UNREACHABLE_KERNEL(name, ...) \
+  void name(__VA_ARGS__) { __builtin_trap(); }
+
+JT_UNREACHABLE_KERNEL(CompareI64ViaDouble, BinOp, const int64_t*,
+                      const int64_t*, const uint8_t*, const uint8_t*, int64_t*,
+                      uint8_t*, size_t)
+JT_UNREACHABLE_KERNEL(CompareF64, BinOp, const double*, const double*,
+                      const uint8_t*, const uint8_t*, int64_t*, uint8_t*,
+                      size_t)
+JT_UNREACHABLE_KERNEL(CompareI64F64, BinOp, const int64_t*, const double*,
+                      const uint8_t*, const uint8_t*, int64_t*, uint8_t*,
+                      size_t)
+JT_UNREACHABLE_KERNEL(CompareF64I64, BinOp, const double*, const int64_t*,
+                      const uint8_t*, const uint8_t*, int64_t*, uint8_t*,
+                      size_t)
+JT_UNREACHABLE_KERNEL(CompareI64Raw, BinOp, const int64_t*, const int64_t*,
+                      const uint8_t*, const uint8_t*, int64_t*, uint8_t*,
+                      size_t)
+JT_UNREACHABLE_KERNEL(ArithI64, BinOp, const int64_t*, const int64_t*,
+                      const uint8_t*, const uint8_t*, int64_t*, uint8_t*,
+                      size_t)
+JT_UNREACHABLE_KERNEL(ArithF64, BinOp, const double*, const double*,
+                      const uint8_t*, const uint8_t*, double*, uint8_t*,
+                      size_t)
+JT_UNREACHABLE_KERNEL(I64ToF64, const int64_t*, double*, size_t)
+JT_UNREACHABLE_KERNEL(And3VL, const int64_t*, const int64_t*, const uint8_t*,
+                      const uint8_t*, int64_t*, uint8_t*, size_t)
+JT_UNREACHABLE_KERNEL(Or3VL, const int64_t*, const int64_t*, const uint8_t*,
+                      const uint8_t*, int64_t*, uint8_t*, size_t)
+JT_UNREACHABLE_KERNEL(BoolPassBytes, const int64_t*, const uint8_t*, uint8_t*,
+                      size_t)
+JT_UNREACHABLE_KERNEL(HashI64Batch, const int64_t*, const uint8_t*, uint64_t,
+                      uint64_t*, size_t)
+JT_UNREACHABLE_KERNEL(HashCombineBatch, uint64_t*, const uint64_t*, size_t)
+
+#undef JT_UNREACHABLE_KERNEL
 
 #endif  // __x86_64__
 
-// --------------------------------------------------------------------------
-// Dispatch
-// --------------------------------------------------------------------------
-
-struct Ops {
-  const char* isa;
-  void (*or_bytes)(const uint8_t*, const uint8_t*, uint8_t*, size_t);
-  void (*cmp_i64_dbl)(BinOp, const int64_t*, const int64_t*, const uint8_t*,
-                      const uint8_t*, int64_t*, uint8_t*, size_t);
-  void (*cmp_f64)(BinOp, const double*, const double*, const uint8_t*,
-                  const uint8_t*, int64_t*, uint8_t*, size_t);
-  void (*cmp_i64_f64)(BinOp, const int64_t*, const double*, const uint8_t*,
-                      const uint8_t*, int64_t*, uint8_t*, size_t);
-  void (*cmp_f64_i64)(BinOp, const double*, const int64_t*, const uint8_t*,
-                      const uint8_t*, int64_t*, uint8_t*, size_t);
-  void (*cmp_i64_raw)(BinOp, const int64_t*, const int64_t*, const uint8_t*,
-                      const uint8_t*, int64_t*, uint8_t*, size_t);
-  void (*arith_i64)(BinOp, const int64_t*, const int64_t*, const uint8_t*,
-                    const uint8_t*, int64_t*, uint8_t*, size_t);
-  void (*arith_f64)(BinOp, const double*, const double*, const uint8_t*,
-                    const uint8_t*, double*, uint8_t*, size_t);
-  void (*i64_to_f64)(const int64_t*, double*, size_t);
-  void (*and_3vl)(const int64_t*, const int64_t*, const uint8_t*,
-                  const uint8_t*, int64_t*, uint8_t*, size_t);
-  void (*or_3vl)(const int64_t*, const int64_t*, const uint8_t*,
-                 const uint8_t*, int64_t*, uint8_t*, size_t);
-  void (*bool_pass)(const int64_t*, const uint8_t*, uint8_t*, size_t);
-  void (*hash_i64)(const int64_t*, const uint8_t*, uint64_t, uint64_t*,
-                   size_t);
-  void (*hash_combine)(uint64_t*, const uint64_t*, size_t);
-};
-
-#define JT_SIMD_OPS(ns, name)                                               \
-  {                                                                         \
-    name, &ns::OrBytesImpl, &ns::CompareI64ViaDoubleImpl,                   \
-        &ns::CompareF64Impl, &ns::CompareI64F64Impl, &ns::CompareF64I64Impl,\
-        &ns::CompareI64RawImpl, &ns::ArithI64Impl, &ns::ArithF64Impl,       \
-        &ns::I64ToF64Impl, &ns::And3VLImpl, &ns::Or3VLImpl,                 \
-        &ns::BoolPassBytesImpl, &ns::HashI64Impl, &ns::HashCombineImpl      \
-  }
-
-const Ops kScalarOps = JT_SIMD_OPS(scalar, "scalar");
-#if defined(__x86_64__)
-const Ops kAvx2Ops = JT_SIMD_OPS(avx2, "avx2");
-#endif
-#undef JT_SIMD_OPS
-
-bool CpuHasAvx2() {
-#if defined(__x86_64__)
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
-#else
-  return false;
-#endif
-}
-
-std::atomic<bool> g_enabled{true};
-
-inline const Ops& Active() {
-#if defined(__x86_64__)
-  if (UseSimd()) return kAvx2Ops;
-#endif
-  return kScalarOps;
-}
-
-}  // namespace
-
-const char* ActiveIsa() { return Active().isa; }
-
-void SetEnabled(bool on) {
-  g_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-bool UseSimd() { return Enabled() && CpuHasAvx2(); }
-
-void OrBytes(const uint8_t* a, const uint8_t* b, uint8_t* out, size_t n) {
-  Active().or_bytes(a, b, out, n);
-}
-
-void CompareI64ViaDouble(BinOp op, const int64_t* a, const int64_t* b,
-                         const uint8_t* an, const uint8_t* bn, int64_t* out,
-                         uint8_t* onull, size_t n) {
-  Active().cmp_i64_dbl(op, a, b, an, bn, out, onull, n);
-}
-
-void CompareF64(BinOp op, const double* a, const double* b, const uint8_t* an,
-                const uint8_t* bn, int64_t* out, uint8_t* onull, size_t n) {
-  Active().cmp_f64(op, a, b, an, bn, out, onull, n);
-}
-
-void CompareI64F64(BinOp op, const int64_t* a, const double* b,
-                   const uint8_t* an, const uint8_t* bn, int64_t* out,
-                   uint8_t* onull, size_t n) {
-  Active().cmp_i64_f64(op, a, b, an, bn, out, onull, n);
-}
-
-void CompareF64I64(BinOp op, const double* a, const int64_t* b,
-                   const uint8_t* an, const uint8_t* bn, int64_t* out,
-                   uint8_t* onull, size_t n) {
-  Active().cmp_f64_i64(op, a, b, an, bn, out, onull, n);
-}
-
-void CompareI64Raw(BinOp op, const int64_t* a, const int64_t* b,
-                   const uint8_t* an, const uint8_t* bn, int64_t* out,
-                   uint8_t* onull, size_t n) {
-  Active().cmp_i64_raw(op, a, b, an, bn, out, onull, n);
-}
-
-void ArithI64(BinOp op, const int64_t* a, const int64_t* b, const uint8_t* an,
-              const uint8_t* bn, int64_t* out, uint8_t* onull, size_t n) {
-  Active().arith_i64(op, a, b, an, bn, out, onull, n);
-}
-
-void ArithF64(BinOp op, const double* a, const double* b, const uint8_t* an,
-              const uint8_t* bn, double* out, uint8_t* onull, size_t n) {
-  Active().arith_f64(op, a, b, an, bn, out, onull, n);
-}
-
-void I64ToF64(const int64_t* in, double* out, size_t n) {
-  Active().i64_to_f64(in, out, n);
-}
-
-void And3VL(const int64_t* a, const int64_t* b, const uint8_t* an,
-            const uint8_t* bn, int64_t* out, uint8_t* onull, size_t n) {
-  Active().and_3vl(a, b, an, bn, out, onull, n);
-}
-
-void Or3VL(const int64_t* a, const int64_t* b, const uint8_t* an,
-           const uint8_t* bn, int64_t* out, uint8_t* onull, size_t n) {
-  Active().or_3vl(a, b, an, bn, out, onull, n);
-}
-
-void BoolPassBytes(const int64_t* vals, const uint8_t* nulls, uint8_t* pass,
-                   size_t n) {
-  Active().bool_pass(vals, nulls, pass, n);
-}
-
 size_t CompactPassIndices(const uint8_t* pass, size_t n, uint16_t* idx) {
   // Word-at-a-time on the 0/1 bytes: a zero word (8 lanes rejected) costs a
-  // single load+test, and each survivor is recovered with ctz. Shared by both
-  // tiers - the work is control flow, not data parallelism.
+  // single load+test, and each survivor is recovered with ctz. Plain code on
+  // every target - the work is control flow, not data parallelism.
   size_t cnt = 0;
   size_t k = 0;
   for (; k + 8 <= n; k += 8) {
@@ -693,15 +462,6 @@ size_t CompactPassIndices(const uint8_t* pass, size_t n, uint16_t* idx) {
     if (pass[k]) idx[cnt++] = static_cast<uint16_t>(k);
   }
   return cnt;
-}
-
-void HashI64Batch(const int64_t* v, const uint8_t* nulls, uint64_t null_hash,
-                  uint64_t* out, size_t n) {
-  Active().hash_i64(v, nulls, null_hash, out, n);
-}
-
-void HashCombineBatch(uint64_t* acc, const uint64_t* h, size_t n) {
-  Active().hash_combine(acc, h, n);
 }
 
 }  // namespace jsontiles::exec::simd

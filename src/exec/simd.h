@@ -1,19 +1,15 @@
 // Explicit SIMD layer under the vectorized expression engine.
 //
-// The kernels in expr_kernels.cc / vector_batch.cc / operators.cc call these
-// entry points for *dense* batches (lanes 0..n-1 contiguous). Every function
-// has documented scalar reference semantics that are bit-identical to the
-// tuple-at-a-time interpreter (expression.cc); the differential fuzz tests
-// lock this in for both tiers.
-//
-// Implementation tiers (simd.cc), picked from what the CPU reports:
-//   avx2    x86-64 with AVX2 at runtime (function multi-versioning via
-//           __attribute__((target("avx2"))); no special compile flags needed)
-//   scalar  plain loops everywhere else; also the reference the tests
-//           compare against
-//
-// SetEnabled(false) forces the scalar tier at runtime (bench --no-simd /
-// differential testing).
+// The kernels in expr_kernels.cc, vector_batch.cc (IntersectSelection) and
+// batched_exprs.cc (HashKeys) call these entry points for *dense* batches
+// (lanes 0..n-1 contiguous), and only when UseSimd() holds: calling one
+// otherwise is a bug. Every entry point is an AVX2 kernel (simd.cc, compiled
+// through __attribute__((target("avx2"))), so no special compile flags are
+// needed). Its scalar semantics are the gather loop of the caller, which
+// production runs on CPUs without AVX2, on sparse selections and with the
+// switch off; both are bit-identical to the tuple-at-a-time interpreter
+// (expression.cc). SimdKernelTest and the differential fuzz tests lock this
+// in. Off x86-64 UseSimd() is false and the entry points trap.
 
 #ifndef JSONTILES_EXEC_SIMD_H_
 #define JSONTILES_EXEC_SIMD_H_
@@ -25,18 +21,18 @@
 
 namespace jsontiles::exec::simd {
 
-/// Name of the tier answering calls right now: "avx2" or "scalar".
+/// "avx2" when UseSimd() holds, else "scalar" (the callers' gather loops).
 const char* ActiveIsa();
 
-/// Runtime kill switch (default on). Off routes every call below to the
-/// scalar reference implementation; benches expose it as --no-simd and the
+/// Runtime kill switch (default on). Off makes UseSimd() false, so every
+/// caller runs its scalar gather loop; benches expose it as --no-simd and the
 /// differential tests flip it to prove bit-identity. Not thread-safe with
 /// concurrent kernel execution - flip it only between queries.
 void SetEnabled(bool on);
 bool Enabled();
 
 /// Sets the runtime switch for one scope and restores the previous setting
-/// when the scope ends (tests and benches that compare the two tiers).
+/// when the scope ends (tests and benches that compare the two paths).
 class ScopedEnabled {
  public:
   explicit ScopedEnabled(bool on) : prev_(Enabled()) { SetEnabled(on); }
@@ -48,25 +44,19 @@ class ScopedEnabled {
   bool prev_;
 };
 
-/// Dense-batch gate used by the kernels: the runtime switch is on and the CPU
-/// has AVX2. When false the kernels keep their plain scalar gather loops (the
+/// Gate of every entry point below: the runtime switch is on and the CPU has
+/// AVX2. When false the callers keep their plain scalar gather loops (the
 /// baseline the benches compare against).
 bool UseSimd();
-
-// ---------------------------------------------------------------------------
-// Null bytemaps (1 = null)
-// ---------------------------------------------------------------------------
-
-/// out[k] = a[k] | b[k]  - the null fold of every binary kernel.
-void OrBytes(const uint8_t* a, const uint8_t* b, uint8_t* out, size_t n);
 
 // ---------------------------------------------------------------------------
 // Comparisons into selection bitmaps (kBool vectors: int64 0/1 + null bytes)
 // ---------------------------------------------------------------------------
 // All comparisons reproduce ApplyCmp(op, x < y ? -1 : x > y ? 1 : 0) exactly,
 // including the NaN quirk (NaN compares "equal" to everything because both
-// orderings are false). Null lanes fold an|bn into onull; their payload is
-// unspecified, like everywhere else in the batch engine.
+// orderings are false). Null bytemaps hold 1 = null: null lanes fold an|bn
+// into onull, and their payload is unspecified, like everywhere else in the
+// batch engine.
 
 /// Both operands int64, compared through double (interpreter semantics for
 /// number comparisons - int vs int also goes through AsDouble).

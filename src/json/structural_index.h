@@ -18,11 +18,11 @@
 // as structure, so multi-byte sequences pass through unharmed; the scan never
 // validates UTF-8, matching the streaming lexer.
 //
-// Implementation tiers mirror src/exec/simd.h: an AVX2 tier via function
-// multi-versioning when the CPU has AVX2, else a scalar reference that
-// defines the exact semantics (the tier-identity tests compare the AVX2 tier
-// against it bit for bit). The scan honors the exec::simd runtime kill
-// switch, so --no-simd and simd::SetEnabled(false) exercise the scalar tier.
+// Two implementation tiers: an AVX2 tier via function multi-versioning when
+// exec::simd::UseSimd() holds, else a scalar scan that defines the exact
+// semantics (the tier-identity tests compare the AVX2 tier against it bit
+// for bit). The scan honors the exec::simd runtime kill switch, so --no-simd
+// and simd::SetEnabled(false) exercise the scalar tier.
 
 #ifndef JSONTILES_JSON_STRUCTURAL_INDEX_H_
 #define JSONTILES_JSON_STRUCTURAL_INDEX_H_

@@ -63,6 +63,8 @@ class Relation {
   const std::vector<tiles::Tile>& tiles() const { return tiles_; }
   std::vector<tiles::Tile>& tiles() { return tiles_; }
 
+  /// The tile whose row range holds `row` (the last tile for rows past the
+  /// end; null without tiles).
   const tiles::Tile* TileForRow(size_t row) const;
 
   /// Relation-level optimizer statistics (kTiles only; Sinew has none, §6.1).
@@ -89,7 +91,8 @@ class Relation {
 
   /// §4.7: replace the document of `row` with new JSON text, updating the
   /// covering tile's columns in place. Triggers a tile recompute when the
-  /// majority of the tile's tuples have become outliers.
+  /// majority of the tile's tuples have become outliers. Drops the side
+  /// relation of every array path the old or the new document holds.
   Status UpdateRow(size_t row, std::string_view json_text);
 
   /// Total bytes of stored documents.
@@ -110,6 +113,9 @@ class Relation {
     const uint8_t* data;
     size_t size;
   };
+
+  size_t TileIndexForRow(size_t row) const;
+  void ReplaceDoc(size_t row, const uint8_t* data, size_t size);
 
   std::string name_;
   StorageMode mode_;

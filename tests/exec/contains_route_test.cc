@@ -473,6 +473,82 @@ TEST_F(ContainsRouteTest, ForeignRowIdsFallBackToDocuments) {
   }
 }
 
+// UpdateRow keeps CONTAINS exact on a Tiles-* relation: it drops the side
+// relation of every array path the old or the new document holds, and the
+// documents answer that path from then on. A path neither document holds
+// keeps its side relation.
+TEST_F(ContainsRouteTest, UpdateRowDropsStaleSideRelation) {
+  std::vector<std::string> docs;
+  for (int i = 0; i < 2000; i++) {
+    std::string doc = R"({"id":)" + std::to_string(i) + R"(,"grp":)" +
+                      std::to_string(i % 7) +
+                      R"(,"tags":[{"t":"a"},{"t":"b"}])";
+    // Only even documents hold e.list, so updating document 5 leaves its
+    // side relation alone.
+    if (i % 2 == 0) doc += R"(,"e":{"list":[{"k":"v"},{"k":"w"}]})";
+    docs.push_back(doc + "}");
+  }
+  auto reference =
+      Loader(StorageMode::kJsonb, SmallTiles()).Load(docs, "docs").MoveValueOrDie();
+  auto rel = Loader(StorageMode::kTiles, SmallTiles(), ExtractArrays())
+                 .Load(docs, "docs")
+                 .MoveValueOrDie();
+  std::string tags, list;
+  tiles::AppendKeySegment(&tags, "tags");
+  tiles::AppendKeySegment(&list, "e");
+  tiles::AppendKeySegment(&list, "list");
+  ASSERT_NE(rel->FindSideRelation(tags), nullptr);
+  ASSERT_NE(rel->FindSideRelation(list), nullptr);
+
+  // Reordering may have moved document 5 to another row of its partition.
+  auto row_of_id5 = [](const Relation& r) {
+    size_t row = 0;
+    while (r.Jsonb(row).FindKey("id")->GetInt() != 5) row++;
+    return row;
+  };
+  const std::string updated = R"({"id":5,"grp":5,"tags":[{"t":"zzz"}]})";
+  ASSERT_TRUE(reference->UpdateRow(row_of_id5(*reference), updated).ok());
+  ASSERT_TRUE(rel->UpdateRow(row_of_id5(*rel), updated).ok());
+  EXPECT_EQ(rel->FindSideRelation(tags), nullptr);
+  EXPECT_NE(rel->FindSideRelation(list), nullptr);
+
+  sql::SqlCatalog catalog, ref_catalog;
+  catalog.tables["docs"] = rel.get();
+  ref_catalog.tables["docs"] = reference.get();
+  sql::SqlSession session(&catalog, nullptr);
+  auto count = [&](const std::string& needle) {
+    auto r = session.Execute(
+        "SELECT COUNT(*) FROM docs d WHERE CONTAINS(d->'tags', 't', '" +
+        needle + "')");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r.ValueOrDie().rows[0][0].int_value() : -1;
+  };
+  EXPECT_EQ(count("zzz"), 1);
+  EXPECT_EQ(count("b"), 1999);
+  EXPECT_EQ(count("a"), 1999);
+
+  const Probe probes[] = {{{"tags"}, "t", "zzz"},
+                          {{"tags"}, "t", "b"},
+                          {{"e", "list"}, "k", "v"}};
+  for (const Probe& p : probes) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      ExecOptions options;
+      options.num_threads = threads;
+      QueryContext ctx(options), ref_ctx;
+      EXPECT_EQ(RunBlocks(TableRef::Rel("d", rel.get()), p, ctx),
+                RunBlocks(TableRef::Rel("d", reference.get()), p, ref_ctx))
+          << Describe(p) << " threads=" << threads;
+      EXPECT_EQ(RunSql(catalog, p, threads), RunSql(ref_catalog, p, 1))
+          << Describe(p) << " threads=" << threads;
+    }
+  }
+  const std::string dropped =
+      ExplainAnalyze(catalog, SqlContains(probes[0]));
+  EXPECT_EQ(dropped.find("side_rows"), std::string::npos) << dropped;
+  const std::string kept = ExplainAnalyze(catalog, SqlContains(probes[2]));
+  EXPECT_NE(kept.find("side_rows"), std::string::npos) << kept;
+}
+
 // Side `_rowid`s are shard-local, so a shard scanned on its own (as a dist
 // worker scans it, with the shard's row-id base) takes the side route and
 // answers as the documents of the same shard do.

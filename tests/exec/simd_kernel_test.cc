@@ -1,113 +1,188 @@
-// Differential tests of the SIMD kernel layer (exec/simd.h) against its
-// scalar reference tier: every kernel is run once with SIMD enabled and once
-// disabled over the same buffers and must produce bit-identical output,
-// including null bytes. Sizes are deliberately not multiples of the vector
-// width so the scalar tails execute too. Semantics quirks the kernels must
-// preserve (interpreter comparison through double, NaN ordering, division
-// by zero, integer wraparound, hash constants) get dedicated cases.
+// Differential tests of the SIMD kernels (exec/simd.h) against the scalar
+// code production runs without them. Each kernel runs over a dense batch and
+// must be bit-identical, null bytes included, to its caller's gather loop run
+// with the switch off: compare, arithmetic, three-valued logic and int ->
+// double through the matching CompiledExpr program, the selection kernels
+// through IntersectSelection, and the hash kernels through the per-lane
+// HashCombine(seed, Value::Hash()) chain of BatchedExprs::HashKeys. The batch
+// size is deliberately not a multiple of the vector width, and tails of 0-7
+// lanes run on their own. Semantics quirks the kernels must preserve
+// (interpreter comparison through double, NaN ordering, division by zero,
+// integer wraparound at INT64_MIN/INT64_MAX, null-heavy lanes, hash
+// constants) get dedicated inputs or cases. The kernels may be called only
+// under simd::UseSimd(), so the suite is skipped on CPUs without AVX2.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "exec/batched_exprs.h"
+#include "exec/expr_compile.h"
 #include "exec/simd.h"
+#include "exec/vector_batch.h"
+#include "util/arena.h"
 #include "util/hash.h"
+#include "util/logging.h"
 
 namespace jsontiles::exec {
 namespace {
 
 // Odd on purpose: exercises both full vectors and the scalar tail.
-constexpr size_t kN = 1031;
+constexpr size_t kN = 1019;
+static_assert(kN <= kVectorSize, "one dense batch");
+
+constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+
+// Slot layout of the reference programs: two operands per lane type.
+enum SlotId { kA, kB, kFa, kFb, kTa, kTb, kP, kQ, kNumSlots };
+const std::vector<ValueType> kSlotTypes = {
+    ValueType::kInt,       ValueType::kInt,       ValueType::kFloat,
+    ValueType::kFloat,     ValueType::kTimestamp, ValueType::kTimestamp,
+    ValueType::kBool,      ValueType::kBool};
+
+const BinOp kCompareOps[] = {BinOp::kEq, BinOp::kNe, BinOp::kLt,
+                             BinOp::kLe, BinOp::kGt, BinOp::kGe};
+
+// Every pure-tail batch size, then one batch of whole vectors plus a tail.
+const size_t kSizes[] = {0, 1, 2, 3, 4, 5, 6, 7, kN};
+
+uint64_t Bits(int64_t x) { return static_cast<uint64_t>(x); }
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+// Lanes [0, n) of a kernel's output against the reference vector: null bytes
+// always, payload bits on non-null lanes (null payload is unspecified).
+template <typename T>
+::testing::AssertionResult LanesMatch(const T* out, const uint8_t* onull,
+                                      const ColumnVector& ref, size_t n) {
+  const T* want;
+  if constexpr (std::is_same_v<T, double>) {
+    want = ref.f64();
+  } else {
+    want = ref.i64();
+  }
+  for (size_t i = 0; i < n; i++) {
+    if (onull[i] != ref.nulls()[i]) {
+      return ::testing::AssertionFailure()
+             << "lane " << i << " null " << int{onull[i]} << " vs "
+             << int{ref.nulls()[i]};
+    }
+    if (!onull[i] && Bits(out[i]) != Bits(want[i])) {
+      return ::testing::AssertionFailure()
+             << "lane " << i << ": " << out[i] << " vs " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
 
 class SimdKernelTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    simd::SetEnabled(true);
+    if (!simd::UseSimd()) GTEST_SKIP() << "the CPU has no AVX2";
     std::mt19937_64 rng(20260805);
-    a_.resize(kN);
-    b_.resize(kN);
-    fa_.resize(kN);
-    fb_.resize(kN);
-    an_.resize(kN);
-    bn_.resize(kN);
+    slots_.resize(kNumSlots);
+    for (int s = 0; s < kNumSlots; s++) slots_[s].Reset(kSlotTypes[s]);
     for (size_t i = 0; i < kN; i++) {
-      a_[i] = static_cast<int64_t>(rng());
-      b_[i] = i % 5 == 0 ? a_[i] : static_cast<int64_t>(rng());
-      fa_[i] = i % 7 == 0 ? std::nan("")
-                          : static_cast<double>(static_cast<int64_t>(rng())) / 3.0;
-      fb_[i] = i % 11 == 0 ? 0.0
-                           : static_cast<double>(static_cast<int64_t>(rng())) / 5.0;
-      an_[i] = rng() % 3 == 0;
-      bn_[i] = rng() % 3 == 0;
+      const int64_t a = static_cast<int64_t>(rng());
+      const int64_t b = i % 5 == 0 ? a : static_cast<int64_t>(rng());
+      I(kA)[i] = a;
+      I(kB)[i] = b;
+      I(kTa)[i] = a;
+      I(kTb)[i] = b;
+      F(kFa)[i] = i % 7 == 0 ? std::nan("") : static_cast<double>(a) / 3.0;
+      F(kFb)[i] = i % 11 == 0 ? 0.0 : static_cast<double>(b) / 5.0;
+      I(kP)[i] = static_cast<int64_t>(rng() % 2);
+      I(kQ)[i] = static_cast<int64_t>(rng() % 2);
+      // The upper half of the batch is null-heavy.
+      const bool heavy = i >= kN / 2;
+      const uint8_t an = heavy ? rng() % 8 != 0 : rng() % 3 == 0;
+      const uint8_t bn = heavy ? rng() % 8 != 0 : rng() % 3 == 0;
+      for (int s : {kA, kFa, kTa, kP}) slots_[s].nulls()[i] = an;
+      for (int s : {kB, kFb, kTb, kQ}) slots_[s].nulls()[i] = bn;
     }
+    // Integer extremes, in the vector lanes and in the tail.
+    for (size_t i : {size_t{1}, size_t{6}, kN - 2}) {
+      I(kA)[i] = kMin;
+      I(kB)[i] = kMax;
+      I(kA)[i + 1] = kMax;
+      I(kB)[i + 1] = kMax;
+    }
+  }
+
+  int64_t* I(int slot) { return slots_[slot].i64(); }
+  double* F(int slot) { return slots_[slot].f64(); }
+  const uint8_t* N(int slot) { return slots_[slot].nulls(); }
+
+  // Runs `e` over lanes [0, n) of the slots as one dense batch with the
+  // switch off: the gather loops of expr_kernels.cc. The result is valid
+  // until the next call.
+  const ColumnVector& RunScalar(const ExprPtr& e, size_t n) {
+    simd::ScopedEnabled off(false);
+    program_ = CompiledExpr();
+    JSONTILES_CHECK(CompiledExpr::Compile(*e, kSlotTypes, &program_));
+    sel_.SetAll(n);
+    return program_.Run(slots_.data(), sel_, &arena_);
   }
 
   // Restores the switch each test found, whatever the test flips it to.
   simd::ScopedEnabled restore_{simd::Enabled()};
 
-  std::vector<int64_t> a_, b_;
-  std::vector<double> fa_, fb_;
-  std::vector<uint8_t> an_, bn_;
+  std::vector<ColumnVector> slots_;
+  CompiledExpr program_;
+  SelectionVector sel_;
+  Arena arena_;
 };
 
-const BinOp kCompareOps[] = {BinOp::kEq, BinOp::kNe, BinOp::kLt,
-                             BinOp::kLe, BinOp::kGt, BinOp::kGe};
-
 TEST_F(SimdKernelTest, CompareKernelsMatchScalarReference) {
-  std::vector<int64_t> simd_out(kN), ref_out(kN);
-  std::vector<uint8_t> simd_null(kN), ref_null(kN);
-  auto check = [&](const char* what, BinOp op) {
-    for (size_t i = 0; i < kN; i++) {
-      ASSERT_EQ(simd_out[i], ref_out[i])
-          << what << " op=" << static_cast<int>(op) << " lane " << i;
-      ASSERT_EQ(simd_null[i], ref_null[i])
-          << what << " nulls, op=" << static_cast<int>(op) << " lane " << i;
-    }
-  };
+  std::vector<int64_t> out(kN);
+  std::vector<uint8_t> onull(kN);
   for (BinOp op : kCompareOps) {
-    simd::SetEnabled(true);
-    simd::CompareI64ViaDouble(op, a_.data(), b_.data(), an_.data(), bn_.data(),
-                              simd_out.data(), simd_null.data(), kN);
-    simd::SetEnabled(false);
-    simd::CompareI64ViaDouble(op, a_.data(), b_.data(), an_.data(), bn_.data(),
-                              ref_out.data(), ref_null.data(), kN);
-    check("i64/i64", op);
+    for (size_t n : kSizes) {
+      SCOPED_TRACE("op " + std::to_string(static_cast<int>(op)) + " n " +
+                   std::to_string(n));
+      simd::CompareI64ViaDouble(op, I(kA), I(kB), N(kA), N(kB), out.data(),
+                                onull.data(), n);
+      ASSERT_TRUE(LanesMatch(out.data(), onull.data(),
+                             RunScalar(Binary(op, Slot(kA), Slot(kB)), n), n))
+          << "i64/i64";
 
-    simd::SetEnabled(true);
-    simd::CompareF64(op, fa_.data(), fb_.data(), an_.data(), bn_.data(),
-                     simd_out.data(), simd_null.data(), kN);
-    simd::SetEnabled(false);
-    simd::CompareF64(op, fa_.data(), fb_.data(), an_.data(), bn_.data(),
-                     ref_out.data(), ref_null.data(), kN);
-    check("f64/f64", op);
+      simd::CompareF64(op, F(kFa), F(kFb), N(kFa), N(kFb), out.data(),
+                       onull.data(), n);
+      ASSERT_TRUE(LanesMatch(out.data(), onull.data(),
+                             RunScalar(Binary(op, Slot(kFa), Slot(kFb)), n), n))
+          << "f64/f64";
 
-    simd::SetEnabled(true);
-    simd::CompareI64F64(op, a_.data(), fb_.data(), an_.data(), bn_.data(),
-                        simd_out.data(), simd_null.data(), kN);
-    simd::SetEnabled(false);
-    simd::CompareI64F64(op, a_.data(), fb_.data(), an_.data(), bn_.data(),
-                        ref_out.data(), ref_null.data(), kN);
-    check("i64/f64", op);
+      simd::CompareI64F64(op, I(kA), F(kFb), N(kA), N(kFb), out.data(),
+                          onull.data(), n);
+      ASSERT_TRUE(LanesMatch(out.data(), onull.data(),
+                             RunScalar(Binary(op, Slot(kA), Slot(kFb)), n), n))
+          << "i64/f64";
 
-    simd::SetEnabled(true);
-    simd::CompareF64I64(op, fa_.data(), b_.data(), an_.data(), bn_.data(),
-                        simd_out.data(), simd_null.data(), kN);
-    simd::SetEnabled(false);
-    simd::CompareF64I64(op, fa_.data(), b_.data(), an_.data(), bn_.data(),
-                        ref_out.data(), ref_null.data(), kN);
-    check("f64/i64", op);
+      simd::CompareF64I64(op, F(kFa), I(kB), N(kFa), N(kB), out.data(),
+                          onull.data(), n);
+      ASSERT_TRUE(LanesMatch(out.data(), onull.data(),
+                             RunScalar(Binary(op, Slot(kFa), Slot(kB)), n), n))
+          << "f64/i64";
 
-    simd::SetEnabled(true);
-    simd::CompareI64Raw(op, a_.data(), b_.data(), an_.data(), bn_.data(),
-                        simd_out.data(), simd_null.data(), kN);
-    simd::SetEnabled(false);
-    simd::CompareI64Raw(op, a_.data(), b_.data(), an_.data(), bn_.data(),
-                        ref_out.data(), ref_null.data(), kN);
-    check("raw i64", op);
+      simd::CompareI64Raw(op, I(kTa), I(kTb), N(kTa), N(kTb), out.data(),
+                          onull.data(), n);
+      ASSERT_TRUE(LanesMatch(out.data(), onull.data(),
+                             RunScalar(Binary(op, Slot(kTa), Slot(kTb)), n), n))
+          << "raw i64";
+    }
   }
 }
 
@@ -122,7 +197,6 @@ TEST_F(SimdKernelTest, NanComparesAsEqual) {
   uint8_t no_nulls[4] = {0, 0, 0, 0};
   int64_t out[4];
   uint8_t onull[4];
-  simd::SetEnabled(true);
   simd::CompareF64(BinOp::kEq, x, y, no_nulls, no_nulls, out, onull, 4);
   EXPECT_EQ(out[0], 1);
   EXPECT_EQ(out[1], 1);
@@ -139,41 +213,25 @@ TEST_F(SimdKernelTest, NanComparesAsEqual) {
 }
 
 TEST_F(SimdKernelTest, ArithKernelsMatchScalarReference) {
-  const BinOp ops[] = {BinOp::kAdd, BinOp::kSub, BinOp::kMul};
-  std::vector<int64_t> simd_i(kN), ref_i(kN);
-  std::vector<double> simd_d(kN), ref_d(kN);
-  std::vector<uint8_t> simd_null(kN), ref_null(kN);
-  for (BinOp op : ops) {
-    simd::SetEnabled(true);
-    simd::ArithI64(op, a_.data(), b_.data(), an_.data(), bn_.data(),
-                   simd_i.data(), simd_null.data(), kN);
-    simd::SetEnabled(false);
-    simd::ArithI64(op, a_.data(), b_.data(), an_.data(), bn_.data(),
-                   ref_i.data(), ref_null.data(), kN);
-    for (size_t i = 0; i < kN; i++) {
-      ASSERT_EQ(simd_null[i], ref_null[i]) << "int op " << static_cast<int>(op);
-      if (!ref_null[i]) {
-        ASSERT_EQ(simd_i[i], ref_i[i])
-            << "int op " << static_cast<int>(op) << " lane " << i;
-      }
+  std::vector<int64_t> out_i(kN);
+  std::vector<double> out_d(kN);
+  std::vector<uint8_t> onull(kN);
+  for (size_t n : kSizes) {
+    for (BinOp op : {BinOp::kAdd, BinOp::kSub, BinOp::kMul}) {
+      SCOPED_TRACE("int op " + std::to_string(static_cast<int>(op)) + " n " +
+                   std::to_string(n));
+      simd::ArithI64(op, I(kA), I(kB), N(kA), N(kB), out_i.data(),
+                     onull.data(), n);
+      ASSERT_TRUE(LanesMatch(out_i.data(), onull.data(),
+                             RunScalar(Binary(op, Slot(kA), Slot(kB)), n), n));
     }
-  }
-  const BinOp fops[] = {BinOp::kAdd, BinOp::kSub, BinOp::kMul, BinOp::kDiv};
-  for (BinOp op : fops) {
-    simd::SetEnabled(true);
-    simd::ArithF64(op, fa_.data(), fb_.data(), an_.data(), bn_.data(),
-                   simd_d.data(), simd_null.data(), kN);
-    simd::SetEnabled(false);
-    simd::ArithF64(op, fa_.data(), fb_.data(), an_.data(), bn_.data(),
-                   ref_d.data(), ref_null.data(), kN);
-    for (size_t i = 0; i < kN; i++) {
-      ASSERT_EQ(simd_null[i], ref_null[i])
-          << "float op " << static_cast<int>(op) << " lane " << i;
-      if (ref_null[i]) continue;
-      uint64_t sx, rx;
-      std::memcpy(&sx, &simd_d[i], sizeof(sx));
-      std::memcpy(&rx, &ref_d[i], sizeof(rx));
-      ASSERT_EQ(sx, rx) << "float op " << static_cast<int>(op) << " lane " << i;
+    for (BinOp op : {BinOp::kAdd, BinOp::kSub, BinOp::kMul, BinOp::kDiv}) {
+      SCOPED_TRACE("float op " + std::to_string(static_cast<int>(op)) +
+                   " n " + std::to_string(n));
+      simd::ArithF64(op, F(kFa), F(kFb), N(kFa), N(kFb), out_d.data(),
+                     onull.data(), n);
+      ASSERT_TRUE(LanesMatch(out_d.data(), onull.data(),
+                             RunScalar(Binary(op, Slot(kFa), Slot(kFb)), n), n));
     }
   }
 }
@@ -184,7 +242,6 @@ TEST_F(SimdKernelTest, DivisionByZeroYieldsNull) {
   uint8_t no_nulls[3] = {0, 0, 0};
   double out[3];
   uint8_t onull[3];
-  simd::SetEnabled(true);
   simd::ArithF64(BinOp::kDiv, x, y, no_nulls, no_nulls, out, onull, 3);
   EXPECT_EQ(onull[0], 1);
   EXPECT_EQ(onull[1], 0);
@@ -192,13 +249,16 @@ TEST_F(SimdKernelTest, DivisionByZeroYieldsNull) {
   EXPECT_EQ(onull[2], 1);
 }
 
+// The kernel and the scalar path both wrap, on whole vectors and the tail.
 TEST_F(SimdKernelTest, IntArithmeticWrapsInEveryTier) {
-  // Nine lanes: whole vectors plus a scalar tail on both tiers.
-  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
-  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
   const int64_t a[9] = {kMax, kMin, kMax, kMin, 1, kMax, kMin, kMax, -1};
   const int64_t b[9] = {1, -1, kMax, kMin, 2, -1, 1, 2, kMin};
-  uint8_t no_nulls[9] = {};
+  for (size_t i = 0; i < 9; i++) {
+    I(kA)[i] = a[i];
+    I(kB)[i] = b[i];
+    slots_[kA].nulls()[i] = 0;
+    slots_[kB].nulls()[i] = 0;
+  }
   const struct {
     BinOp op;
     int64_t expected[9];
@@ -207,83 +267,67 @@ TEST_F(SimdKernelTest, IntArithmeticWrapsInEveryTier) {
       {BinOp::kSub, {kMax - 1, kMin + 1, 0, 0, -1, kMin, kMax, kMax - 2, kMax}},
       {BinOp::kMul, {kMax, kMin, 1, 0, 2, kMin + 1, kMin, -2, kMin}},
   };
-  for (bool enabled : {true, false}) {
-    simd::SetEnabled(enabled);
-    for (const auto& c : cases) {
-      int64_t out[9];
-      uint8_t onull[9];
-      simd::ArithI64(c.op, a, b, no_nulls, no_nulls, out, onull, 9);
-      for (size_t i = 0; i < 9; i++) {
-        EXPECT_EQ(out[i], c.expected[i])
-            << "op " << static_cast<int>(c.op) << " lane " << i
-            << " simd=" << enabled;
-      }
+  for (const auto& c : cases) {
+    int64_t out[9];
+    uint8_t onull[9];
+    simd::ArithI64(c.op, a, b, N(kA), N(kB), out, onull, 9);
+    const ColumnVector& ref = RunScalar(Binary(c.op, Slot(kA), Slot(kB)), 9);
+    for (size_t i = 0; i < 9; i++) {
+      EXPECT_EQ(out[i], c.expected[i])
+          << "simd op " << static_cast<int>(c.op) << " lane " << i;
+      EXPECT_EQ(ref.i64()[i], c.expected[i])
+          << "scalar op " << static_cast<int>(c.op) << " lane " << i;
     }
   }
 }
 
 TEST_F(SimdKernelTest, IntToDoubleConversionIsExactEverywhere) {
   // Extremes where a wrong rounding mode or a float detour would show.
-  const int64_t ext[] = {std::numeric_limits<int64_t>::min(),
-                         std::numeric_limits<int64_t>::max(),
+  const int64_t ext[] = {kMin,
+                         kMax,
                          (int64_t{1} << 53) + 1,
                          -(int64_t{1} << 53) - 1,
                          0,
                          -1,
                          4503599627370497LL,
-                         std::numeric_limits<int64_t>::max() - 1};
+                         kMax - 1};
   double out[8];
-  simd::SetEnabled(true);
   simd::I64ToF64(ext, out, 8);
   for (int i = 0; i < 8; i++) {
     EXPECT_EQ(out[i], static_cast<double>(ext[i])) << "lane " << i;
   }
-  std::vector<double> simd_d(kN), ref_d(kN);
-  simd::I64ToF64(a_.data(), simd_d.data(), kN);
-  simd::SetEnabled(false);
-  simd::I64ToF64(a_.data(), ref_d.data(), kN);
-  for (size_t i = 0; i < kN; i++) {
-    uint64_t sx, rx;
-    std::memcpy(&sx, &simd_d[i], sizeof(sx));
-    std::memcpy(&rx, &ref_d[i], sizeof(rx));
-    ASSERT_EQ(sx, rx) << "lane " << i;
+  std::vector<double> conv(kN), out_d(kN);
+  std::vector<uint8_t> onull(kN);
+  for (size_t n : kSizes) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    simd::I64ToF64(I(kA), conv.data(), n);
+    ASSERT_TRUE(LanesMatch(conv.data(), N(kA),
+                           RunScalar(CastTo(Slot(kA), ValueType::kFloat), n),
+                           n));
+    // Mixed int/float arithmetic, as KernelArith's dense path runs it.
+    for (BinOp op : {BinOp::kAdd, BinOp::kSub, BinOp::kMul, BinOp::kDiv}) {
+      simd::ArithF64(op, conv.data(), F(kFb), N(kA), N(kFb), out_d.data(),
+                     onull.data(), n);
+      ASSERT_TRUE(LanesMatch(out_d.data(), onull.data(),
+                             RunScalar(Binary(op, Slot(kA), Slot(kFb)), n), n))
+          << "op " << static_cast<int>(op);
+    }
   }
 }
 
 TEST_F(SimdKernelTest, ThreeValuedLogicMatchesScalarReference) {
-  std::mt19937_64 rng(7);
-  std::vector<int64_t> p(kN), q(kN);
-  for (size_t i = 0; i < kN; i++) {
-    p[i] = rng() % 2;
-    q[i] = rng() % 2;
-  }
-  std::vector<int64_t> simd_out(kN), ref_out(kN);
-  std::vector<uint8_t> simd_null(kN), ref_null(kN);
-
-  simd::SetEnabled(true);
-  simd::And3VL(p.data(), q.data(), an_.data(), bn_.data(), simd_out.data(),
-               simd_null.data(), kN);
-  simd::SetEnabled(false);
-  simd::And3VL(p.data(), q.data(), an_.data(), bn_.data(), ref_out.data(),
-               ref_null.data(), kN);
-  for (size_t i = 0; i < kN; i++) {
-    ASSERT_EQ(simd_null[i], ref_null[i]) << "AND lane " << i;
-    if (!ref_null[i]) {
-      ASSERT_EQ(simd_out[i], ref_out[i]) << "AND lane " << i;
-    }
-  }
-
-  simd::SetEnabled(true);
-  simd::Or3VL(p.data(), q.data(), an_.data(), bn_.data(), simd_out.data(),
-              simd_null.data(), kN);
-  simd::SetEnabled(false);
-  simd::Or3VL(p.data(), q.data(), an_.data(), bn_.data(), ref_out.data(),
-              ref_null.data(), kN);
-  for (size_t i = 0; i < kN; i++) {
-    ASSERT_EQ(simd_null[i], ref_null[i]) << "OR lane " << i;
-    if (!ref_null[i]) {
-      ASSERT_EQ(simd_out[i], ref_out[i]) << "OR lane " << i;
-    }
+  std::vector<int64_t> out(kN);
+  std::vector<uint8_t> onull(kN);
+  for (size_t n : kSizes) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    simd::And3VL(I(kP), I(kQ), N(kP), N(kQ), out.data(), onull.data(), n);
+    ASSERT_TRUE(LanesMatch(out.data(), onull.data(),
+                           RunScalar(And(Slot(kP), Slot(kQ)), n), n))
+        << "AND";
+    simd::Or3VL(I(kP), I(kQ), N(kP), N(kQ), out.data(), onull.data(), n);
+    ASSERT_TRUE(LanesMatch(out.data(), onull.data(),
+                           RunScalar(Or(Slot(kP), Slot(kQ)), n), n))
+        << "OR";
   }
 }
 
@@ -296,7 +340,6 @@ TEST_F(SimdKernelTest, ThreeValuedLogicTruthTable) {
   uint8_t no_nulls[4] = {0, 0, 0, 0};
   int64_t out[4];
   uint8_t onull[4];
-  simd::SetEnabled(true);
   simd::And3VL(nvals, vals, null_side, no_nulls, out, onull, 4);
   EXPECT_EQ(onull[0], 0);  // null AND false = false
   EXPECT_EQ(out[0], 0);
@@ -307,59 +350,53 @@ TEST_F(SimdKernelTest, ThreeValuedLogicTruthTable) {
   EXPECT_EQ(onull[0], 1);  // null OR false = null
 }
 
+// The batch kernels against HashKeys' per-lane chain: the key hash is
+// kKeyHashSeed combined with Value::Hash() of each key column in turn, for
+// int, timestamp and bool keys.
 TEST_F(SimdKernelTest, HashBatchMatchesValueHashConstants) {
-  std::vector<uint64_t> h(kN);
-  const uint64_t null_hash = 0x9E3779B97F4A7C15ULL;  // Value::Null().Hash()
-  simd::SetEnabled(true);
-  simd::HashI64Batch(a_.data(), an_.data(), null_hash, h.data(), kN);
-  for (size_t i = 0; i < kN; i++) {
-    const uint64_t ref =
-        an_[i] ? null_hash : HashInt(static_cast<uint64_t>(a_[i]));
-    ASSERT_EQ(h[i], ref) << "lane " << i;
-  }
-  std::vector<uint64_t> acc(kN, 0x2545F4914F6CDD1DULL);
-  std::vector<uint64_t> ref_acc(acc);
-  simd::HashCombineBatch(acc.data(), h.data(), kN);
-  for (size_t i = 0; i < kN; i++) {
-    ASSERT_EQ(acc[i], HashCombine(ref_acc[i], h[i])) << "lane " << i;
-  }
-  // Scalar tier agrees too.
-  std::vector<uint64_t> h2(kN);
-  simd::SetEnabled(false);
-  simd::HashI64Batch(a_.data(), an_.data(), null_hash, h2.data(), kN);
-  EXPECT_EQ(h, h2);
-}
-
-TEST_F(SimdKernelTest, BoolPassBytesAndCompactMatchReference) {
-  std::mt19937_64 rng(99);
-  std::vector<int64_t> vals(kN);
-  for (size_t i = 0; i < kN; i++) vals[i] = rng() % 2;
-  std::vector<uint8_t> pass(kN);
-  simd::SetEnabled(true);
-  simd::BoolPassBytes(vals.data(), an_.data(), pass.data(), kN);
-  std::vector<uint16_t> idx(kN);
-  const size_t count = simd::CompactPassIndices(pass.data(), kN, idx.data());
-  size_t ref_count = 0;
-  for (size_t i = 0; i < kN; i++) {
-    const bool expect_pass = an_[i] == 0 && vals[i] != 0;
-    ASSERT_EQ(pass[i] != 0, expect_pass) << "lane " << i;
-    if (expect_pass) {
-      ASSERT_EQ(idx[ref_count], i) << "compact position " << ref_count;
-      ref_count++;
+  std::vector<uint64_t> h(kN), acc(kN), ref(kN);
+  for (size_t n : kSizes) {
+    std::fill(acc.begin(), acc.end(), kKeyHashSeed);
+    std::fill(ref.begin(), ref.end(), kKeyHashSeed);
+    for (int s : {kA, kTb, kP}) {
+      simd::HashI64Batch(I(s), N(s), Value::Null().Hash(), h.data(), n);
+      simd::HashCombineBatch(acc.data(), h.data(), n);
+      for (size_t i = 0; i < n; i++) {
+        ref[i] = HashCombine(ref[i], slots_[s].GetValue(i).Hash());
+      }
+      for (size_t i = 0; i < n; i++) {
+        ASSERT_EQ(acc[i], ref[i]) << "slot " << s << " n " << n << " lane "
+                                  << i;
+      }
     }
   }
-  EXPECT_EQ(count, ref_count);
 }
 
-TEST_F(SimdKernelTest, OrBytesMatchesReference) {
-  std::vector<uint8_t> simd_out(kN), ref_out(kN);
-  simd::SetEnabled(true);
-  simd::OrBytes(an_.data(), bn_.data(), simd_out.data(), kN);
-  simd::SetEnabled(false);
-  simd::OrBytes(an_.data(), bn_.data(), ref_out.data(), kN);
-  EXPECT_EQ(simd_out, ref_out);
-  for (size_t i = 0; i < kN; i++) {
-    ASSERT_EQ(ref_out[i] != 0, an_[i] != 0 || bn_[i] != 0) << "lane " << i;
+// BoolPassBytes + CompactPassIndices against IntersectSelection's gather
+// loop, at 1%, 50% and 99% of lanes passing.
+TEST_F(SimdKernelTest, BoolPassBytesAndCompactMatchReference) {
+  std::mt19937_64 rng(99);
+  std::vector<uint8_t> pass(kN);
+  std::vector<uint16_t> idx(kN);
+  SelectionVector ref;
+  for (int pass_pct : {1, 50, 99}) {
+    for (size_t i = 0; i < kN; i++) {
+      I(kP)[i] = static_cast<int64_t>(rng() % 100) < pass_pct ? 1 : 0;
+    }
+    for (size_t n : kSizes) {
+      simd::BoolPassBytes(I(kP), N(kP), pass.data(), n);
+      const size_t count = simd::CompactPassIndices(pass.data(), n, idx.data());
+      {
+        simd::ScopedEnabled off(false);
+        ref.SetAll(n);
+        IntersectSelection(slots_[kP], &ref);
+      }
+      ASSERT_EQ(count, ref.count) << pass_pct << "% n " << n;
+      for (size_t k = 0; k < count; k++) {
+        ASSERT_EQ(idx[k], ref.idx[k]) << pass_pct << "% n " << n << " pos "
+                                      << k;
+      }
+    }
   }
 }
 
@@ -369,7 +406,6 @@ TEST_F(SimdKernelTest, TinyBatchesRunTailOnly) {
   for (size_t n : {size_t{0}, size_t{1}, size_t{3}}) {
     std::vector<int64_t> x(n ? n : 1, 7), y(n ? n : 1, 9), out(n ? n : 1);
     std::vector<uint8_t> nn(n ? n : 1, 0), onull(n ? n : 1);
-    simd::SetEnabled(true);
     simd::CompareI64ViaDouble(BinOp::kLt, x.data(), y.data(), nn.data(),
                               nn.data(), out.data(), onull.data(), n);
     for (size_t i = 0; i < n; i++) {
@@ -384,7 +420,7 @@ TEST_F(SimdKernelTest, TinyBatchesRunTailOnly) {
   }
 }
 
-// The tier is "avx2" exactly when the switch is on and the CPU has AVX2.
+// "avx2" exactly when the switch is on and the CPU has AVX2.
 TEST_F(SimdKernelTest, EnableToggleAndIsaAreCoherent) {
 #if defined(__x86_64__)
   const bool cpu_avx2 = __builtin_cpu_supports("avx2");
@@ -395,7 +431,7 @@ TEST_F(SimdKernelTest, EnableToggleAndIsaAreCoherent) {
     simd::SetEnabled(on);
     EXPECT_EQ(simd::Enabled(), on);
     EXPECT_EQ(simd::UseSimd(), on && cpu_avx2);
-    EXPECT_STREQ(simd::ActiveIsa(), on && cpu_avx2 ? "avx2" : "scalar");
+    EXPECT_STREQ(simd::ActiveIsa(), simd::UseSimd() ? "avx2" : "scalar");
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "opt/query.h"
 #include "storage/relation.h"
 #include "tiles/keypath.h"
 #include "util/failpoint.h"
@@ -276,6 +277,56 @@ TEST(RelationTest, UpdateRowRewritesDocAndTile) {
   ASSERT_NE(col, nullptr);
   EXPECT_EQ(col->column.GetInt(5), 999);
   EXPECT_FALSE(rel->UpdateRow(1000, "{}").ok());
+}
+
+// A partition that skips a malformed document ends short, so the tiles after
+// it do not start at multiples of tile_size: with 4-row tiles and 2-tile
+// partitions, skipping document 1 gives tiles [0,4) [4,7) [7,11) [11,15) ...
+TEST(RelationTest, ShortPartitionTileForRowAndUpdateRow) {
+  tiles::TileConfig config;
+  config.tile_size = 4;
+  config.partition_size = 2;
+  LoadOptions options;
+  options.max_errors = 1;
+  std::vector<std::string> docs = SimpleDocs(24);
+  docs[1] = "{not json";
+  auto rel =
+      Loader(StorageMode::kTiles, config, options).Load(docs, "t").MoveValueOrDie();
+  ASSERT_EQ(rel->num_rows(), 23u);
+  ASSERT_GE(rel->tiles().size(), 3u);
+  EXPECT_EQ(rel->tiles()[1].row_begin, 4u);
+  EXPECT_EQ(rel->tiles()[1].row_count, 3u);
+  EXPECT_EQ(rel->tiles()[2].row_begin, 7u);
+  for (size_t r = 0; r < rel->num_rows(); r++) {
+    const tiles::Tile* tile = rel->TileForRow(r);
+    ASSERT_NE(tile, nullptr);
+    EXPECT_GE(r, tile->row_begin) << "row " << r;
+    EXPECT_LT(r, tile->row_begin + tile->row_count) << "row " << r;
+  }
+
+  // Rows whose id equals `id`, answered by a scan over the tiles.
+  auto count_id = [&](int64_t id) {
+    exec::QueryContext ctx;
+    opt::QueryBlock q;
+    q.AddTable(opt::TableRef::Rel(
+        "t", rel.get(),
+        exec::Eq(exec::Access("t", {"id"}, exec::ValueType::kInt),
+                 exec::ConstInt(id))));
+    q.Select({exec::Access("t", {"id"}, exec::ValueType::kInt)});
+    return q.Execute(ctx).size();
+  };
+  const int64_t old_id = rel->Jsonb(7).FindKey("id")->GetInt();
+  ASSERT_EQ(count_id(old_id), 1u);
+  const size_t bytes = rel->DocumentBytes();
+  const size_t old_size = rel->DocSize(7);
+  ASSERT_TRUE(rel->UpdateRow(7, R"({"id":777,"name":"upd","score":1})").ok());
+  EXPECT_EQ(rel->DocumentBytes(), bytes - old_size + rel->DocSize(7));
+  const tiles::Tile* tile = rel->TileForRow(7);
+  const auto* col = tile->FindColumn(Path({"id"}));
+  ASSERT_NE(col, nullptr);
+  EXPECT_EQ(col->column.GetInt(7 - tile->row_begin), 777);
+  EXPECT_EQ(count_id(777), 1u);
+  EXPECT_EQ(count_id(old_id), 0u);
 }
 
 TEST(RelationTest, MassOutlierUpdatesTriggerRecompute) {
