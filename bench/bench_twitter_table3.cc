@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "tiles/keypath.h"
 #include "workload/twitter.h"
 
 namespace {
@@ -25,8 +26,6 @@ Loaded LoadTwitter(const std::vector<std::string>& docs) {
   out.modes = LoadAllModes(docs, "twitter", config, load_options);
   storage::LoadOptions star_options = load_options;
   star_options.extract_arrays = true;
-  star_options.array_min_avg_elements = 1.0;
-  star_options.array_min_presence = 0.3;
   storage::Loader star_loader(storage::StorageMode::kTiles, config, star_options);
   out.tiles_star = star_loader.Load(docs, "twitter").MoveValueOrDie();
   return out;
@@ -64,6 +63,20 @@ std::map<std::string, std::vector<double>> RunAll(const Loaded& loaded,
   return per_mode;
 }
 
+// What the Tiles-* column measured: the side relations of one data set,
+// sorted by path.
+void PrintSideRelations(const char* dataset, const storage::Relation& rel) {
+  std::map<std::string, size_t> sides;
+  for (const auto& [path, side] : rel.side_relations()) {
+    sides[tiles::PathToDisplayString(path)] = side->num_rows();
+  }
+  std::printf("Tiles-* side relations (%s):%s\n", dataset,
+              sides.empty() ? " none" : "");
+  for (const auto& [path, rows] : sides) {
+    std::printf("  %-24s %zu rows\n", path.c_str(), rows);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -80,6 +93,7 @@ int main(int argc, char** argv) {
   table.SetHeader({"Query", "JSON", "JSONB", "Sinew", "Tiles", "Tiles-*"});
   auto standard = RunAll(loaded, &table);
   table.Print();
+  PrintSideRelations("Twitter", *loaded.tiles_star);
 
   // Table 4: geo-means on the standard and the changing-schema stream.
   workload::TwitterOptions changing = options;
@@ -101,5 +115,6 @@ int main(int argc, char** argv) {
   table4.AddRow(row_for("Twitter", standard));
   table4.AddRow(row_for("Changing", changed));
   table4.Print();
+  PrintSideRelations("Changing", *changing_loaded.tiles_star);
   return 0;
 }

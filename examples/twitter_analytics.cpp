@@ -21,8 +21,6 @@ int main() {
 
   storage::LoadOptions load_options;
   load_options.extract_arrays = true;  // Tiles-*: hashtags / mentions
-  load_options.array_min_avg_elements = 1.0;
-  load_options.array_min_presence = 0.2;
   storage::Loader loader(storage::StorageMode::kTiles, {}, load_options);
   auto tweets = loader.Load(docs, "tweets").MoveValueOrDie();
 

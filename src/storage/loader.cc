@@ -21,11 +21,18 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Tiles-*: leading documents sampled for high-cardinality array detection.
-constexpr size_t kArrayDetectSample = 1024;
-
 double Seconds(Clock::time_point begin, Clock::time_point end) {
   return std::chrono::duration<double>(end - begin).count();
+}
+
+// Every document of `relation`, in row order.
+std::vector<json::JsonbValue> DocumentViews(const Relation& relation) {
+  std::vector<json::JsonbValue> views;
+  views.reserve(relation.num_rows());
+  for (size_t r = 0; r < relation.num_rows(); r++) {
+    views.push_back(relation.Jsonb(r));
+  }
+  return views;
 }
 
 // Work product of one partition, produced thread-locally and appended in
@@ -78,27 +85,6 @@ Result<std::unique_ptr<Relation>> Loader::LoadDocs(
                                    : std::max<size_t>(config_.tile_size * 8, 4096);
   const size_t num_partitions = (num_docs + partition_docs - 1) / partition_docs;
   std::vector<PartitionResult> results(num_partitions);
-
-  // Tiles-*: detect high-cardinality arrays on a leading sample.
-  std::vector<std::string> detected_arrays;
-  if (mode_ == StorageMode::kTiles && options_.extract_arrays && text != nullptr) {
-    json::OndemandTransformer sample_parser;
-    std::vector<std::vector<uint8_t>> sample;
-    for (size_t i = 0; i < text->size() && i < kArrayDetectSample; i++) {
-      std::vector<uint8_t> buf;
-      if (sample_parser.Transform((*text)[i], &buf).ok()) {
-        sample.push_back(std::move(buf));
-      }
-    }
-    std::vector<json::JsonbValue> views;
-    views.reserve(sample.size());
-    for (const auto& b : sample) views.emplace_back(b.data());
-    for (auto& info : tiles::DetectHighCardinalityArrays(
-             views, config_, options_.array_min_avg_elements,
-             options_.array_min_presence)) {
-      detected_arrays.push_back(info.path);
-    }
-  }
 
   // Malformed documents skipped by this load, shared across partitions. The
   // max_errors cap is checked against shared_skip_counter when set (sharded
@@ -269,13 +255,9 @@ Result<std::unique_ptr<Relation>> Loader::LoadDocs(
     tiles::TileConfig sinew_config = config_;
     sinew_config.enable_date_extraction = false;  // Sinew has no §4.9
     sinew_config.enable_reordering = false;
-    std::vector<json::JsonbValue> views;
-    views.reserve(relation->num_rows());
-    for (size_t r = 0; r < relation->num_rows(); r++) {
-      views.push_back(relation->Jsonb(r));
-    }
     tiles::TileBuilder tile_builder(sinew_config);
-    relation->tiles().push_back(tile_builder.Build(views, 0));
+    relation->tiles().push_back(
+        tile_builder.Build(DocumentViews(*relation), 0));
     auto t1 = Clock::now();
     bd->mine_secs += Seconds(t0, t1) / 2;
     bd->extract_secs += Seconds(t0, t1) / 2;
@@ -296,23 +278,24 @@ Result<std::unique_ptr<Relation>> Loader::LoadDocs(
     relation->stats().AddTuples(relation->num_rows());
   }
 
-  // Tiles-*: one side relation per detected array path, exploded against the
-  // final (reordered) row ids so `_rowid` names the parent row.
-  if (!detected_arrays.empty()) {
+  // Tiles-*: one side relation per array path that meets the fixed rule
+  // over all loaded rows (tiles/array_extract.h), exploded against the final
+  // (reordered) row ids so `_rowid` names the parent row.
+  if (mode_ == StorageMode::kTiles && options_.extract_arrays) {
+    const std::vector<json::JsonbValue> views = DocumentViews(*relation);
     LoadOptions side_options = options_;
     side_options.extract_arrays = false;
     Loader side_loader(StorageMode::kTiles, config_, side_options);
-    for (const auto& path : detected_arrays) {
+    for (const auto& path : tiles::DetectHighCardinalityArrays(views, config_)) {
       std::vector<std::vector<uint8_t>> side_docs;
-      for (size_t r = 0; r < relation->num_rows(); r++) {
-        tiles::ExplodeArray(relation->Jsonb(r), path, static_cast<int64_t>(r),
-                            &side_docs);
+      for (size_t r = 0; r < views.size(); r++) {
+        tiles::ExplodeArray(views[r], path, static_cast<int64_t>(r), &side_docs);
       }
-      if (side_docs.empty()) continue;
       auto side = side_loader.LoadDocs(
           nullptr, &side_docs, name + "$" + tiles::PathToDisplayString(path),
           nullptr);
-      if (side.ok()) relation->AddSideRelation(path, side.MoveValueOrDie());
+      if (!side.ok()) return side.status();
+      relation->AddSideRelation(path, side.MoveValueOrDie());
     }
   }
 

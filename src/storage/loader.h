@@ -56,12 +56,15 @@ struct LoadOptions {
   /// Skipped documents are reported in LoadBreakdown::skipped_docs.
   size_t max_errors = 0;
   /// Tiles-*: extract high-cardinality arrays into side relations (§3.5).
-  /// A side document's `_rowid` is its parent's row in the relation this
-  /// load returns; a shard's side rows therefore use the shard's own row
-  /// space, not the global ids of ShardedRelation::RowIdBase.
+  /// Which arrays qualify is a fixed rule (tiles/array_extract.h: the
+  /// documents holding the array average at least 1.0 elements, and at
+  /// least 30% of documents hold it), applied to every loaded row after the
+  /// parse, so no document is parsed twice. A side document's `_rowid` is
+  /// its parent's row in the relation this load returns; a shard's side rows
+  /// therefore use the shard's own row space, not the global ids of
+  /// ShardedRelation::RowIdBase. A side relation that fails to load fails
+  /// the load.
   bool extract_arrays = false;
-  double array_min_avg_elements = 2.0;
-  double array_min_presence = 0.2;
   /// When several Loader instances load shards of one dataset concurrently,
   /// they share a skip counter so max_errors caps the skips globally, not
   /// per shard. LoadBreakdown::skipped_docs still reports this load's own

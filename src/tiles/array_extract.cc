@@ -9,6 +9,11 @@ namespace jsontiles::tiles {
 
 namespace {
 
+// The Tiles-* rule (array_extract.h): average element count over the
+// documents holding the array, and the share of all documents holding it.
+constexpr double kMinAvgElements = 1.0;
+constexpr double kMinPresence = 0.3;
+
 struct ArrayStat {
   uint64_t docs_with = 0;
   uint64_t total_elements = 0;
@@ -43,31 +48,24 @@ void ScanArrays(json::JsonbValue value, const TileConfig& config,
 
 }  // namespace
 
-std::vector<HighCardArrayInfo> DetectHighCardinalityArrays(
-    const std::vector<json::JsonbValue>& docs, const TileConfig& config,
-    double min_avg_elements, double min_presence) {
+std::vector<std::string> DetectHighCardinalityArrays(
+    const std::vector<json::JsonbValue>& docs, const TileConfig& config) {
   std::unordered_map<std::string, ArrayStat> stats;
   std::string prefix;
   for (const auto& doc : docs) {
     ScanArrays(doc, config, &prefix, 0, &stats);
   }
-  std::vector<HighCardArrayInfo> out;
-  if (docs.empty()) return out;
+  std::vector<std::string> out;
   for (const auto& [path, stat] : stats) {
     double presence =
         static_cast<double>(stat.docs_with) / static_cast<double>(docs.size());
-    double avg = stat.docs_with == 0
-                     ? 0
-                     : static_cast<double>(stat.total_elements) /
-                           static_cast<double>(stat.docs_with);
-    if (avg >= min_avg_elements && presence >= min_presence) {
-      out.push_back(HighCardArrayInfo{path, avg, presence});
+    double avg = static_cast<double>(stat.total_elements) /
+                 static_cast<double>(stat.docs_with);
+    if (avg >= kMinAvgElements && presence >= kMinPresence) {
+      out.push_back(path);
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const HighCardArrayInfo& a, const HighCardArrayInfo& b) {
-              return a.path < b.path;
-            });
+  std::sort(out.begin(), out.end());
   return out;
 }
 

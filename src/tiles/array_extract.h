@@ -3,11 +3,19 @@
 //
 // Arrays with several elements per document (tweet hashtags, user mentions)
 // materialize poorly with index paths: only leading elements frequent across
-// all documents can become columns. Following Deutsch et al. [19], an array
-// whose average element count and presence reach a threshold is extracted
-// into a separate relation: each element becomes its own document annotated
-// with the parent row id, and the scan answers CONTAINS on the array from it
-// (DESIGN.md §3 "CONTAINS routes").
+// all documents can become columns. Following Deutsch et al. [19], such an
+// array is extracted into a separate relation: each element becomes its own
+// document annotated with the parent row id, and the scan answers CONTAINS
+// on the array from it (DESIGN.md §3 "CONTAINS routes").
+//
+// The rule is fixed, with no knobs: an array path qualifies when the
+// documents that hold it average at least 1.0 elements and at least 30% of
+// all documents hold it (kMinAvgElements and kMinPresence in
+// array_extract.cc). The loader applies it to every loaded row, the rows the
+// side relations are then exploded from, so an array that appears late in
+// the input is seen. The rule does not ask whether the element count
+// varies: the scan never answers CONTAINS from index-path columns, so a
+// fixed-length array gains as much from a side relation as a varying one.
 
 #ifndef JSONTILES_TILES_ARRAY_EXTRACT_H_
 #define JSONTILES_TILES_ARRAY_EXTRACT_H_
@@ -21,19 +29,11 @@
 
 namespace jsontiles::tiles {
 
-struct HighCardArrayInfo {
-  std::string path;  // encoded key path of the array
-  double avg_elements = 0;
-  double presence = 0;  // fraction of documents containing the array
-};
-
-/// Scan `docs` (typically a sample) for array-valued paths whose average
-/// element count reaches `min_avg_elements` and whose presence reaches
-/// `min_presence`. Nested arrays inside a detected array are not reported
+/// The encoded key paths of the arrays in `docs` that meet the rule above,
+/// sorted. Nested arrays inside a qualifying array are not reported
 /// separately.
-std::vector<HighCardArrayInfo> DetectHighCardinalityArrays(
-    const std::vector<json::JsonbValue>& docs, const TileConfig& config,
-    double min_avg_elements, double min_presence);
+std::vector<std::string> DetectHighCardinalityArrays(
+    const std::vector<json::JsonbValue>& docs, const TileConfig& config);
 
 /// The key under which the parent row id is stored in side-table documents.
 inline constexpr const char* kParentRowIdKey = "_rowid";

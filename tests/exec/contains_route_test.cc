@@ -98,8 +98,6 @@ tiles::TileConfig SmallTiles() {
 LoadOptions ExtractArrays() {
   LoadOptions options;
   options.extract_arrays = true;
-  options.array_min_avg_elements = 1.0;
-  options.array_min_presence = 0.1;
   return options;
 }
 
@@ -376,8 +374,6 @@ TEST_F(ContainsRouteTest, SideLoadMatchesTextLoad) {
   twitter.num_tweets = 2000;
   LoadOptions options;
   options.extract_arrays = true;
-  options.array_min_avg_elements = 1.0;
-  options.array_min_presence = 0.3;
   auto tweets = Loader(StorageMode::kTiles, {}, options)
                     .Load(workload::GenerateTwitter(twitter), "twitter")
                     .MoveValueOrDie();

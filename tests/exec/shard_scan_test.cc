@@ -262,8 +262,6 @@ TEST(ShardScanTest, SideRouteContainsMatchesUnsharded) {
   }
   LoadOptions load_options;
   load_options.extract_arrays = true;
-  load_options.array_min_avg_elements = 1.0;
-  load_options.array_min_presence = 0.3;
 
   // Docs with a "hot" tag per group, and their largest id: each shard's
   // side relation marks its own rows under global row ids.

@@ -232,6 +232,35 @@ TEST(LoaderTest, PartitionFailpointSurfacesStatus) {
   EXPECT_TRUE(loader.Load(docs, "t").ok());
 }
 
+// A side relation is loaded through the same partition pipeline, so the
+// failpoint's hit after the main partitions fails the first side load, and
+// the whole load with it.
+TEST(LoaderTest, SideRelationFailpointSurfacesStatus) {
+  struct Cleanup {
+    ~Cleanup() { failpoint::DisableAll(); }
+  } cleanup;
+  tiles::TileConfig config;
+  config.tile_size = 32;
+  config.partition_size = 1;
+  std::vector<std::string> docs;
+  for (int i = 0; i < 96; i++) {  // 3 partitions
+    docs.push_back(R"({"id":)" + std::to_string(i) +
+                   R"(,"tags":[{"t":"a"},{"t":"b"}],"refs":[1,2,3]})");
+  }
+  LoadOptions options;
+  options.extract_arrays = true;
+  Loader loader(StorageMode::kTiles, config, options);
+
+  failpoint::Enable("loader.partition", failpoint::Spec::Nth(4));
+  auto result = loader.Load(docs, "t");
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+
+  failpoint::DisableAll();
+  auto rel = loader.Load(docs, "t").MoveValueOrDie();
+  EXPECT_EQ(rel->side_relations().size(), 2u);
+}
+
 TEST(LoaderTest, ArrayExtractionBuildsSideRelation) {
   std::vector<std::string> docs;
   Random rng(4);
@@ -249,7 +278,6 @@ TEST(LoaderTest, ArrayExtractionBuildsSideRelation) {
   config.tile_size = 64;
   LoadOptions options;
   options.extract_arrays = true;
-  options.array_min_avg_elements = 1.5;
   Loader loader(StorageMode::kTiles, config, options);
   auto rel = loader.Load(docs, "tweets").MoveValueOrDie();
   ASSERT_EQ(rel->side_relations().size(), 1u);

@@ -118,8 +118,6 @@ std::vector<std::vector<uint8_t>> SeedFiles() {
   twitter.num_tweets = 150;
   LoadOptions load_options;
   load_options.extract_arrays = true;
-  load_options.array_min_avg_elements = 1.0;
-  load_options.array_min_presence = 0.3;
   Loader loader(StorageMode::kTiles, config, load_options);
   auto rel =
       loader.Load(workload::GenerateTwitter(twitter), "tw").MoveValueOrDie();

@@ -123,8 +123,6 @@ TEST(SerializeTest, SideRelationsIncluded) {
   auto docs = workload::GenerateTwitter(options);
   LoadOptions load_options;
   load_options.extract_arrays = true;
-  load_options.array_min_avg_elements = 1.0;
-  load_options.array_min_presence = 0.3;
   Loader loader(StorageMode::kTiles, {}, load_options);
   auto rel = loader.Load(docs, "tw").MoveValueOrDie();
   ASSERT_FALSE(rel->side_relations().empty());

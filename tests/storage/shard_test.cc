@@ -258,8 +258,6 @@ TEST(ShardTest, SideRowIdsAreShardLocal) {
   }
   LoadOptions load_options;
   load_options.extract_arrays = true;
-  load_options.array_min_avg_elements = 1.0;
-  load_options.array_min_presence = 0.3;
   ShardOptions options;
   options.shard_count = 3;
   auto sharded = ShardedRelation::Load(docs, "t", StorageMode::kTiles, {},

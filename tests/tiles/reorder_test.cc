@@ -155,14 +155,13 @@ TEST(ArrayExtractTest, DetectAndExplode) {
   docs.Add(R"({"id":2,"hashtags":[{"text":"d"}],"geo":{"lat":2.0}})");
   docs.Add(R"({"id":3,"hashtags":[],"geo":{"lat":3.0}})");
   TileConfig config;
-  auto detected = DetectHighCardinalityArrays(docs.Views(), config, 1.2, 0.5);
+  auto detected = DetectHighCardinalityArrays(docs.Views(), config);
   ASSERT_EQ(detected.size(), 1u);
-  EXPECT_EQ(PathToDisplayString(detected[0].path), "hashtags");
-  EXPECT_NEAR(detected[0].avg_elements, 4.0 / 3.0, 1e-9);
+  EXPECT_EQ(PathToDisplayString(detected[0]), "hashtags");
 
   std::vector<std::vector<uint8_t>> side;
   for (size_t i = 0; i < docs.Views().size(); i++) {
-    ExplodeArray(docs.Views()[i], detected[0].path, static_cast<int64_t>(i), &side);
+    ExplodeArray(docs.Views()[i], detected[0], static_cast<int64_t>(i), &side);
   }
   ASSERT_EQ(side.size(), 4u);
   JsonbValue first(side[0].data());
@@ -171,6 +170,25 @@ TEST(ArrayExtractTest, DetectAndExplode) {
   JsonbValue last(side[3].data());
   EXPECT_EQ(last.FindKey("text")->GetString(), "d");
   EXPECT_EQ(last.FindKey(kParentRowIdKey)->GetInt(), 1);
+}
+
+// The fixed rule at its edges: presence exactly 30% and an average of
+// exactly 1.0 element qualify; 20% presence or 0.9 elements do not.
+TEST(ArrayExtractTest, FixedRuleBoundaries) {
+  Docs docs;
+  for (int i = 0; i < 10; i++) {
+    std::string doc = R"({"id":)" + std::to_string(i) + R"(,"one":[1])";
+    doc += i < 9 ? R"(,"most":[1])" : R"(,"most":[])";
+    if (i < 3) doc += R"(,"third":[1,2])";
+    if (i < 2) doc += R"(,"sparse":[1,2,3,4,5,6])";
+    docs.Add(doc + "}");
+  }
+  TileConfig config;
+  std::vector<std::string> names;
+  for (const auto& path : DetectHighCardinalityArrays(docs.Views(), config)) {
+    names.push_back(PathToDisplayString(path));
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"one", "third"}));
 }
 
 TEST(ArrayExtractTest, ScalarElementsWrapped) {

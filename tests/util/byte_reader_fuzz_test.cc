@@ -102,8 +102,6 @@ std::vector<std::string> Docs(size_t n) {
 storage::LoadOptions ArrayExtraction() {
   storage::LoadOptions options;
   options.extract_arrays = true;
-  options.array_min_avg_elements = 1.0;
-  options.array_min_presence = 0.3;
   return options;
 }
 
