@@ -127,23 +127,35 @@ Value EvalAccessOnJsonb(json::JsonbValue doc, const std::string& path,
   return JsonbScalarToValue(*found, requested, arena);
 }
 
-void ExtractJsonbPathBatch(const uint8_t* const* docs, const uint16_t* lanes,
-                           size_t num_lanes, const json::PathStep* steps,
-                           size_t num_steps, ValueType requested, Arena* arena,
-                           ColumnVector* vec) {
+namespace {
+
+// The batch fallback's lane loop: `find` navigates one document to the
+// path's value (nullopt when absent). Exact type matches write the lane
+// directly; everything else (casts, numerics, containers, JSON nulls) goes
+// through the same conversion as the per-row evaluator, so results stay
+// bit-identical. The lookup itself takes a probe or two, so the loop waits
+// on memory: it prefetches the first 256 bytes (header, offsets and the
+// leading slots) of the document kPrefetchLanes lanes ahead.
+template <typename Find>
+void ExtractLanes(const uint8_t* const* docs, const uint16_t* lanes,
+                  size_t num_lanes, const Find& find, ValueType requested,
+                  Arena* arena, ColumnVector* vec) {
+  constexpr size_t kPrefetchLanes = 16;
   uint8_t* nulls = vec->nulls();
   for (size_t k = 0; k < num_lanes; k++) {
     const size_t r = lanes[k];
-    auto found =
-        json::LookupSteps(json::JsonbValue(docs[r]), steps, num_steps);
+    if (k + kPrefetchLanes < num_lanes) {
+      const uint8_t* ahead = docs[lanes[k + kPrefetchLanes]];
+      for (size_t line = 0; line < 256; line += 64) {
+        __builtin_prefetch(ahead + line);
+      }
+    }
+    const auto found = find(json::JsonbValue(docs[r]));
     if (!found.has_value()) {
       nulls[r] = 1;
       continue;
     }
     const json::JsonbValue& v = *found;
-    // Exact type matches write the lane directly; everything else (casts,
-    // numerics, containers, JSON nulls) goes through the same conversion as
-    // the per-row evaluator, so results stay bit-identical.
     switch (v.type()) {
       case json::JsonType::kInt:
         if (requested == ValueType::kInt) {
@@ -178,6 +190,31 @@ void ExtractJsonbPathBatch(const uint8_t* const* docs, const uint16_t* lanes,
     }
     vec->SetValue(r, JsonbScalarToValue(v, requested, arena));
   }
+}
+
+}  // namespace
+
+void ExtractJsonbPathBatch(const uint8_t* const* docs, const uint16_t* lanes,
+                           size_t num_lanes, const json::PathStep* steps,
+                           size_t num_steps, json::KeyHint* hints,
+                           ValueType requested, Arena* arena,
+                           ColumnVector* vec) {
+  // A top-level member, the common fallback, runs FindKey inline per lane.
+  if (num_steps == 1 && !steps[0].is_index) {
+    const std::string_view key = steps[0].key;
+    json::KeyHint* hint = &hints[0];
+    ExtractLanes(
+        docs, lanes, num_lanes,
+        [key, hint](json::JsonbValue doc) { return doc.FindKey(key, hint); },
+        requested, arena, vec);
+    return;
+  }
+  ExtractLanes(
+      docs, lanes, num_lanes,
+      [steps, hints, num_steps](json::JsonbValue doc) {
+        return json::LookupSteps(doc, steps, num_steps, hints);
+      },
+      requested, arena, vec);
 }
 
 namespace {
@@ -450,8 +487,7 @@ class VectorizedChunkScan {
         num_slots_(spec.accesses.size()),
         slot_vecs_(num_slots_),
         ready_(num_slots_, 0),
-        steps_(num_slots_),
-        steps_ready_(num_slots_, 0) {}
+        paths_(num_slots_) {}
 
   void Run(const Chunk& chunk, const std::vector<ResolvedAccess>& resolved,
            RowSet* out) {
@@ -469,8 +505,16 @@ class VectorizedChunkScan {
 
   size_t batches() const { return batches_; }
   size_t rows() const { return rows_; }
+  size_t jsonb_lanes() const { return jsonb_lanes_; }
 
  private:
+  // An access path decoded for the batch fallback, with its lookup hints.
+  struct SlotPath {
+    bool ready = false;
+    std::vector<json::PathStep> steps;
+    std::vector<json::KeyHint> hints;
+  };
+
   void ScanBatch(const Chunk& chunk, const std::vector<ResolvedAccess>& resolved,
                  size_t batch_begin, size_t n, RowSet* out) {
     row0_ = chunk.row_begin + batch_begin;
@@ -525,12 +569,14 @@ class VectorizedChunkScan {
 
   // Decode the access path once per query (the views point into the Expr's
   // own path storage, which outlives the scan).
-  const std::vector<json::PathStep>& StepsFor(size_t i, const Expr& access) {
-    if (!steps_ready_[i]) {
-      steps_ready_[i] = 1;
-      steps_[i] = tiles::DecodePathSteps(access.path);
+  SlotPath& PathFor(size_t i, const Expr& access) {
+    SlotPath& path = paths_[i];
+    if (!path.ready) {
+      path.ready = true;
+      path.steps = tiles::DecodePathSteps(access.path);
+      path.hints.resize(path.steps.size());
     }
-    return steps_[i];
+    return path;
   }
 
   // Binary-JSON fallback over a set of lanes: one shared pre-decoded path
@@ -558,15 +604,17 @@ class VectorizedChunkScan {
         doc_ptrs_[r] = rel_->Jsonb(row0_ + r).data();
       }
     }
+    jsonb_lanes_ += num_lanes;
     if (access.kind != ExprKind::kAccess) {
       for (size_t k = 0; k < num_lanes; k++) {
         FillFromDoc(vec, access, lanes[k], doc_ptrs_[lanes[k]]);
       }
       return;
     }
-    const auto& steps = StepsFor(i, access);
-    ExtractJsonbPathBatch(doc_ptrs_, lanes, num_lanes, steps.data(),
-                          steps.size(), access.access_type, arena_, &vec);
+    SlotPath& path = PathFor(i, access);
+    ExtractJsonbPathBatch(doc_ptrs_, lanes, num_lanes, path.steps.data(),
+                          path.steps.size(), path.hints.data(),
+                          access.access_type, arena_, &vec);
   }
 
   // Documents of the batch: string columns read their values from them, and
@@ -660,11 +708,13 @@ class VectorizedChunkScan {
     if (ra.route != ResolvedAccess::Route::kFallback) {
       // Casts, and every column of a row-subset scan: selected lanes only.
       const tiles::Column& col = ra.column->column;
+      size_t doc_lanes = 0;
       for (size_t k = 0; k < sel_.count; k++) {
         const size_t r = sel_.idx[k];
         if (col.IsNull(col_row0 + r)) {
           if (ra.fallback_on_null) {
             FillFromDoc(vec, access, r, rel_->Jsonb(row0_ + r).data());
+            doc_lanes++;
           } else {
             vec.nulls()[r] = 1;
           }
@@ -678,6 +728,7 @@ class VectorizedChunkScan {
                             ? CastValue(v, ra.requested, arena_)
                             : v);
       }
+      jsonb_lanes_ += doc_lanes;
       return;
     }
     // Binary-JSON fallback: batched over the surviving selection.
@@ -703,10 +754,10 @@ class VectorizedChunkScan {
   std::vector<ColumnVector> slot_vecs_;
   std::vector<uint8_t> ready_;
   SelectionVector sel_;
-  // Batched fallback state: per-access pre-decoded paths plus per-batch
-  // document pointers / lane scratch (indexed by lane).
-  std::vector<std::vector<json::PathStep>> steps_;
-  std::vector<uint8_t> steps_ready_;
+  // Batched fallback state: per-access pre-decoded paths with one FindKey
+  // hint per step (carried across documents, batches and tiles), plus
+  // per-batch document pointers / lane scratch (indexed by lane).
+  std::vector<SlotPath> paths_;
   const uint8_t* doc_ptrs_[kVectorSize];
   bool docs_ready_ = false;
   uint16_t lane_buf_[kVectorSize];
@@ -715,6 +766,9 @@ class VectorizedChunkScan {
   std::vector<std::vector<uint8_t>> text_docs_;
   size_t batches_ = 0;
   size_t rows_ = 0;
+  // Lanes the document route served (the fallback and JSONB/JSON-text
+  // storage).
+  size_t jsonb_lanes_ = 0;
 };
 
 // Routing-key equality pruning: when the sharded relation was hash-routed
@@ -1018,16 +1072,20 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
     prof.AddCounter("shards", static_cast<int64_t>(parts.size()));
     prof.AddCounter("shards_pruned", static_cast<int64_t>(pruned_shards));
   }
-  size_t batches = 0, batch_rows = 0;
+  size_t batches = 0, batch_rows = 0, jsonb_lanes = 0;
   for (const auto& s : scanners) {
     if (s == nullptr) continue;
     batches += s->batches();
     batch_rows += s->rows();
+    jsonb_lanes += s->jsonb_lanes();
   }
   prof.AddCounter("vec_batches", static_cast<int64_t>(batches));
   prof.AddCounter("vec_rows", static_cast<int64_t>(batch_rows));
+  prof.AddCounter("jsonb_lanes", static_cast<int64_t>(jsonb_lanes));
   JSONTILES_COUNTER_ADD("exec.vec.batches", static_cast<int64_t>(batches));
   JSONTILES_COUNTER_ADD("exec.vec.rows", static_cast<int64_t>(batch_rows));
+  JSONTILES_COUNTER_ADD("exec.vec.jsonb_lanes",
+                        static_cast<int64_t>(jsonb_lanes));
   return out;
 }
 

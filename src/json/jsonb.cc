@@ -150,22 +150,6 @@ Status ValidateValue(const uint8_t* v, size_t avail, int depth,
 // JsonbValue accessors
 // ---------------------------------------------------------------------------
 
-JsonType JsonbValue::type() const {
-  switch (Tag(p_)) {
-    case kTagNull: return JsonType::kNull;
-    case kTagFalse:
-    case kTagTrue: return JsonType::kBool;
-    case kTagIntSmall:
-    case kTagInt: return JsonType::kInt;
-    case kTagFloat: return JsonType::kFloat;
-    case kTagString: return JsonType::kString;
-    case kTagNumeric: return JsonType::kNumericString;
-    case kTagObject: return JsonType::kObject;
-    case kTagArray: return JsonType::kArray;
-    default: JSONTILES_CHECK(false);
-  }
-}
-
 JsonbValue::ContainerInfo JsonbValue::DecodeContainer() const {
   ContainerInfo info;
   info.offset_width = OffsetWidth(Imm(p_));
@@ -221,16 +205,6 @@ size_t JsonbValue::Size() const {
   }
 }
 
-bool JsonbValue::GetBool() const { return Tag(p_) == kTagTrue; }
-
-int64_t JsonbValue::GetInt() const {
-  if (Tag(p_) == kTagIntSmall) return Imm(p_);
-  JSONTILES_DCHECK(Tag(p_) == kTagInt);
-  int nbytes = (Imm(p_) & 7) + 1;
-  uint64_t mag = bit_util::LoadLE(p_ + 1, nbytes);
-  return (Imm(p_) & 8) ? -static_cast<int64_t>(mag) : static_cast<int64_t>(mag);
-}
-
 double JsonbValue::GetDouble() const {
   switch (Tag(p_)) {
     case kTagIntSmall:
@@ -248,17 +222,6 @@ double JsonbValue::GetDouble() const {
       JSONTILES_DCHECK(false);
       return 0;
   }
-}
-
-std::string_view JsonbValue::GetString() const {
-  JSONTILES_DCHECK(Tag(p_) == kTagString);
-  uint8_t imm = Imm(p_);
-  if (imm < 15) {
-    return {reinterpret_cast<const char*>(p_ + 1), imm};
-  }
-  size_t pos = 1;
-  uint64_t len = bit_util::DecodeVarint(p_, &pos);
-  return {reinterpret_cast<const char*>(p_ + pos), len};
 }
 
 Numeric JsonbValue::GetNumeric() const {
@@ -285,28 +248,6 @@ std::string_view JsonbValue::MemberKey(size_t i) const {
 JsonbValue JsonbValue::MemberValue(size_t i) const {
   ContainerInfo info = DecodeContainer();
   return JsonbValue(p_ + SlotStart(info, i));
-}
-
-std::optional<JsonbValue> JsonbValue::FindKey(std::string_view key) const {
-  if (Tag(p_) != kTagObject) return std::nullopt;
-  ContainerInfo info = DecodeContainer();
-  size_t lo = 0;
-  size_t hi = info.count;
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    size_t end = SlotEnd(info, mid);
-    uint16_t keylen = bit_util::LoadU16(p_ + end - 2);
-    std::string_view mid_key(reinterpret_cast<const char*>(p_ + end - 2 - keylen),
-                             keylen);
-    int cmp = mid_key.compare(key);
-    if (cmp == 0) return JsonbValue(p_ + SlotStart(info, mid));
-    if (cmp < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return std::nullopt;
 }
 
 JsonbValue JsonbValue::ArrayElement(size_t i) const {
@@ -739,13 +680,12 @@ std::vector<uint8_t> MakeJsonbInt(int64_t value) {
 }
 
 std::optional<JsonbValue> LookupSteps(JsonbValue root, const PathStep* steps,
-                                      size_t count) {
+                                      size_t count, KeyHint* hints) {
   JsonbValue cur = root;
   for (size_t s = 0; s < count; s++) {
     const PathStep& step = steps[s];
     if (!step.is_index) {
-      if (cur.type() != JsonType::kObject) return std::nullopt;
-      auto next = cur.FindKey(step.key);
+      auto next = cur.FindKey(step.key, hints == nullptr ? nullptr : &hints[s]);
       if (!next.has_value()) return std::nullopt;
       cur = *next;
     } else {

@@ -3,11 +3,16 @@
 // Design goals (paper §5.1): fast lookups in objects and arrays, typed
 // values, few cache misses. Objects store their (sorted) keys with an offset
 // table, giving O(log n) key lookup via binary search; arrays give O(1)
-// element access. Nested values are stored inline within their parent, so
-// a whole document — or any nested value — is one contiguous byte range and
-// forward iteration never chases pointers. Construction from JSON text uses
-// the two-pass algorithm of §5.3: pass 1 validates and computes the exact
-// size of every node; pass 2 writes into a single exact-size allocation.
+// element access. A lookup may carry a KeyHint, the slot the previous
+// lookup of the same key ended at: over a run of objects with one key
+// layout (the rows of a reordered tile) a present key then costs one key
+// comparison and an absent one two, and a hint that does not fit falls
+// back to the binary search. Nested values are stored inline within their
+// parent, so a whole document — or any nested value — is one contiguous
+// byte range and forward iteration never chases pointers. Construction from
+// JSON text uses the two-pass algorithm of §5.3: pass 1 validates and
+// computes the exact size of every node; pass 2 writes into a single
+// exact-size allocation.
 //
 // Wire format. Every value starts with a header byte `(tag << 4) | imm`:
 //
@@ -32,6 +37,7 @@
 #ifndef JSONTILES_JSON_JSONB_H_
 #define JSONTILES_JSON_JSONB_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -40,11 +46,22 @@
 #include <vector>
 
 #include "json/json_type.h"
+#include "json/jsonb_wire.h"
 #include "json/lexer.h"
+#include "util/bit_util.h"
 #include "util/decimal.h"
+#include "util/logging.h"
 #include "util/status.h"
 
 namespace jsontiles::json {
+
+/// Where the previous JsonbValue::FindKey of a key ended: the slot holding
+/// the key, or the slot it would sort into when absent. Passing it to the
+/// next lookup of the same key starts the search there. Any value is safe:
+/// a slot that does not bracket the key only costs the probes spent on it.
+struct KeyHint {
+  uint32_t slot = UINT32_MAX;
+};
 
 /// Read-only view of one JSONB value inside a buffer. Cheap to copy.
 class JsonbValue {
@@ -71,8 +88,12 @@ class JsonbValue {
   /// Number of members / elements; only valid for kObject / kArray.
   size_t Count() const;
 
-  /// O(log n) member lookup by binary search over the sorted keys.
-  std::optional<JsonbValue> FindKey(std::string_view key) const;
+  /// Member lookup: binary search over the sorted keys, O(log n). With a
+  /// `hint` it first probes the slot the hint names (and the one before it,
+  /// for an absent key), and leaves the slot this lookup ended at there.
+  /// The answer never depends on the hint.
+  std::optional<JsonbValue> FindKey(std::string_view key,
+                                    KeyHint* hint = nullptr) const;
 
   /// O(1) array element access; `i` must be < Count().
   JsonbValue ArrayElement(size_t i) const;
@@ -100,6 +121,115 @@ class JsonbValue {
 
   const uint8_t* p_;
 };
+
+// The accessors a scan calls per document are inline, so its batch loop
+// runs without a call per lane.
+
+inline JsonType JsonbValue::type() const {
+  static constexpr JsonType kTypeOfTag[] = {
+      JsonType::kNull,   JsonType::kBool,          JsonType::kBool,
+      JsonType::kInt,    JsonType::kInt,           JsonType::kFloat,
+      JsonType::kString, JsonType::kNumericString, JsonType::kObject,
+      JsonType::kArray};
+  const uint8_t tag = wire::Tag(p_);
+  JSONTILES_CHECK(tag <= wire::kTagArray);
+  return kTypeOfTag[tag];
+}
+
+inline bool JsonbValue::GetBool() const {
+  return wire::Tag(p_) == wire::kTagTrue;
+}
+
+inline int64_t JsonbValue::GetInt() const {
+  if (wire::Tag(p_) == wire::kTagIntSmall) return wire::Imm(p_);
+  JSONTILES_DCHECK(wire::Tag(p_) == wire::kTagInt);
+  const uint64_t mag = bit_util::LoadLE(p_ + 1, (wire::Imm(p_) & 7) + 1);
+  return (wire::Imm(p_) & 8) ? -static_cast<int64_t>(mag)
+                             : static_cast<int64_t>(mag);
+}
+
+inline std::string_view JsonbValue::GetString() const {
+  JSONTILES_DCHECK(wire::Tag(p_) == wire::kTagString);
+  const uint8_t imm = wire::Imm(p_);
+  if (imm < 15) return {reinterpret_cast<const char*>(p_ + 1), imm};
+  size_t pos = 1;
+  const uint64_t len = bit_util::DecodeVarint(p_, &pos);
+  return {reinterpret_cast<const char*>(p_ + pos), len};
+}
+
+// Always inlined: the scan's batch fallback calls it once per lane, and
+// GCC's own heuristics leave it out of line there.
+__attribute__((always_inline)) inline std::optional<JsonbValue>
+JsonbValue::FindKey(std::string_view key, KeyHint* hint) const {
+  if (wire::Tag(p_) != wire::kTagObject) return std::nullopt;
+  size_t pos = 1;
+  const size_t count = bit_util::DecodeVarint(p_, &pos);
+  // Offsets are 1 << imm bytes wide. Each is read as 4 bytes and masked: an
+  // object slot holds at least 3 bytes (value, u16 key length), so the read
+  // of a narrow table's last offset stays inside the first slot.
+  const int shift = wire::Imm(p_);
+  const uint32_t mask = shift == 0   ? 0xFFu
+                        : shift == 1 ? 0xFFFFu
+                                     : 0xFFFFFFFFu;
+  const uint8_t* offsets = p_ + pos;
+  const uint8_t* slots = offsets + (count << shift);
+  auto slot_end = [&](size_t i) {
+    return slots + (bit_util::LoadU32(offsets + (i << shift)) & mask);
+  };
+  // Order of slot i's key against `key`: negative, zero or positive. Eight
+  // bytes at a time; a byte swap makes the first differing byte decide.
+  auto compare = [&](size_t i) {
+    const uint8_t* end = slot_end(i);
+    const size_t len = bit_util::LoadU16(end - 2);
+    const uint8_t* a = end - 2 - len;
+    const uint8_t* b = reinterpret_cast<const uint8_t*>(key.data());
+    const size_t n = std::min(len, key.size());
+    size_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+      const uint64_t x = bit_util::LoadU64(a + j);
+      const uint64_t y = bit_util::LoadU64(b + j);
+      if (x != y) {
+        return __builtin_bswap64(x) < __builtin_bswap64(y) ? -1 : 1;
+      }
+    }
+    for (; j < n; j++) {
+      if (a[j] != b[j]) return a[j] < b[j] ? -1 : 1;
+    }
+    return len < key.size() ? -1 : len > key.size() ? 1 : 0;
+  };
+  auto found = [&](size_t i) {
+    if (hint != nullptr) hint->slot = static_cast<uint32_t>(i);
+    return JsonbValue(i == 0 ? slots : slot_end(i - 1));
+  };
+  size_t lo = 0;
+  size_t hi = count;
+  if (hint != nullptr && hint->slot <= count) {
+    const size_t h = hint->slot;
+    const int c = h < count ? compare(h) : 1;
+    if (c == 0) return found(h);
+    if (c < 0) {
+      lo = h + 1;
+    } else {
+      // `key` sorts before slot h; it is absent if it sorts after h - 1.
+      const int before = h == 0 ? -1 : compare(h - 1);
+      if (before == 0) return found(h - 1);
+      if (before < 0) return std::nullopt;
+      hi = h - 1;
+    }
+  }
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    const int c = compare(mid);
+    if (c == 0) return found(mid);
+    if (c < 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  if (hint != nullptr) hint->slot = static_cast<uint32_t>(lo);
+  return std::nullopt;
+}
 
 /// Transforms JSON text into JSONB. Strings that hold a SQL Numeric
 /// ("19.99") are always stored as NumericString (§5.2). Reusable: internal
@@ -183,9 +313,10 @@ struct PathStep {
 /// missing (PostgreSQL semantics: absent key => SQL NULL). Same traversal as
 /// tiles::LookupPath, but the path is decoded once up front — batch accessors
 /// extracting one path from many documents skip the per-document varint
-/// decode entirely.
+/// decode entirely. `hints`, when given, holds one KeyHint per step, carried
+/// from document to document.
 std::optional<JsonbValue> LookupSteps(JsonbValue root, const PathStep* steps,
-                                      size_t count);
+                                      size_t count, KeyHint* hints = nullptr);
 
 // --- Programmatic assembly -------------------------------------------------
 // Because every JSONB value is a self-contained byte range, new documents can

@@ -7,8 +7,9 @@
 // computation exists exactly once, so the two paths cannot drift. Every
 // Encode* writes exactly the number of bytes the matching *Size reports.
 //
-// This header is internal to src/json; the public format documentation
-// lives at the top of jsonb.h.
+// This header is internal to src/json (jsonb.h includes it only for its
+// inline accessors); the public format documentation lives at the top of
+// jsonb.h.
 
 #ifndef JSONTILES_JSON_JSONB_WIRE_H_
 #define JSONTILES_JSON_JSONB_WIRE_H_

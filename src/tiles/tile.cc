@@ -7,13 +7,13 @@
 namespace jsontiles::tiles {
 
 const ExtractedColumn* Tile::FindColumn(std::string_view path) const {
-  auto it = column_index_.find(std::string(path));
+  auto it = column_index_.find(path);
   if (it == column_index_.end()) return nullptr;
   return &columns[it->second];
 }
 
 ExtractedColumn* Tile::FindColumn(std::string_view path) {
-  auto it = column_index_.find(std::string(path));
+  auto it = column_index_.find(path);
   if (it == column_index_.end()) return nullptr;
   return &columns[it->second];
 }

@@ -6,6 +6,7 @@
 #define JSONTILES_TILES_TILE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -19,6 +20,15 @@
 #include "util/bloom_filter.h"
 
 namespace jsontiles::tiles {
+
+/// Transparent string hashing: maps keyed by std::string take a
+/// std::string_view lookup without building a string.
+struct StringKeyHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 struct ExtractedColumn {
   /// Encoded key path of the extracted values.
@@ -96,7 +106,8 @@ class Tile {
   size_t ColumnMemoryBytes() const;
 
  private:
-  std::unordered_map<std::string, size_t> column_index_;
+  std::unordered_map<std::string, size_t, StringKeyHash, std::equal_to<>>
+      column_index_;
   BloomFilter seen_paths_;
 };
 

@@ -17,21 +17,14 @@
 
 namespace jsontiles::tiles {
 
-/// Transparent string hashing for heterogeneous unordered_map lookup.
-struct DictKeyHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view s) const noexcept {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-
 /// Dictionary-encoded key-path items for a chunk of documents: the database
 /// that itemset mining runs on (§3.3) and the raw material of reordering
 /// (§3.2). Item ids are dense and local to the chunk, assigned in first-seen
 /// order.
 struct DocumentItems {
   std::vector<std::string> dict;  // item id -> dict key (path + type byte)
-  std::unordered_map<std::string, mining::Item, DictKeyHash, std::equal_to<>> ids;
+  std::unordered_map<std::string, mining::Item, StringKeyHash, std::equal_to<>>
+      ids;
   std::vector<mining::Transaction> transactions;  // one per document
   std::vector<uint32_t> item_counts;              // item id -> frequency
   /// Where each transaction item's value starts within its document's JSONB:

@@ -16,6 +16,7 @@
 #include "json/jsonb.h"
 #include "tiles/keypath.h"
 #include "util/arena.h"
+#include "util/random.h"
 
 namespace jsontiles::exec {
 namespace {
@@ -81,11 +82,13 @@ class JsonbBatchTest : public ::testing::Test {
   void CheckPath(const std::string& encoded, ValueType requested,
                  const std::vector<uint16_t>& lanes) {
     const std::vector<json::PathStep> steps = tiles::DecodePathSteps(encoded);
+    std::vector<json::KeyHint> hints(steps.size());
     Arena arena;
     ColumnVector vec;
     vec.Reset(requested);
     ExtractJsonbPathBatch(docs_.data(), lanes.data(), lanes.size(),
-                          steps.data(), steps.size(), requested, &arena, &vec);
+                          steps.data(), steps.size(), hints.data(), requested,
+                          &arena, &vec);
     for (uint16_t r : lanes) {
       Value expected = EvalAccessOnJsonb(json::JsonbValue(docs_[r]), encoded,
                                          requested, &arena);
@@ -144,12 +147,14 @@ TEST_F(JsonbBatchTest, EmptyLaneSetIsANoOp) {
   using PS = tiles::PathSegment;
   const std::string p = Path({PS::Key("a")});
   const std::vector<json::PathStep> steps = tiles::DecodePathSteps(p);
+  std::vector<json::KeyHint> hints(steps.size());
   Arena arena;
   ColumnVector vec;
   vec.Reset(ValueType::kInt);
   std::vector<uint16_t> none;
   ExtractJsonbPathBatch(docs_.data(), none.data(), 0, steps.data(),
-                        steps.size(), ValueType::kInt, &arena, &vec);
+                        steps.size(), hints.data(), ValueType::kInt, &arena,
+                        &vec);
 }
 
 TEST_F(JsonbBatchTest, EmptyPathYieldsWholeDocumentSemantics) {
@@ -158,6 +163,67 @@ TEST_F(JsonbBatchTest, EmptyPathYieldsWholeDocumentSemantics) {
   std::vector<uint16_t> all(docs_.size());
   for (size_t i = 0; i < all.size(); i++) all[i] = static_cast<uint16_t>(i);
   for (ValueType t : kRequestedTypes) CheckPath(std::string(), t, all);
+}
+
+TEST_F(JsonbBatchTest, AlternatingShapeRunsMatchScalarAccessor) {
+  // Runs of two key layouts, as in a tile that mixes two tables: the hints
+  // carried from lane to lane (and from call to call) go stale at every
+  // change of shape.
+  storage_.clear();
+  docs_.clear();
+  Random rng(7);
+  for (int run = 0; docs_.size() < kVectorSize; run++) {
+    const int64_t len = rng.Range(1, 40);
+    for (int64_t i = 0; i < len && docs_.size() < kVectorSize; i++) {
+      const std::string n = std::to_string(docs_.size());
+      storage_.push_back(Build(
+          run % 2 == 0
+              ? R"({"id": )" + n + R"(, "name": "a)" + n +
+                    R"(", "user": {"id": )" + n + R"(, "name": "u"}})"
+              : R"({"flag": true, "id": "s)" + n +
+                    R"(", "text": "t", "user": {"handle": "h", "id": )" + n +
+                    R"(.5, "z": null}, "zz": 1})"));
+      docs_.push_back(storage_.back().data());
+    }
+  }
+  using PS = tiles::PathSegment;
+  const std::string paths[] = {
+      Path({PS::Key("id")}),
+      Path({PS::Key("user"), PS::Key("id")}),
+      Path({PS::Key("name")}),
+      Path({PS::Key("zz")}),
+      Path({PS::Key("user"), PS::Key("handle")}),
+  };
+  for (const std::string& encoded : paths) {
+    const std::vector<json::PathStep> steps = tiles::DecodePathSteps(encoded);
+    for (ValueType requested : kRequestedTypes) {
+      std::vector<json::KeyHint> hints(steps.size());
+      Arena arena;
+      ColumnVector vec;
+      vec.Reset(requested);
+      // Several calls over consecutive lane ranges share the hints.
+      std::vector<uint16_t> lanes;
+      for (size_t r = 0; r < docs_.size(); r++) {
+        lanes.push_back(static_cast<uint16_t>(r));
+        if (lanes.size() == 100 || r + 1 == docs_.size()) {
+          ExtractJsonbPathBatch(docs_.data(), lanes.data(), lanes.size(),
+                                steps.data(), steps.size(), hints.data(),
+                                requested, &arena, &vec);
+          lanes.clear();
+        }
+      }
+      for (size_t r = 0; r < docs_.size(); r++) {
+        Value expected = EvalAccessOnJsonb(json::JsonbValue(docs_[r]), encoded,
+                                           requested, &arena);
+        Value actual = vec.GetValue(r);
+        ASSERT_TRUE(BitIdentical(expected, actual))
+            << "path=" << tiles::PathToDisplayString(encoded)
+            << " requested=" << ValueTypeName(requested) << " lane " << r
+            << ": scalar=" << expected.ToString()
+            << " batched=" << actual.ToString();
+      }
+    }
+  }
 }
 
 TEST_F(JsonbBatchTest, LookupStepsMatchesLookupPath) {
