@@ -4,9 +4,8 @@
 //   C. Reordering on Figure-3-style type-interleaved data: extraction
 //      coverage and query speed before/after
 //   D. JSONB O(log n) object lookup vs BSON linear scan as objects widen;
-//      the hinted lookup over objects of one key layout; the scan's batch
-//      fallback (ExtractJsonbPathBatch) over the combined-TPC-H tile with
-//      the fewest extracted columns
+//      the scan's batch fallback (ExtractJsonbPathBatch) over the
+//      combined-TPC-H tile with the fewest extracted columns
 
 #include <benchmark/benchmark.h>
 
@@ -184,7 +183,7 @@ int main(int argc, char** argv) {
   // --- D: object lookup complexity ------------------------------------------
   {
     TablePrinter t("Ablation D: member lookup [ns] vs object width");
-    t.SetHeader({"Members", "JSONB O(log n)", "JSONB, same shape", "BSON O(n)"});
+    t.SetHeader({"Members", "JSONB O(log n)", "BSON O(n)"});
     Random rng(3);
     for (size_t width : {4, 16, 64, 256, 1024}) {
       std::string text = "{";
@@ -196,21 +195,6 @@ int main(int argc, char** argv) {
       }
       text += "}";
       auto jsonb = json::JsonbFromText(text).MoveValueOrDie();
-      // A run of objects with the keys above and values of varying width:
-      // one key layout, different bytes. Each key keeps its own hint, as a
-      // scan keeps one per path.
-      constexpr size_t kShapeDocs = 64;
-      std::vector<std::vector<uint8_t>> same_shape;
-      for (size_t d = 0; d < kShapeDocs; d++) {
-        std::string doc = "{";
-        for (size_t i = 0; i < width; i++) {
-          if (i) doc += ",";
-          doc += "\"" + keys[i] + "\":" + std::to_string(i * 1000 * d);
-        }
-        doc += "}";
-        same_shape.push_back(json::JsonbFromText(doc).MoveValueOrDie());
-      }
-      std::vector<json::KeyHint> hints(width);
       json::JsonValue dom = json::ParseJson(text).ValueOrDie();
       std::vector<uint8_t> bson;
       (void)json::bson::Encode(dom, &bson);
@@ -219,13 +203,6 @@ int main(int argc, char** argv) {
         json::JsonbValue v(jsonb.data());
         for (int i = 0; i < kLookups; i++) {
           benchmark::DoNotOptimize(v.FindKey(keys[static_cast<size_t>(i) % width]));
-        }
-      });
-      double shape_secs = TimeBest([&] {
-        for (int i = 0; i < kLookups; i++) {
-          const size_t key = (static_cast<size_t>(i) / kShapeDocs) % width;
-          json::JsonbValue v(same_shape[static_cast<size_t>(i) % kShapeDocs].data());
-          benchmark::DoNotOptimize(v.FindKey(keys[key], &hints[key]));
         }
       });
       double bson_secs = TimeBest([&] {
@@ -240,7 +217,6 @@ int main(int argc, char** argv) {
         }
       });
       t.AddRow({std::to_string(width), Fmt(jsonb_secs / kLookups * 1e9, "%.0f"),
-                Fmt(shape_secs / kLookups * 1e9, "%.0f"),
                 Fmt(bson_secs / kLookups * 1e9, "%.0f")});
     }
 
@@ -281,7 +257,6 @@ int main(int argc, char** argv) {
           std::string path;
           tiles::AppendKeySegment(&path, bp.key);
           const std::vector<json::PathStep> steps = tiles::DecodePathSteps(path);
-          std::vector<json::KeyHint> path_hints(steps.size());
           for (size_t b = 0; b < mixed->row_count; b += exec::kVectorSize) {
             const size_t n = std::min(exec::kVectorSize, mixed->row_count - b);
             for (size_t k = 0; k < n; k++) {
@@ -289,9 +264,8 @@ int main(int argc, char** argv) {
             }
             vec.Reset(bp.type);
             exec::ExtractJsonbPathBatch(docs.data(), lanes.data(), n,
-                                        steps.data(), steps.size(),
-                                        path_hints.data(), bp.type, &arena,
-                                        &vec);
+                                        steps.data(), steps.size(), bp.type,
+                                        &arena, &vec);
             benchmark::DoNotOptimize(vec.nulls());
             benchmark::ClobberMemory();
           }
@@ -302,7 +276,7 @@ int main(int argc, char** argv) {
         static_cast<double>(kPasses * std::size(batch_paths) * mixed->row_count);
     t.AddRow({"TPC-H tile, " + std::to_string(mixed->row_count) + " rows, " +
                   std::to_string(mixed->columns.size()) + " cols (batch)",
-              "-", Fmt(batch_secs / batch_lanes * 1e9, "%.1f"), "-"});
+              Fmt(batch_secs / batch_lanes * 1e9, "%.1f"), "-"});
     t.Print();
   }
   return 0;

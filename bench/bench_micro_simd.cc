@@ -195,7 +195,6 @@ int main(int argc, char** argv) {
   tiles::AppendKeySegment(&id_path, "user");
   tiles::AppendKeySegment(&id_path, "id");
   const std::vector<json::PathStep> steps = tiles::DecodePathSteps(id_path);
-  std::vector<json::KeyHint> hints(steps.size());
   std::vector<uint16_t> lanes(kLanes);
   for (size_t i = 0; i < kLanes; i++) lanes[i] = static_cast<uint16_t>(i);
   exec::ColumnVector jsonb_vec;
@@ -207,7 +206,7 @@ int main(int argc, char** argv) {
     row.name = "jsonb path extract";
     row.simd_ns = NsPerLane([&] {
       exec::ExtractJsonbPathBatch(docs.data(), lanes.data(), kLanes,
-                                  steps.data(), steps.size(), hints.data(),
+                                  steps.data(), steps.size(),
                                   exec::ValueType::kInt, &arena, &jsonb_vec);
       benchmark::DoNotOptimize(jsonb_vec.i64());
     });

@@ -127,19 +127,13 @@ Value EvalAccessOnJsonb(json::JsonbValue doc, const std::string& path,
   return JsonbScalarToValue(*found, requested, arena);
 }
 
-namespace {
-
-// The batch fallback's lane loop: `find` navigates one document to the
-// path's value (nullopt when absent). Exact type matches write the lane
-// directly; everything else (casts, numerics, containers, JSON nulls) goes
-// through the same conversion as the per-row evaluator, so results stay
-// bit-identical. The lookup itself takes a probe or two, so the loop waits
-// on memory: it prefetches the first 256 bytes (header, offsets and the
-// leading slots) of the document kPrefetchLanes lanes ahead.
-template <typename Find>
-void ExtractLanes(const uint8_t* const* docs, const uint16_t* lanes,
-                  size_t num_lanes, const Find& find, ValueType requested,
-                  Arena* arena, ColumnVector* vec) {
+void ExtractJsonbPathBatch(const uint8_t* const* docs, const uint16_t* lanes,
+                           size_t num_lanes, const json::PathStep* steps,
+                           size_t num_steps, ValueType requested, Arena* arena,
+                           ColumnVector* vec) {
+  // The lookup itself takes a few probes, so the loop waits on memory: it
+  // prefetches the first 256 bytes (header, offsets and the leading slots)
+  // of the document kPrefetchLanes lanes ahead.
   constexpr size_t kPrefetchLanes = 16;
   uint8_t* nulls = vec->nulls();
   for (size_t k = 0; k < num_lanes; k++) {
@@ -150,12 +144,16 @@ void ExtractLanes(const uint8_t* const* docs, const uint16_t* lanes,
         __builtin_prefetch(ahead + line);
       }
     }
-    const auto found = find(json::JsonbValue(docs[r]));
+    const auto found =
+        json::LookupSteps(json::JsonbValue(docs[r]), steps, num_steps);
     if (!found.has_value()) {
       nulls[r] = 1;
       continue;
     }
     const json::JsonbValue& v = *found;
+    // Exact type matches write the lane directly; everything else (casts,
+    // numerics, containers, JSON nulls) goes through the same conversion as
+    // the per-row evaluator, so results stay bit-identical.
     switch (v.type()) {
       case json::JsonType::kInt:
         if (requested == ValueType::kInt) {
@@ -190,31 +188,6 @@ void ExtractLanes(const uint8_t* const* docs, const uint16_t* lanes,
     }
     vec->SetValue(r, JsonbScalarToValue(v, requested, arena));
   }
-}
-
-}  // namespace
-
-void ExtractJsonbPathBatch(const uint8_t* const* docs, const uint16_t* lanes,
-                           size_t num_lanes, const json::PathStep* steps,
-                           size_t num_steps, json::KeyHint* hints,
-                           ValueType requested, Arena* arena,
-                           ColumnVector* vec) {
-  // A top-level member, the common fallback, runs FindKey inline per lane.
-  if (num_steps == 1 && !steps[0].is_index) {
-    const std::string_view key = steps[0].key;
-    json::KeyHint* hint = &hints[0];
-    ExtractLanes(
-        docs, lanes, num_lanes,
-        [key, hint](json::JsonbValue doc) { return doc.FindKey(key, hint); },
-        requested, arena, vec);
-    return;
-  }
-  ExtractLanes(
-      docs, lanes, num_lanes,
-      [steps, hints, num_steps](json::JsonbValue doc) {
-        return json::LookupSteps(doc, steps, num_steps, hints);
-      },
-      requested, arena, vec);
 }
 
 namespace {
@@ -487,7 +460,8 @@ class VectorizedChunkScan {
         num_slots_(spec.accesses.size()),
         slot_vecs_(num_slots_),
         ready_(num_slots_, 0),
-        paths_(num_slots_) {}
+        steps_(num_slots_),
+        steps_ready_(num_slots_, 0) {}
 
   void Run(const Chunk& chunk, const std::vector<ResolvedAccess>& resolved,
            RowSet* out) {
@@ -508,13 +482,6 @@ class VectorizedChunkScan {
   size_t jsonb_lanes() const { return jsonb_lanes_; }
 
  private:
-  // An access path decoded for the batch fallback, with its lookup hints.
-  struct SlotPath {
-    bool ready = false;
-    std::vector<json::PathStep> steps;
-    std::vector<json::KeyHint> hints;
-  };
-
   void ScanBatch(const Chunk& chunk, const std::vector<ResolvedAccess>& resolved,
                  size_t batch_begin, size_t n, RowSet* out) {
     row0_ = chunk.row_begin + batch_begin;
@@ -569,14 +536,12 @@ class VectorizedChunkScan {
 
   // Decode the access path once per query (the views point into the Expr's
   // own path storage, which outlives the scan).
-  SlotPath& PathFor(size_t i, const Expr& access) {
-    SlotPath& path = paths_[i];
-    if (!path.ready) {
-      path.ready = true;
-      path.steps = tiles::DecodePathSteps(access.path);
-      path.hints.resize(path.steps.size());
+  const std::vector<json::PathStep>& StepsFor(size_t i, const Expr& access) {
+    if (!steps_ready_[i]) {
+      steps_ready_[i] = 1;
+      steps_[i] = tiles::DecodePathSteps(access.path);
     }
-    return path;
+    return steps_[i];
   }
 
   // Binary-JSON fallback over a set of lanes: one shared pre-decoded path
@@ -611,10 +576,9 @@ class VectorizedChunkScan {
       }
       return;
     }
-    SlotPath& path = PathFor(i, access);
-    ExtractJsonbPathBatch(doc_ptrs_, lanes, num_lanes, path.steps.data(),
-                          path.steps.size(), path.hints.data(),
-                          access.access_type, arena_, &vec);
+    const auto& steps = StepsFor(i, access);
+    ExtractJsonbPathBatch(doc_ptrs_, lanes, num_lanes, steps.data(),
+                          steps.size(), access.access_type, arena_, &vec);
   }
 
   // Documents of the batch: string columns read their values from them, and
@@ -754,10 +718,10 @@ class VectorizedChunkScan {
   std::vector<ColumnVector> slot_vecs_;
   std::vector<uint8_t> ready_;
   SelectionVector sel_;
-  // Batched fallback state: per-access pre-decoded paths with one FindKey
-  // hint per step (carried across documents, batches and tiles), plus
-  // per-batch document pointers / lane scratch (indexed by lane).
-  std::vector<SlotPath> paths_;
+  // Batched fallback state: per-access pre-decoded paths plus per-batch
+  // document pointers / lane scratch (indexed by lane).
+  std::vector<std::vector<json::PathStep>> steps_;
+  std::vector<uint8_t> steps_ready_;
   const uint8_t* doc_ptrs_[kVectorSize];
   bool docs_ready_ = false;
   uint16_t lane_buf_[kVectorSize];

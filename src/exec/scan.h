@@ -242,13 +242,10 @@ Value EvalAccessOnJsonb(json::JsonbValue doc, const std::string& path,
 /// `steps` and stores the scalar converted to `requested` into `vec` —
 /// bit-identical per lane to EvalAccessOnJsonb (missing path => null lane;
 /// string lanes view the document bytes, which must outlive the batch).
-/// `hints` holds one json::KeyHint per step; keep them across calls for the
-/// same path so documents of one key layout find their members in a probe.
 /// `vec` must already be Reset to `requested`.
 void ExtractJsonbPathBatch(const uint8_t* const* docs, const uint16_t* lanes,
                            size_t num_lanes, const json::PathStep* steps,
-                           size_t num_steps, json::KeyHint* hints,
-                           ValueType requested, Arena* arena,
+                           size_t num_steps, ValueType requested, Arena* arena,
                            ColumnVector* vec);
 
 }  // namespace jsontiles::exec

@@ -679,23 +679,4 @@ std::vector<uint8_t> MakeJsonbInt(int64_t value) {
   return out;
 }
 
-std::optional<JsonbValue> LookupSteps(JsonbValue root, const PathStep* steps,
-                                      size_t count, KeyHint* hints) {
-  JsonbValue cur = root;
-  for (size_t s = 0; s < count; s++) {
-    const PathStep& step = steps[s];
-    if (!step.is_index) {
-      auto next = cur.FindKey(step.key, hints == nullptr ? nullptr : &hints[s]);
-      if (!next.has_value()) return std::nullopt;
-      cur = *next;
-    } else {
-      if (cur.type() != JsonType::kArray || step.index >= cur.Count()) {
-        return std::nullopt;
-      }
-      cur = cur.ArrayElement(step.index);
-    }
-  }
-  return cur;
-}
-
 }  // namespace jsontiles::json

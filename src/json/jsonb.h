@@ -3,16 +3,11 @@
 // Design goals (paper §5.1): fast lookups in objects and arrays, typed
 // values, few cache misses. Objects store their (sorted) keys with an offset
 // table, giving O(log n) key lookup via binary search; arrays give O(1)
-// element access. A lookup may carry a KeyHint, the slot the previous
-// lookup of the same key ended at: over a run of objects with one key
-// layout (the rows of a reordered tile) a present key then costs one key
-// comparison and an absent one two, and a hint that does not fit falls
-// back to the binary search. Nested values are stored inline within their
-// parent, so a whole document — or any nested value — is one contiguous
-// byte range and forward iteration never chases pointers. Construction from
-// JSON text uses the two-pass algorithm of §5.3: pass 1 validates and
-// computes the exact size of every node; pass 2 writes into a single
-// exact-size allocation.
+// element access. Nested values are stored inline within their parent, so
+// a whole document — or any nested value — is one contiguous byte range and
+// forward iteration never chases pointers. Construction from JSON text uses
+// the two-pass algorithm of §5.3: pass 1 validates and computes the exact
+// size of every node; pass 2 writes into a single exact-size allocation.
 //
 // Wire format. Every value starts with a header byte `(tag << 4) | imm`:
 //
@@ -55,14 +50,6 @@
 
 namespace jsontiles::json {
 
-/// Where the previous JsonbValue::FindKey of a key ended: the slot holding
-/// the key, or the slot it would sort into when absent. Passing it to the
-/// next lookup of the same key starts the search there. Any value is safe:
-/// a slot that does not bracket the key only costs the probes spent on it.
-struct KeyHint {
-  uint32_t slot = UINT32_MAX;
-};
-
 /// Read-only view of one JSONB value inside a buffer. Cheap to copy.
 class JsonbValue {
  public:
@@ -88,12 +75,8 @@ class JsonbValue {
   /// Number of members / elements; only valid for kObject / kArray.
   size_t Count() const;
 
-  /// Member lookup: binary search over the sorted keys, O(log n). With a
-  /// `hint` it first probes the slot the hint names (and the one before it,
-  /// for an absent key), and leaves the slot this lookup ended at there.
-  /// The answer never depends on the hint.
-  std::optional<JsonbValue> FindKey(std::string_view key,
-                                    KeyHint* hint = nullptr) const;
+  /// O(log n) member lookup by binary search over the sorted keys.
+  std::optional<JsonbValue> FindKey(std::string_view key) const;
 
   /// O(1) array element access; `i` must be < Count().
   JsonbValue ArrayElement(size_t i) const;
@@ -160,7 +143,7 @@ inline std::string_view JsonbValue::GetString() const {
 // Always inlined: the scan's batch fallback calls it once per lane, and
 // GCC's own heuristics leave it out of line there.
 __attribute__((always_inline)) inline std::optional<JsonbValue>
-JsonbValue::FindKey(std::string_view key, KeyHint* hint) const {
+JsonbValue::FindKey(std::string_view key) const {
   if (wire::Tag(p_) != wire::kTagObject) return std::nullopt;
   size_t pos = 1;
   const size_t count = bit_util::DecodeVarint(p_, &pos);
@@ -197,37 +180,18 @@ JsonbValue::FindKey(std::string_view key, KeyHint* hint) const {
     }
     return len < key.size() ? -1 : len > key.size() ? 1 : 0;
   };
-  auto found = [&](size_t i) {
-    if (hint != nullptr) hint->slot = static_cast<uint32_t>(i);
-    return JsonbValue(i == 0 ? slots : slot_end(i - 1));
-  };
   size_t lo = 0;
   size_t hi = count;
-  if (hint != nullptr && hint->slot <= count) {
-    const size_t h = hint->slot;
-    const int c = h < count ? compare(h) : 1;
-    if (c == 0) return found(h);
-    if (c < 0) {
-      lo = h + 1;
-    } else {
-      // `key` sorts before slot h; it is absent if it sorts after h - 1.
-      const int before = h == 0 ? -1 : compare(h - 1);
-      if (before == 0) return found(h - 1);
-      if (before < 0) return std::nullopt;
-      hi = h - 1;
-    }
-  }
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
     const int c = compare(mid);
-    if (c == 0) return found(mid);
+    if (c == 0) return JsonbValue(mid == 0 ? slots : slot_end(mid - 1));
     if (c < 0) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  if (hint != nullptr) hint->slot = static_cast<uint32_t>(lo);
   return std::nullopt;
 }
 
@@ -313,10 +277,27 @@ struct PathStep {
 /// missing (PostgreSQL semantics: absent key => SQL NULL). Same traversal as
 /// tiles::LookupPath, but the path is decoded once up front — batch accessors
 /// extracting one path from many documents skip the per-document varint
-/// decode entirely. `hints`, when given, holds one KeyHint per step, carried
-/// from document to document.
-std::optional<JsonbValue> LookupSteps(JsonbValue root, const PathStep* steps,
-                                      size_t count, KeyHint* hints = nullptr);
+/// decode entirely. Inline, so the scan's batch loop runs it without a call
+/// per lane.
+inline std::optional<JsonbValue> LookupSteps(JsonbValue root,
+                                             const PathStep* steps,
+                                             size_t count) {
+  JsonbValue cur = root;
+  for (size_t s = 0; s < count; s++) {
+    const PathStep& step = steps[s];
+    if (!step.is_index) {
+      auto next = cur.FindKey(step.key);
+      if (!next.has_value()) return std::nullopt;
+      cur = *next;
+    } else {
+      if (cur.type() != JsonType::kArray || step.index >= cur.Count()) {
+        return std::nullopt;
+      }
+      cur = cur.ArrayElement(step.index);
+    }
+  }
+  return cur;
+}
 
 // --- Programmatic assembly -------------------------------------------------
 // Because every JSONB value is a self-contained byte range, new documents can

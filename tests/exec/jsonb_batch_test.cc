@@ -82,13 +82,11 @@ class JsonbBatchTest : public ::testing::Test {
   void CheckPath(const std::string& encoded, ValueType requested,
                  const std::vector<uint16_t>& lanes) {
     const std::vector<json::PathStep> steps = tiles::DecodePathSteps(encoded);
-    std::vector<json::KeyHint> hints(steps.size());
     Arena arena;
     ColumnVector vec;
     vec.Reset(requested);
     ExtractJsonbPathBatch(docs_.data(), lanes.data(), lanes.size(),
-                          steps.data(), steps.size(), hints.data(), requested,
-                          &arena, &vec);
+                          steps.data(), steps.size(), requested, &arena, &vec);
     for (uint16_t r : lanes) {
       Value expected = EvalAccessOnJsonb(json::JsonbValue(docs_[r]), encoded,
                                          requested, &arena);
@@ -147,14 +145,12 @@ TEST_F(JsonbBatchTest, EmptyLaneSetIsANoOp) {
   using PS = tiles::PathSegment;
   const std::string p = Path({PS::Key("a")});
   const std::vector<json::PathStep> steps = tiles::DecodePathSteps(p);
-  std::vector<json::KeyHint> hints(steps.size());
   Arena arena;
   ColumnVector vec;
   vec.Reset(ValueType::kInt);
   std::vector<uint16_t> none;
   ExtractJsonbPathBatch(docs_.data(), none.data(), 0, steps.data(),
-                        steps.size(), hints.data(), ValueType::kInt, &arena,
-                        &vec);
+                        steps.size(), ValueType::kInt, &arena, &vec);
 }
 
 TEST_F(JsonbBatchTest, EmptyPathYieldsWholeDocumentSemantics) {
@@ -166,9 +162,8 @@ TEST_F(JsonbBatchTest, EmptyPathYieldsWholeDocumentSemantics) {
 }
 
 TEST_F(JsonbBatchTest, AlternatingShapeRunsMatchScalarAccessor) {
-  // Runs of two key layouts, as in a tile that mixes two tables: the hints
-  // carried from lane to lane (and from call to call) go stale at every
-  // change of shape.
+  // Runs of two key layouts, as in a tile that mixes two tables, where a
+  // key sits at a different slot (or is absent) at every change of shape.
   storage_.clear();
   docs_.clear();
   Random rng(7);
@@ -197,18 +192,17 @@ TEST_F(JsonbBatchTest, AlternatingShapeRunsMatchScalarAccessor) {
   for (const std::string& encoded : paths) {
     const std::vector<json::PathStep> steps = tiles::DecodePathSteps(encoded);
     for (ValueType requested : kRequestedTypes) {
-      std::vector<json::KeyHint> hints(steps.size());
       Arena arena;
       ColumnVector vec;
       vec.Reset(requested);
-      // Several calls over consecutive lane ranges share the hints.
+      // Several calls over consecutive lane ranges fill one vector.
       std::vector<uint16_t> lanes;
       for (size_t r = 0; r < docs_.size(); r++) {
         lanes.push_back(static_cast<uint16_t>(r));
         if (lanes.size() == 100 || r + 1 == docs_.size()) {
           ExtractJsonbPathBatch(docs_.data(), lanes.data(), lanes.size(),
-                                steps.data(), steps.size(), hints.data(),
-                                requested, &arena, &vec);
+                                steps.data(), steps.size(), requested, &arena,
+                                &vec);
           lanes.clear();
         }
       }
