@@ -6,10 +6,14 @@
 //   D. JSONB O(log n) object lookup vs BSON linear scan as objects widen;
 //      the scan's batch fallback (ExtractJsonbPathBatch) over the
 //      combined-TPC-H tile with the fewest extracted columns
+//   F. Exchange frame cost per row: row-batch encode, framing, frame decode
+//      and row-batch decode over one lineitem-shard scan, with LZ4 of the
+//      same payloads as the reference the dist wire no longer pays
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "dist/wire.h"
 #include "exec/operators.h"
 #include "exec/scan.h"
 #include "exec/vector_batch.h"
@@ -18,8 +22,10 @@
 #include "mining/apriori.h"
 #include "mining/fpgrowth.h"
 #include "opt/query.h"
+#include "storage/shard.h"
 #include "tiles/keypath.h"
 #include "tiles/tile_builder.h"
+#include "util/lz4.h"
 #include "util/random.h"
 #include "util/rle.h"
 #include "workload/hackernews.h"
@@ -278,6 +284,133 @@ int main(int argc, char** argv) {
                   std::to_string(mixed->columns.size()) + " cols (batch)",
               Fmt(batch_secs / batch_lanes * 1e9, "%.1f"), "-"});
     t.Print();
+  }
+
+  // --- F: exchange frame cost ------------------------------------------------
+  {
+    // One dist worker's scan fragment: shard 0 of 4 of combined TPC-H (SF
+    // 0.005, the e2e benchmark's data), lineitem rows with Q9's lineitem
+    // accesses. Batches are cut at the worker's ~256 KiB of payload.
+    workload::TpchOptions tpch;
+    tpch.scale_factor = 0.005;
+    tpch.seed += 1;
+    storage::ShardOptions shard_options;
+    shard_options.shard_count = 4;
+    auto sharded = storage::ShardedRelation::Load(
+                       workload::GenerateTpch(tpch).combined, "tpch",
+                       storage::StorageMode::kTiles, {}, {}, shard_options)
+                       .MoveValueOrDie();
+    exec::ScanSpec spec;
+    spec.relation = &sharded->shard(0);
+    spec.table_alias = "l";
+    for (const char* key : {"l_orderkey", "l_partkey", "l_suppkey",
+                            "l_quantity"}) {
+      spec.accesses.push_back(exec::Access("l", {key}, exec::ValueType::kInt));
+    }
+    for (const char* key : {"l_extendedprice", "l_discount"}) {
+      spec.accesses.push_back(
+          exec::Access("l", {key}, exec::ValueType::kFloat));
+    }
+    spec.filter = exec::IsNotNull(exec::Slot(0));
+    exec::QueryContext scan_ctx;
+    const exec::RowSet rows = exec::ScanExec(spec, scan_ctx);
+
+    std::vector<uint8_t> whole;
+    dist::EncodeRowBatch(0, 0, rows, 0, rows.size(), &whole);
+    const size_t rows_per_batch =
+        std::max<size_t>(1, (size_t{256} << 10) * rows.size() /
+                                std::max<size_t>(1, whole.size()));
+    auto batch_end = [&](size_t b) {
+      return std::min(rows.size(), b + rows_per_batch);
+    };
+    std::vector<std::vector<uint8_t>> payloads, frames, comps;
+    for (size_t b = 0; b < rows.size(); b += rows_per_batch) {
+      payloads.emplace_back();
+      dist::EncodeRowBatch(0, 0, rows, b, batch_end(b), &payloads.back());
+      frames.emplace_back();
+      dist::AppendFrame(dist::FrameType::kRowBatch, payloads.back(),
+                        &frames.back());
+      comps.push_back(lz4::Compress(payloads.back().data(),
+                                    payloads.back().size()));
+    }
+    size_t payload_bytes = 0, comp_bytes = 0;
+    for (size_t i = 0; i < payloads.size(); i++) {
+      payload_bytes += payloads[i].size();
+      comp_bytes += comps[i].size();
+    }
+
+    constexpr int kRuns = 51;
+    std::vector<uint8_t> scratch;
+    const double encode = TimeMedian([&] {
+      for (size_t b = 0; b < rows.size(); b += rows_per_batch) {
+        scratch.clear();
+        dist::EncodeRowBatch(0, 0, rows, b, batch_end(b), &scratch);
+        benchmark::DoNotOptimize(scratch.data());
+      }
+    }, kRuns);
+    const double append = TimeMedian([&] {
+      for (const auto& payload : payloads) {
+        scratch.clear();
+        dist::AppendFrame(dist::FrameType::kRowBatch, payload, &scratch);
+        benchmark::DoNotOptimize(scratch.data());
+      }
+    }, kRuns);
+    const double decode_frame = TimeMedian([&] {
+      for (const auto& frame : frames) {
+        size_t consumed;
+        dist::FrameType type;
+        JSONTILES_CHECK(dist::DecodeFrame(frame.data(), frame.size(),
+                                          &consumed, &type, &scratch)
+                            .ok());
+        benchmark::DoNotOptimize(scratch.data());
+      }
+    }, kRuns);
+    const double decode_rows = TimeMedian([&] {
+      Arena arena;
+      for (const auto& payload : payloads) {
+        uint32_t id, epoch;
+        exec::RowSet batch;
+        JSONTILES_CHECK(
+            dist::DecodeRowBatch(payload, &arena, &id, &epoch, &batch).ok());
+        benchmark::DoNotOptimize(batch.size());
+      }
+    }, kRuns);
+    const double compress = TimeMedian([&] {
+      for (const auto& payload : payloads) {
+        benchmark::DoNotOptimize(
+            lz4::Compress(payload.data(), payload.size()).data());
+      }
+    }, kRuns);
+    const double decompress = TimeMedian([&] {
+      for (size_t i = 0; i < payloads.size(); i++) {
+        scratch.resize(payloads[i].size());
+        JSONTILES_CHECK(lz4::Decompress(comps[i].data(), comps[i].size(),
+                                        scratch.data(), scratch.size()));
+        benchmark::DoNotOptimize(scratch.data());
+      }
+    }, kRuns);
+
+    TablePrinter t("Ablation F: exchange frame cost [ns/row]");
+    t.SetHeader({"Stage", "ns/row", "us/frame"});
+    const double n_rows = static_cast<double>(std::max<size_t>(1, rows.size()));
+    const double n_frames =
+        static_cast<double>(std::max<size_t>(1, frames.size()));
+    auto add = [&](const char* stage, double secs) {
+      t.AddRow({stage, Fmt(secs / n_rows * 1e9, "%.1f"),
+                Fmt(secs / n_frames * 1e6, "%.1f")});
+    };
+    add("EncodeRowBatch (worker)", encode);
+    add("AppendFrame (worker)", append);
+    add("DecodeFrame (coordinator)", decode_frame);
+    add("DecodeRowBatch (coordinator)", decode_rows);
+    add("lz4::Compress (reference)", compress);
+    add("lz4::Decompress (reference)", decompress);
+    t.Print();
+    std::printf("%zu rows, %zu frames, %.1f bytes/row, LZ4 ratio %.2fx\n",
+                rows.size(), frames.size(),
+                static_cast<double>(payload_bytes) / n_rows,
+                static_cast<double>(payload_bytes) /
+                    static_cast<double>(std::max<size_t>(1, comp_bytes)));
   }
   return 0;
 }

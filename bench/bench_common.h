@@ -11,6 +11,7 @@
 #ifndef JSONTILES_BENCH_BENCH_COMMON_H_
 #define JSONTILES_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -83,6 +84,16 @@ double TimeBest(Fn&& fn, int repetitions = 3) {
     if (t < best) best = t;
   }
   return best;
+}
+
+/// Median wall time of n invocations.
+template <typename Fn>
+double TimeMedian(Fn&& fn, int repetitions) {
+  std::vector<double> times;
+  for (int i = 0; i < repetitions; i++) times.push_back(TimeOnce(fn));
+  std::nth_element(times.begin(), times.begin() + repetitions / 2,
+                   times.end());
+  return times[static_cast<size_t>(repetitions / 2)];
 }
 
 inline double GeoMean(const std::vector<double>& values) {

@@ -640,7 +640,9 @@ Status Cluster::RunFragments(const exec::ScanSpec& spec,
       case FrameType::kRowBatch: {
         uint32_t id = 0, epoch = 0;
         exec::RowSet batch;
+        const auto decode_start = std::chrono::steady_clock::now();
         st = DecodeRowBatch(payload, arena, &id, &epoch, &batch);
+        stats->decode_nanos += ElapsedNanos(decode_start);
         if (!st.ok()) break;
         Fragment* frag = live_fragment(id, epoch, w);
         if (frag == nullptr || is_agg) {
@@ -653,8 +655,10 @@ Status Cluster::RunFragments(const exec::ScanSpec& spec,
       }
       case FrameType::kAggResult: {
         AggPartial partial;
+        const auto decode_start = std::chrono::steady_clock::now();
         st = DecodeAggPartial(payload, group_by.size(), aggs, arena,
                               &partial);
+        stats->decode_nanos += ElapsedNanos(decode_start);
         if (!st.ok()) break;
         Fragment* frag = live_fragment(partial.fragment_id, partial.epoch, w);
         if (frag == nullptr || !is_agg) {

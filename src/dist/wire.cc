@@ -10,7 +10,6 @@
 
 #include "util/failpoint.h"
 #include "util/hash.h"
-#include "util/lz4.h"
 
 namespace jsontiles::dist {
 
@@ -21,7 +20,7 @@ namespace {
 #define WIRE_READ(expr) \
   if (!(expr)) return Status::ParseError("corrupt wire frame: " #expr)
 
-constexpr size_t kFrameHeaderSize = 1 + 4 + 4 + 8;
+constexpr size_t kFrameHeaderSize = 1 + 4 + 8;
 
 // Depth/arity caps for the expression decoder: far above any real query
 // plan, low enough that corrupt input cannot recurse or allocate absurdly.
@@ -29,33 +28,24 @@ constexpr size_t kMaxExprDepth = 128;
 constexpr uint64_t kMaxExprArgs = 4096;
 constexpr uint64_t kMaxFragmentItems = 1u << 20;
 
-uint64_t FrameChecksum(uint8_t type, uint32_t raw_size, uint32_t comp_size,
-                       const uint8_t* payload, size_t payload_size) {
-  const uint64_t seed =
-      HashCombine(HashInt((static_cast<uint64_t>(type) << 32) | raw_size),
-                  HashInt(comp_size));
-  return HashBytes(payload, payload_size, seed);
+uint64_t FrameChecksum(uint8_t type, uint32_t size, const uint8_t* payload) {
+  const uint64_t seed = HashInt((static_cast<uint64_t>(type) << 32) | size);
+  return HashBytes(payload, size, seed);
 }
 
 struct FrameHeader {
   uint8_t type = 0;
-  uint32_t raw_size = 0;
-  uint32_t comp_size = 0;
+  uint32_t size = 0;
   uint64_t checksum = 0;
-
-  size_t wire_size() const { return comp_size != 0 ? comp_size : raw_size; }
 };
 
 // The one frame-header parser: DecodeFrame uses it, and so does ReadFrame to
 // learn how many payload bytes follow.
 Status ParseFrameHeader(const uint8_t* data, size_t size, FrameHeader* h) {
   ByteReader r(data, size);
-  WIRE_READ(r.U8(&h->type) && r.U32(&h->raw_size) && r.U32(&h->comp_size) &&
-            r.U64(&h->checksum));
+  WIRE_READ(r.U8(&h->type) && r.U32(&h->size) && r.U64(&h->checksum));
   WIRE_READ(h->type >= 1 && h->type <= kMaxFrameType);
-  WIRE_READ(h->raw_size <= kMaxFramePayload &&
-            h->comp_size <= kMaxFramePayload);
-  WIRE_READ(h->comp_size == 0 || h->comp_size < h->raw_size);
+  WIRE_READ(h->size <= kMaxFramePayload);
   return Status::OK();
 }
 
@@ -135,19 +125,13 @@ Status ReadExact(int fd, uint8_t* dst, size_t size,
 void AppendFrame(FrameType type, const std::vector<uint8_t>& payload,
                  std::vector<uint8_t>* stream) {
   JSONTILES_CHECK(payload.size() <= kMaxFramePayload);
-  std::vector<uint8_t> comp = lz4::Compress(payload.data(), payload.size());
-  const bool store_raw = comp.size() >= payload.size();
-  const std::vector<uint8_t>& wire = store_raw ? payload : comp;
   const uint8_t type_raw = static_cast<uint8_t>(type);
-  const uint32_t raw_size = static_cast<uint32_t>(payload.size());
-  const uint32_t comp_size =
-      store_raw ? 0 : static_cast<uint32_t>(comp.size());
+  const uint32_t size = static_cast<uint32_t>(payload.size());
   ByteWriter w(stream);
   w.U8(type_raw);
-  w.U32(raw_size);
-  w.U32(comp_size);
-  w.U64(FrameChecksum(type_raw, raw_size, comp_size, wire.data(), wire.size()));
-  w.Raw(wire.data(), wire.size());
+  w.U32(size);
+  w.U64(FrameChecksum(type_raw, size, payload.data()));
+  w.Raw(payload.data(), payload.size());
 }
 
 Status WriteFrame(int fd, FrameType type, const std::vector<uint8_t>& payload,
@@ -177,20 +161,12 @@ Status DecodeFrame(const uint8_t* data, size_t size, size_t* consumed,
                    FrameType* type, std::vector<uint8_t>* payload) {
   FrameHeader h;
   JSONTILES_RETURN_NOT_OK(ParseFrameHeader(data, size, &h));
-  const size_t wire_size = h.wire_size();
-  WIRE_READ(size - kFrameHeaderSize >= wire_size);
-  const uint8_t* wire = data + kFrameHeaderSize;
-  WIRE_READ(FrameChecksum(h.type, h.raw_size, h.comp_size, wire, wire_size) ==
-            h.checksum);
-  payload->clear();
-  payload->resize(h.raw_size);
-  if (h.comp_size != 0) {
-    WIRE_READ(lz4::Decompress(wire, h.comp_size, payload->data(), h.raw_size));
-  } else if (h.raw_size != 0) {
-    std::memcpy(payload->data(), wire, h.raw_size);
-  }
+  WIRE_READ(size - kFrameHeaderSize >= h.size);
+  const uint8_t* bytes = data + kFrameHeaderSize;
+  WIRE_READ(FrameChecksum(h.type, h.size, bytes) == h.checksum);
+  payload->assign(bytes, bytes + h.size);
   *type = static_cast<FrameType>(h.type);
-  *consumed = kFrameHeaderSize + wire_size;
+  *consumed = kFrameHeaderSize + h.size;
   return Status::OK();
 }
 
@@ -209,9 +185,9 @@ Status ReadFrame(int fd, int idle_timeout_ms, int frame_timeout_ms,
   // The header is validated before its size decides how much to read.
   FrameHeader h;
   JSONTILES_RETURN_NOT_OK(ParseFrameHeader(frame.data(), frame.size(), &h));
-  frame.resize(kFrameHeaderSize + h.wire_size());
+  frame.resize(kFrameHeaderSize + h.size);
   JSONTILES_RETURN_NOT_OK(ReadExact(fd, frame.data() + kFrameHeaderSize,
-                                    h.wire_size(), frame_deadline,
+                                    h.size, frame_deadline,
                                     /*clean_eof_ok=*/false, wire_bytes));
   size_t consumed;
   return DecodeFrame(frame.data(), frame.size(), &consumed, type, payload);

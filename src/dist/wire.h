@@ -1,15 +1,13 @@
 // Wire format of the distributed exchange (DESIGN.md §13).
 //
-// A connection carries a stream of frames. Each frame is length-prefixed,
-// LZ4-compressed (the spill block idiom: store raw when compression does not
-// help) and checksummed:
+// A connection carries a stream of frames. Each frame is length-prefixed and
+// checksummed, and carries its payload as it is:
 //
-//   [u8 type][u32 raw_size][u32 comp_size][u64 checksum][payload bytes]
+//   [u8 type][u32 size][u64 checksum][payload bytes]
 //
-// comp_size == 0 means the payload is stored raw (raw_size bytes on the
-// wire); otherwise comp_size LZ4 bytes follow and decompress to raw_size.
-// The checksum covers the payload exactly as it appears on the wire, seeded
-// with the header fields, so neither payload corruption nor a header/payload
+// Frames cross a same-host AF_UNIX socket, where a byte costs one kernel
+// memcpy, so nothing is compressed. The checksum covers the payload, seeded
+// with the type and size, so neither payload corruption nor a header/payload
 // mismatch goes undetected. Sizes are capped (kMaxFramePayload) before any
 // allocation — a corrupt length cannot make the decoder allocate absurd
 // buffers. Everything below the frame layer is bounds-checked via ByteReader:
@@ -39,10 +37,10 @@
 
 namespace jsontiles::dist {
 
-inline constexpr uint32_t kWireVersion = 4;
-/// Hard cap on a frame's raw and compressed payload size. Batches are cut at
-/// ~256 KiB, so real frames sit far below it; its job is bounding allocation
-/// when a length field is corrupt.
+inline constexpr uint32_t kWireVersion = 5;
+/// Hard cap on a frame's payload size. Batches are cut at ~256 KiB, so real
+/// frames sit far below it; its job is bounding allocation when a length
+/// field is corrupt.
 inline constexpr size_t kMaxFramePayload = 256u << 20;
 
 enum class FrameType : uint8_t {
@@ -65,7 +63,7 @@ inline constexpr uint8_t kMaxFrameType = 11;
 // Frame layer
 // ---------------------------------------------------------------------------
 
-/// Frame `payload` (compress + header + checksum) onto `stream`.
+/// Frame `payload` (header + checksum + the payload unchanged) onto `stream`.
 void AppendFrame(FrameType type, const std::vector<uint8_t>& payload,
                  std::vector<uint8_t>* stream);
 
@@ -75,10 +73,10 @@ void AppendFrame(FrameType type, const std::vector<uint8_t>& payload,
 Status WriteFrame(int fd, FrameType type, const std::vector<uint8_t>& payload,
                   uint64_t* wire_bytes);
 
-/// Decode one frame from a memory buffer: validates header bounds, checksum,
-/// and decompression; `*consumed` is the frame's total encoded size. This is
-/// the single decode path — ReadFrame layers socket I/O on top, and the
-/// corrupt-frame corpus test drives it directly.
+/// Decode one frame from a memory buffer: validates header bounds and
+/// checksum, then copies the payload out; `*consumed` is the frame's total
+/// encoded size. This is the single decode path — ReadFrame layers socket
+/// I/O on top, and the corrupt-frame corpus test drives it directly.
 Status DecodeFrame(const uint8_t* data, size_t size, size_t* consumed,
                    FrameType* type, std::vector<uint8_t>* payload);
 

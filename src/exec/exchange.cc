@@ -31,6 +31,8 @@ void ReportExchange(obs::OperatorProfiler& prof, const ExchangeStats& stats,
   JSONTILES_COUNTER_ADD("dist.frames", static_cast<int64_t>(frames));
   JSONTILES_COUNTER_ADD("dist.bytes_sent", static_cast<int64_t>(bytes));
   JSONTILES_COUNTER_ADD("dist.batches_sent", static_cast<int64_t>(batches));
+  JSONTILES_COUNTER_ADD("dist.decode_nanos",
+                        static_cast<int64_t>(stats.decode_nanos));
   if (stats.fragments_retried > 0) {
     JSONTILES_COUNTER_ADD("dist.fragments_retried",
                           static_cast<int64_t>(stats.fragments_retried));
@@ -53,6 +55,7 @@ void ReportExchange(obs::OperatorProfiler& prof, const ExchangeStats& stats,
   prof.AddCounter("tiles", static_cast<int64_t>(stats.tiles_scanned));
   prof.AddCounter("tiles_skipped",
                   static_cast<int64_t>(stats.tiles_skipped));
+  prof.AddCounter("decode_nanos", static_cast<int64_t>(stats.decode_nanos));
   // Recovery accounting appears only when recovery actually happened — the
   // happy path's EXPLAIN ANALYZE stays unchanged.
   if (stats.fragments_retried > 0) {

@@ -21,7 +21,7 @@ namespace jsontiles::exec {
 /// ANALYZE counters and dist.* metrics.
 struct ExchangeWorkerStats {
   uint64_t rows = 0;        // data rows received from this worker
-  uint64_t bytes = 0;       // wire bytes received (frames, compressed)
+  uint64_t bytes = 0;       // wire bytes received (frame headers + payloads)
   uint64_t frames = 0;      // frames received
   uint64_t batches = 0;     // row/agg-result batches received
   uint64_t wall_nanos = 0;  // worker-reported fragment execution time
@@ -34,6 +34,9 @@ struct ExchangeStats {
   uint64_t shards_pruned = 0;
   uint64_t tiles_scanned = 0;
   uint64_t tiles_skipped = 0;
+  /// Coordinator time in DecodeRowBatch/DecodeAggPartial, one clock pair
+  /// per result frame.
+  uint64_t decode_nanos = 0;
   // Fault-tolerance accounting (DESIGN.md §14), per exchange.
   uint64_t fragments_retried = 0;      // fragment re-dispatches
   uint64_t workers_respawned = 0;      // worker processes respawned

@@ -1,11 +1,12 @@
 // LZ4 block-format compressor/decompressor, implemented from scratch.
 //
-// Used by the storage-size experiment (paper Table 6: "+LZ4-Tiles"): column
-// chunks of JSON tiles compress well because values of one key path are
-// stored contiguously. The encoder is a greedy single-pass matcher with a
-// 64 Ki-entry hash table (comparable to LZ4 "fast" mode); the block format
-// follows the public LZ4 specification (token, literals, 16-bit offsets,
-// extension bytes).
+// Two users: the spill files of joins and aggregates (exec/spill.cc, 64 KiB
+// blocks), and the storage-size experiment (paper Table 6: "+LZ4-Tiles",
+// bench/bench_storage_table6.cc), where column chunks of JSON tiles compress
+// well because values of one key path are stored contiguously. The encoder
+// is a greedy single-pass matcher with a 64 Ki-entry hash table (comparable
+// to LZ4 "fast" mode); the block format follows the public LZ4 specification
+// (token, literals, 16-bit offsets, extension bytes).
 
 #ifndef JSONTILES_UTIL_LZ4_H_
 #define JSONTILES_UTIL_LZ4_H_

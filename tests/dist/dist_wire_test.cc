@@ -43,7 +43,7 @@ std::vector<uint8_t> Payload(size_t n, uint8_t seed) {
 }
 
 TEST(DistWireTest, FrameRoundTripRaw) {
-  // Near-random bytes do not compress: stored raw (comp_size == 0).
+  // The payload crosses the wire unchanged and decodes to the same bytes.
   std::vector<uint8_t> payload = Payload(300, 13);
   std::vector<uint8_t> stream;
   AppendFrame(FrameType::kRowBatch, payload, &stream);
@@ -59,22 +59,18 @@ TEST(DistWireTest, FrameRoundTripRaw) {
   EXPECT_EQ(decoded, payload);
 }
 
-TEST(DistWireTest, FrameRoundTripCompressed) {
-  // Highly repetitive payload: LZ4 engages (comp_size < raw_size on the
-  // wire), decode restores the original bytes.
+// A frame is a 13-byte header ([u8 type][u32 size][u64 checksum]) and the
+// payload exactly as given, even when it is highly repetitive.
+TEST(DistWireTest, FrameHeaderLayout) {
   std::vector<uint8_t> payload(64 * 1024, 0x42);
   std::vector<uint8_t> stream;
   AppendFrame(FrameType::kAggResult, payload, &stream);
-  EXPECT_LT(stream.size(), payload.size() / 2);
-
-  size_t consumed = 0;
-  FrameType type;
-  std::vector<uint8_t> decoded;
-  ASSERT_TRUE(DecodeFrame(stream.data(), stream.size(), &consumed, &type,
-                          &decoded)
-                  .ok());
-  EXPECT_EQ(type, FrameType::kAggResult);
-  EXPECT_EQ(decoded, payload);
+  ASSERT_EQ(stream.size(), 13 + payload.size());
+  EXPECT_EQ(stream[0], static_cast<uint8_t>(FrameType::kAggResult));
+  uint32_t size = 0;
+  for (int i = 0; i < 4; i++) size |= uint32_t{stream[1 + i]} << (8 * i);
+  EXPECT_EQ(size, payload.size());
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), stream.begin() + 13));
 }
 
 TEST(DistWireTest, FrameRoundTripEmpty) {
@@ -669,8 +665,8 @@ TEST(DistWireTest, PayloadCorruptionDetected) {
   std::vector<uint8_t> payload = Payload(100, 5);
   std::vector<uint8_t> stream;
   AppendFrame(FrameType::kRowBatch, payload, &stream);
-  // Flip one payload byte (header is 17 bytes).
-  for (size_t pos : {size_t{17}, stream.size() - 1}) {
+  // Flip one payload byte (header is 13 bytes).
+  for (size_t pos : {size_t{13}, stream.size() - 1}) {
     std::vector<uint8_t> bad = stream;
     bad[pos] ^= 0x10;
     size_t consumed = 0;
@@ -728,7 +724,7 @@ TEST(DistWireTest, ReadFrameIdleTimeout) {
 TEST(DistWireTest, ReadFrameStalledPeerTimesOutOnFrameDeadline) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  // 5 bytes of a 17-byte frame header, then silence.
+  // 5 bytes of a 13-byte frame header, then silence.
   std::vector<uint8_t> stream;
   AppendFrame(FrameType::kRowBatch, Payload(64, 9), &stream);
   ASSERT_EQ(::write(fds[1], stream.data(), 5), 5);
@@ -773,6 +769,86 @@ TEST(DistWireTest, ReadFrameSlowPeerWithinBudgetSucceeds) {
   EXPECT_EQ(payload, payload_in);
   ::close(fds[0]);
   ::close(fds[1]);
+}
+
+/// Writes `bytes` into one end of a socketpair and closes it, then reads
+/// frames from the other end until a read fails. Returns every status, so
+/// the last one is the failure.
+std::vector<Status> ReadFramesFromPeer(const std::vector<uint8_t>& bytes,
+                                       std::vector<uint8_t>* first_payload) {
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  EXPECT_EQ(::write(fds[1], bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  ::close(fds[1]);
+  std::vector<Status> statuses;
+  do {
+    FrameType type;
+    std::vector<uint8_t> payload;
+    statuses.push_back(ReadFrame(fds[0], /*timeout_ms=*/5000, &type, &payload,
+                                 nullptr));
+    if (statuses.size() == 1) *first_payload = std::move(payload);
+  } while (statuses.back().ok());
+  ::close(fds[0]);
+  return statuses;
+}
+
+/// A peer that lies in its header or stops early gets a failed read, never
+/// a crash, a hang or a misparsed frame (the CI sanitizer leg runs this
+/// under ASan).
+TEST(DistWireTest, ReadFrameHostilePeer) {
+  const std::vector<uint8_t> payload = Payload(64, 21);
+  std::vector<uint8_t> frame;
+  AppendFrame(FrameType::kRowBatch, payload, &frame);
+  const auto set_size = [](std::vector<uint8_t>* f, uint32_t size) {
+    for (int i = 0; i < 4; i++) {
+      (*f)[1 + i] = static_cast<uint8_t>(size >> (8 * i));
+    }
+  };
+  std::vector<uint8_t> first;
+
+  // A size past kMaxFramePayload fails on the header, before any payload
+  // buffer is sized from it.
+  std::vector<uint8_t> huge(frame.begin(), frame.begin() + 13);
+  set_size(&huge, static_cast<uint32_t>(kMaxFramePayload) + 1);
+  std::vector<Status> st = ReadFramesFromPeer(huge, &first);
+  ASSERT_EQ(st.size(), 1u);
+  EXPECT_EQ(st[0].code(), StatusCode::kParseError) << st[0].ToString();
+
+  // A valid header, then the peer closes mid-payload.
+  std::vector<uint8_t> cut(frame.begin(), frame.begin() + 13 + 20);
+  st = ReadFramesFromPeer(cut, &first);
+  ASSERT_EQ(st.size(), 1u);
+  EXPECT_NE(st[0].message().find("mid-frame"), std::string::npos)
+      << st[0].ToString();
+
+  // A size that undercounts the payload: the short frame fails its checksum,
+  // whose seed folds in the size.
+  std::vector<uint8_t> short_size = frame;
+  set_size(&short_size, 32);
+  st = ReadFramesFromPeer(short_size, &first);
+  ASSERT_EQ(st.size(), 1u);
+  EXPECT_EQ(st[0].code(), StatusCode::kParseError) << st[0].ToString();
+
+  // The same lie with a checksum that matches the short frame: that frame
+  // reads back as sent, and the read of the bytes that follow must fail
+  // rather than end cleanly or misparse.
+  const std::vector<uint8_t> head(payload.begin(), payload.begin() + 32);
+  std::vector<uint8_t> resealed;
+  AppendFrame(FrameType::kRowBatch, head, &resealed);
+  resealed.insert(resealed.end(), payload.begin() + 32, payload.end());
+  st = ReadFramesFromPeer(resealed, &first);
+  ASSERT_EQ(st.size(), 2u);
+  EXPECT_TRUE(st[0].ok()) << st[0].ToString();
+  EXPECT_EQ(first, head);
+  EXPECT_NE(st[1].code(), StatusCode::kOutOfRange) << st[1].ToString();
+
+  // A wrong checksum.
+  std::vector<uint8_t> bad_sum = frame;
+  bad_sum[5] ^= 0x01;
+  st = ReadFramesFromPeer(bad_sum, &first);
+  ASSERT_EQ(st.size(), 1u);
+  EXPECT_EQ(st[0].code(), StatusCode::kParseError) << st[0].ToString();
 }
 
 TEST(DistWireTest, UnknownFrameTypeRejected) {
