@@ -3,11 +3,13 @@
 #include <errno.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstring>
 
+#include "exec/row_codec.h"
 #include "util/failpoint.h"
 #include "util/hash.h"
 
@@ -33,6 +35,19 @@ uint64_t FrameChecksum(uint8_t type, uint32_t size, const uint8_t* payload) {
   return HashBytes(payload, size, seed);
 }
 
+// The one frame-header encoder: AppendFrame and WriteFrame send these bytes
+// ahead of the payload.
+void EncodeFrameHeader(FrameType type, const std::vector<uint8_t>& payload,
+                       uint8_t (&header)[kFrameHeaderSize]) {
+  JSONTILES_CHECK(payload.size() <= kMaxFramePayload);
+  const uint8_t type_raw = static_cast<uint8_t>(type);
+  const uint32_t size = static_cast<uint32_t>(payload.size());
+  const uint64_t checksum = FrameChecksum(type_raw, size, payload.data());
+  header[0] = type_raw;
+  std::memcpy(header + 1, &size, sizeof(size));
+  std::memcpy(header + 5, &checksum, sizeof(checksum));
+}
+
 struct FrameHeader {
   uint8_t type = 0;
   uint32_t size = 0;
@@ -46,6 +61,12 @@ Status ParseFrameHeader(const uint8_t* data, size_t size, FrameHeader* h) {
   WIRE_READ(r.U8(&h->type) && r.U32(&h->size) && r.U64(&h->checksum));
   WIRE_READ(h->type >= 1 && h->type <= kMaxFrameType);
   WIRE_READ(h->size <= kMaxFramePayload);
+  return Status::OK();
+}
+
+// The one payload check, shared by DecodeFrame and ReadFrame.
+Status VerifyPayload(const FrameHeader& h, const uint8_t* payload) {
+  WIRE_READ(FrameChecksum(h.type, h.size, payload) == h.checksum);
   return Status::OK();
 }
 
@@ -124,36 +145,46 @@ Status ReadExact(int fd, uint8_t* dst, size_t size,
 
 void AppendFrame(FrameType type, const std::vector<uint8_t>& payload,
                  std::vector<uint8_t>* stream) {
-  JSONTILES_CHECK(payload.size() <= kMaxFramePayload);
-  const uint8_t type_raw = static_cast<uint8_t>(type);
-  const uint32_t size = static_cast<uint32_t>(payload.size());
-  ByteWriter w(stream);
-  w.U8(type_raw);
-  w.U32(size);
-  w.U64(FrameChecksum(type_raw, size, payload.data()));
-  w.Raw(payload.data(), payload.size());
+  uint8_t header[kFrameHeaderSize];
+  EncodeFrameHeader(type, payload, header);
+  stream->insert(stream->end(), header, header + kFrameHeaderSize);
+  stream->insert(stream->end(), payload.begin(), payload.end());
 }
 
 Status WriteFrame(int fd, FrameType type, const std::vector<uint8_t>& payload,
                   uint64_t* wire_bytes) {
   JSONTILES_FAILPOINT_RETURN("dist.frame_write");
-  std::vector<uint8_t> frame;
-  frame.reserve(kFrameHeaderSize + payload.size());
-  AppendFrame(type, payload, &frame);
-  size_t done = 0;
-  while (done < frame.size()) {
+  uint8_t header[kFrameHeaderSize];
+  EncodeFrameHeader(type, payload, header);
+  // Header and payload leave in one sendmsg, without a staging copy; a
+  // partial write resumes where it stopped, across the two iovecs.
+  struct iovec iov[2] = {
+      {header, kFrameHeaderSize},
+      {const_cast<uint8_t*>(payload.data()), payload.size()}};
+  struct msghdr msg = {};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
     // MSG_NOSIGNAL: a peer that died mid-stream must surface as EPIPE, not
     // kill the writing process with SIGPIPE.
-    ssize_t n = ::send(fd, frame.data() + done, frame.size() - done,
-                       MSG_NOSIGNAL);
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::Internal(std::string("exchange write: ") +
                               std::strerror(errno));
     }
-    done += static_cast<size_t>(n);
+    size_t sent = static_cast<size_t>(n);
+    for (; msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len;
+         msg.msg_iov++, msg.msg_iovlen--) {
+      sent -= msg.msg_iov->iov_len;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<uint8_t*>(msg.msg_iov->iov_base) +
+                              sent;
+      msg.msg_iov->iov_len -= sent;
+    }
   }
-  if (wire_bytes != nullptr) *wire_bytes += frame.size();
+  if (wire_bytes != nullptr) *wire_bytes += kFrameHeaderSize + payload.size();
   return Status::OK();
 }
 
@@ -163,7 +194,7 @@ Status DecodeFrame(const uint8_t* data, size_t size, size_t* consumed,
   JSONTILES_RETURN_NOT_OK(ParseFrameHeader(data, size, &h));
   WIRE_READ(size - kFrameHeaderSize >= h.size);
   const uint8_t* bytes = data + kFrameHeaderSize;
-  WIRE_READ(FrameChecksum(h.type, h.size, bytes) == h.checksum);
+  JSONTILES_RETURN_NOT_OK(VerifyPayload(h, bytes));
   payload->assign(bytes, bytes + h.size);
   *type = static_cast<FrameType>(h.type);
   *consumed = kFrameHeaderSize + h.size;
@@ -177,20 +208,21 @@ Status ReadFrame(int fd, int idle_timeout_ms, int frame_timeout_ms,
   // Armed by ReadExact the moment the first byte arrives; bounds everything
   // after it.
   std::chrono::steady_clock::time_point frame_deadline{};
-  std::vector<uint8_t> frame(kFrameHeaderSize);
-  JSONTILES_RETURN_NOT_OK(ReadExact(fd, frame.data(), kFrameHeaderSize,
+  uint8_t header[kFrameHeaderSize];
+  JSONTILES_RETURN_NOT_OK(ReadExact(fd, header, kFrameHeaderSize,
                                     idle_deadline, /*clean_eof_ok=*/true,
                                     wire_bytes, &frame_deadline,
                                     frame_timeout_ms));
   // The header is validated before its size decides how much to read.
   FrameHeader h;
-  JSONTILES_RETURN_NOT_OK(ParseFrameHeader(frame.data(), frame.size(), &h));
-  frame.resize(kFrameHeaderSize + h.size);
-  JSONTILES_RETURN_NOT_OK(ReadExact(fd, frame.data() + kFrameHeaderSize,
-                                    h.size, frame_deadline,
-                                    /*clean_eof_ok=*/false, wire_bytes));
-  size_t consumed;
-  return DecodeFrame(frame.data(), frame.size(), &consumed, type, payload);
+  JSONTILES_RETURN_NOT_OK(ParseFrameHeader(header, kFrameHeaderSize, &h));
+  payload->resize(h.size);
+  JSONTILES_RETURN_NOT_OK(ReadExact(fd, payload->data(), h.size,
+                                    frame_deadline, /*clean_eof_ok=*/false,
+                                    wire_bytes));
+  JSONTILES_RETURN_NOT_OK(VerifyPayload(h, payload->data()));
+  *type = static_cast<FrameType>(h.type);
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -258,51 +290,6 @@ Status DecodeOpenOk(const std::vector<uint8_t>& payload, OpenOkMsg* msg) {
 }
 
 // ---------------------------------------------------------------------------
-// Value codec
-// ---------------------------------------------------------------------------
-
-void EncodeValue(const exec::Value& v, ByteWriter* w) {
-  w->U8(static_cast<uint8_t>(v.type));
-  w->U8(v.scale);
-  switch (v.type) {
-    case exec::ValueType::kNull:
-      return;
-    case exec::ValueType::kString:
-      w->Str(v.s());
-      return;
-    case exec::ValueType::kFloat:
-      w->F64(v.d);
-      return;
-    default:
-      w->I64(v.i);
-      return;
-  }
-}
-
-bool DecodeValue(ByteReader* r, Arena* arena, exec::Value* v) {
-  uint8_t type_raw, scale;
-  if (!r->U8(&type_raw) || !r->U8(&scale)) return false;
-  if (type_raw > static_cast<uint8_t>(exec::ValueType::kNumeric)) return false;
-  *v = exec::Value();
-  v->type = static_cast<exec::ValueType>(type_raw);
-  v->scale = scale;
-  switch (v->type) {
-    case exec::ValueType::kNull:
-      return true;
-    case exec::ValueType::kString: {
-      std::string_view s;
-      if (!r->StrView(&s)) return false;
-      v->set_s(arena->CopyString(s));
-      return true;
-    }
-    case exec::ValueType::kFloat:
-      return r->F64(&v->d);
-    default:
-      return r->I64(&v->i);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Expression codec
 // ---------------------------------------------------------------------------
 
@@ -311,7 +298,7 @@ void EncodeExpr(const exec::Expr& e, ByteWriter* w) {
   w->U8(static_cast<uint8_t>(e.kind));
   switch (e.kind) {
     case ExprKind::kConst:
-      EncodeValue(e.constant, w);
+      exec::EncodeValue(e.constant, w);
       break;
     case ExprKind::kSlotRef:
       w->SVarint(e.slot);
@@ -341,7 +328,7 @@ void EncodeExpr(const exec::Expr& e, ByteWriter* w) {
     case ExprKind::kIn:
       w->U8(e.negated ? 1 : 0);
       w->Varint(e.in_list.size());
-      for (const exec::Value& v : e.in_list) EncodeValue(v, w);
+      for (const exec::Value& v : e.in_list) exec::EncodeValue(v, w);
       break;
     case ExprKind::kSubstring:
       w->SVarint(e.substr_start);
@@ -367,13 +354,12 @@ Status DecodeExpr(ByteReader* r, size_t depth, exec::ExprPtr* out) {
   WIRE_READ(kind_raw <= static_cast<uint8_t>(ExprKind::kCastTo));
   auto e = std::make_shared<exec::Expr>();
   e->kind = static_cast<ExprKind>(kind_raw);
-  // Scratch arena for constant decode; string payloads are re-anchored into
-  // the expression's own storage below (the factories' ownership idiom).
-  Arena scratch;
+  // Constants decode with strings viewing the payload, then are re-anchored
+  // into the expression's own storage (the factories' ownership idiom).
   switch (e->kind) {
     case ExprKind::kConst: {
       exec::Value v;
-      WIRE_READ(DecodeValue(r, &scratch, &v));
+      WIRE_READ(exec::DecodeValue(r, nullptr, &v));
       if (v.type == ValueType::kString) {
         e->const_storage.assign(v.s());
         v.set_s(e->const_storage);
@@ -440,16 +426,11 @@ Status DecodeExpr(ByteReader* r, size_t depth, exec::ExprPtr* out) {
       uint64_t n;
       WIRE_READ(r->Varint(&n));
       WIRE_READ(n <= kMaxExprArgs);
-      // Two passes: strings must be anchored in in_storage before in_list
-      // takes views, and in_storage must never reallocate after that.
-      std::vector<exec::Value> raw(n);
-      size_t num_strings = 0;
+      // in_list views in_storage, which must never reallocate: room for n.
+      e->in_storage.reserve(n);
       for (uint64_t i = 0; i < n; i++) {
-        WIRE_READ(DecodeValue(r, &scratch, &raw[i]));
-        if (raw[i].type == ValueType::kString) num_strings++;
-      }
-      e->in_storage.reserve(num_strings);
-      for (exec::Value& v : raw) {
+        exec::Value v;
+        WIRE_READ(exec::DecodeValue(r, nullptr, &v));
         if (v.type == ValueType::kString) {
           e->in_storage.emplace_back(v.s());
           v.set_s(e->in_storage.back());
@@ -538,7 +519,7 @@ void EncodeFragment(const FragmentMsg& msg, std::vector<uint8_t>* out) {
     w.Str(rp.path);
     w.U8(static_cast<uint8_t>(rp.access_type));
     w.U8(static_cast<uint8_t>(rp.op));
-    EncodeValue(rp.constant, &w);
+    exec::EncodeValue(rp.constant, &w);
   }
   w.Varint(msg.group_by.size());
   for (const exec::ExprPtr& g : msg.group_by) EncodeExpr(*g, &w);
@@ -584,7 +565,6 @@ Status DecodeFragment(const std::vector<uint8_t>& payload, FragmentMsg* msg) {
   }
   WIRE_READ(r.Varint(&n));
   WIRE_READ(n <= kMaxFragmentItems);
-  Arena scratch;
   for (uint64_t i = 0; i < n; i++) {
     exec::RangePredicate rp;
     uint8_t at, op;
@@ -595,7 +575,7 @@ Status DecodeFragment(const std::vector<uint8_t>& payload, FragmentMsg* msg) {
     WIRE_READ(r.U8(&op));
     WIRE_READ(op <= static_cast<uint8_t>(exec::BinOp::kOr));
     rp.op = static_cast<exec::BinOp>(op);
-    WIRE_READ(DecodeValue(&r, &scratch, &rp.constant));
+    WIRE_READ(exec::DecodeValue(&r, nullptr, &rp.constant));
     if (rp.constant.type == ValueType::kString) {
       // Anchor the constant in the fragment's pool (deque: stable refs).
       msg->string_pool.emplace_back(rp.constant.s());
@@ -642,11 +622,7 @@ void EncodeRowBatch(uint32_t fragment_id, uint32_t epoch,
   w.U32(fragment_id);
   w.U32(epoch);
   w.U32(static_cast<uint32_t>(row_end - row_begin));
-  for (size_t i = row_begin; i < row_end; i++) {
-    const exec::RowView row = rows[i];
-    w.Varint(row.size());
-    for (const exec::Value& v : row) EncodeValue(v, &w);
-  }
+  for (size_t i = row_begin; i < row_end; i++) exec::EncodeRow(rows[i], &w);
 }
 
 Status DecodeRowBatch(const std::vector<uint8_t>& payload, Arena* arena,
@@ -658,16 +634,13 @@ Status DecodeRowBatch(const std::vector<uint8_t>& payload, Arena* arena,
   WIRE_READ(r.U32(epoch));
   WIRE_READ(r.U32(&num_rows));
   for (uint32_t i = 0; i < num_rows; i++) {
-    uint64_t num_values;
-    WIRE_READ(r.Varint(&num_values));
-    // A value is at least 2 encoded bytes; cheap guard before reserving.
-    WIRE_READ(num_values <= r.remaining() / 2 + 1);
+    uint16_t width;
+    WIRE_READ(r.U16(&width));
     // Rows decode straight into the flat array, so every row must have the
     // width of the rows already there.
-    WIRE_READ(out->empty() || num_values == out->width());
-    exec::RowRef row = out->AppendRow(static_cast<size_t>(num_values));
-    for (uint64_t v = 0; v < num_values; v++) {
-      WIRE_READ(DecodeValue(&r, arena, &row[v]));
+    WIRE_READ(out->empty() || width == out->width());
+    for (exec::Value& v : out->AppendRow(width)) {
+      WIRE_READ(exec::DecodeValue(&r, arena, &v));
     }
   }
   WIRE_READ(r.AtEnd());
@@ -690,8 +663,8 @@ void EncodeAccumulator(const exec::Accumulator& acc, ByteWriter* w) {
   w->Varint(sum.partials().size());
   for (double p : sum.partials()) w->F64(p);
   w->F64(sum.special());
-  EncodeValue(acc.min, w);
-  EncodeValue(acc.max, w);
+  exec::EncodeValue(acc.min, w);
+  exec::EncodeValue(acc.max, w);
   w->Varint(acc.distinct_count());
   if (acc.distinct) {
     for (uint64_t h : *acc.distinct) w->U64(h);
@@ -718,8 +691,8 @@ Status DecodeAccumulator(ByteReader* r, Arena* arena,
   double special;
   WIRE_READ(r->F64(&special));
   acc->sum_f = exec::ExactFloatSum::Restore(*partials, special, has_special);
-  WIRE_READ(DecodeValue(r, arena, &acc->min));
-  WIRE_READ(DecodeValue(r, arena, &acc->max));
+  WIRE_READ(exec::DecodeValue(r, arena, &acc->min));
+  WIRE_READ(exec::DecodeValue(r, arena, &acc->max));
   WIRE_READ(r->Varint(&n));
   WIRE_READ(n <= r->remaining() / 8);
   for (uint64_t i = 0; i < n; i++) {
@@ -741,9 +714,7 @@ void EncodeAggPartial(uint32_t fragment_id, uint32_t epoch,
   w.Varint(groups.size());
   for (uint32_t g = 0; g < groups.size(); g++) {
     w.U64(groups.hash(g));
-    w.Varint(groups.num_keys());
-    const exec::Value* keys = groups.keys(g);
-    for (size_t k = 0; k < groups.num_keys(); k++) EncodeValue(keys[k], &w);
+    exec::EncodeRow(exec::RowView(groups.keys(g), groups.num_keys()), &w);
     const exec::Accumulator* accs = groups.accs(g);
     for (size_t a = 0; a < groups.num_aggs(); a++) {
       EncodeAccumulator(accs[a], &w);
@@ -766,12 +737,10 @@ Status DecodeAggPartial(const std::vector<uint8_t>& payload, size_t num_keys,
   for (uint64_t i = 0; i < num_groups; i++) {
     uint64_t hash;
     WIRE_READ(r.U64(&hash));
-    uint64_t group_keys;
-    WIRE_READ(r.Varint(&group_keys));
-    WIRE_READ(group_keys == num_keys);
-    for (size_t k = 0; k < num_keys; k++) {
-      WIRE_READ(DecodeValue(&r, arena, &keys[k]));
-    }
+    uint16_t width;
+    WIRE_READ(r.U16(&width));
+    WIRE_READ(width == num_keys);
+    for (exec::Value& key : keys) WIRE_READ(exec::DecodeValue(&r, arena, &key));
     bool created = false;
     const uint32_t g = out->groups.FindOrInsert(hash, keys.data(), &created);
     WIRE_READ(created);

@@ -17,7 +17,10 @@
 // Message payloads (plan fragments, row batches, aggregate partials) are
 // versioned implicitly by kWireVersion, exchanged in the Hello handshake:
 // coordinator and workers come from the same build, so a mismatch is a
-// deployment error, reported cleanly.
+// deployment error, reported cleanly. Rows, group keys and every scalar
+// value (expression constants, aggregate min/max) are written by the
+// executor's row codec (exec/row_codec.h), the one spill runs use, so a row
+// in a row batch is byte for byte a spilled record without its key hash.
 
 #ifndef JSONTILES_DIST_WIRE_H_
 #define JSONTILES_DIST_WIRE_H_
@@ -37,7 +40,7 @@
 
 namespace jsontiles::dist {
 
-inline constexpr uint32_t kWireVersion = 5;
+inline constexpr uint32_t kWireVersion = 6;
 /// Hard cap on a frame's payload size. Batches are cut at ~256 KiB, so real
 /// frames sit far below it; its job is bounding allocation when a length
 /// field is corrupt.
@@ -67,16 +70,16 @@ inline constexpr uint8_t kMaxFrameType = 11;
 void AppendFrame(FrameType type, const std::vector<uint8_t>& payload,
                  std::vector<uint8_t>* stream);
 
-/// AppendFrame + a full write to `fd` (EINTR/partial-write safe). Fault
-/// site: `dist.frame_write`. `wire_bytes` (optional) accumulates the bytes
-/// put on the wire.
+/// The bytes of AppendFrame, written to `fd` (EINTR/partial-write safe).
+/// Fault site: `dist.frame_write`. `wire_bytes` (optional) accumulates the
+/// bytes put on the wire.
 Status WriteFrame(int fd, FrameType type, const std::vector<uint8_t>& payload,
                   uint64_t* wire_bytes);
 
 /// Decode one frame from a memory buffer: validates header bounds and
 /// checksum, then copies the payload out; `*consumed` is the frame's total
-/// encoded size. This is the single decode path — ReadFrame layers socket
-/// I/O on top, and the corrupt-frame corpus test drives it directly.
+/// encoded size. ReadFrame runs the same header parse and checksum check
+/// over socket reads, and the corrupt-frame corpus test drives this directly.
 Status DecodeFrame(const uint8_t* data, size_t size, size_t* consumed,
                    FrameType* type, std::vector<uint8_t>* payload);
 
@@ -86,7 +89,9 @@ Status DecodeFrame(const uint8_t* data, size_t size, size_t* consumed,
 /// of the frame — a peer that opens a header and stalls cannot ride the idle
 /// budget. Returns kOutOfRange("connection closed") on clean EOF at a frame
 /// boundary, kInternal on either timeout, ParseError on a corrupt frame.
-/// `wire_bytes` (optional) accumulates bytes received.
+/// The payload is read straight into `*payload`, whose contents are
+/// unspecified after a failure. `wire_bytes` (optional) accumulates bytes
+/// received.
 Status ReadFrame(int fd, int idle_timeout_ms, int frame_timeout_ms,
                  FrameType* type, std::vector<uint8_t>* payload,
                  uint64_t* wire_bytes);
@@ -121,11 +126,6 @@ struct OpenOkMsg {
 };
 void EncodeOpenOk(const OpenOkMsg& msg, std::vector<uint8_t>* out);
 Status DecodeOpenOk(const std::vector<uint8_t>& payload, OpenOkMsg* msg);
-
-/// Scalar value codec (spill row idiom: type byte, scale byte, payload).
-/// Decoded strings are copied into `arena`.
-void EncodeValue(const exec::Value& v, ByteWriter* w);
-bool DecodeValue(ByteReader* r, Arena* arena, exec::Value* v);
 
 /// Expression tree codec. Decoded expressions own their string storage
 /// (const_storage / in_storage / pattern, as the expression factories build

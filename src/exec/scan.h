@@ -139,8 +139,8 @@ class QueryContext {
   /// whose tiles were considered. Unsharded scans touch neither.
   size_t shards_pruned = 0;
   size_t shards_scanned = 0;
-  /// Bytes this query spilled to temp disk across all operators (framed,
-  /// post-compression). Accumulated by the operator that owned the spill, on
+  /// Bytes this query wrote to spill runs across all operators, block
+  /// headers included. Accumulated by the operator that owned the spill, on
   /// its calling thread — read it only between operators.
   uint64_t spilled_bytes = 0;
 

@@ -2,17 +2,18 @@
 //
 // When a hash join build side or an aggregation table would exceed the
 // query's memory budget (util/resource_governor.h), the operator partitions
-// its input by the already-computed key hash into SpillFile runs — LZ4-framed
-// blocks in unlinked temp files — and processes one partition at a time.
+// its input by the already-computed key hash into SpillFile runs — blocks of
+// records in unlinked temp files — and processes one partition at a time.
 // Skewed partitions repartition recursively on a different range of hash
 // bits per depth, so identical work always lands in one partition eventually
 // (a depth cap forces in-memory processing for unsplittable key skew).
 //
 // Each row is serialized together with its 64-bit key hash, so repartitioning
 // never re-evaluates key expressions: depth d routes on bits
-// [61-3d, 64-3d) of the stored hash. Values round-trip exactly (type, scale,
-// payload), which keeps re-evaluated hashes and comparisons bit-identical to
-// the in-memory path.
+// [61-3d, 64-3d) of the stored hash. The row after the hash is written by the
+// executor's one row codec (exec/row_codec.h), the bytes a dist row batch
+// carries. Values round-trip exactly (type, scale, payload), which keeps
+// re-evaluated hashes and comparisons bit-identical to the in-memory path.
 
 #ifndef JSONTILES_EXEC_SPILL_H_
 #define JSONTILES_EXEC_SPILL_H_
@@ -36,7 +37,7 @@ namespace jsontiles::exec {
 /// Counters one operator accumulates across all its spill activity; surfaced
 /// as `spilled_bytes` / `spill_partitions` in EXPLAIN ANALYZE.
 struct SpillStats {
-  uint64_t spilled_bytes = 0;   // bytes written to temp files (after framing)
+  uint64_t spilled_bytes = 0;   // bytes written to temp files (with headers)
   uint64_t partitions = 0;      // partition files that reached disk
   uint64_t forced_inmem = 0;    // partitions processed in memory at depth cap
 };
@@ -55,9 +56,9 @@ inline size_t SpillPartitionOf(uint64_t hash, size_t depth) {
 }
 
 /// One partition run: append (hash, row) records, then stream or materialize
-/// them back. Rows serialize into 64 KiB blocks; full blocks are LZ4
-/// compressed and framed as [u32 raw_size][u32 comp_size][payload]
-/// (comp_size 0 = stored raw) in an unlinked temp file. Not thread-safe.
+/// them back. Records [u64 hash][row] fill 64 KiB blocks; each block is
+/// written as it is behind a [u32 size] header to an unlinked temp file.
+/// Not thread-safe.
 class SpillFile {
  public:
   /// `dir` empty = $TMPDIR (else /tmp). `stats` (may be null) receives the
@@ -97,7 +98,8 @@ class SpillFile {
   Status Finish();
 
   uint64_t rows() const { return rows_; }
-  /// Serialized (uncompressed) bytes — the read-back memory estimate.
+  /// Serialized record bytes (block headers excluded) — the read-back memory
+  /// estimate.
   uint64_t raw_bytes() const { return raw_bytes_; }
 
   /// Stream records back in insertion order. The row view (and, with a null

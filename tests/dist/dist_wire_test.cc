@@ -6,6 +6,8 @@
 
 #include "dist/wire.h"
 
+#include <pthread.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -21,6 +23,7 @@
 
 #include "exec/agg_state.h"
 #include "exec/expression.h"
+#include "exec/row_codec.h"
 #include "util/arena.h"
 
 namespace jsontiles::dist {
@@ -165,10 +168,10 @@ TEST(DistWireTest, ValueRoundTrip) {
   for (const Value& v : SampleValues()) {
     std::vector<uint8_t> buf;
     ByteWriter w(&buf);
-    EncodeValue(v, &w);
+    exec::EncodeValue(v, &w);
     ByteReader r(buf.data(), buf.size());
     Value out;
-    ASSERT_TRUE(DecodeValue(&r, &arena, &out));
+    ASSERT_TRUE(exec::DecodeValue(&r, &arena, &out));
     EXPECT_TRUE(r.AtEnd());
     EXPECT_EQ(out.is_null(), v.is_null());
     if (!v.is_null()) {
@@ -767,6 +770,44 @@ TEST(DistWireTest, ReadFrameSlowPeerWithinBudgetSucceeds) {
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(type, FrameType::kHello);
   EXPECT_EQ(payload, payload_in);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+/// A signal that interrupts a blocked sendmsg makes it return what it has
+/// sent so far: WriteFrame resumes from there, and the reader gets the frame
+/// whole.
+TEST(DistWireTest, WriteFrameResumesPartialWrites) {
+  struct sigaction quiet = {}, old = {};
+  quiet.sa_handler = [](int) {};
+  sigemptyset(&quiet.sa_mask);  // no SA_RESTART: sendmsg returns early
+  ASSERT_EQ(::sigaction(SIGUSR1, &quiet, &old), 0);
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  // Far past the socket buffer, so the writer blocks until the reader reads.
+  const std::vector<uint8_t> payload_in = Payload(4 << 20, 3);
+  uint64_t sent = 0;
+  Status write_status;
+  std::thread writer([&] {
+    write_status = WriteFrame(fds[1], FrameType::kRowBatch, payload_in, &sent);
+  });
+  for (int i = 0; i < 5; i++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ::pthread_kill(writer.native_handle(), SIGUSR1);
+  }
+  FrameType type;
+  std::vector<uint8_t> payload;
+  uint64_t received = 0;
+  Status st = ReadFrame(fds[0], /*timeout_ms=*/10000, &type, &payload,
+                        &received);
+  writer.join();
+  ::sigaction(SIGUSR1, &old, nullptr);
+  ASSERT_TRUE(write_status.ok()) << write_status.ToString();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(type, FrameType::kRowBatch);
+  EXPECT_EQ(payload, payload_in);
+  EXPECT_EQ(sent, 13 + payload_in.size());
+  EXPECT_EQ(received, sent);
   ::close(fds[0]);
   ::close(fds[1]);
 }

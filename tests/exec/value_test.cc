@@ -1,7 +1,8 @@
 // The 16-byte Value (its size is a static_assert in value.h): string
 // payloads at the edges (empty, embedded NULs, 64 KiB) through hashing,
 // comparison, grouping and formatting, and their byte-identical round trip
-// through the spill and wire row codecs.
+// through both users of the row codec (exec/row_codec.h): spill runs and
+// wire row batches.
 
 #include "exec/value.h"
 

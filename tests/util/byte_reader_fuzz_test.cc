@@ -3,13 +3,17 @@
 // message kind. At every offset where a varint starts, the varint is
 // rewritten to 2^64-1, to 2^64-pos and to size-pos+1, pos being the
 // decoder's position after it. A bounds check written as `pos + n > size`
-// wraps on the first two and is off by one on the third. Seeded byte flips
-// and truncations ride along. Every mutant must decode or fail with a decode
-// Status: never a crash, never a read out of bounds (run it under
+// wraps on the first two and is off by one on the third. Fixed-width fields
+// (the row codec's u16 widths and u32 string lengths among them) get a pass
+// of their own: at every offset a u16 and a u32 are overwritten in place
+// with their maximum and with the byte count after them + 1. Seeded byte
+// flips and truncations ride along. Every mutant must decode or fail with a
+// decode Status: never a crash, never a read out of bounds (run it under
 // -DJSONTILES_SANITIZE=ON).
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -69,6 +73,17 @@ void Fuzz(const Target& t, uint64_t seed) {
     const uint64_t rest = t.bytes.size() - end;
     for (uint64_t length : {UINT64_MAX, 0 - pos, rest + 1}) {
       check(WithVarint(t.bytes, at, end, length), "length", at);
+    }
+  }
+  for (size_t at = t.origin; at < t.bytes.size(); at++) {
+    for (size_t width : {size_t{2}, size_t{4}}) {
+      if (at + width > t.bytes.size()) continue;
+      const uint64_t rest = t.bytes.size() - at - width;
+      for (uint64_t value : {(uint64_t{1} << (8 * width)) - 1, rest + 1}) {
+        std::vector<uint8_t> mutant = t.bytes;
+        std::memcpy(mutant.data() + at, &value, width);  // little-endian
+        check(mutant, width == 2 ? "u16" : "u32", at);
+      }
     }
   }
   Random rng(seed);
