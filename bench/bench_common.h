@@ -23,7 +23,6 @@
 #include <string_view>
 #include <vector>
 
-#include "exec/simd.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/loader.h"
@@ -149,19 +148,12 @@ inline std::string Fmt(double v, const char* fmt = "%.4f") {
 ///
 ///   --metrics-json <path>   dump the MetricsRegistry as JSON on exit
 ///   --trace-json <path>     record trace spans, write a chrome://tracing file
-///   --simd / --no-simd      toggle the SIMD kernel tier of the vectorized
-///                           engine (default on; --no-simd runs the exact
-///                           scalar-fallback code paths, the honest baseline)
 class BenchObs {
  public:
   BenchObs(int* argc, char** argv) {
     int out = 1;
     for (int i = 1; i < *argc; i++) {
       std::string_view arg = argv[i];
-      if (arg == "--simd" || arg == "--no-simd") {
-        exec::simd::SetEnabled(arg == "--simd");
-        continue;
-      }
       std::string* target = nullptr;
       if (arg == "--metrics-json" || arg.rfind("--metrics-json=", 0) == 0) {
         target = &metrics_path_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/simd.h"
 #include "util/hash.h"
 
 namespace jsontiles::exec {
@@ -74,22 +73,12 @@ void BatchedExprs::HashKeys(size_t nk, const RowSet& rows, size_t begin,
                             size_t n, Arena* arena, Value* keys,
                             uint64_t* hashes) const {
   std::fill_n(hashes, n, kKeyHashSeed);
-  uint64_t key_hash[kVectorSize];
   for (size_t j = 0; j < nk; j++) {
     const ColumnVector* col = Result(j);
-    const bool batch_hashed =
-        col != nullptr && simd::UseSimd() &&
-        (col->type() == ValueType::kInt || col->type() == ValueType::kBool ||
-         col->type() == ValueType::kTimestamp);
-    if (batch_hashed) {
-      simd::HashI64Batch(col->i64(), col->nulls(), Value::Null().Hash(),
-                         key_hash, n);
-      simd::HashCombineBatch(hashes, key_hash, n);
-    }
     for (size_t k = 0; k < n; k++) {
       PrefetchStringLane(col, k + kStringPrefetchAhead, n);
       Value v = Get(j, k, rows[begin + k], arena);
-      if (!batch_hashed) hashes[k] = HashCombine(hashes[k], v.Hash());
+      hashes[k] = HashCombine(hashes[k], v.Hash());
       keys[k * nk + j] = v;
     }
   }

@@ -57,9 +57,8 @@ class BatchedExprs {
   /// The keys of the loaded batch (rows [begin, begin + n) of `rows`), where
   /// expressions [0, nk) are the keys: lane k's key values go to
   /// keys[k * nk + j] and its chained hash — kKeyHashSeed combined with each
-  /// key's Value::Hash — to hashes[k]. Compiled int/bool/timestamp keys hash
-  /// through the SIMD batch kernels, bit-identical to Value::Hash; every
-  /// other key hashes per Value.
+  /// key's Value::Hash — to hashes[k], in the same per-lane loop that reads
+  /// the key.
   void HashKeys(size_t nk, const RowSet& rows, size_t begin, size_t n,
                 Arena* arena, Value* keys, uint64_t* hashes) const;
 

@@ -3,25 +3,21 @@
 // Every kernel is written to be bit-identical to the scalar interpreter in
 // expression.cc (EvalExpr / EvalArithmetic / EvalComparison / CastValue) —
 // including the quirks: comparisons of two numbers always go through
-// AsDouble (even int vs int), pure-int add/sub/mul stays int and wraps on
-// overflow, MOD truncates float operands, division by zero yields null. The
-// differential fuzz test locks this in.
+// AsDouble (even int vs int), pure-int add/sub/mul/neg stays int and wraps
+// on overflow, MOD truncates float operands (null when one has no int64) and
+// x % -1 is 0, division by zero yields null. The differential fuzz test locks
+// this in. Each kernel is one gather loop over the selection; dense and sparse
+// selections run the same code.
+
+#include <algorithm>
+#include <cmath>
 
 #include "exec/expr_compile.h"
-#include "exec/simd.h"
 #include "util/bit_util.h"
 
 namespace jsontiles::exec::vec {
 
 namespace {
-
-// Dense selections (the first conjunct after SetAll, projections, join and
-// aggregate key batches) take the SIMD entry points when UseSimd() holds;
-// everything else runs the scalar gather loops below, the one scalar
-// definition of each kernel.
-inline bool UseSimdDense(const SelectionVector& sel) {
-  return sel.IsDense() && simd::UseSimd();
-}
 
 // AsDouble of a non-null lane (string operands are rejected at compile).
 inline double LaneAsDouble(const ColumnVector& v, size_t r) {
@@ -34,11 +30,13 @@ inline double LaneAsDouble(const ColumnVector& v, size_t r) {
 
 // MOD operand: floats truncate toward zero, everything else uses the raw
 // int lane (numerics contribute their unscaled digits, like the interpreter).
-inline int64_t LaneAsModInt(const ColumnVector& v, size_t r) {
+// False for a float with no int64 (NaN, ±inf, out of range): the lane is null.
+inline bool LaneAsModInt(const ColumnVector& v, size_t r, int64_t* out) {
   if (v.type() == ValueType::kFloat) {
-    return static_cast<int64_t>(v.f64()[r]);
+    return bit_util::TruncToInt64(v.f64()[r], out);
   }
-  return v.i64()[r];
+  *out = v.i64()[r];
+  return true;
 }
 
 // A three-valued boolean lane: 0 = false, 1 = true, 2 = null.
@@ -55,17 +53,15 @@ void KernelArith(const Instr& in, const ColumnVector& a, const ColumnVector& b,
     int64_t* oi = out->i64();
     for (size_t k = 0; k < sel.count; k++) {
       const size_t r = sel.idx[k];
-      if (a.IsNull(r) || b.IsNull(r)) {
-        onull[r] = 1;
-        continue;
-      }
-      int64_t y = LaneAsModInt(b, r);
-      if (y == 0) {
+      int64_t x = 0;
+      int64_t y = 0;
+      if (a.IsNull(r) || b.IsNull(r) || !LaneAsModInt(a, r, &x) ||
+          !LaneAsModInt(b, r, &y) || y == 0) {
         onull[r] = 1;
         continue;
       }
       onull[r] = 0;
-      oi[r] = LaneAsModInt(a, r) % y;
+      oi[r] = bit_util::WrapMod(x, y);
     }
     return;
   }
@@ -75,10 +71,6 @@ void KernelArith(const Instr& in, const ColumnVector& a, const ColumnVector& b,
     const uint8_t* an = a.nulls();
     const uint8_t* bn = b.nulls();
     int64_t* oi = out->i64();
-    if (UseSimdDense(sel)) {
-      simd::ArithI64(in.bin_op, ai, bi, an, bn, oi, onull, sel.count);
-      return;
-    }
     switch (in.bin_op) {
       case BinOp::kAdd:
         for (size_t k = 0; k < sel.count; k++) {
@@ -104,32 +96,6 @@ void KernelArith(const Instr& in, const ColumnVector& a, const ColumnVector& b,
     }
   }
   double* of = out->f64();
-  const bool ab_int_or_float =
-      (in.a_type == ValueType::kInt || in.a_type == ValueType::kFloat) &&
-      (in.b_type == ValueType::kInt || in.b_type == ValueType::kFloat);
-  if (ab_int_or_float && UseSimdDense(sel)) {
-    // Int operands are widened once into scratch lanes (exact, identical to
-    // the static_cast in LaneAsDouble); numeric operands keep the scalar
-    // loop because of the per-lane scale.
-    double atmp[kVectorSize], btmp[kVectorSize];
-    const double* pa;
-    if (in.a_type == ValueType::kInt) {
-      simd::I64ToF64(a.i64(), atmp, sel.count);
-      pa = atmp;
-    } else {
-      pa = a.f64();
-    }
-    const double* pb;
-    if (in.b_type == ValueType::kInt) {
-      simd::I64ToF64(b.i64(), btmp, sel.count);
-      pb = btmp;
-    } else {
-      pb = b.f64();
-    }
-    simd::ArithF64(in.bin_op, pa, pb, a.nulls(), b.nulls(), of, onull,
-                   sel.count);
-    return;
-  }
   for (size_t k = 0; k < sel.count; k++) {
     const size_t r = sel.idx[k];
     if (a.IsNull(r) || b.IsNull(r)) {
@@ -183,11 +149,6 @@ void KernelCompare(const Instr& in, const ColumnVector& a,
     if (in.a_type == ValueType::kInt && in.b_type == ValueType::kInt) {
       const int64_t* ai = a.i64();
       const int64_t* bi = b.i64();
-      if (UseSimdDense(sel)) {
-        simd::CompareI64ViaDouble(in.bin_op, ai, bi, a.nulls(), b.nulls(), oi,
-                                  onull, sel.count);
-        return;
-      }
       for (size_t k = 0; k < sel.count; k++) {
         const size_t r = sel.idx[k];
         if (a.IsNull(r) || b.IsNull(r)) {
@@ -200,24 +161,6 @@ void KernelCompare(const Instr& in, const ColumnVector& a,
         oi[r] = ApplyCmp(in.bin_op, x < y ? -1 : x > y ? 1 : 0);
       }
       return;
-    }
-    if (UseSimdDense(sel)) {  // float/float and int<->float mixes
-      if (in.a_type == ValueType::kFloat && in.b_type == ValueType::kFloat) {
-        simd::CompareF64(in.bin_op, a.f64(), b.f64(), a.nulls(), b.nulls(),
-                         oi, onull, sel.count);
-        return;
-      }
-      if (in.a_type == ValueType::kInt && in.b_type == ValueType::kFloat) {
-        simd::CompareI64F64(in.bin_op, a.i64(), b.f64(), a.nulls(), b.nulls(),
-                            oi, onull, sel.count);
-        return;
-      }
-      if (in.a_type == ValueType::kFloat && in.b_type == ValueType::kInt) {
-        simd::CompareF64I64(in.bin_op, a.f64(), b.i64(), a.nulls(), b.nulls(),
-                            oi, onull, sel.count);
-        return;
-      }
-      // numeric operands fall through to the scalar loop (per-lane scale)
     }
     for (size_t k = 0; k < sel.count; k++) {
       const size_t r = sel.idx[k];
@@ -250,11 +193,6 @@ void KernelCompare(const Instr& in, const ColumnVector& a,
   // Same non-number type (bool/timestamp): raw int lanes.
   const int64_t* ai = a.i64();
   const int64_t* bi = b.i64();
-  if (UseSimdDense(sel)) {
-    simd::CompareI64Raw(in.bin_op, ai, bi, a.nulls(), b.nulls(), oi, onull,
-                        sel.count);
-    return;
-  }
   for (size_t k = 0; k < sel.count; k++) {
     const size_t r = sel.idx[k];
     if (a.IsNull(r) || b.IsNull(r)) {
@@ -272,19 +210,6 @@ void KernelLogic(const Instr& in, const ColumnVector& a, const ColumnVector& b,
   uint8_t* onull = out->nulls();
   int64_t* oi = out->i64();
   const bool is_and = in.op == VecOp::kAnd;
-  if (a.type() == ValueType::kBool && b.type() == ValueType::kBool &&
-      UseSimdDense(sel)) {
-    // kNull-typed operands (statically-null conjuncts) have no payload
-    // lanes, so they stay on the BoolLane loop below.
-    if (is_and) {
-      simd::And3VL(a.i64(), b.i64(), a.nulls(), b.nulls(), oi, onull,
-                   sel.count);
-    } else {
-      simd::Or3VL(a.i64(), b.i64(), a.nulls(), b.nulls(), oi, onull,
-                  sel.count);
-    }
-    return;
-  }
   for (size_t k = 0; k < sel.count; k++) {
     const size_t r = sel.idx[k];
     uint8_t x = BoolLane(a, r);
@@ -347,11 +272,20 @@ void KernelIn(const Instr& in, const ColumnVector& a, ColumnVector* out,
     }
     Value v = a.GetValue(r);
     bool found = false;
-    auto [it, end] = set.by_hash.equal_range(v.Hash());
-    for (; it != end; ++it) {
-      if (v.EqualsForGrouping(*it->second)) {
-        found = true;
-        break;
+    if (v.type == ValueType::kFloat && std::isnan(v.d)) {
+      // NaN equals every number (both orderings are false), so no hash
+      // bucket holds all its matches: scan the list like the interpreter.
+      const std::vector<Value>& list = in.node->in_list;
+      found = std::any_of(list.begin(), list.end(), [&](const Value& c) {
+        return v.EqualsForGrouping(c);
+      });
+    } else {
+      auto [it, end] = set.by_hash.equal_range(v.Hash());
+      for (; it != end; ++it) {
+        if (v.EqualsForGrouping(*it->second)) {
+          found = true;
+          break;
+        }
       }
     }
     onull[r] = 0;
@@ -405,7 +339,7 @@ void KernelNeg(const Instr& in, const ColumnVector& a, ColumnVector* out,
     const size_t r = sel.idx[k];
     onull[r] = a.IsNull(r);
     if (onull[r]) continue;
-    oi[r] = -ai[r];
+    oi[r] = bit_util::WrapSub(0, ai[r]);
     if (oscale != nullptr) oscale[r] = a.scale()[r];
   }
 }

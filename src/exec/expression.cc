@@ -263,7 +263,11 @@ Value CastValue(const Value& v, ValueType to, Arena* arena) {
     case ValueType::kInt:
       switch (v.type) {
         case ValueType::kBool: return Value::Int(v.i);
-        case ValueType::kFloat: return Value::Int(static_cast<int64_t>(v.d));
+        case ValueType::kFloat: {
+          int64_t out = 0;
+          if (!bit_util::TruncToInt64(v.d, &out)) return Value::Null();
+          return Value::Int(out);
+        }
         case ValueType::kNumeric: return Value::Int(v.numeric_value().ToInt64());
         case ValueType::kString: {
           int64_t out = 0;
@@ -300,7 +304,7 @@ Value CastValue(const Value& v, ValueType to, Arena* arena) {
         case ValueType::kFloat: {
           // Round to 4 decimal places (enough for our workloads).
           double scaled = std::round(v.d * 10000.0);
-          if (std::abs(scaled) > 9e17) return Value::Null();
+          if (!(std::abs(scaled) <= 9e17)) return Value::Null();  // NaN too
           return Value::Num(Numeric{static_cast<int64_t>(scaled), 4});
         }
         default: return Value::Null();
@@ -346,10 +350,17 @@ bool BothNumbers(const Value& a, const Value& b) {
 Value EvalArithmetic(BinOp op, const Value& l, const Value& r) {
   if (l.is_null() || r.is_null()) return Value::Null();
   if (op == BinOp::kMod) {
-    int64_t a = l.type == ValueType::kFloat ? static_cast<int64_t>(l.d) : l.i;
-    int64_t b = r.type == ValueType::kFloat ? static_cast<int64_t>(r.d) : r.i;
+    // Float operands truncate toward zero; one with no int64 makes it null.
+    int64_t a = l.i;
+    int64_t b = r.i;
+    if (l.type == ValueType::kFloat && !bit_util::TruncToInt64(l.d, &a)) {
+      return Value::Null();
+    }
+    if (r.type == ValueType::kFloat && !bit_util::TruncToInt64(r.d, &b)) {
+      return Value::Null();
+    }
     if (b == 0) return Value::Null();
-    return Value::Int(a % b);
+    return Value::Int(bit_util::WrapMod(a, b));
   }
   // Pure integer add/sub/mul stays integer; everything else in double.
   if (l.type == ValueType::kInt && r.type == ValueType::kInt &&
@@ -450,10 +461,11 @@ Value EvalExpr(const Expr& e, const Value* slots, Arena* arena) {
         case UnOp::kNeg:
           if (v.is_null()) return Value::Null();
           if (v.type == ValueType::kFloat) return Value::Float(-v.d);
+          // -INT64_MIN wraps to itself, like the kernel's.
           if (v.type == ValueType::kNumeric) {
-            return Value::Num(Numeric{-v.i, v.scale});
+            return Value::Num(Numeric{bit_util::WrapSub(0, v.i), v.scale});
           }
-          return Value::Int(-v.i);
+          return Value::Int(bit_util::WrapSub(0, v.i));
         case UnOp::kIsNull: return Value::Bool(v.is_null());
         case UnOp::kIsNotNull: return Value::Bool(!v.is_null());
       }

@@ -13,6 +13,7 @@
 #include "tiles/array_extract.h"
 #include "tiles/keypath.h"
 #include "tiles/tile.h"
+#include "util/bit_util.h"
 #include "util/failpoint.h"
 
 namespace jsontiles::exec {
@@ -752,14 +753,14 @@ int64_t RoutingEqTarget(const storage::ShardedRelation& sharded,
   for (const RangePredicate& rp : range_predicates) {
     if (rp.op != BinOp::kEq || rp.path != sharded.routing_path()) continue;
     uint64_t hash;
+    int64_t integral = 0;
     if (kind == RoutingValueKind::kIntOnly) {
       if (rp.constant.type == ValueType::kInt) {
         hash = storage::ShardKeyHashInt(rp.constant.i);
       } else if (rp.constant.type == ValueType::kFloat &&
                  std::floor(rp.constant.d) == rp.constant.d &&
-                 rp.constant.d >= -9223372036854775808.0 &&
-                 rp.constant.d < 9223372036854775808.0) {
-        hash = storage::ShardKeyHashInt(static_cast<int64_t>(rp.constant.d));
+                 bit_util::TruncToInt64(rp.constant.d, &integral)) {
+        hash = storage::ShardKeyHashInt(integral);
       } else {
         continue;
       }

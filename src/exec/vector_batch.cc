@@ -1,7 +1,5 @@
 #include "exec/vector_batch.h"
 
-#include "exec/simd.h"
-
 namespace jsontiles::exec {
 
 void IntersectSelection(const ColumnVector& pred, SelectionVector* sel) {
@@ -14,12 +12,6 @@ void IntersectSelection(const ColumnVector& pred, SelectionVector* sel) {
     return;
   }
   const int64_t* vals = pred.i64();
-  if (sel->IsDense() && simd::UseSimd()) {
-    uint8_t pass[kVectorSize];
-    simd::BoolPassBytes(vals, nulls, pass, sel->count);
-    sel->count = simd::CompactPassIndices(pass, sel->count, sel->idx);
-    return;
-  }
   for (size_t k = 0; k < sel->count; k++) {
     uint16_t row = sel->idx[k];
     if (nulls[row] == 0 && vals[row] != 0) sel->idx[out++] = row;

@@ -33,12 +33,6 @@ struct SelectionVector {
     count = n;
   }
   bool empty() const { return count == 0; }
-
-  /// True when the selection covers lanes 0..count-1 contiguously (indices
-  /// are ascending and unique, so checking the last suffices). Fresh SetAll
-  /// selections stay dense until a conjunct drops rows; the SIMD kernel
-  /// paths require density, sparse selections keep the scalar gather loops.
-  bool IsDense() const { return count == 0 || idx[count - 1] == count - 1; }
 };
 
 /// One expression input/output across a batch. Only the payload buffer of

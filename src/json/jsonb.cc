@@ -231,8 +231,7 @@ Numeric JsonbValue::GetNumeric() const {
   n.scale = sign_scale & 0x7F;
   size_t pos = 2;
   uint64_t mag = bit_util::DecodeVarint(p_, &pos);
-  n.unscaled = (sign_scale & 0x80) ? -static_cast<int64_t>(mag)
-                                   : static_cast<int64_t>(mag);
+  n.unscaled = static_cast<int64_t>((sign_scale & 0x80) ? 0 - mag : mag);
   return n;
 }
 

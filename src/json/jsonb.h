@@ -127,8 +127,8 @@ inline int64_t JsonbValue::GetInt() const {
   if (wire::Tag(p_) == wire::kTagIntSmall) return wire::Imm(p_);
   JSONTILES_DCHECK(wire::Tag(p_) == wire::kTagInt);
   const uint64_t mag = bit_util::LoadLE(p_ + 1, (wire::Imm(p_) & 7) + 1);
-  return (wire::Imm(p_) & 8) ? -static_cast<int64_t>(mag)
-                             : static_cast<int64_t>(mag);
+  // Negated as unsigned, so a magnitude of 2^63 gives INT64_MIN without UB.
+  return static_cast<int64_t>((wire::Imm(p_) & 8) ? 0 - mag : mag);
 }
 
 inline std::string_view JsonbValue::GetString() const {

@@ -18,8 +18,6 @@
 
 #include <cstring>
 
-#include "exec/simd.h"
-
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
@@ -266,22 +264,43 @@ __attribute__((target("avx2"))) Status ScanAvx2(std::string_view input,
 
 #endif  // __x86_64__
 
-}  // namespace
+bool CpuHasAvx2() {
+#if defined(__x86_64__)
+  static const bool has = __builtin_cpu_supports("avx2");
+  return has;
+#else
+  return false;
+#endif
+}
 
-Status BuildStructuralIndex(std::string_view input, StructuralIndex* index) {
+// Checks and resets shared by both tiers.
+Status BeginScan(std::string_view input, StructuralIndex* index) {
   index->count = 0;
   index->clean_strings = false;
   if (input.size() > 0xFFFFFFFFull) {
     return Status::OutOfRange("input too large for structural index");
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status BuildStructuralIndex(std::string_view input, StructuralIndex* index) {
 #if defined(__x86_64__)
-  if (exec::simd::UseSimd()) return ScanAvx2(input, index);
+  if (CpuHasAvx2()) {
+    JSONTILES_RETURN_NOT_OK(BeginScan(input, index));
+    return ScanAvx2(input, index);
+  }
 #endif
+  return BuildStructuralIndexScalar(input, index);
+}
+
+Status BuildStructuralIndexScalar(std::string_view input,
+                                  StructuralIndex* index) {
+  JSONTILES_RETURN_NOT_OK(BeginScan(input, index));
   return ScanScalar(input, index);
 }
 
-const char* StructuralIndexIsa() {
-  return exec::simd::UseSimd() ? "avx2" : "scalar";
-}
+const char* StructuralIndexIsa() { return CpuHasAvx2() ? "avx2" : "scalar"; }
 
 }  // namespace jsontiles::json

@@ -18,11 +18,9 @@
 // as structure, so multi-byte sequences pass through unharmed; the scan never
 // validates UTF-8, matching the streaming lexer.
 //
-// Two implementation tiers: an AVX2 tier via function multi-versioning when
-// exec::simd::UseSimd() holds, else a scalar scan that defines the exact
-// semantics (the tier-identity tests compare the AVX2 tier against it bit
-// for bit). The scan honors the exec::simd runtime kill switch, so --no-simd
-// and simd::SetEnabled(false) exercise the scalar tier.
+// Two implementation tiers: an AVX2 scan on CPUs that have AVX2, else the
+// scalar scan, which defines the exact semantics. The scalar scan is exported
+// as the reference the tier tests compare the AVX2 scan against bit for bit.
 
 #ifndef JSONTILES_JSON_STRUCTURAL_INDEX_H_
 #define JSONTILES_JSON_STRUCTURAL_INDEX_H_
@@ -60,8 +58,13 @@ struct StructuralIndex {
 /// arbiter of the final error status.
 Status BuildStructuralIndex(std::string_view input, StructuralIndex* index);
 
-/// Tier answering scans right now: "avx2" or "scalar", exactly as
-/// exec::simd::UseSimd() decides.
+/// The scalar scan: same contract and output as BuildStructuralIndex, one
+/// character at a time. What BuildStructuralIndex runs without AVX2, and the
+/// reference of the tier tests.
+Status BuildStructuralIndexScalar(std::string_view input,
+                                  StructuralIndex* index);
+
+/// Tier BuildStructuralIndex runs on this CPU: "avx2" or "scalar".
 const char* StructuralIndexIsa();
 
 }  // namespace jsontiles::json

@@ -11,6 +11,7 @@
 #include "obs/obs.h"
 #include "storage/serialize.h"
 #include "tiles/keypath.h"
+#include "util/bit_util.h"
 #include "util/byte_codec.h"
 #include "util/failpoint.h"
 #include "util/thread_pool.h"
@@ -68,11 +69,10 @@ uint32_t RouteOne(std::string_view doc, size_t index, size_t shard_count,
                                    shard_count);
     case json::JsonType::kFloat: {
       double d = value->GetDouble();
-      if (std::floor(d) == d && d >= -9223372036854775808.0 &&
-          d < 9223372036854775808.0) {
+      int64_t integral = 0;
+      if (std::floor(d) == d && bit_util::TruncToInt64(d, &integral)) {
         flags->has_int = true;
-        return static_cast<uint32_t>(
-            ShardKeyHashInt(static_cast<int64_t>(d)) % shard_count);
+        return static_cast<uint32_t>(ShardKeyHashInt(integral) % shard_count);
       }
       flags->has_other = true;
       return fallback;

@@ -101,6 +101,18 @@ inline int64_t WrapMul(int64_t a, int64_t b) {
   return static_cast<int64_t>(static_cast<uint64_t>(a) *
                               static_cast<uint64_t>(b));
 }
+/// a % b for b != 0, with a % -1 = 0 (INT64_MIN % -1 traps on x86).
+inline int64_t WrapMod(int64_t a, int64_t b) { return b == -1 ? 0 : a % b; }
+
+/// Truncate `d` toward zero into `*out`. False when the result is no int64
+/// (NaN, ±inf or outside [-2^63, 2^63)), where a plain cast is undefined.
+inline bool TruncToInt64(double d, int64_t* out) {
+  if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0)) {
+    return false;
+  }
+  *out = static_cast<int64_t>(d);
+  return true;
+}
 
 /// ZigZag encoding maps signed to unsigned keeping small magnitudes small.
 inline uint64_t ZigZagEncode(int64_t v) {

@@ -10,6 +10,13 @@
 namespace jsontiles::exec {
 namespace {
 
+// Floats that truncate to no int64: NaN, ±inf and values outside
+// [-2^63, 2^63).
+const double kNoInt64[] = {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), 1e300,
+                           -1e300, 9223372036854775808.0};
+
 Value Eval(const ExprPtr& e) {
   Arena arena;
   return EvalExpr(*e, nullptr, &arena);
@@ -38,6 +45,20 @@ TEST(ExprTest, Arithmetic) {
   EXPECT_EQ(Eval(Add(ConstInt(kMax), ConstInt(1))).int_value(), kMin);
   EXPECT_EQ(Eval(Sub(ConstInt(kMin), ConstInt(1))).int_value(), kMax);
   EXPECT_EQ(Eval(Mul(ConstInt(kMax), ConstInt(2))).int_value(), -2);
+  EXPECT_EQ(Eval(Neg(ConstInt(kMin))).int_value(), kMin);
+  // x % -1 is 0 (INT64_MIN % -1 would trap); float operands truncate.
+  EXPECT_EQ(Eval(Mod(ConstInt(kMin), ConstInt(-1))).int_value(), 0);
+  EXPECT_EQ(Eval(Mod(ConstInt(7), ConstInt(-1))).int_value(), 0);
+  EXPECT_EQ(Eval(Mod(ConstInt(kMin), ConstFloat(-1.5))).int_value(), 0);
+  EXPECT_EQ(Eval(Mod(ConstFloat(-7.9), ConstInt(3))).int_value(), -1);
+  EXPECT_EQ(Eval(Mod(ConstFloat(-9223372036854775808.0), ConstInt(-1)))
+                .int_value(),
+            0);
+  // A float operand with no int64 makes MOD null.
+  for (double bad : kNoInt64) {
+    EXPECT_TRUE(Eval(Mod(ConstFloat(bad), ConstInt(3))).is_null()) << bad;
+    EXPECT_TRUE(Eval(Mod(ConstInt(3), ConstFloat(bad))).is_null()) << bad;
+  }
 }
 
 TEST(ExprTest, Comparisons) {
@@ -128,6 +149,19 @@ TEST(ExprTest, CastValueMatrix) {
       CastValue(Value::String("1.5"), ValueType::kFloat, &arena).float_value(), 1.5);
   EXPECT_EQ(CastValue(Value::Int(5), ValueType::kString, &arena).string_value(), "5");
   EXPECT_EQ(CastValue(Value::Float(2.5), ValueType::kInt, &arena).int_value(), 2);
+  EXPECT_EQ(CastValue(Value::Float(-2.9), ValueType::kInt, &arena).int_value(), -2);
+  EXPECT_EQ(CastValue(Value::Float(-9223372036854775808.0), ValueType::kInt,
+                      &arena)
+                .int_value(),
+            std::numeric_limits<int64_t>::min());
+  // A float with no int64 casts to null, like an unparsable string.
+  for (double bad : kNoInt64) {
+    EXPECT_TRUE(CastValue(Value::Float(bad), ValueType::kInt, &arena).is_null())
+        << bad;
+  }
+  EXPECT_TRUE(CastValue(Value::Float(std::numeric_limits<double>::quiet_NaN()),
+                        ValueType::kNumeric, &arena)
+                  .is_null());
   EXPECT_EQ(CastValue(Value::String("2020-06-01"), ValueType::kTimestamp, &arena).type,
             ValueType::kTimestamp);
   Numeric n{1999, 2};

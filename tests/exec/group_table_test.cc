@@ -26,7 +26,6 @@
 #include "exec/agg_state.h"
 #include "exec/operators.h"
 #include "exec/scan.h"
-#include "exec/simd.h"
 #include "exec/spill.h"
 #include "obs/plan_profile.h"
 #include "util/hash.h"
@@ -432,10 +431,10 @@ TEST(GroupTableTest, FindOrInsertNumbersGroupsDensely) {
 
 // The one key hasher against the scalar chain: per row, the hash must be
 // kKeyHashSeed combined with each key's interpreted Value::Hash, and the
-// depth-0 spill partition SpillPartitionOf of that hash, with the SIMD
-// kernels on and off. Keys cover int, bool, timestamp, float, string,
-// numeric and null lanes, a string-deriving SUBSTRING, and a slot of mixed
-// types that keeps the whole key list from compiling.
+// depth-0 spill partition SpillPartitionOf of that hash. Keys cover int,
+// bool, timestamp, float, string, numeric and null lanes, a string-deriving
+// SUBSTRING, and a slot of mixed types that keeps the whole key list from
+// compiling.
 TEST(GroupTableTest, HashKeysMatchesScalarHashChain) {
   std::deque<std::string> strings;
   RowSet in;
@@ -463,34 +462,29 @@ TEST(GroupTableTest, HashKeysMatchesScalarHashChain) {
   lists.push_back({"mixed types", {Slot(0), Slot(6), Slot(4)}, false});
   for (const KeyList& list : lists) {
     const size_t nk = list.keys.size();
-    for (bool simd_on : {true, false}) {
-      simd::ScopedEnabled simd_scope(simd_on);
-      const std::string label =
-          std::string(list.name) + (simd_on ? " simd" : " scalar");
-      BatchedExprs batched(in, RawExprs(list.keys));
-      Arena arena;
-      std::vector<Value> keys(kVectorSize * nk);
-      std::vector<uint64_t> hashes(kVectorSize);
-      for (size_t base = 0; base < in.size(); base += kVectorSize) {
-        const size_t n = std::min(kVectorSize, in.size() - base);
-        batched.LoadBatch(in, base, n, &arena);
+    BatchedExprs batched(in, RawExprs(list.keys));
+    Arena arena;
+    std::vector<Value> keys(kVectorSize * nk);
+    std::vector<uint64_t> hashes(kVectorSize);
+    for (size_t base = 0; base < in.size(); base += kVectorSize) {
+      const size_t n = std::min(kVectorSize, in.size() - base);
+      batched.LoadBatch(in, base, n, &arena);
+      for (size_t j = 0; j < nk; j++) {
+        EXPECT_EQ(batched.Result(j) != nullptr, list.compiles) << list.name;
+      }
+      batched.HashKeys(nk, in, base, n, &arena, keys.data(), hashes.data());
+      for (size_t k = 0; k < n; k++) {
+        RowView row = in[base + k];
+        uint64_t want = kKeyHashSeed;
         for (size_t j = 0; j < nk; j++) {
-          EXPECT_EQ(batched.Result(j) != nullptr, list.compiles) << label;
+          const Value v = EvalExpr(*list.keys[j], row.data(), &arena);
+          want = HashCombine(want, v.Hash());
+          const Value& got = keys[k * nk + j];
+          EXPECT_EQ(got.type, v.type) << list.name << " row " << base + k;
+          EXPECT_EQ(got.Hash(), v.Hash()) << list.name << " row " << base + k;
         }
-        batched.HashKeys(nk, in, base, n, &arena, keys.data(), hashes.data());
-        for (size_t k = 0; k < n; k++) {
-          RowView row = in[base + k];
-          uint64_t want = kKeyHashSeed;
-          for (size_t j = 0; j < nk; j++) {
-            const Value v = EvalExpr(*list.keys[j], row.data(), &arena);
-            want = HashCombine(want, v.Hash());
-            const Value& got = keys[k * nk + j];
-            EXPECT_EQ(got.type, v.type) << label << " row " << base + k;
-            EXPECT_EQ(got.Hash(), v.Hash()) << label << " row " << base + k;
-          }
-          ASSERT_EQ(hashes[k], want) << label << " row " << base + k;
-          EXPECT_EQ(SpillPartitionOf(hashes[k], 0), SpillPartitionOf(want, 0));
-        }
+        ASSERT_EQ(hashes[k], want) << list.name << " row " << base + k;
+        EXPECT_EQ(SpillPartitionOf(hashes[k], 0), SpillPartitionOf(want, 0));
       }
     }
   }

@@ -3,12 +3,15 @@
 //
 // Random typed expression trees are compiled and run batch-at-a-time over
 // random rows — with nulls, zeros (division / modulo by zero), empty
-// strings, unparsable casts and boundary-ish values — and every produced
-// value must be bit-identical to EvalExpr on the same row. Trees the
-// compiler rejects fall back to the interpreter by design and are not
-// counted; the test requires at least 100k compiled (tree, row) agreements.
+// strings, unparsable casts, int64 extremes, NaN, infinities and floats with
+// no int64 — and every produced value must be bit-identical to EvalExpr on
+// the same row. Trees the compiler rejects fall back to the interpreter by
+// design and are not counted; the test requires at least 100k compiled
+// (tree, row) agreements.
 
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,7 +19,6 @@
 
 #include "exec/expr_compile.h"
 #include "exec/expression.h"
-#include "exec/simd.h"
 #include "exec/vector_batch.h"
 #include "util/arena.h"
 #include "util/random.h"
@@ -54,20 +56,37 @@ const std::vector<std::string>& PatternPool() {
   return pool;
 }
 
-// Bounded magnitudes keep every arithmetic chain (depth <= 5) far away from
-// signed-integer / float-to-int overflow, which would be UB in both engines.
-const double kFloatPool[] = {0.0,  1.0,   -1.0,  0.25, -0.25, 3.5,
-                             42.0, -99.5, 100.0, 7.75, -0.5,  2.0};
+// Int extremes: add/sub/mul/neg wrap, and INT64_MIN % -1 is 0.
+const int64_t kIntEdges[] = {std::numeric_limits<int64_t>::min(),
+                             std::numeric_limits<int64_t>::max(), -1};
+
+// Small values, plus floats with no int64 (NaN, ±inf, 1e300), which make MOD
+// and a BigInt cast null, and -0.0.
+const double kFloatPool[] = {
+    0.0,  1.0,   -1.0,  0.25, -0.25, 3.5,
+    42.0, -99.5, 100.0, 7.75, -0.5,  2.0,
+    std::numeric_limits<double>::quiet_NaN(),
+    std::numeric_limits<double>::infinity(),
+    -std::numeric_limits<double>::infinity(),
+    1e300, -0.0};
+
+double RandomFloat(Random& rng) {
+  return kFloatPool[rng.Uniform(std::size(kFloatPool))];
+}
 
 Value RandomSlotValue(ValueType type, Random& rng) {
   if (rng.Chance(0.2)) return Value::Null();
   switch (type) {
     case ValueType::kInt:
-      // Mostly tiny (collisions with IN lists, zero divisors), some larger.
+      // Mostly tiny (collisions with IN lists, zero divisors), some larger,
+      // a few extremes.
+      if (rng.Chance(0.05)) {
+        return Value::Int(kIntEdges[rng.Uniform(std::size(kIntEdges))]);
+      }
       return Value::Int(rng.Chance(0.8) ? rng.Range(-4, 4)
                                         : rng.Range(-100, 100));
     case ValueType::kFloat:
-      return Value::Float(kFloatPool[rng.Uniform(12)]);
+      return Value::Float(RandomFloat(rng));
     case ValueType::kString: {
       const auto& pool = StringPool();
       return Value::String(pool[rng.Uniform(pool.size())]);
@@ -102,7 +121,7 @@ class TreeGen {
     if (depth <= 0 || rng_.Chance(0.25)) {
       switch (rng_.Uniform(7)) {
         case 0: return ConstInt(rng_.Range(-100, 100));
-        case 1: return ConstFloat(kFloatPool[rng_.Uniform(12)]);
+        case 1: return ConstFloat(RandomFloat(rng_));
         case 2: return ConstNull();
         case 3: return Slot(kIntSlot);
         case 4: return Slot(kFloatSlot);
@@ -329,73 +348,6 @@ TEST(VectorizedFuzzTest, CompiledMatchesInterpreterOn100kEvals) {
   EXPECT_GE(compiled_evals, kTargetEvals)
       << "only " << compiled_trees << " of " << total_trees
       << " generated trees compiled";
-}
-
-// The SIMD tier and the scalar-fallback tier of the kernels must be
-// interchangeable: the same compiled program over the same dense batch (the
-// only shape the SIMD paths engage on) produces bit-identical result vectors
-// with simd::SetEnabled(true) and (false), and both match the interpreter —
-// nulls, division by zero, failed casts and NaN orderings included.
-TEST(VectorizedFuzzTest, SimdAndScalarTiersAreBitIdentical) {
-  Random rng(31337);
-  TreeGen gen(rng);
-  Arena arena;
-
-  const size_t kRows = 128;
-  const size_t kTargetEvals = 100000;
-  const size_t kMaxTrees = 60000;
-
-  size_t compiled_evals = 0;
-  size_t total_trees = 0;
-  SelectionVector sel;
-  std::vector<ColumnVector> slot_vecs(kSlotTypes.size());
-  std::vector<Value> simd_vals(kRows);
-
-  while (compiled_evals < kTargetEvals && total_trees < kMaxTrees) {
-    total_trees++;
-    ExprPtr tree = gen.GenAny(static_cast<int>(rng.Range(1, 5)));
-
-    CompiledExpr program;
-    if (!CompiledExpr::Compile(*tree, kSlotTypes, &program)) continue;
-
-    std::vector<std::vector<Value>> rows(kRows);
-    for (size_t r = 0; r < kRows; r++) {
-      rows[r].reserve(kSlotTypes.size());
-      for (ValueType t : kSlotTypes) rows[r].push_back(RandomSlotValue(t, rng));
-    }
-    for (size_t s = 0; s < kSlotTypes.size(); s++) {
-      slot_vecs[s].Reset(kSlotTypes[s]);
-      for (size_t r = 0; r < kRows; r++) slot_vecs[s].SetValue(r, rows[r][s]);
-    }
-
-    // Run #1 with SIMD; snapshot (Run reuses its result vector), then run #2
-    // on the scalar tier.
-    sel.SetAll(kRows);
-    simd::SetEnabled(true);
-    const ColumnVector& simd_result = program.Run(slot_vecs.data(), sel, &arena);
-    for (size_t r = 0; r < kRows; r++) simd_vals[r] = simd_result.GetValue(r);
-
-    sel.SetAll(kRows);
-    simd::SetEnabled(false);
-    const ColumnVector& scalar_result =
-        program.Run(slot_vecs.data(), sel, &arena);
-    simd::SetEnabled(true);
-
-    for (size_t r = 0; r < kRows; r++) {
-      Value scalar_val = scalar_result.GetValue(r);
-      ASSERT_TRUE(BitIdentical(simd_vals[r], scalar_val))
-          << "tree #" << total_trees << " row " << r
-          << ": simd=" << Describe(simd_vals[r])
-          << " scalar-tier=" << Describe(scalar_val);
-      Value expected = EvalExpr(*tree, rows[r].data(), &arena);
-      ASSERT_TRUE(BitIdentical(expected, simd_vals[r]))
-          << "tree #" << total_trees << " row " << r << ": interpreter="
-          << Describe(expected) << " simd=" << Describe(simd_vals[r]);
-      compiled_evals++;
-    }
-  }
-
-  EXPECT_GE(compiled_evals, kTargetEvals);
 }
 
 // The selection vector must be respected: lanes outside the selection are

@@ -2,19 +2,18 @@
 // fallback) must be observationally identical to the streaming parser — same
 // accept/reject decision and byte-identical JSONB on accept — over the
 // workload corpora, a library of adversarial edge documents, and a mutation
-// fuzz corpus. The corpora and the fuzz corpus run on both stage-1 tiers (AVX2
-// where the CPU has it, then the scalar reference); CI also runs this suite
-// under ASan/UBSan.
+// fuzz corpus. The corpora and the fuzz corpus also hold the stage-1 scan to
+// its scalar reference on every document; CI also runs this suite under
+// ASan/UBSan.
 
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "exec/simd.h"
 #include "json/jsonb.h"
 #include "json/ondemand.h"
-#include "json/structural_index.h"
+#include "structural_index_reference.h"
 #include "util/failpoint.h"
 #include "util/random.h"
 #include "workload/simdjson_corpus.h"
@@ -44,34 +43,32 @@ void ExpectParity(std::string_view doc) {
   }
 }
 
-// ExpectParity once per stage-1 tier: the simd switch on, then off.
-void ExpectParityOnBothTiers(std::string_view doc) {
-  for (bool on : {true, false}) {
-    exec::simd::ScopedEnabled tier(on);
-    SCOPED_TRACE(StructuralIndexIsa());
-    ExpectParity(doc);
-  }
+// ExpectParity, and the stage-1 index of the document against the scalar
+// scan, so the walker's input is the scalar reference's too.
+void ExpectParityAndScalarIndex(std::string_view doc) {
+  ExpectParity(doc);
+  ExpectMatchesScalarScan(doc);
 }
 
 TEST(OndemandDifferentialTest, WorkloadCorpora) {
   workload::TpchOptions tpch;
   tpch.scale_factor = 0.002;
   for (const auto& doc : workload::GenerateTpch(tpch).combined) {
-    ExpectParityOnBothTiers(doc);
+    ExpectParityAndScalarIndex(doc);
   }
   workload::YelpOptions yelp;
   yelp.num_business = 40;
   for (const auto& doc : workload::GenerateYelp(yelp)) {
-    ExpectParityOnBothTiers(doc);
+    ExpectParityAndScalarIndex(doc);
   }
   workload::TwitterOptions twitter;
   twitter.num_tweets = 1500;
   twitter.changing_schema = true;
   for (const auto& doc : workload::GenerateTwitter(twitter)) {
-    ExpectParityOnBothTiers(doc);
+    ExpectParityAndScalarIndex(doc);
   }
   for (const auto& file : workload::GenerateSimdJsonCorpus()) {
-    ExpectParityOnBothTiers(file.json);
+    ExpectParityAndScalarIndex(file.json);
   }
 }
 
@@ -224,7 +221,7 @@ TEST_P(OndemandMutationFuzzTest, MutatedTextStaysIdentical) {
           break;
       }
     }
-    ExpectParityOnBothTiers(text);
+    ExpectParityAndScalarIndex(text);
   }
 }
 

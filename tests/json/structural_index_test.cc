@@ -1,8 +1,8 @@
 // Stage-1 structural index: hand-computed positions, escape and boundary
-// behavior, and bit-identity between the scalar reference and the AVX2 tier
-// where the machine has one (the differential tests in
-// ondemand_differential_test.cc then hold the full pipeline to the streaming
-// parser).
+// behavior, and bit-identity between the scalar reference scan and
+// BuildStructuralIndex, which is the AVX2 scan where the CPU has AVX2 (the
+// differential tests in ondemand_differential_test.cc then hold the full
+// pipeline to the streaming parser).
 
 #include <cstring>
 #include <string>
@@ -10,21 +10,14 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/simd.h"
 #include "json/structural_index.h"
+#include "structural_index_reference.h"
 #include "util/random.h"
 #include "workload/simdjson_corpus.h"
 #include "workload/tpch.h"
 
 namespace jsontiles::json {
 namespace {
-
-// The valid prefix of the positions buffer.
-std::vector<uint32_t> Slice(const StructuralIndex& index) {
-  return std::vector<uint32_t>(index.positions.begin(),
-                               index.positions.begin() +
-                                   static_cast<long>(index.count));
-}
 
 std::vector<uint32_t> Positions(std::string_view input) {
   StructuralIndex index;
@@ -86,39 +79,6 @@ TEST(StructuralIndexTest, ReusedIndexIsCleared) {
   EXPECT_EQ(Slice(index), std::vector<uint32_t>{0});
 }
 
-// --- Tier identity ---------------------------------------------------------
-// The scalar loop defines the semantics; the AVX2 tier must agree bit for bit
-// on every input, including ones crafted to straddle 64-byte blocks.
-
-StructuralIndex ScalarScan(std::string_view input, Status* st) {
-  exec::simd::ScopedEnabled tier(false);
-  EXPECT_STREQ(StructuralIndexIsa(), "scalar");
-  StructuralIndex index;
-  *st = BuildStructuralIndex(input, &index);
-  return index;
-}
-
-StructuralIndex VectorScan(std::string_view input, Status* st) {
-  exec::simd::ScopedEnabled tier(true);
-  StructuralIndex index;
-  *st = BuildStructuralIndex(input, &index);
-  return index;
-}
-
-void ExpectTierIdentity(std::string_view input) {
-  Status scalar_st, vector_st;
-  auto scalar = ScalarScan(input, &scalar_st);
-  auto vector = VectorScan(input, &vector_st);
-  EXPECT_EQ(scalar_st.ok(), vector_st.ok()) << input;
-  EXPECT_EQ(Slice(scalar), Slice(vector)) << input;
-  EXPECT_EQ(scalar.clean_strings, vector.clean_strings) << input;
-  // The problem bitmap must agree on every word the walker may probe.
-  const size_t words = (input.size() + 63) / 64;
-  for (size_t w = 0; w < words; w++) {
-    EXPECT_EQ(scalar.problems[w], vector.problems[w]) << input << " word " << w;
-  }
-}
-
 TEST(StructuralIndexTest, CleanStringsFlag) {
   StructuralIndex index;
   // No escapes, no control bytes inside strings: clean.
@@ -144,17 +104,21 @@ TEST(StructuralIndexTest, CleanStringsFlag) {
   EXPECT_TRUE(index.clean_strings);
 }
 
+// --- Tier identity ---------------------------------------------------------
+// The scalar loop defines the semantics; BuildStructuralIndex must agree bit
+// for bit on every input, including ones crafted to straddle 64-byte blocks.
+
 TEST(StructuralIndexTierTest, BlockBoundaryStrings) {
   // Escapes, quotes and backslash runs placed around the 64-byte block seam
   // (and the 16/32-byte lane seams inside it).
   for (size_t pad : {0u, 1u, 14u, 15u, 16u, 30u, 31u, 32u, 33u, 47u, 48u,
                      61u, 62u, 63u, 64u, 65u, 127u, 128u, 129u}) {
     const std::string fill(pad, 'a');
-    ExpectTierIdentity("\"" + fill + "\\\"tail\"");
-    ExpectTierIdentity("\"" + fill + "\\\\\"");
-    ExpectTierIdentity("[\"" + fill + "\", " + fill + "]");
-    ExpectTierIdentity(fill + "\"unterminated");
-    ExpectTierIdentity("\"" + std::string(pad, '\\') + "x\"");
+    ExpectMatchesScalarScan("\"" + fill + "\\\"tail\"");
+    ExpectMatchesScalarScan("\"" + fill + "\\\\\"");
+    ExpectMatchesScalarScan("[\"" + fill + "\", " + fill + "]");
+    ExpectMatchesScalarScan(fill + "\"unterminated");
+    ExpectMatchesScalarScan("\"" + std::string(pad, '\\') + "x\"");
   }
 }
 
@@ -165,18 +129,19 @@ TEST(StructuralIndexTierTest, BlockBoundaryStrings) {
 TEST(StructuralIndexTierTest, LutShadowBytesClassifyAsScalars) {
   for (const char shadow : {'\x1a', '\x0c'}) {
     const std::string s(1, shadow);
-    ExpectTierIdentity(s);
-    ExpectTierIdentity("[1" + s + "2]");
-    ExpectTierIdentity("\"a" + s + "b\"");  // in-string: a problem bit, not
-                                            // a structural position
-    ExpectTierIdentity("{\"k\"" + s + ":1}");
-    ExpectTierIdentity(std::string(63, ' ') + s + "7");  // block seam
+    ExpectMatchesScalarScan(s);
+    ExpectMatchesScalarScan("[1" + s + "2]");
+    // In a string: a problem bit, not a structural position.
+    ExpectMatchesScalarScan("\"a" + s + "b\"");
+    ExpectMatchesScalarScan("{\"k\"" + s + ":1}");
+    ExpectMatchesScalarScan(std::string(63, ' ') + s + "7");  // block seam
   }
 }
 
 TEST(StructuralIndexTierTest, RandomBytes) {
   Random rng(20260808);
-  const char alphabet[] = "{}[],:\"\\ \t\n\x1a\x0c0123456789aeu\xc3\xa9";
+  // The literal splits after \x0c so the digits are not read as hex.
+  const char alphabet[] = "{}[],:\"\\ \t\n\x1a\x0c" "0123456789aeu\xc3\xa9";
   for (int iter = 0; iter < 2000; iter++) {
     const size_t len = rng.Uniform(200);
     std::string input;
@@ -184,7 +149,7 @@ TEST(StructuralIndexTierTest, RandomBytes) {
     for (size_t i = 0; i < len; i++) {
       input.push_back(alphabet[rng.Uniform(sizeof(alphabet) - 1)]);
     }
-    ExpectTierIdentity(input);
+    ExpectMatchesScalarScan(input);
   }
 }
 
@@ -192,10 +157,10 @@ TEST(StructuralIndexTierTest, WorkloadDocuments) {
   workload::TpchOptions tpch;
   tpch.scale_factor = 0.001;
   for (const auto& doc : workload::GenerateTpch(tpch).combined) {
-    ExpectTierIdentity(doc);
+    ExpectMatchesScalarScan(doc);
   }
   for (const auto& file : workload::GenerateSimdJsonCorpus()) {
-    ExpectTierIdentity(file.json);
+    ExpectMatchesScalarScan(file.json);
   }
 }
 
@@ -205,10 +170,11 @@ TEST(StructuralIndexTierTest, WorkloadDocuments) {
 // longer document in place. None of that remnant state may ever be observable
 // — stale positions past `count`, stale problem bits inside the new
 // document's word range (which would make the walker treat a clean lexeme as
-// dirty, or worse), or a stale clean_strings verdict. Exercised on every tier
+// dirty, or worse), or a stale clean_strings verdict. Exercised on both scans
 // because the scalar loop and the vector kernels reset the prefix
 // differently.
-void ExpectNoStaleStateAcrossShrinkingDocs() {
+void ExpectNoStaleStateAcrossShrinkingDocs(
+    Status (*scan)(std::string_view, StructuralIndex*)) {
   // Escape-heavy opener: sets problem bits in every word it touches and
   // leaves a long positions prefix behind.
   std::string big = "[";
@@ -225,8 +191,8 @@ void ExpectNoStaleStateAcrossShrinkingDocs() {
   StructuralIndex reused;
   for (const std::string& doc : docs) {
     StructuralIndex fresh;
-    ASSERT_TRUE(BuildStructuralIndex(doc, &reused).ok()) << doc;
-    ASSERT_TRUE(BuildStructuralIndex(doc, &fresh).ok()) << doc;
+    ASSERT_TRUE(scan(doc, &reused).ok()) << doc;
+    ASSERT_TRUE(scan(doc, &fresh).ok()) << doc;
     EXPECT_EQ(Slice(reused), Slice(fresh)) << doc;
     EXPECT_EQ(reused.clean_strings, fresh.clean_strings) << doc;
     const size_t words = (doc.size() + 63) / 64;
@@ -238,28 +204,18 @@ void ExpectNoStaleStateAcrossShrinkingDocs() {
 }
 
 TEST(StructuralIndexTierTest, ShrinkingDocumentsCarryNoStaleState) {
-  {
-    exec::simd::ScopedEnabled tier(false);
-    ASSERT_STREQ(StructuralIndexIsa(), "scalar");
-    ExpectNoStaleStateAcrossShrinkingDocs();
-  }
-  {
-    exec::simd::ScopedEnabled tier(true);  // avx2 where the CPU has it
-    ExpectNoStaleStateAcrossShrinkingDocs();
-  }
+  ExpectNoStaleStateAcrossShrinkingDocs(BuildStructuralIndexScalar);
+  ExpectNoStaleStateAcrossShrinkingDocs(BuildStructuralIndex);
 }
 
-// The tier is "avx2" exactly when the switch is on and the CPU has AVX2.
-TEST(StructuralIndexTierTest, IsaReportsKillSwitch) {
+// BuildStructuralIndex runs the AVX2 scan exactly when the CPU has AVX2.
+TEST(StructuralIndexTierTest, IsaMatchesCpu) {
 #if defined(__x86_64__)
   const bool cpu_avx2 = __builtin_cpu_supports("avx2");
 #else
   const bool cpu_avx2 = false;
 #endif
-  for (bool on : {false, true}) {
-    exec::simd::ScopedEnabled tier(on);
-    EXPECT_STREQ(StructuralIndexIsa(), on && cpu_avx2 ? "avx2" : "scalar");
-  }
+  EXPECT_STREQ(StructuralIndexIsa(), cpu_avx2 ? "avx2" : "scalar");
 }
 
 }  // namespace

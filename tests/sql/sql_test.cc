@@ -235,5 +235,41 @@ TEST_F(SqlExecFixture, SqlMatchesBuilderApi) {
   }
 }
 
+// MOD and BigInt casts over values with no safe int64 result: INT64_MIN % -1
+// (a trapping division on x86) is 0, and a float beyond int64 is null as a
+// BigInt or a MOD operand. Run through SQL over tiles, so the scan's compiled
+// kernels see the values.
+TEST(SqlExecEdgeValuesTest, ModAndBigIntCastOfExtremes) {
+  std::vector<std::string> docs(
+      50, R"({"a": -9223372036854775808, "f": 1e300, "g": -1})");
+  Loader loader(StorageMode::kTiles, {});
+  auto relation = loader.Load(docs, "t").MoveValueOrDie();
+  SqlCatalog catalog;
+  catalog.tables["t"] = relation.get();
+  const struct {
+    const char* sql;
+    bool null;
+  } cases[] = {
+      {"SELECT t->>'a'::BigInt % -1 FROM t t", false},
+      {"SELECT t->>'a'::BigInt % t->>'g'::BigInt FROM t t", false},
+      {"SELECT t->>'f'::BigInt FROM t t", true},
+      {"SELECT t->>'a'::BigInt % t->>'f'::Float FROM t t", true},
+  };
+  for (const auto& c : cases) {
+    exec::QueryContext ctx;
+    auto r = ExecuteSql(c.sql, catalog, ctx);
+    ASSERT_TRUE(r.ok()) << c.sql << ": " << r.status().ToString();
+    const auto& rows = r.ValueOrDie().rows;
+    ASSERT_EQ(rows.size(), docs.size()) << c.sql;
+    for (const auto& row : rows) {
+      if (c.null) {
+        EXPECT_TRUE(row[0].is_null()) << c.sql;
+      } else {
+        EXPECT_EQ(row[0].int_value(), 0) << c.sql;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace jsontiles::sql

@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/simd.h"
 #include "sql/sql_parser.h"
 #include "storage/loader.h"
 #include "workload/tpch_queries.h"
@@ -95,20 +94,12 @@ std::vector<std::vector<std::string>> Materialize(const RowSet& rows) {
 class TpchQueryTest : public TpchFixture,
                       public ::testing::WithParamInterface<int> {};
 
-// The fourth configuration reruns tiles on the scalar kernel tier.
 TEST_P(TpchQueryTest, AllModesAgree) {
   const int number = GetParam();
   std::vector<std::vector<std::string>> reference;
   bool first = true;
-  const struct {
-    StorageMode mode;
-    bool simd;
-  } configs[] = {{StorageMode::kJsonb, true},
-                 {StorageMode::kSinew, true},
-                 {StorageMode::kTiles, true},
-                 {StorageMode::kTiles, false}};
-  for (const auto& [mode, simd] : configs) {
-    exec::simd::ScopedEnabled tier(simd);
+  for (StorageMode mode :
+       {StorageMode::kJsonb, StorageMode::kSinew, StorageMode::kTiles}) {
     QueryContext ctx;
     RowSet rows = RunTpchQuery(number, Rel(mode), ctx);
     auto materialized = Materialize(rows);
@@ -118,8 +109,7 @@ TEST_P(TpchQueryTest, AllModesAgree) {
       continue;
     }
     EXPECT_EQ(materialized, reference)
-        << "Q" << number << " mismatch on " << StorageModeName(mode)
-        << (simd ? "" : " with SIMD off");
+        << "Q" << number << " mismatch on " << StorageModeName(mode);
   }
   // Basic sanity: the benchmark queries should not be trivially empty.
   // (Q2's triple filter and Q21's triple correlation can legitimately come
