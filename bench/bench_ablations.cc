@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
     t.SetHeader({"Reordering", "columns extracted", "load [s]", "geo-mean query [s]"});
     for (bool reorder : {false, true}) {
       tiles::TileConfig config;
-      config.enable_reordering = reorder;
+      if (!reorder) config.partition_size = 1;
       storage::LoadOptions load_options;
       load_options.num_threads = BenchThreads();
       storage::Loader loader(storage::StorageMode::kTiles, config, load_options);
@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
         {"Reordering", "runs", "RLE bytes", "raw bytes", "packed bytes"});
     for (bool reorder : {false, true}) {
       tiles::TileConfig config;
-      config.enable_reordering = reorder;
+      if (!reorder) config.partition_size = 1;
       storage::Loader loader(storage::StorageMode::kTiles, config);
       auto rel = loader.Load(docs, "hn").MoveValueOrDie();
       size_t runs = 0, rle_bytes = 0, raw_bytes = 0, packed_bytes = 0;

@@ -26,9 +26,10 @@
 #include "json/jsonb_wire.h"
 #include "obs/obs.h"
 // The ingest directory speaks the tile layer's encoded key-path format; the
-// segment encoders live with that format's definition. This is the one
-// json -> tiles dependency, confined to this translation unit (the build is a
-// single static library, and tiles/keypath.h includes no json internals).
+// segment encoders and the key-path bounds live with that format's
+// definition. This is the one json -> tiles dependency, confined to this
+// translation unit (the build is a single static library, and
+// tiles/keypath.h includes no json internals).
 #include "tiles/keypath.h"
 #include "util/bit_util.h"
 #include "util/failpoint.h"
@@ -438,7 +439,7 @@ Status DirectEmitter::EmitValue(Cursor& cursor, int depth, bool collect,
 
     case '{': {
       const size_t member_base = members_.size();
-      const bool expand = collect && depth < ingest_depth_cap_;
+      const bool expand = collect && depth < tiles::kMaxPathDepth;
       bool sorted_unique = true;
       if (cursor.AtEnd()) return Status::ParseError("unexpected end of input");
       if (cursor.Peek() == '}') {
@@ -523,7 +524,7 @@ Status DirectEmitter::EmitValue(Cursor& cursor, int depth, bool collect,
 
     case '[': {
       const size_t ends_base = child_ends_.size();
-      const bool expand = collect && depth < ingest_depth_cap_;
+      const bool expand = collect && depth < tiles::kMaxPathDepth;
       const uint32_t frame_leaf_begin =
           ingest_ != nullptr ? static_cast<uint32_t>(ingest_->leaves.size())
                              : 0;
@@ -533,7 +534,7 @@ Status DirectEmitter::EmitValue(Cursor& cursor, int depth, bool collect,
         cursor.cur++;
       } else {
         while (true) {
-          const bool elem_collect = expand && elem < ingest_array_cap_;
+          const bool elem_collect = expand && elem < tiles::kMaxArrayElements;
           size_t saved_prefix = 0;
           if (ingest_ != nullptr && elem_collect) {
             saved_prefix = prefix_.size();
@@ -665,7 +666,6 @@ Status DirectEmitter::EmitValue(Cursor& cursor, int depth, bool collect,
 Status DirectEmitter::Emit(std::string_view json_text,
                            const StructuralIndex& index,
                            std::vector<uint8_t>* out,
-                           const OndemandIngestConfig* ingest_config,
                            OndemandIngest* ingest) {
   tape_size_ = 0;
   moved_bytes_ = 0;
@@ -677,8 +677,6 @@ Status DirectEmitter::Emit(std::string_view json_text,
     ingest->leaves.clear();
     ingest->paths.clear();
     prefix_.clear();
-    ingest_depth_cap_ = ingest_config->max_path_depth;
-    ingest_array_cap_ = ingest_config->max_array_elements;
   }
 
   if (index.count == 0) return Status::ParseError("empty input");
@@ -695,39 +693,34 @@ Status DirectEmitter::Emit(std::string_view json_text,
   return Status::OK();
 }
 
-// Reference directory semantics: walk the finished JSONB exactly as
-// tiles::ForEachKeyPath does (sorted deduplicated members, array/depth caps),
-// recording each leaf's offset within the document.
+// Reference directory semantics: walk the finished JSONB's scalar leaves in
+// sorted deduplicated member order under the key-path bounds, recording each
+// leaf's offset within the document.
 namespace {
 
-void WalkIngest(const uint8_t* doc_base, JsonbValue value,
-                const OndemandIngestConfig& config, std::string* prefix,
+void WalkIngest(const uint8_t* doc_base, JsonbValue value, std::string* prefix,
                 int depth, OndemandIngest* out) {
   switch (value.type()) {
     case JsonType::kObject: {
-      if (depth >= config.max_path_depth) return;
+      if (depth >= tiles::kMaxPathDepth) return;
       const size_t count = value.Count();
       for (size_t i = 0; i < count; i++) {
         const size_t saved = prefix->size();
         tiles::AppendKeySegment(prefix, value.MemberKey(i));
-        WalkIngest(doc_base, value.MemberValue(i), config, prefix, depth + 1,
-                   out);
+        WalkIngest(doc_base, value.MemberValue(i), prefix, depth + 1, out);
         prefix->resize(saved);
       }
       return;
     }
     case JsonType::kArray: {
-      if (depth >= config.max_path_depth) return;
+      if (depth >= tiles::kMaxPathDepth) return;
       const size_t count = value.Count();
       const size_t limit =
-          count < config.max_array_elements
-              ? count
-              : static_cast<size_t>(config.max_array_elements);
+          std::min<size_t>(count, tiles::kMaxArrayElements);
       for (size_t i = 0; i < limit; i++) {
         const size_t saved = prefix->size();
         tiles::AppendIndexSegment(prefix, static_cast<uint32_t>(i));
-        WalkIngest(doc_base, value.ArrayElement(i), config, prefix, depth + 1,
-                   out);
+        WalkIngest(doc_base, value.ArrayElement(i), prefix, depth + 1, out);
         prefix->resize(saved);
       }
       return;
@@ -746,24 +739,23 @@ void WalkIngest(const uint8_t* doc_base, JsonbValue value,
 
 }  // namespace
 
-void BuildIngestFromJsonb(JsonbValue doc, const OndemandIngestConfig& config,
-                          OndemandIngest* out) {
+void BuildIngestFromJsonb(JsonbValue doc, OndemandIngest* out) {
   out->leaves.clear();
   out->paths.clear();
   std::string prefix;
-  WalkIngest(doc.data(), doc, config, &prefix, 0, out);
+  WalkIngest(doc.data(), doc, &prefix, 0, out);
 }
 
-Status OndemandTransformer::TransformImpl(
-    std::string_view json_text, std::vector<uint8_t>* out,
-    const OndemandIngestConfig* ingest_config, OndemandIngest* ingest) {
+Status OndemandTransformer::Transform(std::string_view json_text,
+                                      std::vector<uint8_t>* out,
+                                      OndemandIngest* ingest) {
   if (!JSONTILES_FAILPOINT_FIRES("ondemand.force_fallback")) {
     obs::Stopwatch obs_watch;
     Status st = BuildStructuralIndex(json_text, &index_);
     JSONTILES_HIST_RECORD("jsonb.ondemand.stage1_micros",
                           obs_watch.Lap() * 1e6);
     if (st.ok()) {
-      st = emitter_.Emit(json_text, index_, out, ingest_config, ingest);
+      st = emitter_.Emit(json_text, index_, out, ingest);
       JSONTILES_HIST_RECORD("jsonb.ondemand.stage2_micros",
                             obs_watch.Lap() * 1e6);
       if (st.ok()) {
@@ -792,21 +784,9 @@ Status OndemandTransformer::TransformImpl(
   JSONTILES_COUNTER_ADD("jsonb.ondemand.fallbacks", 1);
   Status st = builder_.Transform(json_text, out);
   if (st.ok() && ingest != nullptr) {
-    BuildIngestFromJsonb(JsonbValue(out->data()), *ingest_config, ingest);
+    BuildIngestFromJsonb(JsonbValue(out->data()), ingest);
   }
   return st;
-}
-
-Status OndemandTransformer::Transform(std::string_view json_text,
-                                      std::vector<uint8_t>* out) {
-  return TransformImpl(json_text, out, nullptr, nullptr);
-}
-
-Status OndemandTransformer::Transform(std::string_view json_text,
-                                      std::vector<uint8_t>* out,
-                                      const OndemandIngestConfig& ingest_config,
-                                      OndemandIngest* ingest) {
-  return TransformImpl(json_text, out, &ingest_config, ingest);
 }
 
 }  // namespace jsontiles::json

@@ -18,7 +18,7 @@
 //
 // Tile ingest: the same walk can collect a per-document scalar directory
 // (OndemandIngest) — every leaf's encoded key path, JSON type and offset in
-// the emitted document, in exactly the order tiles::ForEachKeyPath visits
+// the emitted document, in exactly the order BuildIngestFromJsonb visits the
 // leaves of the finished JSONB. The loader interns the directory into the
 // mining transactions as soon as the document is emitted, and keeps only the
 // value offsets to materialize tile columns without re-navigating the
@@ -49,9 +49,9 @@ namespace jsontiles::json {
 
 /// Per-document scalar directory collected during direct emission (and, for
 /// fallback documents, derived from the finished JSONB). Entries appear in
-/// tiles::ForEachKeyPath order over the emitted document: objects in sorted
-/// deduplicated member order, arrays capped at `max_array_elements`, nesting
-/// capped at `max_path_depth`.
+/// BuildIngestFromJsonb order over the emitted document: objects in sorted
+/// deduplicated member order, arrays capped at tiles::kMaxArrayElements,
+/// nesting capped at tiles::kMaxPathDepth.
 struct OndemandIngest {
   struct Leaf {
     uint32_t path_off;   // into `paths`
@@ -65,18 +65,11 @@ struct OndemandIngest {
   std::string paths;  // concatenated encoded key paths
 };
 
-/// Key-path collection bounds, mirroring tiles::TileConfig (the json layer
-/// cannot depend on tiles headers; the loader copies the two fields over).
-struct OndemandIngestConfig {
-  int max_path_depth = 8;
-  uint32_t max_array_elements = 4;
-};
-
-/// Derive the scalar directory from a finished JSONB document — the reference
-/// semantics the emitter's inline collection must match (differential-tested),
-/// and the path fallback documents take.
-void BuildIngestFromJsonb(JsonbValue doc, const OndemandIngestConfig& config,
-                          OndemandIngest* out);
+/// Derive the scalar directory from a finished JSONB document: the one leaf
+/// walk over JSONB (tiles/keypath.h bounds), the reference semantics the
+/// emitter's inline collection must match (differential-tested), and the
+/// path fallback documents, already-serialized input and tile updates take.
+void BuildIngestFromJsonb(JsonbValue doc, OndemandIngest* out);
 
 /// Single-pass JSONB emitter over a structural index. Reusable: the tape and
 /// all per-frame scratch keep their capacity across calls. Any returned error
@@ -85,10 +78,9 @@ class DirectEmitter {
  public:
   /// On success `out` holds exactly one serialized document, bit-identical to
   /// JsonbBuilder::Transform's output. When `ingest` is non-null the walk also
-  /// fills the scalar directory under `ingest_config`'s bounds.
+  /// fills the scalar directory.
   Status Emit(std::string_view json_text, const StructuralIndex& index,
-              std::vector<uint8_t>* out,
-              const OndemandIngestConfig* ingest_config, OndemandIngest* ingest);
+              std::vector<uint8_t>* out, OndemandIngest* ingest);
 
   /// Slot bytes moved by container-close header patching in the last
   /// successful Emit (the direct path's fixup cost; feeds the
@@ -142,8 +134,6 @@ class DirectEmitter {
 
   // Ingest collection state (null when the caller wants JSONB only).
   OndemandIngest* ingest_ = nullptr;
-  int ingest_depth_cap_ = 0;
-  uint32_t ingest_array_cap_ = 0;
   std::string prefix_;  // encoded key path of the value being emitted
 };
 
@@ -154,14 +144,11 @@ class OndemandTransformer {
  public:
   /// Same contract as JsonbBuilder::Transform: on success `out` holds exactly
   /// one serialized document, bit-identical to the streaming parser's output.
-  Status Transform(std::string_view json_text, std::vector<uint8_t>* out);
-
-  /// Tile-ingest variant: additionally fills `ingest` with the document's
-  /// scalar directory (inline on the direct path, derived from the finished
-  /// JSONB on fallback — so it is always present when the Status is OK).
+  /// A non-null `ingest` is also filled with the document's scalar directory
+  /// (inline on the direct path, derived from the finished JSONB on fallback
+  /// — so it is always present when the Status is OK).
   Status Transform(std::string_view json_text, std::vector<uint8_t>* out,
-                   const OndemandIngestConfig& ingest_config,
-                   OndemandIngest* ingest);
+                   OndemandIngest* ingest = nullptr);
 
   /// Documents served by the direct-emission path since construction.
   uint64_t docs_ondemand() const { return docs_ondemand_; }
@@ -169,10 +156,6 @@ class OndemandTransformer {
   uint64_t docs_fallback() const { return docs_fallback_; }
 
  private:
-  Status TransformImpl(std::string_view json_text, std::vector<uint8_t>* out,
-                       const OndemandIngestConfig* ingest_config,
-                       OndemandIngest* ingest);
-
   JsonbBuilder builder_;
   DirectEmitter emitter_;
   StructuralIndex index_;

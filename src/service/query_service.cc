@@ -13,6 +13,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Runaway-monitor tick. The monitor only scans registered queries, so a short
+// period is cheap.
+constexpr std::chrono::milliseconds kMonitorPeriod{5};
+
 uint64_t NanosSince(Clock::time_point start) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start)
@@ -454,8 +458,7 @@ void QueryService::CancelGroup(const std::string& group_name, Status reason) {
 void QueryService::MonitorLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stopping_) {
-    monitor_cv_.wait_for(
-        lock, std::chrono::milliseconds(config_.monitor_period_ms));
+    monitor_cv_.wait_for(lock, kMonitorPeriod);
     if (stopping_) break;
     for (auto& [name, group] : groups_) {
       if (group->dying) continue;

@@ -81,9 +81,6 @@ struct ServiceConfig {
   uint64_t spill_disk_bytes = 0;
   /// Spill directory handed to admitted queries that did not set their own.
   std::string spill_dir;
-  /// Runaway-monitor tick. The monitor only scans registered queries, so a
-  /// short period is cheap.
-  uint64_t monitor_period_ms = 5;
 };
 
 /// Point-in-time view of one group (tests, SHOW RESOURCE GROUPS).

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <mutex>
 
 #include "json/ondemand.h"
@@ -118,8 +117,6 @@ Result<std::unique_ptr<Relation>> Loader::LoadDocs(
     // time. Items stay in original document order; after reordering each
     // tile projects them through the permutation.
     const bool tiles_mode = mode_ == StorageMode::kTiles;
-    const json::OndemandIngestConfig ingest_config =
-        tiles::IngestConfigFor(config_);
     json::OndemandTransformer parser;
     json::OndemandIngest leaves;
     tiles::DocumentItems items;
@@ -132,13 +129,11 @@ Result<std::unique_ptr<Relation>> Loader::LoadDocs(
       if (jsonb != nullptr) {
         buf = std::move((*jsonb)[begin + i]);
         if (tiles_mode) {
-          json::BuildIngestFromJsonb(json::JsonbValue(buf.data()),
-                                     ingest_config, &leaves);
+          json::BuildIngestFromJsonb(json::JsonbValue(buf.data()), &leaves);
         }
       } else {
-        st = tiles_mode ? parser.Transform((*text)[begin + i], &buf,
-                                           ingest_config, &leaves)
-                        : parser.Transform((*text)[begin + i], &buf);
+        st = parser.Transform((*text)[begin + i], &buf,
+                              tiles_mode ? &leaves : nullptr);
       }
       if (!st.ok()) {
         const size_t so_far =
@@ -163,22 +158,17 @@ Result<std::unique_ptr<Relation>> Loader::LoadDocs(
     result.mine_secs += intern_secs;
     if (!tiles_mode) return Status::OK();
 
-    // Phase: reordering within the partition.
-    std::vector<uint32_t> permutation;
-    if (config_.enable_reordering && config_.partition_size > 1) {
-      tiles::ReorderResult reordered = tiles::ReorderPartition(items, config_);
-      permutation = std::move(reordered.permutation);
-      result.moved_tuples = reordered.moved_tuples;
-      if (result.moved_tuples > 0) {
-        std::vector<std::vector<uint8_t>> permuted(count);
-        for (size_t i = 0; i < count; i++) {
-          permuted[i] = std::move(result.jsonb[permutation[i]]);
-        }
-        result.jsonb = std::move(permuted);
+    // Phase: reordering within the partition (the identity when
+    // partition_size is 1).
+    tiles::ReorderResult reordered = tiles::ReorderPartition(items, config_);
+    const std::vector<uint32_t>& permutation = reordered.permutation;
+    result.moved_tuples = reordered.moved_tuples;
+    if (result.moved_tuples > 0) {
+      std::vector<std::vector<uint8_t>> permuted(count);
+      for (size_t i = 0; i < count; i++) {
+        permuted[i] = std::move(result.jsonb[permutation[i]]);
       }
-    } else {
-      permutation.resize(count);
-      for (size_t i = 0; i < count; i++) permutation[i] = static_cast<uint32_t>(i);
+      result.jsonb = std::move(permuted);
     }
     std::vector<json::JsonbValue> views;
     views.reserve(count);
@@ -198,11 +188,8 @@ Result<std::unique_ptr<Relation>> Loader::LoadDocs(
       }
       auto m0 = Clock::now();
       tiles::DocumentItems tile_items = items.Project(indices);
-      uint32_t min_support = static_cast<uint32_t>(std::ceil(
-          config_.extraction_threshold * static_cast<double>(indices.size())));
-      if (min_support == 0) min_support = 1;
-      std::vector<mining::Itemset> itemsets =
-          tile_builder.MineItemsets(tile_items, min_support);
+      std::vector<mining::Itemset> itemsets = tile_builder.MineItemsets(
+          tile_items, tiles::ExtractionSupport(indices.size()));
       auto m1 = Clock::now();
       result.mine_secs += Seconds(m0, m1);
 
@@ -254,7 +241,6 @@ Result<std::unique_ptr<Relation>> Loader::LoadDocs(
     auto t0 = Clock::now();
     tiles::TileConfig sinew_config = config_;
     sinew_config.enable_date_extraction = false;  // Sinew has no §4.9
-    sinew_config.enable_reordering = false;
     tiles::TileBuilder tile_builder(sinew_config);
     relation->tiles().push_back(
         tile_builder.Build(DocumentViews(*relation), 0));
@@ -286,7 +272,7 @@ Result<std::unique_ptr<Relation>> Loader::LoadDocs(
     LoadOptions side_options = options_;
     side_options.extract_arrays = false;
     Loader side_loader(StorageMode::kTiles, config_, side_options);
-    for (const auto& path : tiles::DetectHighCardinalityArrays(views, config_)) {
+    for (const auto& path : tiles::DetectHighCardinalityArrays(views)) {
       std::vector<std::vector<uint8_t>> side_docs;
       for (size_t r = 0; r < views.size(); r++) {
         tiles::ExplodeArray(views[r], path, static_cast<int64_t>(r), &side_docs);

@@ -76,7 +76,7 @@ Status Relation::UpdateRow(size_t row, std::string_view json_text) {
   if (mode_ == StorageMode::kSinew || mode_ == StorageMode::kTiles) {
     if (!tiles_.empty()) {
       tiles::Tile& tile = tiles_[TileIndexForRow(row)];
-      tiles::UpdateTileRow(&tile, row - tile.row_begin, Jsonb(row), config_);
+      tiles::UpdateTileRow(&tile, row - tile.row_begin, Jsonb(row));
       if (tile.NeedsRecompute()) {
         // §4.7: recompute the materialized tile once most tuples mismatch.
         std::vector<json::JsonbValue> docs;

@@ -12,7 +12,7 @@ namespace jsontiles::storage {
 namespace {
 
 constexpr char kMagic[4] = {'J', 'T', 'R', 'L'};
-constexpr uint32_t kVersion = 2;
+constexpr uint32_t kVersion = 3;
 
 #define JT_READ(expr) \
   if (!(expr)) return Status::ParseError("corrupt relation file: " #expr)
@@ -303,11 +303,7 @@ Status ReadTile(ByteReader& r, const Relation& rel, tiles::Tile* tile) {
 Status SerializeBody(const Relation& rel, ByteWriter& w) {
   w.U8(static_cast<uint8_t>(rel.mode()));
   w.Str(rel.name());
-  const tiles::TileConfig& config = rel.config();
-  w.Varint(config.tile_size);
-  w.Varint(config.partition_size);
-  w.F64(config.extraction_threshold);
-  w.U8(config.enable_date_extraction ? 1 : 0);
+  WriteTileConfig(w, rel.config());
   // Documents.
   w.Varint(rel.num_rows());
   for (size_t row = 0; row < rel.num_rows(); row++) {
@@ -353,17 +349,7 @@ Result<std::unique_ptr<Relation>> DeserializeBody(ByteReader& r) {
   JT_READ(mode <= static_cast<uint8_t>(StorageMode::kTiles));
   JT_READ(r.Str(&name));
   tiles::TileConfig config;
-  uint64_t tile_size, partition_size;
-  double threshold;
-  uint8_t date_extraction;
-  JT_READ(r.Varint(&tile_size));
-  JT_READ(r.Varint(&partition_size));
-  JT_READ(r.F64(&threshold));
-  JT_READ(r.U8(&date_extraction));
-  config.tile_size = tile_size;
-  config.partition_size = partition_size;
-  config.extraction_threshold = threshold;
-  config.enable_date_extraction = date_extraction != 0;
+  JT_READ(ReadTileConfig(r, &config));
 
   auto rel = std::make_unique<Relation>(name, static_cast<StorageMode>(mode),
                                         config);
@@ -443,6 +429,30 @@ Result<std::unique_ptr<Relation>> DeserializeBody(ByteReader& r) {
 }
 
 }  // namespace
+
+void WriteTileConfig(ByteWriter& w, const tiles::TileConfig& config) {
+  w.Varint(config.tile_size);
+  w.Varint(config.partition_size);
+  w.U8(config.enable_date_extraction ? 1 : 0);
+}
+
+bool ReadTileConfig(ByteReader& r, tiles::TileConfig* config) {
+  constexpr uint64_t kMaxSize = uint64_t{1} << 20;
+  uint64_t tile_size, partition_size;
+  uint8_t date_extraction;
+  if (!r.Varint(&tile_size) || !r.Varint(&partition_size) ||
+      !r.U8(&date_extraction)) {
+    return false;
+  }
+  if (tile_size < 1 || tile_size > kMaxSize || partition_size < 1 ||
+      partition_size > kMaxSize || date_extraction > 1) {
+    return false;
+  }
+  config->tile_size = tile_size;
+  config->partition_size = partition_size;
+  config->enable_date_extraction = date_extraction != 0;
+  return true;
+}
 
 Status SerializeRelation(const Relation& relation, std::vector<uint8_t>* out) {
   out->clear();

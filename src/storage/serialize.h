@@ -3,7 +3,7 @@
 // relations — to a single binary file and read it back without re-running
 // extraction.
 //
-// Format (version 2, specified byte for byte in DESIGN.md §10): "JTRL"
+// Format (version 3, specified byte for byte in DESIGN.md §10): "JTRL"
 // magic, version, then length-prefixed sections. All integers are LEB128
 // varints; byte buffers are length-prefixed. Tile columns are written as the
 // compact buffers they are in memory (tiles/column.h). Only the current
@@ -17,6 +17,8 @@
 #include <string>
 
 #include "storage/relation.h"
+#include "tiles/tile_config.h"
+#include "util/byte_codec.h"
 #include "util/status.h"
 
 namespace jsontiles::storage {
@@ -27,6 +29,14 @@ Status SerializeRelation(const Relation& relation, std::vector<uint8_t>* out);
 /// Reconstruct a relation from serialized bytes.
 Result<std::unique_ptr<Relation>> DeserializeRelation(const uint8_t* data,
                                                       size_t size);
+
+/// The tile config as both JTRL and JTSM headers store it: tile_size and
+/// partition_size as varints, then the date-extraction flag as a u8 (0/1).
+/// ReadTileConfig returns false on a truncated field, a size outside
+/// [1, 2^20] or a flag other than 0 or 1; each caller turns that into its
+/// format's ParseError.
+void WriteTileConfig(ByteWriter& w, const tiles::TileConfig& config);
+bool ReadTileConfig(ByteReader& r, tiles::TileConfig* config);
 
 /// File convenience wrappers.
 Status SaveRelation(const Relation& relation, const std::string& path);

@@ -99,8 +99,9 @@ RoutingValueKind KindFromFlags(const RouteFlags& f) {
 
 constexpr char kManifestMagic[4] = {'J', 'T', 'S', 'M'};
 // The only version read or written. Versions 1 and 2 are rejected: their
-// shard files hold side `_rowid`s in the global row-id space.
-constexpr uint32_t kManifestVersion = 3;
+// shard files hold side `_rowid`s in the global row-id space. Version 3 also
+// stored the extraction threshold and the reorder flag.
+constexpr uint32_t kManifestVersion = 4;
 
 #define JTSM_READ(expr) \
   if (!(expr)) return Status::ParseError("corrupt shard manifest: " #expr)
@@ -414,12 +415,7 @@ Status SaveSharded(const ShardedRelation& sharded, const std::string& dir) {
   w.U8(static_cast<uint8_t>(sharded.shard_options().routing));
   w.Str(sharded.routing_path());
   w.U8(static_cast<uint8_t>(sharded.routing_kind()));
-  const auto& config = sharded.config();
-  w.Varint(config.tile_size);
-  w.Varint(config.partition_size);
-  w.F64(config.extraction_threshold);
-  w.U8(config.enable_date_extraction ? 1 : 0);
-  w.U8(config.enable_reordering ? 1 : 0);
+  WriteTileConfig(w, sharded.config());
   w.Varint(sharded.shard_count());
   for (size_t s = 0; s < sharded.shard_count(); s++) {
     w.Str(ShardFileName(sharded.name(), s));
@@ -485,23 +481,7 @@ Status ParseManifest(const std::vector<uint8_t>& bytes,
   JTSM_READ(r.U8(&kind_raw));
   JTSM_READ(kind_raw <= static_cast<uint8_t>(RoutingValueKind::kMixed));
   info->routing_kind = static_cast<RoutingValueKind>(kind_raw);
-  uint64_t tile_size, partition_size;
-  JTSM_READ(r.Varint(&tile_size));
-  JTSM_READ(tile_size >= 1 && tile_size <= (1u << 20));
-  JTSM_READ(r.Varint(&partition_size));
-  JTSM_READ(partition_size >= 1 && partition_size <= (1u << 20));
-  info->config.tile_size = tile_size;
-  info->config.partition_size = partition_size;
-  JTSM_READ(r.F64(&info->config.extraction_threshold));
-  JTSM_READ(info->config.extraction_threshold >= 0 &&
-            info->config.extraction_threshold <= 1);
-  uint8_t flag;
-  JTSM_READ(r.U8(&flag));
-  JTSM_READ(flag <= 1);
-  info->config.enable_date_extraction = flag != 0;
-  JTSM_READ(r.U8(&flag));
-  JTSM_READ(flag <= 1);
-  info->config.enable_reordering = flag != 0;
+  JTSM_READ(ReadTileConfig(r, &info->config));
   uint64_t shard_count;
   JTSM_READ(r.Varint(&shard_count));
   JTSM_READ(shard_count >= 1 && shard_count <= kMaxShardCount);

@@ -180,7 +180,7 @@ Status SaveSharded(const ShardedRelation& sharded, const std::string& dir);
 
 /// Everything the manifest records: enough for a distributed coordinator to
 /// plan fragment assignment (per-shard row counts and byte sizes) without
-/// opening any shard file. Only manifest version 3 is read; a shard's side
+/// opening any shard file. Only manifest version 4 is read; a shard's side
 /// relations live in its JTRL file, not in the manifest.
 struct ShardManifestInfo {
   uint64_t version = 0;

@@ -19,17 +19,16 @@ struct ArrayStat {
   uint64_t total_elements = 0;
 };
 
-void ScanArrays(json::JsonbValue value, const TileConfig& config,
-                std::string* prefix, int depth,
+void ScanArrays(json::JsonbValue value, std::string* prefix, int depth,
                 std::unordered_map<std::string, ArrayStat>* stats) {
-  if (depth >= config.max_path_depth) return;
+  if (depth >= kMaxPathDepth) return;
   switch (value.type()) {
     case json::JsonType::kObject: {
       size_t count = value.Count();
       for (size_t i = 0; i < count; i++) {
         size_t saved = prefix->size();
         AppendKeySegment(prefix, value.MemberKey(i));
-        ScanArrays(value.MemberValue(i), config, prefix, depth + 1, stats);
+        ScanArrays(value.MemberValue(i), prefix, depth + 1, stats);
         prefix->resize(saved);
       }
       return;
@@ -49,11 +48,11 @@ void ScanArrays(json::JsonbValue value, const TileConfig& config,
 }  // namespace
 
 std::vector<std::string> DetectHighCardinalityArrays(
-    const std::vector<json::JsonbValue>& docs, const TileConfig& config) {
+    const std::vector<json::JsonbValue>& docs) {
   std::unordered_map<std::string, ArrayStat> stats;
   std::string prefix;
   for (const auto& doc : docs) {
-    ScanArrays(doc, config, &prefix, 0, &stats);
+    ScanArrays(doc, &prefix, 0, &stats);
   }
   std::vector<std::string> out;
   for (const auto& [path, stat] : stats) {

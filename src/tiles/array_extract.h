@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "json/jsonb.h"
-#include "tiles/tile_config.h"
 
 namespace jsontiles::tiles {
 
@@ -33,7 +32,7 @@ namespace jsontiles::tiles {
 /// sorted. Nested arrays inside a qualifying array are not reported
 /// separately.
 std::vector<std::string> DetectHighCardinalityArrays(
-    const std::vector<json::JsonbValue>& docs, const TileConfig& config);
+    const std::vector<json::JsonbValue>& docs);
 
 /// The key under which the parent row id is stored in side-table documents.
 inline constexpr const char* kParentRowIdKey = "_rowid";

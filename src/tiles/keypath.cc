@@ -139,11 +139,4 @@ std::vector<json::PathStep> DecodePathSteps(std::string_view encoded) {
   return steps;
 }
 
-void CollectKeyPaths(json::JsonbValue doc, const TileConfig& config,
-                     std::vector<CollectedPath>* out) {
-  ForEachKeyPath(doc, config, [out](std::string_view path, json::JsonType type) {
-    out->push_back(CollectedPath{std::string(path), type});
-  });
-}
-
 }  // namespace jsontiles::tiles

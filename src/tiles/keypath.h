@@ -17,11 +17,17 @@
 #include <string_view>
 #include <vector>
 
-#include "json/json_type.h"
 #include "json/jsonb.h"
-#include "tiles/tile_config.h"
 
 namespace jsontiles::tiles {
+
+/// Key-path collection bounds (§3.5): leaves nested deeper than
+/// kMaxPathDepth levels are not collected, and an array contributes only its
+/// first kMaxArrayElements elements, each under an index segment. The JSONB
+/// leaf walk (json::BuildIngestFromJsonb) and the on-demand emitter's inline
+/// directory both apply them.
+inline constexpr int kMaxPathDepth = 8;
+inline constexpr uint32_t kMaxArrayElements = 4;
 
 struct PathSegment {
   enum class Kind : uint8_t { kKey, kIndex };
@@ -77,68 +83,6 @@ std::optional<json::JsonbValue> LookupPath(json::JsonbValue root,
 /// callers caching steps must cache them against stable path storage (e.g.
 /// the Expr that owns the encoded path).
 std::vector<json::PathStep> DecodePathSteps(std::string_view encoded);
-
-/// One collected leaf: encoded path plus the leaf's JSON type.
-struct CollectedPath {
-  std::string path;
-  json::JsonType type;
-
-  friend bool operator==(const CollectedPath&, const CollectedPath&) = default;
-};
-
-/// Collect the key paths of all scalar leaves of `doc` (paper §3.1 step 1).
-/// Arrays contribute their first `config.max_array_elements` elements with
-/// index segments (§3.5); traversal stops at `config.max_path_depth`.
-/// Empty objects/arrays contribute no leaves.
-void CollectKeyPaths(json::JsonbValue doc, const TileConfig& config,
-                     std::vector<CollectedPath>* out);
-
-namespace internal_keypath {
-
-/// Allocation-free walker: `fn(encoded_path_view, leaf_type)` per leaf. The
-/// view points into `prefix` and is only valid during the call.
-template <typename Fn>
-void WalkLeaves(json::JsonbValue value, const TileConfig& config,
-                std::string* prefix, int depth, const Fn& fn) {
-  switch (value.type()) {
-    case json::JsonType::kObject: {
-      if (depth >= config.max_path_depth) return;
-      size_t count = value.Count();
-      for (size_t i = 0; i < count; i++) {
-        size_t saved = prefix->size();
-        AppendKeySegment(prefix, value.MemberKey(i));
-        WalkLeaves(value.MemberValue(i), config, prefix, depth + 1, fn);
-        prefix->resize(saved);
-      }
-      return;
-    }
-    case json::JsonType::kArray: {
-      if (depth >= config.max_path_depth) return;
-      size_t count = value.Count();
-      size_t limit = count < config.max_array_elements
-                         ? count
-                         : static_cast<size_t>(config.max_array_elements);
-      for (size_t i = 0; i < limit; i++) {
-        size_t saved = prefix->size();
-        AppendIndexSegment(prefix, static_cast<uint32_t>(i));
-        WalkLeaves(value.ArrayElement(i), config, prefix, depth + 1, fn);
-        prefix->resize(saved);
-      }
-      return;
-    }
-    default:
-      fn(std::string_view(*prefix), value.type());
-  }
-}
-
-}  // namespace internal_keypath
-
-/// Callback form of CollectKeyPaths (no per-leaf allocation).
-template <typename Fn>
-void ForEachKeyPath(json::JsonbValue doc, const TileConfig& config, const Fn& fn) {
-  std::string prefix;
-  internal_keypath::WalkLeaves(doc, config, &prefix, 0, fn);
-}
 
 }  // namespace jsontiles::tiles
 

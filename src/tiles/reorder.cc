@@ -58,8 +58,8 @@ ReorderResult ReorderPartition(const DocumentItems& items,
   constexpr size_t kMaxReorderItemsets = 32;
 
   // Step 1: mine each tile with the reduced threshold threshold/partition.
-  const double reduced = config.extraction_threshold /
-                         static_cast<double>(config.partition_size);
+  const double reduced =
+      kExtractionThreshold / static_cast<double>(config.partition_size);
   mining::FpGrowthMiner miner;
   std::map<std::vector<mining::Item>, uint64_t> aggregated;
   for (size_t t = 0; t < num_tiles; t++) {
@@ -81,7 +81,7 @@ ReorderResult ReorderPartition(const DocumentItems& items,
   // Step 2 (second half): itemsets with partition-wide frequency above
   // threshold * tile_size survive.
   const double survive_limit =
-      config.extraction_threshold * static_cast<double>(tile_size);
+      kExtractionThreshold * static_cast<double>(tile_size);
   std::vector<mining::Itemset> survivors;
   for (auto& [set_items, support] : aggregated) {
     if (static_cast<double>(support) > survive_limit) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "json/ondemand.h"
 #include "tiles/keypath.h"
 
 namespace jsontiles::tiles {
@@ -78,8 +79,7 @@ void WidenMinMaxFloat(ExtractedColumn* col, double v) {
 
 }  // namespace
 
-bool UpdateTileRow(Tile* tile, size_t row_in_tile, json::JsonbValue new_doc,
-                   const TileConfig& config) {
+bool UpdateTileRow(Tile* tile, size_t row_in_tile, json::JsonbValue new_doc) {
   size_t overlap = 0;
   for (auto& col : tile->columns) {
     auto value = LookupPath(new_doc, col.path);
@@ -145,10 +145,12 @@ bool UpdateTileRow(Tile* tile, size_t row_in_tile, json::JsonbValue new_doc,
   }
 
   // New paths must reach the bloom filter; otherwise skipping would be wrong.
-  std::vector<CollectedPath> paths;
-  CollectKeyPaths(new_doc, config, &paths);
-  for (const auto& p : paths) {
-    if (tile->FindColumn(p.path) == nullptr) tile->AddSeenPath(p.path);
+  json::OndemandIngest leaves;
+  json::BuildIngestFromJsonb(new_doc, &leaves);
+  for (const auto& leaf : leaves.leaves) {
+    const std::string_view path(leaves.paths.data() + leaf.path_off,
+                                leaf.path_len);
+    if (tile->FindColumn(path) == nullptr) tile->AddSeenPath(path);
   }
 
   bool outlier = overlap == 0 && !tile->columns.empty();

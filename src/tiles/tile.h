@@ -16,7 +16,6 @@
 #include "json/jsonb.h"
 #include "tiles/column.h"
 #include "tiles/stats.h"
-#include "tiles/tile_config.h"
 #include "util/bloom_filter.h"
 
 namespace jsontiles::tiles {
@@ -116,8 +115,7 @@ class Tile {
 /// paths are added to the header bloom filter so scans do not skip the tile
 /// incorrectly. Returns true when the update made the row an outlier (no
 /// overlap with the extracted schema).
-bool UpdateTileRow(Tile* tile, size_t row_in_tile, json::JsonbValue new_doc,
-                   const TileConfig& config);
+bool UpdateTileRow(Tile* tile, size_t row_in_tile, json::JsonbValue new_doc);
 
 }  // namespace jsontiles::tiles
 

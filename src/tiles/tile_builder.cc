@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "obs/obs.h"
 #include "util/hash.h"
@@ -87,18 +86,11 @@ DocumentItems DocumentItems::Project(
   return out;
 }
 
-json::OndemandIngestConfig IngestConfigFor(const TileConfig& config) {
-  return json::OndemandIngestConfig{config.max_path_depth,
-                                    config.max_array_elements};
-}
-
-DocumentItems ItemsFromJsonb(const std::vector<json::JsonbValue>& docs,
-                             const TileConfig& config) {
-  const json::OndemandIngestConfig ingest_config = IngestConfigFor(config);
+DocumentItems ItemsFromJsonb(const std::vector<json::JsonbValue>& docs) {
   DocumentItems items;
   json::OndemandIngest leaves;
   for (const auto& doc : docs) {
-    json::BuildIngestFromJsonb(doc, ingest_config, &leaves);
+    json::BuildIngestFromJsonb(doc, &leaves);
     items.AddDocument(leaves);
   }
   return items;
@@ -117,7 +109,7 @@ std::vector<mining::Itemset> TileBuilder::MineItemsets(
 
 Tile TileBuilder::Build(const std::vector<json::JsonbValue>& docs,
                         size_t row_begin) const {
-  return BuildFromItems(docs, ItemsFromJsonb(docs, config_), row_begin);
+  return BuildFromItems(docs, ItemsFromJsonb(docs), row_begin);
 }
 
 namespace {
@@ -160,11 +152,9 @@ Tile TileBuilder::BuildFromItems(const std::vector<json::JsonbValue>& docs,
   if (docs.empty()) return tile;
 
   // §3.1 step 2: frequent itemset mining.
-  uint32_t min_support = static_cast<uint32_t>(
-      std::ceil(config_.extraction_threshold * static_cast<double>(docs.size())));
-  if (min_support == 0) min_support = 1;
   std::vector<mining::Itemset> itemsets =
-      premined != nullptr ? *premined : MineItemsets(items, min_support);
+      premined != nullptr ? *premined
+                          : MineItemsets(items, ExtractionSupport(docs.size()));
 
   // §3.1 step 3: extract the union of the (maximal) itemsets. For each key
   // path, the most common frequent type wins (§3.4); the rest stay binary.

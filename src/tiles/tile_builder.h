@@ -38,9 +38,9 @@ struct DocumentItems {
   std::vector<mining::Item> successors;
   static constexpr mining::Item kNoItem = 0xFFFFFFFF;
 
-  /// The interner: append one document's scalar leaves (ForEachKeyPath
-  /// order, as the on-demand emitter or json::BuildIngestFromJsonb collect
-  /// them) as the next transaction. Only the leaves' value offsets are kept,
+  /// The interner: append one document's scalar leaves (in the order the
+  /// on-demand emitter or json::BuildIngestFromJsonb collect them) as the
+  /// next transaction. Only the leaves' value offsets are kept,
   /// so the caller can reuse `leaves` for the next document.
   void AddDocument(const json::OndemandIngest& leaves);
 
@@ -54,13 +54,9 @@ struct DocumentItems {
   DocumentItems Project(const std::vector<uint32_t>& doc_indices) const;
 };
 
-/// Key-path collection bounds of `config`, in the json layer's terms.
-json::OndemandIngestConfig IngestConfigFor(const TileConfig& config);
-
 /// Intern already-serialized documents: each one's leaves are derived from
 /// its JSONB (json::BuildIngestFromJsonb) and fed to AddDocument.
-DocumentItems ItemsFromJsonb(const std::vector<json::JsonbValue>& docs,
-                             const TileConfig& config);
+DocumentItems ItemsFromJsonb(const std::vector<json::JsonbValue>& docs);
 
 /// Builds one tile from `tile_size` (or fewer) documents.
 class TileBuilder {

@@ -1,15 +1,31 @@
-// Tuning knobs for JSON tile construction (paper §3, §6.5).
+// Tile construction settings (paper §3, §4.9, §6.5).
 //
-// The paper recommends tile size 2^10, partition size 8 and extraction
-// threshold 60%; the tile-size benchmark (Figures 10-13) sweeps these.
+// The paper's evaluation sweeps only the tile size and the partition size
+// (Figures 10-13) and the §4.9 date extraction (Figure 14); everything else
+// is fixed. The extraction threshold is kExtractionThreshold below; the
+// key-path bounds are kMaxPathDepth and kMaxArrayElements in keypath.h.
+// Reordering is off exactly when partition_size is 1.
 
 #ifndef JSONTILES_TILES_TILE_CONFIG_H_
 #define JSONTILES_TILES_TILE_CONFIG_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
 namespace jsontiles::tiles {
+
+/// A (key path, type) item is materialized when it appears in at least this
+/// fraction of a tile's tuples (§3.1, paper value 60%).
+inline constexpr double kExtractionThreshold = 0.6;
+
+/// Minimum support, in tuples, for an item to be extracted from `n` tuples:
+/// max(1, ceil(kExtractionThreshold * n)).
+inline uint32_t ExtractionSupport(size_t n) {
+  const auto support = static_cast<uint32_t>(
+      std::ceil(kExtractionThreshold * static_cast<double>(n)));
+  return support == 0 ? 1 : support;
+}
 
 struct TileConfig {
   /// Number of tuples per tile (paper default 2^10).
@@ -19,20 +35,8 @@ struct TileConfig {
   /// 1 disables reordering. Paper default 8.
   size_t partition_size = 8;
 
-  /// Extraction threshold: a (key path, type) item is materialized when it
-  /// appears in at least this fraction of a tile's tuples. Paper default 60%.
-  double extraction_threshold = 0.6;
-
-  /// Key-path collection bounds: maximum nesting depth and the number of
-  /// leading array elements considered for materialization (§3.5).
-  int max_path_depth = 8;
-  uint32_t max_array_elements = 4;
-
   /// §4.9: detect date/time strings and extract them as SQL Timestamp.
   bool enable_date_extraction = true;
-
-  /// Enable tuple reordering between the tiles of a partition (§3.2).
-  bool enable_reordering = true;
 };
 
 }  // namespace jsontiles::tiles

@@ -239,13 +239,13 @@ TEST(DistDifferentialTest, ShardAssignmentCoversAllShards) {
   }
 }
 
-// The manifest (v3) carries per-shard row counts and byte sizes, so the
+// The manifest (v4) carries per-shard row counts and byte sizes, so the
 // coordinator plans the assignment without touching any shard file.
 TEST(DistDifferentialTest, ManifestCarriesShardStats) {
   SavedWorkload tpch = SaveAndOpen(Tpch().combined, "tpch", 3);
   auto cluster = StartCluster(tpch, 2, 1);
   const storage::ShardManifestInfo& manifest = cluster->manifest();
-  EXPECT_EQ(manifest.version, 3u);
+  EXPECT_EQ(manifest.version, 4u);
   ASSERT_EQ(manifest.num_rows.size(), 3u);
   ASSERT_EQ(manifest.file_sizes.size(), 3u);
   uint64_t total_rows = 0;
@@ -257,20 +257,21 @@ TEST(DistDifferentialTest, ManifestCarriesShardStats) {
   EXPECT_EQ(total_rows, tpch.sharded->num_rows());
 }
 
-// Only manifest version 3 is read. A version-1 manifest (the v3 layout) and
-// a version-2 one (each shard entry followed by a side-relation inventory)
-// fail with a clean Unsupported status, from ReadShardManifest (what a
-// coordinator calls) and from OpenSharded.
+// Only manifest version 4 is read. A version-1 or version-3 manifest (the v4
+// layout plus the extraction threshold and the reorder flag in the tile
+// config) and a version-2 one (v3 with each shard entry followed by a
+// side-relation inventory) fail with a clean Unsupported status, from
+// ReadShardManifest (what a coordinator calls) and from OpenSharded.
 TEST(DistDifferentialTest, OldManifestVersionsRejected) {
   SavedWorkload tpch = SaveAndOpen(Tpch().combined, "tpch", 2);
   auto parsed = storage::ReadShardManifest(tpch.manifest_path);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const storage::ShardManifestInfo& info = parsed.ValueOrDie();
-  ASSERT_EQ(info.version, 3u);
+  ASSERT_EQ(info.version, 4u);
 
   // Re-encode with ByteWriter, the manifest writer's codec, so the bytes
-  // match what a v1 or v2 writer produced.
-  for (uint64_t version : {uint64_t{1}, uint64_t{2}}) {
+  // match what a v1, v2 or v3 writer produced.
+  for (uint64_t version : {uint64_t{1}, uint64_t{2}, uint64_t{3}}) {
     std::vector<uint8_t> old;
     ByteWriter w(&old);
     for (char c : std::string_view("JTSM")) w.U8(static_cast<uint8_t>(c));
@@ -282,9 +283,9 @@ TEST(DistDifferentialTest, OldManifestVersionsRejected) {
     w.U8(static_cast<uint8_t>(info.routing_kind));
     w.Varint(info.config.tile_size);
     w.Varint(info.config.partition_size);
-    w.F64(info.config.extraction_threshold);
+    w.F64(0.6);  // extraction threshold
     w.U8(info.config.enable_date_extraction ? 1 : 0);
-    w.U8(info.config.enable_reordering ? 1 : 0);
+    w.U8(1);  // reordering
     w.Varint(info.shard_count());
     for (size_t s = 0; s < info.shard_count(); s++) {
       w.Str(info.filenames[s]);

@@ -58,7 +58,6 @@ TEST(ServiceStressTest, ChaosCancellationNoDeadlockNoLeak) {
   ServiceConfig config;
   config.total_mem_bytes = 16 << 20;
   config.spill_disk_bytes = 8 << 20;  // small enough to refuse under load
-  config.monitor_period_ms = 2;
   QueryService service(config);
 
   const std::vector<std::string> group_names = {"alpha", "beta"};

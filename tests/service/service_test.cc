@@ -303,9 +303,7 @@ TEST(QueryServiceTest, DropGroupCancelsRunningAndAbortsWaiters) {
 }
 
 TEST(QueryServiceTest, RunawayWallClockCancelled) {
-  ServiceConfig config;
-  config.monitor_period_ms = 2;
-  QueryService service(config);
+  QueryService service(ServiceConfig{});
   ResourceGroupConfig group;
   group.runaway_wall_ms = 20;
   ASSERT_TRUE(service.CreateGroup("g", group).ok());
@@ -318,9 +316,7 @@ TEST(QueryServiceTest, RunawayWallClockCancelled) {
 }
 
 TEST(QueryServiceTest, RunawayMemoryWatermarkCancelsLargestConsumer) {
-  ServiceConfig config;
-  config.monitor_period_ms = 2;
-  QueryService service(config);
+  QueryService service(ServiceConfig{});
   ResourceGroupConfig group;
   group.concurrency = 2;
   group.mem_quota_bytes = 1 << 20;

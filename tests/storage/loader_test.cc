@@ -361,15 +361,17 @@ TEST(RelationTest, MassOutlierUpdatesTriggerRecompute) {
   tiles::TileConfig config;
   config.tile_size = 16;
   config.partition_size = 1;
-  // 50% threshold: when the recompute fires (at the 9th outlier of 16), the
-  // new document type is already frequent enough to extract.
-  config.extraction_threshold = 0.5;
   Loader loader(StorageMode::kTiles, config);
   auto rel = loader.Load(SimpleDocs(16), "t").MoveValueOrDie();
-  // Overwrite most rows with a new document type.
+  // Overwrite most rows with a new document type. The first two keep `id`,
+  // so they still overlap the extracted schema and are no outliers; the
+  // recompute fires at the 9th outlier (row 10), when 11 of 16 rows (69%,
+  // at least the 60% threshold) hold the new keys.
   for (size_t r = 0; r < 12; r++) {
-    ASSERT_TRUE(
-        rel->UpdateRow(r, R"({"kind":"new","v":)" + std::to_string(r) + "}").ok());
+    const std::string id = r < 2 ? R"("id":)" + std::to_string(r) + "," : "";
+    ASSERT_TRUE(rel->UpdateRow(r, "{" + id + R"("kind":"new","v":)" +
+                                      std::to_string(r) + "}")
+                    .ok());
   }
   // The recompute should have kicked in: the tile now extracts the new keys.
   const tiles::Tile* tile = rel->TileForRow(0);

@@ -211,24 +211,70 @@ void AppendVarint(std::vector<uint8_t>* bytes, uint64_t v) {
   bytes->insert(bytes->end(), buf, buf + n);
 }
 
+// The header of a hand-built JTRL v3 file: magic, version, a kTiles
+// relation named "t" and its tile config.
+std::vector<uint8_t> RelationHeader(uint64_t tile_size = 1024,
+                                    uint64_t partition_size = 8,
+                                    uint8_t date_extraction = 1) {
+  std::vector<uint8_t> bytes = {'J', 'T', 'R', 'L'};
+  AppendVarint(&bytes, 3);  // version
+  bytes.push_back(static_cast<uint8_t>(StorageMode::kTiles));
+  AppendVarint(&bytes, 1);
+  bytes.push_back('t');                // name
+  AppendVarint(&bytes, tile_size);
+  AppendVarint(&bytes, partition_size);
+  bytes.push_back(date_extraction);
+  return bytes;
+}
+
 // The start of a hand-built JTRL file: a kTiles relation with no documents
 // and one tile of no rows, up to its column count.
 std::vector<uint8_t> TileFilePrefix() {
-  std::vector<uint8_t> bytes = {'J', 'T', 'R', 'L'};
-  AppendVarint(&bytes, 2);  // version
-  bytes.push_back(static_cast<uint8_t>(StorageMode::kTiles));
-  AppendVarint(&bytes, 1);
-  bytes.push_back('t');         // name
-  AppendVarint(&bytes, 1024);  // tile_size
-  AppendVarint(&bytes, 8);     // partition_size
-  const double threshold = 0.6;
-  const auto* t = reinterpret_cast<const uint8_t*>(&threshold);
-  bytes.insert(bytes.end(), t, t + 8);
-  bytes.push_back(1);  // date extraction
+  std::vector<uint8_t> bytes = RelationHeader();
   AppendVarint(&bytes, 0);  // documents
   AppendVarint(&bytes, 1);  // tiles
   for (int i = 0; i < 3; i++) AppendVarint(&bytes, 0);  // rows, outliers
   return bytes;
+}
+
+// A relation with no documents and no tiles under the given tile config.
+std::vector<uint8_t> EmptyFile(uint64_t tile_size, uint64_t partition_size,
+                               uint8_t date_extraction = 1) {
+  std::vector<uint8_t> bytes =
+      RelationHeader(tile_size, partition_size, date_extraction);
+  AppendVarint(&bytes, 0);                              // documents
+  AppendVarint(&bytes, 0);                              // tiles
+  for (int i = 0; i < 3; i++) AppendVarint(&bytes, 0);  // relation stats
+  AppendVarint(&bytes, 0);                              // side relations
+  return bytes;
+}
+
+// Tile and partition sizes outside [1, 2^20] and date flags other than 0/1
+// are corrupt, as in a JTSM manifest: one codec reads both headers.
+TEST(SerializeTest, TileConfigOutOfRangeRejected) {
+  for (const auto& [tile_size, partition_size] :
+       {std::pair<uint64_t, uint64_t>{1, 1}, {1u << 20, 1u << 20}}) {
+    const auto good = EmptyFile(tile_size, partition_size);
+    auto opened = DeserializeRelation(good.data(), good.size());
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ(opened.ValueOrDie()->config().tile_size, tile_size);
+    EXPECT_EQ(opened.ValueOrDie()->config().partition_size, partition_size);
+  }
+  const auto no_dates = EmptyFile(1024, 8, 0);
+  auto opened = DeserializeRelation(no_dates.data(), no_dates.size());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_FALSE(opened.ValueOrDie()->config().enable_date_extraction);
+  for (const auto& bad :
+       {EmptyFile(0, 8), EmptyFile(1024, uint64_t{1} << 21),
+        EmptyFile((1u << 20) + 1, 8), EmptyFile(1024, 0),
+        EmptyFile(1024, 8, 2)}) {
+    auto result = DeserializeRelation(bad.data(), bad.size());
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kParseError);
+    EXPECT_NE(result.status().message().find("ReadTileConfig"),
+              std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 TEST(SerializeTest, WrappingVectorCountRejected) {
@@ -277,17 +323,7 @@ TEST(SerializeTest, WrappingBitmapCountRejected) {
 // here and pass a naive bound check.
 TEST(SerializeTest, WrappingTileRowRangeRejected) {
   auto file = [](uint64_t row_begin, uint64_t row_count) {
-    std::vector<uint8_t> bytes = {'J', 'T', 'R', 'L'};
-    AppendVarint(&bytes, 2);  // version
-    bytes.push_back(static_cast<uint8_t>(StorageMode::kTiles));
-    AppendVarint(&bytes, 1);
-    bytes.push_back('t');
-    AppendVarint(&bytes, 1024);
-    AppendVarint(&bytes, 8);
-    const double threshold = 0.6;
-    const auto* t = reinterpret_cast<const uint8_t*>(&threshold);
-    bytes.insert(bytes.end(), t, t + 8);
-    bytes.push_back(1);
+    std::vector<uint8_t> bytes = RelationHeader();
     AppendVarint(&bytes, 0);  // documents
     AppendVarint(&bytes, 1);  // tiles
     AppendVarint(&bytes, row_begin);
@@ -309,13 +345,16 @@ TEST(SerializeTest, WrappingTileRowRangeRejected) {
       << result.status().ToString();
 }
 
-// Only the current version is read; version 1 files return Unsupported.
+// Only the current version is read; version 1 and 2 files return
+// Unsupported (version 2 still carried the extraction threshold as an f64).
 TEST(SerializeTest, Version1FileUnsupported) {
-  auto bytes = TileFilePrefix();
-  bytes[4] = 1;  // version varint
-  auto result = DeserializeRelation(bytes.data(), bytes.size());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kUnsupported);
+  for (uint8_t version : {1, 2}) {
+    auto bytes = TileFilePrefix();
+    bytes[4] = version;  // version varint
+    auto result = DeserializeRelation(bytes.data(), bytes.size());
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kUnsupported);
+  }
 }
 
 void AppendSVarint(std::vector<uint8_t>* bytes, int64_t v) {
@@ -351,17 +390,7 @@ std::vector<uint8_t> OneColumnFile(const std::vector<std::string>& docs,
                                    const std::vector<uint8_t>& payload,
                                    const std::vector<uint8_t>& tile_sketches = {
                                        0}) {
-  std::vector<uint8_t> bytes = {'J', 'T', 'R', 'L'};
-  AppendVarint(&bytes, 2);  // version
-  bytes.push_back(static_cast<uint8_t>(StorageMode::kTiles));
-  AppendVarint(&bytes, 1);
-  bytes.push_back('t');
-  AppendVarint(&bytes, 1024);
-  AppendVarint(&bytes, 8);
-  const double threshold = 0.6;
-  const auto* t = reinterpret_cast<const uint8_t*>(&threshold);
-  bytes.insert(bytes.end(), t, t + 8);
-  bytes.push_back(1);
+  std::vector<uint8_t> bytes = RelationHeader();
   AppendVarint(&bytes, docs.size());
   for (const std::string& d : docs) {
     AppendBuffer(&bytes, std::vector<uint8_t>(d.begin(), d.end()));

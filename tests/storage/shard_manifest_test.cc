@@ -203,8 +203,9 @@ TEST_F(ShardManifestTest, NonexistentManifest) {
 // The string whose length SpecManifest replaces with a wrapping one.
 enum class WrapAt { kNothing, kName, kShardFile };
 
-// A one-shard JTSM v3 manifest, written from the DESIGN.md §10 grammar. With `wrap` set, that string's length is one that
-// makes `pos + n` wrap to exactly zero, and the manifest ends there.
+// A one-shard JTSM v4 manifest, written from the DESIGN.md §10 grammar. With
+// `wrap` set, that string's length is one that makes `pos + n` wrap to
+// exactly zero, and the manifest ends there.
 std::vector<uint8_t> SpecManifest(WrapAt wrap) {
   std::vector<uint8_t> out;
   ByteWriter w(&out);
@@ -218,7 +219,7 @@ std::vector<uint8_t> SpecManifest(WrapAt wrap) {
     return true;
   };
   w.Raw("JTSM", 4);
-  w.Varint(3);
+  w.Varint(4);
   if (str("spec", WrapAt::kName)) return out;
   w.U8(static_cast<uint8_t>(StorageMode::kTiles));
   w.U8(static_cast<uint8_t>(ShardRouting::kRoundRobin));
@@ -226,9 +227,7 @@ std::vector<uint8_t> SpecManifest(WrapAt wrap) {
   w.U8(static_cast<uint8_t>(RoutingValueKind::kNone));
   w.Varint(16);  // tile_size
   w.Varint(16);  // partition_size
-  w.F64(0.6);    // extraction threshold
   w.U8(1);       // date extraction
-  w.U8(1);       // reordering
   w.Varint(1);   // shards
   if (str("spec.shard-0.jtrl", WrapAt::kShardFile)) return out;
   w.Varint(7);   // rows
@@ -250,8 +249,11 @@ TEST(ShardManifestSpecTest, SpecManifestParses) {
   auto info = ReadManifestBytes(SpecManifest(WrapAt::kNothing), "spec_ok");
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   const ShardManifestInfo& i = info.ValueOrDie();
-  EXPECT_EQ(i.version, 3u);
+  EXPECT_EQ(i.version, 4u);
   EXPECT_EQ(i.name, "spec");
+  EXPECT_EQ(i.config.tile_size, 16u);
+  EXPECT_EQ(i.config.partition_size, 16u);
+  EXPECT_TRUE(i.config.enable_date_extraction);
   ASSERT_EQ(i.shard_count(), 1u);
   EXPECT_EQ(i.filenames[0], "spec.shard-0.jtrl");
   EXPECT_EQ(i.num_rows[0], 7u);

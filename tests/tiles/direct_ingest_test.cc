@@ -1,9 +1,9 @@
 // Direct tile ingest differential: the scalar directory the emitter collects
 // inline during direct emission must equal the reference directory derived
-// from the finished JSONB (BuildIngestFromJsonb — itself locked to
-// tiles::ForEachKeyPath here); the key-path interner must build the same
-// items from either; and the columns it materializes through the recorded
-// value offsets must hold what navigating each document (LookupPath) finds.
+// from the finished JSONB (BuildIngestFromJsonb, the one JSONB leaf walk);
+// the key-path interner must build the same items from either; and the
+// columns it materializes through the recorded value offsets must hold what
+// navigating each document (LookupPath) finds.
 // Together with the loader's forced-fallback byte-identity tests in
 // loader_ondemand_test.cc this pins every layer of tile ingest to the
 // streaming parser.
@@ -25,6 +25,14 @@
 namespace jsontiles::tiles {
 namespace {
 
+// One directory leaf: encoded path plus the leaf's JSON type.
+struct CollectedPath {
+  std::string path;
+  json::JsonType type;
+
+  friend bool operator==(const CollectedPath&, const CollectedPath&) = default;
+};
+
 // (path, type) pairs of a directory, with offsets sanity-checked against the
 // document bytes.
 std::vector<CollectedPath> DirectoryPaths(const json::OndemandIngest& dir,
@@ -42,42 +50,37 @@ std::vector<CollectedPath> DirectoryPaths(const json::OndemandIngest& dir,
   return out;
 }
 
-// Emit `text` with inline collection and check the directory against both the
-// JSONB-derived reference and ForEachKeyPath over the emitted document.
-void ExpectDirectoryParity(std::string_view text, const TileConfig& config) {
+// Emit `text` with inline collection and check the directory against the
+// JSONB-derived reference over the emitted document. Returns the directory's
+// display paths.
+std::vector<std::string> ExpectDirectoryParity(std::string_view text) {
   json::OndemandTransformer ondemand;
   std::vector<uint8_t> doc;
   json::OndemandIngest inline_dir;
-  ASSERT_TRUE(
-      ondemand.Transform(text, &doc, IngestConfigFor(config), &inline_dir).ok())
-      << text;
-  ASSERT_EQ(ondemand.docs_ondemand(), 1u) << text;  // direct path, no fallback
+  EXPECT_TRUE(ondemand.Transform(text, &doc, &inline_dir).ok()) << text;
+  EXPECT_EQ(ondemand.docs_ondemand(), 1u) << text;  // direct path, no fallback
+  if (doc.empty()) return {};
 
   json::OndemandIngest derived_dir;
-  json::BuildIngestFromJsonb(json::JsonbValue(doc.data()),
-                             IngestConfigFor(config), &derived_dir);
+  json::BuildIngestFromJsonb(json::JsonbValue(doc.data()), &derived_dir);
   const auto inline_paths = DirectoryPaths(inline_dir, doc);
-  const auto derived_paths = DirectoryPaths(derived_dir, doc);
-  EXPECT_EQ(inline_paths, derived_paths) << text;
+  EXPECT_EQ(inline_paths, DirectoryPaths(derived_dir, doc)) << text;
   // Offsets too — both routes must point at the same value bytes.
-  ASSERT_EQ(inline_dir.leaves.size(), derived_dir.leaves.size()) << text;
-  for (size_t i = 0; i < inline_dir.leaves.size(); i++) {
+  EXPECT_EQ(inline_dir.leaves.size(), derived_dir.leaves.size()) << text;
+  for (size_t i = 0;
+       i < std::min(inline_dir.leaves.size(), derived_dir.leaves.size());
+       i++) {
     EXPECT_EQ(inline_dir.leaves[i].value_off, derived_dir.leaves[i].value_off)
         << text << " leaf " << i;
   }
-
-  // And the reference itself must match the tile layer's walker.
-  std::vector<CollectedPath> walker_paths;
-  ForEachKeyPath(json::JsonbValue(doc.data()), config,
-                 [&](std::string_view path, json::JsonType type) {
-                   walker_paths.push_back(
-                       CollectedPath{std::string(path), type});
-                 });
-  EXPECT_EQ(inline_paths, walker_paths) << text;
+  std::vector<std::string> display;
+  for (const auto& p : inline_paths) {
+    display.push_back(PathToDisplayString(p.path));
+  }
+  return display;
 }
 
 TEST(DirectIngestTest, HandWrittenDocuments) {
-  TileConfig config;
   const char* docs[] = {
       R"({"a":1,"b":"x","c":null,"d":true,"e":2.5,"f":"19.99"})",
       R"({})",
@@ -96,39 +99,48 @@ TEST(DirectIngestTest, HandWrittenDocuments) {
       // Escaped keys and values.
       "{\"k\\u0041\":\"v\\n\",\"k\\u0042\":[true,false]}",
   };
-  for (const char* doc : docs) ExpectDirectoryParity(doc, config);
+  for (const char* doc : docs) ExpectDirectoryParity(doc);
 }
 
-TEST(DirectIngestTest, TightCapsChangeCollection) {
-  TileConfig config;
-  config.max_path_depth = 2;
-  config.max_array_elements = 1;
-  const char* docs[] = {
-      R"({"a":{"b":{"c":1}},"d":[1,2,3],"e":2})",
-      R"([[1,2],[3,4],{"k":{"deep":1}}])",
-  };
-  for (const char* doc : docs) ExpectDirectoryParity(doc, config);
+// Documents nested past kMaxPathDepth with arrays longer than
+// kMaxArrayElements: both routes must drop the same leaves.
+TEST(DirectIngestTest, DocumentsPastTheFixedCaps) {
+  static_assert(kMaxPathDepth == 8 && kMaxArrayElements == 4);
+  // Seven object levels, then an array of six: only its first four elements
+  // are collected, and the nested array at level 8 contributes nothing.
+  EXPECT_EQ(
+      ExpectDirectoryParity(
+          R"({"a":{"b":{"c":{"d":{"e":{"f":{"g":[1,[2],3,4,5,6]}}}}},"h":0}})"),
+      (std::vector<std::string>{"a.b.c.d.e.f.g[0]", "a.b.c.d.e.f.g[2]",
+                                "a.b.c.d.e.f.g[3]", "a.h"}));
+  // Arrays of arrays: eight levels deep a scalar is still a leaf, nine is not.
+  EXPECT_EQ(ExpectDirectoryParity(R"([[[[[[[[1,2,3,4,5]]]]]]],[6,7,8,9,10]])"),
+            (std::vector<std::string>{"[0][0][0][0][0][0][0][0]",
+                                      "[0][0][0][0][0][0][0][1]",
+                                      "[0][0][0][0][0][0][0][2]",
+                                      "[0][0][0][0][0][0][0][3]", "[1][0]",
+                                      "[1][1]", "[1][2]", "[1][3]"}));
+  EXPECT_EQ(ExpectDirectoryParity(R"([[[[[[[[[1]]]]]]]],{"k":[{"x":1}]}])"),
+            (std::vector<std::string>{"[1].k[0].x"}));
 }
 
 TEST(DirectIngestTest, WorkloadCorpora) {
-  TileConfig config;
   workload::TwitterOptions twitter;
   twitter.num_tweets = 500;
   twitter.changing_schema = true;
   for (const auto& doc : workload::GenerateTwitter(twitter)) {
-    ExpectDirectoryParity(doc, config);
+    ExpectDirectoryParity(doc);
   }
   workload::YelpOptions yelp;
   yelp.num_business = 30;
   for (const auto& doc : workload::GenerateYelp(yelp)) {
-    ExpectDirectoryParity(doc, config);
+    ExpectDirectoryParity(doc);
   }
 }
 
 // One reused directory serves a whole load: the next document's leaves must
 // replace the previous ones, never append to them.
 TEST(DirectIngestTest, ReusedDirectoryHoldsOneDocument) {
-  TileConfig config;
   json::OndemandTransformer ondemand;
   json::OndemandIngest reused;
   const char* texts[] = {
@@ -140,10 +152,8 @@ TEST(DirectIngestTest, ReusedDirectoryHoldsOneDocument) {
   for (const char* text : texts) {
     std::vector<uint8_t> buf_a, buf_b;
     json::OndemandIngest fresh;
-    ASSERT_TRUE(
-        ondemand.Transform(text, &buf_a, IngestConfigFor(config), &fresh).ok());
-    ASSERT_TRUE(
-        ondemand.Transform(text, &buf_b, IngestConfigFor(config), &reused).ok());
+    ASSERT_TRUE(ondemand.Transform(text, &buf_a, &fresh).ok());
+    ASSERT_TRUE(ondemand.Transform(text, &buf_b, &reused).ok());
     EXPECT_EQ(buf_a, buf_b) << text;
     EXPECT_EQ(DirectoryPaths(reused, buf_b), DirectoryPaths(fresh, buf_a))
         << text;
@@ -155,9 +165,8 @@ TEST(DirectIngestTest, ReusedDirectoryHoldsOneDocument) {
 // frequencies and value offsets — whether a document's leaves come from the
 // emitter (bulk loads) or are derived from its JSONB (TileBuilder::Build, used
 // by Sinew and the §4.7 recomputation). Mining and reordering depend on all
-// of them. Ids follow first-seen order over ForEachKeyPath.
+// of them. Ids follow first-seen order over the JSONB directory.
 TEST(DirectIngestTest, InternerMatchesForEmitterAndJsonbLeaves) {
-  TileConfig config;
   workload::TwitterOptions twitter;
   twitter.num_tweets = 400;
   twitter.changing_schema = true;
@@ -169,8 +178,7 @@ TEST(DirectIngestTest, InternerMatchesForEmitterAndJsonbLeaves) {
   DocumentItems emitted;
   for (const auto& text : texts) {
     std::vector<uint8_t> buf;
-    ASSERT_TRUE(
-        ondemand.Transform(text, &buf, IngestConfigFor(config), &leaves).ok());
+    ASSERT_TRUE(ondemand.Transform(text, &buf, &leaves).ok());
     emitted.AddDocument(leaves);
     docs.push_back(std::move(buf));
   }
@@ -178,7 +186,7 @@ TEST(DirectIngestTest, InternerMatchesForEmitterAndJsonbLeaves) {
   std::vector<json::JsonbValue> views;
   views.reserve(docs.size());
   for (const auto& b : docs) views.emplace_back(b.data());
-  const DocumentItems derived = ItemsFromJsonb(views, config);
+  const DocumentItems derived = ItemsFromJsonb(views);
 
   EXPECT_EQ(emitted.dict, derived.dict);
   EXPECT_EQ(emitted.transactions, derived.transactions);
@@ -195,12 +203,15 @@ TEST(DirectIngestTest, InternerMatchesForEmitterAndJsonbLeaves) {
   // Each transaction spells out its document's leaves, and ids are
   // assigned in first-seen order.
   std::vector<std::string> first_seen;
+  json::OndemandIngest dir;
   for (size_t d = 0; d < views.size(); d++) {
     std::vector<std::string> keys, interned;
-    ForEachKeyPath(views[d], config,
-                   [&](std::string_view path, json::JsonType type) {
-                     keys.push_back(MakeDictKey(path, static_cast<uint8_t>(type)));
-                   });
+    json::BuildIngestFromJsonb(views[d], &dir);
+    for (const auto& leaf : dir.leaves) {
+      keys.push_back(MakeDictKey(
+          std::string_view(dir.paths).substr(leaf.path_off, leaf.path_len),
+          leaf.type));
+    }
     for (mining::Item item : emitted.transactions[d]) {
       interned.push_back(emitted.dict[item]);
     }
@@ -234,22 +245,29 @@ TEST(DirectIngestTest, InternerMatchesForEmitterAndJsonbLeaves) {
 // at the column's path when that value has the column's source type, and be
 // null otherwise.
 TEST(DirectIngestTest, ColumnsMatchLookupPath) {
-  TileConfig config;
-  config.extraction_threshold = 0.3;  // more columns, incl. outlier types
   workload::TwitterOptions twitter;
   twitter.num_tweets = 500;
   twitter.changing_schema = true;
   workload::YelpOptions yelp;
   yelp.num_business = 20;
+  // Type outliers: `a` is an int in 7 of 10 documents (a column at 60%) and
+  // a string or a bool in the rest, `b` a string with an int outlier.
+  std::vector<std::string> outliers;
+  for (int i = 0; i < 10; i++) {
+    outliers.push_back(i < 7 ? R"({"a":)" + std::to_string(i) + R"(,"b":"x"})"
+                       : i < 9 ? R"({"a":"s","b":"y"})"
+                               : R"({"a":true,"b":1})");
+  }
   for (const auto& texts :
-       {workload::GenerateTwitter(twitter), workload::GenerateYelp(yelp)}) {
+       {workload::GenerateTwitter(twitter), workload::GenerateYelp(yelp),
+        outliers}) {
     std::vector<std::vector<uint8_t>> docs;
     std::vector<json::JsonbValue> views;
     for (const auto& text : texts) {
       docs.push_back(json::JsonbFromText(text).MoveValueOrDie());
     }
     for (const auto& b : docs) views.emplace_back(b.data());
-    const Tile tile = TileBuilder(config).Build(views, 0);
+    const Tile tile = TileBuilder(TileConfig{}).Build(views, 0);
     ASSERT_FALSE(tile.columns.empty());
     for (const auto& col : tile.columns) {
       for (size_t d = 0; d < views.size(); d++) {

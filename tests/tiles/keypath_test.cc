@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "json/jsonb.h"
+#include "json/ondemand.h"
 
 namespace jsontiles::tiles {
 namespace {
@@ -68,13 +69,36 @@ TEST(KeyPathTest, LookupPath) {
                                             PathSegment::Key("deeper")})));
 }
 
+// One collected leaf of json::BuildIngestFromJsonb: encoded path plus type.
+struct Leaf {
+  std::string path;
+  JsonType type;
+};
+
+std::vector<Leaf> CollectLeaves(std::string_view text) {
+  auto buf = JsonbFromText(text).MoveValueOrDie();
+  json::OndemandIngest dir;
+  json::BuildIngestFromJsonb(JsonbValue(buf.data()), &dir);
+  std::vector<Leaf> out;
+  for (const auto& leaf : dir.leaves) {
+    out.push_back(Leaf{dir.paths.substr(leaf.path_off, leaf.path_len),
+                       static_cast<JsonType>(leaf.type)});
+  }
+  return out;
+}
+
+// `levels` nested objects {"k0":{"k1":...1}}: a leaf at path depth `levels`.
+std::string NestedObjects(int levels) {
+  std::string text;
+  for (int i = 0; i < levels; i++) text += "{\"k" + std::to_string(i) + "\":";
+  text += "1";
+  text.append(static_cast<size_t>(levels), '}');
+  return text;
+}
+
 TEST(KeyPathTest, CollectScalarLeaves) {
-  auto buf =
-      JsonbFromText(R"({"id":5,"user":{"id":1,"name":"a"},"flag":true,"x":null})")
-          .MoveValueOrDie();
-  TileConfig config;
-  std::vector<CollectedPath> paths;
-  CollectKeyPaths(JsonbValue(buf.data()), config, &paths);
+  auto paths =
+      CollectLeaves(R"({"id":5,"user":{"id":1,"name":"a"},"flag":true,"x":null})");
   ASSERT_EQ(paths.size(), 5u);
   // JSONB sorts keys: flag, id, user.id, user.name, x.
   EXPECT_EQ(PathToDisplayString(paths[0].path), "flag");
@@ -89,43 +113,34 @@ TEST(KeyPathTest, CollectScalarLeaves) {
 }
 
 TEST(KeyPathTest, ArrayLeadingElementsOnly) {
-  auto buf = JsonbFromText(R"({"a":[1,2,3,4,5,6,7,8]})").MoveValueOrDie();
-  TileConfig config;
-  config.max_array_elements = 3;
-  std::vector<CollectedPath> paths;
-  CollectKeyPaths(JsonbValue(buf.data()), config, &paths);
-  EXPECT_EQ(paths.size(), 3u);
+  static_assert(kMaxArrayElements == 4);
+  auto paths = CollectLeaves(R"({"a":[1,2,3,4,5,6,7,8],"b":[1,2,3]})");
+  ASSERT_EQ(paths.size(), 7u);
   EXPECT_EQ(PathToDisplayString(paths[0].path), "a[0]");
-  EXPECT_EQ(PathToDisplayString(paths[2].path), "a[2]");
+  EXPECT_EQ(PathToDisplayString(paths[3].path), "a[3]");
+  EXPECT_EQ(PathToDisplayString(paths[4].path), "b[0]");
+  EXPECT_EQ(PathToDisplayString(paths[6].path), "b[2]");
 }
 
 TEST(KeyPathTest, DepthLimit) {
-  auto buf = JsonbFromText(R"({"a":{"b":{"c":{"d":1}}}})").MoveValueOrDie();
-  TileConfig config;
-  config.max_path_depth = 2;
-  std::vector<CollectedPath> paths;
-  CollectKeyPaths(JsonbValue(buf.data()), config, &paths);
-  EXPECT_TRUE(paths.empty());  // the only leaf is at depth 4
-  config.max_path_depth = 8;
-  paths.clear();
-  CollectKeyPaths(JsonbValue(buf.data()), config, &paths);
+  static_assert(kMaxPathDepth == 8);
+  // A leaf kMaxPathDepth levels down is collected; one level deeper is not.
+  auto paths = CollectLeaves(NestedObjects(kMaxPathDepth));
   ASSERT_EQ(paths.size(), 1u);
-  EXPECT_EQ(PathToDisplayString(paths[0].path), "a.b.c.d");
+  EXPECT_EQ(PathToDisplayString(paths[0].path), "k0.k1.k2.k3.k4.k5.k6.k7");
+  EXPECT_TRUE(CollectLeaves(NestedObjects(kMaxPathDepth + 1)).empty());
+  // Array levels count like object levels.
+  paths = CollectLeaves(R"({"a":[[[[[[[1,[2]]]]]]]]})");
+  ASSERT_EQ(paths.size(), 1u);
+  EXPECT_EQ(PathToDisplayString(paths[0].path), "a[0][0][0][0][0][0][0]");
 }
 
 TEST(KeyPathTest, EmptyContainersYieldNoLeaves) {
-  auto buf = JsonbFromText(R"({"a":{},"b":[]})").MoveValueOrDie();
-  TileConfig config;
-  std::vector<CollectedPath> paths;
-  CollectKeyPaths(JsonbValue(buf.data()), config, &paths);
-  EXPECT_TRUE(paths.empty());
+  EXPECT_TRUE(CollectLeaves(R"({"a":{},"b":[]})").empty());
 }
 
 TEST(KeyPathTest, NumericStringLeafType) {
-  auto buf = JsonbFromText(R"({"price":"19.99"})").MoveValueOrDie();
-  TileConfig config;
-  std::vector<CollectedPath> paths;
-  CollectKeyPaths(JsonbValue(buf.data()), config, &paths);
+  auto paths = CollectLeaves(R"({"price":"19.99"})");
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_EQ(paths[0].type, JsonType::kNumericString);
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "json/jsonb.h"
+#include "json/ondemand.h"
 #include "tiles/column.h"
 #include "tiles/keypath.h"
 
@@ -80,22 +81,26 @@ TEST(LifetimeTest, DecodedPathStepsViewStablePathStorage) {
   EXPECT_EQ(v->GetInt(), 20);
 }
 
-// ForEachPathPrefix / WalkLeaves hand out views into a shared prefix buffer
-// that are only valid during the callback; consumers must copy. This pins
-// the copying consumers' behavior (bloom insert in Tile::AddSeenPath relies
-// on the same rule).
+// The JSONB leaf walk (json::BuildIngestFromJsonb) builds each path in a
+// shared prefix buffer that is cut back after every leaf; the directory must
+// hold copies. This pins that rule (bloom insert in Tile::AddSeenPath and the
+// interner read the directory after the walk returns).
 TEST(LifetimeTest, CollectedPathsOwnTheirBytes) {
   auto doc = json::JsonbFromText(R"({"a": {"b": 1, "c": [2, 3]}, "d": "x"})");
   ASSERT_TRUE(doc.ok());
   std::vector<uint8_t> buf = doc.MoveValueOrDie();
-  std::vector<CollectedPath> paths;
-  CollectKeyPaths(json::JsonbValue(buf.data()), TileConfig{}, &paths);
-  ASSERT_FALSE(paths.empty());
+  json::OndemandIngest dir;
+  json::BuildIngestFromJsonb(json::JsonbValue(buf.data()), &dir);
+  ASSERT_EQ(dir.leaves.size(), 4u);
   // The collected strings must be self-contained copies: round-trip each
   // through the decoder after the walker's prefix buffer is long gone.
-  for (const auto& p : paths) {
-    EXPECT_FALSE(PathToDisplayString(p.path).empty());
+  std::vector<std::string> display;
+  for (const auto& leaf : dir.leaves) {
+    display.push_back(
+        PathToDisplayString(dir.paths.substr(leaf.path_off, leaf.path_len)));
   }
+  EXPECT_EQ(display,
+            (std::vector<std::string>{"a.b", "a.c[0]", "a.c[1]", "d"}));
 }
 
 }  // namespace

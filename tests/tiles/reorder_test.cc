@@ -60,7 +60,7 @@ TEST(ReorderTest, PermutationIsBijection) {
   TileConfig config;
   config.tile_size = 32;
   config.partition_size = 8;
-  DocumentItems items = ItemsFromJsonb(docs.Views(), config);
+  DocumentItems items = ItemsFromJsonb(docs.Views());
   ReorderResult result = ReorderPartition(items, config);
   ASSERT_EQ(result.permutation.size(), 256u);
   std::vector<uint32_t> sorted = result.permutation;
@@ -77,10 +77,9 @@ TEST(ReorderTest, ClustersMixedDocumentTypes) {
   TileConfig config;
   config.tile_size = 64;
   config.partition_size = 4;
-  config.extraction_threshold = 0.6;
   TileBuilder builder(config);
 
-  DocumentItems items = ItemsFromJsonb(docs.Views(), config);
+  DocumentItems items = ItemsFromJsonb(docs.Views());
 
   auto count_extracted_type_columns = [&](const std::vector<uint32_t>& perm) {
     size_t extracted = 0;
@@ -122,7 +121,7 @@ TEST(ReorderTest, HomogeneousDataIsStable) {
   TileConfig config;
   config.tile_size = 32;
   config.partition_size = 4;
-  DocumentItems items = ItemsFromJsonb(docs.Views(), config);
+  DocumentItems items = ItemsFromJsonb(docs.Views());
   ReorderResult result = ReorderPartition(items, config);
   // All tuples match the same single itemset; nothing needs to move between
   // tiles (order inside the single cluster is preserved by construction).
@@ -137,7 +136,7 @@ TEST(ReorderTest, DisabledByPartitionSizeOne) {
   TileConfig config;
   config.tile_size = 16;
   config.partition_size = 1;
-  DocumentItems items = ItemsFromJsonb(docs.Views(), config);
+  DocumentItems items = ItemsFromJsonb(docs.Views());
   ReorderResult result = ReorderPartition(items, config);
   EXPECT_EQ(result.moved_tuples, 0u);
 }
@@ -154,8 +153,7 @@ TEST(ArrayExtractTest, DetectAndExplode) {
   docs.Add(R"({"id":1,"hashtags":[{"text":"a"},{"text":"b"},{"text":"c"}],"geo":{"lat":1.0}})");
   docs.Add(R"({"id":2,"hashtags":[{"text":"d"}],"geo":{"lat":2.0}})");
   docs.Add(R"({"id":3,"hashtags":[],"geo":{"lat":3.0}})");
-  TileConfig config;
-  auto detected = DetectHighCardinalityArrays(docs.Views(), config);
+  auto detected = DetectHighCardinalityArrays(docs.Views());
   ASSERT_EQ(detected.size(), 1u);
   EXPECT_EQ(PathToDisplayString(detected[0]), "hashtags");
 
@@ -183,9 +181,8 @@ TEST(ArrayExtractTest, FixedRuleBoundaries) {
     if (i < 2) doc += R"(,"sparse":[1,2,3,4,5,6])";
     docs.Add(doc + "}");
   }
-  TileConfig config;
   std::vector<std::string> names;
-  for (const auto& path : DetectHighCardinalityArrays(docs.Views(), config)) {
+  for (const auto& path : DetectHighCardinalityArrays(docs.Views())) {
     names.push_back(PathToDisplayString(path));
   }
   EXPECT_EQ(names, (std::vector<std::string>{"one", "third"}));
@@ -194,7 +191,6 @@ TEST(ArrayExtractTest, FixedRuleBoundaries) {
 TEST(ArrayExtractTest, ScalarElementsWrapped) {
   Docs docs;
   docs.Add(R"({"tags":["x","y"]})");
-  TileConfig config;
   std::string path;
   AppendKeySegment(&path, "tags");
   std::vector<std::vector<uint8_t>> side;

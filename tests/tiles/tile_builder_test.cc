@@ -47,9 +47,7 @@ Docs Figure2Tile2() {
 
 TEST(TileBuilderTest, PaperRunningExample) {
   Docs docs = Figure2Tile2();
-  TileConfig config;
-  config.extraction_threshold = 0.6;
-  TileBuilder builder(config);
+  TileBuilder builder(TileConfig{});
   Tile tile = builder.Build(docs.Views(), 4);
 
   EXPECT_EQ(tile.row_begin, 4u);
@@ -94,9 +92,7 @@ TEST(TileBuilderTest, BelowThresholdPathsStayBinary) {
       docs.Add(R"({"common":1})");
     }
   }
-  TileConfig config;
-  config.extraction_threshold = 0.6;
-  TileBuilder builder(config);
+  TileBuilder builder(TileConfig{});
   Tile tile = builder.Build(docs.Views(), 0);
   EXPECT_NE(tile.FindColumn(Path({"common"})), nullptr);
   EXPECT_EQ(tile.FindColumn(Path({"rare"})), nullptr);
@@ -110,13 +106,12 @@ TEST(TileBuilderTest, MixedTypesChooseMostCommon) {
   Docs docs;
   for (int i = 0; i < 6; i++) docs.Add(R"({"v":)" + std::to_string(i) + "}");
   for (int i = 0; i < 4; i++) docs.Add(R"({"v":1.5})");
-  TileConfig config;
-  config.extraction_threshold = 0.5;
-  TileBuilder builder(config);
+  TileBuilder builder(TileConfig{});
   Tile tile = builder.Build(docs.Views(), 0);
   const ExtractedColumn* v = tile.FindColumn(Path({"v"}));
   ASSERT_NE(v, nullptr);
-  // Integers are more common (6 of 10 >= 50%); floats stay in binary JSON.
+  // Integers are more common (6 of 10, at the 60% threshold); the floats
+  // (4 of 10) stay in binary JSON.
   EXPECT_EQ(v->source_type, JsonType::kInt);
   EXPECT_TRUE(v->has_type_outliers);
   EXPECT_TRUE(v->nullable);
@@ -203,15 +198,14 @@ TEST(TileBuilderTest, EmptyInput) {
 
 TEST(TileBuilderTest, UpdateRowInPlace) {
   Docs docs = Figure2Tile2();
-  TileConfig config;
-  TileBuilder builder(config);
+  TileBuilder builder(TileConfig{});
   Tile tile = builder.Build(docs.Views(), 0);
 
   // Replace row 0 with a document that still matches the schema.
   auto updated = json::JsonbFromText(
                      R"({"id":50,"create":"2020-06-01","text":"upd","user":{"id":9},"replies":7,"geo":{"lat":9.9}})")
                      .MoveValueOrDie();
-  bool outlier = UpdateTileRow(&tile, 0, JsonbValue(updated.data()), config);
+  bool outlier = UpdateTileRow(&tile, 0, JsonbValue(updated.data()));
   EXPECT_FALSE(outlier);
   EXPECT_EQ(tile.FindColumn(Path({"id"}))->column.GetInt(0), 50);
   EXPECT_EQ(tile.FindColumn(Path({"text"}))->column.GetString(0, updated.data()),
@@ -221,15 +215,15 @@ TEST(TileBuilderTest, UpdateRowInPlace) {
   // Replace row 1 with a document sharing nothing: outlier, nulls, and the
   // new path lands in the bloom filter.
   auto alien = json::JsonbFromText(R"({"completely":"different"})").MoveValueOrDie();
-  outlier = UpdateTileRow(&tile, 1, JsonbValue(alien.data()), config);
+  outlier = UpdateTileRow(&tile, 1, JsonbValue(alien.data()));
   EXPECT_TRUE(outlier);
   EXPECT_TRUE(tile.FindColumn(Path({"id"}))->column.IsNull(1));
   EXPECT_TRUE(tile.MayContainPath(Path({"completely"})));
   EXPECT_EQ(tile.outlier_count, 1u);
   EXPECT_FALSE(tile.NeedsRecompute());
   // Three of four rows outliers -> recompute advised.
-  UpdateTileRow(&tile, 2, JsonbValue(alien.data()), config);
-  UpdateTileRow(&tile, 3, JsonbValue(alien.data()), config);
+  UpdateTileRow(&tile, 2, JsonbValue(alien.data()));
+  UpdateTileRow(&tile, 3, JsonbValue(alien.data()));
   EXPECT_TRUE(tile.NeedsRecompute());
 }
 

@@ -177,7 +177,7 @@ TEST(ByteReaderFuzzTest, JtsmLengthFields) {
            }};
   auto intact = storage::ReadShardManifest(path);
   ASSERT_TRUE(intact.ok());
-  EXPECT_EQ(intact.ValueOrDie().version, 3u);
+  EXPECT_EQ(intact.ValueOrDie().version, 4u);
   EXPECT_FALSE(intact.ValueOrDie().routing_path.empty());  // fuzzed too
   Fuzz(t, 4);
   std::remove(path.c_str());

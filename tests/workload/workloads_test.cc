@@ -184,8 +184,7 @@ TEST(HackerNewsWorkloadTest, GeneratesAndExtractionImprovesWithReordering) {
   tiles::TileConfig with, without;
   with.tile_size = without.tile_size = 256;
   with.partition_size = 8;
-  without.partition_size = 8;
-  without.enable_reordering = false;
+  without.partition_size = 1;  // no reordering
   auto count_columns = [&](const tiles::TileConfig& config) {
     Loader loader(StorageMode::kTiles, config);
     auto rel = loader.Load(docs, "hn").MoveValueOrDie();
