@@ -1,7 +1,9 @@
 #include "storage/loader.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <mutex>
 
 #include "json/ondemand.h"
@@ -34,14 +36,133 @@ std::vector<json::JsonbValue> DocumentViews(const Relation& relation) {
   return views;
 }
 
-// Work product of one partition, produced thread-locally and appended in
-// partition order.
-struct PartitionResult {
+// Seconds per load phase, summed by one worker over its tasks.
+struct PhaseSecs {
+  double jsonb = 0, mine = 0, reorder = 0, extract = 0;
+};
+
+// One chunk of a partition's input documents, parsed and interned on its
+// own: the chunk's JSONB in input order (skipped documents left out) and
+// its items, ids local to the chunk.
+struct Chunk {
+  std::vector<std::vector<uint8_t>> jsonb;
+  tiles::DocumentItems items;
+};
+
+// One partition: its chunks until they are merged, then its documents in
+// reordered order and its tiles.
+struct Partition {
+  std::vector<Chunk> chunks;
   std::vector<std::vector<uint8_t>> jsonb;  // permuted document order
   std::vector<tiles::Tile> tiles;           // row_begin relative to partition
   size_t moved_tuples = 0;
-  // Phase seconds.
-  double jsonb_secs = 0, mine_secs = 0, reorder_secs = 0, extract_secs = 0;
+  // Read by the tile tasks, released after the last one.
+  tiles::DocumentItems items;  // original document order
+  std::vector<uint32_t> permutation;
+};
+
+// The task graph of one load. Each partition has three kinds of task: parse
+// one of its chunks; reorder it, once every chunk is parsed (merge the
+// chunks, tiles::ReorderPartition, permute); build one of its tiles, once
+// it is reordered. Workers take the first ready task in partition-major
+// order, so a partition's data stays hot in cache while idle workers help
+// with its chunks and tiles. One worker alone runs the tasks in exactly the
+// order of a serial load.
+class TaskGraph {
+ public:
+  enum class Kind { kParse, kReorder, kTile, kDone };
+  struct Task {
+    Kind kind;
+    size_t partition = 0;
+    size_t index = 0;  // the chunk or tile within the partition
+  };
+
+  explicit TaskGraph(const std::vector<Partition>& partitions)
+      : states_(partitions.size()) {
+    for (size_t p = 0; p < partitions.size(); p++) {
+      states_[p].num_chunks = partitions[p].chunks.size();
+    }
+  }
+
+  // The first ready task. Blocks while every unclaimed task waits on one
+  // that is running; kDone once none is left or after Fail.
+  Task Next() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    Task task{Kind::kDone};
+    cv_.wait(lock, [&] { return Claim(&task); });
+    return task;
+  }
+
+  // Records that `task` finished; a reorder task passes its partition's
+  // tile count. True when this was the partition's last task.
+  bool Finish(const Task& task, size_t num_tiles) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    State& s = states_[task.partition];
+    switch (task.kind) {
+      case Kind::kParse:
+        if (++s.chunks_done == s.num_chunks) cv_.notify_all();
+        return false;
+      case Kind::kReorder:
+        s.reordered = true;
+        s.num_tiles = num_tiles;
+        cv_.notify_all();
+        return num_tiles == 0;
+      case Kind::kTile:
+        return ++s.tiles_done == s.num_tiles;
+      case Kind::kDone:
+        break;
+    }
+    return false;
+  }
+
+  // Stops the load: every worker's next Next returns kDone.
+  void Fail() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    failed_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  // Claims the first ready task into `task`, or leaves it kDone when no task
+  // is left or the load failed. False while every unclaimed task waits on a
+  // running one. Called with mutex_ held.
+  bool Claim(Task* task) {
+    if (failed_) return true;
+    bool blocked = false;
+    for (size_t p = first_open_; p < states_.size(); p++) {
+      State& s = states_[p];
+      if (s.next_chunk < s.num_chunks) {
+        *task = {Kind::kParse, p, s.next_chunk++};
+        return true;
+      }
+      if (!s.reordered) {
+        if (!s.reorder_claimed && s.chunks_done == s.num_chunks) {
+          s.reorder_claimed = true;
+          *task = {Kind::kReorder, p, 0};
+          return true;
+        }
+        blocked = true;
+      } else if (s.next_tile < s.num_tiles) {
+        *task = {Kind::kTile, p, s.next_tile++};
+        return true;
+      } else if (p == first_open_) {
+        first_open_++;  // every task of p is claimed
+      }
+    }
+    return !blocked;
+  }
+
+  struct State {
+    size_t num_chunks = 0, next_chunk = 0, chunks_done = 0;
+    bool reorder_claimed = false, reordered = false;
+    size_t num_tiles = 0, next_tile = 0, tiles_done = 0;
+  };
+
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<State> states_;
+  size_t first_open_ = 0;  // every task of the partitions before it is claimed
+  bool failed_ = false;
 };
 
 }  // namespace
@@ -79,13 +200,23 @@ Result<std::unique_ptr<Relation>> Loader::LoadDocs(
   }
 
   // ------------------------------------------------ binary JSON pipeline --
+  // Chunks of tile_size input documents; a partition is a run of chunks.
+  const bool tiles_mode = mode_ == StorageMode::kTiles;
+  const size_t tile_size = config_.tile_size;
   const size_t partition_docs =
-      mode_ == StorageMode::kTiles ? config_.tile_size * config_.partition_size
-                                   : std::max<size_t>(config_.tile_size * 8, 4096);
+      tiles_mode ? tile_size * config_.partition_size
+                 : std::max<size_t>(tile_size * 8, 4096);
   const size_t num_partitions = (num_docs + partition_docs - 1) / partition_docs;
-  std::vector<PartitionResult> results(num_partitions);
+  std::vector<Partition> partitions(num_partitions);
+  size_t num_chunks = 0;
+  for (size_t p = 0; p < num_partitions; p++) {
+    const size_t docs = std::min(partition_docs, num_docs - p * partition_docs);
+    partitions[p].chunks.resize((docs + tile_size - 1) / tile_size);
+    num_chunks += partitions[p].chunks.size();
+  }
+  TaskGraph graph(partitions);
 
-  // Malformed documents skipped by this load, shared across partitions. The
+  // Malformed documents skipped by this load, shared across chunks. The
   // max_errors cap is checked against shared_skip_counter when set (sharded
   // loads enforce one global cap across concurrent shard loads), otherwise
   // against this load's own count; skipped_total always holds this load's
@@ -95,45 +226,39 @@ Result<std::unique_ptr<Relation>> Loader::LoadDocs(
                                          ? options_.shared_skip_counter
                                          : &skipped_total;
 
-  auto process_partition = [&](size_t p) -> Status {
-    JSONTILES_FAILPOINT_RETURN("loader.partition");
-    JSONTILES_TRACE_SPAN("loader.partition");
-    JSONTILES_COUNTER_ADD("loader.partitions_processed", 1);
-    PartitionResult& result = results[p];
-    size_t begin = p * partition_docs;
-    size_t end = std::min(begin + partition_docs, num_docs);
-    size_t count = end - begin;
-
-    // Phase: text -> JSONB. A malformed document either aborts the load
-    // (fail-fast default) or — under max_errors — is skipped and counted,
-    // so one bad record cannot take down a billion-row bulk load. JSONB
-    // input is stored as it is.
-    //
-    // Tiles: the emitter collects each document's scalar leaves during the
-    // very walk that serializes it, and they are interned into the
-    // partition's mining transactions right away (timed as mining), so
-    // key-path collection and column materialization never re-navigate the
-    // JSONB, and one reused directory holds one document's key paths at a
-    // time. Items stay in original document order; after reordering each
-    // tile projects them through the permutation.
-    const bool tiles_mode = mode_ == StorageMode::kTiles;
-    json::OndemandTransformer parser;
-    json::OndemandIngest leaves;
-    tiles::DocumentItems items;
+  // Task: text -> JSONB for one chunk. A malformed document either aborts
+  // the load (fail-fast default) or — under max_errors — is skipped and
+  // counted, so one bad record cannot take down a billion-row bulk load;
+  // the skip shrinks its partition. JSONB input is stored as it is.
+  //
+  // Tiles: the emitter collects each document's scalar leaves during the
+  // very walk that serializes it, and they are interned into the chunk's
+  // mining transactions right away (timed as mining), so key-path
+  // collection and column materialization never re-navigate the JSONB, and
+  // the worker's one reused directory holds one document's key paths at a
+  // time. Items stay in original document order; after reordering each
+  // tile projects them through the permutation.
+  auto parse_chunk = [&](size_t p, size_t c, json::OndemandTransformer* parser,
+                         json::OndemandIngest* leaves,
+                         PhaseSecs* secs) -> Status {
+    JSONTILES_TRACE_SPAN("loader.parse_chunk");
+    Chunk& chunk = partitions[p].chunks[c];
+    const size_t partition_end = std::min((p + 1) * partition_docs, num_docs);
+    const size_t begin = p * partition_docs + c * tile_size;
+    const size_t end = std::min(begin + tile_size, partition_end);
     double intern_secs = 0;
-    result.jsonb.reserve(count);
+    chunk.jsonb.reserve(end - begin);
     auto t0 = Clock::now();
-    for (size_t i = 0; i < count; i++) {
+    for (size_t i = begin; i < end; i++) {
       std::vector<uint8_t> buf;
       Status st;
       if (jsonb != nullptr) {
-        buf = std::move((*jsonb)[begin + i]);
+        buf = std::move((*jsonb)[i]);
         if (tiles_mode) {
-          json::BuildIngestFromJsonb(json::JsonbValue(buf.data()), &leaves);
+          json::BuildIngestFromJsonb(json::JsonbValue(buf.data()), leaves);
         }
       } else {
-        st = parser.Transform((*text)[begin + i], &buf,
-                              tiles_mode ? &leaves : nullptr);
+        st = parser->Transform((*text)[i], &buf, tiles_mode ? leaves : nullptr);
       }
       if (!st.ok()) {
         const size_t so_far =
@@ -145,95 +270,158 @@ Result<std::unique_ptr<Relation>> Loader::LoadDocs(
         JSONTILES_COUNTER_ADD("loader.docs_skipped", 1);
         continue;
       }
-      result.jsonb.push_back(std::move(buf));
+      chunk.jsonb.push_back(std::move(buf));
       if (tiles_mode) {
         auto c0 = Clock::now();
-        items.AddDocument(leaves);
+        chunk.items.AddDocument(*leaves);
         intern_secs += Seconds(c0, Clock::now());
       }
     }
-    count = result.jsonb.size();
-    auto t1 = Clock::now();
-    result.jsonb_secs += Seconds(t0, t1) - intern_secs;
-    result.mine_secs += intern_secs;
-    if (!tiles_mode) return Status::OK();
+    secs->jsonb += Seconds(t0, Clock::now()) - intern_secs;
+    secs->mine += intern_secs;
+    return Status::OK();
+  };
 
-    // Phase: reordering within the partition (the identity when
-    // partition_size is 1).
-    tiles::ReorderResult reordered = tiles::ReorderPartition(items, config_);
-    const std::vector<uint32_t>& permutation = reordered.permutation;
-    result.moved_tuples = reordered.moved_tuples;
-    if (result.moved_tuples > 0) {
+  // Task: join a partition's chunks in order and, for tiles, reorder it
+  // (the identity when partition_size is 1). The merged interner holds the
+  // ids one pass over the partition would assign. Sets `num_tiles`.
+  auto reorder_partition = [&](size_t p, PhaseSecs* secs,
+                               size_t* num_tiles) -> Status {
+    JSONTILES_FAILPOINT_RETURN("loader.partition");
+    JSONTILES_TRACE_SPAN("loader.partition");
+    JSONTILES_COUNTER_ADD("loader.partitions_processed", 1);
+    Partition& part = partitions[p];
+    auto t0 = Clock::now();
+    size_t count = 0;
+    for (const Chunk& chunk : part.chunks) count += chunk.jsonb.size();
+    part.jsonb.reserve(count);
+    for (Chunk& chunk : part.chunks) {
+      for (auto& buf : chunk.jsonb) part.jsonb.push_back(std::move(buf));
+      if (tiles_mode) part.items.Append(std::move(chunk.items));
+    }
+    std::vector<Chunk>().swap(part.chunks);
+    if (!tiles_mode) {
+      secs->jsonb += Seconds(t0, Clock::now());
+      *num_tiles = 0;
+      return Status::OK();
+    }
+
+    tiles::ReorderResult reordered = tiles::ReorderPartition(part.items, config_);
+    part.permutation = std::move(reordered.permutation);
+    part.moved_tuples = reordered.moved_tuples;
+    if (!std::is_sorted(part.permutation.begin(), part.permutation.end())) {
       std::vector<std::vector<uint8_t>> permuted(count);
       for (size_t i = 0; i < count; i++) {
-        permuted[i] = std::move(result.jsonb[permutation[i]]);
+        permuted[i] = std::move(part.jsonb[part.permutation[i]]);
       }
-      result.jsonb = std::move(permuted);
+      part.jsonb = std::move(permuted);
     }
-    std::vector<json::JsonbValue> views;
-    views.reserve(count);
-    for (const auto& b : result.jsonb) views.emplace_back(b.data());
-    result.reorder_secs += Seconds(t1, Clock::now());
+    *num_tiles = (count + tile_size - 1) / tile_size;
+    part.tiles.resize(*num_tiles);
+    secs->reorder += Seconds(t0, Clock::now());
+    return Status::OK();
+  };
 
-    // Phases: per-tile mining + extraction.
+  // Task: mine and extract one tile of a reordered partition.
+  auto build_tile = [&](size_t p, size_t t, PhaseSecs* secs) {
+    JSONTILES_TRACE_SPAN("loader.tile");
+    Partition& part = partitions[p];
+    const size_t tile_begin = t * tile_size;
+    const size_t tile_end = std::min(tile_begin + tile_size, part.jsonb.size());
+    const std::vector<uint32_t> indices(
+        part.permutation.begin() + static_cast<long>(tile_begin),
+        part.permutation.begin() + static_cast<long>(tile_end));
+    auto m0 = Clock::now();
     tiles::TileBuilder tile_builder(config_);
-    size_t num_tiles = (count + config_.tile_size - 1) / config_.tile_size;
-    for (size_t t = 0; t < num_tiles; t++) {
-      size_t tile_begin = t * config_.tile_size;
-      size_t tile_end = std::min(tile_begin + config_.tile_size, count);
-      std::vector<uint32_t> indices;
-      indices.reserve(tile_end - tile_begin);
-      for (size_t i = tile_begin; i < tile_end; i++) {
-        indices.push_back(permutation[i]);
-      }
-      auto m0 = Clock::now();
-      tiles::DocumentItems tile_items = items.Project(indices);
-      std::vector<mining::Itemset> itemsets = tile_builder.MineItemsets(
-          tile_items, tiles::ExtractionSupport(indices.size()));
-      auto m1 = Clock::now();
-      result.mine_secs += Seconds(m0, m1);
+    tiles::DocumentItems tile_items = part.items.Project(indices);
+    std::vector<mining::Itemset> itemsets = tile_builder.MineItemsets(
+        tile_items, tiles::ExtractionSupport(indices.size()));
+    auto m1 = Clock::now();
+    secs->mine += Seconds(m0, m1);
+    std::vector<json::JsonbValue> tile_views;
+    tile_views.reserve(tile_end - tile_begin);
+    for (size_t i = tile_begin; i < tile_end; i++) {
+      tile_views.emplace_back(part.jsonb[i].data());
+    }
+    part.tiles[t] = tile_builder.BuildFromItems(tile_views, tile_items,
+                                                tile_begin, &itemsets);
+    secs->extract += Seconds(m1, Clock::now());
+  };
 
-      std::vector<json::JsonbValue> tile_views(views.begin() + static_cast<long>(tile_begin),
-                                               views.begin() + static_cast<long>(tile_end));
-      result.tiles.push_back(tile_builder.BuildFromItems(
-          tile_views, tile_items, tile_begin, &itemsets));
-      result.extract_secs += Seconds(m1, Clock::now());
+  // The worker loop: every thread of the load, the caller included, runs it
+  // until the graph is done. The first failing task stops the graph, so
+  // waiting workers wake and return.
+  const size_t helpers =
+      options_.num_threads > 1 && num_chunks > 1 ? options_.num_threads : 0;
+  std::vector<PhaseSecs> worker_secs(helpers + 1);
+  auto run_worker = [&](size_t worker) -> Status {
+    json::OndemandTransformer parser;
+    json::OndemandIngest leaves;
+    PhaseSecs* secs = &worker_secs[worker];
+    for (TaskGraph::Task task = graph.Next();
+         task.kind != TaskGraph::Kind::kDone; task = graph.Next()) {
+      Status st;
+      size_t num_tiles = 0;
+      switch (task.kind) {
+        case TaskGraph::Kind::kParse:
+          st = parse_chunk(task.partition, task.index, &parser, &leaves, secs);
+          break;
+        case TaskGraph::Kind::kReorder:
+          st = reorder_partition(task.partition, secs, &num_tiles);
+          break;
+        case TaskGraph::Kind::kTile:
+          build_tile(task.partition, task.index, secs);
+          break;
+        case TaskGraph::Kind::kDone:
+          break;
+      }
+      if (!st.ok()) {
+        graph.Fail();
+        return st;
+      }
+      if (graph.Finish(task, num_tiles)) {
+        Partition& part = partitions[task.partition];
+        part.items = tiles::DocumentItems{};
+        std::vector<uint32_t>().swap(part.permutation);
+      }
     }
     return Status::OK();
   };
 
-  JSONTILES_COUNTER_ADD("loader.morsels",
-                        static_cast<int64_t>(num_partitions));
-  if (options_.num_threads > 1 && num_partitions > 1) {
+  if (helpers > 0) {
     JSONTILES_TRACE_SPAN("loader.parallel_for");
-    ThreadPool pool(options_.num_threads);
+    // ThreadPool(n) runs n helpers beside the calling thread.
+    ThreadPool pool(helpers);
     JSONTILES_RETURN_NOT_OK(pool.ParallelForStatus(
-        num_partitions, [&](size_t p, size_t) { return process_partition(p); }));
+        helpers + 1, [&](size_t, size_t worker) { return run_worker(worker); }));
   } else {
-    for (size_t p = 0; p < num_partitions; p++) {
-      JSONTILES_RETURN_NOT_OK(process_partition(p));
-    }
+    JSONTILES_RETURN_NOT_OK(run_worker(0));
   }
 
   // Serial phase: append in partition order; fix tile row offsets.
-  for (size_t p = 0; p < num_partitions; p++) {
-    PartitionResult& result = results[p];
-    size_t partition_row_begin = relation->num_rows();
-    auto t0 = Clock::now();
-    for (const auto& buf : result.jsonb) {
+  size_t num_tiles = 0;
+  auto t0 = Clock::now();
+  for (Partition& part : partitions) {
+    const size_t partition_row_begin = relation->num_rows();
+    for (const auto& buf : part.jsonb) {
       relation->AppendDoc(buf.data(), buf.size());
     }
-    result.jsonb_secs += Seconds(t0, Clock::now());
-    for (auto& tile : result.tiles) {
+    for (auto& tile : part.tiles) {
       tile.row_begin += partition_row_begin;
       relation->tiles().push_back(std::move(tile));
     }
-    bd->jsonb_secs += result.jsonb_secs;
-    bd->mine_secs += result.mine_secs;
-    bd->reorder_secs += result.reorder_secs;
-    bd->extract_secs += result.extract_secs;
-    bd->moved_tuples += result.moved_tuples;
+    num_tiles += part.tiles.size();
+    bd->moved_tuples += part.moved_tuples;
   }
+  bd->jsonb_secs += Seconds(t0, Clock::now());
+  for (const PhaseSecs& secs : worker_secs) {
+    bd->jsonb_secs += secs.jsonb;
+    bd->mine_secs += secs.mine;
+    bd->reorder_secs += secs.reorder;
+    bd->extract_secs += secs.extract;
+  }
+  JSONTILES_COUNTER_ADD("loader.morsels",
+                        static_cast<int64_t>(num_chunks + num_partitions + num_tiles));
 
   // Sinew: one global extraction over the entire table (single-threaded, as
   // in the original system).

@@ -1,13 +1,17 @@
 // Parallel bulk loading (paper §3.2 "the tile partitioning parallelizes
 // well", §6.8 Figures 16/17).
 //
-// The input is split into partitions of partition_size * tile_size documents;
-// worker threads process partitions independently (no interaction needed, the
-// information is disjoint): transform text to binary JSON while collecting
-// each document's key paths, reorder tuples within the partition, mine
-// itemsets per tile and materialize columns. A short serial phase appends the
-// results in partition order, so the loaded relation is deterministic
-// regardless of thread scheduling.
+// The input is split into partitions of partition_size * tile_size
+// documents, and each partition into chunks of tile_size documents. A load
+// is a task graph over three kinds of task: parse a chunk (text to binary
+// JSON while collecting and interning each document's key paths), reorder a
+// partition once all its chunks are parsed (merge the chunks' items, reorder
+// the tuples within the partition), and mine and materialize one tile of a
+// reordered partition. Workers take the first ready task in partition
+// order, so a partition with more tiles than there are other partitions
+// still keeps every worker busy. A short serial phase appends the results
+// in partition order, so the loaded relation is byte-identical for every
+// thread count and schedule.
 
 #ifndef JSONTILES_STORAGE_LOADER_H_
 #define JSONTILES_STORAGE_LOADER_H_
@@ -49,6 +53,11 @@ struct LoadBreakdown {
 /// byte-identical to its output; tests/storage/loader_ondemand_test.cc holds
 /// whole loaded relations to that.
 struct LoadOptions {
+  /// Threads beside the caller: a load with num_threads > 1 runs on a
+  /// ThreadPool of num_threads helpers plus the calling thread, so
+  /// num_threads + 1 threads in all; 0 and 1 load on the caller alone.
+  /// (Query contexts count differently: ExecOptions::num_threads is the
+  /// total, ThreadPool(workers - 1) plus the caller.)
   size_t num_threads = 1;
   /// Degraded-mode loading: skip (and count, across all partitions) up to
   /// this many malformed documents instead of failing the whole load. The

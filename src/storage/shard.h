@@ -118,9 +118,11 @@ class ShardedRelation {
     return static_cast<int64_t>(shard) << kRowIdShardShift;
   }
 
-  /// Route `docs` to shards and load them concurrently: the outer thread
-  /// pool runs min(load_options.num_threads, shard_count) shard loads at a
-  /// time, each with a single-threaded Loader. LoadOptions::max_errors is a
+  /// Route `docs` to shards and load them concurrently, each with a
+  /// single-threaded Loader: a pool of min(load_options.num_threads,
+  /// shard_count) helpers plus the calling thread runs that many + 1 shard
+  /// loads at a time (at most shard_count); num_threads ≤ 1 loads them one
+  /// after another on the caller. LoadOptions::max_errors is a
   /// global cap across all shards (a shared atomic counter); the merged
   /// breakdown sums per-phase CPU seconds across shards while
   /// total_wall_secs stays wall-clock.

@@ -68,6 +68,36 @@ void DocumentItems::AddDocument(const json::OndemandIngest& leaves) {
   transactions.push_back(std::move(tx));
 }
 
+void DocumentItems::Append(DocumentItems&& chunk) {
+  if (dict.empty() && transactions.empty()) {
+    *this = std::move(chunk);
+    return;
+  }
+  std::vector<mining::Item> remap(chunk.dict.size());
+  for (size_t i = 0; i < chunk.dict.size(); i++) {
+    auto it = ids.find(std::string_view(chunk.dict[i]));
+    if (it == ids.end()) {
+      it = ids.emplace(chunk.dict[i], static_cast<mining::Item>(dict.size()))
+               .first;
+      dict.push_back(std::move(chunk.dict[i]));
+      item_counts.push_back(0);
+    }
+    remap[i] = it->second;
+    item_counts[remap[i]] += chunk.item_counts[i];
+  }
+  successors.resize(dict.size() + 1, kNoItem);
+  const size_t offset_base = value_offsets.size();
+  for (size_t begin : chunk.value_begin) {
+    value_begin.push_back(offset_base + begin);
+  }
+  value_offsets.insert(value_offsets.end(), chunk.value_offsets.begin(),
+                       chunk.value_offsets.end());
+  for (mining::Transaction& tx : chunk.transactions) {
+    for (mining::Item& item : tx) item = remap[item];
+    transactions.push_back(std::move(tx));
+  }
+}
+
 DocumentItems DocumentItems::Project(
     const std::vector<uint32_t>& doc_indices) const {
   DocumentItems out;

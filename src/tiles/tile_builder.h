@@ -44,6 +44,16 @@ struct DocumentItems {
   /// so the caller can reuse `leaves` for the next document.
   void AddDocument(const json::OndemandIngest& leaves);
 
+  /// Append another interner's documents as the next transactions, with
+  /// exactly the ids, counts and offsets that passing each of them to
+  /// AddDocument here would give: `chunk`'s items are taken in its own id
+  /// (first-seen) order, and each one new to this interner gets the next
+  /// id. This lets a bulk load intern chunks of a partition concurrently and
+  /// join them in order. The merged interner may take further AddDocument
+  /// calls: `successors` is resized to the merged dictionary, and a stale
+  /// guess there only costs the hash probe it would have saved.
+  void Append(DocumentItems&& chunk);
+
   const uint32_t* ValueOffsets(size_t doc) const {
     return value_offsets.data() + value_begin[doc];
   }

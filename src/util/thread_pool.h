@@ -1,7 +1,10 @@
 // Thread pool with a parallel-for helper.
 //
-// Used for parallel bulk loading (one partition of tiles per task, paper
-// §3.2) and morsel-style parallel scans in the query engine (Fig 8).
+// Used for parallel bulk loading (each participant runs the loader's
+// task-graph worker loop, paper §3.2), shard-parallel loads and
+// morsel-style parallel scans in the query engine (Fig 8). ThreadPool(n)
+// starts n threads; ParallelFor runs on those n and the calling thread, so
+// n + 1 threads work on one call.
 
 #ifndef JSONTILES_UTIL_THREAD_POOL_H_
 #define JSONTILES_UTIL_THREAD_POOL_H_

@@ -7,6 +7,7 @@
 
 #include "opt/query.h"
 #include "storage/relation.h"
+#include "storage/serialize.h"
 #include "tiles/keypath.h"
 #include "util/failpoint.h"
 #include "util/random.h"
@@ -117,20 +118,142 @@ TEST(LoaderTest, SinewGlobalThresholdMissesLocalPatterns) {
   EXPECT_TRUE(extracted_somewhere);
 }
 
-TEST(LoaderTest, ParallelLoadIsDeterministic) {
-  tiles::TileConfig config;
-  config.tile_size = 32;
-  config.partition_size = 4;
-  auto docs = SimpleDocs(500);
-  Loader serial(StorageMode::kTiles, config, LoadOptions{.num_threads = 1});
-  Loader parallel(StorageMode::kTiles, config, LoadOptions{.num_threads = 4});
-  auto a = serial.Load(docs, "t").MoveValueOrDie();
-  auto b = parallel.Load(docs, "t").MoveValueOrDie();
-  ASSERT_EQ(a->num_rows(), b->num_rows());
-  ASSERT_EQ(a->tiles().size(), b->tiles().size());
-  for (size_t r = 0; r < a->num_rows(); r++) {
-    EXPECT_EQ(a->Jsonb(r).ToJsonText(), b->Jsonb(r).ToJsonText());
+// Three document shapes interleaved, so reordering moves tuples across
+// tiles; `tags` qualifies for a side relation under extract_arrays.
+std::vector<std::string> MixedDocs(size_t n) {
+  std::vector<std::string> docs;
+  for (size_t i = 0; i < n; i++) {
+    const std::string id = std::to_string(i);
+    switch (i % 3) {
+      case 0:
+        docs.push_back(R"({"id":)" + id + R"(,"name":"user)" +
+                       std::to_string(i % 17) + R"(","tags":[{"t":"a"},{"t":")" +
+                       std::to_string(i % 5) + R"("}]})");
+        break;
+      case 1:
+        docs.push_back(R"({"order":)" + id + R"(,"price":)" +
+                       std::to_string(i % 100) + R"(.5,"at":"2020-01-0)" +
+                       std::to_string(1 + i % 9) + R"("})");
+        break;
+      default:
+        docs.push_back(R"({"id":)" + id + R"(,"geo":{"lat":)" +
+                       std::to_string(i % 90) + R"(,"lon":1},"tags":[{"t":"b"}]})");
+        break;
+    }
   }
+  return docs;
+}
+
+std::vector<uint8_t> SerializedLoad(StorageMode mode, tiles::TileConfig config,
+                                    LoadOptions options,
+                                    const std::vector<std::string>& docs,
+                                    LoadBreakdown* breakdown = nullptr) {
+  auto rel = Loader(mode, config, options).Load(docs, "t", breakdown);
+  EXPECT_TRUE(rel.ok()) << rel.status().ToString();
+  std::vector<uint8_t> bytes;
+  if (!rel.ok()) return bytes;
+  EXPECT_TRUE(SerializeRelation(*rel.ValueOrDie(), &bytes).ok());
+  return bytes;
+}
+
+// Every thread count stores the same bytes: documents, tiles, statistics
+// and side relations. 500 documents are not a multiple of the tile size, so
+// the last partition and tile are short.
+TEST(LoaderTest, ParallelLoadIsDeterministic) {
+  struct Case {
+    const char* label;
+    tiles::TileConfig config;
+    LoadOptions options;
+    std::vector<std::string> docs;
+  };
+  std::vector<Case> cases;
+  tiles::TileConfig reordering;
+  reordering.tile_size = 32;
+  reordering.partition_size = 4;
+  tiles::TileConfig no_reordering = reordering;
+  no_reordering.partition_size = 1;
+  cases.push_back({"32/4", reordering, {}, MixedDocs(500)});
+  cases.push_back({"32/1", no_reordering, {}, MixedDocs(500)});
+  // Skips shrink their own partitions and chunks.
+  Case skips{"32/4 max_errors", reordering, {}, MixedDocs(500)};
+  for (size_t i = 3; i < 500; i += 41) skips.docs[i] = "{broken";
+  skips.options.max_errors = 100;
+  cases.push_back(skips);
+  Case arrays{"32/4 extract_arrays", reordering, {}, MixedDocs(500)};
+  arrays.options.extract_arrays = true;
+  cases.push_back(arrays);
+
+  for (const Case& c : cases) {
+    for (StorageMode mode :
+         {StorageMode::kJsonb, StorageMode::kSinew, StorageMode::kTiles}) {
+      if (c.options.extract_arrays && mode != StorageMode::kTiles) continue;
+      LoadOptions options = c.options;
+      options.num_threads = 1;
+      LoadBreakdown serial_breakdown;
+      const std::vector<uint8_t> serial =
+          SerializedLoad(mode, c.config, options, c.docs, &serial_breakdown);
+      ASSERT_FALSE(serial.empty()) << c.label;
+      if (c.options.max_errors > 0) {
+        EXPECT_EQ(serial_breakdown.skipped_docs, 13u) << c.label;
+      }
+      if (mode == StorageMode::kTiles && c.config.partition_size > 1) {
+        EXPECT_GT(serial_breakdown.moved_tuples, 0u) << c.label;
+      }
+      for (size_t threads : {2, 3, 4}) {
+        options.num_threads = threads;
+        LoadBreakdown breakdown;
+        EXPECT_EQ(SerializedLoad(mode, c.config, options, c.docs, &breakdown),
+                  serial)
+            << c.label << " mode " << static_cast<int>(mode) << " threads "
+            << threads;
+        EXPECT_EQ(breakdown.skipped_docs, serial_breakdown.skipped_docs);
+        EXPECT_EQ(breakdown.moved_tuples, serial_breakdown.moved_tuples);
+      }
+    }
+  }
+  // The side relations exist, so the JSONB-input path was compared too.
+  auto rel = Loader(StorageMode::kTiles, reordering,
+                    LoadOptions{.num_threads = 4, .extract_arrays = true})
+                 .Load(MixedDocs(500), "t")
+                 .MoveValueOrDie();
+  EXPECT_EQ(rel->side_relations().size(), 1u);
+}
+
+// Reordering may permute documents within their tiles without moving any
+// across them (moved_tuples 0, permutation [0 2 1 3] here). The documents
+// must still be stored in the permuted order the tiles were built from:
+// every column cell is the value its own row holds.
+TEST(LoaderTest, ReorderWithinTilesKeepsColumnsAligned) {
+  tiles::TileConfig config;
+  config.tile_size = 3;
+  config.partition_size = 2;
+  const std::vector<std::string> docs = {
+      R"({"a":0,"b":0,"f":0})", R"({"a":1,"b":1,"c":1})",
+      R"({"a":2,"b":2,"c":2,"f":2})", R"({"a":3,"b":3,"c":3,"d":3})"};
+  LoadBreakdown breakdown;
+  auto rel = Loader(StorageMode::kTiles, config)
+                 .Load(docs, "t", &breakdown)
+                 .MoveValueOrDie();
+  EXPECT_EQ(breakdown.moved_tuples, 0u);
+  EXPECT_EQ(rel->Jsonb(1).FindKey("a")->GetInt(), 2);  // reordered
+  size_t cells = 0;
+  for (const auto& tile : rel->tiles()) {
+    for (const auto& col : tile.columns) {
+      ASSERT_EQ(col.storage_type, tiles::ColumnType::kInt64);
+      for (size_t i = 0; i < tile.row_count; i++) {
+        const auto value = tiles::LookupPath(rel->Jsonb(tile.row_begin + i),
+                                             col.path);
+        ASSERT_EQ(col.column.IsNull(i), !value.has_value())
+            << tiles::PathToDisplayString(col.path) << " row "
+            << tile.row_begin + i;
+        if (value.has_value()) {
+          EXPECT_EQ(col.column.GetInt(i), value->GetInt());
+          cells++;
+        }
+      }
+    }
+  }
+  EXPECT_GE(cells, 9u);
 }
 
 TEST(LoaderTest, MalformedDocumentFailsLoad) {
@@ -230,6 +353,34 @@ TEST(LoaderTest, PartitionFailpointSurfacesStatus) {
   // The same loader succeeds once the fault is gone.
   failpoint::DisableAll();
   EXPECT_TRUE(loader.Load(docs, "t").ok());
+}
+
+// A failing partition stops the task graph while other workers parse,
+// reorder, build tiles or wait on a reorder: every run must return the
+// failpoint's Status, never hang or succeed. 16 partitions of two 16-row
+// tiles; Nth(k) fails the k-th partition task to start.
+TEST(LoaderTest, PartitionFailpointUnderFourThreads) {
+  struct Cleanup {
+    ~Cleanup() { failpoint::DisableAll(); }
+  } cleanup;
+  tiles::TileConfig config;
+  config.tile_size = 16;
+  config.partition_size = 2;
+  const auto docs = MixedDocs(16 * 32);
+  LoadOptions options;
+  options.num_threads = 4;
+  Loader loader(StorageMode::kTiles, config, options);
+  for (uint64_t k : {1, 2, 5, 15, 16}) {
+    for (int run = 0; run < 20; run++) {
+      failpoint::Enable("loader.partition", failpoint::Spec::Nth(k));
+      auto result = loader.Load(docs, "t");
+      ASSERT_FALSE(result.ok()) << "Nth(" << k << ") run " << run;
+      EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+      failpoint::DisableAll();
+    }
+  }
+  failpoint::Enable("loader.partition", failpoint::Spec::Nth(17));
+  EXPECT_TRUE(loader.Load(docs, "t").ok());  // only 16 partitions
 }
 
 // A side relation is loaded through the same partition pipeline, so the

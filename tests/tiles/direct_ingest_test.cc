@@ -240,6 +240,66 @@ TEST(DirectIngestTest, InternerMatchesForEmitterAndJsonbLeaves) {
   }
 }
 
+// The fields an interner's users read: dictionary, ids, transactions,
+// frequencies and value offsets.
+void ExpectSameItems(const DocumentItems& actual, const DocumentItems& expected,
+                     const std::string& label) {
+  EXPECT_EQ(actual.dict, expected.dict) << label;
+  EXPECT_EQ(actual.transactions, expected.transactions) << label;
+  EXPECT_EQ(actual.item_counts, expected.item_counts) << label;
+  EXPECT_EQ(actual.value_begin, expected.value_begin) << label;
+  EXPECT_EQ(actual.value_offsets, expected.value_offsets) << label;
+  ASSERT_EQ(actual.ids.size(), expected.ids.size()) << label;
+  for (const auto& [key, id] : expected.ids) {
+    auto it = actual.ids.find(key);
+    ASSERT_NE(it, actual.ids.end()) << label << " " << key;
+    EXPECT_EQ(it->second, id) << label << " " << key;
+  }
+}
+
+// A bulk load interns each chunk of a partition on its own and appends the
+// chunks in order. That must give exactly the items of one AddDocument pass
+// over the partition, for any chunk size, and the merged interner must keep
+// interning as if it had seen every document itself.
+TEST(DirectIngestTest, AppendedChunksMatchOnePass) {
+  workload::TwitterOptions twitter;
+  twitter.num_tweets = 2500;
+  twitter.changing_schema = true;  // late documents bring new items
+  const auto texts = workload::GenerateTwitter(twitter);
+
+  json::OndemandTransformer ondemand;
+  std::vector<json::OndemandIngest> leaves(texts.size());
+  std::vector<std::vector<uint8_t>> docs(texts.size());
+  for (size_t d = 0; d < texts.size(); d++) {
+    ASSERT_TRUE(ondemand.Transform(texts[d], &docs[d], &leaves[d]).ok());
+  }
+  const size_t extra = 100;  // interned after the merge
+  DocumentItems one_pass;
+  for (size_t d = 0; d + extra < texts.size(); d++) {
+    one_pass.AddDocument(leaves[d]);
+  }
+  DocumentItems all_docs = one_pass;
+  for (size_t d = texts.size() - extra; d < texts.size(); d++) {
+    all_docs.AddDocument(leaves[d]);
+  }
+
+  for (size_t chunk_docs : {1, 7, 1024}) {
+    const std::string label = "chunks of " + std::to_string(chunk_docs);
+    DocumentItems merged;
+    for (size_t begin = 0; begin + extra < texts.size(); begin += chunk_docs) {
+      DocumentItems chunk;
+      const size_t end = std::min(begin + chunk_docs, texts.size() - extra);
+      for (size_t d = begin; d < end; d++) chunk.AddDocument(leaves[d]);
+      merged.Append(std::move(chunk));
+    }
+    ExpectSameItems(merged, one_pass, label);
+    for (size_t d = texts.size() - extra; d < texts.size(); d++) {
+      merged.AddDocument(leaves[d]);
+    }
+    ExpectSameItems(merged, all_docs, label + ", then AddDocument");
+  }
+}
+
 // Columns are filled through the interner's value offsets, never by
 // navigating the documents. Every cell must still hold what LookupPath finds
 // at the column's path when that value has the column's source type, and be
