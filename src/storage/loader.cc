@@ -52,6 +52,8 @@ struct Chunk {
 // One partition: its chunks until they are merged, then its documents in
 // reordered order and its tiles.
 struct Partition {
+  size_t input = 0;            // the input (and relation) it belongs to
+  size_t begin = 0, end = 0;   // its documents within the input
   std::vector<Chunk> chunks;
   std::vector<std::vector<uint8_t>> jsonb;  // permuted document order
   std::vector<tiles::Tile> tiles;           // row_begin relative to partition
@@ -61,10 +63,11 @@ struct Partition {
   std::vector<uint32_t> permutation;
 };
 
-// The task graph of one load. Each partition has three kinds of task: parse
-// one of its chunks; reorder it, once every chunk is parsed (merge the
-// chunks, tiles::ReorderPartition, permute); build one of its tiles, once
-// it is reordered. Workers take the first ready task in partition-major
+// The task graph of one load, over the partitions of every input in
+// input-major, partition-major order. Each partition has three kinds of
+// task: parse one of its chunks; reorder it, once every chunk is parsed
+// (merge the chunks, tiles::ReorderPartition, permute); build one of its
+// tiles, once it is reordered. Workers take the first ready task in that
 // order, so a partition's data stays hot in cache while idle workers help
 // with its chunks and tiles. One worker alone runs the tasks in exactly the
 // order of a serial load.
@@ -115,11 +118,23 @@ class TaskGraph {
     return false;
   }
 
-  // Stops the load: every worker's next Next returns kDone.
-  void Fail() {
+  // Stops the load: every worker's next Next returns kDone. The first
+  // failure's Status and partition are kept.
+  void Fail(Status status, size_t partition) {
     std::lock_guard<std::mutex> lock(mutex_);
-    failed_ = true;
+    if (!failed_) {
+      failed_ = true;
+      status_ = std::move(status);
+      failed_partition_ = partition;
+    }
     cv_.notify_all();
+  }
+
+  // The first failure, OK when none. Read once every worker has returned.
+  Status status(size_t* partition) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    *partition = failed_partition_;
+    return status_;
   }
 
  private:
@@ -163,6 +178,8 @@ class TaskGraph {
   std::vector<State> states_;
   size_t first_open_ = 0;  // every task of the partitions before it is claimed
   bool failed_ = false;
+  Status status_;
+  size_t failed_partition_ = 0;
 };
 
 }  // namespace
@@ -170,61 +187,72 @@ class TaskGraph {
 Result<std::unique_ptr<Relation>> Loader::Load(
     const std::vector<std::string>& docs, const std::string& name,
     LoadBreakdown* breakdown) {
-  return LoadDocs(&docs, nullptr, name, breakdown);
+  auto loaded = LoadDocs({Input{&docs, nullptr}}, name, breakdown);
+  if (!loaded.ok()) return loaded.status();
+  return std::move(loaded.ValueOrDie()[0]);
 }
 
-Result<std::unique_ptr<Relation>> Loader::LoadDocs(
-    const std::vector<std::string>* text,
-    std::vector<std::vector<uint8_t>>* jsonb, const std::string& name,
-    LoadBreakdown* breakdown) {
-  JSONTILES_DCHECK((text == nullptr) != (jsonb == nullptr));
+Result<std::vector<std::unique_ptr<Relation>>> Loader::LoadDocs(
+    const std::vector<Input>& inputs, const std::string& name,
+    LoadBreakdown* breakdown, size_t* failed_input) {
   auto wall_begin = Clock::now();
   JSONTILES_TRACE_SPAN("loader.load");
-  auto relation = std::make_unique<Relation>(name, mode_, config_);
+  size_t failed_scratch = 0;
+  if (failed_input == nullptr) failed_input = &failed_scratch;
+  std::vector<std::unique_ptr<Relation>> relations;
+  relations.reserve(inputs.size());
   LoadBreakdown local_breakdown;
   LoadBreakdown* bd = breakdown != nullptr ? breakdown : &local_breakdown;
   *bd = LoadBreakdown{};
-  const size_t num_docs = text != nullptr ? text->size() : jsonb->size();
+  size_t num_docs = 0;
+  for (const Input& input : inputs) {
+    JSONTILES_DCHECK((input.text == nullptr) != (input.jsonb == nullptr));
+    num_docs += input.size();
+    relations.push_back(std::make_unique<Relation>(name, mode_, config_));
+  }
   bd->tuples = num_docs;
 
   // ---------------------------------------------------------------- text --
   if (mode_ == StorageMode::kJsonText) {
-    JSONTILES_DCHECK(text != nullptr);
     auto t0 = Clock::now();
-    for (const auto& doc : *text) {
-      relation->AppendDoc(reinterpret_cast<const uint8_t*>(doc.data()), doc.size());
+    for (size_t r = 0; r < inputs.size(); r++) {
+      JSONTILES_DCHECK(inputs[r].text != nullptr);
+      for (const auto& doc : *inputs[r].text) {
+        relations[r]->AppendDoc(reinterpret_cast<const uint8_t*>(doc.data()),
+                                doc.size());
+      }
     }
     bd->jsonb_secs += Seconds(t0, Clock::now());
     bd->total_wall_secs = Seconds(wall_begin, Clock::now());
-    return relation;
+    return relations;
   }
 
   // ------------------------------------------------ binary JSON pipeline --
-  // Chunks of tile_size input documents; a partition is a run of chunks.
+  // Chunks of tile_size input documents; a partition is a run of chunks
+  // within one input.
   const bool tiles_mode = mode_ == StorageMode::kTiles;
   const size_t tile_size = config_.tile_size;
   const size_t partition_docs =
       tiles_mode ? tile_size * config_.partition_size
                  : std::max<size_t>(tile_size * 8, 4096);
-  const size_t num_partitions = (num_docs + partition_docs - 1) / partition_docs;
-  std::vector<Partition> partitions(num_partitions);
+  std::vector<Partition> partitions;
   size_t num_chunks = 0;
-  for (size_t p = 0; p < num_partitions; p++) {
-    const size_t docs = std::min(partition_docs, num_docs - p * partition_docs);
-    partitions[p].chunks.resize((docs + tile_size - 1) / tile_size);
-    num_chunks += partitions[p].chunks.size();
+  for (size_t r = 0; r < inputs.size(); r++) {
+    for (size_t begin = 0; begin < inputs[r].size(); begin += partition_docs) {
+      Partition& part = partitions.emplace_back();
+      part.input = r;
+      part.begin = begin;
+      part.end = std::min(begin + partition_docs, inputs[r].size());
+      part.chunks.resize((part.end - begin + tile_size - 1) / tile_size);
+      num_chunks += part.chunks.size();
+    }
   }
+  const size_t num_partitions = partitions.size();
   TaskGraph graph(partitions);
 
-  // Malformed documents skipped by this load, shared across chunks. The
-  // max_errors cap is checked against shared_skip_counter when set (sharded
-  // loads enforce one global cap across concurrent shard loads), otherwise
-  // against this load's own count; skipped_total always holds this load's
-  // own skips for the breakdown.
+  // Malformed documents skipped so far, across every chunk of every input:
+  // the one count the max_errors cap is checked against.
   std::atomic<size_t> skipped_total{0};
-  std::atomic<size_t>* cap_counter = options_.shared_skip_counter
-                                         ? options_.shared_skip_counter
-                                         : &skipped_total;
 
   // Task: text -> JSONB for one chunk. A malformed document either aborts
   // the load (fail-fast default) or — under max_errors — is skipped and
@@ -242,31 +270,30 @@ Result<std::unique_ptr<Relation>> Loader::LoadDocs(
                          json::OndemandIngest* leaves,
                          PhaseSecs* secs) -> Status {
     JSONTILES_TRACE_SPAN("loader.parse_chunk");
-    Chunk& chunk = partitions[p].chunks[c];
-    const size_t partition_end = std::min((p + 1) * partition_docs, num_docs);
-    const size_t begin = p * partition_docs + c * tile_size;
-    const size_t end = std::min(begin + tile_size, partition_end);
+    Partition& part = partitions[p];
+    Chunk& chunk = part.chunks[c];
+    const Input& input = inputs[part.input];
+    const size_t begin = part.begin + c * tile_size;
+    const size_t end = std::min(begin + tile_size, part.end);
     double intern_secs = 0;
     chunk.jsonb.reserve(end - begin);
     auto t0 = Clock::now();
     for (size_t i = begin; i < end; i++) {
       std::vector<uint8_t> buf;
       Status st;
-      if (jsonb != nullptr) {
-        buf = std::move((*jsonb)[i]);
+      if (input.jsonb != nullptr) {
+        buf = std::move((*input.jsonb)[i]);
         if (tiles_mode) {
           json::BuildIngestFromJsonb(json::JsonbValue(buf.data()), leaves);
         }
       } else {
-        st = parser->Transform((*text)[i], &buf, tiles_mode ? leaves : nullptr);
+        st = parser->Transform((*input.text)[i], &buf,
+                               tiles_mode ? leaves : nullptr);
       }
       if (!st.ok()) {
         const size_t so_far =
-            cap_counter->fetch_add(1, std::memory_order_relaxed) + 1;
+            skipped_total.fetch_add(1, std::memory_order_relaxed) + 1;
         if (so_far > options_.max_errors) return st;
-        if (cap_counter != &skipped_total) {
-          skipped_total.fetch_add(1, std::memory_order_relaxed);
-        }
         JSONTILES_COUNTER_ADD("loader.docs_skipped", 1);
         continue;
       }
@@ -354,7 +381,7 @@ Result<std::unique_ptr<Relation>> Loader::LoadDocs(
   const size_t helpers =
       options_.num_threads > 1 && num_chunks > 1 ? options_.num_threads : 0;
   std::vector<PhaseSecs> worker_secs(helpers + 1);
-  auto run_worker = [&](size_t worker) -> Status {
+  auto run_worker = [&](size_t worker) {
     json::OndemandTransformer parser;
     json::OndemandIngest leaves;
     PhaseSecs* secs = &worker_secs[worker];
@@ -376,8 +403,8 @@ Result<std::unique_ptr<Relation>> Loader::LoadDocs(
           break;
       }
       if (!st.ok()) {
-        graph.Fail();
-        return st;
+        graph.Fail(std::move(st), task.partition);
+        return;
       }
       if (graph.Finish(task, num_tiles)) {
         Partition& part = partitions[task.partition];
@@ -385,30 +412,36 @@ Result<std::unique_ptr<Relation>> Loader::LoadDocs(
         std::vector<uint32_t>().swap(part.permutation);
       }
     }
-    return Status::OK();
   };
 
   if (helpers > 0) {
     JSONTILES_TRACE_SPAN("loader.parallel_for");
     // ThreadPool(n) runs n helpers beside the calling thread.
     ThreadPool pool(helpers);
-    JSONTILES_RETURN_NOT_OK(pool.ParallelForStatus(
-        helpers + 1, [&](size_t, size_t worker) { return run_worker(worker); }));
+    pool.ParallelFor(helpers + 1,
+                     [&](size_t, size_t worker) { run_worker(worker); });
   } else {
-    JSONTILES_RETURN_NOT_OK(run_worker(0));
+    run_worker(0);
+  }
+  size_t failed_partition = 0;
+  if (Status st = graph.status(&failed_partition); !st.ok()) {
+    *failed_input = partitions[failed_partition].input;
+    return st;
   }
 
-  // Serial phase: append in partition order; fix tile row offsets.
+  // Serial phase: append each partition to its input's relation in
+  // partition order; fix tile row offsets.
   size_t num_tiles = 0;
   auto t0 = Clock::now();
   for (Partition& part : partitions) {
-    const size_t partition_row_begin = relation->num_rows();
+    Relation& relation = *relations[part.input];
+    const size_t partition_row_begin = relation.num_rows();
     for (const auto& buf : part.jsonb) {
-      relation->AppendDoc(buf.data(), buf.size());
+      relation.AppendDoc(buf.data(), buf.size());
     }
     for (auto& tile : part.tiles) {
       tile.row_begin += partition_row_begin;
-      relation->tiles().push_back(std::move(tile));
+      relation.tiles().push_back(std::move(tile));
     }
     num_tiles += part.tiles.size();
     bd->moved_tuples += part.moved_tuples;
@@ -423,53 +456,61 @@ Result<std::unique_ptr<Relation>> Loader::LoadDocs(
   JSONTILES_COUNTER_ADD("loader.morsels",
                         static_cast<int64_t>(num_chunks + num_partitions + num_tiles));
 
-  // Sinew: one global extraction over the entire table (single-threaded, as
-  // in the original system).
-  if (mode_ == StorageMode::kSinew && relation->num_rows() > 0) {
-    auto t0 = Clock::now();
-    tiles::TileConfig sinew_config = config_;
-    sinew_config.enable_date_extraction = false;  // Sinew has no §4.9
-    tiles::TileBuilder tile_builder(sinew_config);
-    relation->tiles().push_back(
-        tile_builder.Build(DocumentViews(*relation), 0));
-    auto t1 = Clock::now();
-    bd->mine_secs += Seconds(t0, t1) / 2;
-    bd->extract_secs += Seconds(t0, t1) / 2;
-  }
+  for (size_t r = 0; r < relations.size(); r++) {
+    Relation& relation = *relations[r];
 
-  // Tiles: aggregate relation statistics (§4.6).
-  if (mode_ == StorageMode::kTiles) {
-    for (size_t t = 0; t < relation->tiles().size(); t++) {
-      const tiles::Tile& tile = relation->tiles()[t];
-      std::vector<std::string> extracted;
-      extracted.reserve(tile.columns.size());
-      for (const auto& col : tile.columns) {
-        extracted.push_back(tiles::MakeDictKey(
-            col.path, static_cast<uint8_t>(col.source_type)));
-      }
-      relation->stats().MergeTile(static_cast<uint32_t>(t), tile.stats, extracted);
+    // Sinew: one global extraction over the entire table (single-threaded,
+    // as in the original system).
+    if (mode_ == StorageMode::kSinew && relation.num_rows() > 0) {
+      auto t0 = Clock::now();
+      tiles::TileConfig sinew_config = config_;
+      sinew_config.enable_date_extraction = false;  // Sinew has no §4.9
+      tiles::TileBuilder tile_builder(sinew_config);
+      relation.tiles().push_back(tile_builder.Build(DocumentViews(relation), 0));
+      auto t1 = Clock::now();
+      bd->mine_secs += Seconds(t0, t1) / 2;
+      bd->extract_secs += Seconds(t0, t1) / 2;
     }
-    relation->stats().AddTuples(relation->num_rows());
-  }
 
-  // Tiles-*: one side relation per array path that meets the fixed rule
-  // over all loaded rows (tiles/array_extract.h), exploded against the final
-  // (reordered) row ids so `_rowid` names the parent row.
-  if (mode_ == StorageMode::kTiles && options_.extract_arrays) {
-    const std::vector<json::JsonbValue> views = DocumentViews(*relation);
-    LoadOptions side_options = options_;
-    side_options.extract_arrays = false;
-    Loader side_loader(StorageMode::kTiles, config_, side_options);
-    for (const auto& path : tiles::DetectHighCardinalityArrays(views)) {
-      std::vector<std::vector<uint8_t>> side_docs;
-      for (size_t r = 0; r < views.size(); r++) {
-        tiles::ExplodeArray(views[r], path, static_cast<int64_t>(r), &side_docs);
+    // Tiles: aggregate relation statistics (§4.6).
+    if (mode_ == StorageMode::kTiles) {
+      for (size_t t = 0; t < relation.tiles().size(); t++) {
+        const tiles::Tile& tile = relation.tiles()[t];
+        std::vector<std::string> extracted;
+        extracted.reserve(tile.columns.size());
+        for (const auto& col : tile.columns) {
+          extracted.push_back(tiles::MakeDictKey(
+              col.path, static_cast<uint8_t>(col.source_type)));
+        }
+        relation.stats().MergeTile(static_cast<uint32_t>(t), tile.stats,
+                                   extracted);
       }
-      auto side = side_loader.LoadDocs(
-          nullptr, &side_docs, name + "$" + tiles::PathToDisplayString(path),
-          nullptr);
-      if (!side.ok()) return side.status();
-      relation->AddSideRelation(path, side.MoveValueOrDie());
+      relation.stats().AddTuples(relation.num_rows());
+    }
+
+    // Tiles-*: one side relation per array path that meets the fixed rule
+    // over all of the relation's rows (tiles/array_extract.h), exploded
+    // against the final (reordered) row ids so `_rowid` names the parent row.
+    if (mode_ == StorageMode::kTiles && options_.extract_arrays) {
+      const std::vector<json::JsonbValue> views = DocumentViews(relation);
+      LoadOptions side_options = options_;
+      side_options.extract_arrays = false;
+      Loader side_loader(StorageMode::kTiles, config_, side_options);
+      for (const auto& path : tiles::DetectHighCardinalityArrays(views)) {
+        std::vector<std::vector<uint8_t>> side_docs;
+        for (size_t row = 0; row < views.size(); row++) {
+          tiles::ExplodeArray(views[row], path, static_cast<int64_t>(row),
+                              &side_docs);
+        }
+        auto side = side_loader.LoadDocs(
+            {Input{nullptr, &side_docs}},
+            name + "$" + tiles::PathToDisplayString(path), nullptr);
+        if (!side.ok()) {
+          *failed_input = r;
+          return side.status();
+        }
+        relation.AddSideRelation(path, std::move(side.ValueOrDie()[0]));
+      }
     }
   }
 
@@ -479,7 +520,7 @@ Result<std::unique_ptr<Relation>> Loader::LoadDocs(
   JSONTILES_COUNTER_ADD("loader.tuples_loaded",
                         static_cast<int64_t>(bd->tuples));
   JSONTILES_HIST_RECORD("loader.load_wall_micros", bd->total_wall_secs * 1e6);
-  return relation;
+  return relations;
 }
 
 }  // namespace jsontiles::storage

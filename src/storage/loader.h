@@ -1,22 +1,24 @@
 // Parallel bulk loading (paper §3.2 "the tile partitioning parallelizes
 // well", §6.8 Figures 16/17).
 //
-// The input is split into partitions of partition_size * tile_size
-// documents, and each partition into chunks of tile_size documents. A load
-// is a task graph over three kinds of task: parse a chunk (text to binary
-// JSON while collecting and interning each document's key paths), reorder a
-// partition once all its chunks are parsed (merge the chunks' items, reorder
-// the tuples within the partition), and mine and materialize one tile of a
-// reordered partition. Workers take the first ready task in partition
-// order, so a partition with more tiles than there are other partitions
-// still keeps every worker busy. A short serial phase appends the results
-// in partition order, so the loaded relation is byte-identical for every
-// thread count and schedule.
+// A load reads one or more inputs and builds one relation per input: a plain
+// load has one input, a sharded load one per shard. Each input is split into
+// partitions of partition_size * tile_size documents (a partition never
+// spans inputs), and each partition into chunks of tile_size documents. A
+// load is one task graph over the partitions of every input, with three
+// kinds of task: parse a chunk (text to binary JSON while collecting and
+// interning each document's key paths), reorder a partition once all its
+// chunks are parsed (merge the chunks' items, reorder the tuples within the
+// partition), and mine and materialize one tile of a reordered partition.
+// Workers take the first ready task in input-major, partition-major order,
+// so a partition with more tiles than there are other partitions still
+// keeps every worker busy. A short serial phase appends each partition to
+// its input's relation in partition order, so every loaded relation is
+// byte-identical for every thread count and schedule.
 
 #ifndef JSONTILES_STORAGE_LOADER_H_
 #define JSONTILES_STORAGE_LOADER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -59,10 +61,11 @@ struct LoadOptions {
   /// (Query contexts count differently: ExecOptions::num_threads is the
   /// total, ThreadPool(workers - 1) plus the caller.)
   size_t num_threads = 1;
-  /// Degraded-mode loading: skip (and count, across all partitions) up to
-  /// this many malformed documents instead of failing the whole load. The
-  /// default 0 keeps fail-fast behavior: the first parse error aborts.
-  /// Skipped documents are reported in LoadBreakdown::skipped_docs.
+  /// Degraded-mode loading: skip (and count, across all partitions and, in a
+  /// sharded load, all shards) up to this many malformed documents instead
+  /// of failing the whole load. The default 0 keeps fail-fast behavior: the
+  /// first parse error aborts. Skipped documents are reported in
+  /// LoadBreakdown::skipped_docs.
   size_t max_errors = 0;
   /// Tiles-*: extract high-cardinality arrays into side relations (§3.5).
   /// Which arrays qualify is a fixed rule (tiles/array_extract.h: the
@@ -74,12 +77,9 @@ struct LoadOptions {
   /// ShardedRelation::RowIdBase. A side relation that fails to load fails
   /// the load.
   bool extract_arrays = false;
-  /// When several Loader instances load shards of one dataset concurrently,
-  /// they share a skip counter so max_errors caps the skips globally, not
-  /// per shard. LoadBreakdown::skipped_docs still reports this load's own
-  /// skips. Null (the default) keeps a private counter.
-  std::atomic<size_t>* shared_skip_counter = nullptr;
 };
+
+class ShardedRelation;
 
 class Loader {
  public:
@@ -93,14 +93,28 @@ class Loader {
                                          LoadBreakdown* breakdown = nullptr);
 
  private:
-  // The pipeline behind Load. Exactly one of `text` and `jsonb` is set.
-  // `jsonb` holds Tiles-* side documents (tiles::ExplodeArray output): each
-  // buffer is moved into the relation as it is, and its ingest directory is
-  // derived with json::BuildIngestFromJsonb instead of a parse.
-  Result<std::unique_ptr<Relation>> LoadDocs(
-      const std::vector<std::string>* text,
-      std::vector<std::vector<uint8_t>>* jsonb, const std::string& name,
-      LoadBreakdown* breakdown);
+  friend class ShardedRelation;
+
+  // One input of LoadDocs, loaded into its own relation. Exactly one of
+  // `text` and `jsonb` is set. `jsonb` holds Tiles-* side documents
+  // (tiles::ExplodeArray output): each buffer is moved into the relation as
+  // it is, and its ingest directory is derived with
+  // json::BuildIngestFromJsonb instead of a parse.
+  struct Input {
+    const std::vector<std::string>* text = nullptr;
+    std::vector<std::vector<uint8_t>>* jsonb = nullptr;
+
+    size_t size() const { return text != nullptr ? text->size() : jsonb->size(); }
+  };
+
+  // The pipeline behind Load and ShardedRelation::Load: one task graph over
+  // the partitions of every input, then one relation per input, in input
+  // order, each named `name`. The breakdown covers all inputs. On failure
+  // `*failed_input`, when given, is the index of the input whose task or
+  // relation failed.
+  Result<std::vector<std::unique_ptr<Relation>>> LoadDocs(
+      const std::vector<Input>& inputs, const std::string& name,
+      LoadBreakdown* breakdown, size_t* failed_input = nullptr);
 
   StorageMode mode_;
   tiles::TileConfig config_;

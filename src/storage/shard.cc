@@ -26,8 +26,9 @@ double Seconds(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-/// Documents-per-shard cap mirrored by OpenSharded validation: a corrupt
-/// manifest cannot make us allocate an absurd shard vector.
+/// Upper bound on the shard count, for ShardedRelation::Load and for
+/// OpenSharded's validation: a corrupt manifest cannot make us allocate an
+/// absurd shard vector.
 constexpr uint64_t kMaxShardCount = 4096;
 
 Status AnnotateShard(const Status& st, size_t shard, const std::string& name) {
@@ -51,8 +52,8 @@ uint32_t RouteOne(std::string_view doc, size_t index, size_t shard_count,
   const uint32_t fallback = static_cast<uint32_t>(index % shard_count);
   scratch->clear();
   if (!parser->Transform(doc, scratch).ok()) {
-    // Malformed: route by position; the shard loader applies the
-    // max_errors policy exactly as an unsharded load would.
+    // Malformed: route by position; the load applies the max_errors
+    // policy exactly as an unsharded load would.
     return fallback;
   }
   auto value =
@@ -227,7 +228,7 @@ Result<std::unique_ptr<ShardedRelation>> ShardedRelation::Load(
 
   // Route every document to a shard. Hash routing parses each document once
   // to find the routing value; the per-doc work is independent, so it runs
-  // on the pool alongside nothing else (the shard loads come after).
+  // on a pool of its own before the load.
   std::vector<uint32_t> target(docs.size(), 0);
   RoutingValueKind routing_kind = RoutingValueKind::kNone;
   if (shard_count > 1 || shard_options.routing == ShardRouting::kHashKey) {
@@ -268,82 +269,33 @@ Result<std::unique_ptr<ShardedRelation>> ShardedRelation::Load(
     }
   }
 
-  std::vector<std::vector<std::string>> shard_docs(shard_count);
+  // One loader call over every shard's documents: its task graph runs the
+  // partitions of all shards, and max_errors caps the skips across them.
+  std::vector<std::vector<std::string>> shard_docs;
+  std::vector<Loader::Input> inputs(shard_count);
   if (shard_count > 1) {
+    shard_docs.resize(shard_count);
     std::vector<size_t> counts(shard_count, 0);
     for (uint32_t t : target) counts[t]++;
     for (size_t s = 0; s < shard_count; s++) shard_docs[s].reserve(counts[s]);
     for (size_t i = 0; i < docs.size(); i++) {
       shard_docs[target[i]].push_back(docs[i]);
     }
+    for (size_t s = 0; s < shard_count; s++) inputs[s].text = &shard_docs[s];
   } else {
-    shard_docs[0] = docs;
+    inputs[0].text = &docs;
   }
+  size_t failed_shard = 0;
+  auto shards = Loader(mode, config, load_options)
+                    .LoadDocs(inputs, name, breakdown, &failed_shard);
+  if (!shards.ok()) return AnnotateShard(shards.status(), failed_shard, name);
 
-  // Load the shards concurrently: one single-threaded Loader per shard, the
-  // outer pool provides the parallelism. max_errors is enforced globally
-  // through the shared counter (checked inside each Loader).
-  std::atomic<size_t> shared_skips{0};
-  std::vector<std::unique_ptr<Relation>> shards(shard_count);
-  std::vector<LoadBreakdown> shard_bd(shard_count);
-  auto load_shard = [&](size_t s, size_t) -> Status {
-    JSONTILES_FAILPOINT_RETURN("shard.shard_load");
-    JSONTILES_TRACE_SPAN("shard.shard_load");
-    LoadOptions opts = load_options;
-    opts.num_threads = 1;
-    opts.shared_skip_counter = &shared_skips;
-    Loader loader(mode, config, opts);
-    auto result = loader.Load(shard_docs[s], name, &shard_bd[s]);
-    if (!result.ok()) return result.status();
-    shards[s] = result.MoveValueOrDie();
-    return Status::OK();
-  };
-  const size_t load_workers =
-      std::min(std::max<size_t>(load_options.num_threads, 1), shard_count);
-  Status load_st;
-  if (load_workers > 1 && shard_count > 1) {
-    ThreadPool pool(load_workers);
-    // Annotating with the shard index needs the index of the *failing*
-    // iteration; wrap so the returned Status already carries it.
-    load_st = pool.ParallelForStatus(shard_count, [&](size_t s, size_t w) {
-      Status st = load_shard(s, w);
-      return st.ok() ? st : AnnotateShard(st, s, name);
-    });
-  } else {
-    for (size_t s = 0; s < shard_count && load_st.ok(); s++) {
-      Status st = load_shard(s, 0);
-      if (!st.ok()) load_st = AnnotateShard(st, s, name);
-    }
-  }
-  if (!load_st.ok()) return load_st;
-
-  auto sharded = std::unique_ptr<ShardedRelation>(new ShardedRelation());
-  sharded->name_ = name;
-  sharded->mode_ = mode;
-  sharded->config_ = config;
-  sharded->shard_options_ = shard_options;
-  sharded->routing_path_ = std::move(routing_path);
-  sharded->routing_kind_ = routing_kind;
-  sharded->shards_ = std::move(shards);
-  sharded->shard_stats_.reserve(shard_count);
-  for (size_t s = 0; s < shard_count; s++) {
-    sharded->shard_stats_.push_back(ComputeShardStats(*sharded->shards_[s]));
-    sharded->num_rows_ += sharded->shards_[s]->num_rows();
-  }
+  auto sharded = Assemble(name, mode, config, std::move(shard_options),
+                          std::move(routing_path), routing_kind,
+                          shards.MoveValueOrDie());
   JSONTILES_COUNTER_ADD("shard.loads", 1);
   JSONTILES_COUNTER_ADD("shard.shards_loaded", shard_count);
-
   if (breakdown != nullptr) {
-    *breakdown = LoadBreakdown{};
-    for (const auto& bd : shard_bd) {
-      breakdown->jsonb_secs += bd.jsonb_secs;
-      breakdown->mine_secs += bd.mine_secs;
-      breakdown->reorder_secs += bd.reorder_secs;
-      breakdown->extract_secs += bd.extract_secs;
-      breakdown->tuples += bd.tuples;
-      breakdown->moved_tuples += bd.moved_tuples;
-      breakdown->skipped_docs += bd.skipped_docs;
-    }
     breakdown->total_wall_secs = Seconds(wall0, Clock::now());
   }
   return sharded;

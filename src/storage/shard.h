@@ -1,9 +1,10 @@
 // Sharded storage: route documents to N independent shards, each a full
-// Relation (own tiles, bloom filters, statistics), loaded concurrently on the
-// thread pool — the shard is the unit of load parallelism (the paper's
-// partition pipeline, §3.2/Figures 16-17, lifted one level up). Scans
-// iterate shards and can skip whole shards using shard-level statistics
-// before any tile-level work (DESIGN.md §10).
+// Relation (own tiles, bloom filters, statistics). All shards load in one
+// loader call: the loader's task graph runs the partitions of every shard
+// (the paper's partition pipeline, §3.2/Figures 16-17), so a sharded load
+// parallelises like a plain one. Scans iterate shards and can skip whole
+// shards using shard-level statistics before any tile-level work
+// (DESIGN.md §10).
 //
 // Persistence: SaveSharded writes one JTRL file per shard plus a small
 // "JTSM" manifest naming them; the manifest is written last (temp file +
@@ -14,8 +15,8 @@
 #ifndef JSONTILES_STORAGE_SHARD_H_
 #define JSONTILES_STORAGE_SHARD_H_
 
-#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -88,13 +89,15 @@ struct ShardZoneEntry {
 struct ShardStats {
   bool has_path_stats = false;
   BloomFilter paths{64};
-  std::unordered_map<std::string, ShardZoneEntry> zones;
+  std::unordered_map<std::string, ShardZoneEntry, tiles::StringKeyHash,
+                     std::equal_to<>>
+      zones;
 
   bool MayContainPath(std::string_view path) const {
     return !has_path_stats || paths.MayContainString(path);
   }
   const ShardZoneEntry* FindZone(std::string_view path) const {
-    auto it = zones.find(std::string(path));
+    auto it = zones.find(path);
     return it == zones.end() ? nullptr : &it->second;
   }
 };
@@ -110,7 +113,7 @@ class ShardedRelation {
  public:
   /// Shard-local row r of shard s has the global virtual row id
   /// RowIdBase(s) + r (what `RowId(alias)` returns). The base depends only on
-  /// the shard index, so ids are assignable during concurrent shard loads.
+  /// the shard index, so each shard's ids are known before any shard loads.
   /// Array side relations do not use it: their `_rowid` is the shard-local
   /// row.
   static constexpr int kRowIdShardShift = 40;
@@ -118,14 +121,14 @@ class ShardedRelation {
     return static_cast<int64_t>(shard) << kRowIdShardShift;
   }
 
-  /// Route `docs` to shards and load them concurrently, each with a
-  /// single-threaded Loader: a pool of min(load_options.num_threads,
-  /// shard_count) helpers plus the calling thread runs that many + 1 shard
-  /// loads at a time (at most shard_count); num_threads ≤ 1 loads them one
-  /// after another on the caller. LoadOptions::max_errors is a
-  /// global cap across all shards (a shared atomic counter); the merged
-  /// breakdown sums per-phase CPU seconds across shards while
-  /// total_wall_secs stays wall-clock.
+  /// Route `docs` to shards, then load every shard in one Loader call: one
+  /// task graph over all shards' partitions, on the loader's threads
+  /// (num_threads helpers plus the caller; the caller alone when
+  /// num_threads ≤ 1). Each shard is byte-identical to a plain load of the
+  /// documents routed to it. LoadOptions::max_errors caps the skips across
+  /// all shards; the breakdown sums per-phase CPU seconds over all shards
+  /// while total_wall_secs is the wall clock of routing and load. A failing
+  /// load names the shard: `shard <s> of '<name>': <cause>`.
   static Result<std::unique_ptr<ShardedRelation>> Load(
       const std::vector<std::string>& docs, const std::string& name,
       StorageMode mode, tiles::TileConfig config = {},
@@ -147,7 +150,7 @@ class ShardedRelation {
   const std::string& routing_path() const { return routing_path_; }
   RoutingValueKind routing_kind() const { return routing_kind_; }
 
-  // Internal: assemble from externally built shards (OpenSharded).
+  // Internal: assemble from built shards (Load, OpenSharded).
   static std::unique_ptr<ShardedRelation> Assemble(
       std::string name, StorageMode mode, tiles::TileConfig config,
       ShardOptions shard_options, std::string routing_path,

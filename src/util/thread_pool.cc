@@ -43,11 +43,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   cv_.notify_one();
 }
 
-void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
 void ThreadPool::WorkerLoop() {
   while (true) {
     std::function<void()> task;
@@ -57,14 +52,8 @@ void ThreadPool::WorkerLoop() {
       if (shutdown_ && queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
-      active_++;
     }
     task();
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      active_--;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
   }
 }
 

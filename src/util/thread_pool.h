@@ -1,10 +1,10 @@
 // Thread pool with a parallel-for helper.
 //
 // Used for parallel bulk loading (each participant runs the loader's
-// task-graph worker loop, paper §3.2), shard-parallel loads and
-// morsel-style parallel scans in the query engine (Fig 8). ThreadPool(n)
-// starts n threads; ParallelFor runs on those n and the calling thread, so
-// n + 1 threads work on one call.
+// task-graph worker loop, paper §3.2, for plain and sharded loads alike),
+// the hash-routing pass of sharded loads and morsel-style parallel scans in
+// the query engine (Fig 8). ThreadPool(n) starts n threads; ParallelFor runs
+// on those n and the calling thread, so n + 1 threads work on one call.
 
 #ifndef JSONTILES_UTIL_THREAD_POOL_H_
 #define JSONTILES_UTIL_THREAD_POOL_H_
@@ -33,12 +33,6 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Enqueue a task; returns immediately.
-  void Submit(std::function<void()> task);
-
-  /// Block until all submitted tasks have finished.
-  void WaitIdle();
-
   /// Run fn(i) for i in [0, n). `fn` also receives the calling worker index
   /// in [0, num_threads]) so callers can keep per-thread state. Work is
   /// divided into contiguous chunks, one chunk claimed at a time
@@ -57,14 +51,14 @@ class ThreadPool {
       size_t chunk = 1);
 
  private:
+  // Enqueue a task; returns immediately.
+  void Submit(std::function<void()> task);
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::condition_variable idle_cv_;
-  size_t active_ = 0;
   bool shutdown_ = false;
 };
 

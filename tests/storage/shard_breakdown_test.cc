@@ -1,8 +1,8 @@
-// LoadBreakdown aggregation under concurrent shard loads: per-phase CPU
-// seconds sum across shards while total_wall_secs stays wall-clock, and the
-// degraded-mode error budget (LoadOptions::max_errors) is a single global
-// cap shared by all concurrently-loading shards — exercised at 4 shards x 4
-// threads so the CI TSan job would catch a racy counter.
+// LoadBreakdown aggregation over a sharded load, whose one task graph runs
+// every shard's partitions: per-phase CPU seconds sum across shards while
+// total_wall_secs stays wall-clock, and the degraded-mode error budget
+// (LoadOptions::max_errors) is a single cap across all shards — exercised
+// at 4 shards x 4 threads so the CI TSan job would catch a racy counter.
 
 #include <string>
 #include <vector>

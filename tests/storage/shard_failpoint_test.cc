@@ -1,8 +1,9 @@
-// Fault injection for the sharded storage paths: shard.shard_load (one
-// shard's load fails mid-way), shard.manifest_write (the save fails after
-// the shard files are on disk) and shard.open. A failed SaveSharded must
-// leave no partial manifest and no stray shard files; failing Statuses must
-// name the shard that failed.
+// Fault injection for the sharded storage paths: loader.partition (one
+// shard's partition fails mid-way through the load's one task graph over
+// every shard), shard.manifest_write (the save fails after the shard files
+// are on disk) and shard.open. A failed SaveSharded must leave no partial
+// manifest and no stray shard files; failing Statuses must name the shard
+// that failed.
 
 #include <cstdio>
 #include <string>
@@ -38,24 +39,36 @@ class ShardFailpointTest : public ::testing::Test {
 };
 
 TEST_F(ShardFailpointTest, ShardLoadFailureNamesTheShard) {
-  failpoint::Enable("shard.shard_load", failpoint::Spec::Nth(3));
+  // 100 documents per shard in partitions of 32: four partitions per shard,
+  // so the third reorder task fails while other workers still parse, reorder
+  // or build tiles of this and other shards. A hang or a success fails.
+  tiles::TileConfig config;
+  config.tile_size = 16;
+  config.partition_size = 2;
   LoadOptions load_options;
   load_options.num_threads = 4;
   ShardOptions shard_options;
   shard_options.shard_count = 4;
-  auto result = ShardedRelation::Load(Docs(200), "faulty", StorageMode::kTiles,
-                                      {}, load_options, shard_options);
-  ASSERT_FALSE(result.ok());
-  // The annotation names a shard index and the relation.
-  EXPECT_NE(result.status().message().find("shard "), std::string::npos)
-      << result.status().ToString();
-  EXPECT_NE(result.status().message().find("'faulty'"), std::string::npos)
-      << result.status().ToString();
-  EXPECT_GE(failpoint::Hits("shard.shard_load"), 3u);
+  const auto docs = Docs(400);
+  for (int round = 0; round < 20; round++) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    failpoint::Enable("loader.partition", failpoint::Spec::Nth(3));
+    auto result = ShardedRelation::Load(docs, "faulty", StorageMode::kTiles,
+                                        config, load_options, shard_options);
+    ASSERT_FALSE(result.ok());
+    // The annotation names a shard index and the relation.
+    EXPECT_NE(result.status().message().find("shard "), std::string::npos)
+        << result.status().ToString();
+    EXPECT_NE(result.status().message().find("'faulty'"), std::string::npos)
+        << result.status().ToString();
+    EXPECT_GE(failpoint::Hits("loader.partition"), 3u);
+  }
 }
 
 TEST_F(ShardFailpointTest, SerialShardLoadFailureAlsoClean) {
-  failpoint::Enable("shard.shard_load", failpoint::Spec::Nth(2));
+  // One partition per shard, run in shard order on the caller: the second
+  // reorder task is shard 1's.
+  failpoint::Enable("loader.partition", failpoint::Spec::Nth(2));
   ShardOptions shard_options;
   shard_options.shard_count = 3;
   auto result = ShardedRelation::Load(Docs(100), "faulty", StorageMode::kJsonb,

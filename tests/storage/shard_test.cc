@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "storage/loader.h"
+#include "storage/serialize.h"
 #include "tiles/keypath.h"
 #include "util/random.h"
 
@@ -291,29 +292,54 @@ TEST(ShardTest, SideRowIdsAreShardLocal) {
   }
 }
 
+std::string Bytes(const Relation& relation) {
+  std::vector<uint8_t> bytes;
+  EXPECT_TRUE(SerializeRelation(relation, &bytes).ok());
+  return std::string(bytes.begin(), bytes.end());
+}
+
+// Every shard serializes to the same bytes at every thread count, and to the
+// bytes of a plain load of the documents routed to it.
 TEST(ShardTest, ParallelLoadMatchesSerial) {
-  auto docs = KeyedDocs(500);
+  constexpr size_t kShards = 4;
+  std::vector<std::string> docs = KeyedDocs(500);
+  for (size_t i = 0; i < docs.size(); i++) {
+    docs[i].pop_back();
+    docs[i] += R"(,"tags":["a)" + std::to_string(i % 7) + R"(","b)" +
+               std::to_string(i % 5) + R"("]})";
+  }
+  std::vector<std::vector<std::string>> routed(kShards);
+  for (size_t i = 0; i < docs.size(); i++) routed[i % kShards].push_back(docs[i]);
+  // Partitions of 32 documents: four per shard.
   tiles::TileConfig config;
-  config.tile_size = 64;
-  LoadOptions serial, parallel;
-  serial.num_threads = 1;
-  parallel.num_threads = 4;
+  config.tile_size = 16;
+  config.partition_size = 2;
   ShardOptions options;
-  options.shard_count = 4;
-  auto a = ShardedRelation::Load(docs, "t", StorageMode::kTiles, config,
-                                 serial, options)
-               .MoveValueOrDie();
-  auto b = ShardedRelation::Load(docs, "t", StorageMode::kTiles, config,
-                                 parallel, options)
-               .MoveValueOrDie();
-  ASSERT_EQ(a->shard_count(), b->shard_count());
-  for (size_t s = 0; s < a->shard_count(); s++) {
-    ASSERT_EQ(a->shard(s).num_rows(), b->shard(s).num_rows());
-    for (size_t r = 0; r < a->shard(s).num_rows(); r += 37) {
-      EXPECT_EQ(a->shard(s).Jsonb(r).ToJsonText(),
-                b->shard(s).Jsonb(r).ToJsonText());
+  options.shard_count = kShards;
+  for (StorageMode mode : {StorageMode::kSinew, StorageMode::kTiles}) {
+    LoadOptions load_options;
+    load_options.extract_arrays = mode == StorageMode::kTiles;
+    std::vector<std::string> want;
+    for (const auto& shard_docs : routed) {
+      auto plain = Loader(mode, config, load_options).Load(shard_docs, "t");
+      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+      const Relation& relation = *plain.ValueOrDie();
+      EXPECT_EQ(relation.FindSideRelation(Path({"tags"})) != nullptr,
+                load_options.extract_arrays);
+      want.push_back(Bytes(relation));
     }
-    EXPECT_EQ(a->shard(s).tiles().size(), b->shard(s).tiles().size());
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      load_options.num_threads = threads;
+      auto sharded = ShardedRelation::Load(docs, "t", mode, config,
+                                           load_options, options);
+      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+      ASSERT_EQ(sharded.ValueOrDie()->shard_count(), kShards);
+      for (size_t s = 0; s < kShards; s++) {
+        EXPECT_EQ(Bytes(sharded.ValueOrDie()->shard(s)), want[s])
+            << "mode " << static_cast<int>(mode) << " threads " << threads
+            << " shard " << s;
+      }
+    }
   }
 }
 

@@ -102,16 +102,6 @@ TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPoolTest, SubmitAndWaitIdle) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 50; i++) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(count.load(), 50);
-}
-
 TEST(ThreadPoolTest, SingleThreadPoolStillWorks) {
   ThreadPool pool(1);
   std::atomic<size_t> sum{0};

@@ -63,16 +63,6 @@ TEST(ThreadPoolStressTest, RepeatedParallelForOnSamePool) {
   }
 }
 
-TEST(ThreadPoolStressTest, SubmitManyTasksThenWaitIdle) {
-  ThreadPool pool(4);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 1000; i++) {
-    pool.Submit([&] { done.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(done.load(), 1000);
-}
-
 TEST(ParallelForStatusTest, AllOkVisitsEveryItem) {
   ThreadPool pool(4);
   constexpr size_t kN = 10000;
