@@ -183,7 +183,7 @@ void MineTree(const FpTree& tree, std::vector<Item>* suffix,
 }  // namespace
 
 std::vector<Itemset> FpGrowthMiner::Mine(
-    const std::vector<Transaction>& transactions, const MinerOptions& options) {
+    std::span<const Transaction> transactions, const MinerOptions& options) {
   std::vector<Itemset> out;
   if (transactions.empty() || options.min_support == 0) return out;
   JSONTILES_TRACE_SPAN("mining.fpgrowth");

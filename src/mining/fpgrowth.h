@@ -14,6 +14,8 @@
 #define JSONTILES_MINING_FPGROWTH_H_
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "mining/itemset.h"
@@ -37,8 +39,12 @@ class FpGrowthMiner {
   /// Items within a transaction must be distinct. The result is in
   /// ascending-size order per recursion branch; each itemset's `items` are
   /// sorted ascending.
-  std::vector<Itemset> Mine(const std::vector<Transaction>& transactions,
+  std::vector<Itemset> Mine(std::span<const Transaction> transactions,
                             const MinerOptions& options);
+  std::vector<Itemset> Mine(std::initializer_list<Transaction> transactions,
+                            const MinerOptions& options) {
+    return Mine(std::span(transactions.begin(), transactions.size()), options);
+  }
 
 };
 

@@ -41,6 +41,33 @@ struct PhaseSecs {
   double jsonb = 0, mine = 0, reorder = 0, extract = 0;
 };
 
+// Documents copied, in row order, into one exactly sized block: the rows of
+// one tile, or of a whole partition in the modes without tiles. The serial
+// phase hands both to the relation (Relation::AdoptDocs) without copying.
+struct StoredDocs {
+  Arena block;
+  std::vector<Relation::DocRef> refs;
+};
+
+// Copies the parse buffers `doc_at(0)`, ..., `doc_at(count - 1)` into one
+// block in that order, freeing each buffer once it is copied.
+template <typename DocAt>
+StoredDocs StoreDocs(size_t count, DocAt doc_at) {
+  size_t bytes = 0;
+  for (size_t i = 0; i < count; i++) {
+    bytes += Arena::AllocationSize(doc_at(i).size());
+  }
+  StoredDocs stored{Arena(bytes), {}};
+  stored.refs.reserve(count);
+  for (size_t i = 0; i < count; i++) {
+    std::vector<uint8_t>& buf = doc_at(i);
+    stored.refs.push_back(
+        {stored.block.AllocateCopy(buf.data(), buf.size()), buf.size()});
+    std::vector<uint8_t>().swap(buf);
+  }
+  return stored;
+}
+
 // One chunk of a partition's input documents, parsed and interned on its
 // own: the chunk's JSONB in input order (skipped documents left out) and
 // its items, ids local to the chunk.
@@ -49,24 +76,26 @@ struct Chunk {
   tiles::DocumentItems items;
 };
 
-// One partition: its chunks until they are merged, then its documents in
-// reordered order and its tiles.
+// One partition: its chunks until they are merged, then its stored
+// documents and its tiles.
 struct Partition {
   size_t input = 0;            // the input (and relation) it belongs to
   size_t begin = 0, end = 0;   // its documents within the input
   std::vector<Chunk> chunks;
-  std::vector<std::vector<uint8_t>> jsonb;  // permuted document order
-  std::vector<tiles::Tile> tiles;           // row_begin relative to partition
+  std::vector<StoredDocs> stored;  // one per tile; one in all without tiles
+  std::vector<tiles::Tile> tiles;  // row_begin relative to partition
   size_t moved_tuples = 0;
-  // Read by the tile tasks, released after the last one.
-  tiles::DocumentItems items;  // original document order
+  // Read by the tile tasks, released after the last one. Each tile task
+  // stores and frees its own rows' parse buffers.
+  std::vector<std::vector<uint8_t>> jsonb;  // original document order
+  tiles::DocumentItems items;               // original document order
   std::vector<uint32_t> permutation;
 };
 
 // The task graph of one load, over the partitions of every input in
 // input-major, partition-major order. Each partition has three kinds of
 // task: parse one of its chunks; reorder it, once every chunk is parsed
-// (merge the chunks, tiles::ReorderPartition, permute); build one of its
+// (merge the chunks, tiles::ReorderPartition); store and build one of its
 // tiles, once it is reordered. Workers take the first ready task in that
 // order, so a partition's data stays hot in cache while idle workers help
 // with its chunks and tiles. One worker alone runs the tasks in exactly the
@@ -311,7 +340,8 @@ Result<std::vector<std::unique_ptr<Relation>>> Loader::LoadDocs(
 
   // Task: join a partition's chunks in order and, for tiles, reorder it
   // (the identity when partition_size is 1). The merged interner holds the
-  // ids one pass over the partition would assign. Sets `num_tiles`.
+  // ids one pass over the partition would assign. Without tiles this task
+  // fixes every row of the partition, so it stores them. Sets `num_tiles`.
   auto reorder_partition = [&](size_t p, PhaseSecs* secs,
                                size_t* num_tiles) -> Status {
     JSONTILES_FAILPOINT_RETURN("loader.partition");
@@ -328,6 +358,11 @@ Result<std::vector<std::unique_ptr<Relation>>> Loader::LoadDocs(
     }
     std::vector<Chunk>().swap(part.chunks);
     if (!tiles_mode) {
+      part.stored.push_back(
+          StoreDocs(count, [&](size_t i) -> std::vector<uint8_t>& {
+            return part.jsonb[i];
+          }));
+      std::vector<std::vector<uint8_t>>().swap(part.jsonb);
       secs->jsonb += Seconds(t0, Clock::now());
       *num_tiles = 0;
       return Status::OK();
@@ -336,20 +371,16 @@ Result<std::vector<std::unique_ptr<Relation>>> Loader::LoadDocs(
     tiles::ReorderResult reordered = tiles::ReorderPartition(part.items, config_);
     part.permutation = std::move(reordered.permutation);
     part.moved_tuples = reordered.moved_tuples;
-    if (!std::is_sorted(part.permutation.begin(), part.permutation.end())) {
-      std::vector<std::vector<uint8_t>> permuted(count);
-      for (size_t i = 0; i < count; i++) {
-        permuted[i] = std::move(part.jsonb[part.permutation[i]]);
-      }
-      part.jsonb = std::move(permuted);
-    }
     *num_tiles = (count + tile_size - 1) / tile_size;
+    part.stored.resize(*num_tiles);
     part.tiles.resize(*num_tiles);
     secs->reorder += Seconds(t0, Clock::now());
     return Status::OK();
   };
 
-  // Task: mine and extract one tile of a reordered partition.
+  // Task: store, mine and extract one tile of a reordered partition. Its
+  // rows are the documents the permutation puts there, copied into the
+  // tile's own block; the tile is built over the copies.
   auto build_tile = [&](size_t p, size_t t, PhaseSecs* secs) {
     JSONTILES_TRACE_SPAN("loader.tile");
     Partition& part = partitions[p];
@@ -358,7 +389,13 @@ Result<std::vector<std::unique_ptr<Relation>>> Loader::LoadDocs(
     const std::vector<uint32_t> indices(
         part.permutation.begin() + static_cast<long>(tile_begin),
         part.permutation.begin() + static_cast<long>(tile_end));
+    auto s0 = Clock::now();
+    StoredDocs& stored = part.stored[t] =
+        StoreDocs(indices.size(), [&](size_t i) -> std::vector<uint8_t>& {
+          return part.jsonb[indices[i]];
+        });
     auto m0 = Clock::now();
+    secs->jsonb += Seconds(s0, m0);
     tiles::TileBuilder tile_builder(config_);
     tiles::DocumentItems tile_items = part.items.Project(indices);
     std::vector<mining::Itemset> itemsets = tile_builder.MineItemsets(
@@ -366,9 +403,9 @@ Result<std::vector<std::unique_ptr<Relation>>> Loader::LoadDocs(
     auto m1 = Clock::now();
     secs->mine += Seconds(m0, m1);
     std::vector<json::JsonbValue> tile_views;
-    tile_views.reserve(tile_end - tile_begin);
-    for (size_t i = tile_begin; i < tile_end; i++) {
-      tile_views.emplace_back(part.jsonb[i].data());
+    tile_views.reserve(stored.refs.size());
+    for (const Relation::DocRef& ref : stored.refs) {
+      tile_views.emplace_back(ref.data);
     }
     part.tiles[t] = tile_builder.BuildFromItems(tile_views, tile_items,
                                                 tile_begin, &itemsets);
@@ -408,6 +445,7 @@ Result<std::vector<std::unique_ptr<Relation>>> Loader::LoadDocs(
       }
       if (graph.Finish(task, num_tiles)) {
         Partition& part = partitions[task.partition];
+        std::vector<std::vector<uint8_t>>().swap(part.jsonb);
         part.items = tiles::DocumentItems{};
         std::vector<uint32_t>().swap(part.permutation);
       }
@@ -430,14 +468,15 @@ Result<std::vector<std::unique_ptr<Relation>>> Loader::LoadDocs(
   }
 
   // Serial phase: append each partition to its input's relation in
-  // partition order; fix tile row offsets.
+  // partition order, handing over its stored blocks without copying a
+  // document; fix tile row offsets.
   size_t num_tiles = 0;
   auto t0 = Clock::now();
   for (Partition& part : partitions) {
     Relation& relation = *relations[part.input];
     const size_t partition_row_begin = relation.num_rows();
-    for (const auto& buf : part.jsonb) {
-      relation.AppendDoc(buf.data(), buf.size());
+    for (StoredDocs& stored : part.stored) {
+      relation.AdoptDocs(std::move(stored.block), stored.refs);
     }
     for (auto& tile : part.tiles) {
       tile.row_begin += partition_row_begin;

@@ -9,11 +9,15 @@
 // kinds of task: parse a chunk (text to binary JSON while collecting and
 // interning each document's key paths), reorder a partition once all its
 // chunks are parsed (merge the chunks' items, reorder the tuples within the
-// partition), and mine and materialize one tile of a reordered partition.
-// Workers take the first ready task in input-major, partition-major order,
-// so a partition with more tiles than there are other partitions still
-// keeps every worker busy. A short serial phase appends each partition to
-// its input's relation in partition order, so every loaded relation is
+// partition), and store, mine and materialize one tile of a reordered
+// partition. Workers take the first ready task in input-major,
+// partition-major order, so a partition with more tiles than there are
+// other partitions still keeps every worker busy. The task that fixes a
+// document's row stores it: a tile task copies its rows into one block of
+// its own and frees their parse buffers (JSONB and Sinew, which have no
+// tile tasks, store a whole partition in its reorder task). A short serial
+// phase then hands each partition's blocks to its input's relation in
+// partition order, copying no document, so every loaded relation is
 // byte-identical for every thread count and schedule.
 
 #ifndef JSONTILES_STORAGE_LOADER_H_

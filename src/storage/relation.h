@@ -15,6 +15,7 @@
 #define JSONTILES_STORAGE_RELATION_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -40,6 +41,12 @@ class Relation {
 
   Relation(const Relation&) = delete;
   Relation& operator=(const Relation&) = delete;
+
+  /// Where one row's document is stored.
+  struct DocRef {
+    const uint8_t* data;
+    size_t size;
+  };
 
   const std::string& name() const { return name_; }
   StorageMode mode() const { return mode_; }
@@ -106,13 +113,16 @@ class Relation {
     document_bytes_ += size;
     num_rows_++;
   }
-  Arena* arena() { return &arena_; }
+  /// Internal: used by the loader. Appends one row per ref, in order; the
+  /// refs point into `block`, whose allocations the relation takes over.
+  void AdoptDocs(Arena&& block, std::span<const DocRef> refs) {
+    arena_.Absorb(std::move(block));
+    docs_.insert(docs_.end(), refs.begin(), refs.end());
+    for (const DocRef& ref : refs) document_bytes_ += ref.size;
+    num_rows_ += refs.size();
+  }
 
  private:
-  struct DocRef {
-    const uint8_t* data;
-    size_t size;
-  };
 
   size_t TileIndexForRow(size_t row) const;
   void ReplaceDoc(size_t row, const uint8_t* data, size_t size);

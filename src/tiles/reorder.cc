@@ -4,6 +4,8 @@
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <span>
+#include <utility>
 
 #include "mining/fpgrowth.h"
 #include "obs/obs.h"
@@ -11,24 +13,6 @@
 namespace jsontiles::tiles {
 
 namespace {
-
-// Number of common items between a sorted itemset and a sorted transaction.
-size_t OverlapCount(const std::vector<mining::Item>& itemset,
-                    const std::vector<mining::Item>& tx) {
-  size_t i = 0, j = 0, common = 0;
-  while (i < itemset.size() && j < tx.size()) {
-    if (itemset[i] == tx[j]) {
-      common++;
-      i++;
-      j++;
-    } else if (itemset[i] < tx[j]) {
-      i++;
-    } else {
-      j++;
-    }
-  }
-  return common;
-}
 
 uint64_t ItemIdSum(const std::vector<mining::Item>& items) {
   uint64_t sum = 0;
@@ -65,15 +49,15 @@ ReorderResult ReorderPartition(const DocumentItems& items,
   for (size_t t = 0; t < num_tiles; t++) {
     size_t begin = t * tile_size;
     size_t end = std::min(begin + tile_size, n);
-    std::vector<mining::Transaction> chunk(items.transactions.begin() + begin,
-                                           items.transactions.begin() + end);
     mining::MinerOptions options;
     options.min_support = static_cast<uint32_t>(
         std::ceil(reduced * static_cast<double>(end - begin)));
     if (options.min_support == 0) options.min_support = 1;
     options.budget = kReorderItemsetBudget;
     // Step 2 (first half): exchange the itemsets of all tiles.
-    for (auto& set : miner.Mine(chunk, options)) {
+    for (auto& set : miner.Mine(
+             std::span(items.transactions).subspan(begin, end - begin),
+             options)) {
       aggregated[set.items] += set.support;
     }
   }
@@ -110,36 +94,63 @@ ReorderResult ReorderPartition(const DocumentItems& items,
   // fewest items the tuple lacks (a tuple must not be clustered under a
   // schema whose extra columns it cannot fill); remaining ties are resolved
   // deterministically by the minimal sum of item ids so equal tuples always
-  // match alike (§3.2 step 3).
+  // match alike (§3.2 step 3). Survivors hold one to a few items and tuples
+  // a few dozen, so each tuple counts its items once into an array indexed
+  // by item id, and an itemset's overlap is the sum of those counts over its
+  // own distinct items, each capped at how often the itemset holds it (the
+  // size of the multiset intersection; 0 or 1 per item for distinct items).
   const int kUnmatched = -1;
   std::vector<int> best(n, kUnmatched);
-  std::vector<mining::Transaction> sorted_txs = items.transactions;
-  for (auto& tx : sorted_txs) std::sort(tx.begin(), tx.end());
+  struct Survivor {
+    std::vector<std::pair<mining::Item, uint32_t>> counts;  // distinct items
+    size_t size;
+    uint64_t idsum;
+  };
+  std::vector<Survivor> scored(survivors.size());
+  for (size_t s = 0; s < survivors.size(); s++) {
+    const std::vector<mining::Item>& set = survivors[s].items;  // sorted
+    for (size_t k = 0; k < set.size(); k++) {
+      if (k > 0 && set[k] == set[k - 1]) {
+        scored[s].counts.back().second++;
+      } else {
+        scored[s].counts.emplace_back(set[k], 1);
+      }
+    }
+    scored[s].size = set.size();
+    scored[s].idsum = ItemIdSum(set);
+  }
+  std::vector<uint32_t> present(items.dict.size(), 0);
   for (size_t d = 0; d < n; d++) {
+    const mining::Transaction& tx = items.transactions[d];
+    for (mining::Item item : tx) present[item]++;
     size_t best_overlap = 0;
     size_t best_size = 0;
     uint64_t best_idsum = 0;
-    for (size_t s = 0; s < survivors.size(); s++) {
-      size_t overlap = OverlapCount(survivors[s].items, sorted_txs[d]);
+    for (size_t s = 0; s < scored.size(); s++) {
+      const Survivor& survivor = scored[s];
+      size_t overlap = 0;
+      for (auto [item, count] : survivor.counts) {
+        overlap += std::min(count, present[item]);
+      }
       if (overlap == 0) continue;
-      uint64_t idsum = ItemIdSum(survivors[s].items);
       bool better = false;
       if (overlap > best_overlap) {
         better = true;
       } else if (overlap == best_overlap) {
-        if (survivors[s].items.size() < best_size) {
+        if (survivor.size < best_size) {
           better = true;
-        } else if (survivors[s].items.size() == best_size && idsum < best_idsum) {
+        } else if (survivor.size == best_size && survivor.idsum < best_idsum) {
           better = true;
         }
       }
       if (better) {
         best[d] = static_cast<int>(s);
         best_overlap = overlap;
-        best_size = survivors[s].items.size();
-        best_idsum = idsum;
+        best_size = survivor.size;
+        best_idsum = survivor.idsum;
       }
     }
+    for (mining::Item item : tx) present[item] = 0;
   }
 
   // Step 4: aggregate cluster sizes and greedily map clusters to tiles so

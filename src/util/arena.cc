@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 namespace jsontiles {
 
 uint8_t* Arena::Allocate(size_t size) {
-  size = (size + 7) & ~size_t{7};
+  size = AllocationSize(size);
   if (static_cast<size_t>(end_ - cur_) < size) NewBlock(size);
   uint8_t* result = cur_;
   cur_ += size;
@@ -29,12 +30,20 @@ std::string_view Arena::CopyString(std::string_view s) {
 
 void Arena::NewBlock(size_t min_size) {
   size_t size = std::max(block_size_, min_size);
-  blocks_.push_back(std::make_unique<uint8_t[]>(size));
+  blocks_.push_back(std::make_unique_for_overwrite<uint8_t[]>(size));
   cur_ = blocks_.back().get();
   end_ = cur_ + size;
   bytes_reserved_ += size;
   // Grow geometrically up to 8 MiB blocks to amortize allocation.
   block_size_ = std::min<size_t>(block_size_ * 2, 8 * 1024 * 1024);
+}
+
+void Arena::Absorb(Arena&& other) {
+  blocks_.insert(blocks_.end(), std::make_move_iterator(other.blocks_.begin()),
+                 std::make_move_iterator(other.blocks_.end()));
+  bytes_allocated_ += other.bytes_allocated_;
+  bytes_reserved_ += other.bytes_reserved_;
+  other.Reset();
 }
 
 void Arena::Reset() {

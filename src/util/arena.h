@@ -24,7 +24,14 @@ class Arena {
   Arena(Arena&&) = default;
   Arena& operator=(Arena&&) = default;
 
-  /// Allocate `size` bytes (8-byte aligned).
+  /// Bytes an allocation of `size` takes from its block: `size` rounded up
+  /// to the 8-byte alignment. An arena built with the sum of these as its
+  /// initial block size serves those allocations from one exact block.
+  static constexpr size_t AllocationSize(size_t size) {
+    return (size + 7) & ~size_t{7};
+  }
+
+  /// Allocate `size` bytes (8-byte aligned). The bytes are uninitialized.
   uint8_t* Allocate(size_t size);
 
   /// Allocate and copy `size` bytes from `src`.
@@ -39,6 +46,11 @@ class Arena {
 
   /// Total bytes reserved from the system.
   size_t bytes_reserved() const { return bytes_reserved_; }
+
+  /// Take over `other`'s blocks: its allocations stay valid and now live as
+  /// long as this arena, and the counters add up. `other` is left empty.
+  /// Allocations here continue in this arena's own current block.
+  void Absorb(Arena&& other);
 
   /// Drop all blocks.
   void Reset();

@@ -1,5 +1,6 @@
 #include "storage/loader.h"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -442,6 +443,43 @@ TEST(LoaderTest, ArrayExtractionBuildsSideRelation) {
   // The side relation extracted its own columns.
   ASSERT_FALSE(side->tiles().empty());
   EXPECT_NE(side->tiles()[0].FindColumn(Path({"text"})), nullptr);
+}
+
+// Rows live in blocks the tile tasks stored and the relation adopted; an
+// update allocates its new document beside them and overwrites none.
+TEST(LoaderTest, UpdateRowsAfterParallelReorderedLoad) {
+  tiles::TileConfig config;
+  config.tile_size = 32;
+  config.partition_size = 4;
+  LoadOptions options;
+  options.num_threads = 4;
+  LoadBreakdown breakdown;
+  auto rel = Loader(StorageMode::kTiles, config, options)
+                 .Load(MixedDocs(500), "t", &breakdown)
+                 .MoveValueOrDie();
+  ASSERT_GT(breakdown.moved_tuples, 0u);
+  auto bytes_of = [&](size_t row) {
+    const uint8_t* data = rel->Jsonb(row).data();
+    return std::vector<uint8_t>(data, data + rel->DocSize(row));
+  };
+  std::vector<std::vector<uint8_t>> before;
+  for (size_t r = 0; r < rel->num_rows(); r++) before.push_back(bytes_of(r));
+
+  const std::vector<size_t> updated = {0, 31, 32, 250, 499};
+  for (size_t row : updated) {
+    ASSERT_TRUE(rel->UpdateRow(row, R"({"id":)" + std::to_string(1000 + row) +
+                                        R"(,"name":"updated"})")
+                    .ok());
+  }
+  for (size_t r = 0; r < rel->num_rows(); r++) {
+    if (std::find(updated.begin(), updated.end(), r) != updated.end()) {
+      EXPECT_EQ(rel->Jsonb(r).FindKey("id")->GetInt(),
+                static_cast<int64_t>(1000 + r));
+      EXPECT_EQ(rel->Jsonb(r).FindKey("name")->GetString(), "updated");
+    } else {
+      EXPECT_EQ(bytes_of(r), before[r]) << "row " << r;
+    }
+  }
 }
 
 TEST(RelationTest, UpdateRowRewritesDocAndTile) {

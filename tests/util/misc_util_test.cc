@@ -52,6 +52,36 @@ TEST(ArenaTest, ResetReclaims) {
   arena.Allocate(8);  // usable after reset
 }
 
+TEST(ArenaTest, AbsorbKeepsAllocations) {
+  Arena arena(64);
+  uint8_t* own = arena.AllocateCopy("receiver", 8);
+  const size_t own_allocated = arena.bytes_allocated();
+  const size_t own_reserved = arena.bytes_reserved();
+  uint8_t* first;
+  uint8_t* absorbed;
+  size_t donor_allocated, donor_reserved;
+  {
+    Arena donor(Arena::AllocationSize(5) + Arena::AllocationSize(300));
+    first = donor.AllocateCopy("first", 5);
+    std::vector<uint8_t> big(300, 0x5A);
+    absorbed = donor.AllocateCopy(big.data(), big.size());
+    donor_allocated = donor.bytes_allocated();
+    donor_reserved = donor.bytes_reserved();
+    EXPECT_EQ(donor_reserved, donor_allocated);  // one exactly sized block
+    arena.Absorb(std::move(donor));
+    EXPECT_EQ(donor.bytes_allocated(), 0u);
+    EXPECT_EQ(donor.bytes_reserved(), 0u);
+  }
+  EXPECT_EQ(arena.bytes_allocated(), own_allocated + donor_allocated);
+  EXPECT_EQ(arena.bytes_reserved(), own_reserved + donor_reserved);
+  // The receiver keeps allocating, from its own block, without touching the
+  // absorbed bytes.
+  for (int i = 0; i < 50; i++) std::memset(arena.Allocate(40), 0xC3, 40);
+  EXPECT_EQ(std::memcmp(own, "receiver", 8), 0);
+  for (size_t i = 0; i < 300; i++) EXPECT_EQ(absorbed[i], 0x5A) << i;
+  EXPECT_EQ(std::memcmp(first, "first", 5), 0);
+}
+
 TEST(HashTest, DeterministicAndSeedSensitive) {
   EXPECT_EQ(HashString("json"), HashString("json"));
   EXPECT_NE(HashString("json"), HashString("tile"));
